@@ -28,7 +28,6 @@ class BasisTerm:
     block_index: int
     factor_subset: tuple[int, ...]       # positions in the block's factor list
     expr: ex.Expr = field(repr=False)
-    models: tuple[ft.FactorModel, ...] = field(repr=False, default=())
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         return self.expr.eval_batch(points)
@@ -90,15 +89,10 @@ def build_basis(
             )
         for size in range(1, len(models) + 1):
             for subset in itertools.combinations(range(len(models)), size):
-                chosen = tuple(models[k] for k in subset)
-                e = chosen[0].expr
-                for m in chosen[1:]:
-                    e = ex.mul(e, m.expr)
-                terms.append(
-                    BasisTerm(
-                        block_index=bi, factor_subset=subset, expr=e, models=chosen
-                    )
-                )
+                e = models[subset[0]].expr
+                for k in subset[1:]:
+                    e = ex.mul(e, models[k].expr)
+                terms.append(BasisTerm(block_index=bi, factor_subset=subset, expr=e))
     return terms
 
 
@@ -195,9 +189,9 @@ def assemble_and_validate(
             det.DetectConfig(seed=run_seed),
         )
         terms = build_basis(structure, factors)
-        train = oracle.sample(n_samples, _derived_seed(run_seed, 1))
+        train = oracle.sample(n_samples, ft.derived_seed(run_seed, 1))
         c0, coefs, train_mse, deficient = least_squares(terms, train)
-        val = oracle.sample(n_samples, _derived_seed(run_seed, 2))
+        val = oracle.sample(n_samples, ft.derived_seed(run_seed, 2))
         model = AssembledModel(
             c0=c0,
             terms=terms,
@@ -230,7 +224,3 @@ def _mse(c0, coefs, terms, sample: SampleSet) -> float:
 
 def math_nan_to_inf(v: float) -> float:
     return v if np.isfinite(v) else float("inf")
-
-
-def _derived_seed(base: int, tag: int) -> int:
-    return int(np.random.SeedSequence(base, spawn_key=(tag,)).generate_state(1)[0])

@@ -47,7 +47,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="MSE tolerance for fitted models")
     p.add_argument("--samples-per-var", type=int, default=200)
     p.add_argument("--max-nodes", type=int, default=12,
-                   help="skeleton complexity cap")
+                   help="largest skeleton template node count (at least 3)")
     p.add_argument("--kmax", type=int, default=3,
                    help="largest repeated-variable cut size")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
@@ -105,6 +105,8 @@ def _emit(payload: dict, out: str | None) -> None:
 def _setup(args):
     if args.dims < 1:
         raise ValueError("--dims must be at least 1")
+    if args.max_nodes < 3:
+        raise ValueError("--max-nodes must be at least 3")
     lo = _parse_bounds(args.lo, args.dims)
     hi = _parse_bounds(args.hi, args.dims)
     target = parse(args.target, args.dims)

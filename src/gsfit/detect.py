@@ -78,24 +78,28 @@ class InteractionGraph:
     def components(self, active: set[int] | None = None) -> list[tuple[int, ...]]:
         """Connected components of the induced subgraph over `active`."""
         verts = sorted(active) if active is not None else list(range(1, self.n + 1))
-        vset = set(verts)
-        seen: set[int] = set()
-        comps = []
-        for v in verts:
-            if v in seen:
-                continue
-            stack, comp = [v], []
-            while stack:
-                u = stack.pop()
-                if u in seen:
-                    continue
-                seen.add(u)
-                comp.append(u)
-                for w in vset:
-                    if w not in seen and self.has_edge(u, w):
-                        stack.append(w)
-            comps.append(tuple(sorted(comp)))
-        return sorted(comps)
+        return _components(verts, self.has_edge)
+
+
+def _components(verts, linked) -> list[tuple[int, ...]]:
+    """Connected components of `verts` under the symmetric relation
+    linked(u, w); each component sorted, the list sorted."""
+    seen: set[int] = set()
+    comps = []
+    for v in verts:
+        if v in seen:
+            continue
+        seen.add(v)
+        stack, comp = [v], [v]
+        while stack:
+            u = stack.pop()
+            for w in verts:
+                if w not in seen and linked(u, w):
+                    seen.add(w)
+                    stack.append(w)
+                    comp.append(w)
+        comps.append(tuple(sorted(comp)))
+    return sorted(comps)
 
 
 @dataclass
@@ -481,26 +485,11 @@ def factor_partition(d: FactorData, cfg: DetectConfig, box=None) -> tuple[tuple[
         raise ValueError("factor_partition needs the oracle box for probe ranges")
     lo = np.asarray([box.lo[v - 1] for v in d.vars])
     hi = np.asarray([box.hi[v - 1] for v in d.vars])
-    same = {v: set() for v in d.vars}
+    same = set()
     for p, q in itertools.combinations(d.vars, 2):
-        verdict = _pair_separable(d, p, q, lo, hi, cfg)
-        if verdict != "product":
-            same[p].add(q)
-            same[q].add(p)
-    groups, seen = [], set()
-    for v in d.vars:
-        if v in seen:
-            continue
-        stack, comp = [v], []
-        while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            comp.append(u)
-            stack.extend(same[u] - seen)
-        groups.append(tuple(sorted(comp)))
-    return tuple(sorted(groups))
+        if _pair_separable(d, p, q, lo, hi, cfg) != "product":
+            same |= {(p, q), (q, p)}
+    return tuple(_components(d.vars, lambda u, w: (u, w) in same))
 
 
 # --------------------------------------------------------------------------

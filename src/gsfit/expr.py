@@ -4,6 +4,10 @@ Trees are immutable and evaluate deterministically. Points outside an
 operator's domain (ln of a non-positive number, division by zero, 0 raised
 to a negative power) produce NaN, the single "invalid" marker, which
 propagates to the root instead of raising.
+
+Templates are trees with parameter leaves `p0, p1, ...`: they are parsed
+with `parse_template`, evaluated with a parameter vector, and turned into
+ordinary trees by `bind`.
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ class ParseError(ValueError):
 class Expr:
     """One node of an expression tree.
 
-    kind is 'const', 'var', a unary op or a binary op. Constants carry
-    `value`, variables carry a 1-based `index`, operators carry children
-    in `args`.
+    kind is 'const', 'var', 'param', a unary op or a binary op. Constants
+    carry `value`, variables a 1-based `index`, parameters a 0-based slot
+    in `index`, operators their children in `args`.
     """
 
     kind: str
@@ -45,6 +49,23 @@ class Expr:
         if self.kind == "var":
             return self.index
         return max((a.arity_bound() for a in self.args), default=0)
+
+    def param_bound(self) -> int:
+        """Number of parameter slots the tree uses (largest slot plus one)."""
+        if self.kind == "param":
+            return self.index + 1
+        return max((a.param_bound() for a in self.args), default=0)
+
+    def bind(self, theta, var_map) -> "Expr":
+        """Copy with parameters set to theta and local x<k> renamed to
+        x<var_map[k-1]>."""
+        if self.kind == "param":
+            return const(theta[self.index])
+        if self.kind == "var":
+            return var(var_map[self.index - 1])
+        if not self.args:
+            return self
+        return Expr(self.kind, args=tuple(a.bind(theta, var_map) for a in self.args))
 
     def complexity(self) -> int:
         """Total node count; constants and variables count one each."""
@@ -76,15 +97,20 @@ class Expr:
             vals = np.where(np.isfinite(vals), vals, np.nan)
         return vals
 
-    def _eval(self, pts: np.ndarray) -> np.ndarray:
+    def _eval(self, pts: np.ndarray, theta=()) -> np.ndarray:
+        # a parameter evaluates to the scalar theta[slot]; constants stay
+        # full arrays, since np.power with a scalar exponent of 2 or 0.5
+        # takes a fast path that is not bit-identical to the array form
         k = self.kind
         if k == "const":
             return np.full(pts.shape[0], self.value)
         if k == "var":
             return pts[:, self.index - 1].copy()
+        if k == "param":
+            return theta[self.index]
         if k in BINARY_OPS:
-            a = self.args[0]._eval(pts)
-            b = self.args[1]._eval(pts)
+            a = self.args[0]._eval(pts, theta)
+            b = self.args[1]._eval(pts, theta)
             if k == "add":
                 return a + b
             if k == "sub":
@@ -94,7 +120,7 @@ class Expr:
             if k == "div":
                 return np.where(b != 0.0, a / np.where(b != 0.0, b, 1.0), np.nan)
             return np.power(a, b)
-        a = self.args[0]._eval(pts)
+        a = self.args[0]._eval(pts, theta)
         if k == "neg":
             return -a
         if k == "sin":
@@ -126,6 +152,8 @@ class Expr:
             return format(self.value, ".17g")
         if k == "var":
             return f"x{self.index}"
+        if k == "param":
+            return f"p{self.index}"
         if k in _FUNC_NAMES:
             return f"{_FUNC_NAMES[k]}({self.args[0]._print(0)})"
         if k == "square":
@@ -187,11 +215,16 @@ class _Parser:
     term   := factor (('*'|'/') factor)*
     factor := base ('^' base)?
     base   := number | 'x' digits | func '(' expr ')' | '(' expr ')' | '-' base
+
+    With `params`, base also accepts 'p' digits, a template parameter.
     """
 
-    def __init__(self, text: str, arity: int):
+    def __init__(self, text: str, arity: int, params: bool = False):
+        if arity < 1:
+            raise ValueError("arity must be at least 1")
         self.text = text
         self.arity = arity
+        self.params = params
         self.pos = 0
 
     def parse(self) -> Expr:
@@ -263,6 +296,8 @@ class _Parser:
                         f"variable x{idx} out of range for arity {self.arity}", start
                     )
                 return var(idx)
+            if self.params and name[0] == "p" and name[1:].isdigit():
+                return Expr("param", index=int(name[1:]))
             if name in _FUNC_NAMES:
                 if self.peek() != "(":
                     raise ParseError(f"expected '(' after {name}", self.pos)
@@ -305,6 +340,9 @@ class _Parser:
 
 def parse(text: str, arity: int) -> Expr:
     """Parse an expression over variables x1..x<arity>."""
-    if arity < 1:
-        raise ValueError("arity must be at least 1")
     return _Parser(text, arity).parse()
+
+
+def parse_template(text: str, arity: int) -> Expr:
+    """Parse a template over x1..x<arity> and parameters p0, p1, ..."""
+    return _Parser(text, arity, params=True).parse()

@@ -1,17 +1,25 @@
-"""Factor determination: skeleton enumeration plus a hybrid simplex
-evolution optimizer.
+"""Factor determination: a table of skeleton templates plus a hybrid
+simplex evolution optimizer.
+
+A skeleton is a tuple of column templates, written in the expression
+grammar over the factor's local variables x1..xk and parameters p0, p1,
+... (`expr.parse_template`). Its model is the sum of lin_j * column_j,
+and a column "1" is the offset. The templates are the only definition of
+a skeleton: the objective evaluates them, the fitted model is bound from
+them, and their node counts give the complexity that caps the stream.
 
 Factor data is only identified up to an affine transform, so every
-skeleton carries an explicit amplitude and (usually) offset. Those enter
-the model linearly and are solved by least squares inside the objective;
-the evolutionary search only has to handle the genuinely nonlinear
-parameters (frequencies, growth rates, inner shifts), which keeps it in
-one to three dimensions.
+skeleton carries an explicit amplitude and (usually) offset. The lin_j
+enter the model linearly and are solved by least squares inside the
+objective; the evolutionary search only has to handle the parameters
+inside the columns (frequencies, growth rates, inner shifts), which keeps
+it in one to three dimensions.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -123,57 +131,62 @@ def ldse_minimize(
 # --------------------------------------------------------------------------
 # skeletons
 
+_OFFSET = ex.const(1.0)
+
 
 @dataclass(frozen=True)
 class Skeleton:
-    """Expression template with free parameters.
+    """Model sum_j lin_j * columns[j] over the factor's local variables.
 
-    Linear parameters (amplitudes, offsets, coefficients of fixed columns)
-    are solved by least squares; the `nl_count` leading shape parameters
-    are searched by the optimizer. complexity counts the nodes of the core
-    shape, with the affine wrapper excluded.
+    The lin_j are solved by least squares; the nl_count parameters p<k>
+    are searched by the optimizer, starting from the candidates
+    `hints(V, y)` proposes. A skeleton with parameters has one column
+    besides the offset, whose amplitude and offset the objective solves in
+    closed form. Everything else is read off the column templates.
     """
 
     name: str
-    var_count: int
-    complexity: int
-    nl_count: int
-    lin_count: int
-    basis: Callable = field(repr=False)       # (V, nl) -> (N, lin_count) or None
-    build: Callable = field(repr=False)       # (var_indices, nl, lin) -> Expr
-    hints: Callable | None = field(repr=False, default=None)  # (V, y) -> [nl, ...]
-    shape: Callable | None = field(repr=False, default=None)  # (V, nl) -> column
-    has_offset: bool = True
+    columns: tuple[ex.Expr, ...]
+    hints: Callable | None = field(repr=False, default=None)
+
+    def _shapes(self) -> list[ex.Expr]:
+        return [c for c in self.columns if c != _OFFSET]
 
     @property
-    def param_count(self) -> int:
-        return self.nl_count + self.lin_count
+    def nl_count(self) -> int:
+        return max(c.param_bound() for c in self.columns)
 
-    def instantiate(self, var_indices: tuple[int, ...], theta) -> ex.Expr:
-        theta = np.asarray(theta, dtype=float)
-        return self.build(var_indices, theta[: self.nl_count], theta[self.nl_count:])
+    @property
+    def var_count(self) -> int:
+        return max(c.arity_bound() for c in self.columns)
 
+    @property
+    def lin_count(self) -> int:
+        return len(self.columns)
 
-def _c(x) -> ex.Expr:
-    return ex.const(float(x))
+    @property
+    def has_offset(self) -> bool:
+        return _OFFSET in self.columns
 
+    @property
+    def complexity(self) -> int:
+        """Node count of the non-offset columns joined by add; a bare
+        constant counts 1."""
+        shapes = self._shapes()
+        return max(1, sum(c.complexity() for c in shapes) + len(shapes) - 1)
 
-def _sum(parts: list[ex.Expr]) -> ex.Expr:
-    out = parts[0]
-    for p in parts[1:]:
-        out = ex.add(out, p)
-    return out
+    def design(self, V: np.ndarray, nl) -> np.ndarray | None:
+        """Columns at the local points V, or None where any is invalid."""
+        B = np.column_stack([c._eval(V, nl) for c in self.columns])
+        return B if np.all(np.isfinite(B)) else None
 
-
-def _affine_expr(coefs, var_indices, shift) -> ex.Expr:
-    parts = [ex.mul(_c(a), ex.var(i)) for a, i in zip(coefs, var_indices)]
-    parts.append(_c(shift))
-    return _sum(parts)
-
-
-def _scaled(shape: ex.Expr, amp: float, off: float | None) -> ex.Expr:
-    e = ex.mul(_c(amp), shape)
-    return e if off is None else ex.add(e, _c(off))
+    def model(self, nl, lin, var_map) -> ex.Expr:
+        """The fitted model over the global variables var_map."""
+        terms = [
+            ex.const(a) if c == _OFFSET else ex.mul(ex.const(a), c.bind(nl, var_map))
+            for a, c in zip(lin, self.columns)
+        ]
+        return functools.reduce(ex.add, terms)
 
 
 def _lstsq_cols(cols: np.ndarray, y: np.ndarray):
@@ -193,123 +206,27 @@ def _lstsq_cols(cols: np.ndarray, y: np.ndarray):
     return c, float(r @ r / len(y))
 
 
-def _grid_best(make_cols, grid, V, y, top: int = 3):
-    """Rank grid points by their linear-fit residual; return the best few."""
-    scored = []
-    for g in grid:
-        cols = make_cols(V, g)
-        if cols is None or not np.all(np.isfinite(cols)):
-            continue
-        _, mse = _lstsq_cols(cols, y)
-        if np.isfinite(mse):
-            scored.append((mse, tuple(np.atleast_1d(g).tolist())))
-    scored.sort()
-    return [np.asarray(g) for _, g in scored[:top]]
-
-
-def _linear(name, var_count, complexity, col_fns, expr_fn):
-    """Skeleton whose model is a pure linear combination of fixed columns."""
-
-    def basis(V, _nl):
-        cols = np.column_stack([fn(V) for fn in col_fns])
-        return cols if np.all(np.isfinite(cols)) else None
-
-    return Skeleton(
-        name=name, var_count=var_count, complexity=complexity,
-        nl_count=0, lin_count=len(col_fns), basis=basis,
-        build=lambda vi, nl, lin: expr_fn(vi, lin),
-    )
-
-
-def _shaped(name, var_count, complexity, nl_count, shape_fn, shape_expr,
-            hints=None, offset=True):
-    """Skeleton of the form amp * shape(v; nl) (+ offset)."""
-
-    def basis(V, nl):
-        col = shape_fn(V, nl)
-        if col is None or not np.all(np.isfinite(col)):
-            return None
-        if offset:
-            return np.column_stack([col, np.ones(len(col))])
-        return col.reshape(-1, 1)
-
-    def build(vi, nl, lin):
-        off = lin[1] if offset else None
-        return _scaled(shape_expr(vi, nl), lin[0], off)
-
-    return Skeleton(
-        name=name, var_count=var_count, complexity=complexity,
-        nl_count=nl_count, lin_count=2 if offset else 1,
-        basis=basis, build=build, hints=hints,
-        shape=shape_fn, has_offset=offset,
-    )
-
-
 # ---- hint generators -------------------------------------------------------
+# Each proposes starting points in its skeleton's parameter space;
+# `_ranked_hints` scores them with the skeleton's own objective.
 
 
-def _trig_hints(kind: str):
+def _with_phase(kind: str, freqs, t: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(freqs..., phase): a sin/cos pair fitted at argument t gives the phase."""
+    cols = np.column_stack([np.sin(t), np.cos(t), np.ones(len(t))])
+    (a, b, _), _ = _lstsq_cols(cols, y)
+    phase = math.atan2(b, a) if kind == "sin" else math.atan2(-a, b)
+    return np.array([*freqs, phase])
+
+
+def _trig_hints(kind: str, col: int = 0):
     def h(V, y):
-        v = V[:, 0]
+        v = V[:, col]
         span = float(np.max(v) - np.min(v)) or 1.0
-        ones = np.ones_like(v)
-        out = []
-        for w in np.linspace(0.3, 40.0, 160) / span:
-            cols = np.column_stack([np.sin(w * v), np.cos(w * v), ones])
-            (a, b, _), mse = _lstsq_cols(cols, y)
-            out.append((mse, w, a, b))
-        out.sort(key=lambda t: t[0])
-        hints = []
-        for _, w, a, b in out[:3]:
-            if kind == "sin":
-                hints.append(np.array([w, math.atan2(b, a)]))
-            else:
-                hints.append(np.array([w, math.atan2(-a, b)]))
-        return hints
+        return [_with_phase(kind, (w,), w * v, y)
+                for w in np.linspace(0.3, 40.0, 160) / span]
 
     return h
-
-
-def _exp_hints(col=lambda V: V[:, 0]):
-    def h(V, y):
-        v = col(V)
-        span = max(1e-9, float(np.max(np.abs(v))))
-        grid = [w for w in np.linspace(-8.0, 8.0, 81) if abs(w) > 1e-9]
-        grid = [min(8.0, 700.0 / span) * w / 8.0 for w in grid]
-        best = _grid_best(
-            lambda V_, w: np.column_stack(
-                [np.exp(np.clip(w * col(V_), -700, 700)), np.ones(len(v))]
-            ),
-            grid, V, y,
-        )
-        return [np.atleast_1d(b) for b in best]
-
-    return h
-
-
-def _inner_affine_hints(fn, positive_only=False):
-    """Feasible (slope, shift) pairs for shapes needing a positive argument."""
-
-    def h(V, y):
-        v = V[:, 0]
-        cands = []
-        for b in (0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0):
-            for sgn in (1.0, -1.0):
-                edge = np.min(sgn * b * v)
-                for margin in (0.2, 0.6, 1.5, 4.0, 10.0):
-                    cands.append((sgn * b, margin - edge))
-        return _grid_best(
-            lambda V_, g: _finite_or_none(fn(g[0] * V_[:, 0] + g[1])),
-            cands, V, y,
-        )
-
-    return h
-
-
-def _finite_or_none(col):
-    if col is None or not np.all(np.isfinite(col)):
-        return None
-    return np.column_stack([col, np.ones(len(col))])
 
 
 def _trig2_hints(kind: str):
@@ -317,330 +234,123 @@ def _trig2_hints(kind: str):
         u, w = V[:, 0], V[:, 1]
         span_u = float(np.max(u) - np.min(u)) or 1.0
         span_w = float(np.max(w) - np.min(w)) or 1.0
-        ones = np.ones(len(u))
-        out = []
-        for w1 in np.linspace(0.4, 24.0, 24) / span_u:
-            for w2 in np.linspace(-24.0, 24.0, 33) / span_w:
-                t = w1 * u + w2 * w
-                cols = np.column_stack([np.sin(t), np.cos(t), ones])
-                (a, b, _), mse = _lstsq_cols(cols, y)
-                out.append((mse, w1, w2, a, b))
-        out.sort(key=lambda t: t[0])
-        hints = []
-        for _, w1, w2, a, b in out[:3]:
-            phase = math.atan2(b, a) if kind == "sin" else math.atan2(-a, b)
-            hints.append(np.array([w1, w2, phase]))
-        return hints
+        return [_with_phase(kind, (w1, w2), w1 * u + w2 * w, y)
+                for w1 in np.linspace(0.4, 24.0, 24) / span_u
+                for w2 in np.linspace(-24.0, 24.0, 33) / span_w]
 
     return h
 
 
-def _trig_prod_hints():
+def _trig_prod_hints(V, y):
+    t = V[:, 0] * V[:, 1]
+    span = float(np.max(t) - np.min(t)) or 1.0
+    return [np.array([w]) for w in np.linspace(0.3, 30.0, 120) / span]
+
+
+def _exp_hints(col: int = 0):
     def h(V, y):
-        t = V[:, 0] * V[:, 1]
-        span = float(np.max(t) - np.min(t)) or 1.0
-        ones = np.ones(len(t))
-        out = []
-        for w in np.linspace(0.3, 30.0, 120) / span:
-            cols = np.column_stack([np.sin(w * t), np.cos(w * t), ones])
-            _, mse = _lstsq_cols(cols, y)
-            out.append((mse, w))
-        out.sort()
-        return [np.array([w]) for _, w in out[:3]]
+        # growth rates whose exponent stays within +-700 on the data
+        span = max(1e-9, float(np.max(np.abs(V[:, col]))))
+        return [np.array([min(8.0, 700.0 / span) * w / 8.0])
+                for w in np.linspace(-8.0, 8.0, 81) if abs(w) > 1e-9]
 
     return h
 
 
-def _exp2_hints():
-    def h(V, y):
-        u, w = V[:, 0], V[:, 1]
-        grid = [
-            (a, b)
-            for a in np.linspace(-6.0, 6.0, 21)
-            for b in np.linspace(-6.0, 6.0, 21)
-            if abs(a) > 1e-9 or abs(b) > 1e-9
-        ]
-        return _grid_best(
-            lambda V_, g: _finite_or_none(
-                np.exp(np.clip(g[0] * V_[:, 0] + g[1] * V_[:, 1], -700, 700))
-            ),
-            grid, V, y,
-        )
-
-    return h
+def _exp2_hints(V, y):
+    grid = np.linspace(-6.0, 6.0, 21)
+    return [np.array([a, b]) for a in grid for b in grid
+            if abs(a) > 1e-9 or abs(b) > 1e-9]
 
 
-def _ln2_hints():
-    def h(V, y):
-        u, w = V[:, 0], V[:, 1]
-        cands = []
-        for b1 in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0):
-            for b2 in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0):
-                edge = np.min(b1 * u + b2 * w)
-                for margin in (0.3, 1.0, 3.0, 8.0):
-                    cands.append((b1, b2, margin - edge))
-        return _grid_best(
-            lambda V_, g: _finite_or_none(
-                _safe_ln(g[0] * V_[:, 0] + g[1] * V_[:, 1] + g[2])
-            ),
-            cands, V, y,
-        )
-
-    return h
-
-
-def _safe_ln(t):
-    if np.any(t <= 0):
-        return None
-    return np.log(t)
-
-
-def _safe_recip(t):
-    if np.any(np.abs(t) < 1e-12):
-        return None
-    return 1.0 / t
-
-
-def _safe_sqrt(t):
-    if np.any(t < 0):
-        return None
-    return np.sqrt(t)
-
-
-def _safe_exp(t):
-    with np.errstate(over="ignore"):
-        out = np.exp(t)
+def _inner_affine_hints(V, y):
+    """(slope, shift) pairs keeping the inner argument positive on the data."""
+    v = V[:, 0]
+    out = []
+    for b in (0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0):
+        for sgn in (1.0, -1.0):
+            edge = np.min(sgn * b * v)
+            for margin in (0.2, 0.6, 1.5, 4.0, 10.0):
+                out.append(np.array([sgn * b, margin - edge]))
     return out
 
 
-# ---- the streams -----------------------------------------------------------
-
-
-def _univariate() -> list[Skeleton]:
-    V0 = lambda V: V[:, 0]
-    sk = []
-    sk.append(_linear("const", 1, 1, [lambda V: np.ones(len(V))],
-                      lambda vi, lin: _c(lin[0])))
-    sk.append(_linear("affine", 1, 1, [V0, lambda V: np.ones(len(V))],
-                      lambda vi, lin: _affine_expr([lin[0]], vi, lin[1])))
-    sk.append(_shaped("square", 1, 2, 0,
-                      lambda V, nl: V[:, 0] ** 2,
-                      lambda vi, nl: ex.unary("square", ex.var(vi[0])),
-                      offset=False))
-    sk.append(_linear("square_offset", 1, 2,
-                      [lambda V: V[:, 0] ** 2, lambda V: np.ones(len(V))],
-                      lambda vi, lin: ex.add(
-                          ex.mul(_c(lin[0]), ex.unary("square", ex.var(vi[0]))),
-                          _c(lin[1]))))
-    sk.append(_linear("inverse", 1, 3,
-                      [lambda V: _safe_div_col(V[:, 0]), lambda V: np.ones(len(V))],
-                      lambda vi, lin: ex.add(
-                          ex.binary("div", _c(lin[0]), ex.var(vi[0])), _c(lin[1]))))
-    sk.append(_linear("inverse_square", 1, 4,
-                      [lambda V: _safe_div_col(V[:, 0] ** 2), lambda V: np.ones(len(V))],
-                      lambda vi, lin: ex.add(
-                          ex.binary("div", _c(lin[0]),
-                                    ex.unary("square", ex.var(vi[0]))), _c(lin[1]))))
-    sk.append(_linear("cubic", 1, 3,
-                      [lambda V: V[:, 0] ** 3, lambda V: np.ones(len(V))],
-                      lambda vi, lin: ex.add(
-                          ex.mul(_c(lin[0]),
-                                 ex.binary("pow", ex.var(vi[0]), _c(3.0))),
-                          _c(lin[1]))))
-    sk.append(_linear("quadratic", 1, 5,
-                      [lambda V: V[:, 0] ** 2, V0, lambda V: np.ones(len(V))],
-                      lambda vi, lin: _sum([
-                          ex.mul(_c(lin[0]), ex.unary("square", ex.var(vi[0]))),
-                          ex.mul(_c(lin[1]), ex.var(vi[0])),
-                          _c(lin[2])])))
-    sk.append(_shaped("exp_scaled", 1, 4, 1,
-                      lambda V, nl: _safe_exp(nl[0] * V[:, 0]),
-                      lambda vi, nl: ex.unary("exp", ex.mul(_c(nl[0]), ex.var(vi[0]))),
-                      hints=_exp_hints()))
-    for g in ("sin", "cos"):
-        sk.append(_shaped(f"{g}_affine", 1, 6, 2,
-                          (lambda gg: lambda V, nl:
-                           getattr(np, gg)(nl[0] * V[:, 0] + nl[1]))(g),
-                          (lambda gg: lambda vi, nl: ex.unary(
-                              gg, _affine_expr([nl[0]], vi, nl[1])))(g),
-                          hints=_trig_hints(g)))
-    sk.append(_shaped("ln_affine", 1, 6, 2,
-                      lambda V, nl: _safe_ln(nl[0] * V[:, 0] + nl[1]),
-                      lambda vi, nl: ex.unary("ln", _affine_expr([nl[0]], vi, nl[1])),
-                      hints=_inner_affine_hints(_safe_ln)))
-    sk.append(_shaped("sqrt_affine", 1, 6, 2,
-                      lambda V, nl: _safe_sqrt(nl[0] * V[:, 0] + nl[1]),
-                      lambda vi, nl: ex.unary("sqrt", _affine_expr([nl[0]], vi, nl[1])),
-                      hints=_inner_affine_hints(_safe_sqrt)))
-    sk.append(_shaped("recip_affine", 1, 6, 2,
-                      lambda V, nl: _safe_recip(nl[0] * V[:, 0] + nl[1]),
-                      lambda vi, nl: ex.binary(
-                          "div", _c(1.0), _affine_expr([nl[0]], vi, nl[1])),
-                      hints=_inner_affine_hints(_safe_recip)))
-    sk.append(_shaped("vexp", 1, 6, 1,
-                      lambda V, nl: V[:, 0] * _safe_exp(nl[0] * V[:, 0]),
-                      lambda vi, nl: ex.mul(
-                          ex.var(vi[0]),
-                          ex.unary("exp", ex.mul(_c(nl[0]), ex.var(vi[0])))),
-                      hints=_exp_hints()))
-    sk.append(_shaped("vsin", 1, 8, 2,
-                      lambda V, nl: V[:, 0] * np.sin(nl[0] * V[:, 0] + nl[1]),
-                      lambda vi, nl: ex.mul(
-                          ex.var(vi[0]),
-                          ex.unary("sin", _affine_expr([nl[0]], vi, nl[1]))),
-                      hints=_trig_hints("sin")))
-    return sk
-
-
-def _safe_div_col(t):
-    with np.errstate(divide="ignore"):
-        out = np.where(np.abs(t) < 1e-300, np.nan, 1.0 / t)
+def _ln2_hints(V, y):
+    u, w = V[:, 0], V[:, 1]
+    out = []
+    for b1 in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0):
+        for b2 in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0):
+            edge = np.min(b1 * u + b2 * w)
+            for margin in (0.3, 1.0, 3.0, 8.0):
+                out.append(np.array([b1, b2, margin - edge]))
     return out
 
 
-def _bivariate() -> list[Skeleton]:
-    ones = lambda V: np.ones(len(V))
-    sk = []
-    sk.append(_linear("bilinear", 2, 3,
-                      [lambda V: V[:, 0] * V[:, 1], ones],
-                      lambda vi, lin: ex.add(
-                          ex.mul(_c(lin[0]), ex.mul(ex.var(vi[0]), ex.var(vi[1]))),
-                          _c(lin[1]))))
-    sk.append(_linear("affine2", 2, 3,
-                      [lambda V: V[:, 0], lambda V: V[:, 1], ones],
-                      lambda vi, lin: _affine_expr(lin[:2], vi, lin[2])))
-    sk.append(_linear("bilinear_full", 2, 5,
-                      [lambda V: V[:, 0] * V[:, 1], lambda V: V[:, 0],
-                       lambda V: V[:, 1], ones],
-                      lambda vi, lin: _sum([
-                          ex.mul(_c(lin[0]), ex.mul(ex.var(vi[0]), ex.var(vi[1]))),
-                          ex.mul(_c(lin[1]), ex.var(vi[0])),
-                          ex.mul(_c(lin[2]), ex.var(vi[1])),
-                          _c(lin[3])])))
-    sk.append(_linear("ratio", 2, 4,
-                      [lambda V: _mul_safe_div(V[:, 0], V[:, 1]), ones],
-                      lambda vi, lin: ex.add(
-                          ex.mul(_c(lin[0]),
-                                 ex.binary("div", ex.var(vi[0]), ex.var(vi[1]))),
-                          _c(lin[1]))))
-    for g in ("sin", "cos"):
-        sk.append(_shaped(f"{g}_affine2", 2, 10, 3,
-                          (lambda gg: lambda V, nl: getattr(np, gg)(
-                              nl[0] * V[:, 0] + nl[1] * V[:, 1] + nl[2]))(g),
-                          (lambda gg: lambda vi, nl: ex.unary(
-                              gg, _affine_expr(nl[:2], vi, nl[2])))(g),
-                          hints=_trig2_hints(g)))
-    sk.append(_shaped("exp_affine2", 2, 8, 2,
-                      lambda V, nl: _safe_exp(
-                          np.clip(nl[0] * V[:, 0] + nl[1] * V[:, 1], -700, 700)),
-                      lambda vi, nl: ex.unary("exp", _sum([
-                          ex.mul(_c(nl[0]), ex.var(vi[0])),
-                          ex.mul(_c(nl[1]), ex.var(vi[1]))])),
-                      hints=_exp2_hints()))
-    for g in ("sin", "cos"):
-        sk.append(_shaped(f"{g}_prod", 2, 7, 1,
-                          (lambda gg: lambda V, nl: getattr(np, gg)(
-                              nl[0] * V[:, 0] * V[:, 1]))(g),
-                          (lambda gg: lambda vi, nl: ex.unary(
-                              gg, ex.mul(_c(nl[0]),
-                                         ex.mul(ex.var(vi[0]), ex.var(vi[1])))))(g),
-                          hints=_trig_prod_hints()))
-    sk.append(_shaped("ln_affine2", 2, 10, 3,
-                      lambda V, nl: _safe_ln(
-                          nl[0] * V[:, 0] + nl[1] * V[:, 1] + nl[2]),
-                      lambda vi, nl: ex.unary("ln", _affine_expr(nl[:2], vi, nl[2])),
-                      hints=_ln2_hints()))
-    sk.append(_linear("ln_ratio_pos", 2, 6,
-                      [lambda V: _safe_ln_col(V[:, 0] / V[:, 1]), ones],
-                      lambda vi, lin: ex.add(
-                          ex.mul(_c(lin[0]),
-                                 ex.unary("ln", ex.binary(
-                                     "div", ex.var(vi[0]), ex.var(vi[1])))),
-                          _c(lin[1]))))
-    sk.append(_linear("ln_ratio_neg", 2, 7,
-                      [lambda V: _safe_ln_col(-V[:, 0] / V[:, 1]), ones],
-                      lambda vi, lin: ex.add(
-                          ex.mul(_c(lin[0]),
-                                 ex.unary("ln", ex.binary(
-                                     "div", ex.unary("neg", ex.var(vi[0])),
-                                     ex.var(vi[1])))),
-                          _c(lin[1]))))
-    sk.append(_shaped("prod_sin", 2, 9, 2,
-                      lambda V, nl: V[:, 0] * np.sin(nl[0] * V[:, 1] + nl[1]),
-                      lambda vi, nl: ex.mul(
-                          ex.var(vi[0]),
-                          ex.unary("sin", _affine_expr([nl[0]], (vi[1],), nl[1]))),
-                      hints=lambda V, y: _trig_hints("sin")(V[:, 1:2], y)))
-    sk.append(_shaped("prod_exp", 2, 8, 1,
-                      lambda V, nl: V[:, 0] * _safe_exp(nl[0] * V[:, 1]),
-                      lambda vi, nl: ex.mul(
-                          ex.var(vi[0]),
-                          ex.unary("exp", ex.mul(_c(nl[0]), ex.var(vi[1])))),
-                      hints=_exp_hints(col=lambda V: V[:, 1])))
-    return sk
+# ---- the table -------------------------------------------------------------
 
 
-def _safe_ln_col(t):
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(t > 0, np.log(np.where(t > 0, t, 1.0)), np.nan)
-    return out
+def _sk(name: str, *columns: str, hints=None) -> Skeleton:
+    return Skeleton(name, tuple(ex.parse_template(c, 3) for c in columns), hints)
 
 
-def _mul_safe_div(a, b):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(np.abs(b) < 1e-300, np.nan, a / b)
-
-
-def _trivariate() -> list[Skeleton]:
-    ones = lambda V: np.ones(len(V))
-    sk = []
-    sk.append(_linear("affine3", 3, 5,
-                      [lambda V: V[:, 0], lambda V: V[:, 1], lambda V: V[:, 2], ones],
-                      lambda vi, lin: _affine_expr(lin[:3], vi, lin[3])))
-    sk.append(_linear("trilinear", 3, 5,
-                      [lambda V: V[:, 0] * V[:, 1] * V[:, 2], ones],
-                      lambda vi, lin: ex.add(
-                          ex.mul(_c(lin[0]),
-                                 ex.mul(ex.mul(ex.var(vi[0]), ex.var(vi[1])),
-                                        ex.var(vi[2]))),
-                          _c(lin[1]))))
-    sk.append(_linear("ratio2", 3, 8,
-                      [lambda V: _mul_safe_div(V[:, 0], V[:, 2]),
-                       lambda V: _mul_safe_div(V[:, 1], V[:, 2]), ones],
-                      lambda vi, lin: ex.add(
-                          ex.binary("div",
-                                    _affine_expr(lin[:2], vi[:2], 0.0),
-                                    ex.var(vi[2])),
-                          _c(lin[2]))))
-    sk.append(_linear("ratio2_const", 3, 10,
-                      [lambda V: _mul_safe_div(V[:, 0], V[:, 2]),
-                       lambda V: _mul_safe_div(V[:, 1], V[:, 2]),
-                       lambda V: _mul_safe_div(np.ones(len(V)), V[:, 2]), ones],
-                      lambda vi, lin: ex.add(
-                          ex.binary("div",
-                                    _affine_expr(lin[:2], vi[:2], lin[2]),
-                                    ex.var(vi[2])),
-                          _c(lin[3]))))
-    for g in ("sin", "cos", "exp"):
-        sk.append(_shaped(f"{g}_affine3", 3, 14, 4,
-                          (lambda gg: lambda V, nl: getattr(np, gg)(np.clip(
-                              nl[0] * V[:, 0] + nl[1] * V[:, 1]
-                              + nl[2] * V[:, 2] + nl[3], -700, 700)))(g),
-                          (lambda gg: lambda vi, nl: ex.unary(
-                              gg, _affine_expr(nl[:3], vi, nl[3])))(g)))
-    return sk
-
-
-_STREAMS = {1: _univariate, 2: _bivariate, 3: _trivariate}
+# Streams by factor variable count, tried in table order. Both trig
+# families share the phase trick; ln, sqrt and 1/ share the feasible inner
+# affine scan.
+_STREAMS = {
+    1: (
+        _sk("const", "1"),
+        _sk("affine", "x1", "1"),
+        _sk("square", "x1^2"),
+        _sk("square_offset", "x1^2", "1"),
+        _sk("inverse", "1/x1", "1"),
+        _sk("inverse_square", "1/x1^2", "1"),
+        _sk("cubic", "x1^3", "1"),
+        _sk("quadratic", "x1^2", "x1", "1"),
+        _sk("exp_scaled", "exp(p0*x1)", "1", hints=_exp_hints()),
+        _sk("sin_affine", "sin(p0*x1+p1)", "1", hints=_trig_hints("sin")),
+        _sk("cos_affine", "cos(p0*x1+p1)", "1", hints=_trig_hints("cos")),
+        _sk("ln_affine", "ln(p0*x1+p1)", "1", hints=_inner_affine_hints),
+        _sk("sqrt_affine", "sqrt(p0*x1+p1)", "1", hints=_inner_affine_hints),
+        _sk("recip_affine", "1/(p0*x1+p1)", "1", hints=_inner_affine_hints),
+        _sk("vexp", "x1*exp(p0*x1)", "1", hints=_exp_hints()),
+        _sk("vsin", "x1*sin(p0*x1+p1)", "1", hints=_trig_hints("sin")),
+    ),
+    2: (
+        _sk("bilinear", "x1*x2", "1"),
+        _sk("affine2", "x1", "x2", "1"),
+        _sk("bilinear_full", "x1*x2", "x1", "x2", "1"),
+        _sk("ratio", "x1/x2", "1"),
+        _sk("sin_affine2", "sin(p0*x1+p1*x2+p2)", "1", hints=_trig2_hints("sin")),
+        _sk("cos_affine2", "cos(p0*x1+p1*x2+p2)", "1", hints=_trig2_hints("cos")),
+        _sk("exp_affine2", "exp(p0*x1+p1*x2)", "1", hints=_exp2_hints),
+        _sk("sin_prod", "sin(p0*x1*x2)", "1", hints=_trig_prod_hints),
+        _sk("cos_prod", "cos(p0*x1*x2)", "1", hints=_trig_prod_hints),
+        _sk("ln_affine2", "ln(p0*x1+p1*x2+p2)", "1", hints=_ln2_hints),
+        _sk("ln_ratio_pos", "ln(x1/x2)", "1"),
+        _sk("ln_ratio_neg", "ln(-x1/x2)", "1"),
+        _sk("prod_sin", "x1*sin(p0*x2+p1)", "1", hints=_trig_hints("sin", col=1)),
+        _sk("prod_exp", "x1*exp(p0*x2)", "1", hints=_exp_hints(col=1)),
+    ),
+    3: (
+        _sk("affine3", "x1", "x2", "x3", "1"),
+        _sk("trilinear", "x1*x2*x3", "1"),
+        _sk("ratio2", "x1/x3", "x2/x3", "1"),
+        _sk("ratio2_const", "x1/x3", "x2/x3", "1/x3", "1"),
+        _sk("sin_affine3", "sin(p0*x1+p1*x2+p2*x3+p3)", "1"),
+        _sk("cos_affine3", "cos(p0*x1+p1*x2+p2*x3+p3)", "1"),
+        _sk("exp_affine3", "exp(p0*x1+p1*x2+p2*x3+p3)", "1"),
+    ),
+}
 
 
 def skeleton_stream(var_count: int, max_nodes: int = 12) -> list[Skeleton]:
-    """Deterministic, complexity-capped skeleton sequence for a factor."""
+    """The table's skeletons for var_count variables, in table order, whose
+    templates have at most max_nodes nodes (see Skeleton.complexity)."""
     if var_count not in _STREAMS:
         raise ValueError("skeleton streams cover 1 to 3 variables")
     if max_nodes < 3:
         raise ValueError("max_nodes must be at least 3")
-    return [s for s in _STREAMS[var_count]() if s.complexity <= max_nodes]
+    return [s for s in _STREAMS[var_count] if s.complexity <= max_nodes]
 
 
 # --------------------------------------------------------------------------
@@ -681,99 +391,93 @@ class FactorModel:
         return float(np.mean(r * r))
 
 
-def _ss_seed(base: int, *key: int) -> int:
+def derived_seed(base: int, *key: int) -> int:
+    """Independent integer seed for the stream `key` under `base`."""
     return int(np.random.SeedSequence(base, spawn_key=key).generate_state(1)[0])
 
 
 def _make_objective(sk: Skeleton, V, y):
     """Profile objective over the nonlinear parameters.
 
-    For amp*shape(+offset) skeletons the optimal linear pair is solved in
+    The optimal amplitude (and offset) of the one shape column are solved in
     closed form from the 2x2 normal equations, which is the hot path.
+    Returns a finite MSE or inf.
     """
+    shape = sk._shapes()[0]
+    offset = sk.has_offset
     n = len(y)
     y_sum = float(y.sum())
-    y_dot = None  # computed lazily only on the generic path
-
-    if sk.shape is not None:
-
-        def objective(nl):
-            s = sk.shape(V, nl)
-            if s is None:
-                return math.inf
-            a11 = float(s @ s)
-            if not np.isfinite(a11):
-                return math.inf
-            if sk.has_offset:
-                a12 = float(s.sum())
-                b1 = float(s @ y)
-                det = a11 * n - a12 * a12
-                if det <= 1e-300 * max(1.0, a11 * n):
-                    return math.inf
-                c1 = (b1 * n - y_sum * a12) / det
-                c2 = (a11 * y_sum - a12 * b1) / det
-                r = y - c1 * s - c2
-            else:
-                if a11 <= 0.0:
-                    return math.inf
-                c1 = float(s @ y) / a11
-                r = y - c1 * s
-            mse = float(r @ r) / n
-            return mse if np.isfinite(mse) else math.inf
-
-        return objective
 
     def objective(nl):
-        B = sk.basis(V, nl)
-        if B is None:
+        s = shape._eval(V, nl)
+        a11 = float(s @ s)
+        if not math.isfinite(a11):
             return math.inf
-        _, mse = _lstsq_cols(B, y)
-        return mse
+        if offset:
+            a12 = float(s.sum())
+            b1 = float(s @ y)
+            det = a11 * n - a12 * a12
+            if det <= 1e-300 * max(1.0, a11 * n):
+                return math.inf
+            c1 = (b1 * n - y_sum * a12) / det
+            c2 = (a11 * y_sum - a12 * b1) / det
+            r = y - c1 * s - c2
+        else:
+            if a11 <= 0.0:
+                return math.inf
+            c1 = float(s @ y) / a11
+            r = y - c1 * s
+        mse = float(r @ r) / n
+        return mse if math.isfinite(mse) else math.inf
 
     return objective
 
 
+def _ranked_hints(sk: Skeleton, objective, V, y, top: int = 3):
+    """The skeleton's best `top` hint candidates under its own objective,
+    and the best score (inf when there are none)."""
+    if sk.hints is None:
+        return [], math.inf
+    cands = sk.hints(V, y)
+    scores = [objective(c) for c in cands]
+    order = sorted(
+        (k for k, v in enumerate(scores) if v < math.inf), key=scores.__getitem__
+    )[:top]
+    return [cands[k] for k in order], (scores[order[0]] if order else math.inf)
+
+
 def _fit_skeleton(sk: Skeleton, V, y, cfg: OptimizerConfig, rank: int):
     """Best (nl, lin, mse) for one skeleton on normalized data."""
-    if sk.nl_count == 0:
-        B = sk.basis(V, np.empty(0))
-        if B is None:
-            return None
-        lin, mse = _lstsq_cols(B, y)
-        return np.empty(0), lin, mse
-
-    objective = _make_objective(sk, V, y)
-    hints = sk.hints(V, y) if sk.hints is not None else []
-    bounds = [(cfg.lo, cfg.hi)] * sk.nl_count
-    # Hint quality decides the search budget: on unit-variance data, a dense
-    # grid scan that still leaves most of the variance unexplained means the
-    # family cannot represent the data, so a short confirmation run suffices.
-    hint_best = min((_finite(objective(h)) for h in hints), default=math.inf)
-    hopeless = bool(hints) and hint_best > 0.5
-    inner = dataclasses.replace(
-        cfg,
-        target_tol=1e-14,
-        max_generations=80 if hopeless else 300,
-        stagnation_window=40,
-    )
-    best = None
-    for restart in range(3):
-        run_cfg = dataclasses.replace(inner, seed=_ss_seed(cfg.seed, rank, restart))
-        nl, val = ldse_minimize(objective, bounds, run_cfg, init_guesses=hints)
-        if best is None or val < best[1]:
-            best = (nl, val)
-        if val <= 1e-12:
-            break
-    nl = best[0]
-    B = sk.basis(V, nl)
+    nl = np.empty(0)
+    if sk.nl_count:
+        objective = _make_objective(sk, V, y)
+        hints, hint_best = _ranked_hints(sk, objective, V, y)
+        # Hint quality decides the search budget: on unit-variance data, a
+        # dense grid scan that still leaves most of the variance unexplained
+        # means the family cannot represent the data, so a short
+        # confirmation run suffices.
+        hopeless = bool(hints) and hint_best > 0.5
+        inner = dataclasses.replace(
+            cfg,
+            target_tol=1e-14,
+            max_generations=80 if hopeless else 300,
+            stagnation_window=40,
+        )
+        bounds = [(cfg.lo, cfg.hi)] * sk.nl_count
+        best = None
+        for restart in range(3):
+            run_cfg = dataclasses.replace(inner, seed=derived_seed(cfg.seed, rank, restart))
+            x, val = ldse_minimize(objective, bounds, run_cfg, init_guesses=hints)
+            if best is None or val < best[1]:
+                best = (x, val)
+            if val <= 1e-12:
+                break
+        nl = best[0]
+    B = sk.design(V, nl)
     if B is None:
         return None
     lin, mse = _lstsq_cols(B, y)
     return nl, lin, mse
-
-
-def _finite(v: float) -> float:
-    return v if np.isfinite(v) else math.inf
 
 
 def fit_factor(data, cfg: OptimizerConfig, max_nodes: int = 12) -> FactorModel:
@@ -795,26 +499,27 @@ def fit_factor(data, cfg: OptimizerConfig, max_nodes: int = 12) -> FactorModel:
         scale = 1.0
     yn = (y - shift) / scale
 
-    best = None  # (mse, rank, sk, nl, lin)
-    for rank, sk in enumerate(skeleton_stream(len(data.vars), max_nodes)):
-        out = _fit_skeleton(sk, V, yn, cfg, rank)
-        if out is None:
-            continue
-        nl, lin, mse = out
-        if best is None or mse < best[0]:
-            best = (mse, rank, sk, nl, lin)
-        if mse <= cfg.target_tol:
-            break
+    best = None  # (mse, sk, nl, lin)
+    # templates evaluate outside their domains and overflow by design;
+    # such parameters score inf
+    with np.errstate(all="ignore"):
+        for rank, sk in enumerate(skeleton_stream(len(data.vars), max_nodes)):
+            out = _fit_skeleton(sk, V, yn, cfg, rank)
+            if out is None:
+                continue
+            nl, lin, mse = out
+            if best is None or mse < best[0]:
+                best = (mse, sk, nl, lin)
+            if mse <= cfg.target_tol:
+                break
     if best is None:
         raise RuntimeError("no skeleton produced a finite fit")
-    mse, rank, sk, nl, lin = best
-    expr = sk.build(tuple(data.vars), nl, lin)
-    theta = np.concatenate([np.atleast_1d(nl), np.atleast_1d(lin)])
-    model = FactorModel(
+    mse, sk, nl, lin = best
+    return FactorModel(
         skeleton_name=sk.name,
         var_indices=tuple(data.vars),
-        theta=theta,
-        expr=expr,
+        theta=np.concatenate([nl, lin]),
+        expr=sk.model(nl, lin, tuple(data.vars)),
         train_mse=mse,
         converged=bool(mse <= cfg.target_tol),
         shift=shift,
@@ -822,4 +527,3 @@ def fit_factor(data, cfg: OptimizerConfig, max_nodes: int = 12) -> FactorModel:
         fit_values=yn,
         data=data,
     )
-    return model

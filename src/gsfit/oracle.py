@@ -41,10 +41,6 @@ class DomainBox:
     def midpoint(self) -> np.ndarray:
         return 0.5 * (self.lo_array() + self.hi_array())
 
-    def contains(self, point: np.ndarray) -> bool:
-        p = np.asarray(point, dtype=float)
-        return bool(np.all(p >= self.lo_array()) and np.all(p <= self.hi_array()))
-
     def uniform(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Draw `count` i.i.d. uniform points as an (count, arity) array."""
         u = rng.random((count, self.arity))

@@ -92,6 +92,14 @@ def test_fit_bad_bounds_exit_1(capsys):
     assert code == 1
 
 
+def test_fit_max_nodes_below_three_exit_1(capsys):
+    code, _, err = run_cli(
+        ["fit", "--target", "sin(x1)", "--dims", "1", "--max-nodes", "2"], capsys
+    )
+    assert code == 1
+    assert "error: --max-nodes" in err
+
+
 def test_bench_single_case(tmp_path, capsys):
     out_path = tmp_path / "suite.json"
     code, out, _ = run_cli(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gsfit import expr as ex
+from gsfit.fit import skeleton_stream
 
 from helpers import INDEPENDENT_TARGETS, random_tree
 
@@ -111,3 +112,28 @@ def test_print_uses_17_significant_digits():
     v = 0.1234567890123456789
     e = ex.const(v)
     assert ex.parse(e.to_text(), 1).value == v
+
+
+def test_parse_rejects_template_parameters():
+    with pytest.raises(ex.ParseError):
+        ex.parse("p0*x1", 1)
+
+
+def test_template_text_round_trips():
+    for k in (1, 2, 3):
+        for sk in skeleton_stream(k, max_nodes=14):
+            for col in sk.columns:
+                assert ex.parse_template(col.to_text(), k) == col, sk.name
+
+
+def test_template_eval_and_bind_agree():
+    t = ex.parse_template("x2*sin(p0*x1+p1)", 2)
+    assert t.param_bound() == 2 and t.arity_bound() == 2
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-2, 2, size=(16, 2))
+    theta = np.array([1.5, -0.25])
+    bound = t.bind(theta, (3, 1))
+    assert bound.to_text() == "x1*sin(1.5*x3+(-0.25))"
+    full = np.zeros((16, 3))
+    full[:, 2], full[:, 0] = pts[:, 0], pts[:, 1]
+    assert np.array_equal(bound.eval_batch(full), t._eval(pts, theta))

@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,17 @@ from gsfit.fit import (
     ldse_minimize,
     skeleton_stream,
 )
+
+DEFAULT_STREAMS = {
+    1: ["const", "affine", "square", "square_offset", "inverse",
+        "inverse_square", "cubic", "quadratic", "exp_scaled", "sin_affine",
+        "cos_affine", "ln_affine", "sqrt_affine", "recip_affine", "vexp",
+        "vsin"],
+    2: ["bilinear", "affine2", "bilinear_full", "ratio", "sin_affine2",
+        "cos_affine2", "exp_affine2", "sin_prod", "cos_prod", "ln_affine2",
+        "ln_ratio_pos", "ln_ratio_neg", "prod_sin", "prod_exp"],
+    3: ["affine3", "trilinear", "ratio2", "ratio2_const"],
+}
 
 
 def make_data(fn, lo=-3.0, hi=3.0, n=60, vars_=(1,), seed=0):
@@ -23,6 +36,63 @@ def make_data(fn, lo=-3.0, hi=3.0, n=60, vars_=(1,), seed=0):
 def test_stream_first_three_univariate():
     names = [s.name for s in skeleton_stream(1)]
     assert names[:3] == ["const", "affine", "square"]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_stream_default_names_and_order(k):
+    assert [s.name for s in skeleton_stream(k)] == DEFAULT_STREAMS[k]
+
+
+def test_stream_widest_cap_adds_only_affine3_families():
+    extra = [s.name for s in skeleton_stream(3, max_nodes=14)][4:]
+    assert extra == ["sin_affine3", "cos_affine3", "exp_affine3"]
+    for k in (1, 2):
+        assert [s.name for s in skeleton_stream(k, max_nodes=14)] == DEFAULT_STREAMS[k]
+
+
+def _valid_design(sk, k, rng):
+    """Local points, parameters and design matrix at which every column of
+    sk is valid (some templates need negative or positive arguments)."""
+    nl = rng.uniform(0.2, 1.0, sk.nl_count)
+    for signs in itertools.product((1.0, -1.0), repeat=k):
+        V = rng.uniform(0.5, 3.0, size=(40, k)) * np.asarray(signs)
+        B = sk.design(V, nl)
+        if B is not None:
+            return V, nl, B
+    raise AssertionError(f"{sk.name}: no valid sign pattern")
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_bound_model_is_the_scored_sum_of_columns(k):
+    # the expression a fit emits must be exactly sum_j lin_j * column_j,
+    # the model the objective and the least-squares solve scored
+    rng = np.random.default_rng(7 + k)
+    var_map = (4, 2, 6)[:k]
+    for sk in skeleton_stream(k, max_nodes=14):
+        assert sk.var_count <= k
+        V, nl, B = _valid_design(sk, k, rng)
+        lin = rng.uniform(-2.0, 2.0, sk.lin_count)
+        expected = lin[0] * B[:, 0]
+        for j in range(1, sk.lin_count):
+            expected = expected + lin[j] * B[:, j]
+        full = np.zeros((len(V), max(var_map)))
+        full[:, [v - 1 for v in var_map]] = V
+        got = sk.model(nl, lin, var_map).eval_batch(full)
+        assert np.array_equal(got, expected), sk.name
+
+
+def test_fit_exp_heavy_data_raises_no_runtime_warning():
+    # wide ranges push exp(w*x) to overflow during the hint scan and search
+    wide = make_data(lambda p: p[:, 0] * np.exp(0.1 * p[:, 0]), lo=1.0, hi=60.0)
+    pair = make_data(lambda p: p[:, 0] * np.exp(0.3 * p[:, 1]), lo=-20.0, hi=20.0,
+                     vars_=(1, 2))
+    # numpy's own error state is set explicitly: cli.main silences it for
+    # the whole process, which would hide the warnings from this test
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        for d in (wide, pair):
+            m = fit_factor(d, OptimizerConfig(seed=0))
+            assert m.converged
 
 
 def test_stream_contains_required_bivariate_forms():
