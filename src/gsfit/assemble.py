@@ -8,6 +8,7 @@ cross term exactly and keeps the outer problem linear.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import warnings
@@ -172,21 +173,24 @@ def assemble_and_validate(
     max_nodes: int = 12,
     samples_per_var: int = 200,
     max_retries: int = 3,
+    detect_cfg: det.DetectConfig | None = None,
 ) -> AssembledModel:
     """Fit factors, solve the outer linear problem, validate on fresh data.
 
     Trains and validates on independent samples of 200 n points each (the
     benchmark budget). On a validation miss the whole fit is retried with
     new sweep seeds, up to max_retries times; the best model found is
-    returned either way.
+    returned either way. The factor sweeps read their settings (tolerance,
+    sweep sizes) from detect_cfg, with its seed replaced per attempt.
     """
+    detect_cfg = detect_cfg or det.DetectConfig()
     n_samples = samples_per_var * oracle.arity
     best: AssembledModel | None = None
     for attempt in range(max_retries + 1):
         run_seed = seed + 101 * attempt
         factors = fit_structure_factors(
             structure, oracle, cfg, run_seed, max_nodes,
-            det.DetectConfig(seed=run_seed),
+            dataclasses.replace(detect_cfg, seed=run_seed),
         )
         terms = build_basis(structure, factors)
         train = oracle.sample(n_samples, ft.derived_seed(run_seed, 1))

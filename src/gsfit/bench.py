@@ -181,7 +181,7 @@ def run_case(
             opt = ft.OptimizerConfig(target_tol=eps_target, seed=seed)
             model = asm.assemble_and_validate(
                 structure, oracle, opt, seed=seed, max_nodes=max_nodes,
-                samples_per_var=200,
+                samples_per_var=200, detect_cfg=cfg,
             )
             report.val_mse = model.val_mse
             report.train_mse = model.train_mse

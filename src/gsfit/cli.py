@@ -145,7 +145,7 @@ def cmd_fit(args) -> int:
     opt = ft.OptimizerConfig(target_tol=args.tol_target, seed=args.seed)
     model = asm.assemble_and_validate(
         structure, oracle, opt, seed=args.seed, max_nodes=args.max_nodes,
-        samples_per_var=args.samples_per_var,
+        samples_per_var=args.samples_per_var, detect_cfg=cfg,
     )
     _emit(
         {
@@ -212,12 +212,9 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
-    np.seterr(all="ignore")
-    if args.command == "detect":
-        return cmd_detect(args)
-    if args.command == "fit":
-        return cmd_fit(args)
-    return cmd_bench(args)
+    commands = {"detect": cmd_detect, "fit": cmd_fit, "bench": cmd_bench}
+    with np.errstate(all="ignore"):
+        return commands[args.command](args)
 
 
 if __name__ == "__main__":

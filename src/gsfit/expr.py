@@ -167,9 +167,9 @@ class Expr:
             return f"({s})" if parent_prec > 1 else s
         prec = {"add": 1, "sub": 1, "mul": 2, "div": 2, "pow": 4}[k]
         left = self.args[0]._print(prec if k != "pow" else 5)
-        # right operand of - and / binds tighter to preserve associativity
-        right_prec = prec + 1 if k in ("sub", "div", "pow") else prec
-        right = self.args[1]._print(right_prec)
+        # the parser groups left to right, so a right operand of equal
+        # precedence keeps its parentheses: x1*(x2/x3), x1+(x2+x3)
+        right = self.args[1]._print(prec + 1)
         sym = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "^"}[k]
         s = f"{left}{sym}{right}"
         return f"({s})" if prec < parent_prec else s

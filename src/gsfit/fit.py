@@ -59,17 +59,22 @@ class OptimizerConfig:
 
 
 def ldse_minimize(
-    objective: Callable[[np.ndarray], float],
+    objective: Callable[[np.ndarray], np.ndarray],
     bounds,
     cfg: OptimizerConfig,
     init_guesses=None,
 ) -> tuple[np.ndarray, float]:
     """Population search with low-dimensional simplex moves.
 
-    Every generation, each agent draws m+1 distinct population members
-    (m = min(d, 3)); the worst vertex of that simplex is reflected through
-    the centroid of the rest, with an inside contraction as fallback, and
-    the agent is replaced whenever the candidate improves on it. Candidates
+    `objective` maps a (P, d) array of parameter rows to P values;
+    non-finite values count as inf. Updates are generation-synchronous:
+    every generation, each agent draws m+1 distinct population members
+    (m = min(d, 3)) from the population as it stood at the start of the
+    generation; the worst vertex of that simplex is reflected through the
+    centroid of the rest, with an inside contraction as fallback, and the
+    agent is replaced whenever its candidate improves on it. All
+    reflections are scored in one objective call, the contractions in a
+    second, so a run makes at most 1 + 2 * generations calls. Candidates
     are clipped to the bounds. Deterministic for a fixed seed.
     """
     lo = np.asarray([b[0] for b in bounds], dtype=float)
@@ -80,9 +85,9 @@ def ldse_minimize(
     n_pop, max_gens, stagnation = cfg.resolved(d)
     rng = np.random.default_rng(cfg.seed)
 
-    def f(x: np.ndarray) -> float:
-        v = objective(x)
-        return float(v) if np.isfinite(v) else math.inf
+    def f(X: np.ndarray) -> np.ndarray:
+        v = np.asarray(objective(X), dtype=float)
+        return np.where(np.isfinite(v), v, math.inf)
 
     pop = lo + rng.random((n_pop, d)) * (hi - lo)
     if init_guesses:
@@ -94,37 +99,43 @@ def ldse_minimize(
             if k >= len(init_guesses):
                 g = g + rng.normal(0.0, 0.05, d) * (1.0 + np.abs(g))
             pop[k] = np.clip(g, lo, hi)
-    vals = np.array([f(x) for x in pop])
+    vals = f(pop)
 
     best_i = int(np.argmin(vals))
     best_x, best_val = pop[best_i].copy(), float(vals[best_i])
     m = min(d, 3)
+    agents = np.arange(n_pop)
     last_improve = 0
     for gen in range(max_gens):
         if best_val <= cfg.target_tol or gen - last_improve > stagnation:
             break
         idx = rng.integers(0, n_pop, size=(n_pop, m + 1))
-        for i in range(n_pop):
-            row = idx[i]
-            while len(set(row.tolist())) < m + 1:
-                row = rng.integers(0, n_pop, size=m + 1)
-            sv = vals[row]
-            w = row[int(np.argmax(sv))]
-            rest = row[row != w]
-            centroid = pop[rest].mean(axis=0)
-            cand = np.clip(2.0 * centroid - pop[w], lo, hi)
-            fc = f(cand)
-            if not fc < vals[i]:
-                cand = np.clip(0.5 * (centroid + pop[w]), lo, hi)
-                fc = f(cand)
-            if fc < vals[i]:
-                pop[i] = cand
-                vals[i] = fc
-                if fc < best_val:
-                    if fc < best_val - 1e-12:
-                        last_improve = gen
-                    best_val = fc
-                    best_x = cand.copy()
+        while True:
+            # a row of distinct members has only its m+1 diagonal matches
+            dup = (idx[:, :, None] == idx[:, None, :]).sum(axis=(1, 2)) > m + 1
+            if not dup.any():
+                break
+            idx[dup] = rng.integers(0, n_pop, size=(int(dup.sum()), m + 1))
+        worst = np.argmax(vals[idx], axis=1)
+        rest = np.ones(idx.shape, dtype=bool)
+        rest[agents, worst] = False
+        centroid = pop[idx[rest].reshape(n_pop, m)].mean(axis=1)
+        xw = pop[idx[agents, worst]]
+        cand = np.clip(2.0 * centroid - xw, lo, hi)
+        fc = f(cand)
+        retry = ~(fc < vals)
+        if retry.any():
+            cand[retry] = np.clip(0.5 * (centroid[retry] + xw[retry]), lo, hi)
+            fc[retry] = f(cand[retry])
+        better = fc < vals
+        pop[better] = cand[better]
+        vals[better] = fc[better]
+        i = int(np.argmin(vals))
+        if vals[i] < best_val:
+            if vals[i] < best_val - 1e-12:
+                last_improve = gen
+            best_val = float(vals[i])
+            best_x = pop[i].copy()
     return best_x, best_val
 
 
@@ -397,40 +408,42 @@ def derived_seed(base: int, *key: int) -> int:
 
 
 def _make_objective(sk: Skeleton, V, y):
-    """Profile objective over the nonlinear parameters.
+    """Batched profile objective over the nonlinear parameters.
 
-    The optimal amplitude (and offset) of the one shape column are solved in
-    closed form from the 2x2 normal equations, which is the hot path.
-    Returns a finite MSE or inf.
+    Maps a (P, nl_count) array of parameter rows to P values. The shape
+    column is evaluated once for all rows, each parameter broadcast as a
+    (P, 1) column, and the optimal amplitude (and offset) of every row is
+    solved in closed form from its 2x2 normal equations. A row scores its
+    MSE, or inf where the shape is invalid or the solve is singular.
     """
     shape = sk._shapes()[0]
     offset = sk.has_offset
     n = len(y)
     y_sum = float(y.sum())
 
-    def objective(nl):
-        s = shape._eval(V, nl)
-        a11 = float(s @ s)
-        if not math.isfinite(a11):
-            return math.inf
+    def objective(X):
+        S = shape._eval(V, [X[:, k:k + 1] for k in range(X.shape[1])])
+        a11 = (S * S).sum(axis=1)
+        b1 = S @ y
         if offset:
-            a12 = float(s.sum())
-            b1 = float(s @ y)
+            a12 = S.sum(axis=1)
             det = a11 * n - a12 * a12
-            if det <= 1e-300 * max(1.0, a11 * n):
-                return math.inf
+            ok = np.isfinite(a11) & (det > 1e-300 * np.maximum(1.0, a11 * n))
             c1 = (b1 * n - y_sum * a12) / det
             c2 = (a11 * y_sum - a12 * b1) / det
-            r = y - c1 * s - c2
+            R = y - c1[:, None] * S - c2[:, None]
         else:
-            if a11 <= 0.0:
-                return math.inf
-            c1 = float(s @ y) / a11
-            r = y - c1 * s
-        mse = float(r @ r) / n
-        return mse if math.isfinite(mse) else math.inf
+            ok = np.isfinite(a11) & (a11 > 0.0)
+            R = y - (b1 / a11)[:, None] * S
+        mse = (R * R).sum(axis=1) / n
+        return np.where(ok & np.isfinite(mse), mse, math.inf)
 
     return objective
+
+
+# hint candidates scored per objective call; bounds the (rows, points)
+# temporaries of the widest scans (sin_affine2 proposes 792)
+_HINT_CHUNK = 64
 
 
 def _ranked_hints(sk: Skeleton, objective, V, y, top: int = 3):
@@ -438,12 +451,14 @@ def _ranked_hints(sk: Skeleton, objective, V, y, top: int = 3):
     and the best score (inf when there are none)."""
     if sk.hints is None:
         return [], math.inf
-    cands = sk.hints(V, y)
-    scores = [objective(c) for c in cands]
-    order = sorted(
-        (k for k, v in enumerate(scores) if v < math.inf), key=scores.__getitem__
-    )[:top]
-    return [cands[k] for k in order], (scores[order[0]] if order else math.inf)
+    cands = np.asarray(sk.hints(V, y), dtype=float)
+    scores = np.concatenate(
+        [objective(cands[i:i + _HINT_CHUNK])
+         for i in range(0, len(cands), _HINT_CHUNK)]
+    )
+    order = [k for k in sorted(range(len(cands)), key=scores.__getitem__)[:top]
+             if scores[k] < math.inf]
+    return [cands[k] for k in order], (float(scores[order[0]]) if order else math.inf)
 
 
 def _fit_skeleton(sk: Skeleton, V, y, cfg: OptimizerConfig, rank: int):

@@ -237,7 +237,7 @@ def test_criterion_5e_sphere_optimizer():
     hits = 0
     for seed in range(20):
         _, v = ldse_minimize(
-            lambda z: float(z @ z), [(-50, 50)] * 5,
+            lambda Z: np.einsum("pd,pd->p", Z, Z), [(-50, 50)] * 5,
             OptimizerConfig(seed=seed, target_tol=1e-9),
         )
         hits += v <= 1e-8

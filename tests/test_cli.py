@@ -2,8 +2,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import gsfit.assemble as asm
 from gsfit.cli import main
 
 
@@ -83,6 +85,33 @@ def test_fit_above_tolerance_exit_3(capsys):
     assert code == 3
     payload = json.loads(out)
     assert payload["model"]["success"] is False
+
+
+def test_main_leaves_numpy_error_state_unchanged(capsys):
+    # a known state, not whatever earlier tests left behind
+    with np.errstate(all="warn"):
+        run_cli(["fit", "--target", "ln(x1)", "--dims", "1", "--lo", "0.5"], capsys)
+        run_cli(["detect", "--target", "x1+", "--dims", "1"], capsys)
+        assert set(np.geterr().values()) == {"warn"}
+
+
+def test_fit_detection_settings_reach_the_factor_sweeps(capsys, monkeypatch):
+    seen = []
+    inner = asm.fit_structure_factors
+
+    def spy(*args, **kwargs):
+        seen.append(args[5])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(asm, "fit_structure_factors", spy)
+    code, _, _ = run_cli(
+        ["fit", "--target", "x1*x2", "--dims", "2", "--seed", "2",
+         "--tol-detect", "1e-6", "--kmax", "2"],
+        capsys,
+    )
+    assert code == 0
+    assert seen and all(c.tol == 1e-6 and c.kmax == 2 for c in seen)
+    assert [c.seed for c in seen] == [2 + 101 * k for k in range(len(seen))]
 
 
 def test_fit_bad_bounds_exit_1(capsys):

@@ -114,6 +114,15 @@ def test_print_uses_17_significant_digits():
     assert ex.parse(e.to_text(), 1).value == v
 
 
+@pytest.mark.parametrize("op, inner", [
+    ("mul", "div"), ("add", "sub"), ("mul", "mul"), ("add", "add"),
+])
+def test_right_operand_of_equal_precedence_keeps_its_parentheses(op, inner):
+    x1, x2, x3 = ex.var(1), ex.var(2), ex.var(3)
+    t = ex.binary(op, x1, ex.binary(inner, x2, x3))
+    assert ex.parse(t.to_text(), 3) == t, t.to_text()
+
+
 def test_parse_rejects_template_parameters():
     with pytest.raises(ex.ParseError):
         ex.parse("p0*x1", 1)

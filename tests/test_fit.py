@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 
 from gsfit.detect import FactorData
+from gsfit.expr import parse_template
 from gsfit.fit import (
     OptimizerConfig,
+    Skeleton,
+    _lstsq_cols,
+    _make_objective,
     fit_factor,
     ldse_minimize,
     skeleton_stream,
@@ -86,8 +90,8 @@ def test_fit_exp_heavy_data_raises_no_runtime_warning():
     wide = make_data(lambda p: p[:, 0] * np.exp(0.1 * p[:, 0]), lo=1.0, hi=60.0)
     pair = make_data(lambda p: p[:, 0] * np.exp(0.3 * p[:, 1]), lo=-20.0, hi=20.0,
                      vars_=(1, 2))
-    # numpy's own error state is set explicitly: cli.main silences it for
-    # the whole process, which would hide the warnings from this test
+    # numpy's own error state is set explicitly, so that a state left by
+    # an earlier caller cannot hide the warnings from this test
     with warnings.catch_warnings(), np.errstate(all="warn"):
         warnings.simplefilter("error")
         for d in (wide, pair):
@@ -134,15 +138,15 @@ def test_population_size_formula():
 
 
 def test_ldse_sphere_three_dims():
-    x, v = ldse_minimize(lambda x: float(x @ x), [(-50, 50)] * 3,
+    x, v = ldse_minimize(lambda X: np.einsum("pd,pd->p", X, X), [(-50, 50)] * 3,
                          OptimizerConfig(seed=0, target_tol=1e-9))
     assert v <= 1e-8
     assert np.all(np.abs(x) < 1e-3)
 
 
 def test_ldse_rosenbrock():
-    def rosen(x):
-        return float(100 * (x[1] - x[0] ** 2) ** 2 + (1 - x[0]) ** 2)
+    def rosen(X):
+        return 100 * (X[:, 1] - X[:, 0] ** 2) ** 2 + (1 - X[:, 0]) ** 2
 
     x, v = ldse_minimize(rosen, [(-50, 50)] * 2,
                          OptimizerConfig(seed=3, target_tol=1e-9))
@@ -152,21 +156,27 @@ def test_ldse_rosenbrock():
 
 def test_ldse_stays_in_bounds_and_reports_min_seen():
     seen = []
+    calls = 0
 
-    def obj(x):
-        seen.append(float(np.sum((x - 2.0) ** 2)))
-        assert np.all(x >= -5) and np.all(x <= 5)
-        return seen[-1]
+    def obj(X):
+        nonlocal calls
+        calls += 1
+        assert X.ndim == 2 and X.shape[1] == 2
+        assert np.all(X >= -5) and np.all(X <= 5)
+        v = np.sum((X - 2.0) ** 2, axis=1)
+        seen.extend(v.tolist())
+        return v
 
     x, v = ldse_minimize(obj, [(-5, 5)] * 2, OptimizerConfig(seed=4, target_tol=0.0,
                                                              max_generations=60))
     assert np.all(x >= -5) and np.all(x <= 5)
     assert v == min(seen)  # the reported best is the best value ever evaluated
+    assert calls <= 1 + 2 * 60  # one batched call per move
 
 
 def test_ldse_deterministic():
-    def obj(x):
-        return float(np.sum(np.abs(x)) + math.sin(x[0]))
+    def obj(X):
+        return np.sum(np.abs(X), axis=1) + np.sin(X[:, 0])
 
     a = ldse_minimize(obj, [(-10, 10)] * 2, OptimizerConfig(seed=11))
     b = ldse_minimize(obj, [(-10, 10)] * 2, OptimizerConfig(seed=11))
@@ -175,7 +185,46 @@ def test_ldse_deterministic():
 
 def test_ldse_rejects_bad_bounds():
     with pytest.raises(ValueError):
-        ldse_minimize(lambda x: 0.0, [(1.0, 1.0)], OptimizerConfig())
+        ldse_minimize(lambda X: np.zeros(len(X)), [(1.0, 1.0)], OptimizerConfig())
+
+
+def _reference_mse(sk, V, y, nl):
+    """One row of the profile objective, by the generic design-matrix solve."""
+    B = sk.design(V, nl)
+    return math.inf if B is None else _lstsq_cols(B, y)[1]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_batched_objective_matches_per_row_reference(k):
+    rng = np.random.default_rng(30 + k)
+    V = rng.uniform(0.5, 3.0, size=(48, k)) * rng.choice([-1.0, 1.0], size=k)
+    y = rng.normal(size=48)
+    skeletons = [s for s in skeleton_stream(k, max_nodes=14) if s.nl_count]
+    if k == 1:  # the solve without an offset column
+        skeletons.append(Skeleton("sin_bare", (parse_template("sin(p0*x1)", 1),)))
+    for sk in skeletons:
+        X = rng.uniform(-2.0, 2.0, size=(50, sk.nl_count))
+        got = _make_objective(sk, V, y)(X)
+        want = np.array([_reference_mse(sk, V, y, row) for row in X])
+        assert got.shape == (50,)
+        assert np.array_equal(np.isinf(got), np.isinf(want)), sk.name
+        assert np.isfinite(want).any(), sk.name
+        assert np.allclose(got[np.isfinite(got)], want[np.isfinite(want)]), sk.name
+
+
+def test_batched_objective_scores_rows_outside_the_domain_inf():
+    V = np.linspace(-1.0, 2.0, 13)[:, None]   # contains x1 = 1 exactly
+    y = np.cos(V[:, 0])
+    by_name = {s.name: s for s in skeleton_stream(1)}
+    # inner argument p0*x1 + p1: negative at some points, positive at all
+    rows = np.array([[1.0, 0.5], [1.0, 2.0]])
+    for name in ("ln_affine", "sqrt_affine"):
+        got = _make_objective(by_name[name], V, y)(rows)
+        assert got[0] == math.inf and np.isfinite(got[1]), name
+    # 1/(p0*x1 + p1) divides by zero at x1 = 1 for (1, -1)
+    got = _make_objective(by_name["recip_affine"], V, y)(np.array([[1.0, -1.0],
+                                                                   [1.0, 2.0]]))
+    assert got[0] == math.inf and np.isfinite(got[1])
 
 
 def test_fit_constant_data():
