@@ -2,8 +2,8 @@
 
 from .expr import Expr, ParseError, parse
 from .oracle import DomainBox, Oracle, SampleSet, make_oracle, sample_uniform
+from .config import RunConfig
 from .detect import (
-    DetectConfig,
     DetectionError,
     FactorData,
     GsStructure,
@@ -20,7 +20,7 @@ from .detect import (
 )
 from .fit import (
     FactorModel,
-    OptimizerConfig,
+    FitError,
     Skeleton,
     fit_factor,
     ldse_minimize,

@@ -8,18 +8,22 @@ cross term exactly and keeps the outer problem linear.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import detect as det
 from . import fit as ft
 from . import expr as ex
+from .config import RunConfig, derived_seed
 from .oracle import Oracle, SampleSet
+
+# fresh fits after a validation miss
+MAX_RETRIES = 3
 
 
 @dataclass
@@ -85,7 +89,7 @@ def build_basis(
     terms: list[BasisTerm] = []
     for bi, models in enumerate(factors):
         if len(models) > 6:
-            raise ValueError(
+            raise ft.FitError(
                 f"basis explosion: block {bi} has {len(models)} factors"
             )
         for size in range(1, len(models) + 1):
@@ -136,78 +140,64 @@ def _compose_expr(c0: float, coefficients: np.ndarray, terms: list[BasisTerm]) -
 
 
 def fit_structure_factors(
-    structure: det.GsStructure,
-    oracle: Oracle,
-    cfg: ft.OptimizerConfig,
-    seed: int,
-    max_nodes: int = 12,
-    detect_cfg: det.DetectConfig | None = None,
+    structure: det.GsStructure, oracle: Oracle, cfg: RunConfig, sweep_seed: int
 ) -> list[list[ft.FactorModel]]:
-    """Per-factor sweeps and symbolic fits for every block of a structure."""
-    dcfg = detect_cfg or det.DetectConfig(seed=seed)
+    """Per-factor sweeps and symbolic fits for every block of a structure.
+
+    The sweeps draw their points from sweep_seed, the fits from cfg.seed.
+    """
+    sweep_cfg = replace(cfg, seed=sweep_seed)
     anchor = np.asarray(structure.anchor)
     out: list[list[ft.FactorModel]] = []
     for b in structure.blocks:
         models: list[ft.FactorModel] = []
         for group in b.psi_factors:
             data = det.isolate_psi_data(
-                oracle, group, anchor,
-                max(48, dcfg.psi_points_per_var * len(group)), seed, dcfg,
+                oracle, group, anchor, det.PSI_POINTS_PER_VAR * len(group), sweep_cfg
             )
-            models.append(ft.fit_factor(data, cfg, max_nodes))
+            models.append(ft.fit_factor(data, cfg))
         for group in b.omega_factors:
             data = det.isolate_omega_data(
                 oracle, b.vars, group, anchor,
-                max(48, dcfg.omega_points_per_var * len(group)), seed, dcfg,
+                max(48, det.OMEGA_POINTS_PER_VAR * len(group)), sweep_cfg,
             )
-            models.append(ft.fit_factor(data, cfg, max_nodes))
+            models.append(ft.fit_factor(data, cfg))
         out.append(models)
     return out
 
 
 def assemble_and_validate(
-    structure: det.GsStructure,
-    oracle: Oracle,
-    cfg: ft.OptimizerConfig,
-    seed: int,
-    max_nodes: int = 12,
-    samples_per_var: int = 200,
-    max_retries: int = 3,
-    detect_cfg: det.DetectConfig | None = None,
+    structure: det.GsStructure, oracle: Oracle, cfg: RunConfig
 ) -> AssembledModel:
     """Fit factors, solve the outer linear problem, validate on fresh data.
 
-    Trains and validates on independent samples of 200 n points each (the
-    benchmark budget). On a validation miss the whole fit is retried with
-    new sweep seeds, up to max_retries times; the best model found is
-    returned either way. The factor sweeps read their settings (tolerance,
-    sweep sizes) from detect_cfg, with its seed replaced per attempt.
+    Trains and validates on independent samples of cfg.samples_per_var * n
+    points each. On a validation miss the whole fit is retried with new
+    sweep seeds, up to MAX_RETRIES times; the best model found is returned
+    either way. Attempt k sweeps and samples with seed cfg.seed + 101k.
     """
-    detect_cfg = detect_cfg or det.DetectConfig()
-    n_samples = samples_per_var * oracle.arity
+    n_samples = cfg.samples_per_var * oracle.arity
     best: AssembledModel | None = None
-    for attempt in range(max_retries + 1):
-        run_seed = seed + 101 * attempt
-        factors = fit_structure_factors(
-            structure, oracle, cfg, run_seed, max_nodes,
-            dataclasses.replace(detect_cfg, seed=run_seed),
-        )
+    for attempt in range(MAX_RETRIES + 1):
+        sweep_seed = cfg.seed + 101 * attempt
+        factors = fit_structure_factors(structure, oracle, cfg, sweep_seed)
         terms = build_basis(structure, factors)
-        train = oracle.sample(n_samples, ft.derived_seed(run_seed, 1))
+        train = oracle.sample(n_samples, derived_seed(sweep_seed, 1))
         c0, coefs, train_mse, deficient = least_squares(terms, train)
-        val = oracle.sample(n_samples, ft.derived_seed(run_seed, 2))
+        val = oracle.sample(n_samples, derived_seed(sweep_seed, 2))
         model = AssembledModel(
             c0=c0,
             terms=terms,
             coefficients=coefs,
             expr=_compose_expr(c0, coefs, terms),
             train_mse=train_mse,
-            val_mse=math_nan_to_inf(_mse(c0, coefs, terms, val)),
+            val_mse=math.inf,
             success=False,
             rank_deficient=deficient,
             retries=attempt,
         )
-        model.success = bool(model.val_mse <= cfg.target_tol)
+        model.val_mse = _mse(model, val)
+        model.success = bool(model.val_mse <= cfg.tol_target)
         if best is None or model.val_mse < best.val_mse:
             best = model
         if model.success:
@@ -215,16 +205,12 @@ def assemble_and_validate(
     return best
 
 
-def _mse(c0, coefs, terms, sample: SampleSet) -> float:
-    pred = np.full(len(sample), c0)
-    for c, t in zip(coefs, terms):
-        pred = pred + c * t.evaluate(sample.points)
+def _mse(model: AssembledModel, sample: SampleSet) -> float:
+    """MSE of the model on a sample; inf when over 20% of it is invalid."""
+    pred = model.predict(sample.points)
     good = np.isfinite(pred) & np.isfinite(sample.values)
     if good.sum() < 0.8 * len(sample):
-        return float("inf")
+        return math.inf
     r = sample.values[good] - pred[good]
-    return float(r @ r / good.sum())
-
-
-def math_nan_to_inf(v: float) -> float:
-    return v if np.isfinite(v) else float("inf")
+    mse = float(r @ r / good.sum())
+    return mse if np.isfinite(mse) else math.inf

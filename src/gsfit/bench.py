@@ -12,7 +12,7 @@ import numpy as np
 
 from . import assemble as asm
 from . import detect as det
-from . import fit as ft
+from .config import RunConfig
 from .expr import parse
 from .oracle import DomainBox, Oracle, make_oracle
 
@@ -31,7 +31,7 @@ class CaseSpec:
 
     @property
     def samples(self) -> int:
-        return 200 * self.dim
+        return RunConfig.samples_per_var * self.dim
 
     def target(self):
         return parse(self.text, self.dim)
@@ -151,14 +151,7 @@ class CaseReport:
         return json.dumps(self.to_dict(include_timing=False))
 
 
-def run_case(
-    no: int,
-    seed: int = 0,
-    detect_only: bool = False,
-    tol_detect: float = 1e-8,
-    eps_target: float = 1e-6,
-    max_nodes: int = 12,
-) -> CaseReport:
+def run_case(no: int, seed: int = 0, detect_only: bool = False) -> CaseReport:
     """Run the full pipeline on one case; errors land in the report."""
     report = CaseReport(no=no, seed=seed)
     t0 = time.perf_counter()
@@ -166,7 +159,7 @@ def run_case(
     try:
         spec = get_case(no)
         oracle = spec.oracle()
-        cfg = det.DetectConfig(tol=tol_detect, seed=seed)
+        cfg = RunConfig(seed=seed)
         structure = det.detect_structure(oracle, cfg)
         report.detect_seconds = time.perf_counter() - t0
         report.detect_evals = structure.probes_used
@@ -178,11 +171,7 @@ def run_case(
         report.match_factors = report.detected_factors == spec.expected_factors
         report.structure = structure.to_dict()
         if not detect_only:
-            opt = ft.OptimizerConfig(target_tol=eps_target, seed=seed)
-            model = asm.assemble_and_validate(
-                structure, oracle, opt, seed=seed, max_nodes=max_nodes,
-                samples_per_var=200, detect_cfg=cfg,
-            )
+            model = asm.assemble_and_validate(structure, oracle, cfg)
             report.val_mse = model.val_mse
             report.train_mse = model.train_mse
             report.success = model.success

@@ -1,8 +1,9 @@
 """Command-line entry points: detect, fit, bench.
 
 Exit codes: 0 success, 1 usage or parse error, 2 detection failure,
-3 fitted model above tolerance. Every output JSON embeds the full run
-configuration, seed included, so results are self-reproducing.
+3 no model within tolerance, including factors gsfit cannot fit. Every
+output JSON embeds the full run configuration, seed included, so results
+are self-reproducing.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -17,6 +19,7 @@ from . import assemble as asm
 from . import bench
 from . import detect as det
 from . import fit as ft
+from .config import RunConfig
 from .expr import ParseError, parse
 from .oracle import DomainBox, make_oracle
 
@@ -36,19 +39,20 @@ def _parse_bounds(text: str, dims: int) -> list[float]:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
+    default = RunConfig()
     p.add_argument("--target", required=True, help="target expression over x1..xn")
     p.add_argument("--dims", type=int, required=True, help="number of variables")
     p.add_argument("--lo", default="-3", help="lower bounds (scalar or comma list)")
     p.add_argument("--hi", default="3", help="upper bounds (scalar or comma list)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol-detect", type=float, default=1e-8,
+    p.add_argument("--seed", type=int, default=default.seed)
+    p.add_argument("--tol-detect", type=float, default=default.tol_detect,
                    help="relative detection tolerance")
-    p.add_argument("--tol-target", type=float, default=1e-6,
+    p.add_argument("--tol-target", type=float, default=default.tol_target,
                    help="MSE tolerance for fitted models")
-    p.add_argument("--samples-per-var", type=int, default=200)
-    p.add_argument("--max-nodes", type=int, default=12,
+    p.add_argument("--samples-per-var", type=int, default=default.samples_per_var)
+    p.add_argument("--max-nodes", type=int, default=default.max_nodes,
                    help="largest skeleton template node count (at least 3)")
-    p.add_argument("--kmax", type=int, default=3,
+    p.add_argument("--kmax", type=int, default=default.kmax,
                    help="largest repeated-variable cut size")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 
@@ -78,21 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _run_config(args, dims: int, lo, hi) -> dict:
-    return {
-        "target": args.target,
-        "dims": dims,
-        "lo": lo,
-        "hi": hi,
-        "seed": args.seed,
-        "tol_detect": args.tol_detect,
-        "tol_target": args.tol_target,
-        "samples_per_var": args.samples_per_var,
-        "max_nodes": args.max_nodes,
-        "kmax": args.kmax,
-    }
-
-
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2)
     if out:
@@ -112,8 +101,10 @@ def _setup(args):
     target = parse(args.target, args.dims)
     box = DomainBox(tuple(lo), tuple(hi))
     oracle = make_oracle(target, box)
-    cfg = det.DetectConfig(tol=args.tol_detect, seed=args.seed, kmax=args.kmax)
-    return oracle, cfg, _run_config(args, args.dims, lo, hi)
+    # each RunConfig field is the flag of the same name
+    cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
+    run_cfg = {"target": args.target, "dims": args.dims, "lo": lo, "hi": hi, **asdict(cfg)}
+    return oracle, cfg, run_cfg
 
 
 def cmd_detect(args) -> int:
@@ -139,14 +130,13 @@ def cmd_fit(args) -> int:
         return EXIT_USAGE
     try:
         structure = det.detect_structure(oracle, cfg)
-    except det.DetectionError as err:
+        model = asm.assemble_and_validate(structure, oracle, cfg)
+    except det.DetectionError as err:  # from detection or the factor sweeps
         print(f"detection failed: {err}", file=sys.stderr)
         return EXIT_DETECT
-    opt = ft.OptimizerConfig(target_tol=args.tol_target, seed=args.seed)
-    model = asm.assemble_and_validate(
-        structure, oracle, opt, seed=args.seed, max_nodes=args.max_nodes,
-        samples_per_var=args.samples_per_var, detect_cfg=cfg,
-    )
+    except ft.FitError as err:
+        print(f"fit failed: {err}", file=sys.stderr)
+        return EXIT_TOLERANCE
     _emit(
         {
             "config": run_cfg,

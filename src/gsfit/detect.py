@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import RunConfig, rng as _rng
 from .oracle import Oracle
 
 
@@ -37,23 +38,14 @@ class NotSeparableError(DetectionError):
     """Reconstruction residual too large: not a GS system at this tolerance."""
 
 
-@dataclass
-class DetectConfig:
-    tol: float = 1e-8               # relative detection tolerance
-    pair_probes: int = 8            # probe quadruples per pairwise test
-    kmax: int = 3                   # largest candidate repeated-variable cut
-    seed: int = 0
-    psi_points_per_var: int = 48    # tabulated points per block variable
-    omega_points_per_var: int = 32
-    membership_points: int = 12     # sweep length per repeated-variable test
-    omega_pair_candidates: int = 8
-    anchor_central: float = 0.5     # anchors drawn from this central fraction
-    max_anchor_redraws: int = 3
-    recon_points: int = 32
-
-
-def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+PAIR_PROBES = 8             # probe quadruples per pairwise test
+PSI_POINTS_PER_VAR = 48     # tabulated points per block variable
+OMEGA_POINTS_PER_VAR = 32
+MEMBERSHIP_POINTS = 12      # sweep length per repeated-variable test
+OMEGA_PAIR_CANDIDATES = 8
+ANCHOR_CENTRAL = 0.5        # anchors drawn from this central fraction
+MAX_ANCHOR_REDRAWS = 3
+RECON_POINTS = 32
 
 
 @dataclass
@@ -224,7 +216,7 @@ def _probe_pair_values(
 
 
 def mixed_diff(
-    o: Oracle, i: int, j: int, anchor, probes: int = 8, seed: int = 0
+    o: Oracle, i: int, j: int, anchor, probes: int = PAIR_PROBES, seed: int = 0
 ) -> float:
     """Normalized mixed-second-difference interaction score for (i, j).
 
@@ -238,16 +230,16 @@ def mixed_diff(
     return float(np.max(diffs) / max(1.0, max_abs))
 
 
-def interaction_graph(o: Oracle, anchor, cfg: DetectConfig) -> InteractionGraph:
-    """Score every variable pair; edge wherever the score clears cfg.tol."""
+def interaction_graph(o: Oracle, anchor, cfg: RunConfig) -> InteractionGraph:
+    """Score every variable pair; edge wherever the score clears cfg.tol_detect."""
     n = o.arity
     anchor = np.asarray(anchor, dtype=float)
     scores = np.zeros((n, n))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            s = mixed_diff(o, i, j, anchor, cfg.pair_probes, cfg.seed)
+            s = mixed_diff(o, i, j, anchor, PAIR_PROBES, cfg.seed)
             scores[i - 1, j - 1] = scores[j - 1, i - 1] = s
-    return InteractionGraph(n=n, scores=scores, tol=cfg.tol)
+    return InteractionGraph(n=n, scores=scores, tol=cfg.tol_detect)
 
 
 # --------------------------------------------------------------------------
@@ -278,7 +270,9 @@ def _best_cut(g: InteractionGraph, active: set[int], kmax: int):
     return None
 
 
-def repeated_vars(g: InteractionGraph, k_max: int = 3, validator=None) -> tuple[int, ...]:
+def repeated_vars(
+    g: InteractionGraph, k_max: int = RunConfig.kmax, validator=None
+) -> tuple[int, ...]:
     """Peel minimal vertex cuts until none remain; the union is X^r.
 
     After the first cut, `validator` (if given) is consulted with the
@@ -322,7 +316,7 @@ def _subbox_uniform(o: Oracle, cols: tuple[int, ...], count: int, rng) -> np.nda
 def _spread_pair(o: Oracle, block_vars, anchor, cfg, seed_key):
     """Two block-variable probe points with the widest response spread."""
     rng = _rng(cfg.seed, *seed_key)
-    cand = _subbox_uniform(o, block_vars, cfg.omega_pair_candidates, rng)
+    cand = _subbox_uniform(o, block_vars, OMEGA_PAIR_CANDIDATES, rng)
     vals = o.eval_batch(_pin(anchor, block_vars, cand))
     finite = np.isfinite(vals)
     if finite.sum() < 2:
@@ -351,17 +345,15 @@ def _delta_values(o: Oracle, sweep_cols, coords, block_vars, b1, b2, anchor):
 
 
 def isolate_psi_data(
-    o: Oracle, block_vars: tuple[int, ...], anchor, n_points: int, seed: int,
-    cfg: DetectConfig | None = None,
+    o: Oracle, block_vars: tuple[int, ...], anchor, n_points: int, cfg: RunConfig
 ) -> FactorData:
     """Tabulate the block response with everything else pinned at the anchor.
 
     h(b) = f(b at block vars, anchor elsewhere) - f(anchor) equals the
     block's non-repeated part up to an affine transform.
     """
-    cfg = cfg or DetectConfig(seed=seed)
     anchor = np.asarray(anchor, dtype=float)
-    rng = _rng(seed, 301, *block_vars)
+    rng = _rng(cfg.seed, 301, *block_vars)
     f0 = o(anchor)
     pts = _subbox_uniform(o, block_vars, n_points, rng)
     vals = o.eval_batch(_pin(anchor, block_vars, pts)) - f0
@@ -370,7 +362,7 @@ def isolate_psi_data(
         raise DegenerateAnchorError("psi slice mostly invalid")
     pts, vals = pts[good], vals[good]
     scale = max(1.0, float(np.max(np.abs(vals))), abs(f0))
-    if float(np.max(vals) - np.min(vals)) <= cfg.tol * scale:
+    if float(np.max(vals) - np.min(vals)) <= cfg.tol_detect * scale:
         raise DegenerateAnchorError("degenerate block: sliced responses constant")
 
     def prober(coords: np.ndarray) -> np.ndarray:
@@ -385,19 +377,18 @@ def isolate_psi_data(
 
 def isolate_omega_data(
     o: Oracle, block_vars: tuple[int, ...], block_repeated: tuple[int, ...],
-    anchor, n_points: int, seed: int, cfg: DetectConfig | None = None,
+    anchor, n_points: int, cfg: RunConfig,
 ) -> FactorData:
     """Tabulate the block's repeated-variable coupling via differencing."""
     if not block_repeated:
         raise ValueError("block has no repeated variables to isolate")
-    cfg = cfg or DetectConfig(seed=seed)
     anchor = np.asarray(anchor, dtype=float)
     b1, b2, spread, scale = _spread_pair(o, block_vars, anchor, cfg, (401, *block_vars))
-    if spread <= cfg.tol * scale:
+    if spread <= cfg.tol_detect * scale:
         raise DegenerateAnchorError(
             "unresolvable omega: no block probe pair separates responses"
         )
-    rng = _rng(seed, 402, *block_vars)
+    rng = _rng(cfg.seed, 402, *block_vars)
     zs = _subbox_uniform(o, block_repeated, n_points, rng)
     vals = _delta_values(o, block_repeated, zs, block_vars, b1, b2, anchor)
     good = np.isfinite(vals)
@@ -419,13 +410,13 @@ def isolate_omega_data(
 # factor partition: pairwise multiplicative-separability inside one block
 
 
-def _pair_grid_values(d: FactorData, p: int, q: int, box_lo, box_hi, cfg: DetectConfig):
+def _pair_grid_values(d: FactorData, p: int, q: int, box_lo, box_hi, cfg: RunConfig):
     """Response grid over a (K+1)x(K+1) lattice in the (p, q) plane.
 
     Row/column zero hold the base coordinates, so mixed differences and
     one-sided differences against the base come out of the same grid.
     """
-    k = cfg.pair_probes // 2 + 2
+    k = PAIR_PROBES // 2 + 2
     ip, iq = d.vars.index(p), d.vars.index(q)
     rng = _rng(cfg.seed, 501 if d.role == "psi" else 502, p, q, *d.block_vars)
     a_vals = np.concatenate(([d.base[ip]], rng.uniform(box_lo[ip], box_hi[ip], k)))
@@ -447,7 +438,7 @@ def _rank_one(M: np.ndarray, tol_abs: float) -> bool:
     return True
 
 
-def _pair_separable(d: FactorData, p: int, q: int, box_lo, box_hi, cfg: DetectConfig):
+def _pair_separable(d: FactorData, p: int, q: int, box_lo, box_hi, cfg: RunConfig):
     """Classify variable pair (p, q) inside factor data d.
 
     Returns "none" (no interaction at all: the pair is additively fused
@@ -460,17 +451,17 @@ def _pair_separable(d: FactorData, p: int, q: int, box_lo, box_hi, cfg: DetectCo
         raise DegenerateAnchorError("factor probe grid hit invalid points")
     scale = max(1.0, float(np.max(np.abs(H))))
     mixed = H - H[:, :1] - H[:1, :] + H[0, 0]
-    if np.max(np.abs(mixed)) <= cfg.tol * scale:
+    if np.max(np.abs(mixed)) <= cfg.tol_detect * scale:
         return "none"
     G_rows = H - H[:1, :]          # differences against the base a-row
     G_cols = H - H[:, :1]          # differences against the base b-column
-    tol_abs = cfg.tol * scale * scale
+    tol_abs = cfg.tol_detect * scale * scale
     if _rank_one(G_rows, tol_abs) and _rank_one(G_cols.T, tol_abs):
         return "product"
     return "entangled"
 
 
-def factor_partition(d: FactorData, cfg: DetectConfig, box=None) -> tuple[tuple[int, ...], ...]:
+def factor_partition(d: FactorData, cfg: RunConfig, box=None) -> tuple[tuple[int, ...], ...]:
     """Partition d's variables into multiplicative factor groups.
 
     Variables stay in one group when they are additively fused (no pairwise
@@ -496,12 +487,12 @@ def factor_partition(d: FactorData, cfg: DetectConfig, box=None) -> tuple[tuple[
 # block construction, membership, and consistency
 
 
-def _draw_anchor(o: Oracle, cfg: DetectConfig, attempt: int) -> np.ndarray:
+def _draw_anchor(o: Oracle, cfg: RunConfig, attempt: int) -> np.ndarray:
     rng = _rng(cfg.seed, 777, attempt)
     lo, hi = o.box.lo_array(), o.box.hi_array()
-    margin = 0.5 * (1.0 - cfg.anchor_central)
+    margin = 0.5 * (1.0 - ANCHOR_CENTRAL)
     u = rng.random(o.arity)
-    return lo + (margin + cfg.anchor_central * u) * (hi - lo)
+    return lo + (margin + ANCHOR_CENTRAL * u) * (hi - lo)
 
 
 def _membership(o: Oracle, block_vars, repeated, anchor, cfg) -> tuple[int, ...]:
@@ -509,18 +500,18 @@ def _membership(o: Oracle, block_vars, repeated, anchor, cfg) -> tuple[int, ...]
     if not repeated:
         return ()
     b1, b2, spread, scale = _spread_pair(o, block_vars, anchor, cfg, (401, *block_vars))
-    if spread <= cfg.tol * scale:
+    if spread <= cfg.tol_detect * scale:
         raise DegenerateAnchorError("degenerate block during membership test")
     members = []
     for v in repeated:
         rng = _rng(cfg.seed, 601, v, *block_vars)
-        zs = _subbox_uniform(o, (v,), cfg.membership_points, rng)
+        zs = _subbox_uniform(o, (v,), MEMBERSHIP_POINTS, rng)
         deltas = _delta_values(o, (v,), zs, block_vars, b1, b2, anchor)
         deltas = deltas[np.isfinite(deltas)]
         if deltas.size < 4:
             raise DegenerateAnchorError("membership sweep mostly invalid")
         dscale = max(1.0, float(np.max(np.abs(deltas))))
-        if float(np.max(deltas) - np.min(deltas)) > cfg.tol * dscale:
+        if float(np.max(deltas) - np.min(deltas)) > cfg.tol_detect * dscale:
             members.append(v)
     return tuple(members)
 
@@ -556,7 +547,7 @@ def _block_consistent(o: Oracle, block_vars, members, anchor, cfg) -> bool:
         g = (fz - fz0) - h
         scale = max(1.0, float(np.max(np.abs(h))), float(np.max(np.abs(fz))))
         cross = np.abs(h[:, None] * g[None, :] - h[None, :] * g[:, None])
-        if np.max(cross) > cfg.tol * scale * scale:
+        if np.max(cross) > cfg.tol_detect * scale * scale:
             return False
     return True
 
@@ -574,7 +565,7 @@ def _structure_consistent(o: Oracle, g: InteractionGraph, picked, anchor, cfg) -
 
 
 def minimal_blocks(
-    o: Oracle, repeated: tuple[int, ...], anchor, cfg: DetectConfig,
+    o: Oracle, repeated: tuple[int, ...], anchor, cfg: RunConfig,
     graph: InteractionGraph | None = None,
 ) -> GsStructure:
     """Blocks (with repeated membership) for a given repeated set.
@@ -593,7 +584,7 @@ def minimal_blocks(
     stable = False
     for attempt in range(2):
         anchor2 = _draw_anchor(o, cfg, 50 + attempt)
-        cfg2 = DetectConfig(**{**cfg.__dict__, "seed": cfg.seed + 9999 + attempt})
+        cfg2 = replace(cfg, seed=cfg.seed + 9999 + attempt)
         graph2 = interaction_graph(o, anchor2, cfg2)
         if graph2.components(rest) == comps:
             stable = True
@@ -614,11 +605,11 @@ def minimal_blocks(
 # orchestration
 
 
-def _reconstruction_ok(o: Oracle, structure: GsStructure, cfg: DetectConfig) -> bool:
+def _reconstruction_ok(o: Oracle, structure: GsStructure, cfg: RunConfig) -> bool:
     """Additive reconstruction check with repeated variables at the anchor."""
     anchor = np.asarray(structure.anchor)
     rng = _rng(cfg.seed, 801)
-    pts = o.box.uniform(cfg.recon_points, rng)
+    pts = o.box.uniform(RECON_POINTS, rng)
     for v in structure.repeated:
         pts[:, v - 1] = anchor[v - 1]
     f_anchor = o(anchor)
@@ -628,18 +619,18 @@ def _reconstruction_ok(o: Oracle, structure: GsStructure, cfg: DetectConfig) -> 
         sliced = _pin(anchor, b.vars, pts[:, [v - 1 for v in b.vars]])
         recon += o.eval_batch(sliced) - f_anchor
     good = np.isfinite(total) & np.isfinite(recon)
-    if good.sum() < cfg.recon_points // 2:
+    if good.sum() < RECON_POINTS // 2:
         return False
     scale = max(1.0, float(np.max(np.abs(total[good]))))
-    return bool(np.max(np.abs(total[good] - recon[good])) <= cfg.tol * scale)
+    return bool(np.max(np.abs(total[good] - recon[good])) <= cfg.tol_detect * scale)
 
 
-def detect_structure(o: Oracle, cfg: DetectConfig | None = None) -> GsStructure:
+def detect_structure(o: Oracle, cfg: RunConfig | None = None) -> GsStructure:
     """Full structure recovery: graph, repeated set, blocks, factors."""
-    cfg = cfg or DetectConfig()
+    cfg = cfg or RunConfig()
     start_count = o.eval_count
     last_error: DetectionError | None = None
-    for attempt in range(cfg.max_anchor_redraws + 1):
+    for attempt in range(MAX_ANCHOR_REDRAWS + 1):
         try:
             s = _detect_once(o, cfg, attempt)
             s.probes_used = o.eval_count - start_count
@@ -650,7 +641,7 @@ def detect_structure(o: Oracle, cfg: DetectConfig | None = None) -> GsStructure:
     raise last_error or DetectionError("detection failed")
 
 
-def _detect_once(o: Oracle, cfg: DetectConfig, attempt: int) -> GsStructure:
+def _detect_once(o: Oracle, cfg: RunConfig, attempt: int) -> GsStructure:
     anchor = _draw_anchor(o, cfg, attempt)
     f_anchor = o(anchor)
     if not np.isfinite(f_anchor):
@@ -659,7 +650,8 @@ def _detect_once(o: Oracle, cfg: DetectConfig, attempt: int) -> GsStructure:
     # constant targets have no blocks at all
     probe = o.eval_batch(o.box.uniform(16, _rng(cfg.seed, 900, attempt)))
     probe = probe[np.isfinite(probe)]
-    if probe.size and np.max(np.abs(probe - f_anchor)) <= cfg.tol * max(1.0, abs(f_anchor)):
+    scale = max(1.0, abs(f_anchor))
+    if probe.size and np.max(np.abs(probe - f_anchor)) <= cfg.tol_detect * scale:
         return GsStructure(repeated=(), blocks=[], anchor=tuple(anchor))
 
     graph = interaction_graph(o, anchor, cfg)
@@ -668,14 +660,12 @@ def _detect_once(o: Oracle, cfg: DetectConfig, attempt: int) -> GsStructure:
     structure = minimal_blocks(o, repeated, anchor, cfg, graph=graph)
 
     for b in structure.blocks:
-        psi = isolate_psi_data(
-            o, b.vars, anchor, cfg.psi_points_per_var * len(b.vars), cfg.seed, cfg
-        )
+        psi = isolate_psi_data(o, b.vars, anchor, PSI_POINTS_PER_VAR * len(b.vars), cfg)
         b.psi_factors = factor_partition(psi, cfg, box=o.box)
         if b.repeated:
             omega = isolate_omega_data(
                 o, b.vars, b.repeated, anchor,
-                cfg.omega_points_per_var * len(b.repeated), cfg.seed, cfg,
+                OMEGA_POINTS_PER_VAR * len(b.repeated), cfg,
             )
             b.omega_factors = factor_partition(omega, cfg, box=o.box)
         else:

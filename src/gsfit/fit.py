@@ -18,7 +18,6 @@ it in one to three dimensions.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
@@ -27,47 +26,33 @@ from typing import Callable
 import numpy as np
 
 from . import expr as ex
+from .config import RunConfig, derived_seed
 
 
-@dataclass
-class OptimizerConfig:
-    """Controls for the simplex-evolution optimizer.
+class FitError(ValueError):
+    """A factor or the assembled basis is beyond what the fitter handles."""
 
-    pop_size, max_generations and stagnation_window default to the
-    dimension-dependent schedules 10+10d, 500d and 50d when left None.
-    """
 
-    pop_size: int | None = None
-    lo: float = -50.0
-    hi: float = 50.0
-    target_tol: float = 1e-6
-    max_generations: int | None = None
-    stagnation_window: int | None = None
-    seed: int = 0
-
-    def resolved(self, d: int) -> tuple[int, int, int]:
-        np_ = self.pop_size if self.pop_size is not None else 10 + 10 * d
-        if np_ < 4:
-            raise ValueError("population size must be at least 4")
-        gens = self.max_generations if self.max_generations is not None else 500 * d
-        stag = (
-            self.stagnation_window
-            if self.stagnation_window is not None
-            else 50 * d
-        )
-        return np_, gens, stag
+# box searched for every nonlinear skeleton parameter
+PARAM_BOUND = 50.0
 
 
 def ldse_minimize(
     objective: Callable[[np.ndarray], np.ndarray],
     bounds,
-    cfg: OptimizerConfig,
+    *,
+    seed: int,
+    target_tol: float,
+    max_generations: int | None = None,
+    stagnation_window: int | None = None,
     init_guesses=None,
 ) -> tuple[np.ndarray, float]:
     """Population search with low-dimensional simplex moves.
 
     `objective` maps a (P, d) array of parameter rows to P values;
-    non-finite values count as inf. Updates are generation-synchronous:
+    non-finite values count as inf. The population has 10 + 10d agents;
+    max_generations and stagnation_window default to 500d and 50d when
+    None. Updates are generation-synchronous:
     every generation, each agent draws m+1 distinct population members
     (m = min(d, 3)) from the population as it stood at the start of the
     generation; the worst vertex of that simplex is reflected through the
@@ -82,8 +67,10 @@ def ldse_minimize(
     if np.any(lo >= hi):
         raise ValueError("each bound must satisfy lo < hi")
     d = len(bounds)
-    n_pop, max_gens, stagnation = cfg.resolved(d)
-    rng = np.random.default_rng(cfg.seed)
+    n_pop = 10 + 10 * d
+    max_gens = 500 * d if max_generations is None else max_generations
+    stagnation = 50 * d if stagnation_window is None else stagnation_window
+    rng = np.random.default_rng(seed)
 
     def f(X: np.ndarray) -> np.ndarray:
         v = np.asarray(objective(X), dtype=float)
@@ -107,7 +94,7 @@ def ldse_minimize(
     agents = np.arange(n_pop)
     last_improve = 0
     for gen in range(max_gens):
-        if best_val <= cfg.target_tol or gen - last_improve > stagnation:
+        if best_val <= target_tol or gen - last_improve > stagnation:
             break
         idx = rng.integers(0, n_pop, size=(n_pop, m + 1))
         while True:
@@ -174,10 +161,6 @@ class Skeleton:
     @property
     def lin_count(self) -> int:
         return len(self.columns)
-
-    @property
-    def has_offset(self) -> bool:
-        return _OFFSET in self.columns
 
     @property
     def complexity(self) -> int:
@@ -301,7 +284,10 @@ def _ln2_hints(V, y):
 
 
 def _sk(name: str, *columns: str, hints=None) -> Skeleton:
-    return Skeleton(name, tuple(ex.parse_template(c, 3) for c in columns), hints)
+    sk = Skeleton(name, tuple(ex.parse_template(c, 3) for c in columns), hints)
+    if sk.nl_count and sk.columns[1:] != (_OFFSET,):
+        raise ValueError(f"{name}: a skeleton with parameters is one shape column and '1'")
+    return sk
 
 
 # Streams by factor variable count, tried in table order. Both trig
@@ -354,11 +340,11 @@ _STREAMS = {
 }
 
 
-def skeleton_stream(var_count: int, max_nodes: int = 12) -> list[Skeleton]:
+def skeleton_stream(var_count: int, max_nodes: int = RunConfig.max_nodes) -> list[Skeleton]:
     """The table's skeletons for var_count variables, in table order, whose
     templates have at most max_nodes nodes (see Skeleton.complexity)."""
     if var_count not in _STREAMS:
-        raise ValueError("skeleton streams cover 1 to 3 variables")
+        raise FitError("skeleton streams cover 1 to 3 variables")
     if max_nodes < 3:
         raise ValueError("max_nodes must be at least 3")
     return [s for s in _STREAMS[var_count] if s.complexity <= max_nodes]
@@ -375,7 +361,7 @@ class FactorModel:
     The model represents the centered, unit-variance image of the tabulated
     responses (factor data only identifies the factor up to an affine
     transform, and the normalized representative keeps the assembly basis
-    well conditioned). shift and scale record the normalization applied.
+    well conditioned).
     """
 
     skeleton_name: str
@@ -384,27 +370,6 @@ class FactorModel:
     expr: ex.Expr
     train_mse: float          # MSE against the normalized responses
     converged: bool
-    shift: float
-    scale: float
-    fit_values: np.ndarray = field(repr=False, default=None)
-    data: object = field(repr=False, default=None)
-
-    def predict(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        full = np.zeros((pts.shape[0], max(self.var_indices)))
-        for k, v in enumerate(self.var_indices):
-            full[:, v - 1] = pts[:, k]
-        return self.expr.eval_batch(full)
-
-    def recompute_mse(self) -> float:
-        pred = self.predict(self.data.points)
-        r = self.fit_values - pred
-        return float(np.mean(r * r))
-
-
-def derived_seed(base: int, *key: int) -> int:
-    """Independent integer seed for the stream `key` under `base`."""
-    return int(np.random.SeedSequence(base, spawn_key=key).generate_state(1)[0])
 
 
 def _make_objective(sk: Skeleton, V, y):
@@ -412,12 +377,11 @@ def _make_objective(sk: Skeleton, V, y):
 
     Maps a (P, nl_count) array of parameter rows to P values. The shape
     column is evaluated once for all rows, each parameter broadcast as a
-    (P, 1) column, and the optimal amplitude (and offset) of every row is
+    (P, 1) column, and the optimal amplitude and offset of every row are
     solved in closed form from its 2x2 normal equations. A row scores its
     MSE, or inf where the shape is invalid or the solve is singular.
     """
     shape = sk._shapes()[0]
-    offset = sk.has_offset
     n = len(y)
     y_sum = float(y.sum())
 
@@ -425,16 +389,12 @@ def _make_objective(sk: Skeleton, V, y):
         S = shape._eval(V, [X[:, k:k + 1] for k in range(X.shape[1])])
         a11 = (S * S).sum(axis=1)
         b1 = S @ y
-        if offset:
-            a12 = S.sum(axis=1)
-            det = a11 * n - a12 * a12
-            ok = np.isfinite(a11) & (det > 1e-300 * np.maximum(1.0, a11 * n))
-            c1 = (b1 * n - y_sum * a12) / det
-            c2 = (a11 * y_sum - a12 * b1) / det
-            R = y - c1[:, None] * S - c2[:, None]
-        else:
-            ok = np.isfinite(a11) & (a11 > 0.0)
-            R = y - (b1 / a11)[:, None] * S
+        a12 = S.sum(axis=1)
+        det = a11 * n - a12 * a12
+        ok = np.isfinite(a11) & (det > 1e-300 * np.maximum(1.0, a11 * n))
+        c1 = (b1 * n - y_sum * a12) / det
+        c2 = (a11 * y_sum - a12 * b1) / det
+        R = y - c1[:, None] * S - c2[:, None]
         mse = (R * R).sum(axis=1) / n
         return np.where(ok & np.isfinite(mse), mse, math.inf)
 
@@ -461,7 +421,7 @@ def _ranked_hints(sk: Skeleton, objective, V, y, top: int = 3):
     return [cands[k] for k in order], (float(scores[order[0]]) if order else math.inf)
 
 
-def _fit_skeleton(sk: Skeleton, V, y, cfg: OptimizerConfig, rank: int):
+def _fit_skeleton(sk: Skeleton, V, y, seed: int, rank: int):
     """Best (nl, lin, mse) for one skeleton on normalized data."""
     nl = np.empty(0)
     if sk.nl_count:
@@ -472,17 +432,14 @@ def _fit_skeleton(sk: Skeleton, V, y, cfg: OptimizerConfig, rank: int):
         # means the family cannot represent the data, so a short
         # confirmation run suffices.
         hopeless = bool(hints) and hint_best > 0.5
-        inner = dataclasses.replace(
-            cfg,
-            target_tol=1e-14,
-            max_generations=80 if hopeless else 300,
-            stagnation_window=40,
-        )
-        bounds = [(cfg.lo, cfg.hi)] * sk.nl_count
+        bounds = [(-PARAM_BOUND, PARAM_BOUND)] * sk.nl_count
         best = None
         for restart in range(3):
-            run_cfg = dataclasses.replace(inner, seed=derived_seed(cfg.seed, rank, restart))
-            x, val = ldse_minimize(objective, bounds, run_cfg, init_guesses=hints)
+            x, val = ldse_minimize(
+                objective, bounds, seed=derived_seed(seed, rank, restart),
+                target_tol=1e-14, max_generations=80 if hopeless else 300,
+                stagnation_window=40, init_guesses=hints,
+            )
             if best is None or val < best[1]:
                 best = (x, val)
             if val <= 1e-12:
@@ -495,14 +452,14 @@ def _fit_skeleton(sk: Skeleton, V, y, cfg: OptimizerConfig, rank: int):
     return nl, lin, mse
 
 
-def fit_factor(data, cfg: OptimizerConfig, max_nodes: int = 12) -> FactorModel:
+def fit_factor(data, cfg: RunConfig) -> FactorModel:
     """Walk the skeleton stream; accept the first fit within tolerance.
 
     Responses are centered and scaled to unit standard deviation before
     fitting; the returned model represents that normalized image (the data
     identifies the factor only up to an affine transform, and the outer
     linear assembly absorbs the normalization). Acceptance compares the
-    normalized MSE against cfg.target_tol.
+    normalized MSE against cfg.tol_target.
     """
     V = np.asarray(data.points, dtype=float)
     y = np.asarray(data.values, dtype=float)
@@ -518,17 +475,17 @@ def fit_factor(data, cfg: OptimizerConfig, max_nodes: int = 12) -> FactorModel:
     # templates evaluate outside their domains and overflow by design;
     # such parameters score inf
     with np.errstate(all="ignore"):
-        for rank, sk in enumerate(skeleton_stream(len(data.vars), max_nodes)):
-            out = _fit_skeleton(sk, V, yn, cfg, rank)
+        for rank, sk in enumerate(skeleton_stream(len(data.vars), cfg.max_nodes)):
+            out = _fit_skeleton(sk, V, yn, cfg.seed, rank)
             if out is None:
                 continue
             nl, lin, mse = out
             if best is None or mse < best[0]:
                 best = (mse, sk, nl, lin)
-            if mse <= cfg.target_tol:
+            if mse <= cfg.tol_target:
                 break
     if best is None:
-        raise RuntimeError("no skeleton produced a finite fit")
+        raise FitError("no skeleton produced a finite fit")
     mse, sk, nl, lin = best
     return FactorModel(
         skeleton_name=sk.name,
@@ -536,9 +493,5 @@ def fit_factor(data, cfg: OptimizerConfig, max_nodes: int = 12) -> FactorModel:
         theta=np.concatenate([nl, lin]),
         expr=sk.model(nl, lin, tuple(data.vars)),
         train_mse=mse,
-        converged=bool(mse <= cfg.target_tol),
-        shift=shift,
-        scale=scale,
-        fit_values=yn,
-        data=data,
+        converged=bool(mse <= cfg.tol_target),
     )

@@ -10,8 +10,9 @@ import pytest
 
 from gsfit import expr as ex
 from gsfit.bench import CASES, STREAM_DEMO, run_case, run_suite, suite_seeds
-from gsfit.detect import DetectConfig, detect_structure, mixed_diff
-from gsfit.fit import OptimizerConfig, ldse_minimize
+from gsfit.config import RunConfig
+from gsfit.detect import detect_structure, mixed_diff
+from gsfit.fit import ldse_minimize
 from gsfit.oracle import DomainBox, make_oracle
 
 from helpers import random_tree
@@ -79,7 +80,7 @@ def test_criterion_3_wall_time_ceiling(suite):
 def test_criterion_4_stream_function_demo():
     hits = 0
     for seed in suite_seeds(BASE_SEED, 11, REPEATS):
-        s = detect_structure(STREAM_DEMO.oracle(), DetectConfig(seed=seed))
+        s = detect_structure(STREAM_DEMO.oracle(), RunConfig(seed=seed))
         hits += s.repeated == (3, 4) and s.block_count() == 2
     _line(4, hits == REPEATS, f"stream demo repeated {{R,r}} + 2 blocks {hits}/20")
     assert hits == REPEATS
@@ -101,8 +102,8 @@ def test_criterion_5a_affine_invariance_of_detection():
         spec = CASES[no]
         base = spec.target()
         scaled = ex.add(ex.mul(ex.const(-2.5), base), ex.const(7.0))
-        s1 = detect_structure(make_oracle(base, spec.box), DetectConfig(seed=11))
-        s2 = detect_structure(make_oracle(scaled, spec.box), DetectConfig(seed=11))
+        s1 = detect_structure(make_oracle(base, spec.box), RunConfig(seed=11))
+        s2 = detect_structure(make_oracle(scaled, spec.box), RunConfig(seed=11))
         if _structure_signature(s1) != _structure_signature(s2):
             bad.append(no)
     _line(5, not bad, f"affine invariance (-2.5*f+7) on all 10 targets, bad={bad}")
@@ -180,7 +181,7 @@ def test_criterion_5b_brute_force_partition_agreement():
         n = int(rng.integers(2, 5))
         f, true_parts = _separable_instance(rng, n)
         oracle = make_oracle(f, DomainBox.cube(-3, 3, n))
-        s = detect_structure(oracle, DetectConfig(seed=1000 + k))
+        s = detect_structure(oracle, RunConfig(seed=1000 + k))
         detected = sorted(b.vars for b in s.blocks)
         brute = _finest_additive_partition(oracle, np.random.default_rng(500 + k))
         assert s.repeated == ()
@@ -238,7 +239,7 @@ def test_criterion_5e_sphere_optimizer():
     for seed in range(20):
         _, v = ldse_minimize(
             lambda Z: np.einsum("pd,pd->p", Z, Z), [(-50, 50)] * 5,
-            OptimizerConfig(seed=seed, target_tol=1e-9),
+            seed=seed, target_tol=1e-9,
         )
         hits += v <= 1e-8
     _line(5, hits == 20, f"sphere d=5 reaches 1e-8 in {hits}/20 seeds")

@@ -13,16 +13,16 @@ from gsfit.assemble import (
     least_squares,
 )
 from gsfit.bench import CASES
-from gsfit.detect import Block, DetectConfig, GsStructure, detect_structure
-from gsfit.fit import FactorModel, OptimizerConfig
+from gsfit.config import RunConfig
+from gsfit.detect import Block, GsStructure, detect_structure
+from gsfit.fit import FactorModel
 from gsfit.oracle import DomainBox, SampleSet, make_oracle
 
 
 def fake_model(e: ex.Expr, vars_: tuple[int, ...]) -> FactorModel:
     return FactorModel(
         skeleton_name="given", var_indices=vars_, theta=np.zeros(0), expr=e,
-        train_mse=0.0, converged=True, shift=0.0, scale=1.0,
-        fit_values=np.zeros(1),
+        train_mse=0.0, converged=True,
     )
 
 
@@ -173,16 +173,16 @@ def test_least_squares_needs_enough_points():
 def test_assemble_case2_validates_below_tolerance():
     spec = CASES[2]
     o = spec.oracle()
-    s = detect_structure(o, DetectConfig(seed=3))
-    model = assemble_and_validate(s, o, OptimizerConfig(seed=3), seed=3)
+    s = detect_structure(o, RunConfig(seed=3))
+    model = assemble_and_validate(s, o, RunConfig(seed=3))
     assert model.success
     assert model.val_mse <= 1e-6
 
 
 def test_assemble_zero_target():
     o = make_oracle(ex.parse("0*x1", 1), DomainBox.cube(-3, 3, 1))
-    s = detect_structure(o, DetectConfig(seed=3))
-    model = assemble_and_validate(s, o, OptimizerConfig(seed=3), seed=3)
+    s = detect_structure(o, RunConfig(seed=3))
+    model = assemble_and_validate(s, o, RunConfig(seed=3))
     assert model.c0 == pytest.approx(0.0, abs=1e-12)
     assert model.val_mse <= 1e-20
     assert model.success
@@ -191,8 +191,8 @@ def test_assemble_zero_target():
 def test_assembled_expr_matches_weighted_sum():
     spec = CASES[4]
     o = spec.oracle()
-    s = detect_structure(o, DetectConfig(seed=5))
-    model = assemble_and_validate(s, o, OptimizerConfig(seed=5), seed=5)
+    s = detect_structure(o, RunConfig(seed=5))
+    model = assemble_and_validate(s, o, RunConfig(seed=5))
     rng = np.random.default_rng(8)
     pts = rng.uniform(-3, 3, size=(100, 3))
     direct = model.predict(pts)
@@ -204,8 +204,8 @@ def test_assembled_expr_matches_weighted_sum():
 def test_assembled_model_json_keys():
     spec = CASES[1]
     o = spec.oracle()
-    s = detect_structure(o, DetectConfig(seed=6))
-    model = assemble_and_validate(s, o, OptimizerConfig(seed=6), seed=6)
+    s = detect_structure(o, RunConfig(seed=6))
+    model = assemble_and_validate(s, o, RunConfig(seed=6))
     d = json.loads(model.to_json())
     assert set(d) >= {"c0", "terms", "expr", "train_mse", "val_mse", "success"}
     assert all(set(t) == {"block", "factor_subset", "expr", "coeff"} for t in d["terms"])
@@ -215,6 +215,6 @@ def test_assembled_model_json_keys():
 def test_fit_structure_factors_counts_match_partition():
     spec = CASES[6]
     o = spec.oracle()
-    s = detect_structure(o, DetectConfig(seed=2))
-    factors = fit_structure_factors(s, o, OptimizerConfig(seed=2), seed=2)
+    s = detect_structure(o, RunConfig(seed=2))
+    factors = fit_structure_factors(s, o, RunConfig(seed=2), 2)
     assert [len(f) for f in factors] == [b.factor_count() for b in s.blocks]

@@ -1,12 +1,15 @@
 import json
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import gsfit.assemble as asm
+import gsfit.detect as det
 from gsfit.cli import main
+from gsfit.config import RunConfig
 
 
 def run_cli(args, capsys):
@@ -99,9 +102,9 @@ def test_fit_detection_settings_reach_the_factor_sweeps(capsys, monkeypatch):
     seen = []
     inner = asm.fit_structure_factors
 
-    def spy(*args, **kwargs):
-        seen.append(args[5])
-        return inner(*args, **kwargs)
+    def spy(structure, oracle, cfg, sweep_seed):
+        seen.append((cfg, sweep_seed))
+        return inner(structure, oracle, cfg, sweep_seed)
 
     monkeypatch.setattr(asm, "fit_structure_factors", spy)
     code, _, _ = run_cli(
@@ -110,8 +113,61 @@ def test_fit_detection_settings_reach_the_factor_sweeps(capsys, monkeypatch):
         capsys,
     )
     assert code == 0
-    assert seen and all(c.tol == 1e-6 and c.kmax == 2 for c in seen)
-    assert [c.seed for c in seen] == [2 + 101 * k for k in range(len(seen))]
+    assert seen and all(c.tol_detect == 1e-6 and c.kmax == 2 for c, _ in seen)
+    assert all(c.seed == 2 for c, _ in seen)
+    assert [s for _, s in seen] == [2 + 101 * k for k in range(len(seen))]
+
+
+@pytest.mark.parametrize("target, dims, reason", [
+    ("sin(x1*x2*x3*x4)", "4", "skeleton streams cover 1 to 3 variables"),
+    ("x1*x2*x3*x4*x5*x6*x7", "7", "basis explosion"),
+])
+def test_fit_unfittable_factors_exit_3(capsys, target, dims, reason):
+    code, out, err = run_cli(["fit", "--target", target, "--dims", dims], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"fit failed: {reason}")
+
+
+def test_fit_detection_error_in_the_factor_sweeps_exit_2(capsys, monkeypatch):
+    def degenerate(*args):
+        raise det.DegenerateAnchorError("psi slice mostly invalid")
+
+    monkeypatch.setattr(asm, "fit_structure_factors", degenerate)
+    code, _, err = run_cli(["fit", "--target", "x1*x2", "--dims", "2"], capsys)
+    assert code == 2
+    assert "detection failed: psi slice mostly invalid" in err
+
+
+def _flags(config: dict) -> list[str]:
+    # "--lo=-3.0,-3.0": a bare negative list would read as an option
+    out = []
+    for key, value in config.items():
+        if isinstance(value, list):
+            value = ",".join(repr(v) for v in value)
+        out.append(f"--{key.replace('_', '-')}={value}")
+    return out
+
+
+def test_emitted_config_reproduces_the_run(capsys):
+    code, out, _ = run_cli(
+        ["fit", "--target", "x1*x2", "--dims", "2", "--seed", "2"], capsys
+    )
+    assert code == 0
+    first = json.loads(out)
+    code, out, _ = run_cli(["fit", *_flags(first["config"])], capsys)
+    assert code == 0
+    again = json.loads(out)
+    assert again["config"] == first["config"]
+    assert json.dumps(again["model"]) == json.dumps(first["model"])
+
+
+def test_default_flags_emit_the_default_run_config(capsys):
+    code, out, _ = run_cli(["detect", "--target", "x1+x2", "--dims", "2"], capsys)
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert list(config)[:4] == ["target", "dims", "lo", "hi"]
+    assert {k: config[k] for k in list(config)[4:]} == asdict(RunConfig())
 
 
 def test_fit_bad_bounds_exit_1(capsys):

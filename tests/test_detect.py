@@ -3,8 +3,8 @@ import pytest
 
 from gsfit import expr as ex
 from gsfit.bench import CASES, STREAM_DEMO
+from gsfit.config import RunConfig
 from gsfit.detect import (
-    DetectConfig,
     DetectionError,
     InteractionGraph,
     detect_structure,
@@ -18,7 +18,7 @@ from gsfit.detect import (
 )
 from gsfit.oracle import DomainBox, make_oracle
 
-CFG = DetectConfig(seed=1)
+CFG = RunConfig(seed=1)
 
 
 def graph_from_edges(n, edges):
@@ -102,27 +102,27 @@ def test_repeated_vars_two_variable_cut():
 def test_minimal_blocks_case6():
     o = CASES[6].oracle()
     anchor = np.array([2.0, 2.1, 1.9, 2.2, 1.8])
-    s = minimal_blocks(o, (5,), anchor, DetectConfig(seed=2))
+    s = minimal_blocks(o, (5,), anchor, RunConfig(seed=2))
     assert [b.vars for b in s.blocks] == [(1,), (2,), (3,), (4,)]
     assert [b.repeated for b in s.blocks] == [(), (5,), (5,), ()]
 
 
 def test_minimal_blocks_case1_single():
     o = CASES[1].oracle()
-    s = minimal_blocks(o, (), np.array([0.7, 0.8]), DetectConfig(seed=2))
+    s = minimal_blocks(o, (), np.array([0.7, 0.8]), RunConfig(seed=2))
     assert [b.vars for b in s.blocks] == [(1, 2)]
 
 
 def test_minimal_blocks_additive_split():
     o = make_oracle(ex.parse("x1+x2", 2), DomainBox.cube(-3, 3, 2))
-    s = minimal_blocks(o, (), np.array([0.4, 0.6]), DetectConfig(seed=2))
+    s = minimal_blocks(o, (), np.array([0.4, 0.6]), RunConfig(seed=2))
     assert [b.vars for b in s.blocks] == [(1,), (2,)]
 
 
 def test_isolate_psi_exact_identity_for_additive_target():
     o = make_oracle(ex.parse("x1+x2", 2), DomainBox.cube(-3, 3, 2))
     anchor = np.array([0.0, 0.0])
-    d = isolate_psi_data(o, (1,), anchor, 40, seed=3)
+    d = isolate_psi_data(o, (1,), anchor, 40, RunConfig(seed=3))
     assert np.allclose(d.values, d.points[:, 0], atol=1e-12)
 
 
@@ -130,7 +130,7 @@ def test_isolate_psi_case3_proportional_to_sin2x():
     # slicing identity: h(x1) = 10*(sin 2x1 - sin 2a1), independent of block 2
     o = CASES[3].oracle()
     anchor = np.array([0.9, 0.7, 1.1])
-    d = isolate_psi_data(o, (1,), anchor, 60, seed=4)
+    d = isolate_psi_data(o, (1,), anchor, 60, RunConfig(seed=4))
     expected = 10.0 * (np.sin(2 * d.points[:, 0]) - np.sin(2 * anchor[0]))
     assert np.allclose(d.values, expected, atol=1e-10)
 
@@ -138,7 +138,7 @@ def test_isolate_psi_case3_proportional_to_sin2x():
 def test_isolate_psi_case6_log_block_scaled_by_cos_anchor():
     o = CASES[6].oracle()
     anchor = np.array([2.0, 2.1, 1.9, 2.2, 1.8])
-    d = isolate_psi_data(o, (3,), anchor, 60, seed=4)
+    d = isolate_psi_data(o, (3,), anchor, 60, RunConfig(seed=4))
     expected = np.cos(anchor[4]) * (
         np.log(3 * d.points[:, 0] + 1.2) - np.log(3 * anchor[2] + 1.2)
     )
@@ -148,7 +148,7 @@ def test_isolate_psi_case6_log_block_scaled_by_cos_anchor():
 def test_isolate_omega_case4_linear_in_x3():
     o = CASES[4].oracle()
     anchor = np.array([0.9, 0.7, 1.1])
-    d = isolate_omega_data(o, (1,), (3,), anchor, 48, seed=5)
+    d = isolate_omega_data(o, (1,), (3,), anchor, 48, RunConfig(seed=5))
     z = d.points[:, 0]
     coef = np.polyfit(z, d.values, 1)
     assert abs(coef[1]) < 1e-9 or np.allclose(
@@ -161,7 +161,7 @@ def test_isolate_omega_case4_linear_in_x3():
 def test_isolate_omega_case6_quadratic_in_x5():
     o = CASES[6].oracle()
     anchor = np.array([2.0, 2.1, 1.9, 2.2, 1.8])
-    d = isolate_omega_data(o, (2,), (5,), anchor, 48, seed=5)
+    d = isolate_omega_data(o, (2,), (5,), anchor, 48, RunConfig(seed=5))
     z = d.points[:, 0]
     ratio = d.values / (z * z)
     assert np.allclose(ratio, ratio[0], rtol=1e-9)
@@ -170,7 +170,7 @@ def test_isolate_omega_case6_quadratic_in_x5():
 def test_factor_partition_case9_groups():
     o = CASES[9].oracle()
     anchor = np.array([0.8, 0.9, 0.7, 0.6, 1.0, 1.1])
-    d = isolate_psi_data(o, (1, 2, 3, 4, 5, 6), anchor, 120, seed=6)
+    d = isolate_psi_data(o, (1, 2, 3, 4, 5, 6), anchor, 120, RunConfig(seed=6))
     groups = factor_partition(d, CFG, box=o.box)
     assert groups == ((1,), (2,), (3, 4), (5, 6))
 
@@ -178,14 +178,14 @@ def test_factor_partition_case9_groups():
 def test_factor_partition_case1_splits():
     o = CASES[1].oracle()
     anchor = np.array([0.7, 0.8])
-    d = isolate_psi_data(o, (1, 2), anchor, 60, seed=6)
+    d = isolate_psi_data(o, (1, 2), anchor, 60, RunConfig(seed=6))
     assert factor_partition(d, CFG, box=o.box) == ((1,), (2,))
 
 
 def test_factor_partition_entangled_pair_stays_together():
     o = make_oracle(ex.parse("sin(x1+x2)", 2), DomainBox.cube(-3, 3, 2))
     anchor = np.array([0.3, -0.4])
-    d = isolate_psi_data(o, (1, 2), anchor, 60, seed=6)
+    d = isolate_psi_data(o, (1, 2), anchor, 60, RunConfig(seed=6))
     assert factor_partition(d, CFG, box=o.box) == ((1, 2),)
 
 
@@ -193,14 +193,14 @@ def test_factor_partition_additive_pair_fused():
     # (x1+x2)/x3 with x3 pinned: x1, x2 do not interact but form one factor
     o = CASES[10].oracle()
     anchor = np.array([0.8, 0.9, 1.1, 0.7, 0.6, 1.2, 0.5])
-    d = isolate_psi_data(o, (1, 2, 3), anchor, 90, seed=6)
+    d = isolate_psi_data(o, (1, 2, 3), anchor, 90, RunConfig(seed=6))
     assert factor_partition(d, CFG, box=o.box) == ((1, 2), (3,))
 
 
 @pytest.mark.parametrize("no", sorted(CASES))
 def test_detect_structure_matches_expected_table(no):
     spec = CASES[no]
-    s = detect_structure(spec.oracle(), DetectConfig(seed=7))
+    s = detect_structure(spec.oracle(), RunConfig(seed=7))
     assert s.repeated == spec.expected_repeated
     assert s.block_count() == spec.expected_blocks
     assert s.factor_count() == spec.expected_factors
@@ -208,7 +208,7 @@ def test_detect_structure_matches_expected_table(no):
 
 
 def test_detect_structure_case10_details():
-    s = detect_structure(CASES[10].oracle(), DetectConfig(seed=7))
+    s = detect_structure(CASES[10].oracle(), RunConfig(seed=7))
     assert s.repeated == (7,)
     assert [b.vars for b in s.blocks] == [(1, 2, 3), (4, 5, 6)]
     assert s.blocks[0].psi_factors == ((1, 2), (3,))
@@ -218,7 +218,7 @@ def test_detect_structure_case10_details():
 
 
 def test_detect_structure_stream_function_demo():
-    s = detect_structure(STREAM_DEMO.oracle(), DetectConfig(seed=7))
+    s = detect_structure(STREAM_DEMO.oracle(), RunConfig(seed=7))
     assert s.repeated == (3, 4)
     assert s.block_count() == 2
     assert [b.vars for b in s.blocks] == [(1, 2), (5,)]
@@ -226,7 +226,7 @@ def test_detect_structure_stream_function_demo():
 
 def test_detect_structure_univariate():
     o = make_oracle(ex.parse("x1", 1), DomainBox.cube(-3, 3, 1))
-    s = detect_structure(o, DetectConfig(seed=7))
+    s = detect_structure(o, RunConfig(seed=7))
     assert s.repeated == ()
     assert [b.vars for b in s.blocks] == [(1,)]
     assert s.blocks[0].psi_factors == ((1,),)
@@ -234,26 +234,26 @@ def test_detect_structure_univariate():
 
 def test_detect_structure_constant_target():
     o = make_oracle(ex.parse("5+0*x1", 1), DomainBox.cube(-3, 3, 1))
-    s = detect_structure(o, DetectConfig(seed=7))
+    s = detect_structure(o, RunConfig(seed=7))
     assert s.blocks == []
 
 
 def test_detect_structure_counts_probes():
     o = CASES[2].oracle()
-    s = detect_structure(o, DetectConfig(seed=7))
+    s = detect_structure(o, RunConfig(seed=7))
     assert s.probes_used == o.eval_count
 
 
 def test_detection_error_when_anchor_always_invalid():
     o = make_oracle(ex.parse("ln(x1-2.5)", 1), DomainBox.cube(-3, 3, 1))
     with pytest.raises(DetectionError):
-        detect_structure(o, DetectConfig(seed=7))
+        detect_structure(o, RunConfig(seed=7))
 
 
 def test_structure_json_round_trip():
     import json
 
-    s = detect_structure(CASES[4].oracle(), DetectConfig(seed=7))
+    s = detect_structure(CASES[4].oracle(), RunConfig(seed=7))
     d = json.loads(s.to_json())
     assert d["repeated"] == [3]
     assert [b["vars"] for b in d["blocks"]] == [[1], [2]]
@@ -273,10 +273,10 @@ def permute_expr(e: ex.Expr, mapping: dict[int, int]) -> ex.Expr:
 def test_detection_is_permutation_equivariant(no):
     spec = CASES[no]
     mapping = {i: (i % spec.dim) + 1 for i in range(1, spec.dim + 1)}  # cyclic shift
-    base = detect_structure(spec.oracle(), DetectConfig(seed=13))
+    base = detect_structure(spec.oracle(), RunConfig(seed=13))
     permuted_target = permute_expr(spec.target(), mapping)
     o2 = make_oracle(permuted_target, spec.box)
-    moved = detect_structure(o2, DetectConfig(seed=13))
+    moved = detect_structure(o2, RunConfig(seed=13))
 
     def mapped(sig):
         rep, blocks = sig
@@ -316,4 +316,4 @@ def test_detection_is_permutation_equivariant(no):
 def test_minimal_blocks_rejects_all_repeated():
     o = CASES[4].oracle()
     with pytest.raises(DetectionError, match="empty block"):
-        minimal_blocks(o, (1, 2, 3), np.array([0.5, 0.5, 0.5]), DetectConfig(seed=1))
+        minimal_blocks(o, (1, 2, 3), np.array([0.5, 0.5, 0.5]), RunConfig(seed=1))

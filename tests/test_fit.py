@@ -5,13 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
+from gsfit.config import RunConfig
 from gsfit.detect import FactorData
-from gsfit.expr import parse_template
 from gsfit.fit import (
-    OptimizerConfig,
-    Skeleton,
     _lstsq_cols,
     _make_objective,
+    _sk,
     fit_factor,
     ldse_minimize,
     skeleton_stream,
@@ -95,7 +94,7 @@ def test_fit_exp_heavy_data_raises_no_runtime_warning():
     with warnings.catch_warnings(), np.errstate(all="warn"):
         warnings.simplefilter("error")
         for d in (wide, pair):
-            m = fit_factor(d, OptimizerConfig(seed=0))
+            m = fit_factor(d, RunConfig(seed=0))
             assert m.converged
 
 
@@ -132,14 +131,20 @@ def test_stream_deterministic():
 
 
 def test_population_size_formula():
-    cfg = OptimizerConfig()
-    assert cfg.resolved(4)[0] == 50
-    assert cfg.resolved(1)[0] == 20
+    for d, n_pop in ((4, 50), (1, 20)):
+        rows = []
+
+        def obj(X):
+            rows.append(len(X))
+            return np.zeros(len(X))
+
+        ldse_minimize(obj, [(-1.0, 1.0)] * d, seed=0, target_tol=1e-6)
+        assert rows[0] == n_pop
 
 
 def test_ldse_sphere_three_dims():
     x, v = ldse_minimize(lambda X: np.einsum("pd,pd->p", X, X), [(-50, 50)] * 3,
-                         OptimizerConfig(seed=0, target_tol=1e-9))
+                         seed=0, target_tol=1e-9)
     assert v <= 1e-8
     assert np.all(np.abs(x) < 1e-3)
 
@@ -148,8 +153,7 @@ def test_ldse_rosenbrock():
     def rosen(X):
         return 100 * (X[:, 1] - X[:, 0] ** 2) ** 2 + (1 - X[:, 0]) ** 2
 
-    x, v = ldse_minimize(rosen, [(-50, 50)] * 2,
-                         OptimizerConfig(seed=3, target_tol=1e-9))
+    x, v = ldse_minimize(rosen, [(-50, 50)] * 2, seed=3, target_tol=1e-9)
     assert v <= 1e-4
     assert np.allclose(x, [1, 1], atol=0.05)
 
@@ -167,8 +171,8 @@ def test_ldse_stays_in_bounds_and_reports_min_seen():
         seen.extend(v.tolist())
         return v
 
-    x, v = ldse_minimize(obj, [(-5, 5)] * 2, OptimizerConfig(seed=4, target_tol=0.0,
-                                                             max_generations=60))
+    x, v = ldse_minimize(obj, [(-5, 5)] * 2, seed=4, target_tol=0.0,
+                         max_generations=60)
     assert np.all(x >= -5) and np.all(x <= 5)
     assert v == min(seen)  # the reported best is the best value ever evaluated
     assert calls <= 1 + 2 * 60  # one batched call per move
@@ -178,14 +182,14 @@ def test_ldse_deterministic():
     def obj(X):
         return np.sum(np.abs(X), axis=1) + np.sin(X[:, 0])
 
-    a = ldse_minimize(obj, [(-10, 10)] * 2, OptimizerConfig(seed=11))
-    b = ldse_minimize(obj, [(-10, 10)] * 2, OptimizerConfig(seed=11))
+    a = ldse_minimize(obj, [(-10, 10)] * 2, seed=11, target_tol=1e-6)
+    b = ldse_minimize(obj, [(-10, 10)] * 2, seed=11, target_tol=1e-6)
     assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
 
 def test_ldse_rejects_bad_bounds():
     with pytest.raises(ValueError):
-        ldse_minimize(lambda X: np.zeros(len(X)), [(1.0, 1.0)], OptimizerConfig())
+        ldse_minimize(lambda X: np.zeros(len(X)), [(1.0, 1.0)], seed=0, target_tol=1e-6)
 
 
 def _reference_mse(sk, V, y, nl):
@@ -199,10 +203,7 @@ def test_batched_objective_matches_per_row_reference(k):
     rng = np.random.default_rng(30 + k)
     V = rng.uniform(0.5, 3.0, size=(48, k)) * rng.choice([-1.0, 1.0], size=k)
     y = rng.normal(size=48)
-    skeletons = [s for s in skeleton_stream(k, max_nodes=14) if s.nl_count]
-    if k == 1:  # the solve without an offset column
-        skeletons.append(Skeleton("sin_bare", (parse_template("sin(p0*x1)", 1),)))
-    for sk in skeletons:
+    for sk in [s for s in skeleton_stream(k, max_nodes=14) if s.nl_count]:
         X = rng.uniform(-2.0, 2.0, size=(50, sk.nl_count))
         got = _make_objective(sk, V, y)(X)
         want = np.array([_reference_mse(sk, V, y, row) for row in X])
@@ -210,6 +211,14 @@ def test_batched_objective_matches_per_row_reference(k):
         assert np.array_equal(np.isinf(got), np.isinf(want)), sk.name
         assert np.isfinite(want).any(), sk.name
         assert np.allclose(got[np.isfinite(got)], want[np.isfinite(want)]), sk.name
+
+
+def test_parametric_skeleton_must_be_one_shape_and_the_offset():
+    # the objective solves exactly an amplitude and an offset in closed form
+    for columns in (("sin(p0*x1)",), ("1", "sin(p0*x1)"), ("sin(p0*x1)", "x1", "1")):
+        with pytest.raises(ValueError, match="bad"):
+            _sk("bad", *columns)
+    assert _sk("good", "sin(p0*x1)", "1").nl_count == 1
 
 
 def test_batched_objective_scores_rows_outside_the_domain_inf():
@@ -229,7 +238,7 @@ def test_batched_objective_scores_rows_outside_the_domain_inf():
 
 def test_fit_constant_data():
     d = make_data(lambda p: np.full(len(p), 4.25))
-    m = fit_factor(d, OptimizerConfig(seed=0))
+    m = fit_factor(d, RunConfig(seed=0))
     assert m.skeleton_name == "const"
     assert m.converged and m.train_mse <= 1e-12
 
@@ -237,64 +246,58 @@ def test_fit_constant_data():
 def test_fit_exp_minus_anchor_shape():
     # psi-sliced exponential: e^x - e^a, an affine image of e^x
     d = make_data(lambda p: np.exp(p[:, 0]) - np.exp(0.7))
-    m = fit_factor(d, OptimizerConfig(seed=0))
+    m = fit_factor(d, RunConfig(seed=0))
     assert m.converged and m.train_mse <= 1e-6
     assert m.skeleton_name == "exp_scaled"
 
 
 def test_fit_sin_two_x():
     d = make_data(lambda p: np.sin(2 * p[:, 0]))
-    m = fit_factor(d, OptimizerConfig(seed=0))
+    m = fit_factor(d, RunConfig(seed=0))
     assert m.converged and m.train_mse <= 1e-6
     assert m.skeleton_name in ("sin_affine", "cos_affine")
 
 
 def test_fit_inverse_square():
     d = make_data(lambda p: 1.0 / p[:, 0] ** 2, lo=0.5, hi=3.0)
-    m = fit_factor(d, OptimizerConfig(seed=0))
+    m = fit_factor(d, RunConfig(seed=0))
     assert m.converged
     assert m.skeleton_name == "inverse_square"
 
 
 def test_fit_log_with_inner_affine():
     d = make_data(lambda p: np.log(3 * p[:, 0] + 1.2), lo=1.0, hi=3.0)
-    m = fit_factor(d, OptimizerConfig(seed=0))
+    m = fit_factor(d, RunConfig(seed=0))
     assert m.converged and m.train_mse <= 1e-6
 
 
 def test_fit_two_var_sin_affine():
     d = make_data(lambda p: np.sin(3 * p[:, 0] - p[:, 1]), vars_=(2, 3), n=96)
-    m = fit_factor(d, OptimizerConfig(seed=0))
+    m = fit_factor(d, RunConfig(seed=0))
     assert m.converged and m.train_mse <= 1e-6
 
 
 def test_fit_two_var_sin_product():
     d = make_data(lambda p: np.sin(p[:, 0] * p[:, 1]), vars_=(5, 6), n=96)
-    m = fit_factor(d, OptimizerConfig(seed=0))
+    m = fit_factor(d, RunConfig(seed=0))
     assert m.converged and m.train_mse <= 1e-6
 
 
 def test_fit_is_deterministic_bitwise():
     d = make_data(lambda p: np.sin(2 * p[:, 0]) * 3 + 1)
-    a = fit_factor(d, OptimizerConfig(seed=5))
-    b = fit_factor(d, OptimizerConfig(seed=5))
+    a = fit_factor(d, RunConfig(seed=5))
+    b = fit_factor(d, RunConfig(seed=5))
     assert np.array_equal(a.theta, b.theta)
     assert a.skeleton_name == b.skeleton_name
 
 
 def test_fit_records_consistent_mse():
     d = make_data(lambda p: np.cos(p[:, 0]) * 2 - 0.5)
-    m = fit_factor(d, OptimizerConfig(seed=1))
-    assert m.recompute_mse() == pytest.approx(m.train_mse, abs=1e-12)
-
-
-def test_fit_model_expr_matches_predictions():
-    d = make_data(lambda p: p[:, 0] ** 2 * 2 + 1, vars_=(2,))
-    m = fit_factor(d, OptimizerConfig(seed=1))
-    # expr is over global variable x2; prediction path must agree with it
-    full = np.zeros((len(d.points), 2))
-    full[:, 1] = d.points[:, 0]
-    assert np.allclose(m.expr.eval_batch(full), m.predict(d.points), atol=0)
+    m = fit_factor(d, RunConfig(seed=1))
+    # the model represents the centered, unit-variance responses
+    y = (d.values - np.mean(d.values)) / np.std(d.values)
+    r = y - m.expr.eval_batch(d.points)
+    assert float(np.mean(r * r)) == pytest.approx(m.train_mse, abs=1e-12)
 
 
 @pytest.mark.parametrize("maker,vars_", [
@@ -308,6 +311,6 @@ def test_fit_recovers_stream_generated_data(maker, vars_):
         rng = np.random.default_rng(1000 + seed)
         fn = maker(rng)
         d = make_data(fn, n=48, vars_=vars_, seed=seed)
-        m = fit_factor(d, OptimizerConfig(seed=seed))
+        m = fit_factor(d, RunConfig(seed=seed))
         ok += m.train_mse <= 1e-6
     assert ok >= 18
