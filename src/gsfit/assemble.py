@@ -105,14 +105,15 @@ def least_squares(terms: list[BasisTerm], train: SampleSet):
     """Solve for the constant and term coefficients on a training set.
 
     Training points where any term (or the target) is invalid are dropped
-    with a warning; more than 20 percent dropped is an error. Returns
-    (c0, coefficients, train_mse, rank_deficient).
+    with a warning. Too few training points for the basis, or more than
+    20 percent dropped, raise fit.FitError. Returns (c0, coefficients,
+    train_mse, rank_deficient).
     """
     if train.values is None:
         raise ValueError("training sample needs oracle values")
     n = len(train)
     if n < 2 * (len(terms) + 1):
-        raise ValueError("need at least twice as many training points as terms")
+        raise ft.FitError("need at least twice as many training points as terms")
     cols = [np.ones(n)]
     for t in terms:
         cols.append(t.evaluate(train.points))
@@ -121,7 +122,7 @@ def least_squares(terms: list[BasisTerm], train: SampleSet):
     dropped = int(n - good.sum())
     if dropped:
         if dropped > 0.2 * n:
-            raise ValueError(
+            raise ft.FitError(
                 f"{dropped} of {n} training points invalid under the basis"
             )
         warnings.warn(f"dropped {dropped} invalid training points", stacklevel=2)

@@ -97,9 +97,12 @@ def get_case(no: int) -> CaseSpec:
     return CASES[no]
 
 
-@dataclass
+@dataclass(slots=True)
 class CaseReport:
-    """Outcome of one seeded pipeline run on one case."""
+    """Outcome of one seeded pipeline run on one case.
+
+    Slotted, since a suite keeps one report per run.
+    """
 
     no: int
     seed: int

@@ -96,6 +96,8 @@ def _setup(args):
         raise ValueError("--dims must be at least 1")
     if args.max_nodes < 3:
         raise ValueError("--max-nodes must be at least 3")
+    if args.samples_per_var < 1:
+        raise ValueError("--samples-per-var must be at least 1")
     lo = _parse_bounds(args.lo, args.dims)
     hi = _parse_bounds(args.hi, args.dims)
     target = parse(args.target, args.dims)

@@ -39,6 +39,7 @@ class NotSeparableError(DetectionError):
 
 
 PAIR_PROBES = 8             # probe quadruples per pairwise test
+MAX_INVALID_ATTEMPTS = 11   # invalid quadruples in a row before a pair gives up
 PSI_POINTS_PER_VAR = 48     # tabulated points per block variable
 OMEGA_POINTS_PER_VAR = 32
 MEMBERSHIP_POINTS = 12      # sweep length per repeated-variable test
@@ -143,18 +144,20 @@ class GsStructure:
             raise DetectionError("blocks plus repeated set do not cover all variables")
 
     def to_dict(self) -> dict:
+        """JSON-ready view. It shares the structure's own tuples rather than
+        copying them into lists, since `bench.run_suite` keeps one per run."""
         return {
-            "repeated": list(self.repeated),
+            "repeated": self.repeated,
             "blocks": [
                 {
-                    "vars": list(b.vars),
-                    "repeated": list(b.repeated),
-                    "psi_factors": [list(g) for g in b.psi_factors],
-                    "omega_factors": [list(g) for g in b.omega_factors],
+                    "vars": b.vars,
+                    "repeated": b.repeated,
+                    "psi_factors": b.psi_factors,
+                    "omega_factors": b.omega_factors,
                 }
                 for b in self.blocks
             ],
-            "anchor": [float(a) for a in self.anchor],
+            "anchor": tuple(float(a) for a in self.anchor),
             "probes_used": int(self.probes_used),
         }
 
@@ -185,34 +188,61 @@ class FactorData:
 # pairwise interaction scores
 
 
-def _probe_pair_values(
-    o: Oracle, i: int, j: int, anchor: np.ndarray, probes: int, seed: int
-):
-    """Mixed-difference quadruples for variables i<j, others pinned.
+def _pair_scores(o: Oracle, pairs, anchor, probes: int, seed: int) -> np.ndarray:
+    """Normalized mixed-difference scores of variable pairs, others pinned.
 
-    Returns (diffs, max_abs) where diffs holds |f(u,v)-f(u,v')-f(u',v)+f(u',v')|
-    per probe and max_abs the largest |f| seen.
+    Pair (a, b), a < b, draws attempts (u, u', v, v') from its own stream
+    _rng(seed, 101, a, b); an attempt whose four values f(u,v), f(u,v'),
+    f(u',v), f(u',v') are all finite fills the pair's next probe, and
+    MAX_INVALID_ATTEMPTS invalid attempts in a row raise. Every round
+    draws, for each unfinished pair, as many attempts as it still needs
+    probes and evaluates all pairs' points in one oracle call, so no
+    attempt is evaluated that a probe-by-probe walk would skip. A pair's
+    score is the largest |f(u,v)-f(u,v')-f(u',v)+f(u',v')| over its probes
+    divided by max(1, largest |f| seen in them).
     """
-    a, b = (i, j) if i < j else (j, i)
-    rng = _rng(seed, 101, a, b)
+    anchor = np.asarray(anchor, dtype=float)
     lo, hi = o.box.lo_array(), o.box.hi_array()
-    diffs = np.empty(probes)
-    max_abs = 0.0
-    for p in range(probes):
-        for _ in range(11):
-            u, up = rng.uniform(lo[a - 1], hi[a - 1], size=2)
-            v, vp = rng.uniform(lo[b - 1], hi[b - 1], size=2)
-            pts = np.tile(anchor, (4, 1))
-            pts[:, a - 1] = (u, u, up, up)
-            pts[:, b - 1] = (v, vp, v, vp)
-            f = o.eval_batch(pts)
-            if np.all(np.isfinite(f)):
-                break
+    pairs = [tuple(sorted(p)) for p in pairs]
+    rngs = [_rng(seed, 101, a, b) for a, b in pairs]
+    cols = np.array(pairs, dtype=int).reshape(-1, 2) - 1
+    lo4, hi4 = lo[cols[:, [0, 0, 1, 1]]], hi[cols[:, [0, 0, 1, 1]]]
+    filled = np.zeros(len(cols), dtype=int)
+    invalid_run = np.zeros(len(cols), dtype=int)
+    diff = np.zeros(len(cols))
+    peak = np.zeros(len(cols))
+    todo = list(range(len(cols)))
+    while todo:
+        needs = probes - filled[todo]
+        starts = np.cumsum(needs) - needs    # each pair's attempts are contiguous
+        draws = np.concatenate([
+            rngs[k].uniform(lo4[k], hi4[k], size=(m, 4)) for k, m in zip(todo, needs)
+        ])
+        owner = np.repeat(todo, needs)
+        t, q = np.arange(len(draws))[:, None], np.arange(4)
+        pts = np.tile(anchor, (len(draws), 4, 1))
+        pts[t, q, cols[owner, :1]] = draws[:, [0, 0, 1, 1]]
+        pts[t, q, cols[owner, 1:]] = draws[:, [2, 3, 2, 3]]
+        f = o.eval_batch(pts.reshape(-1, anchor.size)).reshape(-1, 4)
+        ok = np.all(np.isfinite(f), axis=1)
+        if ok.all():
+            invalid_run[todo] = 0
         else:
-            raise DetectionError("degenerate domain: probes keep hitting invalid points")
-        diffs[p] = abs(f[0] - f[1] - f[2] + f[3])
-        max_abs = max(max_abs, float(np.max(np.abs(f))))
-    return diffs, max_abs
+            for k, flags in zip(todo, np.split(ok, starts[1:])):
+                for good in flags:
+                    invalid_run[k] = 0 if good else invalid_run[k] + 1
+                    if invalid_run[k] == MAX_INVALID_ATTEMPTS:
+                        raise DetectionError(
+                            "degenerate domain: probes keep hitting invalid points"
+                        )
+        # invalid attempts count as 0, which never raises a maximum
+        quad = np.where(ok, np.abs(f[:, 0] - f[:, 1] - f[:, 2] + f[:, 3]), 0.0)
+        top = np.where(ok, np.max(np.abs(f), axis=1), 0.0)
+        diff[todo] = np.maximum(diff[todo], np.maximum.reduceat(quad, starts))
+        peak[todo] = np.maximum(peak[todo], np.maximum.reduceat(top, starts))
+        filled[todo] += np.add.reduceat(ok, starts, dtype=int)
+        todo = [k for k in todo if filled[k] < probes]
+    return diff / np.maximum(1.0, peak)
 
 
 def mixed_diff(
@@ -221,24 +251,26 @@ def mixed_diff(
     """Normalized mixed-second-difference interaction score for (i, j).
 
     Exactly zero (up to rounding) when x_i and x_j sit in additively
-    separated parts of the target.
+    separated parts of the target. Scored as a batch of one by the scorer
+    interaction_graph uses, so at the same seed it equals the graph's score.
     """
     if i == j:
         raise ValueError("need two distinct variables")
-    anchor = np.asarray(anchor, dtype=float)
-    diffs, max_abs = _probe_pair_values(o, i, j, anchor, probes, seed)
-    return float(np.max(diffs) / max(1.0, max_abs))
+    return float(_pair_scores(o, [(i, j)], anchor, probes, seed)[0])
 
 
 def interaction_graph(o: Oracle, anchor, cfg: RunConfig) -> InteractionGraph:
-    """Score every variable pair; edge wherever the score clears cfg.tol_detect."""
+    """Score every variable pair; edge wherever the score clears cfg.tol_detect.
+
+    All pairs are scored together: each probe round is one oracle call
+    over every pair that still needs probes, usually a single call for
+    the whole graph.
+    """
     n = o.arity
-    anchor = np.asarray(anchor, dtype=float)
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
     scores = np.zeros((n, n))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            s = mixed_diff(o, i, j, anchor, PAIR_PROBES, cfg.seed)
-            scores[i - 1, j - 1] = scores[j - 1, i - 1] = s
+    for (i, j), s in zip(pairs, _pair_scores(o, pairs, anchor, PAIR_PROBES, cfg.seed)):
+        scores[i - 1, j - 1] = scores[j - 1, i - 1] = s
     return InteractionGraph(n=n, scores=scores, tol=cfg.tol_detect)
 
 

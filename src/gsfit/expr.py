@@ -13,6 +13,7 @@ ordinary trees by `bind`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,9 +47,15 @@ class Expr:
 
     def arity_bound(self) -> int:
         """Largest variable index referenced anywhere in the tree."""
+        return self._arity_bound
+
+    @cached_property
+    def _arity_bound(self) -> int:
+        # computed once per node, on first use; not a field, so equality
+        # and hashing ignore it
         if self.kind == "var":
             return self.index
-        return max((a.arity_bound() for a in self.args), default=0)
+        return max((a._arity_bound for a in self.args), default=0)
 
     def param_bound(self) -> int:
         """Number of parameter slots the tree uses (largest slot plus one)."""

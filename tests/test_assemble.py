@@ -15,7 +15,7 @@ from gsfit.assemble import (
 from gsfit.bench import CASES
 from gsfit.config import RunConfig
 from gsfit.detect import Block, GsStructure, detect_structure
-from gsfit.fit import FactorModel
+from gsfit.fit import FactorModel, FitError
 from gsfit.oracle import DomainBox, SampleSet, make_oracle
 
 
@@ -168,6 +168,15 @@ def test_least_squares_needs_enough_points():
     terms = [term_of(ex.parse("x1", 1))]
     with pytest.raises(ValueError, match="twice"):
         least_squares(terms, sample_of(x, np.zeros(3)))
+
+
+def test_least_squares_errors_are_fit_errors():
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-3.0, -0.5, size=(100, 1))
+    with pytest.raises(FitError, match="invalid"):
+        least_squares([term_of(ex.parse("ln(x1)", 1))], sample_of(x, np.ones(100)))
+    with pytest.raises(FitError, match="twice"):
+        least_squares([term_of(ex.parse("x1", 1))], sample_of(x[:3], np.zeros(3)))
 
 
 def test_assemble_case2_validates_below_tolerance():

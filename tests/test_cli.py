@@ -185,6 +185,25 @@ def test_fit_max_nodes_below_three_exit_1(capsys):
     assert "error: --max-nodes" in err
 
 
+def test_fit_too_few_samples_for_the_basis_exit_3(capsys):
+    code, out, err = run_cli(
+        ["fit", "--target", "x1*x2", "--dims", "2", "--samples-per-var", "1"], capsys
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("fit failed: need at least twice as many training points")
+    assert "Traceback" not in err
+
+
+def test_fit_samples_per_var_below_one_exit_1(capsys):
+    code, out, err = run_cli(
+        ["fit", "--target", "x1*x2", "--dims", "2", "--samples-per-var", "0"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --samples-per-var must be at least 1")
+
+
 def test_bench_single_case(tmp_path, capsys):
     out_path = tmp_path / "suite.json"
     code, out, _ = run_cli(

@@ -3,8 +3,9 @@ import pytest
 
 from gsfit import expr as ex
 from gsfit.bench import CASES, STREAM_DEMO
-from gsfit.config import RunConfig
+from gsfit.config import RunConfig, rng
 from gsfit.detect import (
+    PAIR_PROBES,
     DetectionError,
     InteractionGraph,
     detect_structure,
@@ -16,7 +17,7 @@ from gsfit.detect import (
     mixed_diff,
     repeated_vars,
 )
-from gsfit.oracle import DomainBox, make_oracle
+from gsfit.oracle import DomainBox, Oracle, make_oracle
 
 CFG = RunConfig(seed=1)
 
@@ -74,6 +75,108 @@ def test_interaction_graph_additive_empty():
     o = make_oracle(ex.parse("x1+x2+x3", 3), DomainBox.cube(-3, 3, 3))
     g = interaction_graph(o, [0.5, 0.5, 0.5], CFG)
     assert g.edges() == []
+
+
+def reference_pair_score(o, i, j, anchor, probes, seed):
+    # the probe-by-probe walk the batched scorer replaced: one 4-point
+    # oracle call per attempt, up to 11 attempts per probe
+    a, b = sorted((i, j))
+    r = rng(seed, 101, a, b)
+    lo, hi = o.box.lo_array(), o.box.hi_array()
+    diffs = np.empty(probes)
+    max_abs = 0.0
+    for p in range(probes):
+        for _ in range(11):
+            u, up = r.uniform(lo[a - 1], hi[a - 1], size=2)
+            v, vp = r.uniform(lo[b - 1], hi[b - 1], size=2)
+            pts = np.tile(anchor, (4, 1))
+            pts[:, a - 1] = (u, u, up, up)
+            pts[:, b - 1] = (v, vp, v, vp)
+            f = o.eval_batch(pts)
+            if np.all(np.isfinite(f)):
+                break
+        else:
+            raise DetectionError("degenerate domain: probes keep hitting invalid points")
+        diffs[p] = abs(f[0] - f[1] - f[2] + f[3])
+        max_abs = max(max_abs, float(np.max(np.abs(f))))
+    return float(np.max(diffs) / max(1.0, max_abs))
+
+
+def reference_graph_scores(o, anchor, seed):
+    n = o.arity
+    scores = np.zeros((n, n))
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            s = reference_pair_score(o, i, j, anchor, PAIR_PROBES, seed)
+            scores[i - 1, j - 1] = scores[j - 1, i - 1] = s
+    return scores
+
+
+def central_anchor(box, seed):
+    lo, hi = box.lo_array(), box.hi_array()
+    u = np.random.default_rng(seed).random(box.arity)
+    return lo + (0.25 + 0.5 * u) * (hi - lo)
+
+
+@pytest.mark.parametrize("no", sorted(CASES))
+def test_interaction_graph_matches_probe_by_probe_reference(no):
+    for seed in range(6):
+        o_ref, o_new = CASES[no].oracle(), CASES[no].oracle()
+        anchor = central_anchor(o_ref.box, seed)
+        want = reference_graph_scores(o_ref, anchor, seed)
+        got = interaction_graph(o_new, anchor, RunConfig(seed=seed))
+        assert got.scores.tobytes() == want.tobytes()
+        assert o_new.eval_count == o_ref.eval_count
+
+
+def test_interaction_graph_matches_reference_where_probes_hit_invalid_points():
+    # ln(x1) is invalid on half the box, so some attempts are redrawn
+    make = lambda: make_oracle(ex.parse("ln(x1)+x2", 2), DomainBox.cube(-3, 3, 2))
+    succeeded = 0
+    for seed in range(6):
+        o_ref, o_new = make(), make()
+        try:
+            want = reference_graph_scores(o_ref, [0.5, 0.5], seed)
+        except DetectionError as err:
+            with pytest.raises(DetectionError, match=str(err)):
+                interaction_graph(o_new, [0.5, 0.5], RunConfig(seed=seed))
+            continue
+        got = interaction_graph(o_new, [0.5, 0.5], RunConfig(seed=seed))
+        assert got.scores.tobytes() == want.tobytes()
+        assert o_new.eval_count == o_ref.eval_count
+        assert o_ref.eval_count > 4 * PAIR_PROBES   # redraws happened
+        succeeded += 1
+    assert succeeded >= 2
+
+
+def test_interaction_graph_is_one_oracle_call_on_a_valid_domain(monkeypatch):
+    calls = []
+    inner = Oracle.eval_batch
+
+    def spy(self, points):
+        calls.append(len(points))
+        return inner(self, points)
+
+    monkeypatch.setattr(Oracle, "eval_batch", spy)
+    o = CASES[10].oracle()
+    interaction_graph(o, central_anchor(o.box, 0), CFG)
+    assert calls == [21 * PAIR_PROBES * 4]
+
+
+def test_mixed_diff_is_the_graph_score():
+    o = CASES[7].oracle()
+    anchor = central_anchor(o.box, 3)
+    g = interaction_graph(o, anchor, RunConfig(seed=3))
+    for i, j in [(1, 2), (4, 5), (5, 3)]:
+        assert mixed_diff(o, i, j, anchor, PAIR_PROBES, 3) == g.scores[i - 1, j - 1]
+
+
+def test_degenerate_domain_raises_the_probe_error():
+    o = make_oracle(ex.parse("sqrt(x1*x2)+x3", 3), DomainBox.cube(-3, 3, 3))
+    with pytest.raises(
+        DetectionError, match="^degenerate domain: probes keep hitting invalid points$"
+    ):
+        detect_structure(o, RunConfig(seed=0))
 
 
 def test_repeated_vars_case4_graph():

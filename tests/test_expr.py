@@ -91,6 +91,16 @@ def test_eval_arity_mismatch_raises():
         e.eval_batch(np.zeros((4, 1)))
 
 
+def test_arity_bound_is_cached_without_changing_equality_or_errors():
+    e, twin = ex.parse("x3*sin(x1)", 3), ex.parse("x3*sin(x1)", 3)
+    assert e.eval_batch(np.ones((2, 3))).shape == (2,)   # fills e's cache
+    assert e.arity_bound() == 3 and "_arity_bound" in vars(e)
+    assert "_arity_bound" not in vars(twin)
+    assert e == twin and hash(e) == hash(twin) and repr(e) == repr(twin)
+    with pytest.raises(ValueError, match="references x3"):
+        e.eval_batch(np.zeros((4, 2)))
+
+
 def test_print_parse_round_trip_random_trees():
     rng = np.random.default_rng(20240811)
     checked = 0
