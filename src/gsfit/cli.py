@@ -1,9 +1,9 @@
 """Command-line entry points: detect, fit, bench.
 
 Exit codes: 0 success, 1 usage or parse error, 2 detection failure,
-3 no model within tolerance, including factors gsfit cannot fit. Every
-output JSON embeds the full run configuration, seed included, so results
-are self-reproducing.
+3 no model within tolerance, including factors gsfit cannot fit and
+samples that stay invalid. Every output JSON embeds the full run
+configuration, seed included, so results are self-reproducing.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from . import detect as det
 from . import fit as ft
 from .config import RunConfig
 from .expr import ParseError, parse
-from .oracle import DomainBox, make_oracle
+from .oracle import DomainBox, SampleError, make_oracle
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -136,7 +136,7 @@ def cmd_fit(args) -> int:
     except det.DetectionError as err:  # from detection or the factor sweeps
         print(f"detection failed: {err}", file=sys.stderr)
         return EXIT_DETECT
-    except ft.FitError as err:
+    except (ft.FitError, SampleError) as err:
         print(f"fit failed: {err}", file=sys.stderr)
         return EXIT_TOLERANCE
     _emit(

@@ -201,24 +201,61 @@ def _lstsq_cols(cols: np.ndarray, y: np.ndarray):
 
 
 # ---- hint generators -------------------------------------------------------
-# Each proposes starting points in its skeleton's parameter space;
-# `_ranked_hints` scores them with the skeleton's own objective.
+# Each returns a (candidates, nl_count) array of starting points in its
+# skeleton's parameter space; `_ranked_hints` scores them with the
+# skeleton's own objective.
 
 
-def _with_phase(kind: str, freqs, t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(freqs..., phase): a sin/cos pair fitted at argument t gives the phase."""
-    cols = np.column_stack([np.sin(t), np.cos(t), np.ones(len(t))])
-    (a, b, _), _ = _lstsq_cols(cols, y)
-    phase = math.atan2(b, a) if kind == "sin" else math.atan2(-a, b)
-    return np.array([*freqs, phase])
+def _with_phase(kind: str, freqs: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Rows (freqs..., phase) for every row of freqs at once: the sin/cos
+    pair fitted at the argument t = sum_k freqs[:, k] * X[:, k] gives the
+    row's phase.
+
+    Centering the data profiles the offset out, so each row's [sin, cos, 1]
+    least-squares fit is a closed-form 2x2 solve on the centered sin and
+    cos columns; rows whose 2x2 system is singular fall back to
+    `_lstsq_cols` on all three columns. Rows are solved `_HINT_CHUNK` at a
+    time, which bounds the (rows, points) temporaries.
+    """
+    yc = y - y.mean()
+    out = np.empty((len(freqs), freqs.shape[1] + 1))
+    out[:, :-1] = freqs
+    for i in range(0, len(freqs), _HINT_CHUNK):
+        F = freqs[i:i + _HINT_CHUNK]
+        t = F[:, :1] * X[:, 0]
+        for k in range(1, X.shape[1]):
+            t = t + F[:, k:k + 1] * X[:, k]
+        s = np.sin(t)
+        c = np.cos(t)
+        s -= s.mean(axis=1, keepdims=True)
+        c -= c.mean(axis=1, keepdims=True)
+        a11 = (s * s).sum(axis=1)
+        a22 = (c * c).sum(axis=1)
+        a12 = (s * c).sum(axis=1)
+        b1 = s @ yc
+        b2 = c @ yc
+        det = a11 * a22 - a12 * a12
+        ok = np.isfinite(det) & (det > 1e-300 * np.maximum(1.0, a11 * a22))
+        a = (b1 * a22 - b2 * a12) / det
+        b = (a11 * b2 - a12 * b1) / det
+        for r in np.flatnonzero(~ok):
+            cols = np.column_stack([np.sin(t[r]), np.cos(t[r]), np.ones(len(y))])
+            (a[r], b[r], _), _ = _lstsq_cols(cols, y)
+        out[i:i + len(F), -1] = np.arctan2(b, a) if kind == "sin" else np.arctan2(-a, b)
+    return out
+
+
+def _grid(*axes) -> np.ndarray:
+    """Every combination of the axes' values, first axis slowest."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 def _trig_hints(kind: str, col: int = 0):
     def h(V, y):
         v = V[:, col]
         span = float(np.max(v) - np.min(v)) or 1.0
-        return [_with_phase(kind, (w,), w * v, y)
-                for w in np.linspace(0.3, 40.0, 160) / span]
+        freqs = (np.linspace(0.3, 40.0, 160) / span)[:, None]
+        return _with_phase(kind, freqs, V[:, col:col + 1], y)
 
     return h
 
@@ -228,9 +265,9 @@ def _trig2_hints(kind: str):
         u, w = V[:, 0], V[:, 1]
         span_u = float(np.max(u) - np.min(u)) or 1.0
         span_w = float(np.max(w) - np.min(w)) or 1.0
-        return [_with_phase(kind, (w1, w2), w1 * u + w2 * w, y)
-                for w1 in np.linspace(0.4, 24.0, 24) / span_u
-                for w2 in np.linspace(-24.0, 24.0, 33) / span_w]
+        freqs = _grid(np.linspace(0.4, 24.0, 24) / span_u,
+                      np.linspace(-24.0, 24.0, 33) / span_w)
+        return _with_phase(kind, freqs, V[:, :2], y)
 
     return h
 
@@ -238,46 +275,41 @@ def _trig2_hints(kind: str):
 def _trig_prod_hints(V, y):
     t = V[:, 0] * V[:, 1]
     span = float(np.max(t) - np.min(t)) or 1.0
-    return [np.array([w]) for w in np.linspace(0.3, 30.0, 120) / span]
+    return (np.linspace(0.3, 30.0, 120) / span)[:, None]
 
 
 def _exp_hints(col: int = 0):
     def h(V, y):
         # growth rates whose exponent stays within +-700 on the data
         span = max(1e-9, float(np.max(np.abs(V[:, col]))))
-        return [np.array([min(8.0, 700.0 / span) * w / 8.0])
-                for w in np.linspace(-8.0, 8.0, 81) if abs(w) > 1e-9]
+        w = np.linspace(-8.0, 8.0, 81)
+        w = w[np.abs(w) > 1e-9]
+        return (min(8.0, 700.0 / span) * w / 8.0)[:, None]
 
     return h
 
 
 def _exp2_hints(V, y):
     grid = np.linspace(-6.0, 6.0, 21)
-    return [np.array([a, b]) for a in grid for b in grid
-            if abs(a) > 1e-9 or abs(b) > 1e-9]
+    ab = _grid(grid, grid)
+    return ab[(np.abs(ab) > 1e-9).any(axis=1)]
 
 
 def _inner_affine_hints(V, y):
     """(slope, shift) pairs keeping the inner argument positive on the data."""
-    v = V[:, 0]
-    out = []
-    for b in (0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0):
-        for sgn in (1.0, -1.0):
-            edge = np.min(sgn * b * v)
-            for margin in (0.2, 0.6, 1.5, 4.0, 10.0):
-                out.append(np.array([sgn * b, margin - edge]))
-    return out
+    slopes = _grid((0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0), (1.0, -1.0)).prod(axis=1)
+    edge = (slopes[:, None] * V[:, 0]).min(axis=1)
+    margins = np.array([0.2, 0.6, 1.5, 4.0, 10.0])
+    return np.column_stack([np.repeat(slopes, len(margins)),
+                            (margins - edge[:, None]).ravel()])
 
 
 def _ln2_hints(V, y):
-    u, w = V[:, 0], V[:, 1]
-    out = []
-    for b1 in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0):
-        for b2 in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0):
-            edge = np.min(b1 * u + b2 * w)
-            for margin in (0.3, 1.0, 3.0, 8.0):
-                out.append(np.array([b1, b2, margin - edge]))
-    return out
+    slopes = _grid(*[(-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)] * 2)
+    edge = (slopes[:, :1] * V[:, 0] + slopes[:, 1:] * V[:, 1]).min(axis=1)
+    margins = np.array([0.3, 1.0, 3.0, 8.0])
+    return np.column_stack([np.repeat(slopes, len(margins), axis=0),
+                            (margins - edge[:, None]).ravel()])
 
 
 # ---- the table -------------------------------------------------------------
@@ -290,9 +322,10 @@ def _sk(name: str, *columns: str, hints=None) -> Skeleton:
     return sk
 
 
-# Streams by factor variable count, tried in table order. Both trig
-# families share the phase trick; ln, sqrt and 1/ share the feasible inner
-# affine scan.
+# Streams by factor variable count. The parameter-free rows are tried in
+# table order; table order also breaks ties between the hint scores of
+# the parametric rows (see `_walk`). Both trig families share the phase
+# trick; ln, sqrt and 1/ share the feasible inner affine scan.
 _STREAMS = {
     1: (
         _sk("const", "1"),
@@ -401,9 +434,16 @@ def _make_objective(sk: Skeleton, V, y):
     return objective
 
 
-# hint candidates scored per objective call; bounds the (rows, points)
-# temporaries of the widest scans (sin_affine2 proposes 792)
+# hint candidates scored or phase-solved per batch; bounds the (rows,
+# points) temporaries of the widest scans (sin_affine2 proposes 792)
 _HINT_CHUNK = 64
+
+# hint scores within this relative distance of each other, or both within
+# the absolute one (an exact fit of unit-variance data), are ties, so that
+# rounding cannot reorder families that fit the data equally well (sin and
+# cos with a free phase)
+_TIE_RTOL = 1e-9
+_TIE_ATOL = 1e-14
 
 
 def _ranked_hints(sk: Skeleton, objective, V, y, top: int = 3):
@@ -411,55 +451,83 @@ def _ranked_hints(sk: Skeleton, objective, V, y, top: int = 3):
     and the best score (inf when there are none)."""
     if sk.hints is None:
         return [], math.inf
-    cands = np.asarray(sk.hints(V, y), dtype=float)
+    cands = sk.hints(V, y)
     scores = np.concatenate(
         [objective(cands[i:i + _HINT_CHUNK])
          for i in range(0, len(cands), _HINT_CHUNK)]
     )
-    order = [k for k in sorted(range(len(cands)), key=scores.__getitem__)[:top]
-             if scores[k] < math.inf]
+    order = [k for k in np.argsort(scores, kind="stable")[:top] if scores[k] < math.inf]
     return [cands[k] for k in order], (float(scores[order[0]]) if order else math.inf)
 
 
-def _fit_skeleton(sk: Skeleton, V, y, seed: int, rank: int):
-    """Best (nl, lin, mse) for one skeleton on normalized data."""
-    nl = np.empty(0)
-    if sk.nl_count:
-        objective = _make_objective(sk, V, y)
-        hints, hint_best = _ranked_hints(sk, objective, V, y)
-        # Hint quality decides the search budget: on unit-variance data, a
-        # dense grid scan that still leaves most of the variance unexplained
-        # means the family cannot represent the data, so a short
-        # confirmation run suffices.
-        hopeless = bool(hints) and hint_best > 0.5
-        bounds = [(-PARAM_BOUND, PARAM_BOUND)] * sk.nl_count
-        best = None
-        for restart in range(3):
-            x, val = ldse_minimize(
-                objective, bounds, seed=derived_seed(seed, rank, restart),
-                target_tol=1e-14, max_generations=80 if hopeless else 300,
-                stagnation_window=40, init_guesses=hints,
-            )
-            if best is None or val < best[1]:
-                best = (x, val)
-            if val <= 1e-12:
-                break
-        nl = best[0]
-    B = sk.design(V, nl)
-    if B is None:
-        return None
-    lin, mse = _lstsq_cols(B, y)
-    return nl, lin, mse
+def _by_hint_score(scans: list) -> list:
+    """The (hint_best, rank, ...) tuples in order of best hint score; of
+    the scores tied with the lowest, the lowest table rank goes first."""
+    left = sorted(scans, key=lambda s: s[1])
+    order = []
+    while left:
+        low = min(s[0] for s in left)
+        pick = next(s for s in left if s[0] <= low * (1.0 + _TIE_RTOL) + _TIE_ATOL)
+        left.remove(pick)
+        order.append(pick)
+    return order
+
+
+def _search(objective, nl_count: int, hints, hint_best: float, seed: int, rank: int):
+    """LDSE over the skeleton's parameters from its ranked hints."""
+    # Hint quality decides the search budget: on unit-variance data, a
+    # dense grid scan that still leaves most of the variance unexplained
+    # means the family cannot represent the data, so a short
+    # confirmation run suffices.
+    hopeless = bool(hints) and hint_best > 0.5
+    bounds = [(-PARAM_BOUND, PARAM_BOUND)] * nl_count
+    best = None
+    for restart in range(3):
+        x, val = ldse_minimize(
+            objective, bounds, seed=derived_seed(seed, rank, restart),
+            target_tol=1e-14, max_generations=80 if hopeless else 300,
+            stagnation_window=40, init_guesses=hints,
+        )
+        if best is None or val < best[1]:
+            best = (x, val)
+        if val <= 1e-12:
+            break
+    return best[0]
+
+
+def _walk(stream: list[Skeleton], V, y, seed: int):
+    """Yield (skeleton, nl) in the order fit_factor tries them.
+
+    The parameter-free rows come first, in table order. Only when the
+    caller asks past them is every parametric skeleton's hint scan run;
+    LDSE then searches those skeletons in order of best hint score. LDSE
+    seeds keep the skeleton's table rank, so a skeleton's search does not
+    depend on where it runs in the order.
+    """
+    for sk in stream:
+        if not sk.nl_count:
+            yield sk, np.empty(0)
+    scans = []
+    for rank, sk in enumerate(stream):
+        if sk.nl_count:
+            objective = _make_objective(sk, V, y)
+            hints, hint_best = _ranked_hints(sk, objective, V, y)
+            scans.append((hint_best, rank, sk, objective, hints))
+    for hint_best, rank, sk, objective, hints in _by_hint_score(scans):
+        yield sk, _search(objective, sk.nl_count, hints, hint_best, seed, rank)
 
 
 def fit_factor(data, cfg: RunConfig) -> FactorModel:
-    """Walk the skeleton stream; accept the first fit within tolerance.
+    """Fit the factor with the first skeleton within tolerance, else the best.
 
-    Responses are centered and scaled to unit standard deviation before
-    fitting; the returned model represents that normalized image (the data
-    identifies the factor only up to an affine transform, and the outer
-    linear assembly absorbs the normalization). Acceptance compares the
-    normalized MSE against cfg.tol_target.
+    The parameter-free skeletons are tried first, in table order; they need
+    no search. Then every parametric skeleton's hints are scanned, and LDSE
+    runs on those skeletons in order of best hint score, table order
+    breaking ties (see `_walk`). Responses are centered and scaled to unit
+    standard deviation before fitting; the returned model represents that
+    normalized image (the data identifies the factor only up to an affine
+    transform, and the outer linear assembly absorbs the normalization).
+    Acceptance compares the normalized MSE against cfg.tol_target.
     """
     V = np.asarray(data.points, dtype=float)
     y = np.asarray(data.values, dtype=float)
@@ -475,11 +543,11 @@ def fit_factor(data, cfg: RunConfig) -> FactorModel:
     # templates evaluate outside their domains and overflow by design;
     # such parameters score inf
     with np.errstate(all="ignore"):
-        for rank, sk in enumerate(skeleton_stream(len(data.vars), cfg.max_nodes)):
-            out = _fit_skeleton(sk, V, yn, cfg.seed, rank)
-            if out is None:
+        for sk, nl in _walk(skeleton_stream(len(data.vars), cfg.max_nodes), V, yn, cfg.seed):
+            B = sk.design(V, nl)
+            if B is None:
                 continue
-            nl, lin, mse = out
+            lin, mse = _lstsq_cols(B, yn)
             if best is None or mse < best[0]:
                 best = (mse, sk, nl, lin)
             if mse <= cfg.tol_target:

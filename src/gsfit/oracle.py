@@ -10,6 +10,10 @@ import numpy as np
 from .expr import Expr
 
 
+class SampleError(RuntimeError):
+    """No fully valid sample could be drawn from the box."""
+
+
 @dataclass(frozen=True)
 class DomainBox:
     """Axis-aligned closed box, one [lo, hi] interval per variable."""
@@ -121,8 +125,8 @@ class Oracle:
     def sample(self, count: int, seed: int) -> SampleSet:
         """Uniform sample with values; rows with invalid values are redrawn.
 
-        Up to 20 redraw rounds; points that stay invalid (a measure-zero
-        singularity being hit repeatedly) raise.
+        Up to 20 redraw rounds; points that are still invalid after the
+        last one (a singularity being hit repeatedly) raise SampleError.
         """
         rng = np.random.default_rng(seed)
         pts = self.box.uniform(count, rng)
@@ -133,8 +137,8 @@ class Oracle:
                 break
             pts[bad] = self.box.uniform(int(bad.sum()), rng)
             vals[bad] = self.eval_batch(pts[bad])
-        else:
-            raise RuntimeError("could not draw a fully valid sample from the box")
+        if not np.all(np.isfinite(vals)):
+            raise SampleError("could not draw a fully valid sample from the box")
         return SampleSet(points=pts, values=vals, seed=seed)
 
 

@@ -1,3 +1,4 @@
+import copy
 import json
 import subprocess
 import sys
@@ -10,6 +11,9 @@ import gsfit.assemble as asm
 import gsfit.detect as det
 from gsfit.cli import main
 from gsfit.config import RunConfig
+from gsfit.oracle import Oracle
+
+from helpers import random_tree
 
 
 def run_cli(args, capsys):
@@ -202,6 +206,40 @@ def test_fit_samples_per_var_below_one_exit_1(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: --samples-per-var must be at least 1")
+
+
+def test_fit_sample_that_stays_invalid_exit_3(capsys, monkeypatch):
+    real_sample = Oracle.sample
+
+    def invalid_sample(self, count, seed):
+        # the training sample's every redraw lands on invalid values
+        nan_oracle = copy.copy(self)
+        nan_oracle.eval_batch = lambda points: np.full(len(points), np.nan)
+        return real_sample(nan_oracle, count, seed)
+
+    monkeypatch.setattr(Oracle, "sample", invalid_sample)
+    code, out, err = run_cli(
+        ["fit", "--target", "x1*x2", "--dims", "2", "--seed", "1"], capsys
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("fit failed: could not draw a fully valid sample")
+
+
+def test_random_targets_end_in_a_documented_exit_code(capsys):
+    # every input ends in a model or a typed failure, never a traceback
+    rng = np.random.default_rng(0)
+    codes = []
+    for k in range(48):
+        arity = int(rng.integers(1, 4))
+        text = random_tree(rng, arity).to_text()
+        command = "fit" if k % 8 == 0 else "detect"
+        code, _, _ = run_cli(
+            [command, f"--target={text}", f"--dims={arity}", "--seed=1"], capsys
+        )
+        assert code in (0, 2, 3), (command, text)
+        codes.append(code)
+    assert 0 in codes
 
 
 def test_bench_single_case(tmp_path, capsys):

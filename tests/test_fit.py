@@ -7,10 +7,21 @@ import pytest
 
 from gsfit.config import RunConfig
 from gsfit.detect import FactorData
+import gsfit.fit as ft
+from gsfit.config import derived_seed
 from gsfit.fit import (
+    _by_hint_score,
+    _exp2_hints,
+    _exp_hints,
+    _inner_affine_hints,
+    _ln2_hints,
     _lstsq_cols,
     _make_objective,
+    _ranked_hints,
     _sk,
+    _trig_prod_hints,
+    _with_phase,
+    Skeleton,
     fit_factor,
     ldse_minimize,
     skeleton_stream,
@@ -314,3 +325,227 @@ def test_fit_recovers_stream_generated_data(maker, vars_):
         m = fit_factor(d, RunConfig(seed=seed))
         ok += m.train_mse <= 1e-6
     assert ok >= 18
+
+
+# ---- hint scans and the ranked walk ----------------------------------------
+
+
+def _list_trig_prod(V, y):
+    t = V[:, 0] * V[:, 1]
+    span = float(np.max(t) - np.min(t)) or 1.0
+    return [np.array([w]) for w in np.linspace(0.3, 30.0, 120) / span]
+
+
+def _list_exp(col):
+    def h(V, y):
+        span = max(1e-9, float(np.max(np.abs(V[:, col]))))
+        return [np.array([min(8.0, 700.0 / span) * w / 8.0])
+                for w in np.linspace(-8.0, 8.0, 81) if abs(w) > 1e-9]
+    return h
+
+
+def _list_exp2(V, y):
+    grid = np.linspace(-6.0, 6.0, 21)
+    return [np.array([a, b]) for a in grid for b in grid
+            if abs(a) > 1e-9 or abs(b) > 1e-9]
+
+
+def _list_inner_affine(V, y):
+    v = V[:, 0]
+    out = []
+    for b in (0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0):
+        for sgn in (1.0, -1.0):
+            edge = np.min(sgn * b * v)
+            for margin in (0.2, 0.6, 1.5, 4.0, 10.0):
+                out.append(np.array([sgn * b, margin - edge]))
+    return out
+
+
+def _list_ln2(V, y):
+    u, w = V[:, 0], V[:, 1]
+    out = []
+    for b1 in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0):
+        for b2 in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0):
+            edge = np.min(b1 * u + b2 * w)
+            for margin in (0.3, 1.0, 3.0, 8.0):
+                out.append(np.array([b1, b2, margin - edge]))
+    return out
+
+
+# (array generator, list-form reference, variables the data needs)
+_GENERATORS = [
+    (_exp_hints(), _list_exp(0), 1),
+    (_exp2_hints, _list_exp2, 1),
+    (_inner_affine_hints, _list_inner_affine, 1),
+    (_trig_prod_hints, _list_trig_prod, 2),
+    (_exp_hints(col=1), _list_exp(1), 2),
+    (_ln2_hints, _list_ln2, 2),
+]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_hint_generators_match_the_list_form_bitwise(k):
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        V = rng.uniform(-3.0, 3.0, size=(50, k)) * rng.uniform(0.1, 20.0, size=k)
+        y = rng.normal(size=50)
+        for gen, reference, needs in _GENERATORS:
+            if needs > k:
+                continue
+            got = gen(V, y)
+            want = np.array(reference(V, y))
+            assert got.dtype == float and got.ndim == 2
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def _phase_reference(kind, freqs, X, y):
+    rows = []
+    for f in freqs:
+        t = X @ f if X.shape[1] > 1 else f[0] * X[:, 0]
+        cols = np.column_stack([np.sin(t), np.cos(t), np.ones(len(t))])
+        (a, b, _), _ = _lstsq_cols(cols, y)
+        rows.append([*f, math.atan2(b, a) if kind == "sin" else math.atan2(-a, b)])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("kind", ["sin", "cos"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_batched_phases_match_per_candidate_lstsq(kind, k):
+    rng = np.random.default_rng(5 + k)
+    X = rng.uniform(-3.0, 3.0, size=(70, k))
+    y = 2.0 * np.sin(1.3 * X.sum(axis=1) + 0.4) + 0.5 + 0.1 * rng.normal(size=70)
+    # more rows than one chunk; the zero row makes sin and cos constant,
+    # so its centered 2x2 system is singular
+    freqs = rng.uniform(-5.0, 5.0, size=(ft._HINT_CHUNK + 37, k))
+    freqs[ft._HINT_CHUNK + 3] = 0.0
+    with np.errstate(all="ignore"):
+        got = _with_phase(kind, freqs, X, y)
+    want = _phase_reference(kind, freqs, X, y)
+    assert got.shape == (len(freqs), k + 1)
+    assert np.array_equal(got[:, :k], freqs)
+    wrapped = np.angle(np.exp(1j * (got[:, k] - want[:, k])))
+    assert np.allclose(wrapped, 0.0, atol=1e-9)
+    singular = ft._HINT_CHUNK + 3
+    assert got[singular, k] == want[singular, k]
+
+
+def test_with_phase_on_constant_argument_falls_back_for_every_row():
+    X = np.full((20, 1), 0.7)
+    y = np.linspace(-1.0, 1.0, 20)
+    freqs = np.array([[0.5], [1.0], [3.0]])
+    with np.errstate(all="ignore"):
+        got = _with_phase("sin", freqs, X, y)
+    assert np.array_equal(got, _phase_reference("sin", freqs, X, y))
+
+
+def _rank(name, k=1):
+    return [s.name for s in skeleton_stream(k)].index(name)
+
+
+def test_sin_factor_never_runs_ldse_on_exp_scaled(monkeypatch):
+    seeds = []
+    real = ft.ldse_minimize
+
+    def spy(objective, bounds, *, seed, **kw):
+        seeds.append(seed)
+        return real(objective, bounds, seed=seed, **kw)
+
+    monkeypatch.setattr(ft, "ldse_minimize", spy)
+    m = fit_factor(make_data(lambda p: np.sin(2 * p[:, 0])), RunConfig(seed=3))
+    assert m.converged and m.skeleton_name == "sin_affine"
+    exp_seeds = {derived_seed(3, _rank("exp_scaled"), r) for r in range(3)}
+    assert seeds and not exp_seeds & set(seeds)
+    assert seeds[0] == derived_seed(3, _rank("sin_affine"), 0)
+
+
+def _walk_log(monkeypatch, data, cfg):
+    """fit_factor's events in order: ('design', name) for each skeleton
+    whose linear fit is solved, ('scan', name) for each hint scan and
+    ('ldse', seed) for each search."""
+    log = []
+    real_design, real_hints, real_ldse = Skeleton.design, ft._ranked_hints, ft.ldse_minimize
+
+    def design(self, V, nl):
+        log.append(("design", self.name))
+        return real_design(self, V, nl)
+
+    def ranked_hints(sk, *a, **kw):
+        log.append(("scan", sk.name))
+        return real_hints(sk, *a, **kw)
+
+    def ldse(objective, bounds, *, seed, **kw):
+        log.append(("ldse", seed))
+        return real_ldse(objective, bounds, seed=seed, **kw)
+
+    monkeypatch.setattr(Skeleton, "design", design)
+    monkeypatch.setattr(ft, "_ranked_hints", ranked_hints)
+    monkeypatch.setattr(ft, "ldse_minimize", ldse)
+    model = fit_factor(data, cfg)
+    return model, log
+
+
+def test_parameter_free_rows_first_then_every_scan_before_ldse(monkeypatch):
+    # noise: no skeleton fits, so the walk runs to its end
+    rng = np.random.default_rng(4)
+    data = make_data(lambda p: rng.normal(size=len(p)), vars_=(3,))
+    model, log = _walk_log(monkeypatch, data, RunConfig(seed=2))
+    assert not model.converged
+    stream = skeleton_stream(1)
+    free = [s.name for s in stream if not s.nl_count]
+    parametric = [s.name for s in stream if s.nl_count]
+    assert log[:len(free)] == [("design", n) for n in free]
+    rest = log[len(free):]
+    assert rest[:len(parametric)] == [("scan", n) for n in parametric]
+    after = rest[len(parametric):]
+    assert {e[1] for e in after if e[0] == "design"} == set(parametric)
+    assert all(e[0] in ("design", "ldse") for e in after)
+
+
+def test_accepted_parameter_free_row_skips_every_scan(monkeypatch):
+    model, log = _walk_log(monkeypatch, make_data(lambda p: 3 * p[:, 0] ** 2 - 1),
+                           RunConfig(seed=0))
+    assert model.skeleton_name == "square_offset"
+    assert log == [("design", n) for n in ("const", "affine", "square", "square_offset")]
+
+
+def test_hint_order_ties_go_to_table_order():
+    scans = [(2e-4 * (1 + 1e-12), 9, "sin"), (2e-4, 10, "cos"), (1e-4, 14, "vexp"),
+             (math.inf, 3, "none_a"), (math.inf, 1, "none_b"), (3e-20, 12, "exact_b"),
+             (1e-20, 13, "exact_a")]
+    assert [s[2] for s in _by_hint_score(scans)] == [
+        "exact_b", "exact_a", "vexp", "sin", "cos", "none_b", "none_a"]
+
+
+def test_sin_cos_tie_keeps_sin_affine(monkeypatch):
+    data = make_data(lambda p: np.sin(2 * p[:, 0] + 0.3))
+    V = data.points
+    y = (data.values - data.values.mean()) / data.values.std()
+    by_name = {s.name: s for s in skeleton_stream(1)}
+    score = {}
+    with np.errstate(all="ignore"):
+        for name in ("sin_affine", "cos_affine"):
+            sk = by_name[name]
+            score[name] = _ranked_hints(sk, _make_objective(sk, V, y), V, y)[1]
+    # rounding puts cos a hair ahead of sin on this data
+    assert score["cos_affine"] < score["sin_affine"]
+    assert score["sin_affine"] - score["cos_affine"] < 1e-12 * score["sin_affine"]
+    model, log = _walk_log(monkeypatch, data, RunConfig(seed=0))
+    assert model.skeleton_name == "sin_affine" and model.converged
+    assert [e for e in log if e[0] == "ldse"][0] == (
+        "ldse", derived_seed(0, _rank("sin_affine"), 0))
+
+
+@pytest.mark.parametrize("fn,vars_", [
+    (lambda p: np.exp(0.4 * p[:, 0]) + 0.05 * np.sin(7 * p[:, 0]), (1,)),
+    (lambda p: np.cos(1.5 * p[:, 0] - 0.5 * p[:, 1]), (2, 4)),
+    (lambda p: np.sin(0.8 * p[:, 0] * p[:, 1]), (1, 2)),
+])
+def test_fit_factor_reruns_are_bit_identical(fn, vars_):
+    d = make_data(fn, vars_=vars_, n=48 * len(vars_))
+    a = fit_factor(d, RunConfig(seed=5))
+    b = fit_factor(d, RunConfig(seed=5))
+    assert a.skeleton_name == b.skeleton_name
+    assert a.theta.tobytes() == b.theta.tobytes()
+    assert a.train_mse == b.train_mse
+    assert a.expr.to_text() == b.expr.to_text()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gsfit import expr as ex
-from gsfit.oracle import DomainBox, make_oracle, sample_uniform
+from gsfit.oracle import DomainBox, Oracle, SampleError, make_oracle, sample_uniform
 
 
 def test_box_rejects_degenerate_interval():
@@ -97,3 +97,32 @@ def test_counter_is_thread_safe():
     for t in threads:
         t.join()
     assert o.eval_count == 4 * 50 * 100
+
+
+class _InvalidFirst(Oracle):
+    """x1 on [-1, 1], but every value of the first `bad_calls` batches is NaN."""
+
+    def __init__(self, bad_calls: int):
+        super().__init__(ex.parse("x1", 1), DomainBox.cube(-1, 1, 1))
+        self.bad_calls = bad_calls
+        self.calls = 0
+
+    def eval_batch(self, points):
+        self.calls += 1
+        vals = super().eval_batch(points)
+        return np.full(len(vals), np.nan) if self.calls <= self.bad_calls else vals
+
+
+def test_sample_accepts_a_last_redraw_that_makes_every_value_finite():
+    o = _InvalidFirst(bad_calls=20)   # the draw and 19 redraws fail, the 20th holds
+    s = o.sample(30, seed=2)
+    assert o.calls == 21
+    assert np.all(np.isfinite(s.values))
+    assert np.array_equal(s.values, s.points[:, 0])
+
+
+def test_sample_still_invalid_after_twenty_redraws_raises_sample_error():
+    o = _InvalidFirst(bad_calls=21)
+    with pytest.raises(SampleError, match="fully valid sample"):
+        o.sample(30, seed=2)
+    assert o.calls == 21
