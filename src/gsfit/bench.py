@@ -290,8 +290,16 @@ def run_suite(
     parallel: bool = False,
     detect_only: bool = False,
 ) -> SuiteReport:
-    """Run every requested case `repeats` times; aggregate order-independently."""
-    cases = cases or sorted(CASES)
+    """Run every requested case `repeats` times; aggregate order-independently.
+
+    cases=None runs every case of the table; an empty list is an error.
+    """
+    if cases is None:
+        cases = sorted(CASES)
+    if not cases:
+        raise ValueError("no cases to run")
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
     jobs = [
         (no, seed, detect_only)
         for no in cases

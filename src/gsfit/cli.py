@@ -157,6 +157,8 @@ def _parse_cases(text: str) -> list[int]:
         part = part.strip()
         if "-" in part[1:]:
             a, b = part.split("-", 1)
+            if int(b) < int(a):
+                raise ValueError(f"empty case range: {part}")
             out.extend(range(int(a), int(b) + 1))
         else:
             out.append(int(part))
@@ -169,6 +171,8 @@ def _parse_cases(text: str) -> list[int]:
 def cmd_bench(args) -> int:
     try:
         cases = _parse_cases(args.cases)
+        if args.repeats < 1:
+            raise ValueError("--repeats must be at least 1")
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

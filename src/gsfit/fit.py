@@ -473,48 +473,49 @@ def _by_hint_score(scans: list) -> list:
     return order
 
 
-def _search(objective, nl_count: int, hints, hint_best: float, seed: int, rank: int):
-    """LDSE over the skeleton's parameters from its ranked hints."""
-    # Hint quality decides the search budget: on unit-variance data, a
-    # dense grid scan that still leaves most of the variance unexplained
-    # means the family cannot represent the data, so a short
-    # confirmation run suffices.
-    hopeless = bool(hints) and hint_best > 0.5
-    bounds = [(-PARAM_BOUND, PARAM_BOUND)] * nl_count
-    best = None
-    for restart in range(3):
-        x, val = ldse_minimize(
-            objective, bounds, seed=derived_seed(seed, rank, restart),
-            target_tol=1e-14, max_generations=80 if hopeless else 300,
-            stagnation_window=40, init_guesses=hints,
-        )
-        if best is None or val < best[1]:
-            best = (x, val)
-        if val <= 1e-12:
-            break
-    return best[0]
-
-
 def _walk(stream: list[Skeleton], V, y, seed: int):
-    """Yield (skeleton, nl) in the order fit_factor tries them.
+    """Yield (pos, skeleton, nl) in the order fit_factor tries them; pos is
+    the skeleton's place in the try order, which breaks ties between fits.
 
     The parameter-free rows come first, in table order. Only when the
     caller asks past them is every parametric skeleton's hint scan run;
-    LDSE then searches those skeletons in order of best hint score. LDSE
-    seeds keep the skeleton's table rank, so a skeleton's search does not
-    depend on where it runs in the order.
+    pos then follows the best hint score. LDSE restarts run breadth-first:
+    round r runs restart r of every skeleton still open, in pos order, so
+    each skeleton gets its first search before any gets a second. A
+    skeleton closes, and its best run is yielded, when a run reaches 1e-12
+    or after its third run. A run's seed is derived from the skeleton's
+    table rank and the restart, so it does not depend on when it runs.
     """
-    for sk in stream:
-        if not sk.nl_count:
-            yield sk, np.empty(0)
+    free = [sk for sk in stream if not sk.nl_count]
+    for pos, sk in enumerate(free):
+        yield pos, sk, np.empty(0)
     scans = []
     for rank, sk in enumerate(stream):
         if sk.nl_count:
             objective = _make_objective(sk, V, y)
             hints, hint_best = _ranked_hints(sk, objective, V, y)
             scans.append((hint_best, rank, sk, objective, hints))
-    for hint_best, rank, sk, objective, hints in _by_hint_score(scans):
-        yield sk, _search(objective, sk.nl_count, hints, hint_best, seed, rank)
+    families = list(enumerate(_by_hint_score(scans), len(free)))
+    best = {}  # pos -> the skeleton's best (x, val) so far
+    for restart in range(3):
+        for pos, (hint_best, rank, sk, objective, hints) in families:
+            if pos in best and best[pos][1] <= 1e-12:
+                continue  # closed in an earlier round
+            # Hint quality decides the search budget: on unit-variance
+            # data, a dense grid scan that still leaves most of the
+            # variance unexplained means the family cannot represent the
+            # data, so a short confirmation run suffices.
+            hopeless = bool(hints) and hint_best > 0.5
+            x, val = ldse_minimize(
+                objective, [(-PARAM_BOUND, PARAM_BOUND)] * sk.nl_count,
+                seed=derived_seed(seed, rank, restart), target_tol=1e-14,
+                max_generations=80 if hopeless else 300,
+                stagnation_window=40, init_guesses=hints,
+            )
+            if pos not in best or val < best[pos][1]:
+                best[pos] = (x, val)
+            if val <= 1e-12 or restart == 2:
+                yield pos, sk, best[pos][0]
 
 
 def fit_factor(data, cfg: RunConfig) -> FactorModel:
@@ -523,7 +524,11 @@ def fit_factor(data, cfg: RunConfig) -> FactorModel:
     The parameter-free skeletons are tried first, in table order; they need
     no search. Then every parametric skeleton's hints are scanned, and LDSE
     runs on those skeletons in order of best hint score, table order
-    breaking ties (see `_walk`). Responses are centered and scaled to unit
+    breaking ties, one restart of every open skeleton per round (see
+    `_walk`). A parametric skeleton is tried once its search closes, so the
+    first to close within tolerance is accepted. Without one, the lowest
+    MSE wins, and equal MSEs go to the skeleton earlier in `_walk`'s order,
+    whenever each closed. Responses are centered and scaled to unit
     standard deviation before fitting; the returned model represents that
     normalized image (the data identifies the factor only up to an affine
     transform, and the outer linear assembly absorbs the normalization).
@@ -539,22 +544,22 @@ def fit_factor(data, cfg: RunConfig) -> FactorModel:
         scale = 1.0
     yn = (y - shift) / scale
 
-    best = None  # (mse, sk, nl, lin)
+    best = None  # (mse, pos, sk, nl, lin)
     # templates evaluate outside their domains and overflow by design;
     # such parameters score inf
     with np.errstate(all="ignore"):
-        for sk, nl in _walk(skeleton_stream(len(data.vars), cfg.max_nodes), V, yn, cfg.seed):
+        for pos, sk, nl in _walk(skeleton_stream(len(data.vars), cfg.max_nodes), V, yn, cfg.seed):
             B = sk.design(V, nl)
             if B is None:
                 continue
             lin, mse = _lstsq_cols(B, yn)
-            if best is None or mse < best[0]:
-                best = (mse, sk, nl, lin)
+            if best is None or (mse, pos) < best[:2]:
+                best = (mse, pos, sk, nl, lin)
             if mse <= cfg.tol_target:
                 break
     if best is None:
         raise FitError("no skeleton produced a finite fit")
-    mse, sk, nl, lin = best
+    mse, _, sk, nl, lin = best
     return FactorModel(
         skeleton_name=sk.name,
         var_indices=tuple(data.vars),

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import gsfit.assemble as asm
+import gsfit.bench as bench
 import gsfit.detect as det
 from gsfit.cli import main
 from gsfit.config import RunConfig
@@ -259,6 +260,26 @@ def test_bench_single_case(tmp_path, capsys):
 def test_bench_rejects_unknown_case(capsys):
     code, _, err = run_cli(["bench", "--cases", "99"], capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["--cases", "3-1"],
+    ["--cases", "2,5-4"],
+    ["--cases", "4", "--repeats", "0"],
+    ["--cases", "4", "--repeats", "-2"],
+])
+def test_bench_rejects_empty_runs(flags, capsys):
+    # an empty case range used to run all ten cases, and a repeat count
+    # below 1 printed an empty table and exited 0
+    code, out, err = run_cli(["bench", *flags, "--detect-only"], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and out == ""
+
+
+@pytest.mark.parametrize("kw", [{"cases": []}, {"cases": [4], "repeats": 0}])
+def test_run_suite_rejects_empty_runs(kw):
+    with pytest.raises(ValueError):
+        bench.run_suite(detect_only=True, **{"repeats": 1, **kw})
 
 
 def test_bench_deterministic_output(tmp_path, capsys):

@@ -549,3 +549,197 @@ def test_fit_factor_reruns_are_bit_identical(fn, vars_):
     assert a.theta.tobytes() == b.theta.tobytes()
     assert a.train_mse == b.train_mse
     assert a.expr.to_text() == b.expr.to_text()
+
+
+
+def _depth_first_walk(stream, V, y, seed):
+    """Reference for `_walk`: the same order and LDSE runs, but each
+    parametric skeleton runs all its restarts (stopping at 1e-12) before
+    the next skeleton's first."""
+    free = [sk for sk in stream if not sk.nl_count]
+    for pos, sk in enumerate(free):
+        yield pos, sk, np.empty(0)
+    scans = []
+    for rank, sk in enumerate(stream):
+        if sk.nl_count:
+            objective = _make_objective(sk, V, y)
+            hints, hint_best = _ranked_hints(sk, objective, V, y)
+            scans.append((hint_best, rank, sk, objective, hints))
+    for pos, (hint_best, rank, sk, objective, hints) in enumerate(
+        _by_hint_score(scans), len(free)
+    ):
+        hopeless = bool(hints) and hint_best > 0.5
+        best = None
+        for restart in range(3):
+            x, val = ft.ldse_minimize(
+                objective, [(-ft.PARAM_BOUND, ft.PARAM_BOUND)] * sk.nl_count,
+                seed=derived_seed(seed, rank, restart), target_tol=1e-14,
+                max_generations=80 if hopeless else 300,
+                stagnation_window=40, init_guesses=hints,
+            )
+            if best is None or val < best[1]:
+                best = (x, val)
+            if val <= 1e-12:
+                break
+        yield pos, sk, best[0]
+
+
+def _spied_fit(monkeypatch, data, cfg, walk=ft._walk):
+    """fit_factor under `walk`, and its LDSE runs in call order as
+    (rank, restart, max_generations, x bytes, val)."""
+    stream_len = len(skeleton_stream(len(data.vars), cfg.max_nodes))
+    run_of = {derived_seed(cfg.seed, rank, r): (rank, r)
+              for rank in range(stream_len) for r in range(3)}
+    runs = []
+    real = ft.ldse_minimize
+
+    def spy(objective, bounds, *, seed, **kw):
+        x, val = real(objective, bounds, seed=seed, **kw)
+        runs.append((*run_of[seed], kw["max_generations"], x.tobytes(), val))
+        return x, val
+
+    with monkeypatch.context() as m:
+        m.setattr(ft, "ldse_minimize", spy)
+        m.setattr(ft, "_walk", walk)
+        model = fit_factor(data, cfg)
+    return model, runs
+
+
+def _same_model(a, b):
+    return (a.skeleton_name == b.skeleton_name and a.theta.tobytes() == b.theta.tobytes()
+            and a.train_mse == b.train_mse)
+
+
+def _check_against_depth_first(monkeypatch, data, cfg):
+    """Fit with `_walk` and with the depth-first reference; every run both
+    make is byte-equal. Where the reference accepted on a first run, or
+    without a search, or accepted nothing, the runs are a subset (equal
+    when nothing was accepted) and the models are identical. Where it
+    accepted on restart r >= 1, the only extra runs are restarts below r of
+    skeletons it never reached. Returns the reference model, the model
+    and the restart of the reference's last run of its chosen skeleton."""
+    ref, ref_log = _spied_fit(monkeypatch, data, cfg, _depth_first_walk)
+    new, log = _spied_fit(monkeypatch, data, cfg)
+    ref_runs = {(k, r): rest for k, r, *rest in ref_log}
+    runs = {(k, r): rest for k, r, *rest in log}
+    assert len(runs) == len(log) and len(ref_runs) == len(ref_log)
+    for run in runs.keys() & ref_runs.keys():
+        assert runs[run] == ref_runs[run]
+    extra = runs.keys() - ref_runs.keys()
+    rank = [s.name for s in skeleton_stream(len(data.vars), cfg.max_nodes)].index(
+        ref.skeleton_name)
+    last = max((r for k, r in ref_runs if k == rank), default=0)
+    if not ref.converged:
+        assert runs.keys() == ref_runs.keys()
+        assert _same_model(new, ref)
+    elif last == 0:
+        assert not extra
+        assert _same_model(new, ref)
+    else:
+        assert new.converged
+        reached = {k for k, _ in ref_runs}
+        assert all(r < last and k not in reached for k, r in extra)
+    return ref, new, last
+
+
+def _suite_factor_data(monkeypatch):
+    """(cfg, FactorData) of every factor sweep of cases 1-10 at their first
+    suite seed, from the first assembly attempt."""
+    import gsfit.assemble as asm
+    from gsfit.bench import CASES, get_case, suite_seeds
+    from gsfit.detect import detect_structure
+
+    out = []
+    with monkeypatch.context() as m:
+        m.setattr(ft, "fit_factor", lambda data, c: out.append((c, data)))
+        for no in sorted(CASES):
+            cfg = RunConfig(seed=suite_seeds(0, no, 1)[0])
+            oracle = get_case(no).oracle()
+            asm.fit_structure_factors(detect_structure(oracle, cfg), oracle, cfg, cfg.seed)
+    return out
+
+
+def test_breadth_first_walk_matches_depth_first_on_suite_factors(monkeypatch):
+    sweeps = _suite_factor_data(monkeypatch)
+    assert len(sweeps) == 45
+    for cfg, data in sweeps:
+        ref, new, last = _check_against_depth_first(monkeypatch, data, cfg)
+        # every factor of the suite is accepted on its first run or without
+        # a search, so the check above found no extra run and one model
+        assert ref.converged and last == 0
+
+
+_SYNTHETIC = {
+    "exp": dict(fn=lambda p: np.exp(0.5 * p[:, 0]), lo=1.0, hi=3.0),
+    "sin": dict(fn=lambda p: np.sin(9 * p[:, 0] + 0.3)),
+    "noise": dict(fn=lambda p: np.random.default_rng(4).normal(size=len(p)), vars_=(3,)),
+}
+
+
+# (data, seed, tol_target, skeleton the reference picks, restart it
+# accepts on or None, skeleton the breadth-first walk picks)
+@pytest.mark.parametrize("name,seed,tol,ref_name,ref_restart,new_name", [
+    ("exp", 0, 1e-6, "exp_scaled", 0, "exp_scaled"),
+    # sin(9*x1+0.3) is off the trig grid: at seed 1 cos_affine's first run
+    # closes before sin_affine's third
+    ("sin", 0, 1e-6, "sin_affine", 1, "sin_affine"),
+    ("sin", 1, 1e-6, "sin_affine", 2, "cos_affine"),
+    ("sin", 2, 1e-6, "sin_affine", 0, "sin_affine"),
+    ("noise", 2, 1e-6, "sin_affine", None, "sin_affine"),
+    # below any reachable MSE: families that close on an exact run are
+    # passed over and must not run again
+    ("exp", 0, 1e-30, "exp_scaled", None, "exp_scaled"),
+])
+def test_breadth_first_walk_matches_depth_first_on_synthetic_factors(
+        monkeypatch, name, seed, tol, ref_name, ref_restart, new_name):
+    ref, new, last = _check_against_depth_first(
+        monkeypatch, make_data(**_SYNTHETIC[name]), RunConfig(seed=seed, tol_target=tol))
+    assert ref.skeleton_name == ref_name and new.skeleton_name == new_name
+    assert ref.converged == new.converged == (ref_restart is not None)
+    assert ref_restart is None or last == ref_restart
+
+
+def test_every_family_gets_its_first_run_before_any_second(monkeypatch):
+    # exp_scaled's grid misses w = 0.5 on [1, 3], so five families rank
+    # ahead of it; none of them may restart before exp_scaled has run once
+    data = make_data(lambda p: np.exp(0.5 * p[:, 0]), lo=1.0, hi=3.0)
+    model, log = _spied_fit(monkeypatch, data, RunConfig(seed=0))
+    calls = [(rank, r, gens) for rank, r, gens, *_ in log]
+    assert model.skeleton_name == "exp_scaled" and model.converged
+    first_exp = calls.index((_rank("exp_scaled"), 0, 300))
+    assert first_exp >= 5
+    assert all(r == 0 for _, r, _ in calls[:first_exp])
+    assert calls[first_exp:] == [(_rank("exp_scaled"), 0, 300)]
+
+
+def test_hopeless_families_get_a_short_budget_on_every_restart(monkeypatch):
+    # noisy data: nothing is accepted, so every family runs all three
+    # restarts, and only the trig families explain most of the variance
+    rng = np.random.default_rng(7)
+    data = make_data(lambda p: np.sin(2 * p[:, 0]) + 0.3 * rng.normal(size=len(p)))
+    model, log = _spied_fit(monkeypatch, data, RunConfig(seed=1))
+    calls = [(rank, r, gens) for rank, r, gens, *_ in log]
+    assert not model.converged
+    V = data.points
+    y = (data.values - data.values.mean()) / data.values.std()
+    stream = skeleton_stream(1)
+    with np.errstate(all="ignore"):
+        best = {rank: _ranked_hints(sk, _make_objective(sk, V, y), V, y)[1]
+                for rank, sk in enumerate(stream) if sk.nl_count}
+    assert sorted((k, r) for k, r, _ in calls) == [(k, r) for k in best for r in range(3)]
+    assert {v > 0.5 for v in best.values()} == {True, False}
+    for rank, _, gens in calls:
+        assert gens == (80 if best[rank] > 0.5 else 300)
+
+
+def test_equal_fits_go_to_the_earlier_skeleton_in_try_order(monkeypatch):
+    # breadth-first restarts can yield a skeleton before one ranked ahead
+    # of it; of equal fits, the one ranked ahead is still kept
+    a = _sk("ranked_ahead", "exp(p0*x1)", "1")
+    b = _sk("closed_first", "exp(p0*x1)", "1")
+    nl = np.array([0.3])
+    monkeypatch.setattr(ft, "_walk", lambda *args: iter([(6, b, nl), (5, a, nl)]))
+    rng = np.random.default_rng(2)
+    model = fit_factor(make_data(lambda p: rng.normal(size=len(p))), RunConfig())
+    assert not model.converged
+    assert model.skeleton_name == "ranked_ahead"
