@@ -1,9 +1,10 @@
 """Command-line entry points: detect, fit, bench.
 
-Exit codes: 0 success, 1 usage or parse error, 2 detection failure,
-3 no model within tolerance, including factors gsfit cannot fit and
-samples that stay invalid. Every output JSON embeds the full run
-configuration, seed included, so results are self-reproducing.
+Exit codes: 0 success, 1 usage or parse error or an --out file that
+cannot be written, 2 detection failure, 3 no model within tolerance,
+including factors gsfit cannot fit and samples that stay invalid. Every
+output JSON embeds the full run configuration, seed included, so results
+are self-reproducing.
 """
 
 from __future__ import annotations
@@ -82,13 +83,20 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _emit(payload: dict, out: str | None) -> None:
+def _emit(payload: dict, out: str | None) -> bool:
+    """Write the payload as JSON to the file `out`, or print it when out is
+    None; False, with an error on stderr, when the file cannot be written."""
     text = json.dumps(payload, indent=2)
-    if out:
+    if not out:
+        print(text)
+        return True
+    try:
         with open(out, "w", encoding="utf-8") as f:
             f.write(text + "\n")
-    else:
-        print(text)
+    except OSError as err:
+        print(f"error: cannot write {out}: {err.strerror or err}", file=sys.stderr)
+        return False
+    return True
 
 
 def _setup(args):
@@ -120,7 +128,8 @@ def cmd_detect(args) -> int:
     except det.DetectionError as err:
         print(f"detection failed: {err}", file=sys.stderr)
         return EXIT_DETECT
-    _emit({"config": run_cfg, "structure": structure.to_dict()}, args.out)
+    if not _emit({"config": run_cfg, "structure": structure.to_dict()}, args.out):
+        return EXIT_USAGE
     return EXIT_OK
 
 
@@ -139,15 +148,14 @@ def cmd_fit(args) -> int:
     except (ft.FitError, SampleError) as err:
         print(f"fit failed: {err}", file=sys.stderr)
         return EXIT_TOLERANCE
-    _emit(
-        {
-            "config": run_cfg,
-            "structure": structure.to_dict(),
-            "model": model.to_dict(),
-            "oracle_evals": oracle.eval_count,
-        },
-        args.out,
-    )
+    payload = {
+        "config": run_cfg,
+        "structure": structure.to_dict(),
+        "model": model.to_dict(),
+        "oracle_evals": oracle.eval_count,
+    }
+    if not _emit(payload, args.out):
+        return EXIT_USAGE
     return EXIT_OK if model.success else EXIT_TOLERANCE
 
 
@@ -191,10 +199,9 @@ def cmd_bench(args) -> int:
         "parallel": args.parallel,
         "detect_only": args.detect_only,
     }
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(json.dumps(payload, indent=2) + "\n")
     print(report.table())
+    if args.out and not _emit(payload, args.out):
+        return EXIT_USAGE
     all_match = all(
         r.match_repeated and r.match_blocks and r.match_factors
         for r in report.reports

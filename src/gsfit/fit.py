@@ -61,6 +61,13 @@ def ldse_minimize(
     reflections are scored in one objective call, the contractions in a
     second, so a run makes at most 1 + 2 * generations calls. Candidates
     are clipped to the bounds. Deterministic for a fixed seed.
+
+    A run stops when its best reaches target_tol, after max_generations,
+    or when stagnation_window generations pass without an improvement. An
+    improvement must beat the best by more than max(1e-12, 1e-6 * best):
+    a run converging to zero is held to the flat 1e-12 step, and a run
+    stuck above zero stops once it gains less than one part in a million
+    per generation.
     """
     lo = np.asarray([b[0] for b in bounds], dtype=float)
     hi = np.asarray([b[1] for b in bounds], dtype=float)
@@ -119,7 +126,9 @@ def ldse_minimize(
         vals[better] = fc[better]
         i = int(np.argmin(vals))
         if vals[i] < best_val:
-            if vals[i] < best_val - 1e-12:
+            # only a gain of more than one part in a million (1e-12 once
+            # the best is below 1e-6) postpones the stagnation stop
+            if best_val == math.inf or vals[i] < best_val - max(1e-12, 1e-6 * best_val):
                 last_improve = gen
             best_val = float(vals[i])
             best_x = pop[i].copy()
@@ -138,9 +147,10 @@ class Skeleton:
 
     The lin_j are solved by least squares; the nl_count parameters p<k>
     are searched by the optimizer, starting from the candidates
-    `hints(V, y)` proposes. A skeleton with parameters has one column
-    besides the offset, whose amplitude and offset the objective solves in
-    closed form. Everything else is read off the column templates.
+    `hints(V, y, solved)` proposes. A skeleton with parameters has one
+    column besides the offset, whose amplitude and offset the objective
+    solves in closed form. Everything else is read off the column
+    templates.
     """
 
     name: str
@@ -201,15 +211,17 @@ def _lstsq_cols(cols: np.ndarray, y: np.ndarray):
 
 
 # ---- hint generators -------------------------------------------------------
-# Each returns a (candidates, nl_count) array of starting points in its
-# skeleton's parameter space; `_ranked_hints` scores them with the
-# skeleton's own objective.
+# Each maps the factor data (V, y) to a (candidates, nl_count) array of
+# starting points in its skeleton's parameter space; `_ranked_hints`
+# scores them with the skeleton's own objective. `solved` is a dict that
+# lives for one `_walk`: the trig generators keep each grid's phase solve
+# there, so the sin and cos families on one grid share it.
 
 
-def _with_phase(kind: str, freqs: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Rows (freqs..., phase) for every row of freqs at once: the sin/cos
-    pair fitted at the argument t = sum_k freqs[:, k] * X[:, k] gives the
-    row's phase.
+def _with_phase(freqs: np.ndarray, X: np.ndarray, y: np.ndarray) -> dict:
+    """Rows (freqs..., phase) for every row of freqs at once, for a sin
+    and for a cos column, keyed "sin" and "cos": the sin/cos pair fitted
+    at the argument t = sum_k freqs[:, k] * X[:, k] gives both phases.
 
     Centering the data profiles the offset out, so each row's [sin, cos, 1]
     least-squares fit is a closed-form 2x2 solve on the centered sin and
@@ -218,8 +230,8 @@ def _with_phase(kind: str, freqs: np.ndarray, X: np.ndarray, y: np.ndarray) -> n
     time, which bounds the (rows, points) temporaries.
     """
     yc = y - y.mean()
-    out = np.empty((len(freqs), freqs.shape[1] + 1))
-    out[:, :-1] = freqs
+    a = np.empty(len(freqs))
+    b = np.empty(len(freqs))
     for i in range(0, len(freqs), _HINT_CHUNK):
         F = freqs[i:i + _HINT_CHUNK]
         t = F[:, :1] * X[:, 0]
@@ -236,13 +248,15 @@ def _with_phase(kind: str, freqs: np.ndarray, X: np.ndarray, y: np.ndarray) -> n
         b2 = c @ yc
         det = a11 * a22 - a12 * a12
         ok = np.isfinite(det) & (det > 1e-300 * np.maximum(1.0, a11 * a22))
-        a = (b1 * a22 - b2 * a12) / det
-        b = (a11 * b2 - a12 * b1) / det
+        ai = a[i:i + len(F)]
+        bi = b[i:i + len(F)]
+        ai[:] = (b1 * a22 - b2 * a12) / det
+        bi[:] = (a11 * b2 - a12 * b1) / det
         for r in np.flatnonzero(~ok):
             cols = np.column_stack([np.sin(t[r]), np.cos(t[r]), np.ones(len(y))])
-            (a[r], b[r], _), _ = _lstsq_cols(cols, y)
-        out[i:i + len(F), -1] = np.arctan2(b, a) if kind == "sin" else np.arctan2(-a, b)
-    return out
+            (ai[r], bi[r], _), _ = _lstsq_cols(cols, y)
+    return {"sin": np.column_stack([freqs, np.arctan2(b, a)]),
+            "cos": np.column_stack([freqs, np.arctan2(-a, b)])}
 
 
 def _grid(*axes) -> np.ndarray:
@@ -251,35 +265,41 @@ def _grid(*axes) -> np.ndarray:
 
 
 def _trig_hints(kind: str, col: int = 0):
-    def h(V, y):
-        v = V[:, col]
-        span = float(np.max(v) - np.min(v)) or 1.0
-        freqs = (np.linspace(0.3, 40.0, 160) / span)[:, None]
-        return _with_phase(kind, freqs, V[:, col:col + 1], y)
+    def h(V, y, solved):
+        key = ("trig", col)
+        if key not in solved:
+            v = V[:, col]
+            span = float(np.max(v) - np.min(v)) or 1.0
+            freqs = (np.linspace(0.3, 40.0, 160) / span)[:, None]
+            solved[key] = _with_phase(freqs, V[:, col:col + 1], y)
+        return solved[key][kind]
 
     return h
 
 
 def _trig2_hints(kind: str):
-    def h(V, y):
-        u, w = V[:, 0], V[:, 1]
-        span_u = float(np.max(u) - np.min(u)) or 1.0
-        span_w = float(np.max(w) - np.min(w)) or 1.0
-        freqs = _grid(np.linspace(0.4, 24.0, 24) / span_u,
-                      np.linspace(-24.0, 24.0, 33) / span_w)
-        return _with_phase(kind, freqs, V[:, :2], y)
+    def h(V, y, solved):
+        key = ("trig2",)
+        if key not in solved:
+            u, w = V[:, 0], V[:, 1]
+            span_u = float(np.max(u) - np.min(u)) or 1.0
+            span_w = float(np.max(w) - np.min(w)) or 1.0
+            freqs = _grid(np.linspace(0.4, 24.0, 24) / span_u,
+                          np.linspace(-24.0, 24.0, 33) / span_w)
+            solved[key] = _with_phase(freqs, V[:, :2], y)
+        return solved[key][kind]
 
     return h
 
 
-def _trig_prod_hints(V, y):
+def _trig_prod_hints(V, y, solved):
     t = V[:, 0] * V[:, 1]
     span = float(np.max(t) - np.min(t)) or 1.0
     return (np.linspace(0.3, 30.0, 120) / span)[:, None]
 
 
 def _exp_hints(col: int = 0):
-    def h(V, y):
+    def h(V, y, solved):
         # growth rates whose exponent stays within +-700 on the data
         span = max(1e-9, float(np.max(np.abs(V[:, col]))))
         w = np.linspace(-8.0, 8.0, 81)
@@ -289,13 +309,13 @@ def _exp_hints(col: int = 0):
     return h
 
 
-def _exp2_hints(V, y):
+def _exp2_hints(V, y, solved):
     grid = np.linspace(-6.0, 6.0, 21)
     ab = _grid(grid, grid)
     return ab[(np.abs(ab) > 1e-9).any(axis=1)]
 
 
-def _inner_affine_hints(V, y):
+def _inner_affine_hints(V, y, solved):
     """(slope, shift) pairs keeping the inner argument positive on the data."""
     slopes = _grid((0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0), (1.0, -1.0)).prod(axis=1)
     edge = (slopes[:, None] * V[:, 0]).min(axis=1)
@@ -304,7 +324,7 @@ def _inner_affine_hints(V, y):
                             (margins - edge[:, None]).ravel()])
 
 
-def _ln2_hints(V, y):
+def _ln2_hints(V, y, solved):
     slopes = _grid(*[(-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)] * 2)
     edge = (slopes[:, :1] * V[:, 0] + slopes[:, 1:] * V[:, 1]).min(axis=1)
     margins = np.array([0.3, 1.0, 3.0, 8.0])
@@ -446,12 +466,13 @@ _TIE_RTOL = 1e-9
 _TIE_ATOL = 1e-14
 
 
-def _ranked_hints(sk: Skeleton, objective, V, y, top: int = 3):
+def _ranked_hints(sk: Skeleton, objective, V, y, solved=None, top: int = 3):
     """The skeleton's best `top` hint candidates under its own objective,
-    and the best score (inf when there are none)."""
+    and the best score (inf when there are none). `solved` is the walk's
+    dict of shared phase solves (see the hint generators)."""
     if sk.hints is None:
         return [], math.inf
-    cands = sk.hints(V, y)
+    cands = sk.hints(V, y, {} if solved is None else solved)
     scores = np.concatenate(
         [objective(cands[i:i + _HINT_CHUNK])
          for i in range(0, len(cands), _HINT_CHUNK)]
@@ -482,25 +503,30 @@ def _walk(stream: list[Skeleton], V, y, seed: int):
     pos then follows the best hint score. LDSE restarts run breadth-first:
     round r runs restart r of every skeleton still open, in pos order, so
     each skeleton gets its first search before any gets a second. A
-    skeleton closes, and its best run is yielded, when a run reaches 1e-12
-    or after its third run. A run's seed is derived from the skeleton's
-    table rank and the restart, so it does not depend on when it runs.
+    skeleton closes, and its best run is yielded, when a run reaches 1e-12,
+    when a restart repeats the skeleton's best so far to within 1e-4
+    relative (a further restart would most likely land on the same
+    minimum), or after its third run. A run's seed is derived from the
+    skeleton's table rank and the restart, so it does not depend on when
+    it runs.
     """
     free = [sk for sk in stream if not sk.nl_count]
     for pos, sk in enumerate(free):
         yield pos, sk, np.empty(0)
     scans = []
+    solved = {}
     for rank, sk in enumerate(stream):
         if sk.nl_count:
             objective = _make_objective(sk, V, y)
-            hints, hint_best = _ranked_hints(sk, objective, V, y)
+            hints, hint_best = _ranked_hints(sk, objective, V, y, solved)
             scans.append((hint_best, rank, sk, objective, hints))
     families = list(enumerate(_by_hint_score(scans), len(free)))
     best = {}  # pos -> the skeleton's best (x, val) so far
+    closed = set()
     for restart in range(3):
         for pos, (hint_best, rank, sk, objective, hints) in families:
-            if pos in best and best[pos][1] <= 1e-12:
-                continue  # closed in an earlier round
+            if pos in closed:
+                continue
             # Hint quality decides the search budget: on unit-variance
             # data, a dense grid scan that still leaves most of the
             # variance unexplained means the family cannot represent the
@@ -512,9 +538,12 @@ def _walk(stream: list[Skeleton], V, y, seed: int):
                 max_generations=80 if hopeless else 300,
                 stagnation_window=40, init_guesses=hints,
             )
-            if pos not in best or val < best[pos][1]:
+            prev = best.get(pos)
+            if prev is None or val < prev[1]:
                 best[pos] = (x, val)
-            if val <= 1e-12 or restart == 2:
+            repeated = prev is not None and abs(val - prev[1]) <= 1e-4 * prev[1]
+            if val <= 1e-12 or repeated or restart == 2:
+                closed.add(pos)
                 yield pos, sk, best[pos][0]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -16,7 +17,7 @@ class SampleError(RuntimeError):
 
 @dataclass(frozen=True)
 class DomainBox:
-    """Axis-aligned closed box, one [lo, hi] interval per variable."""
+    """Axis-aligned closed box, one finite [lo, hi] interval per variable."""
 
     lo: tuple[float, ...]
     hi: tuple[float, ...]
@@ -25,6 +26,8 @@ class DomainBox:
         if len(self.lo) != len(self.hi) or not self.lo:
             raise ValueError("lo and hi must be non-empty and equally long")
         for a, b in zip(self.lo, self.hi):
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise ValueError(f"bounds must be finite, got [{a}, {b}]")
             if not a < b:
                 raise ValueError(f"degenerate interval [{a}, {b}]")
 

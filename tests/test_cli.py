@@ -182,6 +182,31 @@ def test_fit_bad_bounds_exit_1(capsys):
     assert code == 1
 
 
+def test_infinite_bound_exit_1(capsys):
+    # an infinite bound used to reach detection and exit 2 with "anchor
+    # value invalid"
+    code, out, err = run_cli(
+        ["detect", "--target", "x1*x2+x3", "--dims", "3", "--hi", "inf"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: bounds must be finite")
+
+
+@pytest.mark.parametrize("args", [
+    ["detect", "--target", "x1*x2", "--dims", "2"],
+    ["fit", "--target", "x1*x2", "--dims", "2"],
+    ["bench", "--cases", "4", "--repeats", "1", "--detect-only"],
+])
+def test_out_path_that_cannot_be_written_exit_1(tmp_path, capsys, args):
+    out_path = tmp_path / "missing" / "x.json"
+    code, _, err = run_cli([*args, "--out", str(out_path)], capsys)
+    assert code == 1
+    assert err.startswith(f"error: cannot write {out_path}")
+    assert "Traceback" not in err
+    assert not out_path.exists()
+
+
 def test_fit_max_nodes_below_three_exit_1(capsys):
     code, _, err = run_cli(
         ["fit", "--target", "sin(x1)", "--dims", "1", "--max-nodes", "2"], capsys

@@ -203,6 +203,139 @@ def test_ldse_rejects_bad_bounds():
         ldse_minimize(lambda X: np.zeros(len(X)), [(1.0, 1.0)], seed=0, target_tol=1e-6)
 
 
+def _flat_ldse_minimize(objective, bounds, *, seed, target_tol, max_generations=None,
+                        stagnation_window=None, init_guesses=None):
+    """Reference for `ldse_minimize` before its relative stagnation test:
+    every gain of more than 1e-12 postpones the stagnation stop."""
+    lo = np.asarray([b[0] for b in bounds], dtype=float)
+    hi = np.asarray([b[1] for b in bounds], dtype=float)
+    d = len(bounds)
+    n_pop = 10 + 10 * d
+    max_gens = 500 * d if max_generations is None else max_generations
+    stagnation = 50 * d if stagnation_window is None else stagnation_window
+    rng = np.random.default_rng(seed)
+
+    def f(X):
+        v = np.asarray(objective(X), dtype=float)
+        return np.where(np.isfinite(v), v, math.inf)
+
+    pop = lo + rng.random((n_pop, d)) * (hi - lo)
+    if init_guesses:
+        for k in range(n_pop // 2):
+            g = np.asarray(init_guesses[k % len(init_guesses)], dtype=float)
+            if k >= len(init_guesses):
+                g = g + rng.normal(0.0, 0.05, d) * (1.0 + np.abs(g))
+            pop[k] = np.clip(g, lo, hi)
+    vals = f(pop)
+    best_i = int(np.argmin(vals))
+    best_x, best_val = pop[best_i].copy(), float(vals[best_i])
+    m = min(d, 3)
+    agents = np.arange(n_pop)
+    last_improve = 0
+    for gen in range(max_gens):
+        if best_val <= target_tol or gen - last_improve > stagnation:
+            break
+        idx = rng.integers(0, n_pop, size=(n_pop, m + 1))
+        while True:
+            dup = (idx[:, :, None] == idx[:, None, :]).sum(axis=(1, 2)) > m + 1
+            if not dup.any():
+                break
+            idx[dup] = rng.integers(0, n_pop, size=(int(dup.sum()), m + 1))
+        worst = np.argmax(vals[idx], axis=1)
+        rest = np.ones(idx.shape, dtype=bool)
+        rest[agents, worst] = False
+        centroid = pop[idx[rest].reshape(n_pop, m)].mean(axis=1)
+        xw = pop[idx[agents, worst]]
+        cand = np.clip(2.0 * centroid - xw, lo, hi)
+        fc = f(cand)
+        retry = ~(fc < vals)
+        if retry.any():
+            cand[retry] = np.clip(0.5 * (centroid[retry] + xw[retry]), lo, hi)
+            fc[retry] = f(cand[retry])
+        better = fc < vals
+        pop[better] = cand[better]
+        vals[better] = fc[better]
+        i = int(np.argmin(vals))
+        if vals[i] < best_val:
+            if vals[i] < best_val - 1e-12:
+                last_improve = gen
+            best_val = float(vals[i])
+            best_x = pop[i].copy()
+    return best_x, best_val
+
+
+def _recorded(objective):
+    """The objective, and the list of the batches it is called with."""
+    calls = []
+
+    def obj(X):
+        calls.append(X.copy())
+        return objective(X)
+
+    return obj, calls
+
+
+def _sphere(X):
+    return np.einsum("pd,pd->p", X, X)
+
+
+def _rosenbrock(X):
+    return 100 * (X[:, 1] - X[:, 0] ** 2) ** 2 + (1 - X[:, 0]) ** 2
+
+
+def _skeleton_run(fn, noise=0.0):
+    """sin_affine's profile objective on 60 points of fn on [-3, 3],
+    normalized, with optional Gaussian noise, and `_walk`'s settings for
+    an LDSE run on it."""
+    data = make_data(fn)
+    y = data.values + noise * np.random.default_rng(9).normal(size=len(data.values))
+    y = (y - y.mean()) / y.std()
+    sk = {s.name: s for s in skeleton_stream(1)}["sin_affine"]
+    objective = _make_objective(sk, data.points, y)
+    hints, _ = _ranked_hints(sk, objective, data.points, y)
+    return objective, [(-50.0, 50.0)] * sk.nl_count, dict(
+        seed=2, target_tol=1e-14, max_generations=300, stagnation_window=40,
+        init_guesses=hints)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: (_sphere, [(-50, 50)] * 3, dict(seed=0, target_tol=1e-9)),
+    lambda: (_sphere, [(-5, 5)] * 2, dict(seed=1, target_tol=0.0, max_generations=400)),
+    lambda: (_rosenbrock, [(-50, 50)] * 2, dict(seed=3, target_tol=1e-9)),
+    lambda: _skeleton_run(lambda p: np.sin(1.7 * p[:, 0] - 0.4)),
+])
+def test_ldse_matches_the_flat_stagnation_test_on_objectives_with_minimum_zero(run):
+    # below 1e-6 the relative step is the flat 1e-12 one, and above it these
+    # runs never go a stagnation window without a relative gain
+    objective, bounds, kw = run()
+    with np.errstate(all="ignore"):
+        x, val = ldse_minimize(objective, bounds, **kw)
+        ref_x, ref_val = _flat_ldse_minimize(objective, bounds, **kw)
+    assert x.tobytes() == ref_x.tobytes() and val == ref_val
+
+
+@pytest.mark.parametrize("run", [
+    lambda: (lambda X: _sphere(X - 1.3) + 0.5, [(-5, 5)] * 2, dict(seed=1, target_tol=0.0)),
+    lambda: (lambda X: _rosenbrock(X) + 2.0, [(-50, 50)] * 2, dict(seed=3, target_tol=0.0)),
+    lambda: (lambda X: np.sum(np.abs(X), axis=1) + np.sin(X[:, 0]) + 4.0, [(-10, 10)] * 2,
+             dict(seed=11, target_tol=0.0)),
+    lambda: _skeleton_run(lambda p: np.sin(1.7 * p[:, 0]), noise=0.3),
+])
+def test_ldse_stops_sooner_above_zero_within_one_part_in_1e5(run):
+    objective, bounds, kw = run()
+    new, calls = _recorded(objective)
+    old, ref_calls = _recorded(objective)
+    with np.errstate(all="ignore"):
+        _, val = ldse_minimize(new, bounds, **kw)
+        _, ref_val = _flat_ldse_minimize(old, bounds, **kw)
+    # the same search, stopped earlier: its batches are a strict prefix of
+    # the reference's
+    assert len(calls) < len(ref_calls)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(calls, ref_calls))
+    assert ref_val > 0.0
+    assert ref_val <= val <= ref_val * (1.0 + 1e-5)
+
+
 def _reference_mse(sk, V, y, nl):
     """One row of the profile objective, by the generic design-matrix solve."""
     B = sk.design(V, nl)
@@ -392,7 +525,7 @@ def test_hint_generators_match_the_list_form_bitwise(k):
         for gen, reference, needs in _GENERATORS:
             if needs > k:
                 continue
-            got = gen(V, y)
+            got = gen(V, y, {})
             want = np.array(reference(V, y))
             assert got.dtype == float and got.ndim == 2
             assert got.shape == want.shape
@@ -420,7 +553,7 @@ def test_batched_phases_match_per_candidate_lstsq(kind, k):
     freqs = rng.uniform(-5.0, 5.0, size=(ft._HINT_CHUNK + 37, k))
     freqs[ft._HINT_CHUNK + 3] = 0.0
     with np.errstate(all="ignore"):
-        got = _with_phase(kind, freqs, X, y)
+        got = _with_phase(freqs, X, y)[kind]
     want = _phase_reference(kind, freqs, X, y)
     assert got.shape == (len(freqs), k + 1)
     assert np.array_equal(got[:, :k], freqs)
@@ -435,8 +568,28 @@ def test_with_phase_on_constant_argument_falls_back_for_every_row():
     y = np.linspace(-1.0, 1.0, 20)
     freqs = np.array([[0.5], [1.0], [3.0]])
     with np.errstate(all="ignore"):
-        got = _with_phase("sin", freqs, X, y)
+        got = _with_phase(freqs, X, y)["sin"]
     assert np.array_equal(got, _phase_reference("sin", freqs, X, y))
+
+
+@pytest.mark.parametrize("vars_,grids", [((3,), 1), ((1, 2), 2)])
+def test_each_trig_grid_is_phase_solved_once_per_walk(monkeypatch, vars_, grids):
+    # one variable: sin_affine, cos_affine and vsin share one grid; two:
+    # sin_affine2 and cos_affine2 share one, prod_sin has its own
+    solves = []
+    real = ft._with_phase
+
+    def spy(freqs, X, y):
+        solves.append(freqs.shape)
+        return real(freqs, X, y)
+
+    monkeypatch.setattr(ft, "_with_phase", spy)
+    rng = np.random.default_rng(4)
+    data = make_data(lambda p: rng.normal(size=len(p)), vars_=vars_)
+    for seed in (0, 1):
+        solves.clear()
+        assert not fit_factor(data, RunConfig(seed=seed)).converged
+        assert len(solves) == grids
 
 
 def _rank(name, k=1):
@@ -605,6 +758,19 @@ def _spied_fit(monkeypatch, data, cfg, walk=ft._walk):
     return model, runs
 
 
+def _after_a_repeat(log):
+    """The (rank, restart) pairs, up to restart 2, that follow a restart of
+    the same skeleton in a spied log that ended within 1e-4 relative of
+    that skeleton's best so far: the runs `_walk`'s repeat close leaves
+    out."""
+    best, after = {}, set()
+    for k, r, *_, val in log:
+        if k in best and abs(val - best[k]) <= 1e-4 * best[k]:
+            after.update((k, later) for later in range(r + 1, 3))
+        best[k] = min(best.get(k, math.inf), val)
+    return after
+
+
 def _same_model(a, b):
     return (a.skeleton_name == b.skeleton_name and a.theta.tobytes() == b.theta.tobytes()
             and a.train_mse == b.train_mse)
@@ -613,8 +779,9 @@ def _same_model(a, b):
 def _check_against_depth_first(monkeypatch, data, cfg):
     """Fit with `_walk` and with the depth-first reference; every run both
     make is byte-equal. Where the reference accepted on a first run, or
-    without a search, or accepted nothing, the runs are a subset (equal
-    when nothing was accepted) and the models are identical. Where it
+    without a search, or accepted nothing, the runs are a subset (when
+    nothing was accepted, exactly the reference's runs less those after a
+    repeated best) and the models are identical. Where it
     accepted on restart r >= 1, the only extra runs are restarts below r of
     skeletons it never reached. Returns the reference model, the model
     and the restart of the reference's last run of its chosen skeleton."""
@@ -630,7 +797,7 @@ def _check_against_depth_first(monkeypatch, data, cfg):
         ref.skeleton_name)
     last = max((r for k, r in ref_runs if k == rank), default=0)
     if not ref.converged:
-        assert runs.keys() == ref_runs.keys()
+        assert runs.keys() == ref_runs.keys() - _after_a_repeat(ref_log)
         assert _same_model(new, ref)
     elif last == 0:
         assert not extra
@@ -713,8 +880,9 @@ def test_every_family_gets_its_first_run_before_any_second(monkeypatch):
 
 
 def test_hopeless_families_get_a_short_budget_on_every_restart(monkeypatch):
-    # noisy data: nothing is accepted, so every family runs all three
-    # restarts, and only the trig families explain most of the variance
+    # noisy data: nothing is accepted, so every family runs until its third
+    # restart or one that repeats its best, and only the trig families
+    # explain most of the variance
     rng = np.random.default_rng(7)
     data = make_data(lambda p: np.sin(2 * p[:, 0]) + 0.3 * rng.normal(size=len(p)))
     model, log = _spied_fit(monkeypatch, data, RunConfig(seed=1))
@@ -726,10 +894,42 @@ def test_hopeless_families_get_a_short_budget_on_every_restart(monkeypatch):
     with np.errstate(all="ignore"):
         best = {rank: _ranked_hints(sk, _make_objective(sk, V, y), V, y)[1]
                 for rank, sk in enumerate(stream) if sk.nl_count}
-    assert sorted((k, r) for k, r, _ in calls) == [(k, r) for k in best for r in range(3)]
+    assert {(k, r) for k, r, _ in calls} == (
+        {(k, r) for k in best for r in range(3)} - _after_a_repeat(log))
     assert {v > 0.5 for v in best.values()} == {True, False}
     for rank, _, gens in calls:
         assert gens == (80 if best[rank] > 0.5 else 300)
+
+
+def test_a_restart_that_repeats_the_best_closes_its_family(monkeypatch):
+    # noise: no family fits, and most land on one minimum every restart
+    rng = np.random.default_rng(4)
+    data = make_data(lambda p: rng.normal(size=len(p)), vars_=(3,))
+    model, log = _spied_fit(monkeypatch, data, RunConfig(seed=2))
+    assert not model.converged
+    val = {(k, r): v for k, r, *_, v in log}
+    families = {k for k, _ in val}
+    repeated = {k for k in families if (k, 1) in val
+                and abs(val[k, 1] - val[k, 0]) <= 1e-4 * val[k, 0]}
+    assert repeated and repeated != families
+    assert all((k, 1) in val for k in families)
+    assert {k for k, r in val if r == 2} == families - repeated
+
+
+@pytest.mark.parametrize("fn,vars_", [
+    (lambda p: np.sin(9 * p[:, 0] + 0.3), (1,)),
+    (lambda p: np.sin(11.3 * p[:, 0]), (1,)),
+    (lambda p: p[:, 0] * np.sin(7.7 * p[:, 0]), (1,)),
+    (lambda p: np.cos(3 * p[:, 0] * p[:, 1]), (1, 2)),
+    (lambda p: p[:, 0] * np.sin(6.7 * p[:, 1]), (1, 2)),
+    (lambda p: np.cos(2.7 * p[:, 0] - 1.9 * p[:, 1] + 0.4), (1, 2)),
+])
+def test_off_grid_trig_factors_still_converge(fn, vars_):
+    # frequencies between the hint grid's points need LDSE, some of them
+    # a restart, which the stop rules must leave them
+    for seed in range(8):
+        model = fit_factor(make_data(fn, vars_=vars_, seed=seed), RunConfig(seed=seed))
+        assert model.converged, seed
 
 
 def test_equal_fits_go_to_the_earlier_skeleton_in_try_order(monkeypatch):

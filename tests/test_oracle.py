@@ -10,6 +10,16 @@ def test_box_rejects_degenerate_interval():
         DomainBox((0.0,), (0.0,))
 
 
+@pytest.mark.parametrize("lo,hi", [
+    ((0.0, -3.0), (1.0, np.inf)),
+    ((-np.inf,), (1.0,)),
+    ((np.nan,), (1.0,)),
+])
+def test_box_rejects_bounds_that_are_not_finite(lo, hi):
+    with pytest.raises(ValueError, match="bounds must be finite"):
+        DomainBox(lo, hi)
+
+
 def test_sample_uniform_within_box_and_counts():
     box = DomainBox.cube(-3, 3, 2)
     s = sample_uniform(box, 400, seed=7)
