@@ -22,7 +22,7 @@ from . import expr as ex
 from .config import RunConfig, derived_seed
 from .oracle import Oracle, SampleSet
 
-# fresh fits after a validation miss
+# fresh fits after a validation miss, made only while every factor converges
 MAX_RETRIES = 3
 
 
@@ -51,6 +51,9 @@ class AssembledModel:
     success: bool
     rank_deficient: bool = False
     retries: int = 0
+    # factors of the last attempt that missed tolerance, which ended the
+    # retries; not part of to_dict(), so canonical JSON does not carry it
+    unconverged: tuple[ft.FactorModel, ...] = field(default=(), repr=False)
 
     def predict(self, points: np.ndarray) -> np.ndarray:
         out = np.full(points.shape[0], self.c0)
@@ -174,8 +177,13 @@ def assemble_and_validate(
 
     Trains and validates on independent samples of cfg.samples_per_var * n
     points each. On a validation miss the whole fit is retried with new
-    sweep seeds, up to MAX_RETRIES times; the best model found is returned
-    either way. Attempt k sweeps and samples with seed cfg.seed + 101k.
+    sweep seeds, up to MAX_RETRIES times, but only while every factor of
+    the attempt converged: a fresh sample can rescue an unlucky draw, not
+    a factor that no skeleton fits, so an attempt with an unconverged
+    factor is the last one (its factors are kept on the model as
+    `unconverged`). Attempt k sweeps and samples with seed cfg.seed + 101k.
+    The best model found is returned either way; its `retries` counts the
+    retries made.
     """
     n_samples = cfg.samples_per_var * oracle.arity
     best: AssembledModel | None = None
@@ -195,7 +203,6 @@ def assemble_and_validate(
             val_mse=math.inf,
             success=False,
             rank_deficient=deficient,
-            retries=attempt,
         )
         model.val_mse = _mse(model, val)
         model.success = bool(model.val_mse <= cfg.tol_target)
@@ -203,6 +210,11 @@ def assemble_and_validate(
             best = model
         if model.success:
             break
+        unconverged = tuple(f for models in factors for f in models if not f.converged)
+        if unconverged:
+            best.unconverged = unconverged
+            break
+    best.retries = attempt
     return best
 
 

@@ -156,7 +156,18 @@ def cmd_fit(args) -> int:
     }
     if not _emit(payload, args.out):
         return EXIT_USAGE
-    return EXIT_OK if model.success else EXIT_TOLERANCE
+    if model.success:
+        return EXIT_OK
+    print(
+        f"fit failed: validation MSE {model.val_mse:.3g} above tolerance "
+        f"{cfg.tol_target:g} after {model.retries + 1} attempt(s)",
+        file=sys.stderr,
+    )
+    for f in model.unconverged:
+        names = ", ".join(f"x{v}" for v in f.var_indices)
+        print(f"  factor ({names}): {f.skeleton_name} at {f.train_mse:.1e}, not retried",
+              file=sys.stderr)
+    return EXIT_TOLERANCE
 
 
 def _parse_cases(text: str) -> list[int]:

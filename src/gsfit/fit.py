@@ -19,6 +19,7 @@ it in one to three dimensions.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -35,6 +36,12 @@ class FitError(ValueError):
 
 # box searched for every nonlinear skeleton parameter
 PARAM_BOUND = 50.0
+
+
+def _clip(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """np.clip(x, lo, hi), in place."""
+    np.maximum(x, lo, out=x)
+    return np.minimum(x, hi, out=x)
 
 
 def ldse_minimize(
@@ -98,28 +105,41 @@ def ldse_minimize(
     best_i = int(np.argmin(vals))
     best_x, best_val = pop[best_i].copy(), float(vals[best_i])
     m = min(d, 3)
-    agents = np.arange(n_pop)
+    agents = np.arange(n_pop)[:, None]
+    pairs = list(itertools.combinations(range(m + 1), 2))
+    # others[w]: the simplex columns other than w, in order
+    others = np.array([[c for c in range(m + 1) if c != w] for w in range(m + 1)])
     last_improve = 0
     for gen in range(max_gens):
         if best_val <= target_tol or gen - last_improve > stagnation:
             break
         idx = rng.integers(0, n_pop, size=(n_pop, m + 1))
         while True:
-            # a row of distinct members has only its m+1 diagonal matches
-            dup = (idx[:, :, None] == idx[:, None, :]).sum(axis=(1, 2)) > m + 1
+            dup = idx[:, 0] == idx[:, 1]
+            for a, b in pairs[1:]:
+                dup |= idx[:, a] == idx[:, b]
             if not dup.any():
                 break
             idx[dup] = rng.integers(0, n_pop, size=(int(dup.sum()), m + 1))
         worst = np.argmax(vals[idx], axis=1)
-        rest = np.ones(idx.shape, dtype=bool)
-        rest[agents, worst] = False
-        centroid = pop[idx[rest].reshape(n_pop, m)].mean(axis=1)
-        xw = pop[idx[agents, worst]]
-        cand = np.clip(2.0 * centroid - xw, lo, hi)
+        rest = idx[agents, others[worst]]
+        # the in-order sum over the m rows, then / m: what .mean(axis=1)
+        # of the (n_pop, m, d) stack computes, bit for bit
+        centroid = pop[rest[:, 0]]
+        for k in range(1, m):
+            centroid += pop[rest[:, k]]
+        centroid /= m
+        xw = pop[idx[agents[:, 0], worst]]
+        cand = 2.0 * centroid
+        cand -= xw
+        _clip(cand, lo, hi)
         fc = f(cand)
         retry = ~(fc < vals)
         if retry.any():
-            cand[retry] = np.clip(0.5 * (centroid[retry] + xw[retry]), lo, hi)
+            back = centroid[retry]
+            back += xw[retry]
+            back *= 0.5
+            cand[retry] = _clip(back, lo, hi)
             fc[retry] = f(cand[retry])
         better = fc < vals
         pop[better] = cand[better]
@@ -440,16 +460,22 @@ def _make_objective(sk: Skeleton, V, y):
 
     def objective(X):
         S = shape._eval(V, [X[:, k:k + 1] for k in range(X.shape[1])])
-        a11 = (S * S).sum(axis=1)
+        R = S * S  # one (P, n) buffer: first S^2, then the residual
+        a11 = R.sum(axis=1)
         b1 = S @ y
         a12 = S.sum(axis=1)
-        det = a11 * n - a12 * a12
-        ok = np.isfinite(a11) & (det > 1e-300 * np.maximum(1.0, a11 * n))
+        a11n = a11 * n
+        det = a11n - a12 * a12
+        ok = np.isfinite(a11) & (det > 1e-300 * np.maximum(1.0, a11n))
         c1 = (b1 * n - y_sum * a12) / det
         c2 = (a11 * y_sum - a12 * b1) / det
-        R = y - c1[:, None] * S - c2[:, None]
-        mse = (R * R).sum(axis=1) / n
-        return np.where(ok & np.isfinite(mse), mse, math.inf)
+        np.multiply(c1[:, None], S, out=R)
+        np.subtract(y, R, out=R)
+        R -= c2[:, None]
+        R *= R
+        mse = R.sum(axis=1) / n
+        mse[~(ok & np.isfinite(mse))] = math.inf
+        return mse
 
     return objective
 

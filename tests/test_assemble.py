@@ -4,25 +4,28 @@ import math
 import numpy as np
 import pytest
 
+import gsfit.assemble as asm
 from gsfit import expr as ex
 from gsfit.assemble import (
+    MAX_RETRIES,
+    AssembledModel,
     BasisTerm,
     assemble_and_validate,
     build_basis,
     fit_structure_factors,
     least_squares,
 )
-from gsfit.bench import CASES
-from gsfit.config import RunConfig
+from gsfit.bench import CASES, get_case, run_case, suite_seeds
+from gsfit.config import RunConfig, derived_seed
 from gsfit.detect import Block, GsStructure, detect_structure
 from gsfit.fit import FactorModel, FitError
 from gsfit.oracle import DomainBox, SampleSet, make_oracle
 
 
-def fake_model(e: ex.Expr, vars_: tuple[int, ...]) -> FactorModel:
+def fake_model(e: ex.Expr, vars_: tuple[int, ...], converged: bool = True) -> FactorModel:
     return FactorModel(
         skeleton_name="given", var_indices=vars_, theta=np.zeros(0), expr=e,
-        train_mse=0.0, converged=True,
+        train_mse=0.0 if converged else 0.25, converged=converged,
     )
 
 
@@ -227,3 +230,121 @@ def test_fit_structure_factors_counts_match_partition():
     s = detect_structure(o, RunConfig(seed=2))
     factors = fit_structure_factors(s, o, RunConfig(seed=2), 2)
     assert [len(f) for f in factors] == [b.factor_count() for b in s.blocks]
+
+
+def _stub_fits(monkeypatch, per_attempt):
+    """Replace the factor fits: attempt k returns per_attempt(k)'s factor
+    lists. Returns the list of sweep seeds the stub was called with."""
+    seeds = []
+
+    def stub(structure, oracle, cfg, sweep_seed):
+        seeds.append(sweep_seed)
+        return per_attempt(len(seeds) - 1)
+
+    monkeypatch.setattr(asm, "fit_structure_factors", stub)
+    return seeds
+
+
+def _missing_target():
+    # x1 alone leaves the sine's variance unexplained: every attempt misses
+    return make_oracle(ex.parse("x1+sin(3*x1)", 1), DomainBox.cube(-3, 3, 1))
+
+
+@pytest.mark.parametrize("converged", [True, False])
+def test_only_a_miss_with_every_factor_converged_is_retried(monkeypatch, converged):
+    factor = fake_model(ex.parse("x1", 1), (1,), converged=converged)
+    seeds = _stub_fits(monkeypatch, lambda k: [[factor]])
+    cfg = RunConfig(seed=4)
+    model = assemble_and_validate(dummy_structure(1), _missing_target(), cfg)
+    assert not model.success and math.isfinite(model.val_mse)
+    attempts = MAX_RETRIES + 1 if converged else 1
+    assert seeds == [4 + 101 * k for k in range(attempts)]
+    assert model.retries == attempts - 1
+    assert model.unconverged == (() if converged else (factor,))
+    assert "unconverged" not in model.to_dict()
+
+
+def test_retries_count_the_retries_made_not_the_best_attempt(monkeypatch):
+    # attempt 0 is the best fit; the three retries after it are worse
+    good = fake_model(ex.parse("x1", 1), (1,))
+    bad = fake_model(ex.parse("x1^2", 1), (1,))
+    _stub_fits(monkeypatch, lambda k: [[good if k == 0 else bad]])
+    model = assemble_and_validate(dummy_structure(1), _missing_target(), RunConfig(seed=4))
+    assert model.terms[0].expr is good.expr
+    assert model.retries == MAX_RETRIES
+
+
+def _retry_every_miss(structure, oracle, cfg):
+    """Reference: the assembly loop that retried every validation miss, and
+    reported the best attempt's index as its retries."""
+    n_samples = cfg.samples_per_var * oracle.arity
+    best = None
+    for attempt in range(asm.MAX_RETRIES + 1):
+        sweep_seed = cfg.seed + 101 * attempt
+        factors = asm.fit_structure_factors(structure, oracle, cfg, sweep_seed)
+        terms = build_basis(structure, factors)
+        train = oracle.sample(n_samples, derived_seed(sweep_seed, 1))
+        c0, coefs, train_mse, deficient = least_squares(terms, train)
+        val = oracle.sample(n_samples, derived_seed(sweep_seed, 2))
+        model = AssembledModel(
+            c0=c0, terms=terms, coefficients=coefs,
+            expr=asm._compose_expr(c0, coefs, terms), train_mse=train_mse,
+            val_mse=math.inf, success=False, rank_deficient=deficient,
+            retries=attempt,
+        )
+        model.val_mse = asm._mse(model, val)
+        model.success = bool(model.val_mse <= cfg.tol_target)
+        if best is None or model.val_mse < best.val_mse:
+            best = model
+        if model.success:
+            break
+    return best
+
+
+def _counted_fits(monkeypatch):
+    calls = []
+    inner = asm.fit_structure_factors
+
+    def spy(*args):
+        factors = inner(*args)
+        calls.append([f.converged for models in factors for f in models])
+        return factors
+
+    monkeypatch.setattr(asm, "fit_structure_factors", spy)
+    return calls
+
+
+@pytest.mark.parametrize("seed", suite_seeds(0, 11, 3))
+def test_stream_demo_stops_after_the_attempt_with_an_unconverged_factor(
+    monkeypatch, seed
+):
+    # the omega factor r - R^2/r has no skeleton that fits it, and refitting
+    # it on fresh sweeps never rescued a run
+    calls = _counted_fits(monkeypatch)
+    cfg = RunConfig(seed=seed)
+    o = get_case(11).oracle()
+    s = detect_structure(o, cfg)
+    model = assemble_and_validate(s, o, cfg)
+    assert len(calls) == 1 and calls[0].count(False) == len(model.unconverged) > 0
+    assert model.retries == 0 and not model.success
+    # byte-equal to attempt 0 of the loop that retried every miss
+    monkeypatch.setattr(asm, "MAX_RETRIES", 0)
+    assert _retry_every_miss(s, o, cfg).to_json() == model.to_json()
+
+
+@pytest.mark.parametrize("seed, attempts", [(71276, 3), (73279, 4)])
+def test_case9_retries_keep_their_attempts_and_report(monkeypatch, seed, attempts):
+    # every factor converges on every attempt: 71276 validates on its third
+    # attempt, 73279 on none (its best model is attempt 0's)
+    calls = _counted_fits(monkeypatch)
+    new = run_case(9, seed)
+    assert len(calls) == attempts and all(all(c) for c in calls)
+    assert new.success == (attempts < 4)
+    assert new.model["retries"] == attempts - 1
+    monkeypatch.setattr(asm, "assemble_and_validate", _retry_every_miss)
+    old = run_case(9, seed)
+    assert len(calls) == 2 * attempts
+    # the same report, but for the old loop's retries: the best attempt's index
+    assert old.model["retries"] == (2 if seed == 71276 else 0)
+    old.model["retries"] = attempts - 1
+    assert new.canonical_json() == old.canonical_json()

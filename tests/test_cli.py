@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 import subprocess
 import sys
 from dataclasses import asdict
@@ -93,6 +94,22 @@ def test_fit_above_tolerance_exit_3(capsys):
     assert code == 3
     payload = json.loads(out)
     assert payload["model"]["success"] is False
+
+
+def test_fit_validation_miss_says_why_on_stderr(capsys):
+    code, out, err = run_cli(
+        ["fit", "--target", "x2*x1^2-x2^2", "--dims", "2", "--seed", "1"], capsys
+    )
+    assert code == 3
+    model = json.loads(out)["model"]
+    assert model["retries"] == 0 and "unconverged" not in model
+    head, *factors = err.splitlines()
+    assert head == (f"fit failed: validation MSE {model['val_mse']:.3g} above "
+                    "tolerance 1e-06 after 1 attempt(s)")
+    # the factor that stopped the retries, named with its best skeleton
+    assert len(factors) == 1
+    assert re.fullmatch(r"  factor \(x1, x2\): \w+ at \d\.\de-\d\d, not retried",
+                        factors[0])
 
 
 def test_main_leaves_numpy_error_state_unchanged(capsys):

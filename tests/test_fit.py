@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import warnings
@@ -203,10 +204,12 @@ def test_ldse_rejects_bad_bounds():
         ldse_minimize(lambda X: np.zeros(len(X)), [(1.0, 1.0)], seed=0, target_tol=1e-6)
 
 
-def _flat_ldse_minimize(objective, bounds, *, seed, target_tol, max_generations=None,
-                        stagnation_window=None, init_guesses=None):
-    """Reference for `ldse_minimize` before its relative stagnation test:
-    every gain of more than 1e-12 postpones the stagnation stop."""
+def _reference_ldse_minimize(objective, bounds, *, seed, target_tol, max_generations=None,
+                             stagnation_window=None, init_guesses=None, flat=False):
+    """Reference for `ldse_minimize` as first written: duplicates found by
+    an all-pairs count, the centroid by a boolean mask and .mean, fresh
+    arrays for every candidate. With flat=True, as before its relative
+    stagnation test: every gain of more than 1e-12 postpones the stop."""
     lo = np.asarray([b[0] for b in bounds], dtype=float)
     hi = np.asarray([b[1] for b in bounds], dtype=float)
     d = len(bounds)
@@ -257,11 +260,15 @@ def _flat_ldse_minimize(objective, bounds, *, seed, target_tol, max_generations=
         vals[better] = fc[better]
         i = int(np.argmin(vals))
         if vals[i] < best_val:
-            if vals[i] < best_val - 1e-12:
+            step = 1e-12 if flat else max(1e-12, 1e-6 * best_val)
+            if (best_val == math.inf and not flat) or vals[i] < best_val - step:
                 last_improve = gen
             best_val = float(vals[i])
             best_x = pop[i].copy()
     return best_x, best_val
+
+
+_flat_ldse_minimize = functools.partial(_reference_ldse_minimize, flat=True)
 
 
 def _recorded(objective):
@@ -334,6 +341,95 @@ def test_ldse_stops_sooner_above_zero_within_one_part_in_1e5(run):
     assert all(a.tobytes() == b.tobytes() for a, b in zip(calls, ref_calls))
     assert ref_val > 0.0
     assert ref_val <= val <= ref_val * (1.0 + 1e-5)
+
+
+def _ldse_run(d, kind):
+    """An LDSE run in d dimensions: a shifted sphere above zero, which
+    runs to its stagnation stop, the same with inf on a half-space and
+    init guesses, or a skeleton's profile objective with its hints."""
+    if kind == "sphere":
+        return (lambda X: _sphere(X - 1.3) + 0.5, [(-5, 5)] * d,
+                dict(seed=d, target_tol=0.0))
+    if kind == "inf":
+        return (lambda X: np.where(X[:, 0] > -1.0, _sphere(X - 2.0), math.inf),
+                [(-5, 5)] * d,
+                dict(seed=10 + d, target_tol=0.0, max_generations=120,
+                     init_guesses=[np.full(d, 4.0), np.full(d, -3.0)]))
+    name, vars_, fn = {
+        1: ("exp_scaled", (1,), lambda p: np.exp(0.7 * p[:, 0])),
+        2: ("sin_affine", (1,), lambda p: np.sin(1.7 * p[:, 0] - 0.4) + 0.2 * p[:, 0]),
+        3: ("sin_affine2", (1, 2),
+            lambda p: np.cos(2.3 * p[:, 0] + 1.1 * p[:, 1] + 0.3) + 0.1 * p[:, 1]),
+    }[d]
+    data = make_data(fn, vars_=vars_)
+    y = (data.values - data.values.mean()) / data.values.std()
+    sk = {s.name: s for s in skeleton_stream(data.points.shape[1])}[name]
+    objective = _make_objective(sk, data.points, y)
+    hints, _ = _ranked_hints(sk, objective, data.points, y)
+    return objective, [(-50.0, 50.0)] * sk.nl_count, dict(
+        seed=7, target_tol=1e-14, max_generations=300, stagnation_window=40,
+        init_guesses=hints)
+
+
+@pytest.mark.parametrize("kind", ["sphere", "inf", "skeleton"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_ldse_matches_the_reference_bytewise(d, kind):
+    # the lean generation scores the same batches and returns the same bits;
+    # d = 1 takes the centroid of a single row
+    objective, bounds, kw = _ldse_run(d, kind)
+    assert len(bounds) == d
+    new, calls = _recorded(objective)
+    old, ref_calls = _recorded(objective)
+    with np.errstate(all="ignore"):
+        x, val = ldse_minimize(new, bounds, **kw)
+        ref_x, ref_val = _reference_ldse_minimize(old, bounds, **kw)
+    assert x.tobytes() == ref_x.tobytes() and val == ref_val
+    assert len(calls) == len(ref_calls) > 2
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(calls, ref_calls))
+
+
+def _reference_objective(sk, V, y):
+    """`_make_objective` as first written, with a fresh array per step."""
+    shape = sk._shapes()[0]
+    n = len(y)
+    y_sum = float(y.sum())
+
+    def objective(X):
+        S = shape._eval(V, [X[:, k:k + 1] for k in range(X.shape[1])])
+        a11 = (S * S).sum(axis=1)
+        b1 = S @ y
+        a12 = S.sum(axis=1)
+        det = a11 * n - a12 * a12
+        ok = np.isfinite(a11) & (det > 1e-300 * np.maximum(1.0, a11 * n))
+        c1 = (b1 * n - y_sum * a12) / det
+        c2 = (a11 * y_sum - a12 * b1) / det
+        R = y - c1[:, None] * S - c2[:, None]
+        mse = (R * R).sum(axis=1) / n
+        return np.where(ok & np.isfinite(mse), mse, math.inf)
+
+    return objective
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_objective_matches_the_reference_bytewise(k):
+    rng = np.random.default_rng(60 + k)
+    # mixed signs and a zero coordinate put the ln, sqrt and 1/ rows
+    # outside their domain for some parameters
+    V = rng.uniform(-3.0, 3.0, size=(48, k))
+    V[5] = 0.0
+    y = rng.normal(size=48)
+    infs = 0
+    for sk in [s for s in skeleton_stream(k, max_nodes=14) if s.nl_count]:
+        X = rng.uniform(-4.0, 4.0, size=(80, sk.nl_count))
+        X[:3] = 0.0  # a constant column: the 2x2 solve is singular
+        X[3:9, -1] = 40.0  # a shift that keeps every inner argument positive
+        with np.errstate(all="ignore"):
+            got = _make_objective(sk, V, y)(X)
+            want = _reference_objective(sk, V, y)(X)
+        assert got.tobytes() == want.tobytes(), sk.name
+        assert np.isfinite(got).any(), sk.name
+        infs += int(np.isinf(got).sum())
+    assert infs > 0
 
 
 def _reference_mse(sk, V, y, nl):
