@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, fields
 
@@ -83,12 +84,25 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _print(text: str) -> None:
+    """Print text to stdout; a reader that closed the pipe early (`| head`)
+    ends the output quietly."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # point stdout at devnull, so the flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(payload: dict, out: str | None) -> bool:
     """Write the payload as JSON to the file `out`, or print it when out is
     None; False, with an error on stderr, when the file cannot be written."""
     text = json.dumps(payload, indent=2)
     if not out:
-        print(text)
+        _print(text)
         return True
     try:
         with open(out, "w", encoding="utf-8") as f:
@@ -210,7 +224,7 @@ def cmd_bench(args) -> int:
         "parallel": args.parallel,
         "detect_only": args.detect_only,
     }
-    print(report.table())
+    _print(report.table())
     if args.out and not _emit(payload, args.out):
         return EXIT_USAGE
     all_match = all(

@@ -188,23 +188,28 @@ class FactorData:
 # pairwise interaction scores
 
 
-def _pair_scores(o: Oracle, pairs, anchor, probes: int, seed: int) -> np.ndarray:
+def _pair_scores(
+    o: Oracle, pairs, anchor, probes: int, seed: int, redraw: int = 0
+) -> np.ndarray:
     """Normalized mixed-difference scores of variable pairs, others pinned.
 
     Pair (a, b), a < b, draws attempts (u, u', v, v') from its own stream
-    _rng(seed, 101, a, b); an attempt whose four values f(u,v), f(u,v'),
-    f(u',v), f(u',v') are all finite fills the pair's next probe, and
-    MAX_INVALID_ATTEMPTS invalid attempts in a row raise. Every round
-    draws, for each unfinished pair, as many attempts as it still needs
-    probes and evaluates all pairs' points in one oracle call, so no
-    attempt is evaluated that a probe-by-probe walk would skip. A pair's
-    score is the largest |f(u,v)-f(u,v')-f(u',v)+f(u',v')| over its probes
-    divided by max(1, largest |f| seen in them).
+    _rng(seed, 101, a, b), or _rng(seed, 101, a, b, redraw) under an
+    anchor redraw, so that a redraw probes afresh; an attempt whose four
+    values f(u,v), f(u,v'), f(u',v), f(u',v') are all finite fills the
+    pair's next probe, and MAX_INVALID_ATTEMPTS invalid attempts in a row
+    raise DegenerateAnchorError. Every round draws, for each unfinished
+    pair, as many attempts as it still needs probes and evaluates all
+    pairs' points in one oracle call, so no attempt is evaluated that a
+    probe-by-probe walk would skip. A pair's score is the largest
+    |f(u,v)-f(u,v')-f(u',v)+f(u',v')| over its probes divided by
+    max(1, largest |f| seen in them).
     """
     anchor = np.asarray(anchor, dtype=float)
     lo, hi = o.box.lo_array(), o.box.hi_array()
     pairs = [tuple(sorted(p)) for p in pairs]
-    rngs = [_rng(seed, 101, a, b) for a, b in pairs]
+    key = (redraw,) if redraw else ()
+    rngs = [_rng(seed, 101, a, b, *key) for a, b in pairs]
     cols = np.array(pairs, dtype=int).reshape(-1, 2) - 1
     lo4, hi4 = lo[cols[:, [0, 0, 1, 1]]], hi[cols[:, [0, 0, 1, 1]]]
     filled = np.zeros(len(cols), dtype=int)
@@ -232,7 +237,7 @@ def _pair_scores(o: Oracle, pairs, anchor, probes: int, seed: int) -> np.ndarray
                 for good in flags:
                     invalid_run[k] = 0 if good else invalid_run[k] + 1
                     if invalid_run[k] == MAX_INVALID_ATTEMPTS:
-                        raise DetectionError(
+                        raise DegenerateAnchorError(
                             "degenerate domain: probes keep hitting invalid points"
                         )
         # invalid attempts count as 0, which never raises a maximum
@@ -259,17 +264,21 @@ def mixed_diff(
     return float(_pair_scores(o, [(i, j)], anchor, probes, seed)[0])
 
 
-def interaction_graph(o: Oracle, anchor, cfg: RunConfig) -> InteractionGraph:
+def interaction_graph(
+    o: Oracle, anchor, cfg: RunConfig, redraw: int = 0
+) -> InteractionGraph:
     """Score every variable pair; edge wherever the score clears cfg.tol_detect.
 
     All pairs are scored together: each probe round is one oracle call
     over every pair that still needs probes, usually a single call for
-    the whole graph.
+    the whole graph. `redraw` is the anchor attempt, which keys the
+    probes (see `_pair_scores`).
     """
     n = o.arity
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     scores = np.zeros((n, n))
-    for (i, j), s in zip(pairs, _pair_scores(o, pairs, anchor, PAIR_PROBES, cfg.seed)):
+    scored = _pair_scores(o, pairs, anchor, PAIR_PROBES, cfg.seed, redraw)
+    for (i, j), s in zip(pairs, scored):
         scores[i - 1, j - 1] = scores[j - 1, i - 1] = s
     return InteractionGraph(n=n, scores=scores, tol=cfg.tol_detect)
 
@@ -598,16 +607,17 @@ def _structure_consistent(o: Oracle, g: InteractionGraph, picked, anchor, cfg) -
 
 def minimal_blocks(
     o: Oracle, repeated: tuple[int, ...], anchor, cfg: RunConfig,
-    graph: InteractionGraph | None = None,
+    graph: InteractionGraph | None = None, redraw: int = 0,
 ) -> GsStructure:
     """Blocks (with repeated membership) for a given repeated set.
 
     Components are recomputed at a second anchor; a disagreement after one
-    redraw raises StructureUnstableError.
+    redraw raises StructureUnstableError. `redraw`, the attempt of the
+    first anchor, keys every graph's probes (see `_pair_scores`).
     """
     anchor = np.asarray(anchor, dtype=float)
     if graph is None:
-        graph = interaction_graph(o, anchor, cfg)
+        graph = interaction_graph(o, anchor, cfg, redraw)
     rest = set(range(1, o.arity + 1)) - set(repeated)
     if not rest:
         raise DetectionError("empty block: every variable marked repeated")
@@ -617,7 +627,7 @@ def minimal_blocks(
     for attempt in range(2):
         anchor2 = _draw_anchor(o, cfg, 50 + attempt)
         cfg2 = replace(cfg, seed=cfg.seed + 9999 + attempt)
-        graph2 = interaction_graph(o, anchor2, cfg2)
+        graph2 = interaction_graph(o, anchor2, cfg2, redraw)
         if graph2.components(rest) == comps:
             stable = True
             break
@@ -686,10 +696,10 @@ def _detect_once(o: Oracle, cfg: RunConfig, attempt: int) -> GsStructure:
     if probe.size and np.max(np.abs(probe - f_anchor)) <= cfg.tol_detect * scale:
         return GsStructure(repeated=(), blocks=[], anchor=tuple(anchor))
 
-    graph = interaction_graph(o, anchor, cfg)
+    graph = interaction_graph(o, anchor, cfg, attempt)
     validator = lambda picked: _structure_consistent(o, graph, picked, anchor, cfg)
     repeated = repeated_vars(graph, cfg.kmax, validator=validator)
-    structure = minimal_blocks(o, repeated, anchor, cfg, graph=graph)
+    structure = minimal_blocks(o, repeated, anchor, cfg, graph=graph, redraw=attempt)
 
     for b in structure.blocks:
         psi = isolate_psi_data(o, b.vars, anchor, PSI_POINTS_PER_VAR * len(b.vars), cfg)

@@ -445,20 +445,22 @@ class FactorModel:
     converged: bool
 
 
-def _make_objective(sk: Skeleton, V, y):
-    """Batched profile objective over the nonlinear parameters.
+def _make_residuals(sk: Skeleton, V, y):
+    """Batched profile residuals over the nonlinear parameters.
 
-    Maps a (P, nl_count) array of parameter rows to P values. The shape
-    column is evaluated once for all rows, each parameter broadcast as a
-    (P, 1) column, and the optimal amplitude and offset of every row are
-    solved in closed form from its 2x2 normal equations. A row scores its
-    MSE, or inf where the shape is invalid or the solve is singular.
+    Maps a (P, nl_count) array of parameter rows to the (P, n) residuals
+    y - c1 * S - c2 and a (P,) mask of the rows whose fit is regular. The
+    shape column S is evaluated once for all rows, each parameter
+    broadcast as a (P, 1) column, and the optimal amplitude c1 and offset
+    c2 of every row are solved in closed form from its 2x2 normal
+    equations; a row whose solve is singular or whose shape is invalid is
+    masked out.
     """
     shape = sk._shapes()[0]
     n = len(y)
     y_sum = float(y.sum())
 
-    def objective(X):
+    def residuals(X):
         S = shape._eval(V, [X[:, k:k + 1] for k in range(X.shape[1])])
         R = S * S  # one (P, n) buffer: first S^2, then the residual
         a11 = R.sum(axis=1)
@@ -472,12 +474,70 @@ def _make_objective(sk: Skeleton, V, y):
         np.multiply(c1[:, None], S, out=R)
         np.subtract(y, R, out=R)
         R -= c2[:, None]
+        return R, ok
+
+    return residuals
+
+
+def _make_objective(sk: Skeleton, V, y):
+    """Batched profile objective over the nonlinear parameters: each row's
+    MSE under `_make_residuals`, or inf where its fit is not regular."""
+    residuals = _make_residuals(sk, V, y)
+    n = len(y)
+
+    def objective(X):
+        R, ok = residuals(X)
         R *= R
         mse = R.sum(axis=1) / n
         mse[~(ok & np.isfinite(mse))] = math.inf
         return mse
 
     return objective
+
+
+# Gauss-Newton polish of a family's best hint (see `_polish`)
+_POLISH_ITERS = 12
+_POLISH_FD_STEP = 1e-7     # forward-difference step, times 1 + |p|
+_POLISH_RCOND = 1e-5       # singular values below this share of the largest are cut
+_POLISH_LENGTHS = np.array([1.0, 0.5, 0.25, 0.1])[:, None]
+_POLISH_TOL = 1e-14
+
+
+def _polish(residuals, objective, x, val):
+    """Gauss-Newton on the profile residual from the point x of objective
+    value val; returns the best (x, val) seen, never worse than the start.
+
+    The amplitude and offset are solved in closed form at every point
+    (variable projection), so the steps move only the nonlinear
+    parameters. Each iteration evaluates the residuals at x and at x plus
+    one forward-difference step per parameter in one batch, takes a
+    truncated least-squares Gauss-Newton step (families whose shape
+    depends only on a ratio of parameters, such as ln(p0*x1+p1), have a
+    scale-degenerate Jacobian, and a plain solve runs off along its null
+    direction), and scores a few step lengths, clipped to the parameter
+    box, in one objective call. It stops at `_POLISH_TOL`, when no length
+    improves, or after `_POLISH_ITERS` iterations.
+    """
+    x = np.asarray(x, dtype=float)
+    d = len(x)
+    for _ in range(_POLISH_ITERS):
+        if val <= _POLISH_TOL:
+            break
+        h = _POLISH_FD_STEP * (1.0 + np.abs(x))
+        X = np.tile(x, (d + 1, 1))
+        X[1:] += np.diag(h)
+        R, ok = residuals(X)
+        if not (ok.all() and np.all(np.isfinite(R))):
+            break
+        J = (R[1:] - R[0]) / h[:, None]
+        step = np.linalg.lstsq(J.T, -R[0], rcond=_POLISH_RCOND)[0]
+        cands = _clip(x + _POLISH_LENGTHS * step, -PARAM_BOUND, PARAM_BOUND)
+        vals = objective(cands)
+        i = int(np.argmin(vals))
+        if not vals[i] < val:
+            break
+        x, val = cands[i], float(vals[i])
+    return x, val
 
 
 # hint candidates scored or phase-solved per batch; bounds the (rows,
@@ -525,28 +585,38 @@ def _walk(stream: list[Skeleton], V, y, seed: int):
     the skeleton's place in the try order, which breaks ties between fits.
 
     The parameter-free rows come first, in table order. Only when the
-    caller asks past them is every parametric skeleton's hint scan run;
-    pos then follows the best hint score. LDSE restarts run breadth-first:
-    round r runs restart r of every skeleton still open, in pos order, so
-    each skeleton gets its first search before any gets a second. A
-    skeleton closes, and its best run is yielded, when a run reaches 1e-12,
-    when a restart repeats the skeleton's best so far to within 1e-4
-    relative (a further restart would most likely land on the same
-    minimum), or after its third run. A run's seed is derived from the
-    skeleton's table rank and the restart, so it does not depend on when
-    it runs.
+    caller asks past them are the parametric rows taken, in table order:
+    each is hint-scanned and its best hint polished (`_polish`); a row
+    that polishes to 1e-12 is closed and yielded at once. The rows still
+    open then get LDSE, in order of best hint score. LDSE restarts run
+    breadth-first: round r runs restart r of every skeleton still open, in
+    pos order, so each skeleton gets its first search before any gets a
+    second. A skeleton closes, and its best run is yielded, when a run
+    reaches 1e-12, when a restart repeats the skeleton's best so far to
+    within 1e-4 relative (a further restart would most likely land on the
+    same minimum), or after its third run. A run's seed is derived from
+    the skeleton's table rank and the restart, so it does not depend on
+    when it runs; the polished point is not among its init guesses.
     """
     free = [sk for sk in stream if not sk.nl_count]
     for pos, sk in enumerate(free):
         yield pos, sk, np.empty(0)
+    pos = len(free)
     scans = []
     solved = {}
     for rank, sk in enumerate(stream):
-        if sk.nl_count:
-            objective = _make_objective(sk, V, y)
-            hints, hint_best = _ranked_hints(sk, objective, V, y, solved)
-            scans.append((hint_best, rank, sk, objective, hints))
-    families = list(enumerate(_by_hint_score(scans), len(free)))
+        if not sk.nl_count:
+            continue
+        objective = _make_objective(sk, V, y)
+        hints, hint_best = _ranked_hints(sk, objective, V, y, solved)
+        if hints:
+            x, val = _polish(_make_residuals(sk, V, y), objective, hints[0], hint_best)
+            if val <= 1e-12:
+                yield pos, sk, x
+                pos += 1
+                continue
+        scans.append((hint_best, rank, sk, objective, hints))
+    families = list(enumerate(_by_hint_score(scans), pos))
     best = {}  # pos -> the skeleton's best (x, val) so far
     closed = set()
     for restart in range(3):
@@ -577,11 +647,12 @@ def fit_factor(data, cfg: RunConfig) -> FactorModel:
     """Fit the factor with the first skeleton within tolerance, else the best.
 
     The parameter-free skeletons are tried first, in table order; they need
-    no search. Then every parametric skeleton's hints are scanned, and LDSE
-    runs on those skeletons in order of best hint score, table order
+    no search. Then the parametric skeletons are hint-scanned and polished
+    in table order, and one that polishes to an exact fit is tried at once.
+    LDSE runs on the rest in order of best hint score, table order
     breaking ties, one restart of every open skeleton per round (see
-    `_walk`). A parametric skeleton is tried once its search closes, so the
-    first to close within tolerance is accepted. Without one, the lowest
+    `_walk`). A parametric skeleton is tried once it closes, so the first
+    to close within tolerance is accepted. Without one, the lowest
     MSE wins, and equal MSEs go to the skeleton earlier in `_walk`'s order,
     whenever each closed. Responses are centered and scaled to unit
     standard deviation before fitting; the returned model represents that

@@ -355,3 +355,18 @@ def test_console_script_runs():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert len(payload["structure"]["blocks"]) == 2
+
+
+@pytest.mark.parametrize("command", ["detect", "fit"])
+def test_reader_that_closes_the_pipe_ends_the_output_quietly(command):
+    # `gsfit fit ... | head -1`: the reader is gone before the JSON is written
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gsfit.cli", command, "--target", "x1*x2",
+         "--dims", "2", "--seed", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert err == ""

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gsfit.detect as det
 from gsfit import expr as ex
 from gsfit.bench import CASES, STREAM_DEMO
 from gsfit.config import RunConfig, rng
@@ -177,6 +178,49 @@ def test_degenerate_domain_raises_the_probe_error():
         DetectionError, match="^degenerate domain: probes keep hitting invalid points$"
     ):
         detect_structure(o, RunConfig(seed=0))
+
+
+def test_a_probe_failure_redraws_the_anchor_with_fresh_probes():
+    # ln(x1) is invalid on half the box: the pair probes give up at some
+    # anchors, which must be redrawn, not end detection
+    make = lambda: make_oracle(ex.parse("ln(x1)+x2", 2), DomainBox.cube(-3, 3, 2))
+    with pytest.raises(det.DegenerateAnchorError, match="probes keep hitting"):
+        interaction_graph(make(), [0.5, 0.5], RunConfig(seed=4))
+    detected = []
+    for seed in range(6):
+        o = make()
+        try:
+            s = detect_structure(o, RunConfig(seed=seed))
+        except DetectionError:
+            continue
+        assert [b.vars for b in s.blocks] == [(1,), (2,)]
+        assert s.anchor != tuple(det._draw_anchor(o, RunConfig(seed=seed), 0))
+        detected.append(seed)
+    # seed 4 detects at the first redraw after its first probes gave up
+    assert 4 in detected
+
+
+def test_each_redraw_probes_from_its_own_streams(monkeypatch):
+    points = {}
+    inner = Oracle.eval_batch
+
+    def spy(self, pts):
+        points.setdefault(key, []).append(np.array(pts))
+        return inner(self, pts)
+
+    monkeypatch.setattr(Oracle, "eval_batch", spy)
+    o = CASES[7].oracle()
+    anchor = central_anchor(o.box, 3)
+    graphs = {}
+    for key in (None, 0, 1, 2):
+        args = () if key is None else (key,)
+        graphs[key] = interaction_graph(o, anchor, RunConfig(seed=3), *args).scores
+    # attempt 0 probes as a call without a redraw does
+    assert graphs[0].tobytes() == graphs[None].tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(points[0], points[None]))
+    for k in (1, 2):
+        assert not np.array_equal(points[k][0], points[0][0])
+        assert not np.array_equal(points[k][0], points[3 - k][0])
 
 
 def test_repeated_vars_case4_graph():

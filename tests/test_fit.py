@@ -692,7 +692,8 @@ def _rank(name, k=1):
     return [s.name for s in skeleton_stream(k)].index(name)
 
 
-def test_sin_factor_never_runs_ldse_on_exp_scaled(monkeypatch):
+def _ldse_seeds(monkeypatch):
+    """Spy on LDSE: the list of the seeds of its runs, in call order."""
     seeds = []
     real = ft.ldse_minimize
 
@@ -701,11 +702,17 @@ def test_sin_factor_never_runs_ldse_on_exp_scaled(monkeypatch):
         return real(objective, bounds, seed=seed, **kw)
 
     monkeypatch.setattr(ft, "ldse_minimize", spy)
+    return seeds
+
+
+def test_sin_factor_never_runs_ldse_on_exp_scaled(monkeypatch):
+    # exp_scaled is scanned and polished first, in table order, but cannot
+    # close; sin_affine's best hint polishes to an exact fit, so no LDSE runs
+    seeds = _ldse_seeds(monkeypatch)
     m = fit_factor(make_data(lambda p: np.sin(2 * p[:, 0])), RunConfig(seed=3))
     assert m.converged and m.skeleton_name == "sin_affine"
-    exp_seeds = {derived_seed(3, _rank("exp_scaled"), r) for r in range(3)}
-    assert seeds and not exp_seeds & set(seeds)
-    assert seeds[0] == derived_seed(3, _rank("sin_affine"), 0)
+    assert m.train_mse <= 1e-12
+    assert seeds == []
 
 
 def _walk_log(monkeypatch, data, cfg):
@@ -779,16 +786,24 @@ def test_sin_cos_tie_keeps_sin_affine(monkeypatch):
     # rounding puts cos a hair ahead of sin on this data
     assert score["cos_affine"] < score["sin_affine"]
     assert score["sin_affine"] - score["cos_affine"] < 1e-12 * score["sin_affine"]
+    # the hint order treats them as tied and keeps table order ...
+    order = _by_hint_score([(score[n], _rank(n), n) for n in ("cos_affine", "sin_affine")])
+    assert [s[2] for s in order] == ["sin_affine", "cos_affine"]
+    # ... and so does the polish, which closes sin_affine before cos_affine
+    # is scanned
     model, log = _walk_log(monkeypatch, data, RunConfig(seed=0))
     assert model.skeleton_name == "sin_affine" and model.converged
-    assert [e for e in log if e[0] == "ldse"][0] == (
-        "ldse", derived_seed(0, _rank("sin_affine"), 0))
+    assert [e for e in log if e[0] == "scan"] == [("scan", "exp_scaled"), ("scan", "sin_affine")]
+    assert not [e for e in log if e[0] == "ldse"]
 
 
 @pytest.mark.parametrize("fn,vars_", [
     (lambda p: np.exp(0.4 * p[:, 0]) + 0.05 * np.sin(7 * p[:, 0]), (1,)),
+    # these four close by the polish, without LDSE
     (lambda p: np.cos(1.5 * p[:, 0] - 0.5 * p[:, 1]), (2, 4)),
     (lambda p: np.sin(0.8 * p[:, 0] * p[:, 1]), (1, 2)),
+    (lambda p: np.exp(0.5 * p[:, 0]), (1,)),
+    (lambda p: np.log(3 * p[:, 0] + 10.0), (1,)),
 ])
 def test_fit_factor_reruns_are_bit_identical(fn, vars_):
     d = make_data(fn, vars_=vars_, n=48 * len(vars_))
@@ -802,21 +817,27 @@ def test_fit_factor_reruns_are_bit_identical(fn, vars_):
 
 
 def _depth_first_walk(stream, V, y, seed):
-    """Reference for `_walk`: the same order and LDSE runs, but each
-    parametric skeleton runs all its restarts (stopping at 1e-12) before
-    the next skeleton's first."""
+    """Reference for `_walk`: the same polish step and LDSE runs, but each
+    parametric skeleton the polish leaves open runs all its restarts
+    (stopping at 1e-12) before the next skeleton's first."""
     free = [sk for sk in stream if not sk.nl_count]
     for pos, sk in enumerate(free):
         yield pos, sk, np.empty(0)
+    pos = len(free)
     scans = []
     for rank, sk in enumerate(stream):
         if sk.nl_count:
             objective = _make_objective(sk, V, y)
             hints, hint_best = _ranked_hints(sk, objective, V, y)
+            if hints:
+                x, val = ft._polish(ft._make_residuals(sk, V, y), objective,
+                                    hints[0], hint_best)
+                if val <= 1e-12:
+                    yield pos, sk, x
+                    pos += 1
+                    continue
             scans.append((hint_best, rank, sk, objective, hints))
-    for pos, (hint_best, rank, sk, objective, hints) in enumerate(
-        _by_hint_score(scans), len(free)
-    ):
+    for pos, (hint_best, rank, sk, objective, hints) in enumerate(_by_hint_score(scans), pos):
         hopeless = bool(hints) and hint_best > 0.5
         best = None
         for restart in range(3):
@@ -880,7 +901,8 @@ def _check_against_depth_first(monkeypatch, data, cfg):
     repeated best) and the models are identical. Where it
     accepted on restart r >= 1, the only extra runs are restarts below r of
     skeletons it never reached. Returns the reference model, the model
-    and the restart of the reference's last run of its chosen skeleton."""
+    and the restart of the reference's last run of its chosen skeleton
+    (0 when it never searched that skeleton)."""
     ref, ref_log = _spied_fit(monkeypatch, data, cfg, _depth_first_walk)
     new, log = _spied_fit(monkeypatch, data, cfg)
     ref_runs = {(k, r): rest for k, r, *rest in ref_log}
@@ -940,8 +962,11 @@ _SYNTHETIC = {
 
 
 # (data, seed, tol_target, skeleton the reference picks, restart it
-# accepts on or None, skeleton the breadth-first walk picks)
+# accepts on (0 also when the polish closes it without a search) or None,
+# skeleton the breadth-first walk picks)
 @pytest.mark.parametrize("name,seed,tol,ref_name,ref_restart,new_name", [
+    # exp(0.5*x1) on [1, 3] closes by the polish in both walks; below any
+    # reachable MSE it is passed over and not searched (see the last row)
     ("exp", 0, 1e-6, "exp_scaled", 0, "exp_scaled"),
     # sin(9*x1+0.3) is off the trig grid: at seed 1 cos_affine's first run
     # closes before sin_affine's third
@@ -963,16 +988,23 @@ def test_breadth_first_walk_matches_depth_first_on_synthetic_factors(
 
 
 def test_every_family_gets_its_first_run_before_any_second(monkeypatch):
-    # exp_scaled's grid misses w = 0.5 on [1, 3], so five families rank
-    # ahead of it; none of them may restart before exp_scaled has run once
-    data = make_data(lambda p: np.exp(0.5 * p[:, 0]), lo=1.0, hi=3.0)
-    model, log = _spied_fit(monkeypatch, data, RunConfig(seed=0))
-    calls = [(rank, r, gens) for rank, r, gens, *_ in log]
-    assert model.skeleton_name == "exp_scaled" and model.converged
-    first_exp = calls.index((_rank("exp_scaled"), 0, 300))
-    assert first_exp >= 5
-    assert all(r == 0 for _, r, _ in calls[:first_exp])
-    assert calls[first_exp:] == [(_rank("exp_scaled"), 0, 300)]
+    # sin(9*x1+0.3) is off the trig grid and noise fits nothing, so the
+    # polish closes neither and LDSE runs; restarts go round by round, in
+    # hint order within a round
+    second_rounds = 0
+    for name, seed in (("sin", 0), ("sin", 1), ("sin", 2), ("noise", 2)):
+        data = make_data(**_SYNTHETIC[name])
+        model, log = _spied_fit(monkeypatch, data, RunConfig(seed=seed))
+        assert model.converged == (name == "sin")
+        restarts = [r for _, r, *_ in log]
+        assert len(log) > 1 and restarts == sorted(restarts)
+        families = [k for k, r, *_ in log if r == 0]
+        assert {k for k, *_ in log} == set(families)
+        for r in (1, 2):
+            again = [k for k, rr, *_ in log if rr == r]
+            assert again == [k for k in families if k in again]
+        second_rounds += max(restarts) > 0
+    assert second_rounds >= 2  # sin at seed 0 and the noise restart
 
 
 def test_hopeless_families_get_a_short_budget_on_every_restart(monkeypatch):
@@ -1039,3 +1071,110 @@ def test_equal_fits_go_to_the_earlier_skeleton_in_try_order(monkeypatch):
     model = fit_factor(make_data(lambda p: rng.normal(size=len(p))), RunConfig())
     assert not model.converged
     assert model.skeleton_name == "ranked_ahead"
+
+
+# ---- the Gauss-Newton polish -----------------------------------------------
+
+
+def test_exp_off_the_hint_grid_closes_without_ldse(monkeypatch):
+    # exp_scaled's grid misses w = 0.5 on [1, 3], so five families rank
+    # ahead of it on their hints; the polish closes it from its best hint
+    seeds = _ldse_seeds(monkeypatch)
+    data = make_data(lambda p: np.exp(0.5 * p[:, 0]), lo=1.0, hi=3.0)
+    model = fit_factor(data, RunConfig(seed=0))
+    assert model.skeleton_name == "exp_scaled" and model.train_mse <= 1e-12
+    assert seeds == []
+    assert model.theta[0] == pytest.approx(0.5, rel=1e-6)
+
+
+_INNER_AFFINE = [
+    ("ln_affine", dict(fn=lambda p: np.log(3 * p[:, 0] + 1.2), lo=1.0, hi=3.0)),
+    ("ln_affine", dict(fn=lambda p: np.log(5.0 - 1.3 * p[:, 0]))),
+    ("sqrt_affine", dict(fn=lambda p: np.sqrt(2.3 * p[:, 0] + 0.7), lo=0.5, hi=3.0)),
+    ("recip_affine", dict(fn=lambda p: 1.0 / (1.7 * p[:, 0] + 0.4), lo=0.5, hi=3.0)),
+    ("ln_affine2", dict(fn=lambda p: np.log(0.7 * p[:, 0] + 1.9 * p[:, 1] + 9.0),
+                        vars_=(1, 2), n=96)),
+]
+
+
+@pytest.mark.parametrize("name,data", _INNER_AFFINE)
+def test_inner_affine_factors_close_by_the_polish(monkeypatch, name, data):
+    # only the ratio of the inner slope and shift matters to these shapes
+    # once the amplitude and offset are free, so their Jacobian is
+    # scale-degenerate; the truncated solve still closes them
+    seeds = _ldse_seeds(monkeypatch)
+    for seed in range(8):
+        seeds.clear()
+        model = fit_factor(make_data(**data, seed=seed), RunConfig(seed=seed))
+        assert model.skeleton_name == name and model.train_mse <= 1e-12, seed
+        assert seeds == [], seed
+
+
+def test_a_plain_solve_stalls_on_the_scale_degenerate_jacobian(monkeypatch):
+    # the same factors with the step solved to machine precision: the step
+    # runs off along the null direction, and LDSE has to take over
+    seeds = _ldse_seeds(monkeypatch)
+    monkeypatch.setattr(ft, "_POLISH_RCOND", 1e-15)
+    stalled = 0
+    for _, data in _INNER_AFFINE:
+        seeds.clear()
+        fit_factor(make_data(**data, seed=1), RunConfig(seed=1))
+        stalled += bool(seeds)
+    assert stalled >= 3
+
+
+def _polish_starts():
+    """(skeleton, V, y, starting rows) over every parametric family on
+    exact, noisy and unrelated data, the starts including the best hint
+    and rows outside the shapes' domains."""
+    rng = np.random.default_rng(12)
+    targets = {
+        1: [lambda p: np.exp(0.5 * p[:, 0]), lambda p: np.sin(9 * p[:, 0] + 0.3),
+            lambda p: np.log(p[:, 0] + 3.5) + 0.2 * rng.normal(size=len(p))],
+        2: [lambda p: np.cos(3 * p[:, 0] * p[:, 1]),
+            lambda p: p[:, 0] * np.exp(0.3 * p[:, 1]) + 0.1 * rng.normal(size=len(p))],
+    }
+    for k, fns in targets.items():
+        for fn in fns:
+            data = make_data(fn, vars_=tuple(range(1, k + 1)), n=48 * k)
+            V = data.points
+            y = (data.values - data.values.mean()) / data.values.std()
+            for sk in [s for s in skeleton_stream(k) if s.nl_count]:
+                objective = _make_objective(sk, V, y)
+                with np.errstate(all="ignore"):
+                    hints, _ = _ranked_hints(sk, objective, V, y)
+                starts = [*hints[:1], *rng.uniform(-5.0, 5.0, size=(4, sk.nl_count))]
+                yield sk, V, y, starts
+
+
+def test_polish_never_returns_a_worse_mse_than_its_start():
+    moved = 0
+    for sk, V, y, starts in _polish_starts():
+        objective = _make_objective(sk, V, y)
+        residuals = ft._make_residuals(sk, V, y)
+        with np.errstate(all="ignore"):
+            for x0 in starts:
+                val0 = float(objective(np.atleast_2d(x0))[0])
+                x, val = ft._polish(residuals, objective, x0, val0)
+                assert val <= val0, sk.name
+                assert np.all(np.abs(x) <= ft.PARAM_BOUND), sk.name
+                if val < val0:
+                    # the value returned is the objective's at the point returned
+                    assert val == pytest.approx(objective(x[None, :])[0], rel=1e-9, abs=1e-18)
+                    moved += 1
+                else:
+                    assert np.array_equal(x, x0)
+    assert moved > 20
+
+
+def test_a_polish_closed_family_is_not_searched_again(monkeypatch):
+    # below any reachable MSE nothing is accepted, so the walk goes on past
+    # the polished exp_scaled, and only the families the polish left open
+    # get LDSE
+    seeds = _ldse_seeds(monkeypatch)
+    data = make_data(lambda p: np.exp(0.5 * p[:, 0]), lo=1.0, hi=3.0)
+    model = fit_factor(data, RunConfig(seed=0, tol_target=1e-30))
+    assert model.skeleton_name == "exp_scaled" and not model.converged
+    assert model.train_mse <= 1e-12
+    exp_seeds = {derived_seed(0, _rank("exp_scaled"), r) for r in range(3)}
+    assert seeds and not exp_seeds & set(seeds)
