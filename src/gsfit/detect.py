@@ -225,7 +225,7 @@ def _pair_scores(
         ])
         owner = np.repeat(todo, needs)
         t, q = np.arange(len(draws))[:, None], np.arange(4)
-        pts = np.tile(anchor, (len(draws), 4, 1))
+        pts = np.broadcast_to(anchor, (len(draws), 4, anchor.size)).copy()
         pts[t, q, cols[owner, :1]] = draws[:, [0, 0, 1, 1]]
         pts[t, q, cols[owner, 1:]] = draws[:, [2, 3, 2, 3]]
         f = o.eval_batch(pts.reshape(-1, anchor.size)).reshape(-1, 4)
@@ -342,7 +342,7 @@ def repeated_vars(
 def _pin(anchor: np.ndarray, cols: tuple[int, ...], coords: np.ndarray) -> np.ndarray:
     """Copies of anchor with `cols` (1-based) replaced by coords rows."""
     coords = np.atleast_2d(coords)
-    pts = np.tile(anchor, (coords.shape[0], 1))
+    pts = np.repeat(np.atleast_2d(anchor), coords.shape[0], axis=0)
     for k, v in enumerate(cols):
         pts[:, v - 1] = coords[:, k]
     return pts
@@ -375,14 +375,14 @@ def _delta_values(o: Oracle, sweep_cols, coords, block_vars, b1, b2, anchor):
 
     Delta(z) = f(z, b1, rest anchor) - f(z, b2, rest anchor); every other
     block cancels, leaving the block's repeated coupling times a constant.
+    Both sides are evaluated in one oracle call.
     """
-    p1 = _pin(anchor, block_vars, np.tile(b1, (np.atleast_2d(coords).shape[0], 1)))
-    p2 = _pin(anchor, block_vars, np.tile(b2, (np.atleast_2d(coords).shape[0], 1)))
     coords = np.atleast_2d(coords)
-    for k, v in enumerate(sweep_cols):
-        p1[:, v - 1] = coords[:, k]
-        p2[:, v - 1] = coords[:, k]
-    return o.eval_batch(p1) - o.eval_batch(p2)
+    n = coords.shape[0]
+    pts = _pin(anchor, block_vars, np.repeat(np.stack([b1, b2]), n, axis=0))
+    pts[:, [v - 1 for v in sweep_cols]] = np.concatenate([coords, coords])
+    f = o.eval_batch(pts)
+    return f[:n] - f[n:]
 
 
 def isolate_psi_data(
@@ -391,13 +391,15 @@ def isolate_psi_data(
     """Tabulate the block response with everything else pinned at the anchor.
 
     h(b) = f(b at block vars, anchor elsewhere) - f(anchor) equals the
-    block's non-repeated part up to an affine transform.
+    block's non-repeated part up to an affine transform. f(anchor) and
+    the slice are evaluated in one oracle call.
     """
     anchor = np.asarray(anchor, dtype=float)
     rng = _rng(cfg.seed, 301, *block_vars)
-    f0 = o(anchor)
     pts = _subbox_uniform(o, block_vars, n_points, rng)
-    vals = o.eval_batch(_pin(anchor, block_vars, pts)) - f0
+    f = o.eval_batch(np.vstack([anchor, _pin(anchor, block_vars, pts)]))
+    f0 = float(f[0])
+    vals = f[1:] - f0
     good = np.isfinite(vals)
     if good.sum() < max(8, n_points // 2):
         raise DegenerateAnchorError("psi slice mostly invalid")
@@ -470,13 +472,16 @@ def _pair_grid_values(d: FactorData, p: int, q: int, box_lo, box_hi, cfg: RunCon
 
 
 def _rank_one(M: np.ndarray, tol_abs: float) -> bool:
-    """All 2x2 minors of M vanish within tol_abs (pure-product check)."""
-    r, c = M.shape
-    for i, ip in itertools.combinations(range(r), 2):
-        lhs = M[i, :, None] * M[ip, None, :]
-        if np.max(np.abs(lhs - lhs.T)) > tol_abs:
-            return False
-    return True
+    """All 2x2 minors of M vanish within tol_abs (pure-product check).
+
+    P[i, i', j, j'] = M[i, j] * M[i', j'], so P - P.swapaxes(2, 3) holds
+    every minor of rows i, i' (twice, up to sign, and zeros for i = i').
+    A row pair fails when the largest of its minors exceeds tol_abs; like
+    that maximum, a NaN minor makes its row pair pass.
+    """
+    P = M[:, None, :, None] * M[None, :, None, :]
+    worst = np.max(np.abs(P - P.swapaxes(2, 3)), axis=(2, 3))
+    return not np.any(worst > tol_abs)
 
 
 def _pair_separable(d: FactorData, p: int, q: int, box_lo, box_hi, cfg: RunConfig):
@@ -563,26 +568,24 @@ def _block_consistent(o: Oracle, block_vars, members, anchor, cfg) -> bool:
     For a genuine block, h(b) = f(b, anchor else) - f(anchor) and the
     coupling shape g(b) = [f(z, b) - f(z, base)] - [f(anchor_r, b) -
     f(anchor_r, base)] are both affine-free images of the same inner
-    function, so all their cross products must cancel.
+    function, so all their cross products must cancel. f(anchor) and the
+    slice take one oracle call, and each trial's points one more.
     """
     if not members:
         return True
     rng = _rng(cfg.seed, 701, *block_vars)
     n_b = 8
     bs = _subbox_uniform(o, block_vars, n_b, rng)
-    f_anchor = o(anchor)
-    h = o.eval_batch(_pin(anchor, block_vars, bs)) - f_anchor
+    f = o.eval_batch(np.vstack([anchor, _pin(anchor, block_vars, bs)]))
+    h = f[1:] - float(f[0])
     base_b = np.asarray([anchor[v - 1] for v in block_vars])
     for trial in range(2):
         z = _subbox_uniform(o, members, 1, _rng(cfg.seed, 702, trial, *block_vars))[0]
-        pts = _pin(anchor, block_vars, bs)
-        for k, v in enumerate(members):
-            pts[:, v - 1] = z[k]
-        base_pt = _pin(anchor, block_vars, base_b.reshape(1, -1))
-        for k, v in enumerate(members):
-            base_pt[:, v - 1] = z[k]
-        fz = o.eval_batch(pts)
-        fz0 = o.eval_batch(base_pt)[0]
+        # the n_b slice points at z, then the base point at z
+        pts = _pin(anchor, block_vars, np.vstack([bs, base_b]))
+        pts[:, [v - 1 for v in members]] = z
+        f = o.eval_batch(pts)
+        fz, fz0 = f[:-1], f[-1]
         if not (np.all(np.isfinite(fz)) and np.isfinite(fz0) and np.all(np.isfinite(h))):
             raise DegenerateAnchorError("consistency probes invalid")
         g = (fz - fz0) - h
@@ -648,21 +651,28 @@ def minimal_blocks(
 
 
 def _reconstruction_ok(o: Oracle, structure: GsStructure, cfg: RunConfig) -> bool:
-    """Additive reconstruction check with repeated variables at the anchor."""
+    """Additive reconstruction check with repeated variables at the anchor.
+
+    f(anchor), the total at every point and every block's slice are
+    evaluated in one oracle call. Fewer than RECON_POINTS // 2 valid points
+    say nothing about separability, so they raise DegenerateAnchorError
+    and the anchor is redrawn.
+    """
     anchor = np.asarray(structure.anchor)
     rng = _rng(cfg.seed, 801)
     pts = o.box.uniform(RECON_POINTS, rng)
     for v in structure.repeated:
         pts[:, v - 1] = anchor[v - 1]
-    f_anchor = o(anchor)
-    total = o.eval_batch(pts)
+    sliced = [_pin(anchor, b.vars, pts[:, [v - 1 for v in b.vars]]) for b in structure.blocks]
+    f = o.eval_batch(np.vstack([anchor, pts, *sliced]))
+    f_anchor = float(f[0])
+    total, parts = f[1:1 + len(pts)], f[1 + len(pts):].reshape(-1, len(pts))
     recon = np.full(len(pts), f_anchor)
-    for b in structure.blocks:
-        sliced = _pin(anchor, b.vars, pts[:, [v - 1 for v in b.vars]])
-        recon += o.eval_batch(sliced) - f_anchor
+    for part in parts:
+        recon += part - f_anchor
     good = np.isfinite(total) & np.isfinite(recon)
     if good.sum() < RECON_POINTS // 2:
-        return False
+        raise DegenerateAnchorError("reconstruction probes mostly invalid")
     scale = max(1.0, float(np.max(np.abs(total[good]))))
     return bool(np.max(np.abs(total[good] - recon[good])) <= cfg.tol_detect * scale)
 

@@ -23,6 +23,29 @@ BINARY_OPS = ("add", "sub", "mul", "div", "pow")
 _FUNC_NAMES = {"sin": "sin", "cos": "cos", "exp": "exp", "ln": "ln", "sqrt": "sqrt"}
 
 
+def _div(a, b):
+    return np.where(b != 0.0, a / np.where(b != 0.0, b, 1.0), np.nan)
+
+
+def _ln(a):
+    return np.where(a > 0.0, np.log(np.where(a > 0.0, a, 1.0)), np.nan)
+
+
+def _sqrt(a):
+    return np.where(a >= 0.0, np.sqrt(np.where(a >= 0.0, a, 0.0)), np.nan)
+
+
+def _square(a):
+    return a * a
+
+
+# unary kinds other than neg, as one-argument functions
+_UNARY_FUNCS = {
+    "sin": np.sin, "cos": np.cos, "exp": np.exp,
+    "ln": _ln, "sqrt": _sqrt, "square": _square,
+}
+
+
 class ParseError(ValueError):
     """Syntax or arity error while parsing an expression string."""
 
@@ -105,44 +128,52 @@ class Expr:
         return vals
 
     def _eval(self, pts: np.ndarray, theta=()) -> np.ndarray:
-        # a parameter evaluates to the scalar theta[slot]; constants stay
-        # full arrays, since np.power with a scalar exponent of 2 or 0.5
-        # takes a fast path that is not bit-identical to the array form
+        # a parameter evaluates to theta[slot]: a scalar, or a (P, 1)
+        # column that makes the result (P, N), one row per parameter row
+        return self._compiled(pts, theta)
+
+    @cached_property
+    def _compiled(self):
+        # The tree as nested closures, built once per node on first use:
+        # each runs the same numpy operations, in the same order, as a
+        # recursive walk over the node kinds would, without re-dispatching
+        # on them at every call. Constants stay full arrays, since np.power
+        # with a scalar exponent of 2 or 0.5 takes a fast path that is not
+        # bit-identical to the array form. Not a field, so equality and
+        # hashing ignore it.
         k = self.kind
         if k == "const":
-            return np.full(pts.shape[0], self.value)
+            v = self.value
+            return lambda pts, theta: np.full(pts.shape[0], v)
         if k == "var":
-            return pts[:, self.index - 1].copy()
+            j = self.index - 1
+            return lambda pts, theta: pts[:, j].copy()
         if k == "param":
-            return theta[self.index]
+            j = self.index
+            return lambda pts, theta: theta[j]
         if k in BINARY_OPS:
-            a = self.args[0]._eval(pts, theta)
-            b = self.args[1]._eval(pts, theta)
+            fa, fb = self.args[0]._compiled, self.args[1]._compiled
             if k == "add":
-                return a + b
+                return lambda pts, theta: fa(pts, theta) + fb(pts, theta)
             if k == "sub":
-                return a - b
+                return lambda pts, theta: fa(pts, theta) - fb(pts, theta)
             if k == "mul":
-                return a * b
+                return lambda pts, theta: fa(pts, theta) * fb(pts, theta)
             if k == "div":
-                return np.where(b != 0.0, a / np.where(b != 0.0, b, 1.0), np.nan)
-            return np.power(a, b)
-        a = self.args[0]._eval(pts, theta)
+                return lambda pts, theta: _div(fa(pts, theta), fb(pts, theta))
+            return lambda pts, theta: np.power(fa(pts, theta), fb(pts, theta))
+        fa = self.args[0]._compiled
         if k == "neg":
-            return -a
-        if k == "sin":
-            return np.sin(a)
-        if k == "cos":
-            return np.cos(a)
-        if k == "exp":
-            return np.exp(a)
-        if k == "ln":
-            return np.where(a > 0.0, np.log(np.where(a > 0.0, a, 1.0)), np.nan)
-        if k == "sqrt":
-            return np.where(a >= 0.0, np.sqrt(np.where(a >= 0.0, a, 0.0)), np.nan)
-        if k == "square":
-            return a * a
+            return lambda pts, theta: -fa(pts, theta)
+        if k in _UNARY_FUNCS:
+            f = _UNARY_FUNCS[k]
+            return lambda pts, theta: f(fa(pts, theta))
         raise ValueError(f"unknown node kind {k!r}")
+
+    def __getstate__(self):
+        # the fields only: the per-node caches (_compiled, _arity_bound)
+        # are rebuilt on use, and a closure cannot be pickled
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
     # -- printing ----------------------------------------------------------
 

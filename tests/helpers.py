@@ -53,3 +53,43 @@ def random_tree(rng: np.random.Generator, arity: int, depth: int = 0) -> ex.Expr
         return ex.binary("pow", random_tree(rng, arity, depth + 1), ex.const(float(rng.integers(1, 4))))
     op = ["neg", "sin", "cos", "exp", "ln", "sqrt", "square"][int(rng.integers(0, 7))]
     return ex.unary(op, random_tree(rng, arity, depth + 1))
+
+
+def reference_eval(e: ex.Expr, pts: np.ndarray, theta=()) -> np.ndarray:
+    """Recursive evaluator, node by node: the reference `Expr._eval`'s
+    compiled form must match bit for bit."""
+    k = e.kind
+    if k == "const":
+        return np.full(pts.shape[0], e.value)
+    if k == "var":
+        return pts[:, e.index - 1].copy()
+    if k == "param":
+        return theta[e.index]
+    if k in ex.BINARY_OPS:
+        a = reference_eval(e.args[0], pts, theta)
+        b = reference_eval(e.args[1], pts, theta)
+        if k == "add":
+            return a + b
+        if k == "sub":
+            return a - b
+        if k == "mul":
+            return a * b
+        if k == "div":
+            return np.where(b != 0.0, a / np.where(b != 0.0, b, 1.0), np.nan)
+        return np.power(a, b)
+    a = reference_eval(e.args[0], pts, theta)
+    if k == "neg":
+        return -a
+    if k == "sin":
+        return np.sin(a)
+    if k == "cos":
+        return np.cos(a)
+    if k == "exp":
+        return np.exp(a)
+    if k == "ln":
+        return np.where(a > 0.0, np.log(np.where(a > 0.0, a, 1.0)), np.nan)
+    if k == "sqrt":
+        return np.where(a >= 0.0, np.sqrt(np.where(a >= 0.0, a, 0.0)), np.nan)
+    if k == "square":
+        return a * a
+    raise ValueError(f"unknown node kind {k!r}")

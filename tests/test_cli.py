@@ -64,6 +64,17 @@ def test_detect_failure_exit_2(capsys):
     assert "detection failed" in err
 
 
+def test_mostly_invalid_reconstruction_is_not_reported_as_not_separable(capsys):
+    # at seed 3 the first redrawn anchor passes every step but the
+    # reconstruction, where x1 <= 0 leaves too few valid points; that
+    # redraws the anchor instead of calling the target not separable
+    code, _, err = run_cli(
+        ["detect", "--target", "ln(x1)+x2", "--dims", "2", "--seed", "3"], capsys
+    )
+    assert code == 2
+    assert "detection failed" in err and "not a GS system" not in err
+
+
 def test_fit_constant_target(capsys):
     code, out, _ = run_cli(
         ["fit", "--target", "5+0*x1", "--dims", "1", "--seed", "3"], capsys

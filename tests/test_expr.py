@@ -1,12 +1,15 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from gsfit import expr as ex
+from gsfit import fit
 from gsfit.fit import skeleton_stream
 
-from helpers import INDEPENDENT_TARGETS, random_tree
+from helpers import INDEPENDENT_TARGETS, random_tree, reference_eval
 
 CASE_TEXTS = {
     1: ("0.5*exp(x1)*sin(2*x2)", 2),
@@ -156,3 +159,51 @@ def test_template_eval_and_bind_agree():
     full = np.zeros((16, 3))
     full[:, 2], full[:, 0] = pts[:, 0], pts[:, 1]
     assert np.array_equal(bound.eval_batch(full), t._eval(pts, theta))
+
+
+def _same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_compiled_eval_matches_the_recursive_walk_bit_for_bit(seed):
+    # boxes reach into invalid regions (ln, sqrt and 1/ of non-positive
+    # values), so NaN positions are compared too, through the bytes
+    rng = np.random.default_rng(seed)
+    for _ in range(60):
+        arity = int(rng.integers(1, 4))
+        t = random_tree(rng, arity)
+        pts = rng.uniform(-3.0, 3.0, size=(int(rng.integers(1, 70)), arity))
+        with np.errstate(all="ignore"):
+            want = reference_eval(t, pts)
+            assert _same_bytes(t._eval(pts), want), t.to_text()
+
+
+def test_compiled_templates_match_the_recursive_walk_with_parameter_columns():
+    rng = np.random.default_rng(11)
+    for k, stream in fit._STREAMS.items():
+        V = rng.uniform(-3.0, 3.0, size=(40, k))
+        for sk in stream:
+            X = rng.uniform(-4.0, 4.0, size=(7, max(sk.nl_count, 1)))
+            theta = [X[:, j:j + 1] for j in range(X.shape[1])]
+            for col in sk.columns:
+                with np.errstate(all="ignore"):
+                    want = reference_eval(col, V, theta)
+                    got = col._eval(V, theta)
+                assert _same_bytes(got, want), (sk.name, col.to_text())
+
+
+def test_expr_stays_a_plain_value_after_evaluation():
+    t = ex.parse("ln(x1)*sin(2*x2)/(x1-x2)+x2^3", 2)
+    pts = np.random.default_rng(3).uniform(-3.0, 3.0, size=(25, 2))
+    before = (pickle.dumps(t), copy.copy(t), hash(t))
+    want = t.eval_batch(pts)
+    assert pickle.dumps(t) == before[0]
+    twin = ex.parse(t.to_text(), 2)            # never evaluated
+    for other in (copy.copy(t), copy.deepcopy(t), before[1], twin):
+        assert other == t and hash(other) == hash(t) == before[2]
+    back = pickle.loads(pickle.dumps(t))
+    assert back == t and hash(back) == hash(t)
+    assert _same_bytes(back.eval_batch(pts), want)
+    assert _same_bytes(pickle.loads(before[0]).eval_batch(pts), want)
