@@ -46,6 +46,7 @@ MEMBERSHIP_POINTS = 12      # sweep length per repeated-variable test
 OMEGA_PAIR_CANDIDATES = 8
 ANCHOR_CENTRAL = 0.5        # anchors drawn from this central fraction
 MAX_ANCHOR_REDRAWS = 3
+ANCHOR_DRAWS = 16           # draws per anchor attempt, the first valid one is used
 RECON_POINTS = 32
 
 
@@ -533,11 +534,12 @@ def factor_partition(d: FactorData, cfg: RunConfig, box=None) -> tuple[tuple[int
 # block construction, membership, and consistency
 
 
-def _draw_anchor(o: Oracle, cfg: RunConfig, attempt: int) -> np.ndarray:
+def _draw_anchor(o: Oracle, cfg: RunConfig, attempt: int, count: int | None = None):
+    """The attempt's anchor; with count, its stream's first count draws."""
     rng = _rng(cfg.seed, 777, attempt)
     lo, hi = o.box.lo_array(), o.box.hi_array()
     margin = 0.5 * (1.0 - ANCHOR_CENTRAL)
-    u = rng.random(o.arity)
+    u = rng.random(o.arity if count is None else (count, o.arity))
     return lo + (margin + ANCHOR_CENTRAL * u) * (hi - lo)
 
 
@@ -694,10 +696,16 @@ def detect_structure(o: Oracle, cfg: RunConfig | None = None) -> GsStructure:
 
 
 def _detect_once(o: Oracle, cfg: RunConfig, attempt: int) -> GsStructure:
-    anchor = _draw_anchor(o, cfg, attempt)
+    anchors = _draw_anchor(o, cfg, attempt, ANCHOR_DRAWS)
+    anchor = anchors[0]
     f_anchor = o(anchor)
     if not np.isfinite(f_anchor):
-        raise DegenerateAnchorError("anchor value invalid")
+        # the first valid one of the attempt's further draws, in one call
+        f = o.eval_batch(anchors[1:])
+        valid = np.flatnonzero(np.isfinite(f))
+        if not valid.size:
+            raise DegenerateAnchorError("anchor value invalid")
+        anchor, f_anchor = anchors[1 + valid[0]], float(f[valid[0]])
 
     # constant targets have no blocks at all
     probe = o.eval_batch(o.box.uniform(16, _rng(cfg.seed, 900, attempt)))

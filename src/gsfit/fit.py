@@ -6,14 +6,14 @@ grammar over the factor's local variables x1..xk and parameters p0, p1,
 ... (`expr.parse_template`). Its model is the sum of lin_j * column_j,
 and a column "1" is the offset. The templates are the only definition of
 a skeleton: the objective evaluates them, the fitted model is bound from
-them, and their node counts give the complexity that caps the stream.
+them, their node counts give the complexity that caps the stream, and
+the starting rows of a search are read off them (`_scan`).
 
 Factor data is only identified up to an affine transform, so every
 skeleton carries an explicit amplitude and (usually) offset. The lin_j
 enter the model linearly and are solved by least squares inside the
-objective; the evolutionary search only has to handle the parameters
-inside the columns (frequencies, growth rates, inner shifts), which keeps
-it in one to three dimensions.
+objective; the scan, polish and search only handle the parameters inside
+the columns (frequencies, growth rates, inner shifts), one to four.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -166,16 +166,14 @@ class Skeleton:
     """Model sum_j lin_j * columns[j] over the factor's local variables.
 
     The lin_j are solved by least squares; the nl_count parameters p<k>
-    are searched by the optimizer, starting from the candidates
-    `hints(V, y, solved)` proposes. A skeleton with parameters has one
-    column besides the offset, whose amplitude and offset the objective
-    solves in closed form. Everything else is read off the column
-    templates.
+    are searched by the optimizer, starting from the rows `_scan` reads
+    off the template. A skeleton with parameters has one column besides
+    the offset, whose amplitude and offset the objective solves in closed
+    form. Everything else is read off the column templates.
     """
 
     name: str
     columns: tuple[ex.Expr, ...]
-    hints: Callable | None = field(repr=False, default=None)
 
     def _shapes(self) -> list[ex.Expr]:
         return [c for c in self.columns if c != _OFFSET]
@@ -198,6 +196,11 @@ class Skeleton:
         constant counts 1."""
         shapes = self._shapes()
         return max(1, sum(c.complexity() for c in shapes) + len(shapes) - 1)
+
+    @functools.cached_property
+    def form(self) -> _Form:
+        """The shape column's `_Form`, read once, on first use."""
+        return _read_form(self.name, self._shapes()[0])
 
     def design(self, V: np.ndarray, nl) -> np.ndarray | None:
         """Columns at the local points V, or None where any is invalid."""
@@ -230,18 +233,99 @@ def _lstsq_cols(cols: np.ndarray, y: np.ndarray):
     return c, float(r @ r / len(y))
 
 
-# ---- hint generators -------------------------------------------------------
-# Each maps the factor data (V, y) to a (candidates, nl_count) array of
-# starting points in its skeleton's parameter space; `_ranked_hints`
-# scores them with the skeleton's own objective. `solved` is a dict that
-# lives for one `_walk`: the trig generators keep each grid's phase solve
-# there, so the sin and cos families on one grid share it.
+# ---- the scan --------------------------------------------------------------
 
 
-def _with_phase(freqs: np.ndarray, X: np.ndarray, y: np.ndarray) -> dict:
+class _Form(NamedTuple):
+    """A parametric shape lead * g(p0*m_0 + ... + p<K-1>*m_<K-1> [+ p<K>]),
+    from which `_scan` builds the starting rows of its family's search."""
+
+    lead: ex.Expr | None        # parameter-free factor in front of g, or None
+    g: str                      # sin, cos, exp, ln, sqrt, or recip for 1/(.)
+    terms: tuple[ex.Expr, ...]  # m_k, the multiplier of p_k
+    shift: bool                 # whether p_K, K = len(terms), is added last
+
+
+def _read_form(name: str, shape: ex.Expr) -> _Form:
+    """Read a shape column into its `_Form`; raise ValueError for a shape
+    outside that form."""
+    lead = None
+    if shape.kind == "mul" and not shape.args[0].param_bound():
+        lead, shape = shape.args
+    g = "recip" if shape.kind == "div" and shape.args[0] == _OFFSET else shape.kind
+    summands = [shape.args[-1] if shape.args else shape]
+    while summands[0].kind == "add":
+        summands[:1] = summands[0].args
+    shift = summands[-1].kind == "param"
+    terms = []
+    for s in summands[:len(summands) - shift]:
+        factors = []
+        while s.kind == "mul":
+            s, f = s.args
+            factors.insert(0, f)
+        if s == ex.Expr("param", index=len(terms)) and factors and not any(
+                f.param_bound() for f in factors):
+            terms.append(functools.reduce(ex.mul, factors))
+    if (g not in ("sin", "cos", "exp", "ln", "sqrt", "recip") or not terms
+            or len(terms) + shift != len(summands)
+            or (shift and summands[-1].index != len(terms))):
+        raise ValueError(f"{name}: {shape} is not lead * g(p0*m0 + p1*m1 + ... [+ pK])"
+                         " with g sin, cos, exp, ln, sqrt or 1/")
+    return _Form(lead, g, tuple(terms), shift)
+
+
+# each p_k's scan axis, in radians (sin, cos) or e-folds (exp) across the
+# span of its m_k on the data, both signs
+_SCAN_REACH = np.linspace(1.5, 24.0, 16)
+# ln, sqrt and 1/: the pole's distance below the inner argument's minimum,
+# in spans of the inner argument
+_SCAN_POLES = np.geomspace(0.01, 100.0, 49)
+
+
+def _scan(sk: Skeleton, V: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Starting rows (candidates, nl_count) for a parametric skeleton.
+
+    Each p_k runs along +-_SCAN_REACH over the span of m_k on the data;
+    sin and cos keep the first axis positive, as its sign only flips the
+    amplitude. ln, sqrt and 1/ see only the direction of the inner
+    argument (a common factor of it and the shift changes only their
+    amplitude or offset), so they keep the grid's outer edge, scaled in to
+    the innermost reach, which leaves the polish room in the parameter
+    box. The shift is the closed-form phase for sin and cos
+    (`_with_phase`), 0 for exp, and for ln, sqrt and 1/ a pole
+    `_SCAN_POLES` spans of the inner argument below its minimum. Rows
+    outside the parameter box are dropped.
+    """
+    form = sk.form
+    K = len(form.terms)
+    M = np.column_stack([m._eval(V) for m in form.terms])
+    span = np.ptp(M, axis=0)
+    reach = np.concatenate([-_SCAN_REACH[::-1], _SCAN_REACH])
+    # every combination of the axes' values, first axis slowest
+    A = np.stack(np.meshgrid(*[reach] * K, indexing="ij"), axis=-1).reshape(-1, K)
+    if form.g in ("sin", "cos"):
+        A = A[A[:, 0] > 0.0]
+    elif form.g in ("ln", "sqrt", "recip"):
+        A = A[np.abs(A).max(axis=1) == _SCAN_REACH[-1]] * (_SCAN_REACH[0] / _SCAN_REACH[-1])
+    rows = A / np.where(span > 0.0, span, 1.0)
+    if form.shift and form.g in ("sin", "cos"):
+        lead = 1.0 if form.lead is None else form.lead._eval(V)
+        rows = _with_phase(rows, M, y, lead)[form.g]
+    elif form.shift and form.g == "exp":
+        rows = np.column_stack([rows, np.zeros(len(rows))])
+    elif form.shift:
+        u = sum(rows[:, k:k + 1] * M[:, k] for k in range(K))
+        low = u.min(axis=1)
+        shifts = (u.max(axis=1) - low)[:, None] * _SCAN_POLES - low[:, None]
+        rows = np.column_stack([np.repeat(rows, len(_SCAN_POLES), axis=0), shifts.ravel()])
+    return rows[np.all(np.abs(rows) <= PARAM_BOUND, axis=1)]
+
+
+def _with_phase(freqs: np.ndarray, X: np.ndarray, y: np.ndarray, lead=1.0) -> dict:
     """Rows (freqs..., phase) for every row of freqs at once, for a sin
-    and for a cos column, keyed "sin" and "cos": the sin/cos pair fitted
-    at the argument t = sum_k freqs[:, k] * X[:, k] gives both phases.
+    and for a cos column, keyed "sin" and "cos": the pair lead * sin(t),
+    lead * cos(t) fitted at the argument t = sum_k freqs[:, k] * X[:, k]
+    gives both phases; `lead` is a scalar or the lead factor's values.
 
     Centering the data profiles the offset out, so each row's [sin, cos, 1]
     least-squares fit is a closed-form 2x2 solve on the centered sin and
@@ -257,8 +341,8 @@ def _with_phase(freqs: np.ndarray, X: np.ndarray, y: np.ndarray) -> dict:
         t = F[:, :1] * X[:, 0]
         for k in range(1, X.shape[1]):
             t = t + F[:, k:k + 1] * X[:, k]
-        s = np.sin(t)
-        c = np.cos(t)
+        s = np.sin(t) * lead
+        c = np.cos(t) * lead
         s -= s.mean(axis=1, keepdims=True)
         c -= c.mean(axis=1, keepdims=True)
         a11 = (s * s).sum(axis=1)
@@ -268,104 +352,30 @@ def _with_phase(freqs: np.ndarray, X: np.ndarray, y: np.ndarray) -> dict:
         b2 = c @ yc
         det = a11 * a22 - a12 * a12
         ok = np.isfinite(det) & (det > 1e-300 * np.maximum(1.0, a11 * a22))
-        ai = a[i:i + len(F)]
-        bi = b[i:i + len(F)]
-        ai[:] = (b1 * a22 - b2 * a12) / det
-        bi[:] = (a11 * b2 - a12 * b1) / det
+        a[i:i + len(F)] = (b1 * a22 - b2 * a12) / det
+        b[i:i + len(F)] = (a11 * b2 - a12 * b1) / det
         for r in np.flatnonzero(~ok):
-            cols = np.column_stack([np.sin(t[r]), np.cos(t[r]), np.ones(len(y))])
-            (ai[r], bi[r], _), _ = _lstsq_cols(cols, y)
+            cols = np.column_stack([np.sin(t[r]) * lead, np.cos(t[r]) * lead, np.ones(len(y))])
+            (a[i + r], b[i + r], _), _ = _lstsq_cols(cols, y)
     return {"sin": np.column_stack([freqs, np.arctan2(b, a)]),
             "cos": np.column_stack([freqs, np.arctan2(-a, b)])}
-
-
-def _grid(*axes) -> np.ndarray:
-    """Every combination of the axes' values, first axis slowest."""
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-
-
-def _trig_hints(kind: str, col: int = 0):
-    def h(V, y, solved):
-        key = ("trig", col)
-        if key not in solved:
-            v = V[:, col]
-            span = float(np.max(v) - np.min(v)) or 1.0
-            freqs = (np.linspace(0.3, 40.0, 160) / span)[:, None]
-            solved[key] = _with_phase(freqs, V[:, col:col + 1], y)
-        return solved[key][kind]
-
-    return h
-
-
-def _trig2_hints(kind: str):
-    def h(V, y, solved):
-        key = ("trig2",)
-        if key not in solved:
-            u, w = V[:, 0], V[:, 1]
-            span_u = float(np.max(u) - np.min(u)) or 1.0
-            span_w = float(np.max(w) - np.min(w)) or 1.0
-            freqs = _grid(np.linspace(0.4, 24.0, 24) / span_u,
-                          np.linspace(-24.0, 24.0, 33) / span_w)
-            solved[key] = _with_phase(freqs, V[:, :2], y)
-        return solved[key][kind]
-
-    return h
-
-
-def _trig_prod_hints(V, y, solved):
-    t = V[:, 0] * V[:, 1]
-    span = float(np.max(t) - np.min(t)) or 1.0
-    return (np.linspace(0.3, 30.0, 120) / span)[:, None]
-
-
-def _exp_hints(col: int = 0):
-    def h(V, y, solved):
-        # growth rates whose exponent stays within +-700 on the data
-        span = max(1e-9, float(np.max(np.abs(V[:, col]))))
-        w = np.linspace(-8.0, 8.0, 81)
-        w = w[np.abs(w) > 1e-9]
-        return (min(8.0, 700.0 / span) * w / 8.0)[:, None]
-
-    return h
-
-
-def _exp2_hints(V, y, solved):
-    grid = np.linspace(-6.0, 6.0, 21)
-    ab = _grid(grid, grid)
-    return ab[(np.abs(ab) > 1e-9).any(axis=1)]
-
-
-def _inner_affine_hints(V, y, solved):
-    """(slope, shift) pairs keeping the inner argument positive on the data."""
-    slopes = _grid((0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0), (1.0, -1.0)).prod(axis=1)
-    edge = (slopes[:, None] * V[:, 0]).min(axis=1)
-    margins = np.array([0.2, 0.6, 1.5, 4.0, 10.0])
-    return np.column_stack([np.repeat(slopes, len(margins)),
-                            (margins - edge[:, None]).ravel()])
-
-
-def _ln2_hints(V, y, solved):
-    slopes = _grid(*[(-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)] * 2)
-    edge = (slopes[:, :1] * V[:, 0] + slopes[:, 1:] * V[:, 1]).min(axis=1)
-    margins = np.array([0.3, 1.0, 3.0, 8.0])
-    return np.column_stack([np.repeat(slopes, len(margins), axis=0),
-                            (margins - edge[:, None]).ravel()])
 
 
 # ---- the table -------------------------------------------------------------
 
 
-def _sk(name: str, *columns: str, hints=None) -> Skeleton:
-    sk = Skeleton(name, tuple(ex.parse_template(c, 3) for c in columns), hints)
-    if sk.nl_count and sk.columns[1:] != (_OFFSET,):
-        raise ValueError(f"{name}: a skeleton with parameters is one shape column and '1'")
+def _sk(name: str, *columns: str) -> Skeleton:
+    sk = Skeleton(name, tuple(ex.parse_template(c, 3) for c in columns))
+    if sk.nl_count:
+        if sk.columns[1:] != (_OFFSET,):
+            raise ValueError(f"{name}: a skeleton with parameters is one shape column and '1'")
+        sk.form  # a shape the scan cannot read fails here, at import
     return sk
 
 
 # Streams by factor variable count. The parameter-free rows are tried in
-# table order; table order also breaks ties between the hint scores of
-# the parametric rows (see `_walk`). Both trig families share the phase
-# trick; ln, sqrt and 1/ share the feasible inner affine scan.
+# table order; table order also breaks ties between the scan scores of
+# the parametric rows (see `_walk`).
 _STREAMS = {
     1: (
         _sk("const", "1"),
@@ -376,30 +386,30 @@ _STREAMS = {
         _sk("inverse_square", "1/x1^2", "1"),
         _sk("cubic", "x1^3", "1"),
         _sk("quadratic", "x1^2", "x1", "1"),
-        _sk("exp_scaled", "exp(p0*x1)", "1", hints=_exp_hints()),
-        _sk("sin_affine", "sin(p0*x1+p1)", "1", hints=_trig_hints("sin")),
-        _sk("cos_affine", "cos(p0*x1+p1)", "1", hints=_trig_hints("cos")),
-        _sk("ln_affine", "ln(p0*x1+p1)", "1", hints=_inner_affine_hints),
-        _sk("sqrt_affine", "sqrt(p0*x1+p1)", "1", hints=_inner_affine_hints),
-        _sk("recip_affine", "1/(p0*x1+p1)", "1", hints=_inner_affine_hints),
-        _sk("vexp", "x1*exp(p0*x1)", "1", hints=_exp_hints()),
-        _sk("vsin", "x1*sin(p0*x1+p1)", "1", hints=_trig_hints("sin")),
+        _sk("exp_scaled", "exp(p0*x1)", "1"),
+        _sk("sin_affine", "sin(p0*x1+p1)", "1"),
+        _sk("cos_affine", "cos(p0*x1+p1)", "1"),
+        _sk("ln_affine", "ln(p0*x1+p1)", "1"),
+        _sk("sqrt_affine", "sqrt(p0*x1+p1)", "1"),
+        _sk("recip_affine", "1/(p0*x1+p1)", "1"),
+        _sk("vexp", "x1*exp(p0*x1)", "1"),
+        _sk("vsin", "x1*sin(p0*x1+p1)", "1"),
     ),
     2: (
         _sk("bilinear", "x1*x2", "1"),
         _sk("affine2", "x1", "x2", "1"),
         _sk("bilinear_full", "x1*x2", "x1", "x2", "1"),
         _sk("ratio", "x1/x2", "1"),
-        _sk("sin_affine2", "sin(p0*x1+p1*x2+p2)", "1", hints=_trig2_hints("sin")),
-        _sk("cos_affine2", "cos(p0*x1+p1*x2+p2)", "1", hints=_trig2_hints("cos")),
-        _sk("exp_affine2", "exp(p0*x1+p1*x2)", "1", hints=_exp2_hints),
-        _sk("sin_prod", "sin(p0*x1*x2)", "1", hints=_trig_prod_hints),
-        _sk("cos_prod", "cos(p0*x1*x2)", "1", hints=_trig_prod_hints),
-        _sk("ln_affine2", "ln(p0*x1+p1*x2+p2)", "1", hints=_ln2_hints),
+        _sk("sin_affine2", "sin(p0*x1+p1*x2+p2)", "1"),
+        _sk("cos_affine2", "cos(p0*x1+p1*x2+p2)", "1"),
+        _sk("exp_affine2", "exp(p0*x1+p1*x2)", "1"),
+        _sk("sin_prod", "sin(p0*x1*x2)", "1"),
+        _sk("cos_prod", "cos(p0*x1*x2)", "1"),
+        _sk("ln_affine2", "ln(p0*x1+p1*x2+p2)", "1"),
         _sk("ln_ratio_pos", "ln(x1/x2)", "1"),
         _sk("ln_ratio_neg", "ln(-x1/x2)", "1"),
-        _sk("prod_sin", "x1*sin(p0*x2+p1)", "1", hints=_trig_hints("sin", col=1)),
-        _sk("prod_exp", "x1*exp(p0*x2)", "1", hints=_exp_hints(col=1)),
+        _sk("prod_sin", "x1*sin(p0*x2+p1)", "1"),
+        _sk("prod_exp", "x1*exp(p0*x2)", "1"),
     ),
     3: (
         _sk("affine3", "x1", "x2", "x3", "1"),
@@ -495,12 +505,11 @@ def _make_objective(sk: Skeleton, V, y):
     return objective
 
 
-# Gauss-Newton polish of a family's best hint (see `_polish`)
+# Gauss-Newton polish of a family's best scan row (see `_polish`)
 _POLISH_ITERS = 12
 _POLISH_FD_STEP = 1e-7     # forward-difference step, times 1 + |p|
 _POLISH_RCOND = 1e-5       # singular values below this share of the largest are cut
 _POLISH_LENGTHS = np.array([1.0, 0.5, 0.25, 0.1])[:, None]
-_POLISH_TOL = 1e-14
 
 
 def _polish(residuals, objective, x, val):
@@ -515,14 +524,14 @@ def _polish(residuals, objective, x, val):
     depends only on a ratio of parameters, such as ln(p0*x1+p1), have a
     scale-degenerate Jacobian, and a plain solve runs off along its null
     direction), and scores a few step lengths, clipped to the parameter
-    box, in one objective call. It stops at `_POLISH_TOL`, when no length
-    improves, or after `_POLISH_ITERS` iterations.
+    box, in one objective call. It runs to convergence: it stops only
+    when no length improves, or after `_POLISH_ITERS` iterations. An
+    exact fit keeps improving in its last digits, which a basis such as
+    1/x^2 magnifies in the assembly.
     """
     x = np.asarray(x, dtype=float)
     d = len(x)
     for _ in range(_POLISH_ITERS):
-        if val <= _POLISH_TOL:
-            break
         h = _POLISH_FD_STEP * (1.0 + np.abs(x))
         X = np.tile(x, (d + 1, 1))
         X[1:] += np.diag(h)
@@ -540,11 +549,11 @@ def _polish(residuals, objective, x, val):
     return x, val
 
 
-# hint candidates scored or phase-solved per batch; bounds the (rows,
-# points) temporaries of the widest scans (sin_affine2 proposes 792)
+# scan rows scored or phase-solved per batch; bounds the (rows, points)
+# temporaries of the widest scans
 _HINT_CHUNK = 64
 
-# hint scores within this relative distance of each other, or both within
+# scan scores within this relative distance of each other, or both within
 # the absolute one (an exact fit of unit-variance data), are ties, so that
 # rounding cannot reorder families that fit the data equally well (sin and
 # cos with a free phase)
@@ -552,23 +561,20 @@ _TIE_RTOL = 1e-9
 _TIE_ATOL = 1e-14
 
 
-def _ranked_hints(sk: Skeleton, objective, V, y, solved=None, top: int = 3):
-    """The skeleton's best `top` hint candidates under its own objective,
-    and the best score (inf when there are none). `solved` is the walk's
-    dict of shared phase solves (see the hint generators)."""
-    if sk.hints is None:
-        return [], math.inf
-    cands = sk.hints(V, y, {} if solved is None else solved)
+def _ranked_hints(sk: Skeleton, objective, V, y, top: int = 3):
+    """The skeleton's best `top` scan rows (`_scan`) under its own
+    objective, and the best score (inf when every row scores inf)."""
+    cands = _scan(sk, V, y)
     scores = np.concatenate(
         [objective(cands[i:i + _HINT_CHUNK])
-         for i in range(0, len(cands), _HINT_CHUNK)]
+         for i in range(0, len(cands), _HINT_CHUNK)] or [np.empty(0)]
     )
     order = [k for k in np.argsort(scores, kind="stable")[:top] if scores[k] < math.inf]
     return [cands[k] for k in order], (float(scores[order[0]]) if order else math.inf)
 
 
 def _by_hint_score(scans: list) -> list:
-    """The (hint_best, rank, ...) tuples in order of best hint score; of
+    """The (hint_best, rank, ...) tuples in order of best scan score; of
     the scores tied with the lowest, the lowest table rank goes first."""
     left = sorted(scans, key=lambda s: s[1])
     order = []
@@ -581,80 +587,63 @@ def _by_hint_score(scans: list) -> list:
 
 
 def _walk(stream: list[Skeleton], V, y, seed: int):
-    """Yield (pos, skeleton, nl) in the order fit_factor tries them; pos is
-    the skeleton's place in the try order, which breaks ties between fits.
+    """Yield (skeleton, nl) in the order fit_factor tries them.
 
     The parameter-free rows come first, in table order. Only when the
     caller asks past them are the parametric rows taken, in table order:
-    each is hint-scanned and its best hint polished (`_polish`); a row
-    that polishes to 1e-12 is closed and yielded at once. The rows still
-    open then get LDSE, in order of best hint score. LDSE restarts run
-    breadth-first: round r runs restart r of every skeleton still open, in
-    pos order, so each skeleton gets its first search before any gets a
-    second. A skeleton closes, and its best run is yielded, when a run
-    reaches 1e-12, when a restart repeats the skeleton's best so far to
+    each is scanned and its best row polished (`_polish`); a row that
+    polishes to 1e-12 is yielded at once. The rows still open then get
+    LDSE, depth-first in order of best scan score: a family runs restarts
+    until one reaches 1e-12, one repeats the family's best so far to
     within 1e-4 relative (a further restart would most likely land on the
-    same minimum), or after its third run. A run's seed is derived from
-    the skeleton's table rank and the restart, so it does not depend on
-    when it runs; the polished point is not among its init guesses.
+    same minimum), or its third has run, and its best run is yielded
+    before the next family's first. A run's seed is derived from the
+    skeleton's table rank and the restart; the polished point is not
+    among its init guesses.
     """
-    free = [sk for sk in stream if not sk.nl_count]
-    for pos, sk in enumerate(free):
-        yield pos, sk, np.empty(0)
-    pos = len(free)
+    for sk in stream:
+        if not sk.nl_count:
+            yield sk, np.empty(0)
     scans = []
-    solved = {}
     for rank, sk in enumerate(stream):
         if not sk.nl_count:
             continue
         objective = _make_objective(sk, V, y)
-        hints, hint_best = _ranked_hints(sk, objective, V, y, solved)
+        hints, hint_best = _ranked_hints(sk, objective, V, y)
         if hints:
             x, val = _polish(_make_residuals(sk, V, y), objective, hints[0], hint_best)
             if val <= 1e-12:
-                yield pos, sk, x
-                pos += 1
+                yield sk, x
                 continue
         scans.append((hint_best, rank, sk, objective, hints))
-    families = list(enumerate(_by_hint_score(scans), pos))
-    best = {}  # pos -> the skeleton's best (x, val) so far
-    closed = set()
-    for restart in range(3):
-        for pos, (hint_best, rank, sk, objective, hints) in families:
-            if pos in closed:
-                continue
-            # Hint quality decides the search budget: on unit-variance
-            # data, a dense grid scan that still leaves most of the
-            # variance unexplained means the family cannot represent the
-            # data, so a short confirmation run suffices.
-            hopeless = bool(hints) and hint_best > 0.5
+    for hint_best, rank, sk, objective, hints in _by_hint_score(scans):
+        # Scan quality decides the search budget: on unit-variance data, a
+        # dense scan that still leaves most of the variance unexplained
+        # means the family cannot represent the data, so a short
+        # confirmation run suffices.
+        hopeless = bool(hints) and hint_best > 0.5
+        best = None
+        for restart in range(3):
             x, val = ldse_minimize(
                 objective, [(-PARAM_BOUND, PARAM_BOUND)] * sk.nl_count,
                 seed=derived_seed(seed, rank, restart), target_tol=1e-14,
                 max_generations=80 if hopeless else 300,
                 stagnation_window=40, init_guesses=hints,
             )
-            prev = best.get(pos)
-            if prev is None or val < prev[1]:
-                best[pos] = (x, val)
-            repeated = prev is not None and abs(val - prev[1]) <= 1e-4 * prev[1]
-            if val <= 1e-12 or repeated or restart == 2:
-                closed.add(pos)
-                yield pos, sk, best[pos][0]
+            repeated = best is not None and abs(val - best[1]) <= 1e-4 * best[1]
+            if best is None or val < best[1]:
+                best = (x, val)
+            if val <= 1e-12 or repeated:
+                break
+        yield sk, best[0]
 
 
 def fit_factor(data, cfg: RunConfig) -> FactorModel:
     """Fit the factor with the first skeleton within tolerance, else the best.
 
-    The parameter-free skeletons are tried first, in table order; they need
-    no search. Then the parametric skeletons are hint-scanned and polished
-    in table order, and one that polishes to an exact fit is tried at once.
-    LDSE runs on the rest in order of best hint score, table order
-    breaking ties, one restart of every open skeleton per round (see
-    `_walk`). A parametric skeleton is tried once it closes, so the first
-    to close within tolerance is accepted. Without one, the lowest
-    MSE wins, and equal MSEs go to the skeleton earlier in `_walk`'s order,
-    whenever each closed. Responses are centered and scaled to unit
+    Skeletons are tried in `_walk`'s order. The first within tolerance is
+    accepted; without one, the lowest MSE wins, and equal MSEs go to the
+    skeleton tried first. Responses are centered and scaled to unit
     standard deviation before fitting; the returned model represents that
     normalized image (the data identifies the factor only up to an affine
     transform, and the outer linear assembly absorbs the normalization).
@@ -670,22 +659,22 @@ def fit_factor(data, cfg: RunConfig) -> FactorModel:
         scale = 1.0
     yn = (y - shift) / scale
 
-    best = None  # (mse, pos, sk, nl, lin)
+    best = None  # (mse, sk, nl, lin)
     # templates evaluate outside their domains and overflow by design;
     # such parameters score inf
     with np.errstate(all="ignore"):
-        for pos, sk, nl in _walk(skeleton_stream(len(data.vars), cfg.max_nodes), V, yn, cfg.seed):
+        for sk, nl in _walk(skeleton_stream(len(data.vars), cfg.max_nodes), V, yn, cfg.seed):
             B = sk.design(V, nl)
             if B is None:
                 continue
             lin, mse = _lstsq_cols(B, yn)
-            if best is None or (mse, pos) < best[:2]:
-                best = (mse, pos, sk, nl, lin)
+            if best is None or mse < best[0]:
+                best = (mse, sk, nl, lin)
             if mse <= cfg.tol_target:
                 break
     if best is None:
         raise FitError("no skeleton produced a finite fit")
-    mse, _, sk, nl, lin = best
+    mse, sk, nl, lin = best
     return FactorModel(
         skeleton_name=sk.name,
         var_indices=tuple(data.vars),

@@ -332,20 +332,29 @@ def test_stream_demo_stops_after_the_attempt_with_an_unconverged_factor(
     assert _retry_every_miss(s, o, cfg).to_json() == model.to_json()
 
 
-# (case-9 suite seed, attempts made, the best attempt's index)
-@pytest.mark.parametrize("seed, attempts, best", [(71332, 3, 2), (73272, 4, 0)])
+# (case-9 suite seed, attempts made, the best attempt's index). The polish
+# fits every factor of case 9 exactly, so at the default tolerance these
+# seeds validate on their first attempt; at 1e-21 both outcomes of a
+# validation miss with every factor converged are in reach.
+@pytest.mark.parametrize("seed, attempts, best", [(71332, 3, 2), (73272, 4, 3)])
 def test_case9_retries_keep_their_attempts_and_report(monkeypatch, seed, attempts, best):
     # every factor converges on every attempt: 71332 validates on its third
     # attempt, 73272 on none
     calls = _counted_fits(monkeypatch)
-    new = run_case(9, seed)
+    assert run_case(9, seed).success and len(calls) == 1
+    calls.clear()
+    cfg = RunConfig(seed=seed, tol_target=1e-21)
+    o = get_case(9).oracle()
+    s = detect_structure(o, cfg)
+    start = o.eval_count
+    new = assemble_and_validate(s, o, cfg)
+    used = o.eval_count - start
     assert len(calls) == attempts and all(all(c) for c in calls)
     assert new.success == (attempts < 4)
-    assert new.model["retries"] == attempts - 1
-    monkeypatch.setattr(asm, "assemble_and_validate", _retry_every_miss)
-    old = run_case(9, seed)
-    assert len(calls) == 2 * attempts
-    # the same report, but for the old loop's retries: the best attempt's index
-    assert old.model["retries"] == best
-    old.model["retries"] = attempts - 1
-    assert new.canonical_json() == old.canonical_json()
+    assert new.retries == attempts - 1
+    old = _retry_every_miss(s, o, cfg)
+    assert len(calls) == 2 * attempts and o.eval_count - start == 2 * used
+    # the same model, but for the old loop's retries: the best attempt's index
+    assert old.retries == best
+    old.retries = attempts - 1
+    assert new.to_json() == old.to_json()

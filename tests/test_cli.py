@@ -75,6 +75,18 @@ def test_mostly_invalid_reconstruction_is_not_reported_as_not_separable(capsys):
     assert "detection failed" in err and "not a GS system" not in err
 
 
+@pytest.mark.parametrize("seed", [1, 5])
+def test_detect_takes_the_first_valid_anchor_draw(capsys, seed):
+    # ln(x1) is invalid on half the box; at these seeds an anchor stream's
+    # first draw lands there, and a later draw of the same stream is used
+    code, out, _ = run_cli(
+        ["detect", "--target", "ln(x1)+x2", "--dims", "2", "--seed", str(seed)], capsys
+    )
+    assert code == 0
+    blocks = json.loads(out)["structure"]["blocks"]
+    assert [b["vars"] for b in blocks] == [[1], [2]]
+
+
 def test_fit_constant_target(capsys):
     code, out, _ = run_cli(
         ["fit", "--target", "5+0*x1", "--dims", "1", "--seed", "3"], capsys
@@ -97,14 +109,29 @@ def test_fit_case1_below_tolerance(capsys):
 
 
 def test_fit_above_tolerance_exit_3(capsys):
+    # the polish runs to convergence, so sin(2*x1) validates near 3e-32; a
+    # tolerance below any reachable MSE still fails
     code, out, _ = run_cli(
         ["fit", "--target", "sin(2*x1)", "--dims", "1", "--seed", "5",
-         "--tol-target", "1e-30"],
+         "--tol-target", "1e-300"],
         capsys,
     )
     assert code == 3
     payload = json.loads(out)
     assert payload["model"]["success"] is False
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_three_variable_parametric_factor_fits_under_the_wider_cap(capsys, seed):
+    # sin(x1+2*x2-x3) needs a 3-variable row, which has 14 nodes: the scan
+    # and polish close it at --max-nodes 14, and the default cap leaves it out
+    args = ["fit", "--target", "exp(0.5*x4)*sin(x1+2*x2-x3)", "--dims", "4",
+            "--seed", str(seed)]
+    code, out, _ = run_cli(args + ["--max-nodes", "14"], capsys)
+    assert code == 0
+    assert json.loads(out)["model"]["val_mse"] <= 1e-6
+    code, _, _ = run_cli(args, capsys)
+    assert code == 3
 
 
 def test_fit_validation_miss_says_why_on_stderr(capsys):
