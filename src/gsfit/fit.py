@@ -14,6 +14,11 @@ skeleton carries an explicit amplitude and (usually) offset. The lin_j
 enter the model linearly and are solved by least squares inside the
 objective; the scan, polish and search only handle the parameters inside
 the columns (frequencies, growth rates, inner shifts), one to four.
+
+Besides the table, a factor the table's rows leave open is offered a
+generated skeleton: the sum of one to three monomials x1^e1 * ... *
+xk^ek (each e_i from -2 to 3) plus an offset, chosen by sparse regression
+over that basis (`_library`), as in FFX and SINDy.
 """
 
 from __future__ import annotations
@@ -433,6 +438,131 @@ def skeleton_stream(var_count: int, max_nodes: int = RunConfig.max_nodes) -> lis
     return [s for s in _STREAMS[var_count] if s.complexity <= max_nodes]
 
 
+# ---- the monomial library ---------------------------------------------------
+
+# each variable's exponent in a library column
+_LIBRARY_POWERS = (-2, -1, 0, 1, 2, 3)
+# subsets scored per batch; bounds the (subsets, size, size) temporaries
+_LIBRARY_CHUNK = 4096
+# a subset whose Gram matrix of centered unit-norm columns has a smaller
+# determinant counts as singular
+_LIBRARY_MIN_DET = 1e-10
+# at three variables, the number of best 2-subsets extended by a third column
+_LIBRARY_BEAM = 8
+
+
+def _monomial_text(exps: tuple[int, ...]) -> str:
+    """The monomial with exponents exps, as template text: x1^2*x2/x3."""
+
+    def power(i, e):
+        return f"x{i}" if e == 1 else f"x{i}^{e}"
+
+    num = [power(i, e) for i, e in enumerate(exps, 1) if e > 0]
+    den = [power(i, -e) for i, e in enumerate(exps, 1) if e < 0]
+    text = "*".join(num) or "1"
+    if den:
+        text += "/" + (den[0] if len(den) == 1 else "(" + "*".join(den) + ")")
+    return text
+
+
+@functools.cache
+def _monomials(k: int) -> tuple[tuple[ex.Expr, int], ...]:
+    """(template, node count) of every monomial x1^e1 * ... * xk^ek with
+    each e_i in `_LIBRARY_POWERS` and not all zero, fewest nodes first;
+    built on first use."""
+    exps = [e for e in itertools.product(_LIBRARY_POWERS, repeat=k) if any(e)]
+    cols = [ex.parse_template(_monomial_text(e), k) for e in exps]
+    return tuple(sorted(((c, c.complexity()) for c in cols), key=lambda mc: mc[1]))
+
+
+def _subset_rss(G: np.ndarray, b: np.ndarray, yy: float, S: np.ndarray) -> np.ndarray:
+    """Normal-equation RSS of y on each row of column indices S (B, s),
+    `_LIBRARY_CHUNK` rows at a time; inf where the subset's Gram matrix is
+    singular or its RSS is negative beyond rounding (1e-12 of yy; an exact
+    fit lands on either side of zero). G and b are the columns' Gram
+    matrix and their products with y, yy = y @ y, all on centered data."""
+    rss = np.empty(len(S))
+    for i in range(0, len(S), _LIBRARY_CHUNK):
+        C = S[i:i + _LIBRARY_CHUNK]
+        Gs = G[C[:, :, None], C[:, None, :]]
+        bs = b[C]
+        ok = np.linalg.det(Gs) > _LIBRARY_MIN_DET
+        Gs[~ok] = np.eye(S.shape[1])
+        r = yy - (bs * np.linalg.solve(Gs, bs[:, :, None])[:, :, 0]).sum(axis=1)
+        r[~(ok & (r >= -1e-12 * yy))] = math.inf
+        rss[i:i + len(C)] = r
+    return rss
+
+
+def _library_columns(V: np.ndarray, max_nodes: int):
+    """The library's columns on the data: (templates, node counts, values
+    centered and scaled to unit norm). They are the `_monomials` of at most
+    max_nodes nodes, less those non-finite on the data, those constant
+    there (the offset's duplicates) and those whose centered unit-norm
+    values equal an earlier column's bit for bit (its duplicates)."""
+    kept, nodes, Z, seen = [], [], [], set()
+    for m, size in _monomials(V.shape[1]):
+        if size > max_nodes:
+            continue
+        z = m._eval(V)
+        z = z - z.mean()
+        norm = math.sqrt(z @ z)
+        if not (np.isfinite(norm) and norm > 0.0):
+            continue
+        z /= norm
+        if z.tobytes() not in seen:
+            seen.add(z.tobytes())
+            kept.append(m)
+            nodes.append(size)
+            Z.append(z)
+    return kept, np.array(nodes, dtype=int), np.array(Z).reshape(len(kept), len(V))
+
+
+def _library(V: np.ndarray, y: np.ndarray, max_nodes: int):
+    """The best sum of 1 to 3 `_library_columns` plus an offset on the
+    data, as a parameter-free skeleton named "monomials", and whether it
+    fits to a normalized MSE of 1e-12; (None, False) when no subset is
+    admissible.
+
+    Centering profiles the offset out, and unit-norm columns condition the
+    Gram matrix. Subsets within max_nodes (see Skeleton.complexity) are
+    ranked by `_subset_rss`, smallest size first, and the first size whose
+    best fits to 1e-12 wins; else the lowest RSS over every size does.
+    Ties go to the earlier subset in enumeration order. At three
+    variables, the 3-subsets are the best `_LIBRARY_BEAM` 2-subsets each
+    extended by one more column, not all of them.
+    """
+    k = V.shape[1]
+    exact_rss = 1e-12 * len(V)  # a normalized MSE of 1e-12
+    kept, nodes, Z = _library_columns(V, max_nodes)
+    yc = y - y.mean()
+    G, b, yy = Z @ Z.T, Z @ yc, float(yc @ yc)
+    best = None  # (rss, subset)
+    for size in range(1, min(3, len(kept)) + 1):
+        if size == 3 and k == 3:
+            # S and rss still hold the 2-subsets and their scores
+            top = np.argsort(rss, kind="stable")[:_LIBRARY_BEAM]
+            S = np.array(list(dict.fromkeys(
+                tuple(sorted((*p, j))) for p in S[top[np.isfinite(rss[top])]].tolist()
+                for j in range(len(kept)) if j not in p)), dtype=int).reshape(-1, 3)
+        else:
+            # every size-subset, in itertools.combinations order
+            grid = np.indices((len(kept),) * size)
+            S = np.argwhere(np.all(np.diff(grid, axis=0) > 0, axis=0))
+        S = S[nodes[S].sum(axis=1) + size - 1 <= max_nodes]
+        rss = _subset_rss(G, b, yy, S)
+        if len(S) and np.isfinite(rss.min()):
+            i = int(np.argmin(rss))
+            if best is None or rss[i] < best[0]:
+                best = (float(rss[i]), S[i])
+            if rss[i] <= exact_rss:
+                break
+    if best is None:
+        return None, False
+    cols = tuple(kept[j] for j in best[1])
+    return Skeleton("monomials", cols + (_OFFSET,)), best[0] <= exact_rss
+
+
 # --------------------------------------------------------------------------
 # factor fitting
 
@@ -586,19 +716,23 @@ def _by_hint_score(scans: list) -> list:
     return order
 
 
-def _walk(stream: list[Skeleton], V, y, seed: int):
+def _walk(stream: list[Skeleton], V, y, seed: int, max_nodes: int):
     """Yield (skeleton, nl) in the order fit_factor tries them.
 
     The parameter-free rows come first, in table order. Only when the
     caller asks past them are the parametric rows taken, in table order:
     each is scanned and its best row polished (`_polish`); a row that
-    polishes to 1e-12 is yielded at once. The rows still open then get
-    LDSE, depth-first in order of best scan score: a family runs restarts
-    until one reaches 1e-12, one repeats the family's best so far to
-    within 1e-4 relative (a further restart would most likely land on the
-    same minimum), or its third has run, and its best run is yielded
-    before the next family's first. A run's seed is derived from the
-    skeleton's table rank and the restart; the polished point is not
+    polishes to 1e-12 is yielded at once. Next comes the monomial library
+    (`_library`, within max_nodes): its best subset is yielded here if it
+    fits to 1e-12, and otherwise only after the last LDSE family, where it
+    competes on MSE, so that an inexact sum of monomials cannot take the
+    place of a parametric family that LDSE fits exactly. The rows still
+    open then get LDSE, depth-first in order of best scan score: a family
+    runs restarts until one reaches 1e-12, one repeats the family's best
+    so far to within 1e-4 relative (a further restart would most likely
+    land on the same minimum), or its third has run, and its best run is
+    yielded before the next family's first. A run's seed is derived from
+    the skeleton's table rank and the restart; the polished point is not
     among its init guesses.
     """
     for sk in stream:
@@ -616,6 +750,9 @@ def _walk(stream: list[Skeleton], V, y, seed: int):
                 yield sk, x
                 continue
         scans.append((hint_best, rank, sk, objective, hints))
+    library, exact = _library(V, y, max_nodes)
+    if exact:
+        yield library, np.empty(0)
     for hint_best, rank, sk, objective, hints in _by_hint_score(scans):
         # Scan quality decides the search budget: on unit-variance data, a
         # dense scan that still leaves most of the variance unexplained
@@ -636,17 +773,22 @@ def _walk(stream: list[Skeleton], V, y, seed: int):
             if val <= 1e-12 or repeated:
                 break
         yield sk, best[0]
+    if library is not None and not exact:
+        yield library, np.empty(0)
 
 
 def fit_factor(data, cfg: RunConfig) -> FactorModel:
     """Fit the factor with the first skeleton within tolerance, else the best.
 
-    Skeletons are tried in `_walk`'s order. The first within tolerance is
-    accepted; without one, the lowest MSE wins, and equal MSEs go to the
-    skeleton tried first. Responses are centered and scaled to unit
-    standard deviation before fitting; the returned model represents that
-    normalized image (the data identifies the factor only up to an affine
-    transform, and the outer linear assembly absorbs the normalization).
+    Skeletons are tried in `_walk`'s order: the table's parameter-free
+    rows, the scanned and polished parametric rows, an exact fit of the
+    monomial library, LDSE, and last an inexact library fit. The first
+    within tolerance is accepted; without one, the lowest MSE wins, and
+    equal MSEs go to the skeleton tried first. Responses are centered and
+    scaled to unit standard deviation before fitting; the returned model
+    represents that normalized image (the data identifies the factor only
+    up to an affine transform, and the outer linear assembly absorbs the
+    normalization).
     Acceptance compares the normalized MSE against cfg.tol_target.
     """
     V = np.asarray(data.points, dtype=float)
@@ -663,7 +805,8 @@ def fit_factor(data, cfg: RunConfig) -> FactorModel:
     # templates evaluate outside their domains and overflow by design;
     # such parameters score inf
     with np.errstate(all="ignore"):
-        for sk, nl in _walk(skeleton_stream(len(data.vars), cfg.max_nodes), V, yn, cfg.seed):
+        for sk, nl in _walk(skeleton_stream(len(data.vars), cfg.max_nodes), V, yn, cfg.seed,
+                             cfg.max_nodes):
             B = sk.design(V, nl)
             if B is None:
                 continue

@@ -78,12 +78,16 @@ def test_criterion_3_wall_time_ceiling(suite):
 
 
 def test_criterion_4_stream_function_demo():
-    hits = 0
+    hits = fits = 0
     for seed in suite_seeds(BASE_SEED, 11, REPEATS):
-        s = detect_structure(STREAM_DEMO.oracle(), RunConfig(seed=seed))
-        hits += s.repeated == (3, 4) and s.block_count() == 2
-    _line(4, hits == REPEATS, f"stream demo repeated {{R,r}} + 2 blocks {hits}/20")
+        r = run_case(STREAM_DEMO.no, seed)
+        hits += r.detected_repeated == (3, 4) and r.detected_blocks == 2
+        fits += r.success and r.val_mse <= 1e-6
+    ok = hits == REPEATS and fits >= 18
+    _line(4, ok, f"stream demo repeated {{R,r}} + 2 blocks {hits}/20, "
+                 f"validation MSE <= 1e-6 {fits}/20")
     assert hits == REPEATS
+    assert fits >= 18, f"stream demo fit below 18/20: {fits}"
 
 
 # -- criterion 5: property suites ----------------------------------------------

@@ -315,14 +315,29 @@ def _counted_fits(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", suite_seeds(0, 11, 3))
-def test_stream_demo_stops_after_the_attempt_with_an_unconverged_factor(
-    monkeypatch, seed
-):
-    # the omega factor r - R^2/r has no skeleton that fits it, and refitting
-    # it on fresh sweeps never rescued a run
+def test_stream_demo_validates_on_its_first_attempt(monkeypatch, seed):
+    # the monomial library fits the omega factor r - R^2/r, so every factor
+    # converges and the first attempt validates
     calls = _counted_fits(monkeypatch)
     cfg = RunConfig(seed=seed)
     o = get_case(11).oracle()
+    s = detect_structure(o, cfg)
+    model = assemble_and_validate(s, o, cfg)
+    assert len(calls) == 1 and all(calls[0])
+    assert model.success and model.val_mse <= cfg.tol_target
+    assert model.retries == 0 and model.unconverged == ()
+    # byte-equal to attempt 0 of the loop that retried every miss
+    monkeypatch.setattr(asm, "MAX_RETRIES", 0)
+    assert _retry_every_miss(s, o, cfg).to_json() == model.to_json()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_attempt_with_an_unconverged_factor_is_the_last(monkeypatch, seed):
+    # sin(x1*x2^2) is one factor that no skeleton fits, and refitting it on
+    # fresh sweeps cannot rescue the run
+    calls = _counted_fits(monkeypatch)
+    cfg = RunConfig(seed=seed)
+    o = make_oracle(ex.parse("sin(x1*x2^2)", 2), DomainBox.cube(-3.0, 3.0, 2))
     s = detect_structure(o, cfg)
     model = assemble_and_validate(s, o, cfg)
     assert len(calls) == 1 and calls[0].count(False) == len(model.unconverged) > 0

@@ -121,6 +121,18 @@ def test_fit_above_tolerance_exit_3(capsys):
     assert payload["model"]["success"] is False
 
 
+@pytest.mark.parametrize("args", [
+    # one 2-variable factor, {x1^2*x2, x2^2} + 1 in the monomial library
+    ["--target", "x2*x1^2-x2^2", "--dims", "2"],
+    # one 3-variable factor, {x3^2, x1*x2/x3} + 1, at the default node cap
+    ["--target", "x1*x2/x3+x3^2", "--dims", "3", "--lo", "1", "--hi", "3"],
+])
+def test_factors_linear_in_monomials_fit(capsys, args):
+    code, out, _ = run_cli(["fit", *args, "--seed", "1"], capsys)
+    assert code == 0
+    assert json.loads(out)["model"]["val_mse"] <= 1e-6
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_three_variable_parametric_factor_fits_under_the_wider_cap(capsys, seed):
     # sin(x1+2*x2-x3) needs a 3-variable row, which has 14 nodes: the scan
@@ -135,8 +147,10 @@ def test_three_variable_parametric_factor_fits_under_the_wider_cap(capsys, seed)
 
 
 def test_fit_validation_miss_says_why_on_stderr(capsys):
+    # sin(x1*x2^2) is one factor that neither a table row nor the monomial
+    # library fits
     code, out, err = run_cli(
-        ["fit", "--target", "x2*x1^2-x2^2", "--dims", "2", "--seed", "1"], capsys
+        ["fit", "--target", "sin(x1*x2^2)", "--dims", "2", "--seed", "1"], capsys
     )
     assert code == 3
     model = json.loads(out)["model"]

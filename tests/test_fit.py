@@ -716,10 +716,12 @@ def test_sin_factor_never_runs_ldse_on_exp_scaled(monkeypatch):
 
 def _walk_log(monkeypatch, data, cfg):
     """fit_factor's events in order: ('design', name) for each skeleton
-    whose linear fit is solved, ('scan', name) for each hint scan and
-    ('ldse', seed) for each search."""
+    whose linear fit is solved, ('scan', name) for each hint scan,
+    ('library',) for the monomial library's subset search and ('ldse',
+    seed) for each search."""
     log = []
     real_design, real_hints, real_ldse = Skeleton.design, ft._ranked_hints, ft.ldse_minimize
+    real_library = ft._library
 
     def design(self, V, nl):
         log.append(("design", self.name))
@@ -733,9 +735,14 @@ def _walk_log(monkeypatch, data, cfg):
         log.append(("ldse", seed))
         return real_ldse(objective, bounds, seed=seed, **kw)
 
+    def library(*a):
+        log.append(("library",))
+        return real_library(*a)
+
     monkeypatch.setattr(Skeleton, "design", design)
     monkeypatch.setattr(ft, "_ranked_hints", ranked_hints)
     monkeypatch.setattr(ft, "ldse_minimize", ldse)
+    monkeypatch.setattr(ft, "_library", library)
     model = fit_factor(data, cfg)
     return model, log
 
@@ -753,8 +760,13 @@ def test_parameter_free_rows_first_then_every_scan_before_ldse(monkeypatch):
     rest = log[len(free):]
     assert rest[:len(parametric)] == [("scan", n) for n in parametric]
     after = rest[len(parametric):]
-    assert {e[1] for e in after if e[0] == "design"} == set(parametric)
-    assert all(e[0] in ("design", "ldse") for e in after)
+    # the library searches once, before any LDSE run; its fit is inexact,
+    # so it is tried last, after every LDSE family
+    assert after[0] == ("library",) and after[-1] == ("design", "monomials")
+    searched = after[1:-1]
+    assert {e[1] for e in searched if e[0] == "design"} == set(parametric)
+    assert all(e[0] in ("design", "ldse") for e in searched)
+    assert searched[0][0] == "ldse"
 
 
 def test_accepted_parameter_free_row_skips_every_scan(monkeypatch):
@@ -971,6 +983,120 @@ def test_equal_fits_go_to_the_earlier_skeleton_in_try_order(monkeypatch):
     model = fit_factor(make_data(lambda p: rng.normal(size=len(p))), RunConfig())
     assert not model.converged
     assert model.skeleton_name == "tried_first"
+
+
+# ---- the monomial library -------------------------------------------------
+
+
+def _normalized(data):
+    y = (data.values - data.values.mean()) / data.values.std()
+    return data.points, y
+
+
+def test_library_fits_the_stream_demo_omega_factor_before_ldse(monkeypatch):
+    # r - R^2/r over (R, r) in [1, 3]^2: no table row fits it, the library
+    # does exactly with two columns, and no LDSE run is made
+    data = make_data(lambda p: p[:, 1] - p[:, 0] ** 2 / p[:, 1], lo=1.0, hi=3.0,
+                     vars_=(3, 4), n=96)
+    with np.errstate(all="ignore"):
+        sk, exact = ft._library(*_normalized(data), 12)
+    assert exact and [str(c) for c in sk.columns] == ["x2", "x1^2/x2", "1"]
+    model, log = _walk_log(monkeypatch, data, RunConfig(seed=1))
+    assert model.skeleton_name == "monomials" and model.train_mse <= 1e-12
+    assert log[-2:] == [("library",), ("design", "monomials")]
+    assert not [e for e in log if e[0] == "ldse"]
+
+
+def test_an_inexact_library_fit_does_not_take_the_place_of_an_ldse_fit(monkeypatch):
+    # sin(9*x1+0.3) is beyond the scan's reach: the library searches first
+    # but fits inexactly, so LDSE runs and its exact fit is accepted before
+    # the library's subset is tried
+    model, log = _walk_log(monkeypatch, make_data(**_SYNTHETIC["sin"]), RunConfig(seed=0))
+    assert model.skeleton_name == "sin_affine" and model.converged
+    first_ldse = next(i for i, e in enumerate(log) if e[0] == "ldse")
+    assert ("library",) in log[:first_ldse]
+    assert ("design", "monomials") not in log
+
+
+def _best_subset_mse(V, y, cap):
+    """Reference: the lowest least-squares MSE of any 1 to 3 library
+    columns plus the offset within cap nodes, by brute force."""
+    kept, nodes, _ = ft._library_columns(V, cap)
+    best = math.inf
+    for size in (1, 2, 3):
+        for S in itertools.combinations(range(len(kept)), size):
+            if sum(nodes[list(S)]) + size - 1 <= cap:
+                B = np.column_stack([kept[j]._eval(V) for j in S] + [np.ones(len(y))])
+                r = y - B @ np.linalg.lstsq(B, y, rcond=None)[0]
+                best = min(best, float(r @ r) / len(y))
+    return best
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_library_respects_max_nodes(k):
+    rng = np.random.default_rng(k)
+    V = rng.uniform(1.0, 3.0, size=(40 * k, k))
+    y = rng.normal(size=len(V))
+    with np.errstate(all="ignore"):
+        for cap in range(3, 13):
+            kept, nodes, _ = ft._library_columns(V, cap)
+            assert list(nodes) == [c.complexity() for c in kept] and max(nodes) <= cap
+            sk, exact = ft._library(V, y, cap)
+            assert not exact and sk.complexity <= cap
+            B = sk.design(V, np.empty(0))
+            mse = _lstsq_cols(B, y)[1]
+            if k < 3 and cap in (5, 12):
+                # below 3 variables the search is exhaustive
+                assert mse <= _best_subset_mse(V, y, cap) * (1 + 1e-9)
+    assert sk.lin_count == 4
+
+
+def test_library_exact_fit_needs_its_node_count():
+    # {x1^2*x2, x2^2} has 4 + 2 nodes joined by one add: 7
+    data = make_data(lambda p: p[:, 1] * p[:, 0] ** 2 - p[:, 1] ** 2, vars_=(1, 2), n=96)
+    with np.errstate(all="ignore"):
+        sk, exact = ft._library(*_normalized(data), 7)
+        assert exact and sk.complexity == 7
+        assert [str(c) for c in sk.columns] == ["x2^2", "x1^2*x2", "1"]
+        sk, exact = ft._library(*_normalized(data), 6)
+        assert not exact and sk.complexity <= 6
+    model = fit_factor(data, RunConfig(seed=1, max_nodes=6))
+    assert not model.converged
+
+
+@pytest.mark.parametrize("x, texts", [
+    # 1/x1 and 1/x1^2 are non-finite at 0
+    ([0.0, 1.0, 2.0, 3.0], ["x1", "x1^2", "x1^3"]),
+    # on +-1, x1^3 and 1/x1 equal x1, and x1^2 and 1/x1^2 are constant
+    ([-1.0, 1.0, 1.0, -1.0, 1.0], ["x1"]),
+])
+def test_library_drops_non_finite_and_duplicate_columns(x, texts):
+    V = np.array(x)[:, None]
+    with np.errstate(all="ignore"):
+        kept, _, Z = ft._library_columns(V, 12)
+        assert [str(c) for c in kept] == texts
+        assert np.allclose(Z @ Z.T, np.corrcoef(Z)) and np.allclose(Z.sum(axis=1), 0.0)
+        sk, exact = ft._library(V, np.array(x) ** 3, 12)
+    assert exact and str(sk.columns[0]) in texts
+
+
+def test_library_at_three_variables_never_forms_all_3_subsets(monkeypatch):
+    scored = []
+    real = ft._subset_rss
+
+    def spy(G, b, yy, S):
+        scored.append(S.shape)
+        return real(G, b, yy, S)
+
+    monkeypatch.setattr(ft, "_subset_rss", spy)
+    rng = np.random.default_rng(3)
+    V = rng.uniform(1.0, 3.0, size=(120, 3))
+    with np.errstate(all="ignore"):
+        m = len(ft._library_columns(V, 12)[0])
+        sk, exact = ft._library(V, rng.normal(size=len(V)), 12)
+    assert m > 200 and not exact and sk.lin_count == 4
+    assert [s for _, s in scored] == [1, 2, 3]
+    assert scored[2][0] <= ft._LIBRARY_BEAM * (m - 2) < math.comb(m, 3) // 100
 
 
 # ---- the Gauss-Newton polish -----------------------------------------------
