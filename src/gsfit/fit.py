@@ -1,5 +1,5 @@
-"""Factor determination: a table of skeleton templates plus a hybrid
-simplex evolution optimizer.
+"""Factor determination: a generated monomial library, a table of
+parametric skeleton templates, and a hybrid simplex evolution optimizer.
 
 A skeleton is a tuple of column templates, written in the expression
 grammar over the factor's local variables x1..xk and parameters p0, p1,
@@ -10,15 +10,17 @@ them, their node counts give the complexity that caps the stream, and
 the starting rows of a search are read off them (`_scan`).
 
 Factor data is only identified up to an affine transform, so every
-skeleton carries an explicit amplitude and (usually) offset. The lin_j
-enter the model linearly and are solved by least squares inside the
-objective; the scan, polish and search only handle the parameters inside
-the columns (frequencies, growth rates, inner shifts), one to four.
+skeleton carries an explicit amplitude and offset. The lin_j enter the
+model linearly and are solved by least squares inside the objective; the
+scan, polish and search only handle the parameters inside the columns
+(frequencies, growth rates, inner shifts), one to four.
 
-Besides the table, a factor the table's rows leave open is offered a
-generated skeleton: the sum of one to three monomials x1^e1 * ... *
-xk^ek (each e_i from -2 to 3) plus an offset, chosen by sparse regression
-over that basis (`_library`), as in FFX and SINDy.
+Every skeleton that is linear in its coefficients and built of monomials
+is generated rather than listed: the sum of zero to three monomials
+x1^e1 * ... * xk^ek (each e_i from -2 to 3) plus an offset, chosen by
+sparse regression over that basis (`_library`), as in FFX and SINDy. The
+table holds the parametric families and the two parameter-free rows that
+are not monomials, ln(x1/x2) and ln(-x1/x2).
 """
 
 from __future__ import annotations
@@ -190,10 +192,6 @@ class Skeleton:
     @property
     def var_count(self) -> int:
         return max(c.arity_bound() for c in self.columns)
-
-    @property
-    def lin_count(self) -> int:
-        return len(self.columns)
 
     @property
     def complexity(self) -> int:
@@ -380,17 +378,9 @@ def _sk(name: str, *columns: str) -> Skeleton:
 
 # Streams by factor variable count. The parameter-free rows are tried in
 # table order; table order also breaks ties between the scan scores of
-# the parametric rows (see `_walk`).
+# the parametric rows (see `_walk`). Sums of monomials are `_library`'s.
 _STREAMS = {
     1: (
-        _sk("const", "1"),
-        _sk("affine", "x1", "1"),
-        _sk("square", "x1^2"),
-        _sk("square_offset", "x1^2", "1"),
-        _sk("inverse", "1/x1", "1"),
-        _sk("inverse_square", "1/x1^2", "1"),
-        _sk("cubic", "x1^3", "1"),
-        _sk("quadratic", "x1^2", "x1", "1"),
         _sk("exp_scaled", "exp(p0*x1)", "1"),
         _sk("sin_affine", "sin(p0*x1+p1)", "1"),
         _sk("cos_affine", "cos(p0*x1+p1)", "1"),
@@ -401,10 +391,6 @@ _STREAMS = {
         _sk("vsin", "x1*sin(p0*x1+p1)", "1"),
     ),
     2: (
-        _sk("bilinear", "x1*x2", "1"),
-        _sk("affine2", "x1", "x2", "1"),
-        _sk("bilinear_full", "x1*x2", "x1", "x2", "1"),
-        _sk("ratio", "x1/x2", "1"),
         _sk("sin_affine2", "sin(p0*x1+p1*x2+p2)", "1"),
         _sk("cos_affine2", "cos(p0*x1+p1*x2+p2)", "1"),
         _sk("exp_affine2", "exp(p0*x1+p1*x2)", "1"),
@@ -417,15 +403,18 @@ _STREAMS = {
         _sk("prod_exp", "x1*exp(p0*x2)", "1"),
     ),
     3: (
-        _sk("affine3", "x1", "x2", "x3", "1"),
-        _sk("trilinear", "x1*x2*x3", "1"),
-        _sk("ratio2", "x1/x3", "x2/x3", "1"),
-        _sk("ratio2_const", "x1/x3", "x2/x3", "1/x3", "1"),
         _sk("sin_affine3", "sin(p0*x1+p1*x2+p2*x3+p3)", "1"),
         _sk("cos_affine3", "cos(p0*x1+p1*x2+p2*x3+p3)", "1"),
         _sk("exp_affine3", "exp(p0*x1+p1*x2+p2*x3+p3)", "1"),
     ),
 }
+
+# A search's seed is keyed on its skeleton's stream rank plus the number
+# of parameter-free monomial rows, of these node counts by variable count,
+# that the table listed ahead of its parametric rows within the node cap
+# before `_library` took their place (8, 4 and 4 at the default cap). It
+# keeps every seeded search's numbers as they were.
+_SEED_KEY_ROWS = {1: (1, 1, 2, 2, 3, 4, 3, 4), 2: (3, 3, 7, 3), 3: (5, 5, 7, 11)}
 
 
 def skeleton_stream(var_count: int, max_nodes: int = RunConfig.max_nodes) -> list[Skeleton]:
@@ -447,8 +436,6 @@ _LIBRARY_CHUNK = 4096
 # a subset whose Gram matrix of centered unit-norm columns has a smaller
 # determinant counts as singular
 _LIBRARY_MIN_DET = 1e-10
-# at three variables, the number of best 2-subsets extended by a third column
-_LIBRARY_BEAM = 8
 
 
 def _monomial_text(exps: tuple[int, ...]) -> str:
@@ -469,8 +456,10 @@ def _monomial_text(exps: tuple[int, ...]) -> str:
 def _monomials(k: int) -> tuple[tuple[ex.Expr, int], ...]:
     """(template, node count) of every monomial x1^e1 * ... * xk^ek with
     each e_i in `_LIBRARY_POWERS` and not all zero, fewest nodes first;
-    built on first use."""
-    exps = [e for e in itertools.product(_LIBRARY_POWERS, repeat=k) if any(e)]
+    built on first use. Of equal node counts, xk's exponent varies slowest
+    and x1's fastest, so x1 comes before x2 before x3 and a sum such as
+    x1 + x2 keeps its columns in variable order."""
+    exps = [e[::-1] for e in itertools.product(_LIBRARY_POWERS, repeat=k) if any(e)]
     cols = [ex.parse_template(_monomial_text(e), k) for e in exps]
     return tuple(sorted(((c, c.complexity()) for c in cols), key=lambda mc: mc[1]))
 
@@ -519,46 +508,44 @@ def _library_columns(V: np.ndarray, max_nodes: int):
 
 
 def _library(V: np.ndarray, y: np.ndarray, max_nodes: int):
-    """The best sum of 1 to 3 `_library_columns` plus an offset on the
+    """The best sum of 0 to 3 `_library_columns` plus an offset on the
     data, as a parameter-free skeleton named "monomials", and whether it
-    fits to a normalized MSE of 1e-12; (None, False) when no subset is
-    admissible.
+    fits to a normalized MSE of 1e-12.
 
     Centering profiles the offset out, and unit-norm columns condition the
-    Gram matrix. Subsets within max_nodes (see Skeleton.complexity) are
-    ranked by `_subset_rss`, smallest size first, and the first size whose
-    best fits to 1e-12 wins; else the lowest RSS over every size does.
-    Ties go to the earlier subset in enumeration order. At three
-    variables, the 3-subsets are the best `_LIBRARY_BEAM` 2-subsets each
-    extended by one more column, not all of them.
+    Gram matrix. The empty sum, the offset alone, leaves y's own RSS. The
+    search is exhaustive within max_nodes (see Skeleton.complexity): each
+    subset that fits the cap is extended by each later column that still
+    fits, so every size's subsets come in itertools.combinations order.
+    Sizes are scored by `_subset_rss`, smallest first, and the first size
+    whose best fits to 1e-12 wins; else the lowest RSS over every size
+    does. Ties go to the earlier subset.
     """
-    k = V.shape[1]
     exact_rss = 1e-12 * len(V)  # a normalized MSE of 1e-12
     kept, nodes, Z = _library_columns(V, max_nodes)
     yc = y - y.mean()
     G, b, yy = Z @ Z.T, Z @ yc, float(yc @ yc)
-    best = None  # (rss, subset)
-    for size in range(1, min(3, len(kept)) + 1):
-        if size == 3 and k == 3:
-            # S and rss still hold the 2-subsets and their scores
-            top = np.argsort(rss, kind="stable")[:_LIBRARY_BEAM]
-            S = np.array(list(dict.fromkeys(
-                tuple(sorted((*p, j))) for p in S[top[np.isfinite(rss[top])]].tolist()
-                for j in range(len(kept)) if j not in p)), dtype=int).reshape(-1, 3)
-        else:
-            # every size-subset, in itertools.combinations order
-            grid = np.indices((len(kept),) * size)
-            S = np.argwhere(np.all(np.diff(grid, axis=0) > 0, axis=0))
-        S = S[nodes[S].sum(axis=1) + size - 1 <= max_nodes]
+    S = np.empty((1, 0), dtype=int)  # the subsets of the last size: the empty one
+    used = np.zeros(1, dtype=int)    # their columns' node counts
+    best = (yy, S[0])                # (rss, subset)
+    for size in range(1, 4):
+        if best[0] <= exact_rss:
+            break
+        # columns come fewest nodes first, so those that keep a subset
+        # within the cap (its columns' nodes, plus one add per column)
+        # run from the one after its last up to the searchsorted bound
+        start = S[:, -1] + 1 if size > 1 else 0
+        stop = np.searchsorted(nodes, max_nodes - used - (size - 1), side="right")
+        count = np.maximum(stop - start, 0)
+        row = np.repeat(np.arange(len(S)), count)
+        j = np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+        S, used = np.column_stack([S[row], j]), used[row] + nodes[j]
+        if not len(S):
+            break
         rss = _subset_rss(G, b, yy, S)
-        if len(S) and np.isfinite(rss.min()):
-            i = int(np.argmin(rss))
-            if best is None or rss[i] < best[0]:
-                best = (float(rss[i]), S[i])
-            if rss[i] <= exact_rss:
-                break
-    if best is None:
-        return None, False
+        i = int(np.argmin(rss))
+        if rss[i] < best[0]:
+            best = (float(rss[i]), S[i])
     cols = tuple(kept[j] for j in best[1])
     return Skeleton("monomials", cols + (_OFFSET,)), best[0] <= exact_rss
 
@@ -719,27 +706,33 @@ def _by_hint_score(scans: list) -> list:
 def _walk(stream: list[Skeleton], V, y, seed: int, max_nodes: int):
     """Yield (skeleton, nl) in the order fit_factor tries them.
 
-    The parameter-free rows come first, in table order. Only when the
-    caller asks past them are the parametric rows taken, in table order:
-    each is scanned and its best row polished (`_polish`); a row that
-    polishes to 1e-12 is yielded at once. Next comes the monomial library
-    (`_library`, within max_nodes): its best subset is yielded here if it
-    fits to 1e-12, and otherwise only after the last LDSE family, where it
-    competes on MSE, so that an inexact sum of monomials cannot take the
-    place of a parametric family that LDSE fits exactly. The rows still
-    open then get LDSE, depth-first in order of best scan score: a family
-    runs restarts until one reaches 1e-12, one repeats the family's best
-    so far to within 1e-4 relative (a further restart would most likely
-    land on the same minimum), or its third has run, and its best run is
-    yielded before the next family's first. A run's seed is derived from
-    the skeleton's table rank and the restart; the polished point is not
-    among its init guesses.
+    The monomial library (`_library`, within max_nodes) searches first.
+    Its best subset is yielded at once if it fits to 1e-12 (the offset
+    alone does on constant data), and otherwise only after the last LDSE
+    family, where it competes on MSE, so that an inexact sum of monomials
+    cannot take the place of a parametric family that a polish or LDSE
+    fits exactly. Next come the table's parameter-free rows, in table
+    order. Only when the caller asks past them are the parametric rows
+    taken, in table order: each is scanned and its best row polished
+    (`_polish`); a row that polishes to 1e-12 is yielded at once. The rows
+    still open then get LDSE, depth-first in order of best scan score: a
+    family runs restarts until one reaches 1e-12, one repeats the family's
+    best so far to within 1e-4 relative (a further restart would most
+    likely land on the same minimum), or its third has run, and its best
+    run is yielded before the next family's first. A run's seed is derived
+    from the skeleton's seed key (its stream rank plus the count of
+    `_SEED_KEY_ROWS` within max_nodes) and the restart; the polished point
+    is not among its init guesses.
     """
+    library, exact = _library(V, y, max_nodes)
+    if exact:
+        yield library, np.empty(0)
     for sk in stream:
         if not sk.nl_count:
             yield sk, np.empty(0)
     scans = []
-    for rank, sk in enumerate(stream):
+    offset = sum(n <= max_nodes for n in _SEED_KEY_ROWS[V.shape[1]])
+    for rank, sk in enumerate(stream, offset):
         if not sk.nl_count:
             continue
         objective = _make_objective(sk, V, y)
@@ -750,9 +743,6 @@ def _walk(stream: list[Skeleton], V, y, seed: int, max_nodes: int):
                 yield sk, x
                 continue
         scans.append((hint_best, rank, sk, objective, hints))
-    library, exact = _library(V, y, max_nodes)
-    if exact:
-        yield library, np.empty(0)
     for hint_best, rank, sk, objective, hints in _by_hint_score(scans):
         # Scan quality decides the search budget: on unit-variance data, a
         # dense scan that still leaves most of the variance unexplained
@@ -773,16 +763,16 @@ def _walk(stream: list[Skeleton], V, y, seed: int, max_nodes: int):
             if val <= 1e-12 or repeated:
                 break
         yield sk, best[0]
-    if library is not None and not exact:
+    if not exact:
         yield library, np.empty(0)
 
 
 def fit_factor(data, cfg: RunConfig) -> FactorModel:
     """Fit the factor with the first skeleton within tolerance, else the best.
 
-    Skeletons are tried in `_walk`'s order: the table's parameter-free
-    rows, the scanned and polished parametric rows, an exact fit of the
-    monomial library, LDSE, and last an inexact library fit. The first
+    Skeletons are tried in `_walk`'s order: an exact fit of the monomial
+    library, the table's parameter-free rows, the scanned and polished
+    parametric rows, LDSE, and last an inexact library fit. The first
     within tolerance is accepted; without one, the lowest MSE wins, and
     equal MSEs go to the skeleton tried first. Responses are centered and
     scaled to unit standard deviation before fitting; the returned model

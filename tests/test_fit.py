@@ -8,6 +8,7 @@ import pytest
 
 from gsfit.config import RunConfig
 from gsfit.detect import FactorData
+from gsfit.expr import parse_template
 import gsfit.fit as ft
 from gsfit.config import derived_seed
 from gsfit.fit import (
@@ -24,15 +25,39 @@ from gsfit.fit import (
 )
 
 DEFAULT_STREAMS = {
-    1: ["const", "affine", "square", "square_offset", "inverse",
-        "inverse_square", "cubic", "quadratic", "exp_scaled", "sin_affine",
-        "cos_affine", "ln_affine", "sqrt_affine", "recip_affine", "vexp",
-        "vsin"],
-    2: ["bilinear", "affine2", "bilinear_full", "ratio", "sin_affine2",
-        "cos_affine2", "exp_affine2", "sin_prod", "cos_prod", "ln_affine2",
-        "ln_ratio_pos", "ln_ratio_neg", "prod_sin", "prod_exp"],
-    3: ["affine3", "trilinear", "ratio2", "ratio2_const"],
+    1: ["exp_scaled", "sin_affine", "cos_affine", "ln_affine", "sqrt_affine",
+        "recip_affine", "vexp", "vsin"],
+    2: ["sin_affine2", "cos_affine2", "exp_affine2", "sin_prod", "cos_prod",
+        "ln_affine2", "ln_ratio_pos", "ln_ratio_neg", "prod_sin", "prod_exp"],
+    3: [],
 }
+
+# The monomial sums the library reproduces, by the name of the table row
+# that once listed each: (variable count, columns besides the offset).
+MONOMIAL_ROWS = {
+    "const": (1, []),
+    "affine": (1, ["x1"]),
+    "square": (1, ["x1^2"]),
+    "square_offset": (1, ["x1^2"]),
+    "inverse": (1, ["1/x1"]),
+    "inverse_square": (1, ["1/x1^2"]),
+    "cubic": (1, ["x1^3"]),
+    "quadratic": (1, ["x1^2", "x1"]),
+    "bilinear": (2, ["x1*x2"]),
+    "affine2": (2, ["x1", "x2"]),
+    "bilinear_full": (2, ["x1*x2", "x1", "x2"]),
+    "ratio": (2, ["x1/x2"]),
+    "affine3": (3, ["x1", "x2", "x3"]),
+    "trilinear": (3, ["x1*x2*x3"]),
+    "ratio2": (3, ["x1/x3", "x2/x3"]),
+    "ratio2_const": (3, ["x1/x3", "x2/x3", "1/x3"]),
+}
+
+
+def _monomial_rows(k):
+    """The k-variable MONOMIAL_ROWS as library skeletons, in table order."""
+    return [Skeleton("monomials", tuple(parse_template(t, k) for t in texts) + (ft._OFFSET,))
+            for kk, texts in MONOMIAL_ROWS.values() if kk == k]
 
 
 def make_data(fn, lo=-3.0, hi=3.0, n=60, vars_=(1,), seed=0):
@@ -44,8 +69,10 @@ def make_data(fn, lo=-3.0, hi=3.0, n=60, vars_=(1,), seed=0):
 
 
 def test_stream_first_three_univariate():
+    # sums of monomials are the library's, so the table starts with the
+    # parametric families
     names = [s.name for s in skeleton_stream(1)]
-    assert names[:3] == ["const", "affine", "square"]
+    assert names[:3] == ["exp_scaled", "sin_affine", "cos_affine"]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -54,7 +81,7 @@ def test_stream_default_names_and_order(k):
 
 
 def test_stream_widest_cap_adds_only_affine3_families():
-    extra = [s.name for s in skeleton_stream(3, max_nodes=14)][4:]
+    extra = [s.name for s in skeleton_stream(3, max_nodes=14)]
     assert extra == ["sin_affine3", "cos_affine3", "exp_affine3"]
     for k in (1, 2):
         assert [s.name for s in skeleton_stream(k, max_nodes=14)] == DEFAULT_STREAMS[k]
@@ -78,12 +105,12 @@ def test_bound_model_is_the_scored_sum_of_columns(k):
     # the model the objective and the least-squares solve scored
     rng = np.random.default_rng(7 + k)
     var_map = (4, 2, 6)[:k]
-    for sk in skeleton_stream(k, max_nodes=14):
+    for sk in skeleton_stream(k, max_nodes=14) + _monomial_rows(k):
         assert sk.var_count <= k
         V, nl, B = _valid_design(sk, k, rng)
-        lin = rng.uniform(-2.0, 2.0, sk.lin_count)
+        lin = rng.uniform(-2.0, 2.0, len(sk.columns))
         expected = lin[0] * B[:, 0]
-        for j in range(1, sk.lin_count):
+        for j in range(1, len(sk.columns)):
             expected = expected + lin[j] * B[:, j]
         full = np.zeros((len(V), max(var_map)))
         full[:, [v - 1 for v in var_map]] = V
@@ -109,12 +136,20 @@ def test_stream_contains_required_bivariate_forms():
     names = {s.name for s in skeleton_stream(2)}
     assert "sin_affine2" in names  # sin(a*u + b*w + c) family
     assert "sin_prod" in names     # sin(a*u*w) family
-    assert "affine2" in names
+    # a*u + b*w is the library's
+    data = make_data(lambda p: 2.0 * p[:, 0] - 0.7 * p[:, 1], vars_=(1, 2), n=96)
+    with np.errstate(all="ignore"):
+        sk, exact = ft._library(*_normalized(data), 12)
+    assert exact and [str(c) for c in sk.columns] == ["x1", "x2", "1"]
 
 
 def test_stream_trivariate_has_ratio_form():
-    names = {s.name for s in skeleton_stream(3)}
-    assert "ratio2" in names       # (a*v1 + b*v2) / v3
+    # (a*v1 + b*v2) / v3 is the library's
+    data = make_data(lambda p: (1.5 * p[:, 0] - 0.4 * p[:, 1]) / p[:, 2], lo=1.0,
+                     vars_=(1, 2, 3), n=120)
+    with np.errstate(all="ignore"):
+        sk, exact = ft._library(*_normalized(data), 12)
+    assert exact and [str(c) for c in sk.columns] == ["x1/x3", "x2/x3", "1"]
 
 
 def test_stream_rejects_out_of_range_var_count():
@@ -474,7 +509,8 @@ def test_batched_objective_scores_rows_outside_the_domain_inf():
 def test_fit_constant_data():
     d = make_data(lambda p: np.full(len(p), 4.25))
     m = fit_factor(d, RunConfig(seed=0))
-    assert m.skeleton_name == "const"
+    # the library's empty sum: the offset alone
+    assert m.skeleton_name == "monomials" and m.expr.kind == "const"
     assert m.converged and m.train_mse <= 1e-12
 
 
@@ -497,7 +533,10 @@ def test_fit_inverse_square():
     d = make_data(lambda p: 1.0 / p[:, 0] ** 2, lo=0.5, hi=3.0)
     m = fit_factor(d, RunConfig(seed=0))
     assert m.converged
-    assert m.skeleton_name == "inverse_square"
+    assert m.skeleton_name == "monomials"
+    with np.errstate(all="ignore"):
+        sk, exact = ft._library(*_normalized(d), 12)
+    assert exact and [str(c) for c in sk.columns] == ["1/x1^2", "1"]
 
 
 def test_fit_log_with_inner_affine():
@@ -687,8 +726,22 @@ def test_with_phase_on_constant_argument_falls_back_for_every_row():
     assert np.array_equal(got, _phase_reference("sin", freqs, X, y))
 
 
-def _rank(name, k=1):
-    return [s.name for s in skeleton_stream(k)].index(name)
+def _seed_offset(k, max_nodes):
+    return sum(n <= max_nodes for n in ft._SEED_KEY_ROWS[k])
+
+
+def _rank(name, k=1, max_nodes=12):
+    """The seed key of a row's LDSE runs: its stream rank plus the offset."""
+    names = [s.name for s in skeleton_stream(k, max_nodes)]
+    return names.index(name) + _seed_offset(k, max_nodes)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_search_seeds_keep_their_table_keys(k):
+    # a parametric row's seed key is the rank it had while the table listed
+    # the library's monomial sums ahead of it, as many as the cap admitted
+    assert ft._SEED_KEY_ROWS[k] == tuple(sk.complexity for sk in _monomial_rows(k))
+    assert _seed_offset(k, 12) == (8, 4, 4)[k - 1]
 
 
 def _ldse_seeds(monkeypatch):
@@ -754,26 +807,27 @@ def test_parameter_free_rows_first_then_every_scan_before_ldse(monkeypatch):
     model, log = _walk_log(monkeypatch, data, RunConfig(seed=2))
     assert not model.converged
     stream = skeleton_stream(1)
-    free = [s.name for s in stream if not s.nl_count]
     parametric = [s.name for s in stream if s.nl_count]
-    assert log[:len(free)] == [("design", n) for n in free]
-    rest = log[len(free):]
+    assert parametric == [s.name for s in stream]
+    # the library searches once, first; its fit is inexact, so it is tried
+    # last, after every LDSE family
+    assert log[0] == ("library",) and log[-1] == ("design", "monomials")
+    rest = log[1:-1]
     assert rest[:len(parametric)] == [("scan", n) for n in parametric]
-    after = rest[len(parametric):]
-    # the library searches once, before any LDSE run; its fit is inexact,
-    # so it is tried last, after every LDSE family
-    assert after[0] == ("library",) and after[-1] == ("design", "monomials")
-    searched = after[1:-1]
+    searched = rest[len(parametric):]
     assert {e[1] for e in searched if e[0] == "design"} == set(parametric)
     assert all(e[0] in ("design", "ldse") for e in searched)
     assert searched[0][0] == "ldse"
 
 
 def test_accepted_parameter_free_row_skips_every_scan(monkeypatch):
-    model, log = _walk_log(monkeypatch, make_data(lambda p: 3 * p[:, 0] ** 2 - 1),
-                           RunConfig(seed=0))
-    assert model.skeleton_name == "square_offset"
-    assert log == [("design", n) for n in ("const", "affine", "square", "square_offset")]
+    data = make_data(lambda p: 3 * p[:, 0] ** 2 - 1)
+    model, log = _walk_log(monkeypatch, data, RunConfig(seed=0))
+    assert model.skeleton_name == "monomials" and model.converged
+    assert log == [("library",), ("design", "monomials")]
+    with np.errstate(all="ignore"):
+        sk, exact = ft._library(*_normalized(data), 12)
+    assert exact and [str(c) for c in sk.columns] == ["x1^2", "1"]
 
 
 def test_hint_order_ties_go_to_table_order():
@@ -829,10 +883,12 @@ def test_fit_factor_reruns_are_bit_identical(fn, vars_):
 
 def _spied_fit(monkeypatch, data, cfg):
     """fit_factor, and its LDSE runs in call order as
-    (rank, restart, max_generations, x bytes, val)."""
-    stream_len = len(skeleton_stream(len(data.vars), cfg.max_nodes))
-    run_of = {derived_seed(cfg.seed, rank, r): (rank, r)
-              for rank in range(stream_len) for r in range(3)}
+    (rank, restart, max_generations, x bytes, val), rank the skeleton's
+    index in the stream."""
+    k = len(data.vars)
+    offset = _seed_offset(k, cfg.max_nodes)
+    run_of = {derived_seed(cfg.seed, offset + rank, r): (rank, r)
+              for rank in range(len(skeleton_stream(k, cfg.max_nodes))) for r in range(3)}
     runs = []
     real = ft.ldse_minimize
 
@@ -878,7 +934,7 @@ def _suite_factor_data(monkeypatch):
 
 
 def test_suite_factors_fit_without_ldse(monkeypatch):
-    # every factor of the suite is fitted by a parameter-free row or closed
+    # every factor of the suite is fitted exactly by the library or closed
     # by its scan and polish
     sweeps = _suite_factor_data(monkeypatch)
     assert len(sweeps) == 45
@@ -994,8 +1050,8 @@ def _normalized(data):
 
 
 def test_library_fits_the_stream_demo_omega_factor_before_ldse(monkeypatch):
-    # r - R^2/r over (R, r) in [1, 3]^2: no table row fits it, the library
-    # does exactly with two columns, and no LDSE run is made
+    # r - R^2/r over (R, r) in [1, 3]^2: the library fits it exactly with
+    # two columns, before any scan, and no LDSE run is made
     data = make_data(lambda p: p[:, 1] - p[:, 0] ** 2 / p[:, 1], lo=1.0, hi=3.0,
                      vars_=(3, 4), n=96)
     with np.errstate(all="ignore"):
@@ -1003,8 +1059,7 @@ def test_library_fits_the_stream_demo_omega_factor_before_ldse(monkeypatch):
     assert exact and [str(c) for c in sk.columns] == ["x2", "x1^2/x2", "1"]
     model, log = _walk_log(monkeypatch, data, RunConfig(seed=1))
     assert model.skeleton_name == "monomials" and model.train_mse <= 1e-12
-    assert log[-2:] == [("library",), ("design", "monomials")]
-    assert not [e for e in log if e[0] == "ldse"]
+    assert log == [("library",), ("design", "monomials")]
 
 
 def test_an_inexact_library_fit_does_not_take_the_place_of_an_ldse_fit(monkeypatch):
@@ -1018,17 +1073,25 @@ def test_an_inexact_library_fit_does_not_take_the_place_of_an_ldse_fit(monkeypat
     assert ("design", "monomials") not in log
 
 
+def _admissible(nodes, size, cap):
+    """Reference: every size-subset of the columns of these node counts
+    within cap nodes, in itertools.combinations order, by brute force."""
+    nodes = [int(n) for n in nodes]
+    return [S for S in itertools.combinations(range(len(nodes)), size)
+            if sum(nodes[j] for j in S) + size - 1 <= cap]
+
+
 def _best_subset_mse(V, y, cap):
     """Reference: the lowest least-squares MSE of any 1 to 3 library
     columns plus the offset within cap nodes, by brute force."""
     kept, nodes, _ = ft._library_columns(V, cap)
+    cols = [m._eval(V) for m in kept]
     best = math.inf
     for size in (1, 2, 3):
-        for S in itertools.combinations(range(len(kept)), size):
-            if sum(nodes[list(S)]) + size - 1 <= cap:
-                B = np.column_stack([kept[j]._eval(V) for j in S] + [np.ones(len(y))])
-                r = y - B @ np.linalg.lstsq(B, y, rcond=None)[0]
-                best = min(best, float(r @ r) / len(y))
+        for S in _admissible(nodes, size, cap):
+            B = np.column_stack([cols[j] for j in S] + [np.ones(len(y))])
+            r = y - B @ np.linalg.lstsq(B, y, rcond=None)[0]
+            best = min(best, float(r @ r) / len(y))
     return best
 
 
@@ -1045,10 +1108,10 @@ def test_library_respects_max_nodes(k):
             assert not exact and sk.complexity <= cap
             B = sk.design(V, np.empty(0))
             mse = _lstsq_cols(B, y)[1]
-            if k < 3 and cap in (5, 12):
-                # below 3 variables the search is exhaustive
+            if cap in (5, 12):
+                # the search is exhaustive within the cap
                 assert mse <= _best_subset_mse(V, y, cap) * (1 + 1e-9)
-    assert sk.lin_count == 4
+    assert len(sk.columns) == 4
 
 
 def test_library_exact_fit_needs_its_node_count():
@@ -1080,23 +1143,65 @@ def test_library_drops_non_finite_and_duplicate_columns(x, texts):
     assert exact and str(sk.columns[0]) in texts
 
 
-def test_library_at_three_variables_never_forms_all_3_subsets(monkeypatch):
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_library_scores_exactly_the_subsets_within_the_cap(monkeypatch, k):
+    # every subset of 1 to 3 columns that fits the node cap is scored,
+    # each size in itertools.combinations order, and no other
     scored = []
     real = ft._subset_rss
 
     def spy(G, b, yy, S):
-        scored.append(S.shape)
+        scored.append(S.tolist())
         return real(G, b, yy, S)
 
     monkeypatch.setattr(ft, "_subset_rss", spy)
     rng = np.random.default_rng(3)
-    V = rng.uniform(1.0, 3.0, size=(120, 3))
-    with np.errstate(all="ignore"):
-        m = len(ft._library_columns(V, 12)[0])
-        sk, exact = ft._library(V, rng.normal(size=len(V)), 12)
-    assert m > 200 and not exact and sk.lin_count == 4
-    assert [s for _, s in scored] == [1, 2, 3]
-    assert scored[2][0] <= ft._LIBRARY_BEAM * (m - 2) < math.comb(m, 3) // 100
+    V = rng.uniform(1.0, 3.0, size=(40 * k, k))
+    y = rng.normal(size=len(V))
+    for cap in (3, 7, 12, 14):
+        scored.clear()
+        with np.errstate(all="ignore"):
+            _, nodes, _ = ft._library_columns(V, cap)
+            sk, exact = ft._library(V, y, cap)
+        assert not exact
+        want = [_admissible(nodes, size, cap) for size in (1, 2, 3)]
+        want = [[list(S) for S in w] for w in want if w]
+        assert scored == want, cap
+        if k == 3 and cap == 12:
+            assert [len(w) for w in want] == [215, 8016, 15130]
+
+
+@pytest.mark.parametrize("row", list(MONOMIAL_ROWS))
+def test_library_reproduces_every_monomial_row(monkeypatch, row):
+    # each column set, with coefficients of mixed scale and an offset, is
+    # fitted exactly by the library with exactly those columns, and
+    # fit_factor accepts that fit
+    k, texts = MONOMIAL_ROWS[row]
+    found = []
+    real = ft._library
+
+    def spy(*a):
+        found.append(real(*a))
+        return found[-1]
+
+    monkeypatch.setattr(ft, "_library", spy)
+    columns = [parse_template(t, k) for t in texts]
+    for lo in (-3.0, 1.0):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            V = rng.uniform(lo, 3.0, size=(40 * k, k))
+            coef = (rng.choice([-1.0, 1.0], len(texts)) * rng.uniform(0.5, 2.0, len(texts))
+                    * rng.choice([0.01, 1.0, 100.0], len(texts)))
+            y = sum((a * c._eval(V) for a, c in zip(coef, columns)),
+                    np.full(len(V), rng.uniform(-5.0, 5.0)))
+            data = FactorData(vars=tuple(range(1, k + 1)), points=V, values=y, role="psi",
+                              block_vars=tuple(range(1, k + 1)))
+            found.clear()
+            model = fit_factor(data, RunConfig(seed=seed))
+            sk, exact = found[0]
+            assert exact, (lo, seed)
+            assert sorted(map(str, sk.columns)) == sorted(texts + ["1"]), (lo, seed)
+            assert model.converged and model.skeleton_name == "monomials", (lo, seed)
 
 
 # ---- the Gauss-Newton polish -----------------------------------------------
