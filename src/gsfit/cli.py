@@ -234,10 +234,22 @@ def cmd_bench(args) -> int:
     return EXIT_OK if all_match else EXIT_TOLERANCE
 
 
+def _join_target(argv: list[str]) -> list[str]:
+    """argv with each "--target VALUE" joined into "--target=VALUE", so
+    that argparse takes a target starting with "-" as the value."""
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] == "--target":
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_join_target(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     commands = {"detect": cmd_detect, "fit": cmd_fit, "bench": cmd_bench}

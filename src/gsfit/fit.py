@@ -21,6 +21,10 @@ x1^e1 * ... * xk^ek (each e_i from -2 to 3) plus an offset, chosen by
 sparse regression over that basis (`_library`), as in FFX and SINDy. The
 table holds the parametric families and the two parameter-free rows that
 are not monomials, ln(x1/x2) and ln(-x1/x2).
+
+A parametric family is scanned and polished, first out to +-24 radians
+across the data span and then, for sin and cos, out to what the sample
+resolves; only families neither pass closes get LDSE (`_walk`).
 """
 
 from __future__ import annotations
@@ -277,20 +281,38 @@ def _read_form(name: str, shape: ex.Expr) -> _Form:
     return _Form(lead, g, tuple(terms), shift)
 
 
-# each p_k's scan axis, in radians (sin, cos) or e-folds (exp) across the
-# span of its m_k on the data, both signs
-_SCAN_REACH = np.linspace(1.5, 24.0, 16)
+# each p_k's scan axis in the first pass, in radians (sin, cos) or e-folds
+# (exp) across the span of its m_k on the data, both signs
+_SCAN_STEP = 1.5
+_SCAN_REACH = np.linspace(_SCAN_STEP, 24.0, 16)
 # ln, sqrt and 1/: the pole's distance below the inner argument's minimum,
 # in spans of the inner argument
 _SCAN_POLES = np.geomspace(0.01, 100.0, 49)
+# the second pass reaches sin and cos, on the same step, out to pi * n
+# radians across the span: the (pseudo-)Nyquist limit of n irregular
+# points at their mean spacing (VanderPlas, ApJS 236:16, 2018), as far as
+# a family's grid stays within this many rows
+_WIDE_SCAN_ROWS = 2048
 
 
-def _scan(sk: Skeleton, V: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _wide_reach(form: _Form, V: np.ndarray) -> np.ndarray | None:
+    """A sin or cos family's second-pass reach axis on the points V, cut
+    at `_WIDE_SCAN_ROWS` grid rows and where all rows beyond leave the
+    parameter box; None where that adds nothing to `_SCAN_REACH`."""
+    if form.g not in ("sin", "cos"):
+        return None
+    span = max(float(np.ptp(m._eval(V))) or 1.0 for m in form.terms)
+    steps = np.arange(1, int(min(math.pi * len(V), PARAM_BOUND * span) / _SCAN_STEP) + 1)
+    reach = _SCAN_STEP * steps[(2 * steps) ** len(form.terms) // 2 <= _WIDE_SCAN_ROWS]
+    return reach if len(reach) > len(_SCAN_REACH) else None
+
+
+def _scan(sk: Skeleton, V: np.ndarray, y: np.ndarray, reach: np.ndarray) -> np.ndarray:
     """Starting rows (candidates, nl_count) for a parametric skeleton.
 
-    Each p_k runs along +-_SCAN_REACH over the span of m_k on the data;
-    sin and cos keep the first axis positive, as its sign only flips the
-    amplitude. ln, sqrt and 1/ see only the direction of the inner
+    Each p_k runs along +-reach (ascending) over the span of m_k on the
+    data; sin and cos keep the first axis positive, as its sign only flips
+    the amplitude. ln, sqrt and 1/ see only the direction of the inner
     argument (a common factor of it and the shift changes only their
     amplitude or offset), so they keep the grid's outer edge, scaled in to
     the innermost reach, which leaves the polish room in the parameter
@@ -303,13 +325,13 @@ def _scan(sk: Skeleton, V: np.ndarray, y: np.ndarray) -> np.ndarray:
     K = len(form.terms)
     M = np.column_stack([m._eval(V) for m in form.terms])
     span = np.ptp(M, axis=0)
-    reach = np.concatenate([-_SCAN_REACH[::-1], _SCAN_REACH])
+    axis = np.concatenate([-reach[::-1], reach])
     # every combination of the axes' values, first axis slowest
-    A = np.stack(np.meshgrid(*[reach] * K, indexing="ij"), axis=-1).reshape(-1, K)
+    A = np.stack(np.meshgrid(*[axis] * K, indexing="ij"), axis=-1).reshape(-1, K)
     if form.g in ("sin", "cos"):
         A = A[A[:, 0] > 0.0]
     elif form.g in ("ln", "sqrt", "recip"):
-        A = A[np.abs(A).max(axis=1) == _SCAN_REACH[-1]] * (_SCAN_REACH[0] / _SCAN_REACH[-1])
+        A = A[np.abs(A).max(axis=1) == reach[-1]] * (reach[0] / reach[-1])
     rows = A / np.where(span > 0.0, span, 1.0)
     if form.shift and form.g in ("sin", "cos"):
         lead = 1.0 if form.lead is None else form.lead._eval(V)
@@ -408,14 +430,6 @@ _STREAMS = {
         _sk("exp_affine3", "exp(p0*x1+p1*x2+p2*x3+p3)", "1"),
     ),
 }
-
-# A search's seed is keyed on its skeleton's stream rank plus the number
-# of parameter-free monomial rows, of these node counts by variable count,
-# that the table listed ahead of its parametric rows within the node cap
-# before `_library` took their place (8, 4 and 4 at the default cap). It
-# keeps every seeded search's numbers as they were.
-_SEED_KEY_ROWS = {1: (1, 1, 2, 2, 3, 4, 3, 4), 2: (3, 3, 7, 3), 3: (5, 5, 7, 11)}
-
 
 def skeleton_stream(var_count: int, max_nodes: int = RunConfig.max_nodes) -> list[Skeleton]:
     """The table's skeletons for var_count variables, in table order, whose
@@ -670,18 +684,10 @@ def _polish(residuals, objective, x, val):
 # temporaries of the widest scans
 _HINT_CHUNK = 64
 
-# scan scores within this relative distance of each other, or both within
-# the absolute one (an exact fit of unit-variance data), are ties, so that
-# rounding cannot reorder families that fit the data equally well (sin and
-# cos with a free phase)
-_TIE_RTOL = 1e-9
-_TIE_ATOL = 1e-14
-
-
-def _ranked_hints(sk: Skeleton, objective, V, y, top: int = 3):
-    """The skeleton's best `top` scan rows (`_scan`) under its own
-    objective, and the best score (inf when every row scores inf)."""
-    cands = _scan(sk, V, y)
+def _ranked_hints(sk: Skeleton, objective, V, y, reach, top: int = 3):
+    """The skeleton's best `top` scan rows (`_scan` along reach) under its
+    own objective, and the best score (inf when every row scores inf)."""
+    cands = _scan(sk, V, y, reach)
     scores = np.concatenate(
         [objective(cands[i:i + _HINT_CHUNK])
          for i in range(0, len(cands), _HINT_CHUNK)] or [np.empty(0)]
@@ -690,17 +696,8 @@ def _ranked_hints(sk: Skeleton, objective, V, y, top: int = 3):
     return [cands[k] for k in order], (float(scores[order[0]]) if order else math.inf)
 
 
-def _by_hint_score(scans: list) -> list:
-    """The (hint_best, rank, ...) tuples in order of best scan score; of
-    the scores tied with the lowest, the lowest table rank goes first."""
-    left = sorted(scans, key=lambda s: s[1])
-    order = []
-    while left:
-        low = min(s[0] for s in left)
-        pick = next(s for s in left if s[0] <= low * (1.0 + _TIE_RTOL) + _TIE_ATOL)
-        left.remove(pick)
-        order.append(pick)
-    return order
+# LDSE restarts per family left open by both scan passes
+_RESTARTS = 2
 
 
 def _walk(stream: list[Skeleton], V, y, seed: int, max_nodes: int):
@@ -713,16 +710,16 @@ def _walk(stream: list[Skeleton], V, y, seed: int, max_nodes: int):
     cannot take the place of a parametric family that a polish or LDSE
     fits exactly. Next come the table's parameter-free rows, in table
     order. Only when the caller asks past them are the parametric rows
-    taken, in table order: each is scanned and its best row polished
-    (`_polish`); a row that polishes to 1e-12 is yielded at once. The rows
-    still open then get LDSE, depth-first in order of best scan score: a
-    family runs restarts until one reaches 1e-12, one repeats the family's
-    best so far to within 1e-4 relative (a further restart would most
-    likely land on the same minimum), or its third has run, and its best
-    run is yielded before the next family's first. A run's seed is derived
-    from the skeleton's seed key (its stream rank plus the count of
-    `_SEED_KEY_ROWS` within max_nodes) and the restart; the polished point
-    is not among its init guesses.
+    taken, in two scan passes, each in table order: each family is
+    scanned along `_SCAN_REACH`; then each sin and cos family left open
+    is scanned again out to what the sample resolves (`_wide_reach`),
+    where that reaches further. A scan that beats the family's best so far
+    has its best row polished (`_polish`); a family that polishes to 1e-12
+    is yielded at once. The families still open then get LDSE in order of
+    best scan score (ties in table order), each `_RESTARTS` runs from its
+    best scan rows, stopping early only at 1e-12, and its best run is
+    yielded before the next family's first. A run's seed is derived from
+    the skeleton's rank in the stream and the restart.
     """
     library, exact = _library(V, y, max_nodes)
     if exact:
@@ -730,37 +727,37 @@ def _walk(stream: list[Skeleton], V, y, seed: int, max_nodes: int):
     for sk in stream:
         if not sk.nl_count:
             yield sk, np.empty(0)
-    scans = []
-    offset = sum(n <= max_nodes for n in _SEED_KEY_ROWS[V.shape[1]])
-    for rank, sk in enumerate(stream, offset):
-        if not sk.nl_count:
-            continue
-        objective = _make_objective(sk, V, y)
-        hints, hint_best = _ranked_hints(sk, objective, V, y)
-        if hints:
+    # (best scan score, rank, skeleton, objective, best scan rows) of each
+    # parametric family no pass has closed yet
+    left = [(math.inf, rank, sk, _make_objective(sk, V, y), [])
+            for rank, sk in enumerate(stream) if sk.nl_count]
+    for wide in (False, True):
+        still = []
+        for family in left:
+            score, rank, sk, objective, _ = family
+            reach = _wide_reach(sk.form, V) if wide else _SCAN_REACH
+            hints, hint_best = ([], math.inf) if reach is None else _ranked_hints(
+                sk, objective, V, y, reach)
+            if not hint_best < score:
+                still.append(family)
+                continue
             x, val = _polish(_make_residuals(sk, V, y), objective, hints[0], hint_best)
             if val <= 1e-12:
                 yield sk, x
                 continue
-        scans.append((hint_best, rank, sk, objective, hints))
-    for hint_best, rank, sk, objective, hints in _by_hint_score(scans):
-        # Scan quality decides the search budget: on unit-variance data, a
-        # dense scan that still leaves most of the variance unexplained
-        # means the family cannot represent the data, so a short
-        # confirmation run suffices.
-        hopeless = bool(hints) and hint_best > 0.5
+            still.append((hint_best, rank, sk, objective, hints))
+        left = still
+    for _, rank, sk, objective, hints in sorted(left, key=lambda f: f[0]):
         best = None
-        for restart in range(3):
+        for restart in range(_RESTARTS):
             x, val = ldse_minimize(
                 objective, [(-PARAM_BOUND, PARAM_BOUND)] * sk.nl_count,
                 seed=derived_seed(seed, rank, restart), target_tol=1e-14,
-                max_generations=80 if hopeless else 300,
-                stagnation_window=40, init_guesses=hints,
+                max_generations=300, stagnation_window=40, init_guesses=hints,
             )
-            repeated = best is not None and abs(val - best[1]) <= 1e-4 * best[1]
             if best is None or val < best[1]:
                 best = (x, val)
-            if val <= 1e-12 or repeated:
+            if val <= 1e-12:
                 break
         yield sk, best[0]
     if not exact:

@@ -213,6 +213,16 @@ def test_fit_detection_error_in_the_factor_sweeps_exit_2(capsys, monkeypatch):
     assert "detection failed: psi slice mostly invalid" in err
 
 
+@pytest.mark.parametrize("command", ["detect", "fit"])
+def test_a_target_starting_with_minus_is_read_as_the_target(capsys, command):
+    # argparse alone reads "--target -x1*x2" as a missing value
+    code, out, _ = run_cli(
+        [command, "--target", "-x1*x2", "--dims", "2", "--seed", "1"], capsys
+    )
+    assert code == 0
+    assert json.loads(out)["config"]["target"] == "-x1*x2"
+
+
 def _flags(config: dict) -> list[str]:
     # "--lo=-3.0,-3.0": a bare negative list would read as an option
     out = []
