@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .config import RunConfig, rng as _rng
-from .oracle import Oracle
+from .oracle import Oracle, uniform
 
 
 class DetectionError(RuntimeError):
@@ -28,6 +29,10 @@ class DetectionError(RuntimeError):
 
 class DegenerateAnchorError(DetectionError):
     """The anchor annihilated a needed signal; caller should redraw."""
+
+
+class TargetInvalidError(DegenerateAnchorError):
+    """No probed point of an anchor attempt had a finite target value."""
 
 
 class StructureUnstableError(DetectionError):
@@ -190,7 +195,8 @@ class FactorData:
 
 
 def _pair_scores(
-    o: Oracle, pairs, anchor, probes: int, seed: int, redraw: int = 0
+    o: Oracle, pairs, anchor, probes: int, seed: int, redraw: int = 0,
+    tol: float = math.inf,
 ) -> np.ndarray:
     """Normalized mixed-difference scores of variable pairs, others pinned.
 
@@ -199,12 +205,19 @@ def _pair_scores(
     anchor redraw, so that a redraw probes afresh; an attempt whose four
     values f(u,v), f(u,v'), f(u',v), f(u',v') are all finite fills the
     pair's next probe, and MAX_INVALID_ATTEMPTS invalid attempts in a row
-    raise DegenerateAnchorError. Every round draws, for each unfinished
-    pair, as many attempts as it still needs probes and evaluates all
-    pairs' points in one oracle call, so no attempt is evaluated that a
-    probe-by-probe walk would skip. A pair's score is the largest
+    raise DegenerateAnchorError. A pair's score is the largest
     |f(u,v)-f(u,v')-f(u',v)+f(u',v')| over its probes divided by
     max(1, largest |f| seen in them).
+
+    Every round evaluates all pairs' attempts in one oracle call. The
+    first round takes one attempt a pair; each later one takes, for every
+    unfinished pair, as many attempts as it still needs probes. A pair is
+    finished once it has `probes` probes or once its score clears `tol`:
+    one probe above tol already proves an interaction, so such a pair's
+    score covers only the probes drawn until then. A pair that never
+    clears tol gets the same attempts, and so the same score, as under
+    tol = inf. Attempts are taken from each stream in order, so a pair's
+    attempts are a prefix of those it would get under a larger tol.
     """
     anchor = np.asarray(anchor, dtype=float)
     lo, hi = o.box.lo_array(), o.box.hi_array()
@@ -218,11 +231,11 @@ def _pair_scores(
     diff = np.zeros(len(cols))
     peak = np.zeros(len(cols))
     todo = list(range(len(cols)))
+    needs = np.ones(len(todo), dtype=int)
     while todo:
-        needs = probes - filled[todo]
         starts = np.cumsum(needs) - needs    # each pair's attempts are contiguous
         draws = np.concatenate([
-            rngs[k].uniform(lo4[k], hi4[k], size=(m, 4)) for k, m in zip(todo, needs)
+            uniform(rngs[k], lo4[k], hi4[k], (m, 4)) for k, m in zip(todo, needs)
         ])
         owner = np.repeat(todo, needs)
         t, q = np.arange(len(draws))[:, None], np.arange(4)
@@ -247,7 +260,9 @@ def _pair_scores(
         diff[todo] = np.maximum(diff[todo], np.maximum.reduceat(quad, starts))
         peak[todo] = np.maximum(peak[todo], np.maximum.reduceat(top, starts))
         filled[todo] += np.add.reduceat(ok, starts, dtype=int)
-        todo = [k for k in todo if filled[k] < probes]
+        score = diff[todo] / np.maximum(1.0, peak[todo])
+        todo = [k for k, s in zip(todo, score) if filled[k] < probes and not s > tol]
+        needs = probes - filled[todo]
     return diff / np.maximum(1.0, peak)
 
 
@@ -257,8 +272,11 @@ def mixed_diff(
     """Normalized mixed-second-difference interaction score for (i, j).
 
     Exactly zero (up to rounding) when x_i and x_j sit in additively
-    separated parts of the target. Scored as a batch of one by the scorer
-    interaction_graph uses, so at the same seed it equals the graph's score.
+    separated parts of the target. Scored over all `probes` probes by the
+    scorer interaction_graph uses, so at the same seed it equals the
+    graph's score wherever the pair is no edge; on an edge the graph
+    stores the score of the probes drawn until it cleared tol, and both
+    clear it.
     """
     if i == j:
         raise ValueError("need two distinct variables")
@@ -266,19 +284,26 @@ def mixed_diff(
 
 
 def interaction_graph(
-    o: Oracle, anchor, cfg: RunConfig, redraw: int = 0
+    o: Oracle, anchor, cfg: RunConfig, redraw: int = 0, among: set[int] | None = None,
 ) -> InteractionGraph:
-    """Score every variable pair; edge wherever the score clears cfg.tol_detect.
+    """Score variable pairs; edge wherever the score clears cfg.tol_detect.
 
-    All pairs are scored together: each probe round is one oracle call
-    over every pair that still needs probes, usually a single call for
-    the whole graph. `redraw` is the anchor attempt, which keys the
-    probes (see `_pair_scores`).
+    Every pair of variables in `among` (default: all) is scored, the
+    others score 0. All pairs are scored together: the first oracle call
+    holds one probe of every pair, the second the remaining probes of the
+    pairs not yet edges, so the graph usually costs two calls, and one
+    when every pair is an edge. A pair stops probing once its score
+    clears cfg.tol_detect, so an edge's stored score covers only the
+    probes drawn until then. `redraw` is the anchor attempt, which keys
+    the probes (see `_pair_scores`).
     """
     n = o.arity
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    verts = sorted(among) if among is not None else range(1, n + 1)
+    pairs = list(itertools.combinations(verts, 2))
     scores = np.zeros((n, n))
-    scored = _pair_scores(o, pairs, anchor, PAIR_PROBES, cfg.seed, redraw)
+    scored = _pair_scores(
+        o, pairs, anchor, PAIR_PROBES, cfg.seed, redraw, tol=cfg.tol_detect
+    )
     for (i, j), s in zip(pairs, scored):
         scores[i - 1, j - 1] = scores[j - 1, i - 1] = s
     return InteractionGraph(n=n, scores=scores, tol=cfg.tol_detect)
@@ -352,7 +377,7 @@ def _pin(anchor: np.ndarray, cols: tuple[int, ...], coords: np.ndarray) -> np.nd
 def _subbox_uniform(o: Oracle, cols: tuple[int, ...], count: int, rng) -> np.ndarray:
     lo, hi = o.box.lo_array(), o.box.hi_array()
     idx = [v - 1 for v in cols]
-    return rng.uniform(lo[idx], hi[idx], size=(count, len(cols)))
+    return uniform(rng, lo[idx], hi[idx], (count, len(cols)))
 
 
 def _spread_pair(o: Oracle, block_vars, anchor, cfg, seed_key):
@@ -463,8 +488,8 @@ def _pair_grid_values(d: FactorData, p: int, q: int, box_lo, box_hi, cfg: RunCon
     k = PAIR_PROBES // 2 + 2
     ip, iq = d.vars.index(p), d.vars.index(q)
     rng = _rng(cfg.seed, 501 if d.role == "psi" else 502, p, q, *d.block_vars)
-    a_vals = np.concatenate(([d.base[ip]], rng.uniform(box_lo[ip], box_hi[ip], k)))
-    b_vals = np.concatenate(([d.base[iq]], rng.uniform(box_lo[iq], box_hi[iq], k)))
+    a_vals = np.concatenate(([d.base[ip]], uniform(rng, box_lo[ip], box_hi[ip], k)))
+    b_vals = np.concatenate(([d.base[iq]], uniform(rng, box_lo[iq], box_hi[iq], k)))
     coords = np.tile(d.base, ((k + 1) * (k + 1), 1))
     coords[:, ip] = np.repeat(a_vals, k + 1)
     coords[:, iq] = np.tile(b_vals, k + 1)
@@ -617,8 +642,10 @@ def minimal_blocks(
     """Blocks (with repeated membership) for a given repeated set.
 
     Components are recomputed at a second anchor; a disagreement after one
-    redraw raises StructureUnstableError. `redraw`, the attempt of the
-    first anchor, keys every graph's probes (see `_pair_scores`).
+    redraw raises StructureUnstableError. The second anchor's graph scores
+    only the pairs inside the non-repeated variables, the only pairs their
+    components read. `redraw`, the attempt of the first anchor, keys every
+    graph's probes (see `_pair_scores`).
     """
     anchor = np.asarray(anchor, dtype=float)
     if graph is None:
@@ -632,7 +659,7 @@ def minimal_blocks(
     for attempt in range(2):
         anchor2 = _draw_anchor(o, cfg, 50 + attempt)
         cfg2 = replace(cfg, seed=cfg.seed + 9999 + attempt)
-        graph2 = interaction_graph(o, anchor2, cfg2, redraw)
+        graph2 = interaction_graph(o, anchor2, cfg2, redraw, among=rest)
         if graph2.components(rest) == comps:
             stable = True
             break
@@ -680,7 +707,12 @@ def _reconstruction_ok(o: Oracle, structure: GsStructure, cfg: RunConfig) -> boo
 
 
 def detect_structure(o: Oracle, cfg: RunConfig | None = None) -> GsStructure:
-    """Full structure recovery: graph, repeated set, blocks, factors."""
+    """Full structure recovery: graph, repeated set, blocks, factors.
+
+    A degenerate anchor is redrawn. When every attempt fails, the last
+    attempt's error is raised, but an attempt that found no valid point
+    never replaces the error of an earlier attempt that did.
+    """
     cfg = cfg or RunConfig()
     start_count = o.eval_count
     last_error: DetectionError | None = None
@@ -690,8 +722,8 @@ def detect_structure(o: Oracle, cfg: RunConfig | None = None) -> GsStructure:
             s.probes_used = o.eval_count - start_count
             return s
         except DegenerateAnchorError as err:
-            last_error = err
-            continue
+            if last_error is None or not isinstance(err, TargetInvalidError):
+                last_error = err
     raise last_error or DetectionError("detection failed")
 
 
@@ -699,16 +731,19 @@ def _detect_once(o: Oracle, cfg: RunConfig, attempt: int) -> GsStructure:
     anchors = _draw_anchor(o, cfg, attempt, ANCHOR_DRAWS)
     anchor = anchors[0]
     f_anchor = o(anchor)
+    box_probe = o.box.uniform(16, _rng(cfg.seed, 900, attempt))
     if not np.isfinite(f_anchor):
         # the first valid one of the attempt's further draws, in one call
         f = o.eval_batch(anchors[1:])
         valid = np.flatnonzero(np.isfinite(f))
         if not valid.size:
+            if not np.isfinite(o.eval_batch(box_probe)).any():
+                raise TargetInvalidError("target invalid (nan or inf) at every probed point")
             raise DegenerateAnchorError("anchor value invalid")
         anchor, f_anchor = anchors[1 + valid[0]], float(f[valid[0]])
 
     # constant targets have no blocks at all
-    probe = o.eval_batch(o.box.uniform(16, _rng(cfg.seed, 900, attempt)))
+    probe = o.eval_batch(box_probe)
     probe = probe[np.isfinite(probe)]
     scale = max(1.0, abs(f_anchor))
     if probe.size and np.max(np.abs(probe - f_anchor)) <= cfg.tol_detect * scale:

@@ -64,6 +64,19 @@ def test_detect_failure_exit_2(capsys):
     assert "detection failed" in err
 
 
+@pytest.mark.parametrize("target, dims, reason", [
+    ("sqrt(-1.706)", "1", "target invalid (nan or inf) at every probed point"),
+    # valid only at x1 > 2.9: no anchor draw lands there; one attempt's
+    # box probe does, and the later attempt whose probe finds no valid
+    # point keeps that attempt's error
+    ("sqrt(x1-2.9)*x2", "2", "anchor value invalid"),
+])
+def test_a_target_invalid_everywhere_gets_its_own_error(capsys, target, dims, reason):
+    code, out, err = run_cli(["detect", "--target", target, "--dims", dims], capsys)
+    assert code == 2 and out == ""
+    assert err == f"detection failed: {reason}\n"
+
+
 def test_mostly_invalid_reconstruction_is_not_reported_as_not_separable(capsys):
     # at seed 3 the first redrawn anchor passes every step but the
     # reconstruction, where x1 <= 0 leaves too few valid points; that

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from gsfit import expr as ex
-from gsfit.oracle import DomainBox, Oracle, SampleError, make_oracle, sample_uniform
+from gsfit.oracle import (
+    DomainBox, Oracle, SampleError, make_oracle, sample_uniform, uniform,
+)
 
 
 def test_box_rejects_degenerate_interval():
@@ -47,6 +49,22 @@ def test_uniform_mean_within_three_standard_errors():
         mid = 0.5 * (lo + hi)
         se = (hi - lo) / np.sqrt(12 * len(s))
         assert abs(s.points[:, j].mean() - mid) < 3 * se
+
+
+def test_uniform_is_bit_identical_to_generator_uniform():
+    # detection draws through `uniform`; its points must be the ones
+    # rng.uniform(lo, hi, size) gives, bounds broadcast over the shape
+    gen = np.random.default_rng(5)
+    for k in range(2000):
+        shape = tuple(int(d) for d in gen.integers(1, 6, int(gen.integers(1, 3))))
+        width = shape[-1] if k % 2 else 1
+        lo = gen.uniform(-1e3, 1e3, width) * 10.0 ** gen.integers(-6, 3)
+        hi = lo + gen.uniform(1e-9, 1e3, width)
+        if width == 1:
+            lo, hi = lo[0], hi[0]
+        got = uniform(np.random.default_rng(k), lo, hi, shape)
+        want = np.random.default_rng(k).uniform(lo, hi, shape)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_make_oracle_counter_semantics():
