@@ -1,7 +1,7 @@
 """Recover and refit the separable structure of black-box functions."""
 
 from .expr import Expr, ParseError, parse
-from .oracle import DomainBox, Oracle, SampleError, SampleSet, make_oracle, sample_uniform
+from .oracle import DomainBox, Oracle, SampleError, SampleSet, make_oracle
 from .config import RunConfig
 from .detect import (
     DetectionError,

@@ -112,8 +112,6 @@ def least_squares(terms: list[BasisTerm], train: SampleSet):
     20 percent dropped, raise fit.FitError. Returns (c0, coefficients,
     train_mse, rank_deficient).
     """
-    if train.values is None:
-        raise ValueError("training sample needs oracle values")
     n = len(train)
     if n < 2 * (len(terms) + 1):
         raise ft.FitError("need at least twice as many training points as terms")

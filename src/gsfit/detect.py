@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -173,21 +173,13 @@ class GsStructure:
 
 @dataclass
 class FactorData:
-    """Tabulated response of one isolated factor group.
-
-    Values are known only up to an affine transform of the true factor.
-    `prober` maps an (N, len(vars)) array of points (coordinates for
-    `vars`, everything else implicitly pinned) to response values; the
-    partition tests re-probe through it.
-    """
+    """Tabulated response of one isolated factor group, the data a factor
+    fit reads. Values are known only up to an affine transform of the
+    true factor."""
 
     vars: tuple[int, ...]
     points: np.ndarray
     values: np.ndarray
-    role: str                     # "psi" or "omega"
-    block_vars: tuple[int, ...]
-    prober: object = field(repr=False, default=None)
-    base: np.ndarray | None = field(repr=False, default=None)
 
 
 # --------------------------------------------------------------------------
@@ -418,30 +410,18 @@ def isolate_psi_data(
 
     h(b) = f(b at block vars, anchor elsewhere) - f(anchor) equals the
     block's non-repeated part up to an affine transform. f(anchor) and
-    the slice are evaluated in one oracle call.
+    the slice are evaluated in one oracle call. A block the target
+    ignores tabulates a constant, which the fit reads as a constant factor.
     """
     anchor = np.asarray(anchor, dtype=float)
     rng = _rng(cfg.seed, 301, *block_vars)
     pts = _subbox_uniform(o, block_vars, n_points, rng)
     f = o.eval_batch(np.vstack([anchor, _pin(anchor, block_vars, pts)]))
-    f0 = float(f[0])
-    vals = f[1:] - f0
+    vals = f[1:] - float(f[0])
     good = np.isfinite(vals)
     if good.sum() < max(8, n_points // 2):
         raise DegenerateAnchorError("psi slice mostly invalid")
-    pts, vals = pts[good], vals[good]
-    scale = max(1.0, float(np.max(np.abs(vals))), abs(f0))
-    if float(np.max(vals) - np.min(vals)) <= cfg.tol_detect * scale:
-        raise DegenerateAnchorError("degenerate block: sliced responses constant")
-
-    def prober(coords: np.ndarray) -> np.ndarray:
-        return o.eval_batch(_pin(anchor, block_vars, coords)) - f0
-
-    return FactorData(
-        vars=tuple(block_vars), points=pts, values=vals, role="psi",
-        block_vars=tuple(block_vars), prober=prober,
-        base=anchor[[v - 1 for v in block_vars]].copy(),
-    )
+    return FactorData(vars=tuple(block_vars), points=pts[good], values=vals[good])
 
 
 def isolate_omega_data(
@@ -463,38 +443,27 @@ def isolate_omega_data(
     good = np.isfinite(vals)
     if good.sum() < max(8, n_points // 2):
         raise DegenerateAnchorError("omega sweep mostly invalid")
-    zs, vals = zs[good], vals[good]
-
-    def prober(coords: np.ndarray) -> np.ndarray:
-        return _delta_values(o, block_repeated, coords, block_vars, b1, b2, anchor)
-
-    return FactorData(
-        vars=tuple(block_repeated), points=zs, values=vals, role="omega",
-        block_vars=tuple(block_vars), prober=prober,
-        base=anchor[[v - 1 for v in block_repeated]].copy(),
-    )
+    return FactorData(vars=tuple(block_repeated), points=zs[good], values=vals[good])
 
 
 # --------------------------------------------------------------------------
 # factor partition: pairwise multiplicative-separability inside one block
 
 
-def _pair_grid_values(d: FactorData, p: int, q: int, box_lo, box_hi, cfg: RunConfig):
-    """Response grid over a (K+1)x(K+1) lattice in the (p, q) plane.
+def _pair_grid_values(probe, base, ip: int, iq: int, stream, lo, hi) -> np.ndarray:
+    """Response grid over a (K+1)x(K+1) lattice in the plane of columns
+    ip and iq of the base coordinates.
 
     Row/column zero hold the base coordinates, so mixed differences and
     one-sided differences against the base come out of the same grid.
     """
     k = PAIR_PROBES // 2 + 2
-    ip, iq = d.vars.index(p), d.vars.index(q)
-    rng = _rng(cfg.seed, 501 if d.role == "psi" else 502, p, q, *d.block_vars)
-    a_vals = np.concatenate(([d.base[ip]], uniform(rng, box_lo[ip], box_hi[ip], k)))
-    b_vals = np.concatenate(([d.base[iq]], uniform(rng, box_lo[iq], box_hi[iq], k)))
-    coords = np.tile(d.base, ((k + 1) * (k + 1), 1))
+    a_vals = np.concatenate(([base[ip]], uniform(stream, lo[ip], hi[ip], k)))
+    b_vals = np.concatenate(([base[iq]], uniform(stream, lo[iq], hi[iq], k)))
+    coords = np.tile(base, ((k + 1) * (k + 1), 1))
     coords[:, ip] = np.repeat(a_vals, k + 1)
     coords[:, iq] = np.tile(b_vals, k + 1)
-    vals = d.prober(coords).reshape(k + 1, k + 1)
-    return vals
+    return probe(coords).reshape(k + 1, k + 1)
 
 
 def _rank_one(M: np.ndarray, tol_abs: float) -> bool:
@@ -510,14 +479,13 @@ def _rank_one(M: np.ndarray, tol_abs: float) -> bool:
     return not np.any(worst > tol_abs)
 
 
-def _pair_separable(d: FactorData, p: int, q: int, box_lo, box_hi, cfg: RunConfig):
-    """Classify variable pair (p, q) inside factor data d.
+def _pair_separable(H: np.ndarray, cfg: RunConfig) -> str:
+    """Classify a variable pair from its response grid H.
 
     Returns "none" (no interaction at all: the pair is additively fused
     inside one factor), "product" (clean multiplicative split), or
     "entangled" (interacting but not a product: same factor).
     """
-    H = _pair_grid_values(d, p, q, box_lo, box_hi, cfg)
     if not np.all(np.isfinite(H)):
         # bubbles up to the anchor-redraw loop in detect_structure
         raise DegenerateAnchorError("factor probe grid hit invalid points")
@@ -533,26 +501,35 @@ def _pair_separable(d: FactorData, p: int, q: int, box_lo, box_hi, cfg: RunConfi
     return "entangled"
 
 
-def factor_partition(d: FactorData, cfg: RunConfig, box=None) -> tuple[tuple[int, ...], ...]:
-    """Partition d's variables into multiplicative factor groups.
+def factor_partition(
+    variables: tuple[int, ...], probe, anchor, key: tuple[int, tuple[int, ...]], box,
+    cfg: RunConfig,
+) -> tuple[tuple[int, ...], ...]:
+    """Partition `variables` into multiplicative factor groups.
 
-    Variables stay in one group when they are additively fused (no pairwise
-    interaction inside the sliced data) or interact in a non-product way;
+    `probe` maps an (N, len(variables)) array of their coordinates to
+    response values, everything else pinned; each pair (p, q) is probed
+    on a grid through the anchor's coordinates, drawn within `box` from
+    the stream _rng(cfg.seed, tag, p, q, *block_vars), where key = (tag,
+    block_vars). Variables stay in one group when they are additively
+    fused (no pairwise interaction) or interact in a non-product way;
     clean product pairs separate. Groups are the connected components of
-    the resulting same-factor relation.
+    the resulting same-factor relation. A single variable is its own
+    group without a probe.
     """
-    k = len(d.vars)
-    if k == 1:
-        return (d.vars,)
-    if box is None:
-        raise ValueError("factor_partition needs the oracle box for probe ranges")
-    lo = np.asarray([box.lo[v - 1] for v in d.vars])
-    hi = np.asarray([box.hi[v - 1] for v in d.vars])
+    if len(variables) == 1:
+        return (tuple(variables),)
+    tag, block_vars = key
+    cols = [v - 1 for v in variables]
+    base = np.asarray(anchor, dtype=float)[cols]
+    lo, hi = box.lo_array()[cols], box.hi_array()[cols]
     same = set()
-    for p, q in itertools.combinations(d.vars, 2):
-        if _pair_separable(d, p, q, lo, hi, cfg) != "product":
+    for (ip, p), (iq, q) in itertools.combinations(enumerate(variables), 2):
+        stream = _rng(cfg.seed, tag, p, q, *block_vars)
+        H = _pair_grid_values(probe, base, ip, iq, stream, lo, hi)
+        if _pair_separable(H, cfg) != "product":
             same |= {(p, q), (q, p)}
-    return tuple(_components(d.vars, lambda u, w: (u, w) in same))
+    return tuple(_components(variables, lambda u, w: (u, w) in same))
 
 
 # --------------------------------------------------------------------------
@@ -755,16 +732,16 @@ def _detect_once(o: Oracle, cfg: RunConfig, attempt: int) -> GsStructure:
     structure = minimal_blocks(o, repeated, anchor, cfg, graph=graph, redraw=attempt)
 
     for b in structure.blocks:
-        psi = isolate_psi_data(o, b.vars, anchor, PSI_POINTS_PER_VAR * len(b.vars), cfg)
-        b.psi_factors = factor_partition(psi, cfg, box=o.box)
-        if b.repeated:
-            omega = isolate_omega_data(
-                o, b.vars, b.repeated, anchor,
-                OMEGA_POINTS_PER_VAR * len(b.repeated), cfg,
+        psi = lambda coords: o.eval_batch(_pin(anchor, b.vars, coords)) - f_anchor
+        b.psi_factors = factor_partition(b.vars, psi, anchor, (501, b.vars), o.box, cfg)
+        if len(b.repeated) > 1:
+            b1, b2, _, _ = _spread_pair(o, b.vars, anchor, cfg, (401, *b.vars))
+            omega = lambda coords: _delta_values(o, b.repeated, coords, b.vars, b1, b2, anchor)
+            b.omega_factors = factor_partition(
+                b.repeated, omega, anchor, (502, b.vars), o.box, cfg
             )
-            b.omega_factors = factor_partition(omega, cfg, box=o.box)
-        else:
-            b.omega_factors = ()
+        elif b.repeated:
+            b.omega_factors = (b.repeated,)
 
     if not _reconstruction_ok(o, structure, cfg):
         raise NotSeparableError(

@@ -224,8 +224,8 @@ class Skeleton:
 
 
 def _lstsq_cols(cols: np.ndarray, y: np.ndarray):
-    # normal equations for the tiny systems in the optimizer hot loop,
-    # with an SVD fallback when they are singular
+    # for fit_factor's refit and _with_phase's fallback for singular rows:
+    # normal equations on tiny systems, an SVD solve when those are singular
     if cols.shape[1] <= 3:
         gram = cols.T @ cols
         try:

@@ -64,31 +64,13 @@ class DomainBox:
 
 @dataclass
 class SampleSet:
-    """Points in a box with (optionally) the oracle values at them."""
+    """Points in a box with the oracle values at them."""
 
     points: np.ndarray
-    values: np.ndarray | None
-    seed: int
+    values: np.ndarray
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-    def to_csv(self) -> str:
-        n = self.points.shape[1]
-        header = ",".join([f"x{i}" for i in range(1, n + 1)] + ["f"])
-        vals = self.values if self.values is not None else np.full(len(self), np.nan)
-        rows = [header]
-        for p, v in zip(self.points, vals):
-            rows.append(",".join(format(c, ".17g") for c in p) + "," + format(v, ".17g"))
-        return "\n".join(rows) + "\n"
-
-
-def sample_uniform(box: DomainBox, count: int, seed: int) -> SampleSet:
-    """Seeded uniform sample of `count` points; values left unset."""
-    if count < 1:
-        raise ValueError("count must be positive")
-    rng = np.random.default_rng(seed)
-    return SampleSet(points=box.uniform(count, rng), values=None, seed=seed)
 
 
 class Oracle:
@@ -127,12 +109,6 @@ class Oracle:
             self._count += points.shape[0]
         return vals
 
-    def collect(self, sample: SampleSet) -> SampleSet:
-        """Return a copy of `sample` with oracle values filled in."""
-        return SampleSet(
-            points=sample.points, values=self.eval_batch(sample.points), seed=sample.seed
-        )
-
     def sample(self, count: int, seed: int) -> SampleSet:
         """Uniform sample with values; rows with invalid values are redrawn.
 
@@ -150,7 +126,7 @@ class Oracle:
             vals[bad] = self.eval_batch(pts[bad])
         if not np.all(np.isfinite(vals)):
             raise SampleError("could not draw a fully valid sample from the box")
-        return SampleSet(points=pts, values=vals, seed=seed)
+        return SampleSet(points=pts, values=vals)
 
 
 def make_oracle(target: Expr, box: DomainBox) -> Oracle:

@@ -226,7 +226,7 @@ def test_criterion_5d_least_squares_residual_orthogonality():
         BasisTerm(0, (1,), ex.parse("x2^2", 2)),
         BasisTerm(0, (2,), ex.parse("x1*x2", 2)),
     ]
-    c0, c, _, _ = least_squares(terms, SampleSet(points=x, values=y, seed=0))
+    c0, c, _, _ = least_squares(terms, SampleSet(points=x, values=y))
     resid = y - c0 - sum(ci * t.evaluate(x) for ci, t in zip(c, terms))
     rel = max(
         abs(float(resid @ t.evaluate(x)))

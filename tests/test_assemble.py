@@ -34,7 +34,7 @@ def term_of(e: ex.Expr, block=0, subset=(0,)) -> BasisTerm:
 
 
 def sample_of(points: np.ndarray, values: np.ndarray) -> SampleSet:
-    return SampleSet(points=points, values=values, seed=0)
+    return SampleSet(points=points, values=values)
 
 
 def dummy_structure(n_blocks: int) -> GsStructure:

@@ -360,6 +360,38 @@ def test_random_targets_end_in_a_documented_exit_code(capsys):
     assert 0 in codes
 
 
+@pytest.mark.parametrize("box", range(4))
+def test_random_targets_on_every_box_end_in_a_documented_exit_code(capsys, box):
+    # detect and fit over the fuzz boxes: a model or a typed failure,
+    # never a traceback
+    lo, hi = [(-3, 3), (0.5, 3), (-1, 1), (1, 5)][box]
+    rng = np.random.default_rng(box)
+    codes = []
+    for _ in range(24):
+        arity = int(rng.integers(1, 5))
+        text = random_tree(rng, arity).to_text()
+        for command in ("detect", "fit"):
+            code, _, _ = run_cli(
+                [command, f"--target={text}", f"--dims={arity}", f"--lo={lo}",
+                 f"--hi={hi}", "--seed=1"], capsys,
+            )
+            assert code in (0, 2, 3), (command, text, lo, hi)
+            codes.append(code)
+    assert 0 in codes
+
+
+@pytest.mark.parametrize("target, dims", [("x1*x2", "3"), ("x1", "2")])
+def test_a_variable_the_target_ignores_fits_as_a_constant_factor(capsys, target, dims):
+    code, out, _ = run_cli(["detect", "--target", target, "--dims", dims], capsys)
+    assert code == 0
+    blocks = json.loads(out)["structure"]["blocks"]
+    assert {"vars": [int(dims)], "repeated": [], "psi_factors": [[int(dims)]],
+            "omega_factors": []} in blocks
+    code, out, _ = run_cli(["fit", "--target", target, "--dims", dims], capsys)
+    assert code == 0
+    assert json.loads(out)["model"]["val_mse"] <= 1e-6
+
+
 def test_bench_single_case(tmp_path, capsys):
     out_path = tmp_path / "suite.json"
     code, out, _ = run_cli(

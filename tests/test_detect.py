@@ -402,34 +402,73 @@ def test_isolate_omega_case6_quadratic_in_x5():
     assert np.allclose(ratio, ratio[0], rtol=1e-9)
 
 
+def psi_partition(o, block_vars, anchor):
+    """factor_partition of a block's slice, probed as detect_structure does."""
+    f_anchor = o(anchor)
+    probe = lambda coords: o.eval_batch(det._pin(anchor, block_vars, coords)) - f_anchor
+    return factor_partition(block_vars, probe, anchor, (501, block_vars), o.box, CFG)
+
+
 def test_factor_partition_case9_groups():
     o = CASES[9].oracle()
     anchor = np.array([0.8, 0.9, 0.7, 0.6, 1.0, 1.1])
-    d = isolate_psi_data(o, (1, 2, 3, 4, 5, 6), anchor, 120, RunConfig(seed=6))
-    groups = factor_partition(d, CFG, box=o.box)
+    groups = psi_partition(o, (1, 2, 3, 4, 5, 6), anchor)
     assert groups == ((1,), (2,), (3, 4), (5, 6))
 
 
 def test_factor_partition_case1_splits():
     o = CASES[1].oracle()
     anchor = np.array([0.7, 0.8])
-    d = isolate_psi_data(o, (1, 2), anchor, 60, RunConfig(seed=6))
-    assert factor_partition(d, CFG, box=o.box) == ((1,), (2,))
+    assert psi_partition(o, (1, 2), anchor) == ((1,), (2,))
 
 
 def test_factor_partition_entangled_pair_stays_together():
     o = make_oracle(ex.parse("sin(x1+x2)", 2), DomainBox.cube(-3, 3, 2))
     anchor = np.array([0.3, -0.4])
-    d = isolate_psi_data(o, (1, 2), anchor, 60, RunConfig(seed=6))
-    assert factor_partition(d, CFG, box=o.box) == ((1, 2),)
+    assert psi_partition(o, (1, 2), anchor) == ((1, 2),)
 
 
 def test_factor_partition_additive_pair_fused():
     # (x1+x2)/x3 with x3 pinned: x1, x2 do not interact but form one factor
     o = CASES[10].oracle()
     anchor = np.array([0.8, 0.9, 1.1, 0.7, 0.6, 1.2, 0.5])
-    d = isolate_psi_data(o, (1, 2, 3), anchor, 90, RunConfig(seed=6))
-    assert factor_partition(d, CFG, box=o.box) == ((1, 2), (3,))
+    assert psi_partition(o, (1, 2, 3), anchor) == ((1, 2), (3,))
+
+
+def test_detect_structure_tabulates_no_factor_data(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("detection tabulated a factor")
+
+    monkeypatch.setattr(det, "isolate_psi_data", refuse)
+    monkeypatch.setattr(det, "isolate_omega_data", refuse)
+    for no in sorted(CASES):
+        s = detect_structure(CASES[no].oracle(), RunConfig(seed=7))
+        assert s.factor_count() == CASES[no].expected_factors
+
+
+def test_a_single_variable_side_costs_no_partition_evaluation(monkeypatch):
+    # case 4: blocks (1,) and (2,), each coupled to the one repeated x3, so
+    # no side of either block has a pair to probe
+    o = CASES[4].oracle()
+    seen = {}
+    blocks, recon = det.minimal_blocks, det._reconstruction_ok
+
+    def after_blocks(*args, **kwargs):
+        s = blocks(*args, **kwargs)
+        seen["blocks"] = o.eval_count
+        return s
+
+    def before_recon(*args, **kwargs):
+        seen["recon"] = o.eval_count
+        return recon(*args, **kwargs)
+
+    monkeypatch.setattr(det, "minimal_blocks", after_blocks)
+    monkeypatch.setattr(det, "_reconstruction_ok", before_recon)
+    s = detect_structure(o, RunConfig(seed=7))
+    assert [(b.vars, b.psi_factors, b.omega_factors) for b in s.blocks] == [
+        ((1,), ((1,),), ((3,),)), ((2,), ((2,),), ((3,),)),
+    ]
+    assert seen["recon"] == seen["blocks"]
 
 
 @pytest.mark.parametrize("no", sorted(CASES))
@@ -606,21 +645,24 @@ def test_mostly_invalid_reconstruction_redraws_the_anchor():
 # Detect-only reports of cases 1-11 at their first suite seed:
 # (probes_used, sha256 of the canonical JSON, Oracle.eval_batch calls
 # before the probe stages merged their oracle calls). Pair probes stop
-# once a pair interacts, so probes_used is below the full schedule's
-# (292, 501, 501, 612, 901, 1286, 1529, 1270, 2066, 2368, 1529); the
-# reports differ from those only in their counts.
+# once a pair interacts, and the factor partition probes the target
+# without tabulating the blocks first, so probes_used is below both the
+# full pair schedule's (292, 501, 501, 612, 901, 1286, 1529, 1270, 2066,
+# 2368, 1529) and the tabulating partition's (236, 445, 445, 492, 665,
+# 1102, 1165, 1002, 1226, 1728, 1053); the reports differ from those
+# only in their counts.
 _DETECT_BUDGET = {
-    1: (236, "67ae5f661673b4dd058adbcacbdf5652af079acc650fac8c75fa5d457b491389", 10),
-    2: (445, "fcad567de074c5ead0849202715c28a38df7a4c0542443d26e36030bfea8405a", 13),
-    3: (445, "4dca1e942ff741aacb88b7c32b1f7eeee7972388fa646a83ad4d364ee2976d26", 13),
-    4: (492, "c5d93163199e9dec2a907305585fdac8146ffa7c5159ea7a3cd95fa91c40e9fa", 24),
-    5: (665, "9c633d2819917ae74608fb0423b36b7701f6f9ebaff65f550260312b0d945836", 25),
-    6: (1102, "211afc320877c89d898e8f029586b6e1a4fb4a2c18403bafe5d3d637ffac6cb4", 36),
-    7: (1165, "09451b2e442fd14c0217e704d75081622c0ef1fb19e02363569e1c8044d22ce4", 48),
-    8: (1002, "ca316838e05d42edf41c2eaaa17bdd5e459c4c169546ae6cb579b748f559ed28", 31),
-    9: (1226, "c6d61897b24fc46a41c20b5351b989d21e225634c150099018b7f0b5c1b2745d", 24),
-    10: (1728, "c9e2f860969d5c2d3a332d4e4afa44cb62e82c3296bf0cf88e033e1577724f74", 48),
-    11: (1053, "522afc5fab6ef780f5e6adec851d60a092c264895447ab5c2dcdc8a021cb4ac3", 33),
+    1: (139, "f8206ec51bd02ca8464c712d0006bacf0e125198d145d3a4ba71bf404e737bad", 10),
+    2: (299, "a835a0e0b0560a84e2a2a61f10b0f249139eb1623c8e77a6fe782876285d88b4", 13),
+    3: (299, "6561ff7d8ec7ba461b011526379f4e1ab339f8d344010bef39e2c740f47b4254", 13),
+    4: (250, "ac7a52a80916ad06a78276c0b834d705e41cb0b9d4521a97b1649b75b176ead6", 24),
+    5: (375, "2d498f6427620568f4895d32b20c5ad63cb95022225e122e3f0f607b39caf662", 25),
+    6: (762, "989a641661c110a09f131296fbfeb8c2672d29ed93387fde2193657c9f0b42b1", 36),
+    7: (746, "73a8da0f1ac24c1e841958c870137b59abc6ce8e03d2adb5a157c70e4d88bb37", 48),
+    8: (663, "2bf3339cb9ad2a12c54a11efed4e7f6795074bcba070f038d1e6a385dfdd0cb7", 31),
+    9: (937, "90c697bb13b1626d29505537de516875daf9d25ca6526f8bcfd3ffb4b78b9e46", 24),
+    10: (1294, "22df600d1113ee4b033dcbeecf04441d5f3930f8192f74fcca4d258b942b5523", 48),
+    11: (651, "8aee6247edd520db5959cc81e6cc520b2fcbecce531e1112f42b0cc8d903209d", 33),
 }
 
 

@@ -63,8 +63,7 @@ def make_data(fn, lo=-3.0, hi=3.0, n=60, vars_=(1,), seed=0):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(lo, hi, size=(n, len(vars_)))
     vals = fn(pts)
-    return FactorData(vars=vars_, points=pts, values=vals, role="psi",
-                      block_vars=vars_)
+    return FactorData(vars=vars_, points=pts, values=vals)
 
 
 def test_stream_first_three_univariate():
@@ -1196,8 +1195,7 @@ def test_library_reproduces_every_monomial_row(monkeypatch, row):
                     * rng.choice([0.01, 1.0, 100.0], len(texts)))
             y = sum((a * c._eval(V) for a, c in zip(coef, columns)),
                     np.full(len(V), rng.uniform(-5.0, 5.0)))
-            data = FactorData(vars=tuple(range(1, k + 1)), points=V, values=y, role="psi",
-                              block_vars=tuple(range(1, k + 1)))
+            data = FactorData(vars=tuple(range(1, k + 1)), points=V, values=y)
             found.clear()
             model = fit_factor(data, RunConfig(seed=seed))
             sk, exact = found[0]

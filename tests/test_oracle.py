@@ -3,7 +3,7 @@ import pytest
 
 from gsfit import expr as ex
 from gsfit.oracle import (
-    DomainBox, Oracle, SampleError, make_oracle, sample_uniform, uniform,
+    DomainBox, Oracle, SampleError, make_oracle, uniform,
 )
 
 
@@ -24,31 +24,31 @@ def test_box_rejects_bounds_that_are_not_finite(lo, hi):
 
 def test_sample_uniform_within_box_and_counts():
     box = DomainBox.cube(-3, 3, 2)
-    s = sample_uniform(box, 400, seed=7)
-    assert s.points.shape == (400, 2)
-    assert np.all(s.points >= -3) and np.all(s.points <= 3)
+    pts = box.uniform(400, np.random.default_rng(7))
+    assert pts.shape == (400, 2)
+    assert np.all(pts >= -3) and np.all(pts <= 3)
 
 
 def test_sample_uniform_case6_box():
     box = DomainBox.cube(1, 3, 5)
-    s = sample_uniform(box, 1000, seed=1)
-    assert np.all(s.points >= 1) and np.all(s.points <= 3)
+    pts = box.uniform(1000, np.random.default_rng(1))
+    assert np.all(pts >= 1) and np.all(pts <= 3)
 
 
 def test_sample_uniform_is_seed_deterministic():
     box = DomainBox.cube(-1, 4, 3)
-    a = sample_uniform(box, 64, seed=11)
-    b = sample_uniform(box, 64, seed=11)
-    assert np.array_equal(a.points, b.points)
+    a = box.uniform(64, np.random.default_rng(11))
+    b = box.uniform(64, np.random.default_rng(11))
+    assert np.array_equal(a, b)
 
 
 def test_uniform_mean_within_three_standard_errors():
     box = DomainBox((-3.0, 1.0), (3.0, 3.0))
-    s = sample_uniform(box, 100_000, seed=5)
+    pts = box.uniform(100_000, np.random.default_rng(5))
     for j, (lo, hi) in enumerate(zip(box.lo, box.hi)):
         mid = 0.5 * (lo + hi)
-        se = (hi - lo) / np.sqrt(12 * len(s))
-        assert abs(s.points[:, j].mean() - mid) < 3 * se
+        se = (hi - lo) / np.sqrt(12 * len(pts))
+        assert abs(pts[:, j].mean() - mid) < 3 * se
 
 
 def test_uniform_is_bit_identical_to_generator_uniform():
@@ -75,8 +75,7 @@ def test_make_oracle_counter_semantics():
     assert o.eval_count == 0
     o(box.midpoint())
     assert o.eval_count == 1
-    s = sample_uniform(box, 1000, seed=2)
-    o.collect(s)
+    o.eval_batch(box.uniform(1000, np.random.default_rng(2)))
     assert o.eval_count == 1001
 
 
@@ -85,28 +84,11 @@ def test_oracle_arity_mismatch():
         make_oracle(ex.parse("x3", 3), DomainBox.cube(0, 1, 2))
 
 
-def test_collect_values_match_target():
-    target = ex.parse("x1*x2", 2)
-    box = DomainBox.cube(-2, 2, 2)
-    o = make_oracle(target, box)
-    s = o.collect(sample_uniform(box, 50, seed=9))
-    assert np.allclose(s.values, s.points[:, 0] * s.points[:, 1])
-
-
 def test_sample_redraws_invalid_rows():
     # 1/x1 is invalid only on a measure-zero set; sample() must come back clean
     o = make_oracle(ex.parse("1/x1", 1), DomainBox.cube(-1, 1, 1))
     s = o.sample(200, seed=3)
     assert np.all(np.isfinite(s.values))
-
-
-def test_csv_serialization_has_header():
-    box = DomainBox.cube(0, 1, 2)
-    o = make_oracle(ex.parse("x1+x2", 2), box)
-    s = o.sample(3, seed=1)
-    text = s.to_csv()
-    assert text.splitlines()[0] == "x1,x2,f"
-    assert len(text.splitlines()) == 4
 
 
 def test_counter_is_thread_safe():
