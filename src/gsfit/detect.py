@@ -187,55 +187,93 @@ class FactorData:
 
 
 def _pair_scores(
-    o: Oracle, pairs, anchor, probes: int, seed: int, redraw: int = 0,
+    o: Oracle, pairs, anchor, f_anchor, probes: int, seed: int, redraw: int = 0,
     tol: float = math.inf,
 ) -> np.ndarray:
-    """Normalized mixed-difference scores of variable pairs, others pinned.
+    """Normalized anchored mixed differences of variable pairs, others pinned.
 
-    Pair (a, b), a < b, draws attempts (u, u', v, v') from its own stream
-    _rng(seed, 101, a, b), or _rng(seed, 101, a, b, redraw) under an
-    anchor redraw, so that a redraw probes afresh; an attempt whose four
-    values f(u,v), f(u,v'), f(u',v), f(u',v') are all finite fills the
+    Variable v draws its moves X_v[0], X_v[1], ... on [lo_v, hi_v] from
+    its own stream _rng(seed, 101, v), or _rng(seed, 101, v, redraw) under
+    an anchor redraw, so that a redraw probes afresh. Attempt t of pair
+    (a, b) is the anchored second difference of cut-HDMR (Rabitz and Alis,
+    J. Math. Chem. 25, 1999), everything else at the anchor c:
+
+        f(X_a[t], X_b[t]) - f(X_a[t], c_b) - f(c_a, X_b[t]) + f(c).
+
+    f(c) and each single move f(c with x_v = X_v[t]) are evaluated once
+    and shared by every pair holding v, so an attempt costs one new point
+    besides them. `f_anchor` is f(c); None evaluates it in the first
+    oracle call. An attempt whose four values are all finite fills the
     pair's next probe, and MAX_INVALID_ATTEMPTS invalid attempts in a row
-    raise DegenerateAnchorError. A pair's score is the largest
-    |f(u,v)-f(u,v')-f(u',v)+f(u',v')| over its probes divided by
-    max(1, largest |f| seen in them).
+    raise DegenerateAnchorError. A pair's score is the largest |difference|
+    over its probes divided by max(1, largest |f| seen in them).
 
-    Every round evaluates all pairs' attempts in one oracle call. The
-    first round takes one attempt a pair; each later one takes, for every
-    unfinished pair, as many attempts as it still needs probes. A pair is
-    finished once it has `probes` probes or once its score clears `tol`:
-    one probe above tol already proves an interaction, so such a pair's
-    score covers only the probes drawn until then. A pair that never
-    clears tol gets the same attempts, and so the same score, as under
-    tol = inf. Attempts are taken from each stream in order, so a pair's
-    attempts are a prefix of those it would get under a larger tol.
+    Every round evaluates all pairs' attempts, with the single moves they
+    reach for the first time, in one oracle call. The first round takes
+    one attempt a pair; each later one takes, for every unfinished pair,
+    as many attempts as it still needs probes. A pair is finished once it
+    has `probes` probes or once its score clears `tol`: one probe above
+    tol already proves an interaction, so such a pair's score covers only
+    the probes drawn until then. A pair that never clears tol gets the
+    same attempts, and so the same score, as under tol = inf. Attempt t
+    reads the t-th move of each of its variables, so a pair's attempts are
+    a prefix of those it would get under a larger tol.
     """
     anchor = np.asarray(anchor, dtype=float)
-    lo, hi = o.box.lo_array(), o.box.hi_array()
     pairs = [tuple(sorted(p)) for p in pairs]
+    verts = sorted({v for p in pairs for v in p})
+    # each pair's rows of the (variables x attempts) move arrays
+    rows = np.array([(verts.index(a), verts.index(b)) for a, b in pairs], dtype=int)
+    rows = rows.reshape(-1, 2)
+    cols = np.array(verts, dtype=int) - 1
     key = (redraw,) if redraw else ()
-    rngs = [_rng(seed, 101, a, b, *key) for a, b in pairs]
-    cols = np.array(pairs, dtype=int).reshape(-1, 2) - 1
-    lo4, hi4 = lo[cols[:, [0, 0, 1, 1]]], hi[cols[:, [0, 0, 1, 1]]]
-    filled = np.zeros(len(cols), dtype=int)
-    invalid_run = np.zeros(len(cols), dtype=int)
-    diff = np.zeros(len(cols))
-    peak = np.zeros(len(cols))
-    todo = list(range(len(cols)))
-    needs = np.ones(len(todo), dtype=int)
-    while todo:
-        starts = np.cumsum(needs) - needs    # each pair's attempts are contiguous
-        draws = np.concatenate([
-            uniform(rngs[k], lo4[k], hi4[k], (m, 4)) for k, m in zip(todo, needs)
-        ])
+    rngs = [_rng(seed, 101, v, *key) for v in verts]
+    lo, hi = o.box.lo_array()[cols, None], o.box.hi_array()[cols, None]
+
+    def draw(m):    # every variable's next m moves, drawn as `uniform` does
+        return lo + np.array([r.random(m) for r in rngs]).reshape(-1, m) * (hi - lo)
+
+    moves = draw(probes)                       # X_v[t]
+    single = np.empty(moves.shape)             # f at the single moves,
+    have = np.zeros(moves.shape, dtype=bool)   # where evaluated so far
+    made = np.zeros(len(pairs), dtype=int)     # attempts so far, valid or not
+    filled = np.zeros(len(pairs), dtype=int)
+    invalid_run = np.zeros(len(pairs), dtype=int)
+    diff = np.zeros(len(pairs))
+    peak = np.zeros(len(pairs))
+    todo = np.arange(len(pairs))
+    needs = np.ones(len(pairs), dtype=int)
+    head = int(f_anchor is None)               # a row for f(anchor) in the first call
+    while todo.size:
+        starts = np.cumsum(needs) - needs      # each pair's attempts are contiguous
         owner = np.repeat(todo, needs)
-        t, q = np.arange(len(draws))[:, None], np.arange(4)
-        pts = np.broadcast_to(anchor, (len(draws), 4, anchor.size)).copy()
-        pts[t, q, cols[owner, :1]] = draws[:, [0, 0, 1, 1]]
-        pts[t, q, cols[owner, 1:]] = draws[:, [2, 3, 2, 3]]
-        f = o.eval_batch(pts.reshape(-1, anchor.size)).reshape(-1, 4)
-        ok = np.all(np.isfinite(f), axis=1)
+        at = np.arange(len(owner)) - np.repeat(starts - made[todo], needs)
+        made[todo] += needs
+        if made.max() > moves.shape[1]:        # invalid attempts used up the moves
+            more = draw(made.max() - moves.shape[1])
+            moves = np.hstack([moves, more])
+            single = np.hstack([single, np.empty(more.shape)])
+            have = np.hstack([have, np.zeros(more.shape, dtype=bool)])
+        ra, rb = rows[owner, 0], rows[owner, 1]
+        reads = np.zeros(have.shape, dtype=bool)
+        reads[ra, at] = reads[rb, at] = True
+        mr, mt = np.nonzero(reads & ~have)     # single moves read for the first time
+        have |= reads
+        pts = np.empty((head + len(mr) + len(owner), anchor.size))
+        pts[:] = anchor
+        moved = np.arange(head, head + len(mr))
+        pts[moved, cols[mr]] = moves[mr, mt]
+        joint = np.arange(head + len(mr), len(pts))
+        pts[joint, cols[ra]] = moves[ra, at]
+        pts[joint, cols[rb]] = moves[rb, at]
+        f = o.eval_batch(pts)
+        if head:
+            f_anchor, f, head = f[0], f[1:], 0
+        single[mr, mt] = f[:len(mr)]
+        f4 = np.empty((len(owner), 4))         # each attempt's four values
+        f4[:, 0] = f[len(mr):]
+        f4[:, 1], f4[:, 2], f4[:, 3] = single[ra, at], single[rb, at], f_anchor
+        ok = np.isfinite(f4).all(axis=1)
         if ok.all():
             invalid_run[todo] = 0
         else:
@@ -247,13 +285,13 @@ def _pair_scores(
                             "degenerate domain: probes keep hitting invalid points"
                         )
         # invalid attempts count as 0, which never raises a maximum
-        quad = np.where(ok, np.abs(f[:, 0] - f[:, 1] - f[:, 2] + f[:, 3]), 0.0)
-        top = np.where(ok, np.max(np.abs(f), axis=1), 0.0)
+        quad = np.where(ok, np.abs(f4[:, 0] - f4[:, 1] - f4[:, 2] + f4[:, 3]), 0.0)
+        top = np.where(ok, np.abs(f4).max(axis=1), 0.0)
         diff[todo] = np.maximum(diff[todo], np.maximum.reduceat(quad, starts))
         peak[todo] = np.maximum(peak[todo], np.maximum.reduceat(top, starts))
         filled[todo] += np.add.reduceat(ok, starts, dtype=int)
         score = diff[todo] / np.maximum(1.0, peak[todo])
-        todo = [k for k, s in zip(todo, score) if filled[k] < probes and not s > tol]
+        todo = todo[(filled[todo] < probes) & ~(score > tol)]
         needs = probes - filled[todo]
     return diff / np.maximum(1.0, peak)
 
@@ -261,40 +299,44 @@ def _pair_scores(
 def mixed_diff(
     o: Oracle, i: int, j: int, anchor, probes: int = PAIR_PROBES, seed: int = 0
 ) -> float:
-    """Normalized mixed-second-difference interaction score for (i, j).
+    """Normalized anchored mixed-second-difference score for (i, j).
 
     Exactly zero (up to rounding) when x_i and x_j sit in additively
     separated parts of the target. Scored over all `probes` probes by the
-    scorer interaction_graph uses, so at the same seed it equals the
-    graph's score wherever the pair is no edge; on an edge the graph
-    stores the score of the probes drawn until it cleared tol, and both
-    clear it.
+    scorer interaction_graph uses, with f(anchor) evaluated in its first
+    oracle call, so at the same seed it equals the graph's score wherever
+    the pair is no edge; on an edge the graph stores the score of the
+    probes drawn until it cleared tol, and both clear it.
     """
     if i == j:
         raise ValueError("need two distinct variables")
-    return float(_pair_scores(o, [(i, j)], anchor, probes, seed)[0])
+    return float(_pair_scores(o, [(i, j)], anchor, None, probes, seed)[0])
 
 
 def interaction_graph(
     o: Oracle, anchor, cfg: RunConfig, redraw: int = 0, among: set[int] | None = None,
+    f_anchor: float | None = None,
 ) -> InteractionGraph:
     """Score variable pairs; edge wherever the score clears cfg.tol_detect.
 
     Every pair of variables in `among` (default: all) is scored, the
     others score 0. All pairs are scored together: the first oracle call
-    holds one probe of every pair, the second the remaining probes of the
-    pairs not yet edges, so the graph usually costs two calls, and one
+    holds one probe of every pair and the first move of every variable,
+    the second the remaining probes of the pairs not yet edges and the
+    moves they read, so the graph usually costs two calls, and one
     when every pair is an edge. A pair stops probing once its score
     clears cfg.tol_detect, so an edge's stored score covers only the
     probes drawn until then. `redraw` is the anchor attempt, which keys
-    the probes (see `_pair_scores`).
+    the probes (see `_pair_scores`). `f_anchor` is the target's value at
+    the anchor, which every probe reads; None evaluates it in the first
+    call.
     """
     n = o.arity
     verts = sorted(among) if among is not None else range(1, n + 1)
     pairs = list(itertools.combinations(verts, 2))
     scores = np.zeros((n, n))
     scored = _pair_scores(
-        o, pairs, anchor, PAIR_PROBES, cfg.seed, redraw, tol=cfg.tol_detect
+        o, pairs, anchor, f_anchor, PAIR_PROBES, cfg.seed, redraw, tol=cfg.tol_detect
     )
     for (i, j), s in zip(pairs, scored):
         scores[i - 1, j - 1] = scores[j - 1, i - 1] = s
@@ -536,52 +578,95 @@ def factor_partition(
 # block construction, membership, and consistency
 
 
-def _draw_anchor(o: Oracle, cfg: RunConfig, attempt: int, count: int | None = None):
-    """The attempt's anchor; with count, its stream's first count draws."""
+def _draw_anchor(o: Oracle, cfg: RunConfig, attempt: int, count: int) -> np.ndarray:
+    """The first `count` draws of the attempt's anchor stream, one a row."""
     rng = _rng(cfg.seed, 777, attempt)
     lo, hi = o.box.lo_array(), o.box.hi_array()
     margin = 0.5 * (1.0 - ANCHOR_CENTRAL)
-    u = rng.random(o.arity if count is None else (count, o.arity))
+    u = rng.random((count, o.arity))
     return lo + (margin + ANCHOR_CENTRAL * u) * (hi - lo)
 
 
-def _membership(o: Oracle, block_vars, repeated, anchor, cfg) -> tuple[int, ...]:
+def _valid_anchor(o: Oracle, cfg: RunConfig, attempt: int):
+    """The first of the attempt's ANCHOR_DRAWS anchor draws with a finite
+    target value, and that value; (None, None) when there is none.
+
+    The first draw is evaluated alone, the others in one further call
+    only when it is invalid, so on a valid domain the anchor is the
+    stream's first draw.
+    """
+    anchors = _draw_anchor(o, cfg, attempt, ANCHOR_DRAWS)
+    f_anchor = o(anchors[0])
+    if np.isfinite(f_anchor):
+        return anchors[0], f_anchor
+    f = o.eval_batch(anchors[1:])
+    valid = np.flatnonzero(np.isfinite(f))
+    if not valid.size:
+        return None, None
+    return anchors[1 + valid[0]], float(f[valid[0]])
+
+
+class _AnchorProbes:
+    """Probes at one anchor that several detection stages read, each
+    evaluated at most once: a block's spread pair (stream 401), which the
+    validator, `minimal_blocks` and the omega partition all use, and its
+    membership sweeps (stream 601, one a repeated variable)."""
+
+    def __init__(self, o: Oracle, anchor, cfg: RunConfig):
+        self.o, self.anchor, self.cfg = o, np.asarray(anchor, dtype=float), cfg
+        self._spreads: dict = {}
+        self._couples: dict = {}
+
+    def spread_pair(self, block_vars: tuple[int, ...]):
+        if block_vars not in self._spreads:
+            self._spreads[block_vars] = _spread_pair(
+                self.o, block_vars, self.anchor, self.cfg, (401, *block_vars)
+            )
+        return self._spreads[block_vars]
+
+    def couples(self, v: int, block_vars: tuple[int, ...]) -> bool:
+        """Whether the block's isolating difference varies with repeated v."""
+        if (v, block_vars) not in self._couples:
+            b1, b2, _, _ = self.spread_pair(block_vars)
+            rng = _rng(self.cfg.seed, 601, v, *block_vars)
+            zs = _subbox_uniform(self.o, (v,), MEMBERSHIP_POINTS, rng)
+            deltas = _delta_values(self.o, (v,), zs, block_vars, b1, b2, self.anchor)
+            deltas = deltas[np.isfinite(deltas)]
+            if deltas.size < 4:
+                raise DegenerateAnchorError("membership sweep mostly invalid")
+            dscale = max(1.0, float(np.max(np.abs(deltas))))
+            spread = float(np.max(deltas) - np.min(deltas))
+            self._couples[v, block_vars] = spread > self.cfg.tol_detect * dscale
+        return self._couples[v, block_vars]
+
+
+def _membership(shared: _AnchorProbes, block_vars, repeated) -> tuple[int, ...]:
     """Which repeated variables the block's isolating difference varies with."""
     if not repeated:
         return ()
-    b1, b2, spread, scale = _spread_pair(o, block_vars, anchor, cfg, (401, *block_vars))
-    if spread <= cfg.tol_detect * scale:
+    _, _, spread, scale = shared.spread_pair(block_vars)
+    if spread <= shared.cfg.tol_detect * scale:
         raise DegenerateAnchorError("degenerate block during membership test")
-    members = []
-    for v in repeated:
-        rng = _rng(cfg.seed, 601, v, *block_vars)
-        zs = _subbox_uniform(o, (v,), MEMBERSHIP_POINTS, rng)
-        deltas = _delta_values(o, (v,), zs, block_vars, b1, b2, anchor)
-        deltas = deltas[np.isfinite(deltas)]
-        if deltas.size < 4:
-            raise DegenerateAnchorError("membership sweep mostly invalid")
-        dscale = max(1.0, float(np.max(np.abs(deltas))))
-        if float(np.max(deltas) - np.min(deltas)) > cfg.tol_detect * dscale:
-            members.append(v)
-    return tuple(members)
+    return tuple(v for v in repeated if shared.couples(v, block_vars))
 
 
-def _block_consistent(o: Oracle, block_vars, members, anchor, cfg) -> bool:
+def _block_consistent(shared: _AnchorProbes, block_vars, members, f_anchor: float) -> bool:
     """Slice-versus-coupling proportionality test for one candidate block.
 
     For a genuine block, h(b) = f(b, anchor else) - f(anchor) and the
     coupling shape g(b) = [f(z, b) - f(z, base)] - [f(anchor_r, b) -
     f(anchor_r, base)] are both affine-free images of the same inner
-    function, so all their cross products must cancel. f(anchor) and the
-    slice take one oracle call, and each trial's points one more.
+    function, so all their cross products must cancel. The slice takes
+    one oracle call, and each trial's points one more; f(anchor) is the
+    value the caller holds.
     """
     if not members:
         return True
+    o, anchor, cfg = shared.o, shared.anchor, shared.cfg
     rng = _rng(cfg.seed, 701, *block_vars)
     n_b = 8
     bs = _subbox_uniform(o, block_vars, n_b, rng)
-    f = o.eval_batch(np.vstack([anchor, _pin(anchor, block_vars, bs)]))
-    h = f[1:] - float(f[0])
+    h = o.eval_batch(_pin(anchor, block_vars, bs)) - f_anchor
     base_b = np.asarray([anchor[v - 1] for v in block_vars])
     for trial in range(2):
         z = _subbox_uniform(o, members, 1, _rng(cfg.seed, 702, trial, *block_vars))[0]
@@ -600,14 +685,16 @@ def _block_consistent(o: Oracle, block_vars, members, anchor, cfg) -> bool:
     return True
 
 
-def _structure_consistent(o: Oracle, g: InteractionGraph, picked, anchor, cfg) -> bool:
+def _structure_consistent(
+    shared: _AnchorProbes, g: InteractionGraph, picked, f_anchor: float
+) -> bool:
     """Check every candidate block against its repeated-variable coupling."""
     rest = set(range(1, g.n + 1)) - set(picked)
     if not rest:
         return False
     for comp in g.components(rest):
-        members = _membership(o, comp, tuple(sorted(picked)), anchor, cfg)
-        if not _block_consistent(o, comp, members, anchor, cfg):
+        members = _membership(shared, comp, tuple(sorted(picked)))
+        if not _block_consistent(shared, comp, members, f_anchor):
             return False
     return True
 
@@ -615,16 +702,23 @@ def _structure_consistent(o: Oracle, g: InteractionGraph, picked, anchor, cfg) -
 def minimal_blocks(
     o: Oracle, repeated: tuple[int, ...], anchor, cfg: RunConfig,
     graph: InteractionGraph | None = None, redraw: int = 0,
+    shared: _AnchorProbes | None = None,
 ) -> GsStructure:
     """Blocks (with repeated membership) for a given repeated set.
 
-    Components are recomputed at a second anchor; a disagreement after one
-    redraw raises StructureUnstableError. The second anchor's graph scores
-    only the pairs inside the non-repeated variables, the only pairs their
-    components read. `redraw`, the attempt of the first anchor, keys every
-    graph's probes (see `_pair_scores`).
+    Components are recomputed at a second anchor, chosen and evaluated
+    by `_valid_anchor` as the first anchor is, and the graph there reads
+    its value; a disagreement after one redraw raises
+    StructureUnstableError, and a redraw with no valid draw raises
+    DegenerateAnchorError. The second
+    anchor's graph scores only the pairs inside the non-repeated
+    variables, the only pairs their components read. `redraw`, the attempt
+    of the first anchor, keys every graph's probes (see `_pair_scores`).
+    Memberships read the spread pairs and sweeps of `shared`, the
+    caller's probes at `anchor`; by default a fresh set.
     """
     anchor = np.asarray(anchor, dtype=float)
+    shared = shared or _AnchorProbes(o, anchor, cfg)
     if graph is None:
         graph = interaction_graph(o, anchor, cfg, redraw)
     rest = set(range(1, o.arity + 1)) - set(repeated)
@@ -634,19 +728,18 @@ def minimal_blocks(
 
     stable = False
     for attempt in range(2):
-        anchor2 = _draw_anchor(o, cfg, 50 + attempt)
+        anchor2, f_anchor2 = _valid_anchor(o, cfg, 50 + attempt)
+        if anchor2 is None:
+            raise DegenerateAnchorError("anchor value invalid")
         cfg2 = replace(cfg, seed=cfg.seed + 9999 + attempt)
-        graph2 = interaction_graph(o, anchor2, cfg2, redraw, among=rest)
+        graph2 = interaction_graph(o, anchor2, cfg2, redraw, among=rest, f_anchor=f_anchor2)
         if graph2.components(rest) == comps:
             stable = True
             break
     if not stable:
         raise StructureUnstableError("structure unstable: anchors disagree on blocks")
 
-    blocks = []
-    for comp in comps:
-        members = _membership(o, comp, repeated, anchor, cfg)
-        blocks.append(Block(vars=comp, repeated=members))
+    blocks = [Block(vars=comp, repeated=_membership(shared, comp, repeated)) for comp in comps]
     return GsStructure(
         repeated=tuple(sorted(repeated)), blocks=blocks, anchor=tuple(anchor)
     )
@@ -656,13 +749,15 @@ def minimal_blocks(
 # orchestration
 
 
-def _reconstruction_ok(o: Oracle, structure: GsStructure, cfg: RunConfig) -> bool:
+def _reconstruction_ok(
+    o: Oracle, structure: GsStructure, f_anchor: float, cfg: RunConfig
+) -> bool:
     """Additive reconstruction check with repeated variables at the anchor.
 
-    f(anchor), the total at every point and every block's slice are
-    evaluated in one oracle call. Fewer than RECON_POINTS // 2 valid points
-    say nothing about separability, so they raise DegenerateAnchorError
-    and the anchor is redrawn.
+    The total at every point and every block's slice are evaluated in one
+    oracle call; f(anchor) is the value the caller holds. Fewer than
+    RECON_POINTS // 2 valid points say nothing about separability, so
+    they raise DegenerateAnchorError and the anchor is redrawn.
     """
     anchor = np.asarray(structure.anchor)
     rng = _rng(cfg.seed, 801)
@@ -670,9 +765,8 @@ def _reconstruction_ok(o: Oracle, structure: GsStructure, cfg: RunConfig) -> boo
     for v in structure.repeated:
         pts[:, v - 1] = anchor[v - 1]
     sliced = [_pin(anchor, b.vars, pts[:, [v - 1 for v in b.vars]]) for b in structure.blocks]
-    f = o.eval_batch(np.vstack([anchor, pts, *sliced]))
-    f_anchor = float(f[0])
-    total, parts = f[1:1 + len(pts)], f[1 + len(pts):].reshape(-1, len(pts))
+    f = o.eval_batch(np.vstack([pts, *sliced]))
+    total, parts = f[:len(pts)], f[len(pts):].reshape(-1, len(pts))
     recon = np.full(len(pts), f_anchor)
     for part in parts:
         recon += part - f_anchor
@@ -705,19 +799,14 @@ def detect_structure(o: Oracle, cfg: RunConfig | None = None) -> GsStructure:
 
 
 def _detect_once(o: Oracle, cfg: RunConfig, attempt: int) -> GsStructure:
-    anchors = _draw_anchor(o, cfg, attempt, ANCHOR_DRAWS)
-    anchor = anchors[0]
-    f_anchor = o(anchor)
+    """One anchor attempt. f(anchor), each block's spread pair and each
+    membership sweep are evaluated once and shared by every stage."""
+    anchor, f_anchor = _valid_anchor(o, cfg, attempt)
     box_probe = o.box.uniform(16, _rng(cfg.seed, 900, attempt))
-    if not np.isfinite(f_anchor):
-        # the first valid one of the attempt's further draws, in one call
-        f = o.eval_batch(anchors[1:])
-        valid = np.flatnonzero(np.isfinite(f))
-        if not valid.size:
-            if not np.isfinite(o.eval_batch(box_probe)).any():
-                raise TargetInvalidError("target invalid (nan or inf) at every probed point")
-            raise DegenerateAnchorError("anchor value invalid")
-        anchor, f_anchor = anchors[1 + valid[0]], float(f[valid[0]])
+    if anchor is None:
+        if not np.isfinite(o.eval_batch(box_probe)).any():
+            raise TargetInvalidError("target invalid (nan or inf) at every probed point")
+        raise DegenerateAnchorError("anchor value invalid")
 
     # constant targets have no blocks at all
     probe = o.eval_batch(box_probe)
@@ -726,16 +815,19 @@ def _detect_once(o: Oracle, cfg: RunConfig, attempt: int) -> GsStructure:
     if probe.size and np.max(np.abs(probe - f_anchor)) <= cfg.tol_detect * scale:
         return GsStructure(repeated=(), blocks=[], anchor=tuple(anchor))
 
-    graph = interaction_graph(o, anchor, cfg, attempt)
-    validator = lambda picked: _structure_consistent(o, graph, picked, anchor, cfg)
+    graph = interaction_graph(o, anchor, cfg, attempt, f_anchor=f_anchor)
+    shared = _AnchorProbes(o, anchor, cfg)
+    validator = lambda picked: _structure_consistent(shared, graph, picked, f_anchor)
     repeated = repeated_vars(graph, cfg.kmax, validator=validator)
-    structure = minimal_blocks(o, repeated, anchor, cfg, graph=graph, redraw=attempt)
+    structure = minimal_blocks(
+        o, repeated, anchor, cfg, graph=graph, redraw=attempt, shared=shared
+    )
 
     for b in structure.blocks:
         psi = lambda coords: o.eval_batch(_pin(anchor, b.vars, coords)) - f_anchor
         b.psi_factors = factor_partition(b.vars, psi, anchor, (501, b.vars), o.box, cfg)
         if len(b.repeated) > 1:
-            b1, b2, _, _ = _spread_pair(o, b.vars, anchor, cfg, (401, *b.vars))
+            b1, b2, _, _ = shared.spread_pair(b.vars)
             omega = lambda coords: _delta_values(o, b.repeated, coords, b.vars, b1, b2, anchor)
             b.omega_factors = factor_partition(
                 b.repeated, omega, anchor, (502, b.vars), o.box, cfg
@@ -743,7 +835,7 @@ def _detect_once(o: Oracle, cfg: RunConfig, attempt: int) -> GsStructure:
         elif b.repeated:
             b.omega_factors = (b.repeated,)
 
-    if not _reconstruction_ok(o, structure, cfg):
+    if not _reconstruction_ok(o, structure, f_anchor, cfg):
         raise NotSeparableError(
             "not a GS system under current tolerances: reconstruction residual too large"
         )

@@ -84,26 +84,19 @@ def test_interaction_graph_additive_empty():
     assert g.edges() == []
 
 
-def reference_pair_score(o, i, j, anchor, probes, seed, tol=math.inf):
-    # the probe-by-probe walk the batched scorer replaced: one 4-point
-    # oracle call per attempt, up to 11 invalid attempts in a row. The
-    # stop rule of the scorer's rounds: one attempt, then as many as the
-    # pair still lacks probes, until it has them all or, after one of
-    # these batches, its score clears tol
-    a, b = sorted((i, j))
-    r = rng(seed, 101, a, b)
-    lo, hi = o.box.lo_array(), o.box.hi_array()
+def walk_pair(attempt, probes, tol=math.inf):
+    # the stop rule of the scorer's rounds, attempt by attempt: one
+    # attempt, then as many as the pair still lacks probes, until it has
+    # them all or, after one of these batches, its score clears tol. An
+    # attempt gives its four values (f0, f1, f2, f3) and scores
+    # |f0 - f1 - f2 + f3|; up to 11 invalid attempts in a row
     diff = max_abs = 0.0
-    filled = invalid_run = 0
+    filled = invalid_run = t = 0
     batch = 1
     while True:
         for _ in range(batch):
-            u, up = r.uniform(lo[a - 1], hi[a - 1], size=2)
-            v, vp = r.uniform(lo[b - 1], hi[b - 1], size=2)
-            pts = np.tile(anchor, (4, 1))
-            pts[:, a - 1] = (u, u, up, up)
-            pts[:, b - 1] = (v, vp, v, vp)
-            f = o.eval_batch(pts)
+            f = attempt(t)
+            t += 1
             if not np.all(np.isfinite(f)):
                 invalid_run += 1
                 if invalid_run == 11:
@@ -121,13 +114,71 @@ def reference_pair_score(o, i, j, anchor, probes, seed, tol=math.inf):
         batch = probes - filled
 
 
+class AnchoredReference:
+    """The anchored scorer's points, one oracle call a point: f(anchor)
+    once, each single move X_v[t] once on first use, and each attempt's
+    joint move. X_v[t] is the t-th draw of variable v's own stream."""
+
+    def __init__(self, o, anchor, seed):
+        self.o, self.anchor = o, np.asarray(anchor, dtype=float)
+        self.f_anchor = o(self.anchor)
+        self.streams = {v: rng(seed, 101, v) for v in range(1, o.arity + 1)}
+        self.moves = {v: [] for v in self.streams}
+        self.single = {}
+
+    def move(self, v, t):
+        while len(self.moves[v]) <= t:
+            self.moves[v].append(
+                self.streams[v].uniform(self.o.box.lo[v - 1], self.o.box.hi[v - 1])
+            )
+        return self.moves[v][t]
+
+    def value(self, moved):
+        x = self.anchor.copy()
+        for v, t in moved:
+            x[v - 1] = self.move(v, t)
+        return self.o(x)
+
+    def attempt(self, a, b, t):
+        """f(X_a, X_b), f(X_a, anchor_b), f(anchor_a, X_b), f(anchor)."""
+        for v in (a, b):
+            if (v, t) not in self.single:
+                self.single[v, t] = self.value([(v, t)])
+        joint = self.value([(a, t), (b, t)])
+        return np.array([joint, self.single[a, t], self.single[b, t], self.f_anchor])
+
+
 def reference_graph_scores(o, anchor, seed, tol=math.inf):
+    # the anchored scorer probe by probe
+    probes = AnchoredReference(o, anchor, seed)
     n = o.arity
     scores = np.zeros((n, n))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            s = reference_pair_score(o, i, j, anchor, PAIR_PROBES, seed, tol)
-            scores[i - 1, j - 1] = scores[j - 1, i - 1] = s
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        s = walk_pair(lambda t: probes.attempt(i, j, t), PAIR_PROBES, tol)
+        scores[i - 1, j - 1] = scores[j - 1, i - 1] = s
+    return scores
+
+
+def quadruple_graph_scores(o, anchor, seed, tol=math.inf):
+    # the scorer the anchored one replaced: each attempt of pair (i, j) is
+    # a fresh quadruple f(u,v), f(u,v'), f(u',v), f(u',v') from the pair's
+    # own stream, one 4-point oracle call
+    lo, hi = o.box.lo_array(), o.box.hi_array()
+    n = o.arity
+    scores = np.zeros((n, n))
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        r = rng(seed, 101, i, j)
+
+        def attempt(t):
+            u, up = r.uniform(lo[i - 1], hi[i - 1], size=2)
+            v, vp = r.uniform(lo[j - 1], hi[j - 1], size=2)
+            pts = np.tile(anchor, (4, 1))
+            pts[:, i - 1] = (u, u, up, up)
+            pts[:, j - 1] = (v, vp, v, vp)
+            return o.eval_batch(pts)
+
+        s = walk_pair(attempt, PAIR_PROBES, tol)
+        scores[i - 1, j - 1] = scores[j - 1, i - 1] = s
     return scores
 
 
@@ -170,8 +221,10 @@ def test_interaction_graph_matches_reference_where_probes_hit_invalid_points():
 
 @pytest.mark.parametrize("no", [9, 10])
 def test_interaction_graph_is_two_oracle_calls_on_a_valid_domain(no, monkeypatch):
-    # one probe of every pair, then the remaining probes of the pairs
-    # that are no edge yet; case 9's graph is complete, so one call
+    # f(anchor), the first move of every variable and one joint move of
+    # every pair; then the other moves of the variables of the pairs that
+    # are no edge yet, and those pairs' joint moves. Case 9's graph is
+    # complete, so one call
     calls = []
     inner = Oracle.eval_batch
 
@@ -182,10 +235,12 @@ def test_interaction_graph_is_two_oracle_calls_on_a_valid_domain(no, monkeypatch
     monkeypatch.setattr(Oracle, "eval_batch", spy)
     o = CASES[no].oracle()
     g = interaction_graph(o, central_anchor(o.box, 0), CFG)
-    pairs = o.arity * (o.arity - 1) // 2
-    non_edges = pairs - len(g.edges())
-    assert calls == [pairs * 4] + ([non_edges * (PAIR_PROBES - 1) * 4] if non_edges else [])
-    assert (non_edges == 0) == (no == 9)
+    pairs = list(itertools.combinations(range(1, o.arity + 1), 2))
+    non_edges = [p for p in pairs if not g.has_edge(*p)]
+    touched = {v for p in non_edges for v in p}
+    rest = (PAIR_PROBES - 1) * (len(non_edges) + len(touched))
+    assert calls == [1 + o.arity + len(pairs)] + ([rest] if non_edges else [])
+    assert (not non_edges) == (no == 9)
 
 
 def test_mixed_diff_is_the_graph_score():
@@ -205,21 +260,28 @@ def test_mixed_diff_is_the_graph_score():
     assert kinds == {True, False}
 
 
-def test_early_stop_never_changes_an_edge():
-    # random targets on two boxes: the graph's edges are those of the
-    # full 8-probe scores, its non-edge scores are bit-equal to them, and
-    # it never makes more evaluations. Stopping draws a prefix of each
-    # pair's attempts, so it can avoid the invalid-points error, never
-    # cause it; two of these targets raise it under the full schedule only
+def fuzz_graph_targets():
+    # 300 random targets, 2-5 variables, on [-3,3] and [0.5,3] in turn:
+    # (seed, a maker of fresh oracles, anchor)
     gen = np.random.default_rng(1)
-    tol = RunConfig().tol_detect
-    scored = fewer = avoided = 0
     for k in range(300):
         n = int(gen.integers(2, 6))
         lo, hi = [(-3.0, 3.0), (0.5, 3.0)][k % 2]
+        box = DomainBox.cube(lo, hi, n)
         target = random_tree(gen, n)
-        o_full, o_new = (make_oracle(target, DomainBox.cube(lo, hi, n)) for _ in "ab")
-        anchor = central_anchor(o_full.box, k)
+        yield k, (lambda t=target, b=box: make_oracle(t, b)), central_anchor(box, k)
+
+
+def test_early_stop_never_changes_an_edge():
+    # the graph's edges are those of the full 8-probe scores, its non-edge
+    # scores are bit-equal to them, and it never makes more evaluations.
+    # Stopping draws a prefix of each pair's attempts, so it can avoid the
+    # invalid-points error (see test_early_stop_can_avoid_the_probe_error),
+    # never cause it
+    tol = RunConfig().tol_detect
+    scored = fewer = 0
+    for k, make, anchor in fuzz_graph_targets():
+        o_full, o_new = make(), make()
         with np.errstate(all="ignore"):
             try:
                 g = interaction_graph(o_new, anchor, RunConfig(seed=k))
@@ -230,7 +292,6 @@ def test_early_stop_never_changes_an_edge():
             try:
                 full = reference_graph_scores(o_full, anchor, k)
             except DetectionError:
-                avoided += 1
                 continue
         assert np.array_equal(g.scores > tol, full > tol)
         non_edge = full <= tol
@@ -238,11 +299,53 @@ def test_early_stop_never_changes_an_edge():
         assert o_new.eval_count <= o_full.eval_count
         fewer += o_new.eval_count < o_full.eval_count
         scored += 1
-    assert scored >= 250 and fewer >= 30 and avoided >= 1
+    assert scored >= 250 and fewer >= 30
+
+
+def test_early_stop_can_avoid_the_probe_error():
+    # sqrt(x1-2) is valid on a sixth of x1's range: the first valid
+    # attempt proves the x1*x2 edge, while the full schedule's eight
+    # probes meet 11 invalid attempts in a row at five of these six seeds
+    make = lambda: make_oracle(ex.parse("x1*x2+sqrt(x1-2)", 2), DomainBox.cube(-3, 3, 2))
+    avoided = 0
+    for seed in range(6):
+        with np.errstate(invalid="ignore"):
+            g = interaction_graph(make(), [2.5, 0.5], RunConfig(seed=seed))
+            assert g.edges() == [(1, 2)]
+            try:
+                reference_graph_scores(make(), [2.5, 0.5], seed)
+            except DetectionError:
+                avoided += 1
+    assert avoided >= 1
+
+
+def test_anchored_graph_has_the_quadruple_graphs_edges():
+    # against the scorer of fresh 4-point quadruples: the same edges
+    # wherever both succeed, and the probe error no more often
+    tol = RunConfig().tol_detect
+    both = anchored_errors = quadruple_errors = 0
+    for k, make, anchor in fuzz_graph_targets():
+        with np.errstate(all="ignore"):
+            try:
+                g = interaction_graph(make(), anchor, RunConfig(seed=k))
+            except DetectionError:
+                g = None
+                anchored_errors += 1
+            try:
+                q = quadruple_graph_scores(make(), anchor, k, tol)
+            except DetectionError:
+                q = None
+                quadruple_errors += 1
+        if g is not None and q is not None:
+            assert g.edges() == InteractionGraph(g.n, q, tol).edges(), k
+            both += 1
+    assert both >= 250 and anchored_errors <= quadruple_errors
 
 
 def test_degenerate_domain_raises_the_probe_error():
-    o = make_oracle(ex.parse("sqrt(x1*x2)+x3", 3), DomainBox.cube(-3, 3, 3))
+    # valid only on the unit disc of (x1, x2): the anchors are valid, but
+    # most moves of x1 or x2 leave the disc
+    o = make_oracle(ex.parse("sqrt(1-x1^2-x2^2)+x3", 3), DomainBox.cube(-3, 3, 3))
     with pytest.raises(
         DetectionError, match="^degenerate domain: probes keep hitting invalid points$"
     ):
@@ -250,23 +353,43 @@ def test_degenerate_domain_raises_the_probe_error():
 
 
 def test_a_probe_failure_redraws_the_anchor_with_fresh_probes():
-    # ln(x1) is invalid on half the box: the pair probes give up at some
-    # anchors, which must be redrawn, not end detection
+    # ln(x1) is invalid on half the box. An attempt is valid where the
+    # move of x1 is, whatever the (valid) anchor, so at seed 357 the pair
+    # probes give up at the first anchor as they do at (0.5, 0.5); the
+    # anchor must be redrawn, not end detection
     make = lambda: make_oracle(ex.parse("ln(x1)+x2", 2), DomainBox.cube(-3, 3, 2))
+    cfg = RunConfig(seed=357)
     with pytest.raises(det.DegenerateAnchorError, match="probes keep hitting"):
-        interaction_graph(make(), [0.5, 0.5], RunConfig(seed=4))
-    detected = []
-    for seed in range(6):
-        o = make()
-        try:
-            s = detect_structure(o, RunConfig(seed=seed))
-        except DetectionError:
-            continue
-        assert [b.vars for b in s.blocks] == [(1,), (2,)]
-        assert s.anchor != tuple(det._draw_anchor(o, RunConfig(seed=seed), 0))
-        detected.append(seed)
-    # seed 4 detects at the first redraw after its first probes gave up
-    assert 4 in detected
+        interaction_graph(make(), [0.5, 0.5], cfg)
+    o = make()
+    s = detect_structure(o, cfg)
+    assert [b.vars for b in s.blocks] == [(1,), (2,)]
+    assert s.anchor != tuple(det._draw_anchor(o, cfg, 0, 1)[0])
+    # detected at the first redraw after its first probes gave up
+    assert s.anchor == tuple(det._valid_anchor(make(), cfg, 1)[0])
+
+
+def test_an_invalid_first_draw_of_the_second_anchor_is_skipped(monkeypatch):
+    # at seed 0 the second anchor stream's first draw has x1 < 0, where
+    # ln(x1) is invalid: a graph there finds no valid probe of the pair
+    # (2, 3), so the stream's first valid draw is used, with its value
+    make = lambda: make_oracle(ex.parse("ln(x1)+x2*x3", 3), DomainBox.cube(-3, 3, 3))
+    cfg = RunConfig(seed=0)
+    draws = det._draw_anchor(make(), cfg, 50, det.ANCHOR_DRAWS)
+    valid = [k for k, x in enumerate(draws) if np.isfinite(make()(x))]
+    assert valid[0] > 0
+    seen = []
+    inner = det.interaction_graph
+
+    def spy(o, anchor, cfg, *args, **kwargs):
+        if kwargs.get("among") is not None:
+            seen.append((tuple(anchor), kwargs["f_anchor"]))
+        return inner(o, anchor, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(det, "interaction_graph", spy)
+    s = detect_structure(make(), cfg)
+    assert [b.vars for b in s.blocks] == [(1,), (2, 3)]
+    assert seen[0] == (tuple(draws[valid[0]]), make()(draws[valid[0]]))
 
 
 def test_each_redraw_probes_from_its_own_streams(monkeypatch):
@@ -471,6 +594,63 @@ def test_a_single_variable_side_costs_no_partition_evaluation(monkeypatch):
     assert seen["recon"] == seen["blocks"]
 
 
+@pytest.mark.parametrize("no", sorted(CASES) + [11])
+def test_an_attempt_pays_once_for_its_shared_probes(no, monkeypatch):
+    # each block's spread pair (stream 401) and each membership sweep
+    # (stream 601) is drawn at most once per anchor attempt, though the
+    # validator, minimal_blocks and the omega partition all read them, and
+    # f(anchor) is evaluated once, outside the partition grids, which hold
+    # the anchor as their corner
+    drawn, anchor_rows, state = [], [], {"grid": False}
+    inner_rng, inner_eval, inner_anchor = det._rng, Oracle.eval_batch, det._valid_anchor
+    inner_once, inner_partition = det._detect_once, det.factor_partition
+
+    def rng_spy(seed, *key):
+        if key[0] in (401, 601):
+            drawn[-1].append(key)
+        return inner_rng(seed, *key)
+
+    def eval_spy(self, points):
+        points = np.asarray(points, dtype=float)
+        if state["anchor"] is not None and not state["grid"]:
+            anchor_rows[-1] += int(np.all(points == state["anchor"], axis=1).sum())
+        return inner_eval(self, points)
+
+    def anchor_spy(o, cfg, attempt):
+        # the attempt's own anchor comes first, the second anchors later
+        anchor, f_anchor = inner_anchor(o, cfg, attempt)
+        if state["anchor"] is None:
+            state["anchor"] = anchor
+            anchor_rows[-1] += 1
+        return anchor, f_anchor
+
+    def once_spy(o, cfg, attempt):
+        drawn.append([])
+        anchor_rows.append(0)
+        state["anchor"] = None
+        return inner_once(o, cfg, attempt)
+
+    def partition_spy(*args, **kwargs):
+        state["grid"] = True
+        try:
+            return inner_partition(*args, **kwargs)
+        finally:
+            state["grid"] = False
+
+    monkeypatch.setattr(det, "_rng", rng_spy)
+    monkeypatch.setattr(Oracle, "eval_batch", eval_spy)
+    monkeypatch.setattr(det, "_detect_once", once_spy)
+    monkeypatch.setattr(det, "factor_partition", partition_spy)
+    monkeypatch.setattr(det, "_valid_anchor", anchor_spy)
+    spec = CASES[no] if no in CASES else STREAM_DEMO
+    s = detect_structure(spec.oracle(), RunConfig(seed=7))
+    assert s.blocks
+    assert all(len(keys) == len(set(keys)) for keys in drawn)
+    assert anchor_rows == [1] * len(drawn)
+    if no in (7, 11):      # two repeated variables: the omega partition reads a spread pair
+        assert any(b.omega_factors and len(b.repeated) > 1 for b in s.blocks)
+
+
 @pytest.mark.parametrize("no", sorted(CASES))
 def test_detect_structure_matches_expected_table(no):
     spec = CASES[no]
@@ -639,30 +819,33 @@ def test_mostly_invalid_reconstruction_redraws_the_anchor():
                                              det.Block((2,), (), ((2,),))],
                         anchor=(0.5, 0.5))
     with pytest.raises(det.DegenerateAnchorError, match="reconstruction"):
-        det._reconstruction_ok(o, s, RunConfig(seed=3))
+        det._reconstruction_ok(o, s, o(s.anchor), RunConfig(seed=3))
 
 
 # Detect-only reports of cases 1-11 at their first suite seed:
 # (probes_used, sha256 of the canonical JSON, Oracle.eval_batch calls
 # before the probe stages merged their oracle calls). Pair probes stop
-# once a pair interacts, and the factor partition probes the target
-# without tabulating the blocks first, so probes_used is below both the
-# full pair schedule's (292, 501, 501, 612, 901, 1286, 1529, 1270, 2066,
-# 2368, 1529) and the tabulating partition's (236, 445, 445, 492, 665,
-# 1102, 1165, 1002, 1226, 1728, 1053); the reports differ from those
-# only in their counts.
+# once a pair interacts, the factor partition probes the target without
+# tabulating the blocks first, the pair probes are anchored differences
+# that share f(anchor) and the single moves, and an attempt evaluates
+# f(anchor), each spread pair and each membership sweep once. So
+# probes_used is below that of the full pair schedule (292, 501, 501, 612,
+# 901, 1286, 1529, 1270, 2066, 2368, 1529), of the tabulating partition
+# (236, 445, 445, 492, 665, 1102, 1165, 1002, 1226, 1728, 1053) and of the
+# fresh 4-point quadruples (139, 299, 299, 250, 375, 762, 746, 663, 937,
+# 1294, 651); the reports differ from those only in their counts.
 _DETECT_BUDGET = {
-    1: (139, "f8206ec51bd02ca8464c712d0006bacf0e125198d145d3a4ba71bf404e737bad", 10),
-    2: (299, "a835a0e0b0560a84e2a2a61f10b0f249139eb1623c8e77a6fe782876285d88b4", 13),
-    3: (299, "6561ff7d8ec7ba461b011526379f4e1ab339f8d344010bef39e2c740f47b4254", 13),
-    4: (250, "ac7a52a80916ad06a78276c0b834d705e41cb0b9d4521a97b1649b75b176ead6", 24),
-    5: (375, "2d498f6427620568f4895d32b20c5ad63cb95022225e122e3f0f607b39caf662", 25),
-    6: (762, "989a641661c110a09f131296fbfeb8c2672d29ed93387fde2193657c9f0b42b1", 36),
-    7: (746, "73a8da0f1ac24c1e841958c870137b59abc6ce8e03d2adb5a157c70e4d88bb37", 48),
-    8: (663, "2bf3339cb9ad2a12c54a11efed4e7f6795074bcba070f038d1e6a385dfdd0cb7", 31),
-    9: (937, "90c697bb13b1626d29505537de516875daf9d25ca6526f8bcfd3ffb4b78b9e46", 24),
-    10: (1294, "22df600d1113ee4b033dcbeecf04441d5f3930f8192f74fcca4d258b942b5523", 48),
-    11: (651, "8aee6247edd520db5959cc81e6cc520b2fcbecce531e1112f42b0cc8d903209d", 33),
+    1: (137, "52ed0491b36b9933095811b4ac5dbc7c916e36bfbb627693dbfa229722bf0440", 10),
+    2: (245, "e0d5b2d1d90a8749977bada55ae5a185c85897af87b4d62adb09513af25f6f45", 13),
+    3: (245, "a196c698727464bb8f8e59361db6baf0b87ece9f20bbf01f963eb14161f8b337", 13),
+    4: (229, "a9f2301bf4592fd6d019f65edd306d309847c8ecd373e94f9590800d20b3fe48", 24),
+    5: (313, "050f1e91cc13781a23369104678b0e5709687ace0cf96813fadc81e69e6958e5", 25),
+    6: (492, "f8f27402b8e5feb23a5d6ceae8ece134d7e637d00b0506d79467bc0af39e2179", 36),
+    7: (594, "8e1dbe59d5d128189d9242b91d3fbeb18a6ea997184e862b00c185dd84159bc8", 48),
+    8: (456, "88741896946e0994de0a09616ba7b655418574f4a5010547ce19a39ad152e1bd", 31),
+    9: (859, "72af3c494dad987ad99441d8401f90a9c5ed679c9e70a99ace79ff74c376deff", 24),
+    10: (797, "bdb55c743c137e04ec25e0331ed620e170d85daf0af0e425da98553a5496d113", 48),
+    11: (562, "bbbd1d322f1030395908fdf031913b7668dd71d12b45e63366483bfb666f40ba", 33),
 }
 
 
