@@ -12,7 +12,7 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,10 +21,6 @@ from . import fit as ft
 from . import expr as ex
 from .config import RunConfig, derived_seed
 from .oracle import Oracle, SampleSet
-
-# fresh fits after a validation miss, made only while every factor converges
-MAX_RETRIES = 3
-
 
 @dataclass
 class BasisTerm:
@@ -50,9 +46,8 @@ class AssembledModel:
     val_mse: float
     success: bool
     rank_deficient: bool = False
-    retries: int = 0
-    # factors of the last attempt that missed tolerance, which ended the
-    # retries; not part of to_dict(), so canonical JSON does not carry it
+    # the factors that missed tolerance; not part of to_dict(), so
+    # canonical JSON does not carry it
     unconverged: tuple[ft.FactorModel, ...] = field(default=(), repr=False)
 
     def predict(self, points: np.ndarray) -> np.ndarray:
@@ -78,7 +73,6 @@ class AssembledModel:
             "val_mse": self.val_mse,
             "success": self.success,
             "rank_deficient": self.rank_deficient,
-            "retries": self.retries,
         }
 
     def to_json(self) -> str:
@@ -88,15 +82,22 @@ class AssembledModel:
 def build_basis(
     structure: det.GsStructure, factors: list[list[ft.FactorModel]]
 ) -> list[BasisTerm]:
-    """One term per nonempty factor subset of every block."""
+    """One term per nonempty factor subset of every block.
+
+    A factor whose model reads no variable (a variable the target ignores
+    fits as the constant 0) takes no part: its subsets would only repeat
+    the constant or another term. The rest keep their positions in the
+    block's factor list.
+    """
     terms: list[BasisTerm] = []
     for bi, models in enumerate(factors):
         if len(models) > 6:
             raise ft.FitError(
                 f"basis explosion: block {bi} has {len(models)} factors"
             )
-        for size in range(1, len(models) + 1):
-            for subset in itertools.combinations(range(len(models)), size):
+        varying = [k for k, m in enumerate(models) if m.expr.arity_bound()]
+        for size in range(1, len(varying) + 1):
+            for subset in itertools.combinations(varying, size):
                 e = models[subset[0]].expr
                 for k in subset[1:]:
                     e = ex.mul(e, models[k].expr)
@@ -142,26 +143,22 @@ def _compose_expr(c0: float, coefficients: np.ndarray, terms: list[BasisTerm]) -
 
 
 def fit_structure_factors(
-    structure: det.GsStructure, oracle: Oracle, cfg: RunConfig, sweep_seed: int
+    structure: det.GsStructure, oracle: Oracle, cfg: RunConfig
 ) -> list[list[ft.FactorModel]]:
-    """Per-factor sweeps and symbolic fits for every block of a structure.
-
-    The sweeps draw their points from sweep_seed, the fits from cfg.seed.
-    """
-    sweep_cfg = replace(cfg, seed=sweep_seed)
+    """Per-factor sweeps and symbolic fits for every block of a structure."""
     anchor = np.asarray(structure.anchor)
     out: list[list[ft.FactorModel]] = []
     for b in structure.blocks:
         models: list[ft.FactorModel] = []
         for group in b.psi_factors:
             data = det.isolate_psi_data(
-                oracle, group, anchor, det.PSI_POINTS_PER_VAR * len(group), sweep_cfg
+                oracle, group, anchor, det.PSI_POINTS_PER_VAR * len(group), cfg
             )
             models.append(ft.fit_factor(data, cfg))
         for group in b.omega_factors:
             data = det.isolate_omega_data(
                 oracle, b.vars, group, anchor,
-                max(48, det.OMEGA_POINTS_PER_VAR * len(group)), sweep_cfg,
+                max(48, det.OMEGA_POINTS_PER_VAR * len(group)), cfg,
             )
             models.append(ft.fit_factor(data, cfg))
         out.append(models)
@@ -174,46 +171,29 @@ def assemble_and_validate(
     """Fit factors, solve the outer linear problem, validate on fresh data.
 
     Trains and validates on independent samples of cfg.samples_per_var * n
-    points each. On a validation miss the whole fit is retried with new
-    sweep seeds, up to MAX_RETRIES times, but only while every factor of
-    the attempt converged: a fresh sample can rescue an unlucky draw, not
-    a factor that no skeleton fits, so an attempt with an unconverged
-    factor is the last one (its factors are kept on the model as
-    `unconverged`). Attempt k sweeps and samples with seed cfg.seed + 101k.
-    The best model found is returned either way; its `retries` counts the
-    retries made.
+    points each. The model succeeds when its validation MSE is within
+    cfg.tol_target; either way it lists the factors that missed tolerance
+    as `unconverged`.
     """
     n_samples = cfg.samples_per_var * oracle.arity
-    best: AssembledModel | None = None
-    for attempt in range(MAX_RETRIES + 1):
-        sweep_seed = cfg.seed + 101 * attempt
-        factors = fit_structure_factors(structure, oracle, cfg, sweep_seed)
-        terms = build_basis(structure, factors)
-        train = oracle.sample(n_samples, derived_seed(sweep_seed, 1))
-        c0, coefs, train_mse, deficient = least_squares(terms, train)
-        val = oracle.sample(n_samples, derived_seed(sweep_seed, 2))
-        model = AssembledModel(
-            c0=c0,
-            terms=terms,
-            coefficients=coefs,
-            expr=_compose_expr(c0, coefs, terms),
-            train_mse=train_mse,
-            val_mse=math.inf,
-            success=False,
-            rank_deficient=deficient,
-        )
-        model.val_mse = _mse(model, val)
-        model.success = bool(model.val_mse <= cfg.tol_target)
-        if best is None or model.val_mse < best.val_mse:
-            best = model
-        if model.success:
-            break
-        unconverged = tuple(f for models in factors for f in models if not f.converged)
-        if unconverged:
-            best.unconverged = unconverged
-            break
-    best.retries = attempt
-    return best
+    factors = fit_structure_factors(structure, oracle, cfg)
+    terms = build_basis(structure, factors)
+    train = oracle.sample(n_samples, derived_seed(cfg.seed, 1))
+    c0, coefs, train_mse, deficient = least_squares(terms, train)
+    model = AssembledModel(
+        c0=c0,
+        terms=terms,
+        coefficients=coefs,
+        expr=_compose_expr(c0, coefs, terms),
+        train_mse=train_mse,
+        val_mse=math.inf,
+        success=False,
+        rank_deficient=deficient,
+        unconverged=tuple(f for models in factors for f in models if not f.converged),
+    )
+    model.val_mse = _mse(model, oracle.sample(n_samples, derived_seed(cfg.seed, 2)))
+    model.success = bool(model.val_mse <= cfg.tol_target)
+    return model
 
 
 def _mse(model: AssembledModel, sample: SampleSet) -> float:

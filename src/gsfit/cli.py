@@ -172,15 +172,11 @@ def cmd_fit(args) -> int:
         return EXIT_USAGE
     if model.success:
         return EXIT_OK
-    print(
-        f"fit failed: validation MSE {model.val_mse:.3g} above tolerance "
-        f"{cfg.tol_target:g} after {model.retries + 1} attempt(s)",
-        file=sys.stderr,
-    )
+    print(f"fit failed: validation MSE {model.val_mse:.3g} above tolerance {cfg.tol_target:g}",
+          file=sys.stderr)
     for f in model.unconverged:
         names = ", ".join(f"x{v}" for v in f.var_indices)
-        print(f"  factor ({names}): {f.skeleton_name} at {f.train_mse:.1e}, not retried",
-              file=sys.stderr)
+        print(f"  factor ({names}): {f.skeleton_name} at {f.train_mse:.1e}", file=sys.stderr)
     return EXIT_TOLERANCE
 
 

@@ -7,7 +7,6 @@ import pytest
 import gsfit.assemble as asm
 from gsfit import expr as ex
 from gsfit.assemble import (
-    MAX_RETRIES,
     AssembledModel,
     BasisTerm,
     assemble_and_validate,
@@ -67,6 +66,20 @@ def test_build_basis_single_factor_block():
     s = dummy_structure(1)
     terms = build_basis(s, [[fake_model(ex.parse("x1", 1), (1,))]])
     assert len(terms) == 1
+
+
+def test_build_basis_leaves_out_a_factor_that_reads_no_variable():
+    # a variable the target ignores fits as the constant 0: no subset that
+    # holds it becomes a term, and the other factors keep their positions
+    s = dummy_structure(2)
+    factors = [
+        [fake_model(ex.parse("x1", 4), (1,)), fake_model(ex.const(0.0), (2,)),
+         fake_model(ex.parse("cos(x3)", 4), (3,))],
+        [fake_model(ex.const(0.0), (4,))],
+    ]
+    terms = build_basis(s, factors)
+    assert [(t.block_index, t.factor_subset) for t in terms] == [(0, (0,)), (0, (2,)), (0, (0, 2))]
+    assert [t.expr.to_text() for t in terms] == ["x1", "cos(x3)", "x1*cos(x3)"]
 
 
 def test_build_basis_explosion_guard():
@@ -228,148 +241,110 @@ def test_fit_structure_factors_counts_match_partition():
     spec = CASES[6]
     o = spec.oracle()
     s = detect_structure(o, RunConfig(seed=2))
-    factors = fit_structure_factors(s, o, RunConfig(seed=2), 2)
+    factors = fit_structure_factors(s, o, RunConfig(seed=2))
     assert [len(f) for f in factors] == [b.factor_count() for b in s.blocks]
 
 
-def _stub_fits(monkeypatch, per_attempt):
-    """Replace the factor fits: attempt k returns per_attempt(k)'s factor
-    lists. Returns the list of sweep seeds the stub was called with."""
-    seeds = []
-
-    def stub(structure, oracle, cfg, sweep_seed):
-        seeds.append(sweep_seed)
-        return per_attempt(len(seeds) - 1)
-
-    monkeypatch.setattr(asm, "fit_structure_factors", stub)
-    return seeds
-
-
-def _missing_target():
-    # x1 alone leaves the sine's variance unexplained: every attempt misses
-    return make_oracle(ex.parse("x1+sin(3*x1)", 1), DomainBox.cube(-3, 3, 1))
-
-
-@pytest.mark.parametrize("converged", [True, False])
-def test_only_a_miss_with_every_factor_converged_is_retried(monkeypatch, converged):
-    factor = fake_model(ex.parse("x1", 1), (1,), converged=converged)
-    seeds = _stub_fits(monkeypatch, lambda k: [[factor]])
-    cfg = RunConfig(seed=4)
-    model = assemble_and_validate(dummy_structure(1), _missing_target(), cfg)
-    assert not model.success and math.isfinite(model.val_mse)
-    attempts = MAX_RETRIES + 1 if converged else 1
-    assert seeds == [4 + 101 * k for k in range(attempts)]
-    assert model.retries == attempts - 1
-    assert model.unconverged == (() if converged else (factor,))
-    assert "unconverged" not in model.to_dict()
-
-
-def test_retries_count_the_retries_made_not_the_best_attempt(monkeypatch):
-    # attempt 0 is the best fit; the three retries after it are worse
-    good = fake_model(ex.parse("x1", 1), (1,))
-    bad = fake_model(ex.parse("x1^2", 1), (1,))
-    _stub_fits(monkeypatch, lambda k: [[good if k == 0 else bad]])
-    model = assemble_and_validate(dummy_structure(1), _missing_target(), RunConfig(seed=4))
-    assert model.terms[0].expr is good.expr
-    assert model.retries == MAX_RETRIES
-
-
-def _retry_every_miss(structure, oracle, cfg):
-    """Reference: the assembly loop that retried every validation miss, and
-    reported the best attempt's index as its retries."""
+def _attempt_0(structure, oracle, cfg):
+    """Reference: attempt 0 of the assembly loop that retried every
+    validation miss, written out. The sweeps and fits read cfg, and the
+    training and validation samples are drawn at derived_seed(cfg.seed, 1)
+    and derived_seed(cfg.seed, 2)."""
     n_samples = cfg.samples_per_var * oracle.arity
-    best = None
-    for attempt in range(asm.MAX_RETRIES + 1):
-        sweep_seed = cfg.seed + 101 * attempt
-        factors = asm.fit_structure_factors(structure, oracle, cfg, sweep_seed)
-        terms = build_basis(structure, factors)
-        train = oracle.sample(n_samples, derived_seed(sweep_seed, 1))
-        c0, coefs, train_mse, deficient = least_squares(terms, train)
-        val = oracle.sample(n_samples, derived_seed(sweep_seed, 2))
-        model = AssembledModel(
-            c0=c0, terms=terms, coefficients=coefs,
-            expr=asm._compose_expr(c0, coefs, terms), train_mse=train_mse,
-            val_mse=math.inf, success=False, rank_deficient=deficient,
-            retries=attempt,
-        )
-        model.val_mse = asm._mse(model, val)
-        model.success = bool(model.val_mse <= cfg.tol_target)
-        if best is None or model.val_mse < best.val_mse:
-            best = model
-        if model.success:
-            break
-    return best
+    factors = asm.fit_structure_factors(structure, oracle, cfg)
+    terms = build_basis(structure, factors)
+    train = oracle.sample(n_samples, derived_seed(cfg.seed, 1))
+    c0, coefs, train_mse, deficient = least_squares(terms, train)
+    val = oracle.sample(n_samples, derived_seed(cfg.seed, 2))
+    model = AssembledModel(
+        c0=c0, terms=terms, coefficients=coefs,
+        expr=asm._compose_expr(c0, coefs, terms), train_mse=train_mse,
+        val_mse=math.inf, success=False, rank_deficient=deficient,
+    )
+    model.val_mse = asm._mse(model, val)
+    model.success = bool(model.val_mse <= cfg.tol_target)
+    return model
 
 
 def _counted_fits(monkeypatch):
-    calls = []
+    """Spy on the factor fits. Returns (calls, evals): each call's factor
+    lists, and the oracle evaluations each call made."""
+    calls, evals = [], []
     inner = asm.fit_structure_factors
 
-    def spy(*args):
-        factors = inner(*args)
-        calls.append([f.converged for models in factors for f in models])
+    def spy(structure, oracle, cfg):
+        start = oracle.eval_count
+        factors = inner(structure, oracle, cfg)
+        calls.append(factors)
+        evals.append(oracle.eval_count - start)
         return factors
 
     monkeypatch.setattr(asm, "fit_structure_factors", spy)
-    return calls
+    return calls, evals
+
+
+def _flat(factors):
+    return [f for models in factors for f in models]
 
 
 @pytest.mark.parametrize("seed", suite_seeds(0, 11, 3))
 def test_stream_demo_validates_on_its_first_attempt(monkeypatch, seed):
     # the monomial library fits the omega factor r - R^2/r, so every factor
-    # converges and the first attempt validates
-    calls = _counted_fits(monkeypatch)
+    # converges and the model validates
+    calls, _ = _counted_fits(monkeypatch)
     cfg = RunConfig(seed=seed)
     o = get_case(11).oracle()
     s = detect_structure(o, cfg)
     model = assemble_and_validate(s, o, cfg)
-    assert len(calls) == 1 and all(calls[0])
+    assert len(calls) == 1 and all(f.converged for f in _flat(calls[0]))
     assert model.success and model.val_mse <= cfg.tol_target
-    assert model.retries == 0 and model.unconverged == ()
-    # byte-equal to attempt 0 of the loop that retried every miss
-    monkeypatch.setattr(asm, "MAX_RETRIES", 0)
-    assert _retry_every_miss(s, o, cfg).to_json() == model.to_json()
+    assert model.unconverged == ()
+    assert model.to_json() == _attempt_0(s, o, cfg).to_json()
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_the_attempt_with_an_unconverged_factor_is_the_last(monkeypatch, seed):
-    # sin(x1*x2^2) is one factor that no skeleton fits, and refitting it on
-    # fresh sweeps cannot rescue the run
-    calls = _counted_fits(monkeypatch)
+    # sin(x1*x2^2) is one factor that no skeleton fits
+    calls, _ = _counted_fits(monkeypatch)
     cfg = RunConfig(seed=seed)
     o = make_oracle(ex.parse("sin(x1*x2^2)", 2), DomainBox.cube(-3.0, 3.0, 2))
     s = detect_structure(o, cfg)
     model = assemble_and_validate(s, o, cfg)
-    assert len(calls) == 1 and calls[0].count(False) == len(model.unconverged) > 0
-    assert model.retries == 0 and not model.success
-    # byte-equal to attempt 0 of the loop that retried every miss
-    monkeypatch.setattr(asm, "MAX_RETRIES", 0)
-    assert _retry_every_miss(s, o, cfg).to_json() == model.to_json()
+    assert len(calls) == 1 and not model.success
+    assert [f.converged for f in _flat(calls[0])].count(False) == len(model.unconverged) > 0
+    assert model.to_json() == _attempt_0(s, o, cfg).to_json()
 
 
-# (case-9 suite seed, attempts made, the best attempt's index). The polish
-# fits every factor of case 9 exactly, so at the default tolerance these
-# seeds validate on their first attempt; at 1e-21 both outcomes of a
-# validation miss with every factor converged are in reach.
-@pytest.mark.parametrize("seed, attempts, best", [(71332, 3, 2), (73272, 4, 3)])
-def test_case9_retries_keep_their_attempts_and_report(monkeypatch, seed, attempts, best):
-    # every factor converges on every attempt: 71332 validates on its third
-    # attempt, 73272 on none
-    calls = _counted_fits(monkeypatch)
-    assert run_case(9, seed).success and len(calls) == 1
-    calls.clear()
-    cfg = RunConfig(seed=seed, tol_target=1e-21)
-    o = get_case(9).oracle()
+# (target, dims, seed, tol_target): a miss with an unconverged factor, and
+# case 9, whose factors all fit within 1e-21 while its validation MSE does not
+@pytest.mark.parametrize("target, dims, seed, tol", [
+    ("sin(x1*x2^2)", 2, 1, 1e-6),
+    (None, 6, 73272, 1e-21),
+], ids=["unconverged-factor", "case9-converged"])
+def test_a_validation_miss_makes_one_attempt(monkeypatch, target, dims, seed, tol):
+    calls, sweep_evals = _counted_fits(monkeypatch)
+    cfg = RunConfig(seed=seed, tol_target=tol)
+    if target is None:
+        o = get_case(9).oracle()
+    else:
+        o = make_oracle(ex.parse(target, dims), DomainBox.cube(-3.0, 3.0, dims))
     s = detect_structure(o, cfg)
     start = o.eval_count
-    new = assemble_and_validate(s, o, cfg)
-    used = o.eval_count - start
-    assert len(calls) == attempts and all(all(c) for c in calls)
-    assert new.success == (attempts < 4)
-    assert new.retries == attempts - 1
-    old = _retry_every_miss(s, o, cfg)
-    assert len(calls) == 2 * attempts and o.eval_count - start == 2 * used
-    # the same model, but for the old loop's retries: the best attempt's index
-    assert old.retries == best
-    old.retries = attempts - 1
-    assert new.to_json() == old.to_json()
+    model = assemble_and_validate(s, o, cfg)
+    assert not model.success and model.val_mse > tol
+    assert len(calls) == 1
+    assert o.eval_count - start == sweep_evals[0] + 2 * cfg.samples_per_var * dims
+    missed = [f for f in _flat(calls[0]) if f.train_mse > tol]
+    assert len(model.unconverged) == len(missed)
+    assert all(a is b for a, b in zip(model.unconverged, missed))
+    assert (target is None) == (missed == [])
+    assert "retries" not in model.to_dict() and "unconverged" not in model.to_dict()
+
+
+# the polish fits every factor of case 9 exactly, so at the default
+# tolerance these seeds, which miss at 1e-21, validate with one fit of the
+# factors
+@pytest.mark.parametrize("seed", [71332, 73272])
+def test_case9_validates_with_one_factor_fit(monkeypatch, seed):
+    calls, _ = _counted_fits(monkeypatch)
+    assert run_case(9, seed).success and len(calls) == 1

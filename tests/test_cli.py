@@ -167,14 +167,13 @@ def test_fit_validation_miss_says_why_on_stderr(capsys):
     )
     assert code == 3
     model = json.loads(out)["model"]
-    assert model["retries"] == 0 and "unconverged" not in model
+    assert "retries" not in model and "unconverged" not in model
     head, *factors = err.splitlines()
     assert head == (f"fit failed: validation MSE {model['val_mse']:.3g} above "
-                    "tolerance 1e-06 after 1 attempt(s)")
-    # the factor that stopped the retries, named with its best skeleton
+                    "tolerance 1e-06")
+    # the factor that missed tolerance, named with its best skeleton
     assert len(factors) == 1
-    assert re.fullmatch(r"  factor \(x1, x2\): \w+ at \d\.\de-\d\d, not retried",
-                        factors[0])
+    assert re.fullmatch(r"  factor \(x1, x2\): \w+ at \d\.\de-\d\d", factors[0])
 
 
 def test_main_leaves_numpy_error_state_unchanged(capsys):
@@ -189,9 +188,9 @@ def test_fit_detection_settings_reach_the_factor_sweeps(capsys, monkeypatch):
     seen = []
     inner = asm.fit_structure_factors
 
-    def spy(structure, oracle, cfg, sweep_seed):
-        seen.append((cfg, sweep_seed))
-        return inner(structure, oracle, cfg, sweep_seed)
+    def spy(structure, oracle, cfg):
+        seen.append(cfg)
+        return inner(structure, oracle, cfg)
 
     monkeypatch.setattr(asm, "fit_structure_factors", spy)
     code, _, _ = run_cli(
@@ -200,9 +199,8 @@ def test_fit_detection_settings_reach_the_factor_sweeps(capsys, monkeypatch):
         capsys,
     )
     assert code == 0
-    assert seen and all(c.tol_detect == 1e-6 and c.kmax == 2 for c, _ in seen)
-    assert all(c.seed == 2 for c, _ in seen)
-    assert [s for _, s in seen] == [2 + 101 * k for k in range(len(seen))]
+    assert len(seen) == 1
+    assert seen[0].tol_detect == 1e-6 and seen[0].kmax == 2 and seen[0].seed == 2
 
 
 @pytest.mark.parametrize("target, dims, reason", [
@@ -382,14 +380,18 @@ def test_random_targets_on_every_box_end_in_a_documented_exit_code(capsys, box):
 
 @pytest.mark.parametrize("target, dims", [("x1*x2", "3"), ("x1", "2")])
 def test_a_variable_the_target_ignores_fits_as_a_constant_factor(capsys, target, dims):
-    code, out, _ = run_cli(["detect", "--target", target, "--dims", dims], capsys)
+    args = ["--target", target, "--dims", dims, "--seed", "1"]
+    code, out, _ = run_cli(["detect", *args], capsys)
     assert code == 0
     blocks = json.loads(out)["structure"]["blocks"]
     assert {"vars": [int(dims)], "repeated": [], "psi_factors": [[int(dims)]],
             "omega_factors": []} in blocks
-    code, out, _ = run_cli(["fit", "--target", target, "--dims", dims], capsys)
+    # its factor fits as the constant 0, and the model leaves it out
+    code, out, _ = run_cli(["fit", *args], capsys)
     assert code == 0
-    assert json.loads(out)["model"]["val_mse"] <= 1e-6
+    model = json.loads(out)["model"]
+    assert model["val_mse"] <= 1e-6 and model["rank_deficient"] is False
+    assert model["terms"] and all(t["expr"] != "0" for t in model["terms"])
 
 
 def test_bench_single_case(tmp_path, capsys):

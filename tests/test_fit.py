@@ -932,7 +932,7 @@ def _spied_fit(monkeypatch, data, cfg):
 
 def _suite_factor_data(monkeypatch):
     """(cfg, FactorData) of every factor sweep of cases 1-10 at their first
-    suite seed, from the first assembly attempt."""
+    suite seed."""
     import gsfit.assemble as asm
     from gsfit.bench import CASES, get_case, suite_seeds
     from gsfit.detect import detect_structure
@@ -943,7 +943,7 @@ def _suite_factor_data(monkeypatch):
         for no in sorted(CASES):
             cfg = RunConfig(seed=suite_seeds(0, no, 1)[0])
             oracle = get_case(no).oracle()
-            asm.fit_structure_factors(detect_structure(oracle, cfg), oracle, cfg, cfg.seed)
+            asm.fit_structure_factors(detect_structure(oracle, cfg), oracle, cfg)
     return out
 
 
