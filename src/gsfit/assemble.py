@@ -8,6 +8,7 @@ cross term exactly and keeps the outer problem linear.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -22,16 +23,48 @@ from . import expr as ex
 from .config import RunConfig, derived_seed
 from .oracle import Oracle, SampleSet
 
+# training points per basis column, the constant's included: ten times the
+# least that `least_squares` accepts
+TRAIN_POINTS_PER_TERM = 20
+
+
 @dataclass
 class BasisTerm:
     """Product of some of one block's fitted factors."""
 
     block_index: int
     factor_subset: tuple[int, ...]       # positions in the block's factor list
-    expr: ex.Expr = field(repr=False)
+    expr: ex.Expr = field(repr=False)    # the product tree, left to right
+    # the subset's factor expressions, in order; by default expr alone
+    factors: tuple[ex.Expr, ...] = field(default=(), repr=False)
+
+    def __post_init__(self):
+        if not self.factors:
+            self.factors = (self.expr,)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         return self.expr.eval_batch(points)
+
+
+def basis_columns(terms: list[BasisTerm], points: np.ndarray) -> list[np.ndarray]:
+    """Each term's values at the points, every factor evaluated once.
+
+    A term's column is the left-to-right product of its factors' columns,
+    non-finite values mapped to NaN: the same multiplications, in the same
+    order, as evaluating its product tree, so the same floats as
+    `BasisTerm.evaluate`. A factor value that is invalid makes the product
+    invalid either way.
+    """
+    seen: dict[int, np.ndarray] = {}
+
+    def column(e: ex.Expr) -> np.ndarray:
+        if id(e) not in seen:
+            seen[id(e)] = e.eval_batch(points)
+        return seen[id(e)]
+
+    with np.errstate(all="ignore"):
+        cols = [functools.reduce(np.multiply, map(column, t.factors)) for t in terms]
+        return [np.where(np.isfinite(c), c, np.nan) for c in cols]
 
 
 @dataclass
@@ -52,8 +85,8 @@ class AssembledModel:
 
     def predict(self, points: np.ndarray) -> np.ndarray:
         out = np.full(points.shape[0], self.c0)
-        for c, t in zip(self.coefficients, self.terms):
-            out = out + c * t.evaluate(points)
+        for c, col in zip(self.coefficients, basis_columns(self.terms, points)):
+            out = out + c * col
         return out
 
     def to_dict(self) -> dict:
@@ -98,10 +131,11 @@ def build_basis(
         varying = [k for k, m in enumerate(models) if m.expr.arity_bound()]
         for size in range(1, len(varying) + 1):
             for subset in itertools.combinations(varying, size):
-                e = models[subset[0]].expr
-                for k in subset[1:]:
-                    e = ex.mul(e, models[k].expr)
-                terms.append(BasisTerm(block_index=bi, factor_subset=subset, expr=e))
+                factors = tuple(models[k].expr for k in subset)
+                terms.append(BasisTerm(
+                    block_index=bi, factor_subset=subset,
+                    expr=functools.reduce(ex.mul, factors), factors=factors,
+                ))
     return terms
 
 
@@ -116,10 +150,7 @@ def least_squares(terms: list[BasisTerm], train: SampleSet):
     n = len(train)
     if n < 2 * (len(terms) + 1):
         raise ft.FitError("need at least twice as many training points as terms")
-    cols = [np.ones(n)]
-    for t in terms:
-        cols.append(t.evaluate(train.points))
-    design = np.column_stack(cols)
+    design = np.column_stack([np.ones(n), *basis_columns(terms, train.points)])
     good = np.all(np.isfinite(design), axis=1) & np.isfinite(train.values)
     dropped = int(n - good.sum())
     if dropped:
@@ -170,15 +201,15 @@ def assemble_and_validate(
 ) -> AssembledModel:
     """Fit factors, solve the outer linear problem, validate on fresh data.
 
-    Trains and validates on independent samples of cfg.samples_per_var * n
-    points each. The model succeeds when its validation MSE is within
-    cfg.tol_target; either way it lists the factors that missed tolerance
-    as `unconverged`.
+    Trains on TRAIN_POINTS_PER_TERM points per basis column, the
+    constant's included, and validates on an independent sample of
+    cfg.samples_per_var * n points. The model succeeds when its validation
+    MSE is within cfg.tol_target; either way it lists the factors that
+    missed tolerance as `unconverged`.
     """
-    n_samples = cfg.samples_per_var * oracle.arity
     factors = fit_structure_factors(structure, oracle, cfg)
     terms = build_basis(structure, factors)
-    train = oracle.sample(n_samples, derived_seed(cfg.seed, 1))
+    train = oracle.sample(TRAIN_POINTS_PER_TERM * (len(terms) + 1), derived_seed(cfg.seed, 1))
     c0, coefs, train_mse, deficient = least_squares(terms, train)
     model = AssembledModel(
         c0=c0,
@@ -191,7 +222,8 @@ def assemble_and_validate(
         rank_deficient=deficient,
         unconverged=tuple(f for models in factors for f in models if not f.converged),
     )
-    model.val_mse = _mse(model, oracle.sample(n_samples, derived_seed(cfg.seed, 2)))
+    val = oracle.sample(cfg.samples_per_var * oracle.arity, derived_seed(cfg.seed, 2))
+    model.val_mse = _mse(model, val)
     model.success = bool(model.val_mse <= cfg.tol_target)
     return model
 

@@ -31,6 +31,8 @@ class CaseSpec:
 
     @property
     def samples(self) -> int:
+        """Validation points of a run at the default settings; training
+        takes 20 points per basis column."""
         return RunConfig.samples_per_var * self.dim
 
     def target(self):

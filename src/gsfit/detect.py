@@ -492,12 +492,16 @@ def isolate_omega_data(
 # factor partition: pairwise multiplicative-separability inside one block
 
 
-def _pair_grid_values(probe, base, ip: int, iq: int, stream, lo, hi) -> np.ndarray:
+def _pair_grid_values(
+    probe, base, corner: float, ip: int, iq: int, stream, lo, hi
+) -> np.ndarray:
     """Response grid over a (K+1)x(K+1) lattice in the plane of columns
     ip and iq of the base coordinates.
 
     Row/column zero hold the base coordinates, so mixed differences and
     one-sided differences against the base come out of the same grid.
+    Their corner, the base itself, is `corner`, the probe's value there,
+    which the caller already holds; the probe evaluates the other points.
     """
     k = PAIR_PROBES // 2 + 2
     a_vals = np.concatenate(([base[ip]], uniform(stream, lo[ip], hi[ip], k)))
@@ -505,7 +509,7 @@ def _pair_grid_values(probe, base, ip: int, iq: int, stream, lo, hi) -> np.ndarr
     coords = np.tile(base, ((k + 1) * (k + 1), 1))
     coords[:, ip] = np.repeat(a_vals, k + 1)
     coords[:, iq] = np.tile(b_vals, k + 1)
-    return probe(coords).reshape(k + 1, k + 1)
+    return np.concatenate(([corner], probe(coords[1:]))).reshape(k + 1, k + 1)
 
 
 def _rank_one(M: np.ndarray, tol_abs: float) -> bool:
@@ -544,18 +548,19 @@ def _pair_separable(H: np.ndarray, cfg: RunConfig) -> str:
 
 
 def factor_partition(
-    variables: tuple[int, ...], probe, anchor, key: tuple[int, tuple[int, ...]], box,
-    cfg: RunConfig,
+    variables: tuple[int, ...], probe, anchor, corner: float,
+    key: tuple[int, tuple[int, ...]], box, cfg: RunConfig,
 ) -> tuple[tuple[int, ...], ...]:
     """Partition `variables` into multiplicative factor groups.
 
     `probe` maps an (N, len(variables)) array of their coordinates to
-    response values, everything else pinned; each pair (p, q) is probed
-    on a grid through the anchor's coordinates, drawn within `box` from
-    the stream _rng(cfg.seed, tag, p, q, *block_vars), where key = (tag,
-    block_vars). Variables stay in one group when they are additively
-    fused (no pairwise interaction) or interact in a non-product way;
-    clean product pairs separate. Groups are the connected components of
+    response values, everything else pinned, and `corner` is its value at
+    the anchor's coordinates, which no grid evaluates again; each pair
+    (p, q) is probed on a grid through the anchor's coordinates, drawn
+    within `box` from the stream _rng(cfg.seed, tag, p, q, *block_vars),
+    where key = (tag, block_vars). Variables stay in one group when they
+    are additively fused (no pairwise interaction) or interact in a
+    non-product way; clean product pairs separate. Groups are the connected components of
     the resulting same-factor relation. A single variable is its own
     group without a probe.
     """
@@ -568,7 +573,7 @@ def factor_partition(
     same = set()
     for (ip, p), (iq, q) in itertools.combinations(enumerate(variables), 2):
         stream = _rng(cfg.seed, tag, p, q, *block_vars)
-        H = _pair_grid_values(probe, base, ip, iq, stream, lo, hi)
+        H = _pair_grid_values(probe, base, corner, ip, iq, stream, lo, hi)
         if _pair_separable(H, cfg) != "product":
             same |= {(p, q), (q, p)}
     return tuple(_components(variables, lambda u, w: (u, w) in same))
@@ -755,7 +760,9 @@ def _reconstruction_ok(
     """Additive reconstruction check with repeated variables at the anchor.
 
     The total at every point and every block's slice are evaluated in one
-    oracle call; f(anchor) is the value the caller holds. Fewer than
+    oracle call; a lone block holds every non-repeated variable, so its
+    slice is the total itself and is not evaluated again. f(anchor) is the
+    value the caller holds. Fewer than
     RECON_POINTS // 2 valid points say nothing about separability, so
     they raise DegenerateAnchorError and the anchor is redrawn.
     """
@@ -764,9 +771,13 @@ def _reconstruction_ok(
     pts = o.box.uniform(RECON_POINTS, rng)
     for v in structure.repeated:
         pts[:, v - 1] = anchor[v - 1]
-    sliced = [_pin(anchor, b.vars, pts[:, [v - 1 for v in b.vars]]) for b in structure.blocks]
+    blocks = structure.blocks
+    sliced = [] if len(blocks) == 1 else [
+        _pin(anchor, b.vars, pts[:, [v - 1 for v in b.vars]]) for b in blocks
+    ]
     f = o.eval_batch(np.vstack([pts, *sliced]))
-    total, parts = f[:len(pts)], f[len(pts):].reshape(-1, len(pts))
+    total = f[:len(pts)]
+    parts = f[len(pts):].reshape(-1, len(pts)) if sliced else [total]
     recon = np.full(len(pts), f_anchor)
     for part in parts:
         recon += part - f_anchor
@@ -823,14 +834,16 @@ def _detect_once(o: Oracle, cfg: RunConfig, attempt: int) -> GsStructure:
         o, repeated, anchor, cfg, graph=graph, redraw=attempt, shared=shared
     )
 
+    # each partition grid's corner is the anchor: psi reads 0 there, and
+    # omega f(b1) - f(b2), the negated spread of the block's spread pair
     for b in structure.blocks:
         psi = lambda coords: o.eval_batch(_pin(anchor, b.vars, coords)) - f_anchor
-        b.psi_factors = factor_partition(b.vars, psi, anchor, (501, b.vars), o.box, cfg)
+        b.psi_factors = factor_partition(b.vars, psi, anchor, 0.0, (501, b.vars), o.box, cfg)
         if len(b.repeated) > 1:
-            b1, b2, _, _ = shared.spread_pair(b.vars)
+            b1, b2, spread, _ = shared.spread_pair(b.vars)
             omega = lambda coords: _delta_values(o, b.repeated, coords, b.vars, b1, b2, anchor)
             b.omega_factors = factor_partition(
-                b.repeated, omega, anchor, (502, b.vars), o.box, cfg
+                b.repeated, omega, anchor, -spread, (502, b.vars), o.box, cfg
             )
         elif b.repeated:
             b.omega_factors = (b.repeated,)

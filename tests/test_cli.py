@@ -305,14 +305,20 @@ def test_fit_max_nodes_below_three_exit_1(capsys):
     assert "error: --max-nodes" in err
 
 
-def test_fit_too_few_samples_for_the_basis_exit_3(capsys):
-    code, out, err = run_cli(
-        ["fit", "--target", "x1*x2", "--dims", "2", "--samples-per-var", "1"], capsys
-    )
-    assert code == 3
-    assert out == ""
-    assert err.startswith("fit failed: need at least twice as many training points")
-    assert "Traceback" not in err
+def test_samples_per_var_sizes_only_the_validation_sample(capsys):
+    # training takes 20 points per basis column whatever the flag, so one
+    # point a variable leaves the model as it is and costs 199 * n fewer
+    # evaluations
+    args = ["fit", "--target", "0.5*exp(x1)*sin(2*x2)", "--dims", "2", "--seed", "1"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    full = json.loads(out)
+    code, out, _ = run_cli([*args, "--samples-per-var", "1"], capsys)
+    small = json.loads(out)
+    assert full["oracle_evals"] - small["oracle_evals"] == 199 * 2
+    for key in ("c0", "terms", "expr", "train_mse", "rank_deficient"):
+        assert small["model"][key] == full["model"][key]
+    assert small["structure"] == full["structure"]
 
 
 def test_fit_samples_per_var_below_one_exit_1(capsys):

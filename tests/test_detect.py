@@ -529,7 +529,7 @@ def psi_partition(o, block_vars, anchor):
     """factor_partition of a block's slice, probed as detect_structure does."""
     f_anchor = o(anchor)
     probe = lambda coords: o.eval_batch(det._pin(anchor, block_vars, coords)) - f_anchor
-    return factor_partition(block_vars, probe, anchor, (501, block_vars), o.box, CFG)
+    return factor_partition(block_vars, probe, anchor, 0.0, (501, block_vars), o.box, CFG)
 
 
 def test_factor_partition_case9_groups():
@@ -599,11 +599,11 @@ def test_an_attempt_pays_once_for_its_shared_probes(no, monkeypatch):
     # each block's spread pair (stream 401) and each membership sweep
     # (stream 601) is drawn at most once per anchor attempt, though the
     # validator, minimal_blocks and the omega partition all read them, and
-    # f(anchor) is evaluated once, outside the partition grids, which hold
-    # the anchor as their corner
-    drawn, anchor_rows, state = [], [], {"grid": False}
+    # f(anchor) is evaluated once, though every partition grid holds the
+    # anchor as its corner
+    drawn, anchor_rows, state = [], [], {}
     inner_rng, inner_eval, inner_anchor = det._rng, Oracle.eval_batch, det._valid_anchor
-    inner_once, inner_partition = det._detect_once, det.factor_partition
+    inner_once = det._detect_once
 
     def rng_spy(seed, *key):
         if key[0] in (401, 601):
@@ -612,7 +612,7 @@ def test_an_attempt_pays_once_for_its_shared_probes(no, monkeypatch):
 
     def eval_spy(self, points):
         points = np.asarray(points, dtype=float)
-        if state["anchor"] is not None and not state["grid"]:
+        if state["anchor"] is not None:
             anchor_rows[-1] += int(np.all(points == state["anchor"], axis=1).sum())
         return inner_eval(self, points)
 
@@ -630,17 +630,9 @@ def test_an_attempt_pays_once_for_its_shared_probes(no, monkeypatch):
         state["anchor"] = None
         return inner_once(o, cfg, attempt)
 
-    def partition_spy(*args, **kwargs):
-        state["grid"] = True
-        try:
-            return inner_partition(*args, **kwargs)
-        finally:
-            state["grid"] = False
-
     monkeypatch.setattr(det, "_rng", rng_spy)
     monkeypatch.setattr(Oracle, "eval_batch", eval_spy)
     monkeypatch.setattr(det, "_detect_once", once_spy)
-    monkeypatch.setattr(det, "factor_partition", partition_spy)
     monkeypatch.setattr(det, "_valid_anchor", anchor_spy)
     spec = CASES[no] if no in CASES else STREAM_DEMO
     s = detect_structure(spec.oracle(), RunConfig(seed=7))
@@ -823,29 +815,32 @@ def test_mostly_invalid_reconstruction_redraws_the_anchor():
 
 
 # Detect-only reports of cases 1-11 at their first suite seed:
-# (probes_used, sha256 of the canonical JSON, Oracle.eval_batch calls
-# before the probe stages merged their oracle calls). Pair probes stop
-# once a pair interacts, the factor partition probes the target without
-# tabulating the blocks first, the pair probes are anchored differences
-# that share f(anchor) and the single moves, and an attempt evaluates
-# f(anchor), each spread pair and each membership sweep once. So
-# probes_used is below that of the full pair schedule (292, 501, 501, 612,
-# 901, 1286, 1529, 1270, 2066, 2368, 1529), of the tabulating partition
-# (236, 445, 445, 492, 665, 1102, 1165, 1002, 1226, 1728, 1053) and of the
-# fresh 4-point quadruples (139, 299, 299, 250, 375, 762, 746, 663, 937,
-# 1294, 651); the reports differ from those only in their counts.
+# (probes_used, probes_used before the partition grids took their corner
+# from values already held, sha256 of the canonical JSON at those earlier
+# counts, Oracle.eval_batch calls before the probe stages merged their
+# oracle calls). Pair probes stop once a pair interacts, the factor
+# partition probes the target without tabulating the blocks first, the
+# pair probes are anchored differences that share f(anchor) and the single
+# moves, an attempt evaluates f(anchor), each spread pair and each
+# membership sweep once, and neither a partition grid's corner nor a lone
+# block's reconstruction slice is evaluated again. So probes_used is below
+# that of the full pair schedule (292, 501, 501, 612, 901, 1286, 1529,
+# 1270, 2066, 2368, 1529), of the tabulating partition (236, 445, 445,
+# 492, 665, 1102, 1165, 1002, 1226, 1728, 1053) and of the fresh 4-point
+# quadruples (139, 299, 299, 250, 375, 762, 746, 663, 937, 1294, 651);
+# the reports differ from those only in their counts.
 _DETECT_BUDGET = {
-    1: (137, "52ed0491b36b9933095811b4ac5dbc7c916e36bfbb627693dbfa229722bf0440", 10),
-    2: (245, "e0d5b2d1d90a8749977bada55ae5a185c85897af87b4d62adb09513af25f6f45", 13),
-    3: (245, "a196c698727464bb8f8e59361db6baf0b87ece9f20bbf01f963eb14161f8b337", 13),
-    4: (229, "a9f2301bf4592fd6d019f65edd306d309847c8ecd373e94f9590800d20b3fe48", 24),
-    5: (313, "050f1e91cc13781a23369104678b0e5709687ace0cf96813fadc81e69e6958e5", 25),
-    6: (492, "f8f27402b8e5feb23a5d6ceae8ece134d7e637d00b0506d79467bc0af39e2179", 36),
-    7: (594, "8e1dbe59d5d128189d9242b91d3fbeb18a6ea997184e862b00c185dd84159bc8", 48),
-    8: (456, "88741896946e0994de0a09616ba7b655418574f4a5010547ce19a39ad152e1bd", 31),
-    9: (859, "72af3c494dad987ad99441d8401f90a9c5ed679c9e70a99ace79ff74c376deff", 24),
-    10: (797, "bdb55c743c137e04ec25e0331ed620e170d85daf0af0e425da98553a5496d113", 48),
-    11: (562, "bbbd1d322f1030395908fdf031913b7668dd71d12b45e63366483bfb666f40ba", 33),
+    1: (104, 137, "52ed0491b36b9933095811b4ac5dbc7c916e36bfbb627693dbfa229722bf0440", 10),
+    2: (244, 245, "e0d5b2d1d90a8749977bada55ae5a185c85897af87b4d62adb09513af25f6f45", 13),
+    3: (244, 245, "a196c698727464bb8f8e59361db6baf0b87ece9f20bbf01f963eb14161f8b337", 13),
+    4: (229, 229, "a9f2301bf4592fd6d019f65edd306d309847c8ecd373e94f9590800d20b3fe48", 24),
+    5: (312, 313, "050f1e91cc13781a23369104678b0e5709687ace0cf96813fadc81e69e6958e5", 25),
+    6: (492, 492, "f8f27402b8e5feb23a5d6ceae8ece134d7e637d00b0506d79467bc0af39e2179", 36),
+    7: (592, 594, "8e1dbe59d5d128189d9242b91d3fbeb18a6ea997184e862b00c185dd84159bc8", 48),
+    8: (455, 456, "88741896946e0994de0a09616ba7b655418574f4a5010547ce19a39ad152e1bd", 31),
+    9: (812, 859, "72af3c494dad987ad99441d8401f90a9c5ed679c9e70a99ace79ff74c376deff", 24),
+    10: (791, 797, "bdb55c743c137e04ec25e0331ed620e170d85daf0af0e425da98553a5496d113", 48),
+    11: (557, 562, "bbbd1d322f1030395908fdf031913b7668dd71d12b45e63366483bfb666f40ba", 33),
 }
 
 
@@ -859,9 +854,12 @@ def test_detection_reports_are_unchanged_in_fewer_oracle_calls(no, monkeypatch):
         return inner(self, points)
 
     monkeypatch.setattr(Oracle, "eval_batch", spy)
-    probes, sha, calls_before = _DETECT_BUDGET[no]
+    probes, probes_before, sha, calls_before = _DETECT_BUDGET[no]
     report = run_case(no, suite_seeds(0, no, 1)[0], detect_only=True)
     assert report.error is None
     assert report.detect_evals == report.oracle_evals == sum(calls) == probes
-    assert hashlib.sha256(report.canonical_json().encode()).hexdigest() == sha
     assert len(calls) < calls_before
+    # at the earlier counts, the report is the earlier one byte for byte
+    report.detect_evals = report.oracle_evals = probes_before
+    report.structure["probes_used"] = probes_before
+    assert hashlib.sha256(report.canonical_json().encode()).hexdigest() == sha
