@@ -203,7 +203,8 @@ def assemble_and_validate(
 
     Trains on TRAIN_POINTS_PER_TERM points per basis column, the
     constant's included, and validates on an independent sample of
-    cfg.samples_per_var * n points. The model succeeds when its validation
+    cfg.samples_per_var * n points, or as many as training took where that
+    is more. The model succeeds when its validation
     MSE is within cfg.tol_target; either way it lists the factors that
     missed tolerance as `unconverged`.
     """
@@ -222,7 +223,9 @@ def assemble_and_validate(
         rank_deficient=deficient,
         unconverged=tuple(f for models in factors for f in models if not f.converged),
     )
-    val = oracle.sample(cfg.samples_per_var * oracle.arity, derived_seed(cfg.seed, 2))
+    # validation never rests on fewer points than training
+    val = oracle.sample(max(cfg.samples_per_var * oracle.arity, len(train)),
+                        derived_seed(cfg.seed, 2))
     model.val_mse = _mse(model, val)
     model.success = bool(model.val_mse <= cfg.tol_target)
     return model

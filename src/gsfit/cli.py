@@ -53,7 +53,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="MSE tolerance for fitted models")
     p.add_argument("--samples-per-var", type=int, default=default.samples_per_var,
                    help="validation points per variable (training takes "
-                        f"{asm.TRAIN_POINTS_PER_TERM} points per basis column)")
+                        f"{asm.TRAIN_POINTS_PER_TERM} points per basis column, and "
+                        "validation never fewer)")
     p.add_argument("--max-nodes", type=int, default=default.max_nodes,
                    help="largest skeleton template node count (at least 3)")
     p.add_argument("--kmax", type=int, default=default.kmax,

@@ -17,8 +17,8 @@ class RunConfig:
     seed: int = 0
     tol_detect: float = 1e-8      # relative detection tolerance
     tol_target: float = 1e-6      # MSE tolerance for fitted models
-    samples_per_var: int = 200    # validation points per variable; training
-                                  # takes 20 points per basis column
+    samples_per_var: int = 200    # validation points per variable; never
+                                  # fewer than training's 20 per basis column
     max_nodes: int = 12           # largest skeleton template node count
     kmax: int = 3                 # largest candidate repeated-variable cut
 

@@ -22,9 +22,11 @@ sparse regression over that basis (`_library`), as in FFX and SINDy. The
 table holds the parametric families and the two parameter-free rows that
 are not monomials, ln(x1/x2) and ln(-x1/x2).
 
-A parametric family is scanned and polished, first out to +-24 radians
-across the data span and then, for sin and cos, out to what the sample
-resolves; only families neither pass closes get LDSE (`_walk`).
+Each variable count's stream lists its rows simplest first, by node
+count. A parametric family is scanned and polished, first out to +-24
+radians across the data span and then, for sin and cos, out to what the
+sample resolves; the polish stops once Gauss-Newton stalls above 1e-12,
+and only families neither pass closes get LDSE (`_walk`).
 """
 
 from __future__ import annotations
@@ -398,9 +400,10 @@ def _sk(name: str, *columns: str) -> Skeleton:
     return sk
 
 
-# Streams by factor variable count. The parameter-free rows are tried in
-# table order; table order also breaks ties between the scan scores of
-# the parametric rows (see `_walk`). Sums of monomials are `_library`'s.
+# Streams by factor variable count, simplest first: in non-decreasing
+# Skeleton.complexity, ties in the order listed. `_walk` tries them in this
+# order, which also breaks ties between the parametric rows' scan scores.
+# Sums of monomials are `_library`'s.
 _STREAMS = {
     1: (
         _sk("exp_scaled", "exp(p0*x1)", "1"),
@@ -408,21 +411,21 @@ _STREAMS = {
         _sk("cos_affine", "cos(p0*x1+p1)", "1"),
         _sk("ln_affine", "ln(p0*x1+p1)", "1"),
         _sk("sqrt_affine", "sqrt(p0*x1+p1)", "1"),
-        _sk("recip_affine", "1/(p0*x1+p1)", "1"),
         _sk("vexp", "x1*exp(p0*x1)", "1"),
+        _sk("recip_affine", "1/(p0*x1+p1)", "1"),
         _sk("vsin", "x1*sin(p0*x1+p1)", "1"),
     ),
     2: (
-        _sk("sin_affine2", "sin(p0*x1+p1*x2+p2)", "1"),
-        _sk("cos_affine2", "cos(p0*x1+p1*x2+p2)", "1"),
-        _sk("exp_affine2", "exp(p0*x1+p1*x2)", "1"),
-        _sk("sin_prod", "sin(p0*x1*x2)", "1"),
-        _sk("cos_prod", "cos(p0*x1*x2)", "1"),
-        _sk("ln_affine2", "ln(p0*x1+p1*x2+p2)", "1"),
         _sk("ln_ratio_pos", "ln(x1/x2)", "1"),
         _sk("ln_ratio_neg", "ln(-x1/x2)", "1"),
-        _sk("prod_sin", "x1*sin(p0*x2+p1)", "1"),
+        _sk("sin_prod", "sin(p0*x1*x2)", "1"),
+        _sk("cos_prod", "cos(p0*x1*x2)", "1"),
         _sk("prod_exp", "x1*exp(p0*x2)", "1"),
+        _sk("exp_affine2", "exp(p0*x1+p1*x2)", "1"),
+        _sk("prod_sin", "x1*sin(p0*x2+p1)", "1"),
+        _sk("sin_affine2", "sin(p0*x1+p1*x2+p2)", "1"),
+        _sk("cos_affine2", "cos(p0*x1+p1*x2+p2)", "1"),
+        _sk("ln_affine2", "ln(p0*x1+p1*x2+p2)", "1"),
     ),
     3: (
         _sk("sin_affine3", "sin(p0*x1+p1*x2+p2*x3+p3)", "1"),
@@ -432,7 +435,7 @@ _STREAMS = {
 }
 
 def skeleton_stream(var_count: int, max_nodes: int = RunConfig.max_nodes) -> list[Skeleton]:
-    """The table's skeletons for var_count variables, in table order, whose
+    """The table's skeletons for var_count variables, simplest first, whose
     templates have at most max_nodes nodes (see Skeleton.complexity)."""
     if var_count not in _STREAMS:
         raise FitError("skeleton streams cover 1 to 3 variables")
@@ -638,6 +641,10 @@ def _make_objective(sk: Skeleton, V, y):
 
 # Gauss-Newton polish of a family's best scan row (see `_polish`)
 _POLISH_ITERS = 12
+# an accepted step above 1e-12 that leaves more than this share of the MSE
+# ends the polish: on a zero-residual fit, even the shortest length (0.1)
+# of a linearly converging step keeps (1 - 0.1)^2 = 0.81 of it
+_POLISH_STALL = 0.9
 _POLISH_FD_STEP = 1e-7     # forward-difference step, times 1 + |p|
 _POLISH_RCOND = 1e-5       # singular values below this share of the largest are cut
 _POLISH_LENGTHS = np.array([1.0, 0.5, 0.25, 0.1])[:, None]
@@ -655,10 +662,14 @@ def _polish(residuals, objective, x, val):
     depends only on a ratio of parameters, such as ln(p0*x1+p1), have a
     scale-degenerate Jacobian, and a plain solve runs off along its null
     direction), and scores a few step lengths, clipped to the parameter
-    box, in one objective call. It runs to convergence: it stops only
-    when no length improves, or after `_POLISH_ITERS` iterations. An
-    exact fit keeps improving in its last digits, which a basis such as
-    1/x^2 magnifies in the assembly.
+    box, in one objective call. It stops when no length improves, after
+    `_POLISH_ITERS` iterations, or when it stalls: a step that leaves the
+    MSE above 1e-12 and above `_POLISH_STALL` times the MSE before it.
+    Near a fit that closes, Gauss-Newton converges at least linearly, so a
+    stalled family is left open: to the second scan pass or LDSE, should it
+    close from further off. Below 1e-12 it runs on: an exact fit keeps
+    improving in its last digits, which a basis such as 1/x^2 magnifies in
+    the assembly.
     """
     x = np.asarray(x, dtype=float)
     d = len(x)
@@ -676,7 +687,9 @@ def _polish(residuals, objective, x, val):
         i = int(np.argmin(vals))
         if not vals[i] < val:
             break
-        x, val = cands[i], float(vals[i])
+        x, val, last = cands[i], float(vals[i]), val
+        if val > max(1e-12, _POLISH_STALL * last):
+            break
     return x, val
 
 
@@ -708,18 +721,19 @@ def _walk(stream: list[Skeleton], V, y, seed: int, max_nodes: int):
     alone does on constant data), and otherwise only after the last LDSE
     family, where it competes on MSE, so that an inexact sum of monomials
     cannot take the place of a parametric family that a polish or LDSE
-    fits exactly. Next come the table's parameter-free rows, in table
-    order. Only when the caller asks past them are the parametric rows
-    taken, in two scan passes, each in table order: each family is
-    scanned along `_SCAN_REACH`; then each sin and cos family left open
-    is scanned again out to what the sample resolves (`_wide_reach`),
-    where that reaches further. A scan that beats the family's best so far
-    has its best row polished (`_polish`); a family that polishes to 1e-12
-    is yielded at once. The families still open then get LDSE in order of
-    best scan score (ties in table order), each `_RESTARTS` runs from its
-    best scan rows, stopping early only at 1e-12, and its best run is
-    yielded before the next family's first. A run's seed is derived from
-    the skeleton's rank in the stream and the restart.
+    fits exactly. Next come the table's parameter-free rows, in stream
+    order, simplest first. Only when the caller asks past them are the
+    parametric rows taken, in two scan passes, each in stream order: each
+    family is scanned along `_SCAN_REACH`; then each sin and cos family
+    left open is scanned again out to what the sample resolves
+    (`_wide_reach`), where that reaches further. A scan that beats the
+    family's best so far has its best row polished (`_polish`); a family
+    that polishes to 1e-12 is yielded at once; an open one keeps only its
+    scan rows and scan score. The families still open then get LDSE in
+    order of best scan score (ties in stream order), each `_RESTARTS` runs
+    from its best scan rows, stopping early only at 1e-12, and its best
+    run is yielded before the next family's first. A run's seed is derived
+    from the skeleton's rank in the stream and the restart.
     """
     library, exact = _library(V, y, max_nodes)
     if exact:

@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from gsfit import expr as ex
+from gsfit import fit as ft
 
 # The ten benchmark targets, recomputed independently of the parser.
 INDEPENDENT_TARGETS = {
@@ -93,3 +94,28 @@ def reference_eval(e: ex.Expr, pts: np.ndarray, theta=()) -> np.ndarray:
     if k == "square":
         return a * a
     raise ValueError(f"unknown node kind {k!r}")
+
+
+def reference_polish(residuals, objective, x, val):
+    """The Gauss-Newton polish with no stall stop: it stops only when no
+    step length improves, or after `fit._POLISH_ITERS` iterations. Wherever
+    it closes to 1e-12, `fit._polish` must return its (x, val) bit for bit."""
+    x = np.asarray(x, dtype=float)
+    d = len(x)
+    for _ in range(ft._POLISH_ITERS):
+        h = ft._POLISH_FD_STEP * (1.0 + np.abs(x))
+        X = np.tile(x, (d + 1, 1))
+        X[1:] += np.diag(h)
+        R, ok = residuals(X)
+        if not (ok.all() and np.all(np.isfinite(R))):
+            break
+        J = (R[1:] - R[0]) / h[:, None]
+        step = np.linalg.lstsq(J.T, -R[0], rcond=ft._POLISH_RCOND)[0]
+        cands = np.clip(x + ft._POLISH_LENGTHS * step, -ft.PARAM_BOUND,
+                        ft.PARAM_BOUND)
+        vals = objective(cands)
+        i = int(np.argmin(vals))
+        if not vals[i] < val:
+            break
+        x, val = cands[i], float(vals[i])
+    return x, val

@@ -23,11 +23,14 @@ from gsfit.fit import (
     skeleton_stream,
 )
 
+from helpers import reference_polish
+
+# simplest first: node counts 4, 6 x5, 7, 8 and 4, 5, 6 x3, 8 x2, 10 x3
 DEFAULT_STREAMS = {
     1: ["exp_scaled", "sin_affine", "cos_affine", "ln_affine", "sqrt_affine",
-        "recip_affine", "vexp", "vsin"],
-    2: ["sin_affine2", "cos_affine2", "exp_affine2", "sin_prod", "cos_prod",
-        "ln_affine2", "ln_ratio_pos", "ln_ratio_neg", "prod_sin", "prod_exp"],
+        "vexp", "recip_affine", "vsin"],
+    2: ["ln_ratio_pos", "ln_ratio_neg", "sin_prod", "cos_prod", "prod_exp",
+        "exp_affine2", "prod_sin", "sin_affine2", "cos_affine2", "ln_affine2"],
     3: [],
 }
 
@@ -76,6 +79,17 @@ def test_stream_first_three_univariate():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_stream_default_names_and_order(k):
     assert [s.name for s in skeleton_stream(k)] == DEFAULT_STREAMS[k]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_each_stream_is_tried_simplest_first(k):
+    # node counts never fall along the table's rows, and at every cap the
+    # stream keeps the table's order, so rows of equal count keep theirs
+    table = ft._STREAMS[k]
+    nodes = [s.complexity for s in table]
+    assert nodes == sorted(nodes)
+    for cap in (3, 6, 8, 12, 14):
+        assert skeleton_stream(k, max_nodes=cap) == [s for s in table if s.complexity <= cap]
 
 
 def test_stream_widest_cap_adds_only_affine3_families():
@@ -756,7 +770,7 @@ def _ldse_seeds(monkeypatch):
 
 
 def test_sin_factor_never_runs_ldse_on_exp_scaled(monkeypatch):
-    # exp_scaled is scanned and polished first, in table order, but cannot
+    # exp_scaled is scanned and polished first, simplest first, but cannot
     # close; sin_affine's best hint polishes to an exact fit, so no LDSE runs
     seeds = _ldse_seeds(monkeypatch)
     m = fit_factor(make_data(lambda p: np.sin(2 * p[:, 0])), RunConfig(seed=3))
@@ -1296,6 +1310,95 @@ def test_polish_never_returns_a_worse_mse_than_its_start():
                 else:
                     assert np.array_equal(x, x0)
     assert moved > 20
+
+
+def _family_data(sk, k, seed):
+    """Local points and normalized responses of sk's own shape at random
+    parameters, amplitude and offset, redrawn until the shape is valid on
+    every point and not constant. Each multiplier p_k stays within the first
+    scan's reach across the span of its m_k, the shift within +-3."""
+    rng = np.random.default_rng(seed)
+    K = len(sk.form.terms)
+    for _ in range(10_000):
+        V = rng.uniform(-3.0, 3.0, size=(48 * k, k))
+        span = np.array([np.ptp(m._eval(V)) for m in sk.form.terms])
+        nl = rng.uniform(-1.0, 1.0, sk.nl_count)
+        nl[:K] *= ft._SCAN_REACH[-1] / span
+        nl[K:] *= 3.0
+        B = sk.design(V, nl)
+        if B is not None and np.ptp(B[:, 0]) > 0.0:
+            y = B @ rng.uniform(-3.0, 3.0, 2)
+            return V, (y - y.mean()) / y.std()
+    raise AssertionError(f"{sk.name}: no valid draw")
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_the_stall_stop_leaves_every_closing_polish_as_it_was(k):
+    # from each scan pass's best row, as `_walk` polishes it: wherever the
+    # polish without the stall stop closes, `_polish` returns its point
+    # and value bit for bit, so the stop only cuts polishes that stay open
+    closed = 0
+    for sk in [s for s in skeleton_stream(k) if s.nl_count]:
+        for seed in range(20):
+            V, y = _family_data(sk, k, seed)
+            objective = _make_objective(sk, V, y)
+            residuals = ft._make_residuals(sk, V, y)
+            with np.errstate(all="ignore"):
+                for reach in (ft._SCAN_REACH, ft._wide_reach(sk.form, V)):
+                    if reach is None:
+                        continue
+                    hints, best = _ranked_hints(sk, objective, V, y, reach)
+                    ref_x, ref_val = reference_polish(residuals, objective, hints[0], best)
+                    x, val = ft._polish(residuals, objective, hints[0], best)
+                    if ref_val <= 1e-12:
+                        assert np.array_equal(x, ref_x) and val == ref_val, (sk.name, seed)
+                        closed += 1
+                    else:
+                        assert ref_val <= val, (sk.name, seed)
+    assert closed >= 15 * len([s for s in skeleton_stream(k) if s.nl_count])
+
+
+def test_a_stalled_polish_stops_after_its_first_step(monkeypatch):
+    # exp_scaled cannot fit sin(2*x1): its scan is one batch of residual
+    # rows and its polish one iteration of two (the finite differences and
+    # the step lengths), as its first step keeps more than 0.9 of the MSE;
+    # without the stall stop it makes 15 batches. sin_affine then closes
+    calls = []
+    real = ft._make_residuals
+
+    def make_residuals(sk, V, y):
+        residuals = real(sk, V, y)
+
+        def counted(X):
+            calls.append(sk.name)
+            return residuals(X)
+
+        return counted
+
+    monkeypatch.setattr(ft, "_make_residuals", make_residuals)
+    model = fit_factor(make_data(lambda p: np.sin(2 * p[:, 0])), RunConfig(seed=0))
+    assert model.skeleton_name == "sin_affine" and model.train_mse <= 1e-12
+    assert calls.count("exp_scaled") == 3
+
+
+def test_a_polish_that_crawls_from_beyond_the_first_reach_is_left_to_the_wide_scan(monkeypatch):
+    # cos(2.25*x1*x2) runs 2.25 * 15.3 = 34 rad across the span of x1*x2,
+    # beyond the first scan's 24: from its best row the first step keeps
+    # more than 0.9 of the MSE and the polish stops, where the loop without
+    # the stop crawls on to a close; the wide scan reaches the frequency,
+    # and its row closes
+    data = make_data(lambda p: np.cos(2.25 * p[:, 0] * p[:, 1]), vars_=(1, 2), n=96)
+    sk = next(s for s in skeleton_stream(2) if s.name == "cos_prod")
+    V, y = _normalized(data)
+    objective = _make_objective(sk, V, y)
+    residuals = ft._make_residuals(sk, V, y)
+    with np.errstate(all="ignore"):
+        hints, best = _ranked_hints(sk, objective, V, y, ft._SCAN_REACH)
+        assert reference_polish(residuals, objective, hints[0], best)[1] <= 1e-12
+        assert ft._polish(residuals, objective, hints[0], best)[1] > 1e-12
+    model, runs, wide = _spied_fit(monkeypatch, data, RunConfig(seed=0))
+    assert model.skeleton_name == "cos_prod" and model.train_mse <= 1e-12
+    assert runs == [] and "cos_prod" in wide
 
 
 def test_a_polish_closed_family_is_not_searched_again(monkeypatch):
