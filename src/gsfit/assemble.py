@@ -176,24 +176,15 @@ def _compose_expr(c0: float, coefficients: np.ndarray, terms: list[BasisTerm]) -
 def fit_structure_factors(
     structure: det.GsStructure, oracle: Oracle, cfg: RunConfig
 ) -> list[list[ft.FactorModel]]:
-    """Per-factor sweeps and symbolic fits for every block of a structure."""
-    anchor = np.asarray(structure.anchor)
-    out: list[list[ft.FactorModel]] = []
-    for b in structure.blocks:
-        models: list[ft.FactorModel] = []
-        for group in b.psi_factors:
-            data = det.isolate_psi_data(
-                oracle, group, anchor, det.PSI_POINTS_PER_VAR * len(group), cfg
-            )
-            models.append(ft.fit_factor(data, cfg))
-        for group in b.omega_factors:
-            data = det.isolate_omega_data(
-                oracle, b.vars, group, anchor,
-                max(48, det.OMEGA_POINTS_PER_VAR * len(group)), cfg,
-            )
-            models.append(ft.fit_factor(data, cfg))
-        out.append(models)
-    return out
+    """Per-factor sweeps and symbolic fits for every block of a structure.
+    The sweeps share one `detect.Anchor`, so a call evaluates f(anchor)
+    once, in the first psi sweep, and each block's spread pair once."""
+    at = det.Anchor(oracle, structure.anchor, cfg)
+    return [
+        [ft.fit_factor(det.isolate_psi_data(at, g), cfg) for g in b.psi_factors]
+        + [ft.fit_factor(det.isolate_omega_data(at, b.vars, g), cfg) for g in b.omega_factors]
+        for b in structure.blocks
+    ]
 
 
 def assemble_and_validate(

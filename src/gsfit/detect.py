@@ -396,7 +396,7 @@ def repeated_vars(
 
 
 # --------------------------------------------------------------------------
-# slicing helpers
+# the anchor and its probes
 
 
 def _pin(anchor: np.ndarray, cols: tuple[int, ...], coords: np.ndarray) -> np.ndarray:
@@ -408,84 +408,145 @@ def _pin(anchor: np.ndarray, cols: tuple[int, ...], coords: np.ndarray) -> np.nd
     return pts
 
 
-def _subbox_uniform(o: Oracle, cols: tuple[int, ...], count: int, rng) -> np.ndarray:
+def _draw_anchor(o: Oracle, cfg: RunConfig, attempt: int, count: int) -> np.ndarray:
+    """The first `count` draws of the attempt's anchor stream, one a row."""
+    rng = _rng(cfg.seed, 777, attempt)
     lo, hi = o.box.lo_array(), o.box.hi_array()
-    idx = [v - 1 for v in cols]
-    return uniform(rng, lo[idx], hi[idx], (count, len(cols)))
+    margin = 0.5 * (1.0 - ANCHOR_CENTRAL)
+    u = rng.random((count, o.arity))
+    return lo + (margin + ANCHOR_CENTRAL * u) * (hi - lo)
 
 
-def _spread_pair(o: Oracle, block_vars, anchor, cfg, seed_key):
-    """Two block-variable probe points with the widest response spread."""
-    rng = _rng(cfg.seed, *seed_key)
-    cand = _subbox_uniform(o, block_vars, OMEGA_PAIR_CANDIDATES, rng)
-    vals = o.eval_batch(_pin(anchor, block_vars, cand))
-    finite = np.isfinite(vals)
-    if finite.sum() < 2:
-        raise DegenerateAnchorError("block probes mostly invalid")
-    order = np.argsort(vals[finite])
-    idx = np.flatnonzero(finite)
-    b_lo, b_hi = cand[idx[order[0]]], cand[idx[order[-1]]]
-    spread = float(vals[idx[order[-1]]] - vals[idx[order[0]]])
-    scale = max(1.0, float(np.nanmax(np.abs(vals))))
-    return b_lo, b_hi, spread, scale
+class Anchor:
+    """One anchor point and the probes there that several stages read.
 
-
-def _delta_values(o: Oracle, sweep_cols, coords, block_vars, b1, b2, anchor):
-    """Block-isolating difference at swept repeated coordinates.
-
-    Delta(z) = f(z, b1, rest anchor) - f(z, b2, rest anchor); every other
-    block cancels, leaving the block's repeated coupling times a constant.
-    Both sides are evaluated in one oracle call.
+    `f` is f(point), evaluated on first read when it is not given.
+    `attempt` keys the anchor's stream (`draw`) and, for detection's own
+    anchors, the graph probes (see `_pair_scores`). Each block's spread
+    pair and each membership sweep is evaluated at most once, however
+    many stages read it: detection's validator, `minimal_blocks` and the
+    omega partition, or the factor sweeps of one fit.
     """
-    coords = np.atleast_2d(coords)
-    n = coords.shape[0]
-    pts = _pin(anchor, block_vars, np.repeat(np.stack([b1, b2]), n, axis=0))
-    pts[:, [v - 1 for v in sweep_cols]] = np.concatenate([coords, coords])
-    f = o.eval_batch(pts)
-    return f[:n] - f[n:]
+
+    def __init__(self, o: Oracle, point, cfg: RunConfig, f: float | None = None,
+                 attempt: int = 0):
+        self.o, self.cfg, self.attempt = o, cfg, attempt
+        self.point = np.asarray(point, dtype=float)
+        self._f = f
+        self._spreads: dict = {}
+        self._members: dict = {}
+
+    @classmethod
+    def draw(cls, o: Oracle, cfg: RunConfig, attempt: int) -> "Anchor | None":
+        """The first of the attempt's ANCHOR_DRAWS draws with a finite
+        target value, or None. The others are evaluated, in one call, only
+        when the first is invalid."""
+        anchors = _draw_anchor(o, cfg, attempt, ANCHOR_DRAWS)
+        f = o(anchors[0])
+        if np.isfinite(f):
+            return cls(o, anchors[0], cfg, f, attempt)
+        f = o.eval_batch(anchors[1:])
+        valid = np.flatnonzero(np.isfinite(f))
+        if not valid.size:
+            return None
+        return cls(o, anchors[1 + valid[0]], cfg, float(f[valid[0]]), attempt)
+
+    @property
+    def f(self) -> float:
+        if self._f is None:
+            self._f = self.o(self.point)
+        return self._f
+
+    def uniform(self, cols: tuple[int, ...], count: int, *key) -> np.ndarray:
+        """`count` draws on the sub-box of `cols` from _rng(cfg.seed, *key)."""
+        idx = [v - 1 for v in cols]
+        lo, hi = self.o.box.lo_array()[idx], self.o.box.hi_array()[idx]
+        return uniform(_rng(self.cfg.seed, *key), lo, hi, (count, len(cols)))
+
+    def slice(self, block_vars: tuple[int, ...], coords) -> np.ndarray:
+        """h(b) = f(b at block_vars, point elsewhere) - f(point) at each
+        row b of coords."""
+        return self.o.eval_batch(_pin(self.point, block_vars, coords)) - self.f
+
+    def spread_pair(self, block_vars: tuple[int, ...]):
+        """(b_lo, b_hi, spread): the block probe points (stream 401) of the
+        lowest and the highest response, and the difference of those. A
+        spread within cfg.tol_detect of the responses' scale cannot isolate
+        the block's coupling; it raises DegenerateAnchorError, as do fewer
+        than two valid probes."""
+        if block_vars not in self._spreads:
+            cand = self.uniform(block_vars, OMEGA_PAIR_CANDIDATES, 401, *block_vars)
+            vals = self.o.eval_batch(_pin(self.point, block_vars, cand))
+            idx = np.flatnonzero(np.isfinite(vals))
+            if idx.size < 2:
+                raise DegenerateAnchorError("block probes mostly invalid")
+            order = idx[np.argsort(vals[idx])]
+            spread = float(vals[order[-1]] - vals[order[0]])
+            if spread <= self.cfg.tol_detect * max(1.0, float(np.nanmax(np.abs(vals)))):
+                raise DegenerateAnchorError("degenerate block during membership test")
+            self._spreads[block_vars] = (cand[order[0]], cand[order[-1]], spread)
+        return self._spreads[block_vars]
+
+    def delta(self, block_vars: tuple[int, ...], cols: tuple[int, ...], coords) -> np.ndarray:
+        """Delta(z) = f(z, b_lo, point elsewhere) - f(z, b_hi, point
+        elsewhere) at each row z of coords over `cols`, at the block's
+        spread pair, in one oracle call. Every other block cancels, leaving
+        the block's repeated coupling times a constant."""
+        b_lo, b_hi, _ = self.spread_pair(block_vars)
+        coords = np.atleast_2d(coords)
+        n = coords.shape[0]
+        pts = _pin(self.point, block_vars, np.repeat(np.stack([b_lo, b_hi]), n, axis=0))
+        pts[:, [v - 1 for v in cols]] = np.concatenate([coords, coords])
+        f = self.o.eval_batch(pts)
+        return f[:n] - f[n:]
+
+    def membership(self, block_vars: tuple[int, ...], repeated) -> tuple[int, ...]:
+        """The repeated variables the block's difference varies with, each
+        swept at MEMBERSHIP_POINTS points of its own (stream 601)."""
+        for v in repeated:
+            if (v, block_vars) not in self._members:
+                zs = self.uniform((v,), MEMBERSHIP_POINTS, 601, v, *block_vars)
+                deltas = self.delta(block_vars, (v,), zs)
+                deltas = deltas[np.isfinite(deltas)]
+                if deltas.size < 4:
+                    raise DegenerateAnchorError("membership sweep mostly invalid")
+                dscale = max(1.0, float(np.max(np.abs(deltas))))
+                spread = float(np.max(deltas) - np.min(deltas))
+                self._members[v, block_vars] = spread > self.cfg.tol_detect * dscale
+        return tuple(v for v in repeated if self._members[v, block_vars])
 
 
-def isolate_psi_data(
-    o: Oracle, block_vars: tuple[int, ...], anchor, n_points: int, cfg: RunConfig
-) -> FactorData:
-    """Tabulate the block response with everything else pinned at the anchor.
-
-    h(b) = f(b at block vars, anchor elsewhere) - f(anchor) equals the
-    block's non-repeated part up to an affine transform. f(anchor) and
-    the slice are evaluated in one oracle call. A block the target
-    ignores tabulates a constant, which the fit reads as a constant factor.
-    """
-    anchor = np.asarray(anchor, dtype=float)
-    rng = _rng(cfg.seed, 301, *block_vars)
-    pts = _subbox_uniform(o, block_vars, n_points, rng)
-    f = o.eval_batch(np.vstack([anchor, _pin(anchor, block_vars, pts)]))
-    vals = f[1:] - float(f[0])
+def _tabulate(at: Anchor, cols, count: int, key, probe, what: str) -> FactorData:
+    """`probe` at `count` draws on the sub-box of `cols` from stream `key`;
+    fewer than max(8, count // 2) finite values raise DegenerateAnchorError."""
+    pts = at.uniform(cols, count, *key)
+    vals = probe(pts)
     good = np.isfinite(vals)
-    if good.sum() < max(8, n_points // 2):
-        raise DegenerateAnchorError("psi slice mostly invalid")
-    return FactorData(vars=tuple(block_vars), points=pts[good], values=vals[good])
+    if good.sum() < max(8, count // 2):
+        raise DegenerateAnchorError(f"{what} mostly invalid")
+    return FactorData(vars=tuple(cols), points=pts[good], values=vals[good])
 
 
-def isolate_omega_data(
-    o: Oracle, block_vars: tuple[int, ...], block_repeated: tuple[int, ...],
-    anchor, n_points: int, cfg: RunConfig,
-) -> FactorData:
-    """Tabulate the block's repeated-variable coupling via differencing."""
-    if not block_repeated:
+def isolate_psi_data(at: Anchor, group: tuple[int, ...]) -> FactorData:
+    """Tabulate a psi factor group: the anchor's slice, which equals the
+    group's factor up to an affine transform, at PSI_POINTS_PER_VAR points
+    a variable (stream 301). A group the target ignores tabulates a
+    constant, which the fit reads as a constant factor."""
+    return _tabulate(at, group, PSI_POINTS_PER_VAR * len(group), (301, *group),
+                     lambda pts: at.slice(group, pts), "psi slice")
+
+
+def isolate_omega_data(at: Anchor, block_vars: tuple[int, ...],
+                       group: tuple[int, ...]) -> FactorData:
+    """Tabulate an omega factor group of a block: the anchor's block
+    difference, which equals the group's factor up to an affine transform,
+    at OMEGA_POINTS_PER_VAR points a variable and at least 48 (stream 402,
+    keyed by the block)."""
+    if not group:
         raise ValueError("block has no repeated variables to isolate")
-    anchor = np.asarray(anchor, dtype=float)
-    b1, b2, spread, scale = _spread_pair(o, block_vars, anchor, cfg, (401, *block_vars))
-    if spread <= cfg.tol_detect * scale:
-        raise DegenerateAnchorError(
-            "unresolvable omega: no block probe pair separates responses"
-        )
-    rng = _rng(cfg.seed, 402, *block_vars)
-    zs = _subbox_uniform(o, block_repeated, n_points, rng)
-    vals = _delta_values(o, block_repeated, zs, block_vars, b1, b2, anchor)
-    good = np.isfinite(vals)
-    if good.sum() < max(8, n_points // 2):
-        raise DegenerateAnchorError("omega sweep mostly invalid")
-    return FactorData(vars=tuple(block_repeated), points=zs[good], values=vals[good])
+    return _tabulate(at, group, max(48, OMEGA_POINTS_PER_VAR * len(group)),
+                     (402, *block_vars), lambda zs: at.delta(block_vars, group, zs),
+                     "omega sweep")
 
 
 # --------------------------------------------------------------------------
@@ -583,99 +644,24 @@ def factor_partition(
 # block construction, membership, and consistency
 
 
-def _draw_anchor(o: Oracle, cfg: RunConfig, attempt: int, count: int) -> np.ndarray:
-    """The first `count` draws of the attempt's anchor stream, one a row."""
-    rng = _rng(cfg.seed, 777, attempt)
-    lo, hi = o.box.lo_array(), o.box.hi_array()
-    margin = 0.5 * (1.0 - ANCHOR_CENTRAL)
-    u = rng.random((count, o.arity))
-    return lo + (margin + ANCHOR_CENTRAL * u) * (hi - lo)
-
-
-def _valid_anchor(o: Oracle, cfg: RunConfig, attempt: int):
-    """The first of the attempt's ANCHOR_DRAWS anchor draws with a finite
-    target value, and that value; (None, None) when there is none.
-
-    The first draw is evaluated alone, the others in one further call
-    only when it is invalid, so on a valid domain the anchor is the
-    stream's first draw.
-    """
-    anchors = _draw_anchor(o, cfg, attempt, ANCHOR_DRAWS)
-    f_anchor = o(anchors[0])
-    if np.isfinite(f_anchor):
-        return anchors[0], f_anchor
-    f = o.eval_batch(anchors[1:])
-    valid = np.flatnonzero(np.isfinite(f))
-    if not valid.size:
-        return None, None
-    return anchors[1 + valid[0]], float(f[valid[0]])
-
-
-class _AnchorProbes:
-    """Probes at one anchor that several detection stages read, each
-    evaluated at most once: a block's spread pair (stream 401), which the
-    validator, `minimal_blocks` and the omega partition all use, and its
-    membership sweeps (stream 601, one a repeated variable)."""
-
-    def __init__(self, o: Oracle, anchor, cfg: RunConfig):
-        self.o, self.anchor, self.cfg = o, np.asarray(anchor, dtype=float), cfg
-        self._spreads: dict = {}
-        self._couples: dict = {}
-
-    def spread_pair(self, block_vars: tuple[int, ...]):
-        if block_vars not in self._spreads:
-            self._spreads[block_vars] = _spread_pair(
-                self.o, block_vars, self.anchor, self.cfg, (401, *block_vars)
-            )
-        return self._spreads[block_vars]
-
-    def couples(self, v: int, block_vars: tuple[int, ...]) -> bool:
-        """Whether the block's isolating difference varies with repeated v."""
-        if (v, block_vars) not in self._couples:
-            b1, b2, _, _ = self.spread_pair(block_vars)
-            rng = _rng(self.cfg.seed, 601, v, *block_vars)
-            zs = _subbox_uniform(self.o, (v,), MEMBERSHIP_POINTS, rng)
-            deltas = _delta_values(self.o, (v,), zs, block_vars, b1, b2, self.anchor)
-            deltas = deltas[np.isfinite(deltas)]
-            if deltas.size < 4:
-                raise DegenerateAnchorError("membership sweep mostly invalid")
-            dscale = max(1.0, float(np.max(np.abs(deltas))))
-            spread = float(np.max(deltas) - np.min(deltas))
-            self._couples[v, block_vars] = spread > self.cfg.tol_detect * dscale
-        return self._couples[v, block_vars]
-
-
-def _membership(shared: _AnchorProbes, block_vars, repeated) -> tuple[int, ...]:
-    """Which repeated variables the block's isolating difference varies with."""
-    if not repeated:
-        return ()
-    _, _, spread, scale = shared.spread_pair(block_vars)
-    if spread <= shared.cfg.tol_detect * scale:
-        raise DegenerateAnchorError("degenerate block during membership test")
-    return tuple(v for v in repeated if shared.couples(v, block_vars))
-
-
-def _block_consistent(shared: _AnchorProbes, block_vars, members, f_anchor: float) -> bool:
+def _block_consistent(at: Anchor, block_vars, members) -> bool:
     """Slice-versus-coupling proportionality test for one candidate block.
 
     For a genuine block, h(b) = f(b, anchor else) - f(anchor) and the
     coupling shape g(b) = [f(z, b) - f(z, base)] - [f(anchor_r, b) -
     f(anchor_r, base)] are both affine-free images of the same inner
     function, so all their cross products must cancel. The slice takes
-    one oracle call, and each trial's points one more; f(anchor) is the
-    value the caller holds.
+    one oracle call, and each trial's points one more.
     """
     if not members:
         return True
-    o, anchor, cfg = shared.o, shared.anchor, shared.cfg
-    rng = _rng(cfg.seed, 701, *block_vars)
-    n_b = 8
-    bs = _subbox_uniform(o, block_vars, n_b, rng)
-    h = o.eval_batch(_pin(anchor, block_vars, bs)) - f_anchor
+    o, anchor, cfg = at.o, at.point, at.cfg
+    bs = at.uniform(block_vars, 8, 701, *block_vars)
+    h = at.slice(block_vars, bs)
     base_b = np.asarray([anchor[v - 1] for v in block_vars])
     for trial in range(2):
-        z = _subbox_uniform(o, members, 1, _rng(cfg.seed, 702, trial, *block_vars))[0]
-        # the n_b slice points at z, then the base point at z
+        z = at.uniform(members, 1, 702, trial, *block_vars)[0]
+        # the slice points at z, then the base point at z
         pts = _pin(anchor, block_vars, np.vstack([bs, base_b]))
         pts[:, [v - 1 for v in members]] = z
         f = o.eval_batch(pts)
@@ -690,63 +676,53 @@ def _block_consistent(shared: _AnchorProbes, block_vars, members, f_anchor: floa
     return True
 
 
-def _structure_consistent(
-    shared: _AnchorProbes, g: InteractionGraph, picked, f_anchor: float
-) -> bool:
+def _structure_consistent(at: Anchor, g: InteractionGraph, picked) -> bool:
     """Check every candidate block against its repeated-variable coupling."""
     rest = set(range(1, g.n + 1)) - set(picked)
     if not rest:
         return False
     for comp in g.components(rest):
-        members = _membership(shared, comp, tuple(sorted(picked)))
-        if not _block_consistent(shared, comp, members, f_anchor):
+        if not _block_consistent(at, comp, at.membership(comp, picked)):
             return False
     return True
 
 
 def minimal_blocks(
-    o: Oracle, repeated: tuple[int, ...], anchor, cfg: RunConfig,
-    graph: InteractionGraph | None = None, redraw: int = 0,
-    shared: _AnchorProbes | None = None,
+    at: Anchor, repeated: tuple[int, ...], graph: InteractionGraph
 ) -> GsStructure:
     """Blocks (with repeated membership) for a given repeated set.
 
-    Components are recomputed at a second anchor, chosen and evaluated
-    by `_valid_anchor` as the first anchor is, and the graph there reads
+    The blocks are the components of `graph`, scored at `at`, over the
+    non-repeated variables. They are recomputed at a second anchor, drawn
+    by `Anchor.draw` as the first anchor is, and the graph there reads
     its value; a disagreement after one redraw raises
     StructureUnstableError, and a redraw with no valid draw raises
-    DegenerateAnchorError. The second
-    anchor's graph scores only the pairs inside the non-repeated
-    variables, the only pairs their components read. `redraw`, the attempt
-    of the first anchor, keys every graph's probes (see `_pair_scores`).
-    Memberships read the spread pairs and sweeps of `shared`, the
-    caller's probes at `anchor`; by default a fresh set.
+    DegenerateAnchorError. The second anchor's graph scores only the pairs
+    inside the non-repeated variables, the only pairs their components
+    read, with probes keyed by the first anchor's attempt (see
+    `_pair_scores`). Memberships read the spread pairs and sweeps of `at`.
     """
-    anchor = np.asarray(anchor, dtype=float)
-    shared = shared or _AnchorProbes(o, anchor, cfg)
-    if graph is None:
-        graph = interaction_graph(o, anchor, cfg, redraw)
+    o, cfg = at.o, at.cfg
     rest = set(range(1, o.arity + 1)) - set(repeated)
     if not rest:
         raise DetectionError("empty block: every variable marked repeated")
     comps = graph.components(rest)
 
-    stable = False
     for attempt in range(2):
-        anchor2, f_anchor2 = _valid_anchor(o, cfg, 50 + attempt)
-        if anchor2 is None:
+        second = Anchor.draw(o, cfg, 50 + attempt)
+        if second is None:
             raise DegenerateAnchorError("anchor value invalid")
         cfg2 = replace(cfg, seed=cfg.seed + 9999 + attempt)
-        graph2 = interaction_graph(o, anchor2, cfg2, redraw, among=rest, f_anchor=f_anchor2)
+        graph2 = interaction_graph(o, second.point, cfg2, at.attempt, among=rest,
+                                   f_anchor=second.f)
         if graph2.components(rest) == comps:
-            stable = True
             break
-    if not stable:
+    else:
         raise StructureUnstableError("structure unstable: anchors disagree on blocks")
 
-    blocks = [Block(vars=comp, repeated=_membership(shared, comp, repeated)) for comp in comps]
+    blocks = [Block(vars=comp, repeated=at.membership(comp, repeated)) for comp in comps]
     return GsStructure(
-        repeated=tuple(sorted(repeated)), blocks=blocks, anchor=tuple(anchor)
+        repeated=tuple(sorted(repeated)), blocks=blocks, anchor=tuple(at.point)
     )
 
 
@@ -754,21 +730,17 @@ def minimal_blocks(
 # orchestration
 
 
-def _reconstruction_ok(
-    o: Oracle, structure: GsStructure, f_anchor: float, cfg: RunConfig
-) -> bool:
+def _reconstruction_ok(at: Anchor, structure: GsStructure) -> bool:
     """Additive reconstruction check with repeated variables at the anchor.
 
     The total at every point and every block's slice are evaluated in one
     oracle call; a lone block holds every non-repeated variable, so its
-    slice is the total itself and is not evaluated again. f(anchor) is the
-    value the caller holds. Fewer than
+    slice is the total itself and is not evaluated again. Fewer than
     RECON_POINTS // 2 valid points say nothing about separability, so
     they raise DegenerateAnchorError and the anchor is redrawn.
     """
-    anchor = np.asarray(structure.anchor)
-    rng = _rng(cfg.seed, 801)
-    pts = o.box.uniform(RECON_POINTS, rng)
+    o, anchor = at.o, at.point
+    pts = o.box.uniform(RECON_POINTS, _rng(at.cfg.seed, 801))
     for v in structure.repeated:
         pts[:, v - 1] = anchor[v - 1]
     blocks = structure.blocks
@@ -778,14 +750,14 @@ def _reconstruction_ok(
     f = o.eval_batch(np.vstack([pts, *sliced]))
     total = f[:len(pts)]
     parts = f[len(pts):].reshape(-1, len(pts)) if sliced else [total]
-    recon = np.full(len(pts), f_anchor)
+    recon = np.full(len(pts), at.f)
     for part in parts:
-        recon += part - f_anchor
+        recon += part - at.f
     good = np.isfinite(total) & np.isfinite(recon)
     if good.sum() < RECON_POINTS // 2:
         raise DegenerateAnchorError("reconstruction probes mostly invalid")
     scale = max(1.0, float(np.max(np.abs(total[good]))))
-    return bool(np.max(np.abs(total[good] - recon[good])) <= cfg.tol_detect * scale)
+    return bool(np.max(np.abs(total[good] - recon[good])) <= at.cfg.tol_detect * scale)
 
 
 def detect_structure(o: Oracle, cfg: RunConfig | None = None) -> GsStructure:
@@ -810,11 +782,11 @@ def detect_structure(o: Oracle, cfg: RunConfig | None = None) -> GsStructure:
 
 
 def _detect_once(o: Oracle, cfg: RunConfig, attempt: int) -> GsStructure:
-    """One anchor attempt. f(anchor), each block's spread pair and each
-    membership sweep are evaluated once and shared by every stage."""
-    anchor, f_anchor = _valid_anchor(o, cfg, attempt)
+    """One anchor attempt. Its `Anchor` evaluates f(anchor), each block's
+    spread pair and each membership sweep once for every stage."""
+    at = Anchor.draw(o, cfg, attempt)
     box_probe = o.box.uniform(16, _rng(cfg.seed, 900, attempt))
-    if anchor is None:
+    if at is None:
         if not np.isfinite(o.eval_batch(box_probe)).any():
             raise TargetInvalidError("target invalid (nan or inf) at every probed point")
         raise DegenerateAnchorError("anchor value invalid")
@@ -822,33 +794,30 @@ def _detect_once(o: Oracle, cfg: RunConfig, attempt: int) -> GsStructure:
     # constant targets have no blocks at all
     probe = o.eval_batch(box_probe)
     probe = probe[np.isfinite(probe)]
-    scale = max(1.0, abs(f_anchor))
-    if probe.size and np.max(np.abs(probe - f_anchor)) <= cfg.tol_detect * scale:
-        return GsStructure(repeated=(), blocks=[], anchor=tuple(anchor))
+    scale = max(1.0, abs(at.f))
+    if probe.size and np.max(np.abs(probe - at.f)) <= cfg.tol_detect * scale:
+        return GsStructure(repeated=(), blocks=[], anchor=tuple(at.point))
 
-    graph = interaction_graph(o, anchor, cfg, attempt, f_anchor=f_anchor)
-    shared = _AnchorProbes(o, anchor, cfg)
-    validator = lambda picked: _structure_consistent(shared, graph, picked, f_anchor)
+    graph = interaction_graph(o, at.point, cfg, at.attempt, f_anchor=at.f)
+    validator = lambda picked: _structure_consistent(at, graph, picked)
     repeated = repeated_vars(graph, cfg.kmax, validator=validator)
-    structure = minimal_blocks(
-        o, repeated, anchor, cfg, graph=graph, redraw=attempt, shared=shared
-    )
+    structure = minimal_blocks(at, repeated, graph)
 
     # each partition grid's corner is the anchor: psi reads 0 there, and
-    # omega f(b1) - f(b2), the negated spread of the block's spread pair
+    # omega f(b_lo) - f(b_hi), the negated spread of the block's spread pair
     for b in structure.blocks:
-        psi = lambda coords: o.eval_batch(_pin(anchor, b.vars, coords)) - f_anchor
-        b.psi_factors = factor_partition(b.vars, psi, anchor, 0.0, (501, b.vars), o.box, cfg)
+        psi = lambda coords: at.slice(b.vars, coords)
+        b.psi_factors = factor_partition(b.vars, psi, at.point, 0.0, (501, b.vars), o.box, cfg)
         if len(b.repeated) > 1:
-            b1, b2, spread, _ = shared.spread_pair(b.vars)
-            omega = lambda coords: _delta_values(o, b.repeated, coords, b.vars, b1, b2, anchor)
+            omega = lambda coords: at.delta(b.vars, b.repeated, coords)
             b.omega_factors = factor_partition(
-                b.repeated, omega, anchor, -spread, (502, b.vars), o.box, cfg
+                b.repeated, omega, at.point, -at.spread_pair(b.vars)[2], (502, b.vars),
+                o.box, cfg,
             )
         elif b.repeated:
             b.omega_factors = (b.repeated,)
 
-    if not _reconstruction_ok(o, structure, f_anchor, cfg):
+    if not _reconstruction_ok(at, structure):
         raise NotSeparableError(
             "not a GS system under current tolerances: reconstruction residual too large"
         )

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import gsfit.assemble as asm
+import gsfit.detect as det
+import gsfit.fit as ft
 from gsfit import expr as ex
 from gsfit.assemble import (
     AssembledModel,
@@ -14,11 +16,11 @@ from gsfit.assemble import (
     fit_structure_factors,
     least_squares,
 )
-from gsfit.bench import CASES, get_case, run_case, suite_seeds
+from gsfit.bench import CASES, STREAM_DEMO, get_case, run_case, suite_seeds
 from gsfit.config import RunConfig, derived_seed
 from gsfit.detect import Block, GsStructure, detect_structure
 from gsfit.fit import FactorModel, FitError
-from gsfit.oracle import DomainBox, SampleSet, make_oracle
+from gsfit.oracle import DomainBox, Oracle, SampleSet, make_oracle
 
 
 def fake_model(e: ex.Expr, vars_: tuple[int, ...], converged: bool = True) -> FactorModel:
@@ -243,6 +245,43 @@ def test_fit_structure_factors_counts_match_partition():
     s = detect_structure(o, RunConfig(seed=2))
     factors = fit_structure_factors(s, o, RunConfig(seed=2))
     assert [len(f) for f in factors] == [b.factor_count() for b in s.blocks]
+
+
+def test_the_sweeps_of_a_fit_evaluate_each_shared_probe_once(monkeypatch):
+    # every psi sweep reads f(anchor) and every omega sweep its block's
+    # spread pair (stream 401), but a call evaluates f(anchor) once and
+    # each spread pair once
+    cfg = RunConfig(seed=7)
+    oracles = [spec.oracle() for spec in [*CASES.values(), STREAM_DEMO]]
+    structures = [(o, detect_structure(o, cfg)) for o in oracles]
+    blocks = [b for _, s in structures for b in s.blocks]
+    # some structures read f(anchor) in several psi sweeps, and some read
+    # a spread pair in several omega sweeps
+    assert max(sum(len(b.psi_factors) for b in s.blocks) for _, s in structures) > 1
+    assert max(len(b.omega_factors) for b in blocks) > 1
+    anchor_rows, spreads = [], []
+    inner_eval, inner_rng = Oracle.eval_batch, det._rng
+
+    def eval_spy(self, points):
+        anchor_rows[-1] += int(np.all(np.asarray(points) == anchor, axis=1).sum())
+        return inner_eval(self, points)
+
+    def rng_spy(seed, *key):
+        if key[0] == 401:
+            spreads[-1].append(key)
+        return inner_rng(seed, *key)
+
+    monkeypatch.setattr(Oracle, "eval_batch", eval_spy)
+    monkeypatch.setattr(det, "_rng", rng_spy)
+    monkeypatch.setattr(ft, "fit_factor", lambda data, cfg: data)
+    for o, s in structures:
+        anchor = np.asarray(s.anchor)
+        anchor_rows.append(0)
+        spreads.append([])
+        data = fit_structure_factors(s, o, cfg)
+        assert [len(d) for d in data] == [b.factor_count() for b in s.blocks]
+        assert anchor_rows[-1] == 1
+        assert spreads[-1] == [(401, *b.vars) for b in s.blocks if b.omega_factors]
 
 
 def _attempt_0(structure, oracle, cfg):

@@ -366,7 +366,7 @@ def test_a_probe_failure_redraws_the_anchor_with_fresh_probes():
     assert [b.vars for b in s.blocks] == [(1,), (2,)]
     assert s.anchor != tuple(det._draw_anchor(o, cfg, 0, 1)[0])
     # detected at the first redraw after its first probes gave up
-    assert s.anchor == tuple(det._valid_anchor(make(), cfg, 1)[0])
+    assert s.anchor == tuple(det.Anchor.draw(make(), cfg, 1).point)
 
 
 def test_an_invalid_first_draw_of_the_second_anchor_is_skipped(monkeypatch):
@@ -438,17 +438,22 @@ def test_repeated_vars_two_variable_cut():
     assert repeated_vars(g, 3) == (3, 4)
 
 
+def blocks_at(o, repeated, anchor, cfg):
+    """minimal_blocks at `anchor`, with the graph scored there."""
+    return minimal_blocks(det.Anchor(o, anchor, cfg), repeated, interaction_graph(o, anchor, cfg))
+
+
 def test_minimal_blocks_case6():
     o = CASES[6].oracle()
     anchor = np.array([2.0, 2.1, 1.9, 2.2, 1.8])
-    s = minimal_blocks(o, (5,), anchor, RunConfig(seed=2))
+    s = blocks_at(o, (5,), anchor, RunConfig(seed=2))
     assert [b.vars for b in s.blocks] == [(1,), (2,), (3,), (4,)]
     assert [b.repeated for b in s.blocks] == [(), (5,), (5,), ()]
 
 
 def test_minimal_blocks_case1_single():
     o = CASES[1].oracle()
-    s = minimal_blocks(o, (), np.array([0.7, 0.8]), RunConfig(seed=2))
+    s = blocks_at(o, (), np.array([0.7, 0.8]), RunConfig(seed=2))
     assert [b.vars for b in s.blocks] == [(1, 2)]
 
 
@@ -464,7 +469,7 @@ def test_the_stability_graph_scores_no_pair_touching_a_repeated_variable(monkeyp
     anchor = np.array([2.0, 2.1, 1.9, 2.2, 1.8])
     g = interaction_graph(o, anchor, RunConfig(seed=2))
     monkeypatch.setattr(det, "_pair_scores", spy)
-    s = minimal_blocks(o, (5,), anchor, RunConfig(seed=2), graph=g)
+    s = minimal_blocks(det.Anchor(o, anchor, RunConfig(seed=2)), (5,), g)
     assert [b.vars for b in s.blocks] == [(1,), (2,), (3,), (4,)]
     assert scored and all(
         pairs == list(itertools.combinations(range(1, 5), 2)) for pairs in scored
@@ -473,14 +478,14 @@ def test_the_stability_graph_scores_no_pair_touching_a_repeated_variable(monkeyp
 
 def test_minimal_blocks_additive_split():
     o = make_oracle(ex.parse("x1+x2", 2), DomainBox.cube(-3, 3, 2))
-    s = minimal_blocks(o, (), np.array([0.4, 0.6]), RunConfig(seed=2))
+    s = blocks_at(o, (), np.array([0.4, 0.6]), RunConfig(seed=2))
     assert [b.vars for b in s.blocks] == [(1,), (2,)]
 
 
 def test_isolate_psi_exact_identity_for_additive_target():
     o = make_oracle(ex.parse("x1+x2", 2), DomainBox.cube(-3, 3, 2))
     anchor = np.array([0.0, 0.0])
-    d = isolate_psi_data(o, (1,), anchor, 40, RunConfig(seed=3))
+    d = isolate_psi_data(det.Anchor(o, anchor, RunConfig(seed=3)), (1,))
     assert np.allclose(d.values, d.points[:, 0], atol=1e-12)
 
 
@@ -488,7 +493,7 @@ def test_isolate_psi_case3_proportional_to_sin2x():
     # slicing identity: h(x1) = 10*(sin 2x1 - sin 2a1), independent of block 2
     o = CASES[3].oracle()
     anchor = np.array([0.9, 0.7, 1.1])
-    d = isolate_psi_data(o, (1,), anchor, 60, RunConfig(seed=4))
+    d = isolate_psi_data(det.Anchor(o, anchor, RunConfig(seed=4)), (1,))
     expected = 10.0 * (np.sin(2 * d.points[:, 0]) - np.sin(2 * anchor[0]))
     assert np.allclose(d.values, expected, atol=1e-10)
 
@@ -496,7 +501,7 @@ def test_isolate_psi_case3_proportional_to_sin2x():
 def test_isolate_psi_case6_log_block_scaled_by_cos_anchor():
     o = CASES[6].oracle()
     anchor = np.array([2.0, 2.1, 1.9, 2.2, 1.8])
-    d = isolate_psi_data(o, (3,), anchor, 60, RunConfig(seed=4))
+    d = isolate_psi_data(det.Anchor(o, anchor, RunConfig(seed=4)), (3,))
     expected = np.cos(anchor[4]) * (
         np.log(3 * d.points[:, 0] + 1.2) - np.log(3 * anchor[2] + 1.2)
     )
@@ -506,7 +511,7 @@ def test_isolate_psi_case6_log_block_scaled_by_cos_anchor():
 def test_isolate_omega_case4_linear_in_x3():
     o = CASES[4].oracle()
     anchor = np.array([0.9, 0.7, 1.1])
-    d = isolate_omega_data(o, (1,), (3,), anchor, 48, RunConfig(seed=5))
+    d = isolate_omega_data(det.Anchor(o, anchor, RunConfig(seed=5)), (1,), (3,))
     z = d.points[:, 0]
     coef = np.polyfit(z, d.values, 1)
     assert abs(coef[1]) < 1e-9 or np.allclose(
@@ -519,7 +524,7 @@ def test_isolate_omega_case4_linear_in_x3():
 def test_isolate_omega_case6_quadratic_in_x5():
     o = CASES[6].oracle()
     anchor = np.array([2.0, 2.1, 1.9, 2.2, 1.8])
-    d = isolate_omega_data(o, (2,), (5,), anchor, 48, RunConfig(seed=5))
+    d = isolate_omega_data(det.Anchor(o, anchor, RunConfig(seed=5)), (2,), (5,))
     z = d.points[:, 0]
     ratio = d.values / (z * z)
     assert np.allclose(ratio, ratio[0], rtol=1e-9)
@@ -602,8 +607,8 @@ def test_an_attempt_pays_once_for_its_shared_probes(no, monkeypatch):
     # f(anchor) is evaluated once, though every partition grid holds the
     # anchor as its corner
     drawn, anchor_rows, state = [], [], {}
-    inner_rng, inner_eval, inner_anchor = det._rng, Oracle.eval_batch, det._valid_anchor
-    inner_once = det._detect_once
+    inner_rng, inner_eval, inner_once = det._rng, Oracle.eval_batch, det._detect_once
+    spec = CASES[no] if no in CASES else STREAM_DEMO
 
     def rng_spy(seed, *key):
         if key[0] in (401, 601):
@@ -616,25 +621,18 @@ def test_an_attempt_pays_once_for_its_shared_probes(no, monkeypatch):
             anchor_rows[-1] += int(np.all(points == state["anchor"], axis=1).sum())
         return inner_eval(self, points)
 
-    def anchor_spy(o, cfg, attempt):
-        # the attempt's own anchor comes first, the second anchors later
-        anchor, f_anchor = inner_anchor(o, cfg, attempt)
-        if state["anchor"] is None:
-            state["anchor"] = anchor
-            anchor_rows[-1] += 1
-        return anchor, f_anchor
-
     def once_spy(o, cfg, attempt):
+        # the attempt's own anchor, drawn on a fresh oracle before the
+        # spy counts its rows
         drawn.append([])
         anchor_rows.append(0)
         state["anchor"] = None
+        state["anchor"] = det.Anchor.draw(spec.oracle(), cfg, attempt).point
         return inner_once(o, cfg, attempt)
 
     monkeypatch.setattr(det, "_rng", rng_spy)
     monkeypatch.setattr(Oracle, "eval_batch", eval_spy)
     monkeypatch.setattr(det, "_detect_once", once_spy)
-    monkeypatch.setattr(det, "_valid_anchor", anchor_spy)
-    spec = CASES[no] if no in CASES else STREAM_DEMO
     s = detect_structure(spec.oracle(), RunConfig(seed=7))
     assert s.blocks
     assert all(len(keys) == len(set(keys)) for keys in drawn)
@@ -762,7 +760,7 @@ def test_detection_is_permutation_equivariant(no):
 def test_minimal_blocks_rejects_all_repeated():
     o = CASES[4].oracle()
     with pytest.raises(DetectionError, match="empty block"):
-        minimal_blocks(o, (1, 2, 3), np.array([0.5, 0.5, 0.5]), RunConfig(seed=1))
+        blocks_at(o, (1, 2, 3), np.array([0.5, 0.5, 0.5]), RunConfig(seed=1))
 
 
 def _rank_one_pairwise(M, tol_abs):
@@ -811,7 +809,7 @@ def test_mostly_invalid_reconstruction_redraws_the_anchor():
                                              det.Block((2,), (), ((2,),))],
                         anchor=(0.5, 0.5))
     with pytest.raises(det.DegenerateAnchorError, match="reconstruction"):
-        det._reconstruction_ok(o, s, o(s.anchor), RunConfig(seed=3))
+        det._reconstruction_ok(det.Anchor(o, s.anchor, RunConfig(seed=3)), s)
 
 
 # Detect-only reports of cases 1-11 at their first suite seed:
