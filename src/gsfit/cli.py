@@ -4,13 +4,15 @@ Exit codes: 0 success, 1 usage or parse error or an --out file that
 cannot be written, 2 detection failure, 3 no model within tolerance,
 including factors gsfit cannot fit and samples that stay invalid. Every
 output JSON embeds the full run configuration, seed included, so results
-are self-reproducing.
+are self-reproducing. Output is strict JSON: a non-finite number, such as
+the validation MSE of a model that cannot be evaluated, is written null.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, fields
@@ -100,10 +102,22 @@ def _print(text: str) -> None:
         os.close(devnull)
 
 
+def _finite(obj):
+    """obj with every non-finite float, at any depth, replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
+
+
 def _emit(payload: dict, out: str | None) -> bool:
-    """Write the payload as JSON to the file `out`, or print it when out is
-    None; False, with an error on stderr, when the file cannot be written."""
-    text = json.dumps(payload, indent=2)
+    """Write the payload as strict JSON, each non-finite float as null, to
+    the file `out`, or print it when out is None; False, with an error on
+    stderr, when the file cannot be written."""
+    text = json.dumps(_finite(payload), indent=2, allow_nan=False)
     if not out:
         _print(text)
         return True
@@ -119,6 +133,11 @@ def _emit(payload: dict, out: str | None) -> bool:
 def _setup(args):
     if args.dims < 1:
         raise ValueError("--dims must be at least 1")
+    if args.seed < 0:
+        raise ValueError("--seed must be at least 0")
+    for flag, tol in (("--tol-detect", args.tol_detect), ("--tol-target", args.tol_target)):
+        if not (math.isfinite(tol) and tol >= 0):
+            raise ValueError(f"{flag} must be finite and at least 0")
     if args.max_nodes < 3:
         raise ValueError("--max-nodes must be at least 3")
     if args.samples_per_var < 1:
@@ -205,6 +224,8 @@ def cmd_bench(args) -> int:
         cases = _parse_cases(args.cases)
         if args.repeats < 1:
             raise ValueError("--repeats must be at least 1")
+        if args.seed < 0:
+            raise ValueError("--seed must be at least 0")
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

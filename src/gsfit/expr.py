@@ -178,7 +178,9 @@ class Expr:
     # -- printing ----------------------------------------------------------
 
     def to_text(self) -> str:
-        """Render with minimal parentheses; reparses to an equal tree."""
+        """Render with minimal parentheses; reparses to a tree of equal
+        value. A negative constant prints as (-2), which reparses as
+        neg(2): equal values, not equal trees."""
         return self._print(0)
 
     def _print(self, parent_prec: int) -> str:

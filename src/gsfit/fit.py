@@ -318,8 +318,8 @@ def _scan(sk: Skeleton, V: np.ndarray, y: np.ndarray, reach: np.ndarray) -> np.n
     argument (a common factor of it and the shift changes only their
     amplitude or offset), so they keep the grid's outer edge, scaled in to
     the innermost reach, which leaves the polish room in the parameter
-    box. The shift is the closed-form phase for sin and cos
-    (`_with_phase`), 0 for exp, and for ln, sqrt and 1/ a pole
+    box. The shift is the closed-form phase for sin (`_with_phase`; the
+    table holds no shifted cos), 0 for exp, and for ln, sqrt and 1/ a pole
     `_SCAN_POLES` spans of the inner argument below its minimum. Rows
     outside the parameter box are dropped.
     """
@@ -335,9 +335,9 @@ def _scan(sk: Skeleton, V: np.ndarray, y: np.ndarray, reach: np.ndarray) -> np.n
     elif form.g in ("ln", "sqrt", "recip"):
         A = A[np.abs(A).max(axis=1) == reach[-1]] * (reach[0] / reach[-1])
     rows = A / np.where(span > 0.0, span, 1.0)
-    if form.shift and form.g in ("sin", "cos"):
+    if form.shift and form.g == "sin":
         lead = 1.0 if form.lead is None else form.lead._eval(V)
-        rows = _with_phase(rows, M, y, lead)[form.g]
+        rows = _with_phase(rows, M, y, lead)
     elif form.shift and form.g == "exp":
         rows = np.column_stack([rows, np.zeros(len(rows))])
     elif form.shift:
@@ -348,11 +348,11 @@ def _scan(sk: Skeleton, V: np.ndarray, y: np.ndarray, reach: np.ndarray) -> np.n
     return rows[np.all(np.abs(rows) <= PARAM_BOUND, axis=1)]
 
 
-def _with_phase(freqs: np.ndarray, X: np.ndarray, y: np.ndarray, lead=1.0) -> dict:
-    """Rows (freqs..., phase) for every row of freqs at once, for a sin
-    and for a cos column, keyed "sin" and "cos": the pair lead * sin(t),
-    lead * cos(t) fitted at the argument t = sum_k freqs[:, k] * X[:, k]
-    gives both phases; `lead` is a scalar or the lead factor's values.
+def _with_phase(freqs: np.ndarray, X: np.ndarray, y: np.ndarray, lead=1.0) -> np.ndarray:
+    """Rows (freqs..., phase) of a sin column for every row of freqs at
+    once: the pair lead * sin(t), lead * cos(t) fitted at the argument
+    t = sum_k freqs[:, k] * X[:, k] gives the phase; `lead` is a scalar or
+    the lead factor's values.
 
     Centering the data profiles the offset out, so each row's [sin, cos, 1]
     least-squares fit is a closed-form 2x2 solve on the centered sin and
@@ -384,8 +384,7 @@ def _with_phase(freqs: np.ndarray, X: np.ndarray, y: np.ndarray, lead=1.0) -> di
         for r in np.flatnonzero(~ok):
             cols = np.column_stack([np.sin(t[r]) * lead, np.cos(t[r]) * lead, np.ones(len(y))])
             (a[i + r], b[i + r], _), _ = _lstsq_cols(cols, y)
-    return {"sin": np.column_stack([freqs, np.arctan2(b, a)]),
-            "cos": np.column_stack([freqs, np.arctan2(-a, b)])}
+    return np.column_stack([freqs, np.arctan2(b, a)])
 
 
 # ---- the table -------------------------------------------------------------
@@ -396,7 +395,10 @@ def _sk(name: str, *columns: str) -> Skeleton:
     if sk.nl_count:
         if sk.columns[1:] != (_OFFSET,):
             raise ValueError(f"{name}: a skeleton with parameters is one shape column and '1'")
-        sk.form  # a shape the scan cannot read fails here, at import
+        if sk.form.g == "cos" and sk.form.shift:
+            # cos(u + p) = sin(u + p + pi/2): the sin row scans, polishes
+            # and scores the same functions
+            raise ValueError(f"{name}: write a shifted cos as a shifted sin")
     return sk
 
 
@@ -408,7 +410,6 @@ _STREAMS = {
     1: (
         _sk("exp_scaled", "exp(p0*x1)", "1"),
         _sk("sin_affine", "sin(p0*x1+p1)", "1"),
-        _sk("cos_affine", "cos(p0*x1+p1)", "1"),
         _sk("ln_affine", "ln(p0*x1+p1)", "1"),
         _sk("sqrt_affine", "sqrt(p0*x1+p1)", "1"),
         _sk("vexp", "x1*exp(p0*x1)", "1"),
@@ -424,12 +425,10 @@ _STREAMS = {
         _sk("exp_affine2", "exp(p0*x1+p1*x2)", "1"),
         _sk("prod_sin", "x1*sin(p0*x2+p1)", "1"),
         _sk("sin_affine2", "sin(p0*x1+p1*x2+p2)", "1"),
-        _sk("cos_affine2", "cos(p0*x1+p1*x2+p2)", "1"),
         _sk("ln_affine2", "ln(p0*x1+p1*x2+p2)", "1"),
     ),
     3: (
         _sk("sin_affine3", "sin(p0*x1+p1*x2+p2*x3+p3)", "1"),
-        _sk("cos_affine3", "cos(p0*x1+p1*x2+p2*x3+p3)", "1"),
         _sk("exp_affine3", "exp(p0*x1+p1*x2+p2*x3+p3)", "1"),
     ),
 }

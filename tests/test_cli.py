@@ -491,6 +491,62 @@ def test_bench_rejects_empty_runs(flags, capsys):
     assert err.startswith("error: ") and out == ""
 
 
+def test_bench_output_is_strict_json(tmp_path, capsys):
+    # a detect-only run has no model, so its MSEs are infinite: null, not
+    # the Infinity that strict parsers reject
+    out_path = tmp_path / "suite.json"
+    code, _, _ = run_cli(["bench", "--cases", "4", "--repeats", "1", "--seed", "1",
+                          "--detect-only", "--out", str(out_path)], capsys)
+    assert code == 0
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    case = json.loads(out_path.read_text(), parse_constant=refuse)["cases"][0]
+    assert case["mse_max"] is None
+    assert case["runs"][0]["val_mse"] is None and case["runs"][0]["train_mse"] is None
+
+
+def test_bench_reads_case_ranges(tmp_path, capsys):
+    out_path = tmp_path / "suite.json"
+    code, _, _ = run_cli(["bench", "--cases", "1-3,9", "--repeats", "1", "--detect-only",
+                          "--out", str(out_path)], capsys)
+    assert code == 0
+    payload = json.loads(out_path.read_text())
+    assert payload["config"]["cases"] == [c["no"] for c in payload["cases"]] == [1, 2, 3, 9]
+
+
+@pytest.mark.parametrize("command", ["detect", "fit", "bench"])
+def test_a_negative_seed_exits_1(capsys, command):
+    args = ["--cases", "4", "--repeats", "1"] if command == "bench" else [
+        "--target", "x1+x2", "--dims", "2"]
+    code, out, err = run_cli([command, *args, "--seed", "-1"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: --seed must be at least 0")
+
+
+@pytest.mark.parametrize("command", ["detect", "fit"])
+@pytest.mark.parametrize("flag, value", [
+    ("--tol-detect", "-1e-8"), ("--tol-detect", "nan"),
+    ("--tol-target", "-1"), ("--tol-target", "inf"),
+])
+def test_a_negative_or_non_finite_tolerance_exits_1(capsys, command, flag, value):
+    code, out, err = run_cli([command, "--target", "x1+x2", "--dims", "2",
+                              f"{flag}={value}"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {flag} must be finite and at least 0")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["fit", "--dims", "2"], "--target"),
+    (["detect", "--target", "x1", "--dims", "0"], "error: --dims must be at least 1"),
+])
+def test_usage_errors_exit_1(capsys, args, message):
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and out == ""
+    assert message in err
+
+
 @pytest.mark.parametrize("kw", [{"cases": []}, {"cases": [4], "repeats": 0}])
 def test_run_suite_rejects_empty_runs(kw):
     with pytest.raises(ValueError):

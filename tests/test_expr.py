@@ -37,6 +37,19 @@ def test_parse_error_position():
     assert err.value.position == 4
 
 
+@pytest.mark.parametrize("text, value", [
+    ("2.5e-3*x1", 2.5e-3), ("1E5", 1e5), ("1e+2", 100.0), (".5e1", 5.0),
+])
+def test_parse_numbers_with_an_exponent(text, value):
+    assert ex.parse(text, 1).evaluate([1.0]) == value
+
+
+def test_an_exponent_without_digits_is_a_parse_error():
+    with pytest.raises(ex.ParseError) as err:
+        ex.parse("3e", 1)
+    assert err.value.position == 1
+
+
 def test_parse_rejects_out_of_range_variable():
     with pytest.raises(ex.ParseError):
         ex.parse("x3+1", 2)

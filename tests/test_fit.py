@@ -25,12 +25,12 @@ from gsfit.fit import (
 
 from helpers import reference_polish
 
-# simplest first: node counts 4, 6 x5, 7, 8 and 4, 5, 6 x3, 8 x2, 10 x3
+# simplest first: node counts 4, 6 x4, 7, 8 and 4, 5, 6 x3, 8 x2, 10 x2
 DEFAULT_STREAMS = {
-    1: ["exp_scaled", "sin_affine", "cos_affine", "ln_affine", "sqrt_affine",
-        "vexp", "recip_affine", "vsin"],
+    1: ["exp_scaled", "sin_affine", "ln_affine", "sqrt_affine", "vexp",
+        "recip_affine", "vsin"],
     2: ["ln_ratio_pos", "ln_ratio_neg", "sin_prod", "cos_prod", "prod_exp",
-        "exp_affine2", "prod_sin", "sin_affine2", "cos_affine2", "ln_affine2"],
+        "exp_affine2", "prod_sin", "sin_affine2", "ln_affine2"],
     3: [],
 }
 
@@ -73,7 +73,7 @@ def test_stream_first_three_univariate():
     # sums of monomials are the library's, so the table starts with the
     # parametric families
     names = [s.name for s in skeleton_stream(1)]
-    assert names[:3] == ["exp_scaled", "sin_affine", "cos_affine"]
+    assert names[:3] == ["exp_scaled", "sin_affine", "ln_affine"]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -94,7 +94,7 @@ def test_each_stream_is_tried_simplest_first(k):
 
 def test_stream_widest_cap_adds_only_affine3_families():
     extra = [s.name for s in skeleton_stream(3, max_nodes=14)]
-    assert extra == ["sin_affine3", "cos_affine3", "exp_affine3"]
+    assert extra == ["sin_affine3", "exp_affine3"]
     for k in (1, 2):
         assert [s.name for s in skeleton_stream(k, max_nodes=14)] == DEFAULT_STREAMS[k]
 
@@ -538,7 +538,7 @@ def test_fit_sin_two_x():
     d = make_data(lambda p: np.sin(2 * p[:, 0]))
     m = fit_factor(d, RunConfig(seed=0))
     assert m.converged and m.train_mse <= 1e-6
-    assert m.skeleton_name in ("sin_affine", "cos_affine")
+    assert m.skeleton_name == "sin_affine"
 
 
 def test_fit_inverse_square():
@@ -622,9 +622,9 @@ def _list_scan(sk, V, y, reach):
                 continue
             a = [v * (reach[0] / reach[-1]) for v in a]
         rows.append([v / s for v, s in zip(a, spans)])
-    if form.shift and form.g in ("sin", "cos"):
+    if form.shift and form.g == "sin":
         lead = 1.0 if form.lead is None else form.lead._eval(V)
-        rows = [list(r) for r in _with_phase(np.array(rows), np.column_stack(M), y, lead)[form.g]]
+        rows = [list(r) for r in _with_phase(np.array(rows), np.column_stack(M), y, lead)]
     elif form.shift and form.g == "exp":
         rows = [r + [0.0] for r in rows]
     elif form.shift:
@@ -705,6 +705,7 @@ def test_scan_reads_lead_function_terms_and_shift_off_the_template():
     "sin(p1*x1+p0)",           # slots out of order
     "sin(p0)",                 # no term
     "x1^p0",                   # no outer function the scan knows
+    "cos(p0*x1+p1)",           # a shifted cos, which is a shifted sin
 ])
 def test_a_template_outside_the_scan_form_fails_at_construction(template):
     with pytest.raises(ValueError, match="bad"):
@@ -724,6 +725,8 @@ def _phase_reference(kind, freqs, X, y):
 @pytest.mark.parametrize("kind", ["sin", "cos"])
 @pytest.mark.parametrize("k", [1, 2])
 def test_batched_phases_match_per_candidate_lstsq(kind, k):
+    # the sin rows' phase less pi/2 is the cos phase, as cos(t + p) =
+    # sin(t + p + pi/2), so a shifted cos needs no rows of its own
     rng = np.random.default_rng(5 + k)
     X = rng.uniform(-3.0, 3.0, size=(70, k))
     y = 2.0 * np.sin(1.3 * X.sum(axis=1) + 0.4) + 0.5 + 0.1 * rng.normal(size=70)
@@ -732,14 +735,16 @@ def test_batched_phases_match_per_candidate_lstsq(kind, k):
     freqs = rng.uniform(-5.0, 5.0, size=(ft._HINT_CHUNK + 37, k))
     freqs[ft._HINT_CHUNK + 3] = 0.0
     with np.errstate(all="ignore"):
-        got = _with_phase(freqs, X, y)[kind]
+        got = _with_phase(freqs, X, y)
     want = _phase_reference(kind, freqs, X, y)
     assert got.shape == (len(freqs), k + 1)
     assert np.array_equal(got[:, :k], freqs)
-    wrapped = np.angle(np.exp(1j * (got[:, k] - want[:, k])))
+    shift = 0.0 if kind == "sin" else math.pi / 2
+    wrapped = np.angle(np.exp(1j * (got[:, k] - shift - want[:, k])))
     assert np.allclose(wrapped, 0.0, atol=1e-9)
     singular = ft._HINT_CHUNK + 3
-    assert got[singular, k] == want[singular, k]
+    if kind == "sin":
+        assert got[singular, k] == want[singular, k]
 
 
 def test_with_phase_on_constant_argument_falls_back_for_every_row():
@@ -747,7 +752,7 @@ def test_with_phase_on_constant_argument_falls_back_for_every_row():
     y = np.linspace(-1.0, 1.0, 20)
     freqs = np.array([[0.5], [1.0], [3.0]])
     with np.errstate(all="ignore"):
-        got = _with_phase(freqs, X, y)["sin"]
+        got = _with_phase(freqs, X, y)
     assert np.array_equal(got, _phase_reference("sin", freqs, X, y))
 
 
@@ -828,7 +833,7 @@ def test_parameter_free_rows_first_then_every_scan_before_ldse(monkeypatch):
     # every family's first scan, then the sin and cos families' second
     # ones, in table order, and only then LDSE
     wide = [s.name for s in stream if ft._wide_reach(s.form, data.points) is not None]
-    assert wide == ["sin_affine", "cos_affine", "vsin"]
+    assert wide == ["sin_affine", "vsin"]
     scans = [("scan", n) for n in parametric] + [("wide scan", n) for n in wide]
     assert rest[:len(scans)] == scans
     searched = rest[len(scans):]
@@ -872,29 +877,6 @@ def test_accepted_parameter_free_row_skips_every_scan(monkeypatch):
     with np.errstate(all="ignore"):
         sk, exact = ft._library(*_normalized(data), 12)
     assert exact and [str(c) for c in sk.columns] == ["x1^2", "1"]
-
-
-def test_sin_cos_tie_keeps_sin_affine(monkeypatch):
-    data = make_data(lambda p: np.sin(2 * p[:, 0] + 1.1))
-    V = data.points
-    y = (data.values - data.values.mean()) / data.values.std()
-    by_name = {s.name: s for s in skeleton_stream(1)}
-    score = {}
-    with np.errstate(all="ignore"):
-        for name in ("sin_affine", "cos_affine"):
-            sk = by_name[name]
-            score[name] = _ranked_hints(sk, _make_objective(sk, V, y), V, y,
-                                        ft._SCAN_REACH)[1]
-    # rounding puts cos a hair ahead of sin on this data, so an order by
-    # scan score would put cos_affine first ...
-    assert score["cos_affine"] < score["sin_affine"]
-    assert score["sin_affine"] - score["cos_affine"] < 1e-12 * score["sin_affine"]
-    # ... but the scans run in table order, and sin_affine's polish closes
-    # it before cos_affine is scanned
-    model, log = _walk_log(monkeypatch, data, RunConfig(seed=0))
-    assert model.skeleton_name == "sin_affine" and model.converged
-    assert [e for e in log if e[0] == "scan"] == [("scan", "exp_scaled"), ("scan", "sin_affine")]
-    assert not [e for e in log if e[0] == "ldse"]
 
 
 @pytest.mark.parametrize("fn,vars_", [
@@ -1082,7 +1064,7 @@ def test_an_inexact_library_fit_does_not_take_the_place_of_an_ldse_fit(monkeypat
     # but fits inexactly, so LDSE runs and its exact fit is accepted before
     # the library's subset is tried
     model, log = _walk_log(monkeypatch, make_data(**_SYNTHETIC["sin"]), RunConfig(seed=0))
-    assert model.skeleton_name == "cos_affine" and model.converged
+    assert model.skeleton_name == "sin_affine" and model.converged
     first_ldse = next(i for i, e in enumerate(log) if e[0] == "ldse")
     assert ("library",) in log[:first_ldse]
     assert ("design", "monomials") not in log
