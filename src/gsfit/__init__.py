@@ -4,6 +4,7 @@ from .expr import Expr, ParseError, parse
 from .oracle import DomainBox, Oracle, SampleError, SampleSet, make_oracle
 from .config import RunConfig
 from .detect import (
+    Anchor,
     DetectionError,
     FactorData,
     GsStructure,

@@ -5,7 +5,7 @@ cannot be written, 2 detection failure, 3 no model within tolerance,
 including factors gsfit cannot fit and samples that stay invalid. Every
 output JSON embeds the full run configuration, seed included, so results
 are self-reproducing. Output is strict JSON: a non-finite number, such as
-the validation MSE of a model that cannot be evaluated, is written null.
+the MSEs of a detect-only benchmark run, is written null.
 """
 
 from __future__ import annotations

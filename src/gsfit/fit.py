@@ -395,9 +395,10 @@ def _sk(name: str, *columns: str) -> Skeleton:
     if sk.nl_count:
         if sk.columns[1:] != (_OFFSET,):
             raise ValueError(f"{name}: a skeleton with parameters is one shape column and '1'")
-        if sk.form.g == "cos" and sk.form.shift:
-            # cos(u + p) = sin(u + p + pi/2): the sin row scans, polishes
-            # and scores the same functions
+        form = sk.form  # a shape the scan cannot read fails here, at import
+        if form.g == "cos" and form.shift:
+            # cos(u + p) = sin(u + p + pi/2): a sin row scans, polishes and
+            # scores the same functions
             raise ValueError(f"{name}: write a shifted cos as a shifted sin")
     return sk
 
