@@ -177,9 +177,14 @@ def fit_structure_factors(
     structure: det.GsStructure, oracle: Oracle, cfg: RunConfig
 ) -> list[list[ft.FactorModel]]:
     """Per-factor sweeps and symbolic fits for every block of a structure.
-    The sweeps share one `detect.Anchor`, so a call evaluates f(anchor)
-    once, in the first psi sweep, and each block's spread pair once."""
-    at = det.Anchor(oracle, structure.anchor, cfg)
+    The sweeps share one `detect.Anchor`: detection's own, `structure.at`,
+    when it probed this oracle under this cfg, so that f(anchor) and each
+    block's spread pair are not evaluated again. Otherwise a fresh one
+    evaluates f(anchor) once, in the first psi sweep, and each block's
+    spread pair once."""
+    at = structure.at
+    if at is None or at.o is not oracle or at.cfg != cfg:
+        at = det.Anchor(oracle, structure.anchor, cfg)
     return [
         [ft.fit_factor(det.isolate_psi_data(at, g), cfg) for g in b.psi_factors]
         + [ft.fit_factor(det.isolate_omega_data(at, b.vars, g), cfg) for g in b.omega_factors]

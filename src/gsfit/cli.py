@@ -60,7 +60,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-nodes", type=int, default=default.max_nodes,
                    help="largest skeleton template node count (at least 3)")
     p.add_argument("--kmax", type=int, default=default.kmax,
-                   help="largest repeated-variable cut size")
+                   help="largest repeated-variable cut size (at least 1)")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
@@ -140,6 +140,8 @@ def _setup(args):
             raise ValueError(f"{flag} must be finite and at least 0")
     if args.max_nodes < 3:
         raise ValueError("--max-nodes must be at least 3")
+    if args.kmax < 1:
+        raise ValueError("--kmax must be at least 1")
     if args.samples_per_var < 1:
         raise ValueError("--samples-per-var must be at least 1")
     lo = _parse_bounds(args.lo, args.dims)

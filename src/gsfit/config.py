@@ -3,10 +3,35 @@
 A run is set by the six fields of `RunConfig`, one per command-line flag;
 every stage reads its settings from the one frozen instance. Tuning values
 that no caller sets are module constants next to the code that uses them.
+
+Detection draws each probe batch from its own stream `rng(seed, tag, ...)`,
+keyed by the stage's tag and the variables it probes:
+
+    tag   stage (module `detect`)
+    101   graph moves of one variable (`_pair_scores`)
+    301   psi factor sweep (`isolate_psi_data`)
+    401   spread pair of a block (`Anchor.spread_pair`)
+    402   omega factor sweep (`isolate_omega_data`)
+    501   psi partition grids (`factor_partition`)
+    502   omega partition grids (`factor_partition`)
+    601   membership sweep (`Anchor.membership`)
+    701   consistency slice points (`_block_consistent`)
+    702   consistency repeated-variable draws (`_block_consistent`)
+    777   anchor draws (`_draw_anchor`)
+    801   reconstruction points (`_reconstruction_ok`)
+    900   box probe for a constant or invalid target (`_detect_once`)
+
+The second anchor's interaction graph in `minimal_blocks` reads the
+graph streams under the seed `seed + 9999 + attempt` instead. Integer
+seeds for the samplers, `derived_seed`, are keyed (1,) for assembly's
+training sample, (2,) for its validation sample and (rank, restart) for
+an LDSE restart.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,11 +48,45 @@ class RunConfig:
     kmax: int = 3                 # largest candidate repeated-variable cut
 
 
+@functools.cache
+def _digest_type() -> type:
+    """The seed sequence of `rng`: its words are read from the 32-byte
+    BLAKE2b digest of the decimal text of a tuple of non-negative
+    integers, which names the tuple uniquely, and read little-endian, so a
+    stream is the same on every platform. The type is made on first use:
+    numpy imports numpy.random, and with it hashlib, only when a run first
+    reads it, and importing them with this module would add about 15 ms
+    to every start-up."""
+    import hashlib
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Digest(ISeedSequence):
+        def __init__(self, ints: tuple[int, ...]):
+            self._digest = hashlib.blake2b(str(ints).encode(), digest_size=32).digest()
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            dtype = np.dtype(dtype)
+            return np.frombuffer(self._digest, dtype.newbyteorder("<"), n_words).astype(dtype)
+
+    return Digest
+
+
 def rng(seed: int, *key: int) -> np.random.Generator:
-    """Generator for the stream `key` under `seed`."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    """Generator for the stream `key` under `seed`: a PCG64 keyed by one
+    digest of (seed, *key), which costs far less than a SeedSequence.
+    Each of seed and key must be a non-negative integer."""
+    ints = tuple(map(operator.index, (seed, *key)))
+    if min(ints) < 0:
+        raise ValueError("seed and key must be non-negative")
+    return np.random.Generator(np.random.PCG64(_digest_type()(ints)))
 
 
 def derived_seed(base: int, *key: int) -> int:
-    """Independent integer seed for the stream `key` under `base`."""
+    """Independent integer seed for the stream `key` under `base`.
+
+    It stays on SeedSequence. It is called a few dozen times a fit, so a
+    cheaper derivation would save no measurable time, and it seeds the
+    LDSE restarts: reading it from `rng`'s digest instead moves them, and
+    `sin(35*x1)` then stops converging at the seeds the tests pin.
+    """
     return int(np.random.SeedSequence(base, spawn_key=key).generate_state(1)[0])

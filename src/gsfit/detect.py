@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -116,12 +116,21 @@ class Block:
 
 @dataclass
 class GsStructure:
-    """Detected decomposition of the target."""
+    """Detected decomposition of the target.
+
+    `at` is the `Anchor` detection read it at, whose probes the factor
+    sweeps reuse; a hand-built structure has none. It is neither part of
+    the JSON view nor pickled, since its oracle holds a lock.
+    """
 
     repeated: tuple[int, ...]
     blocks: list[Block]
     anchor: tuple[float, ...]
     probes_used: int = 0
+    at: "Anchor | None" = field(default=None, repr=False, compare=False)
+
+    def __getstate__(self):
+        return {**self.__dict__, "at": None}
 
     def block_count(self) -> int:
         return len(self.blocks)
@@ -783,7 +792,8 @@ def detect_structure(o: Oracle, cfg: RunConfig | None = None) -> GsStructure:
 
 def _detect_once(o: Oracle, cfg: RunConfig, attempt: int) -> GsStructure:
     """One anchor attempt. Its `Anchor` evaluates f(anchor), each block's
-    spread pair and each membership sweep once for every stage."""
+    spread pair and each membership sweep once for every stage, the fit's
+    sweeps included: the structure it returns carries it."""
     at = Anchor.draw(o, cfg, attempt)
     box_probe = o.box.uniform(16, _rng(cfg.seed, 900, attempt))
     if at is None:
@@ -796,7 +806,7 @@ def _detect_once(o: Oracle, cfg: RunConfig, attempt: int) -> GsStructure:
     probe = probe[np.isfinite(probe)]
     scale = max(1.0, abs(at.f))
     if probe.size and np.max(np.abs(probe - at.f)) <= cfg.tol_detect * scale:
-        return GsStructure(repeated=(), blocks=[], anchor=tuple(at.point))
+        return GsStructure(repeated=(), blocks=[], anchor=tuple(at.point), at=at)
 
     graph = interaction_graph(o, at.point, cfg, at.attempt, f_anchor=at.f)
     validator = lambda picked: _structure_consistent(at, graph, picked)
@@ -822,4 +832,5 @@ def _detect_once(o: Oracle, cfg: RunConfig, attempt: int) -> GsStructure:
             "not a GS system under current tolerances: reconstruction residual too large"
         )
     structure.validate(o.arity)
+    structure.at = at
     return structure

@@ -78,14 +78,15 @@ def test_a_target_invalid_everywhere_gets_its_own_error(capsys, target, dims, re
 
 
 def test_mostly_invalid_reconstruction_is_not_reported_as_not_separable(capsys):
-    # at seed 3 the first redrawn anchor passes every step but the
+    # at seed 0 the first redrawn anchor passes every step but the
     # reconstruction, where x1 <= 0 leaves too few valid points; that
     # redraws the anchor instead of calling the target not separable
     code, _, err = run_cli(
-        ["detect", "--target", "ln(x1)+x2", "--dims", "2", "--seed", "3"], capsys
+        ["detect", "--target", "ln(x1)+x2", "--dims", "2", "--seed", "0"], capsys
     )
     assert code == 2
     assert "detection failed" in err and "not a GS system" not in err
+    assert "reconstruction probes mostly invalid" in err
 
 
 @pytest.mark.parametrize("seed", [1, 5])
@@ -388,8 +389,9 @@ def test_random_targets_on_every_box_end_in_a_documented_exit_code(capsys, box):
 
 # Every tenth target of the fit fuzz: 300 `random_tree` targets drawn from
 # default_rng(1), each over 1 to 4 variables, on these boxes in turn, at
-# --seed=1. (index, target, exit code): 20 fit, 5 are invalid where probed
-# and 5 have a factor no skeleton fits, so the failure paths and LDSE run.
+# --seed=1. (index, target, exit code): 19 fit, 8 end in a detection
+# failure and 3 have a factor no skeleton fits, so the failure paths and
+# LDSE run.
 _FUZZ_BOXES = [(-3, 3), (0.5, 3), (-1, 1), (1, 5)]
 _FUZZ_EXITS = [
     (0, '(x2/2.8839999999999999-(-0.96899999999999997)^3)/x1*4.8070000000000004', 0),
@@ -399,7 +401,7 @@ _FUZZ_EXITS = [
     (40, 'exp(x1*x1+2.202+(x1/x1-ln(x1)))', 2),
     (50, 'x1-(x3+x2+(-x3))-0.23899999999999999^2', 0),
     (60, 'x2', 0),
-    (70, 'sqrt(cos(sqrt(x1)))^2', 0),
+    (70, 'sqrt(cos(sqrt(x1)))^2', 2),
     (80, 'x1+ln(cos(-(-1.3879999999999999)))', 0),
     (90, '-0.14899999999999999', 0),
     (100, 'x2/(-0.27800000000000002)', 0),
@@ -407,7 +409,7 @@ _FUZZ_EXITS = [
     (120, 'ln(-4.6959999999999997)^2', 2),
     (130, 'sqrt(sqrt(x3))^2*0.121', 0),
     (140, 'ln(x1)/x2', 2),
-    (150, 'x1-ln(sin(x1))^1', 3),
+    (150, 'x1-ln(sin(x1))^1', 2),
     (160, '-0.44600000000000001', 0),
     (170, '(x2+x1*x2/(-1.0629999999999999))*(-4.8300000000000001)', 0),
     (180, '(-0.252)*(-1.7589999999999999)', 0),
@@ -419,7 +421,7 @@ _FUZZ_EXITS = [
           '+ln((-4.0910000000000002)/x1))*(-0.316)', 2),
     (230, 'x1+x1', 0),
     (240, 'sin(-3.4689999999999999)', 0),
-    (250, 'x1+(-4.3970000000000002)+sqrt(sin(x1))', 3),
+    (250, 'x1+(-4.3970000000000002)+sqrt(sin(x1))', 2),
     (260, '-exp(x1)', 0),
     (270, '-2.992', 0),
     (280, '4.0650000000000004', 0),
@@ -523,6 +525,16 @@ def test_a_negative_seed_exits_1(capsys, command):
     code, out, err = run_cli([command, *args, "--seed", "-1"], capsys)
     assert code == 1 and out == ""
     assert err.startswith("error: --seed must be at least 0")
+
+
+@pytest.mark.parametrize("command", ["detect", "fit"])
+@pytest.mark.parametrize("kmax", ["0", "-1"])
+def test_a_kmax_below_one_exits_1(capsys, command, kmax):
+    # a cut size below 1 would turn peeling off and miss x3's repetition
+    code, out, err = run_cli([command, "--target", "x3*sin(x1)-2*x3*cos(x2)",
+                              "--dims", "3", "--seed", "1", f"--kmax={kmax}"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: --kmax must be at least 1")
 
 
 @pytest.mark.parametrize("command", ["detect", "fit"])

@@ -354,11 +354,11 @@ def test_degenerate_domain_raises_the_probe_error():
 
 def test_a_probe_failure_redraws_the_anchor_with_fresh_probes():
     # ln(x1) is invalid on half the box. An attempt is valid where the
-    # move of x1 is, whatever the (valid) anchor, so at seed 357 the pair
+    # move of x1 is, whatever the (valid) anchor, so at seed 277 the pair
     # probes give up at the first anchor as they do at (0.5, 0.5); the
     # anchor must be redrawn, not end detection
     make = lambda: make_oracle(ex.parse("ln(x1)+x2", 2), DomainBox.cube(-3, 3, 2))
-    cfg = RunConfig(seed=357)
+    cfg = RunConfig(seed=277)
     with pytest.raises(det.DegenerateAnchorError, match="probes keep hitting"):
         interaction_graph(make(), [0.5, 0.5], cfg)
     o = make()
@@ -696,6 +696,7 @@ def test_detection_error_when_anchor_always_invalid():
 
 def test_structure_json_round_trip():
     import json
+    import pickle
 
     s = detect_structure(CASES[4].oracle(), RunConfig(seed=7))
     d = json.loads(s.to_json())
@@ -703,6 +704,12 @@ def test_structure_json_round_trip():
     assert [b["vars"] for b in d["blocks"]] == [[1], [2]]
     assert all(b["omega_factors"] == [[3]] for b in d["blocks"])
     assert isinstance(d["probes_used"], int) and d["probes_used"] > 0
+    # detection's anchor rides along for the fit, but neither into the
+    # JSON view nor through pickling, since its oracle holds a lock
+    assert isinstance(s.at, det.Anchor) and tuple(s.at.point) == s.anchor
+    assert "at" not in d
+    back = pickle.loads(pickle.dumps(s))
+    assert back == s and back.at is None and s.at is not None
 
 
 def permute_expr(e: ex.Expr, mapping: dict[int, int]) -> ex.Expr:
@@ -828,17 +835,17 @@ def test_mostly_invalid_reconstruction_redraws_the_anchor():
 # quadruples (139, 299, 299, 250, 375, 762, 746, 663, 937, 1294, 651);
 # the reports differ from those only in their counts.
 _DETECT_BUDGET = {
-    1: (104, 137, "52ed0491b36b9933095811b4ac5dbc7c916e36bfbb627693dbfa229722bf0440", 10),
-    2: (244, 245, "e0d5b2d1d90a8749977bada55ae5a185c85897af87b4d62adb09513af25f6f45", 13),
-    3: (244, 245, "a196c698727464bb8f8e59361db6baf0b87ece9f20bbf01f963eb14161f8b337", 13),
-    4: (229, 229, "a9f2301bf4592fd6d019f65edd306d309847c8ecd373e94f9590800d20b3fe48", 24),
-    5: (312, 313, "050f1e91cc13781a23369104678b0e5709687ace0cf96813fadc81e69e6958e5", 25),
-    6: (492, 492, "f8f27402b8e5feb23a5d6ceae8ece134d7e637d00b0506d79467bc0af39e2179", 36),
-    7: (592, 594, "8e1dbe59d5d128189d9242b91d3fbeb18a6ea997184e862b00c185dd84159bc8", 48),
-    8: (455, 456, "88741896946e0994de0a09616ba7b655418574f4a5010547ce19a39ad152e1bd", 31),
-    9: (812, 859, "72af3c494dad987ad99441d8401f90a9c5ed679c9e70a99ace79ff74c376deff", 24),
-    10: (791, 797, "bdb55c743c137e04ec25e0331ed620e170d85daf0af0e425da98553a5496d113", 48),
-    11: (557, 562, "bbbd1d322f1030395908fdf031913b7668dd71d12b45e63366483bfb666f40ba", 33),
+    1: (104, 137, "bc83191d687e1cfca991ff3e13d59d213c965f47693a4f7c165b69525882a3f7", 10),
+    2: (244, 245, "0136ce47e21dd18b94553248238b5156e65ebdb19061b87b2b1664d7ad30d688", 13),
+    3: (244, 245, "13c7051ae839d2535f5511e6cef8430150bc19d51c3ec90d4f99a8aace8f164c", 13),
+    4: (229, 229, "e7591649e49376aeb11f1ba62f9410801d3a25e9599c5176304e6e06ad0528d3", 24),
+    5: (312, 313, "30bbee9e85b3740d49bfcdd41e6249042589789f99dec6c9fc4537c608630b44", 25),
+    6: (492, 492, "dcd45e4c6ac646af56b268ef2231567f1ac98f129f47ee90b06ece240a519ec8", 36),
+    7: (592, 594, "65166523f016d35e324f01dbea6befb43aeae02977d80edc366f9c7cd6768bcf", 48),
+    8: (455, 456, "6a4019f3800a7ad37383c6cfa9cd232447ab0cfe71a85e7152233ee94a795521", 31),
+    9: (812, 859, "f487cf37befecb61da3de506272177f7528b2b0bcca8603e7e731ddc96850f79", 24),
+    10: (791, 797, "8d439b23c1a283ad4d22382459aa9215e73aa122194944b245d4b02cfaa0a491", 48),
+    11: (557, 562, "26901d0c87f69119ec216492daa4ddea31d2dfac9e5cd553816135add2044728", 33),
 }
 
 
