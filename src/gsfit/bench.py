@@ -93,10 +93,12 @@ STREAM_DEMO = CaseSpec(
 )
 
 
+# every case a suite can run, by number: the table and the demo
+ALL_CASES: dict[int, CaseSpec] = {**CASES, STREAM_DEMO.no: STREAM_DEMO}
+
+
 def get_case(no: int) -> CaseSpec:
-    if no == 11:
-        return STREAM_DEMO
-    return CASES[no]
+    return ALL_CASES[no]
 
 
 @dataclass(slots=True)
@@ -124,6 +126,10 @@ class CaseReport:
     error: str | None = None
     structure: dict | None = None
     model: dict | None = None
+
+    @property
+    def structure_matched(self) -> bool:
+        return self.match_repeated and self.match_blocks and self.match_factors
 
     def to_dict(self, include_timing: bool = True) -> dict:
         d = {
@@ -206,10 +212,22 @@ class SuiteReport:
     def for_case(self, no: int) -> list[CaseReport]:
         return sorted((r for r in self.reports if r.no == no), key=lambda r: r.seed)
 
-    def to_dict(self, include_timing: bool = True) -> dict:
-        out = {"cases": []}
+    def _summaries(self):
+        """Per case: its number, its runs, how many of them matched the
+        expected structure and how many succeeded, their largest
+        validation MSE, and their median evaluations and milliseconds."""
         for no in self.cases():
             runs = self.for_case(no)
+            yield no, runs, (
+                sum(r.structure_matched for r in runs), sum(r.success for r in runs),
+                max((r.val_mse for r in runs), default=math.inf),
+                float(np.median([r.oracle_evals for r in runs])),
+                float(np.median([1000 * r.wall_seconds for r in runs])),
+            )
+
+    def to_dict(self, include_timing: bool = True) -> dict:
+        out = {"cases": []}
+        for no, runs, (matched, succeeded, mse, evals, ms) in self._summaries():
             spec = get_case(no)
             # modal detected structure across the repeats
             detected = Counter(
@@ -234,19 +252,14 @@ class SuiteReport:
                     "factors": spec.expected_factors,
                 },
                 "repeats": len(runs),
-                "structure_match_rate": sum(
-                    r.match_repeated and r.match_blocks and r.match_factors
-                    for r in runs
-                ) / len(runs),
-                "success_rate": sum(r.success for r in runs) / len(runs),
-                "mse_max": max((r.val_mse for r in runs), default=math.inf),
-                "median_evals": float(np.median([r.oracle_evals for r in runs])),
+                "structure_match_rate": matched / len(runs),
+                "success_rate": succeeded / len(runs),
+                "mse_max": mse,
+                "median_evals": evals,
                 "runs": [r.to_dict(include_timing=include_timing) for r in runs],
             }
             if include_timing:
-                entry["median_wall_ms"] = float(
-                    np.median([1000 * r.wall_seconds for r in runs])
-                )
+                entry["median_wall_ms"] = ms
             out["cases"].append(entry)
         return out
 
@@ -261,20 +274,12 @@ class SuiteReport:
             f"{'case':>4} {'dim':>3} {'structure':>9} {'success':>7} "
             f"{'max MSE':>10} {'med evals':>9} {'med ms':>8}"
         ]
-        for no in self.cases():
-            runs = self.for_case(no)
-            oks = sum(
-                r.match_repeated and r.match_blocks and r.match_factors for r in runs
-            )
+        for no, runs, (matched, succeeded, mse, evals, ms) in self._summaries():
             fitted = any(r.model is not None for r in runs)
-            succ = sum(r.success for r in runs)
-            succ_txt = f"{succ:>3}/{len(runs):<3}" if fitted else f"{'-':>7}"
-            mse = max((r.val_mse for r in runs), default=math.inf)
+            succ_txt = f"{succeeded:>3}/{len(runs):<3}" if fitted else f"{'-':>7}"
             mse_txt = f"{mse:>10.2e}" if fitted else f"{'-':>10}"
-            evals = np.median([r.oracle_evals for r in runs])
-            ms = np.median([1000 * r.wall_seconds for r in runs])
             rows.append(
-                f"{no:>4} {get_case(no).dim:>3} {oks:>4}/{len(runs):<4} "
+                f"{no:>4} {get_case(no).dim:>3} {matched:>4}/{len(runs):<4} "
                 f"{succ_txt} {mse_txt} {evals:>9.0f} {ms:>8.0f}"
             )
         return "\n".join(rows)

@@ -215,7 +215,7 @@ def _parse_cases(text: str) -> list[int]:
             out.extend(range(int(a), int(b) + 1))
         else:
             out.append(int(part))
-    bad = [c for c in out if c not in bench.CASES and c != 11]
+    bad = [c for c in out if c not in bench.ALL_CASES]
     if bad:
         raise ValueError(f"unknown case numbers: {bad}")
     return sorted(set(out))
@@ -249,10 +249,7 @@ def cmd_bench(args) -> int:
     _print(report.table())
     if args.out and not _emit(payload, args.out):
         return EXIT_USAGE
-    all_match = all(
-        r.match_repeated and r.match_blocks and r.match_factors
-        for r in report.reports
-    )
+    all_match = all(r.structure_matched for r in report.reports)
     return EXIT_OK if all_match else EXIT_TOLERANCE
 
 

@@ -4,8 +4,11 @@ A run is set by the six fields of `RunConfig`, one per command-line flag;
 every stage reads its settings from the one frozen instance. Tuning values
 that no caller sets are module constants next to the code that uses them.
 
-Detection draws each probe batch from its own stream `rng(seed, tag, ...)`,
-keyed by the stage's tag and the variables it probes:
+Detection draws each probe batch from its own stream, keyed by one rule:
+`rng(seed, tag, *attempt, ...)`, where `attempt` is the key of the
+anchor's draw (`detect.Anchor.rng`), and the rest names what the batch
+probes: variables, a block or a trial. A redrawn anchor thus probes
+afresh in every stage.
 
     tag   stage (module `detect`)
     101   graph moves of one variable (`_pair_scores`)
@@ -17,15 +20,14 @@ keyed by the stage's tag and the variables it probes:
     601   membership sweep (`Anchor.membership`)
     701   consistency slice points (`_block_consistent`)
     702   consistency repeated-variable draws (`_block_consistent`)
-    777   anchor draws (`_draw_anchor`)
+    777   anchor draws (`Anchor.draw`), keyed by the attempt alone
     801   reconstruction points (`_reconstruction_ok`)
-    900   box probe for a constant or invalid target (`_detect_once`)
+    900   box probe for a constant or invalid target (`_detect_once`),
+          drawn before any anchor, keyed by the attempt alone
 
-The second anchor's interaction graph in `minimal_blocks` reads the
-graph streams under the seed `seed + 9999 + attempt` instead. Integer
-seeds for the samplers, `derived_seed`, are keyed (1,) for assembly's
-training sample, (2,) for its validation sample and (rank, restart) for
-an LDSE restart.
+Integer seeds for the samplers, `derived_seed`, are keyed (1,) for
+assembly's training sample, (2,) for its validation sample and (rank,
+restart) for an LDSE restart.
 """
 
 from __future__ import annotations

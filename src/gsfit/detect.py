@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +28,7 @@ class DetectionError(RuntimeError):
 
 
 class DegenerateAnchorError(DetectionError):
-    """The anchor annihilated a needed signal; caller should redraw."""
+    """The anchor annihilated a needed signal; caller should draw another anchor."""
 
 
 class TargetInvalidError(DegenerateAnchorError):
@@ -195,27 +195,24 @@ class FactorData:
 # pairwise interaction scores
 
 
-def _pair_scores(
-    o: Oracle, pairs, anchor, f_anchor, probes: int, seed: int, redraw: int = 0,
-    tol: float = math.inf,
-) -> np.ndarray:
+def _pair_scores(at: Anchor, pairs, probes: int, tol: float = math.inf) -> np.ndarray:
     """Normalized anchored mixed differences of variable pairs, others pinned.
 
     Variable v draws its moves X_v[0], X_v[1], ... on [lo_v, hi_v] from
-    its own stream _rng(seed, 101, v), or _rng(seed, 101, v, redraw) under
-    an anchor redraw, so that a redraw probes afresh. Attempt t of pair
-    (a, b) is the anchored second difference of cut-HDMR (Rabitz and Alis,
-    J. Math. Chem. 25, 1999), everything else at the anchor c:
+    its own stream at.rng(101, v), so each anchor attempt probes afresh.
+    Attempt t of pair (a, b) is the anchored second difference of cut-HDMR
+    (Rabitz and Alis, J. Math. Chem. 25, 1999), everything else at the
+    anchor c:
 
         f(X_a[t], X_b[t]) - f(X_a[t], c_b) - f(c_a, X_b[t]) + f(c).
 
-    f(c) and each single move f(c with x_v = X_v[t]) are evaluated once
-    and shared by every pair holding v, so an attempt costs one new point
-    besides them. `f_anchor` is f(c); None evaluates it in the first
-    oracle call. An attempt whose four values are all finite fills the
-    pair's next probe, and MAX_INVALID_ATTEMPTS invalid attempts in a row
-    raise DegenerateAnchorError. A pair's score is the largest |difference|
-    over its probes divided by max(1, largest |f| seen in them).
+    f(c) is the anchor's and each single move f(c with x_v = X_v[t]) is
+    evaluated once and shared by every pair holding v, so an attempt costs
+    one new point besides them. An attempt whose four values are all
+    finite fills the pair's next probe, and MAX_INVALID_ATTEMPTS invalid
+    attempts in a row raise DegenerateAnchorError. A pair's score is the
+    largest |difference| over its probes divided by max(1, largest |f|
+    seen in them).
 
     Every round evaluates all pairs' attempts, with the single moves they
     reach for the first time, in one oracle call. The first round takes
@@ -228,15 +225,14 @@ def _pair_scores(
     reads the t-th move of each of its variables, so a pair's attempts are
     a prefix of those it would get under a larger tol.
     """
-    anchor = np.asarray(anchor, dtype=float)
+    o, anchor, fc = at.o, at.point, at.f
     pairs = [tuple(sorted(p)) for p in pairs]
     verts = sorted({v for p in pairs for v in p})
     # each pair's rows of the (variables x attempts) move arrays
     rows = np.array([(verts.index(a), verts.index(b)) for a, b in pairs], dtype=int)
     rows = rows.reshape(-1, 2)
     cols = np.array(verts, dtype=int) - 1
-    key = (redraw,) if redraw else ()
-    rngs = [_rng(seed, 101, v, *key) for v in verts]
+    rngs = [at.rng(101, v) for v in verts]
     lo, hi = o.box.lo_array()[cols, None], o.box.hi_array()[cols, None]
 
     def draw(m):    # every variable's next m moves, drawn as `uniform` does
@@ -252,11 +248,10 @@ def _pair_scores(
     peak = np.zeros(len(pairs))
     todo = np.arange(len(pairs))
     needs = np.ones(len(pairs), dtype=int)
-    head = int(f_anchor is None)               # a row for f(anchor) in the first call
     while todo.size:
         starts = np.cumsum(needs) - needs      # each pair's attempts are contiguous
         owner = np.repeat(todo, needs)
-        at = np.arange(len(owner)) - np.repeat(starts - made[todo], needs)
+        t = np.arange(len(owner)) - np.repeat(starts - made[todo], needs)
         made[todo] += needs
         if made.max() > moves.shape[1]:        # invalid attempts used up the moves
             more = draw(made.max() - moves.shape[1])
@@ -265,23 +260,20 @@ def _pair_scores(
             have = np.hstack([have, np.zeros(more.shape, dtype=bool)])
         ra, rb = rows[owner, 0], rows[owner, 1]
         reads = np.zeros(have.shape, dtype=bool)
-        reads[ra, at] = reads[rb, at] = True
+        reads[ra, t] = reads[rb, t] = True
         mr, mt = np.nonzero(reads & ~have)     # single moves read for the first time
         have |= reads
-        pts = np.empty((head + len(mr) + len(owner), anchor.size))
+        pts = np.empty((len(mr) + len(owner), anchor.size))
         pts[:] = anchor
-        moved = np.arange(head, head + len(mr))
-        pts[moved, cols[mr]] = moves[mr, mt]
-        joint = np.arange(head + len(mr), len(pts))
-        pts[joint, cols[ra]] = moves[ra, at]
-        pts[joint, cols[rb]] = moves[rb, at]
+        pts[np.arange(len(mr)), cols[mr]] = moves[mr, mt]
+        joint = np.arange(len(mr), len(pts))
+        pts[joint, cols[ra]] = moves[ra, t]
+        pts[joint, cols[rb]] = moves[rb, t]
         f = o.eval_batch(pts)
-        if head:
-            f_anchor, f, head = f[0], f[1:], 0
         single[mr, mt] = f[:len(mr)]
         f4 = np.empty((len(owner), 4))         # each attempt's four values
         f4[:, 0] = f[len(mr):]
-        f4[:, 1], f4[:, 2], f4[:, 3] = single[ra, at], single[rb, at], f_anchor
+        f4[:, 1], f4[:, 2], f4[:, 3] = single[ra, t], single[rb, t], fc
         ok = np.isfinite(f4).all(axis=1)
         if ok.all():
             invalid_run[todo] = 0
@@ -312,21 +304,20 @@ def mixed_diff(
 
     Exactly zero (up to rounding) when x_i and x_j sit in additively
     separated parts of the target. Scored over all `probes` probes by the
-    scorer interaction_graph uses, with f(anchor) evaluated in its first
-    oracle call, so at the same seed it equals the graph's score wherever
-    the pair is no edge; on an edge the graph stores the score of the
-    probes drawn until it cleared tol, and both clear it.
+    scorer interaction_graph uses, at a fresh `Anchor` under `seed`, so it
+    equals the graph's score at such an anchor wherever the pair is no
+    edge; on an edge the graph stores the score of the probes drawn until
+    it cleared tol, and both clear it.
     """
     if i == j:
         raise ValueError("need two distinct variables")
-    return float(_pair_scores(o, [(i, j)], anchor, None, probes, seed)[0])
+    at = Anchor(o, anchor, RunConfig(seed=seed))
+    return float(_pair_scores(at, [(i, j)], probes)[0])
 
 
-def interaction_graph(
-    o: Oracle, anchor, cfg: RunConfig, redraw: int = 0, among: set[int] | None = None,
-    f_anchor: float | None = None,
-) -> InteractionGraph:
-    """Score variable pairs; edge wherever the score clears cfg.tol_detect.
+def interaction_graph(at: Anchor, among: set[int] | None = None) -> InteractionGraph:
+    """Score variable pairs at the anchor; edge wherever the score clears
+    cfg.tol_detect.
 
     Every pair of variables in `among` (default: all) is scored, the
     others score 0. All pairs are scored together: the first oracle call
@@ -335,21 +326,16 @@ def interaction_graph(
     moves they read, so the graph usually costs two calls, and one
     when every pair is an edge. A pair stops probing once its score
     clears cfg.tol_detect, so an edge's stored score covers only the
-    probes drawn until then. `redraw` is the anchor attempt, which keys
-    the probes (see `_pair_scores`). `f_anchor` is the target's value at
-    the anchor, which every probe reads; None evaluates it in the first
-    call.
+    probes drawn until then. Every probe reads f(anchor), evaluated on
+    first read when the anchor does not hold it.
     """
-    n = o.arity
+    n, tol = at.o.arity, at.cfg.tol_detect
     verts = sorted(among) if among is not None else range(1, n + 1)
     pairs = list(itertools.combinations(verts, 2))
     scores = np.zeros((n, n))
-    scored = _pair_scores(
-        o, pairs, anchor, f_anchor, PAIR_PROBES, cfg.seed, redraw, tol=cfg.tol_detect
-    )
-    for (i, j), s in zip(pairs, scored):
+    for (i, j), s in zip(pairs, _pair_scores(at, pairs, PAIR_PROBES, tol)):
         scores[i - 1, j - 1] = scores[j - 1, i - 1] = s
-    return InteractionGraph(n=n, scores=scores, tol=cfg.tol_detect)
+    return InteractionGraph(n=n, scores=scores, tol=tol)
 
 
 # --------------------------------------------------------------------------
@@ -417,28 +403,22 @@ def _pin(anchor: np.ndarray, cols: tuple[int, ...], coords: np.ndarray) -> np.nd
     return pts
 
 
-def _draw_anchor(o: Oracle, cfg: RunConfig, attempt: int, count: int) -> np.ndarray:
-    """The first `count` draws of the attempt's anchor stream, one a row."""
-    rng = _rng(cfg.seed, 777, attempt)
-    lo, hi = o.box.lo_array(), o.box.hi_array()
-    margin = 0.5 * (1.0 - ANCHOR_CENTRAL)
-    u = rng.random((count, o.arity))
-    return lo + (margin + ANCHOR_CENTRAL * u) * (hi - lo)
-
-
 class Anchor:
     """One anchor point and the probes there that several stages read.
 
     `f` is f(point), evaluated on first read when it is not given.
-    `attempt` keys the anchor's stream (`draw`) and, for detection's own
-    anchors, the graph probes (see `_pair_scores`). Each block's spread
-    pair and each membership sweep is evaluated at most once, however
-    many stages read it: detection's validator, `minimal_blocks` and the
-    omega partition, or the factor sweeps of one fit.
+    `attempt` is the key tuple of the anchor's draw: (a,) for detection's
+    attempt a, and (a, k) for the k-th second anchor of that attempt; a
+    hand-built anchor has (0,). It keys every probe stream read at the
+    anchor (`rng`), so each new anchor probes afresh in every stage.
+    Each block's spread pair and each membership sweep is evaluated at
+    most once, however many stages read it: detection's validator,
+    `minimal_blocks` and the omega partition, or the factor sweeps of one
+    fit.
     """
 
     def __init__(self, o: Oracle, point, cfg: RunConfig, f: float | None = None,
-                 attempt: int = 0):
+                 attempt: tuple[int, ...] = (0,)):
         self.o, self.cfg, self.attempt = o, cfg, attempt
         self.point = np.asarray(point, dtype=float)
         self._f = f
@@ -446,11 +426,13 @@ class Anchor:
         self._members: dict = {}
 
     @classmethod
-    def draw(cls, o: Oracle, cfg: RunConfig, attempt: int) -> "Anchor | None":
-        """The first of the attempt's ANCHOR_DRAWS draws with a finite
-        target value, or None. The others are evaluated, in one call, only
-        when the first is invalid."""
-        anchors = _draw_anchor(o, cfg, attempt, ANCHOR_DRAWS)
+    def draw(cls, o: Oracle, cfg: RunConfig, attempt: tuple[int, ...]) -> "Anchor | None":
+        """The first of ANCHOR_DRAWS draws from the attempt's stream (777)
+        with a finite target value, or None. The others are evaluated, in
+        one call, only when the first is invalid."""
+        lo, hi = o.box.lo_array(), o.box.hi_array()
+        u = _rng(cfg.seed, 777, *attempt).random((ANCHOR_DRAWS, o.arity))
+        anchors = lo + (0.5 * (1.0 - ANCHOR_CENTRAL) + ANCHOR_CENTRAL * u) * (hi - lo)
         f = o(anchors[0])
         if np.isfinite(f):
             return cls(o, anchors[0], cfg, f, attempt)
@@ -460,17 +442,21 @@ class Anchor:
             return None
         return cls(o, anchors[1 + valid[0]], cfg, float(f[valid[0]]), attempt)
 
+    def rng(self, tag: int, *key: int) -> np.random.Generator:
+        """The stream of probe `tag` at this anchor: (seed, tag, *attempt, *key)."""
+        return _rng(self.cfg.seed, tag, *self.attempt, *key)
+
     @property
     def f(self) -> float:
         if self._f is None:
             self._f = self.o(self.point)
         return self._f
 
-    def uniform(self, cols: tuple[int, ...], count: int, *key) -> np.ndarray:
-        """`count` draws on the sub-box of `cols` from _rng(cfg.seed, *key)."""
+    def uniform(self, cols: tuple[int, ...], count: int, tag: int, *key) -> np.ndarray:
+        """`count` draws on the sub-box of `cols` from rng(tag, *key)."""
         idx = [v - 1 for v in cols]
         lo, hi = self.o.box.lo_array()[idx], self.o.box.hi_array()[idx]
-        return uniform(_rng(self.cfg.seed, *key), lo, hi, (count, len(cols)))
+        return uniform(self.rng(tag, *key), lo, hi, (count, len(cols)))
 
     def slice(self, block_vars: tuple[int, ...], coords) -> np.ndarray:
         """h(b) = f(b at block_vars, point elsewhere) - f(point) at each
@@ -603,7 +589,7 @@ def _pair_separable(H: np.ndarray, cfg: RunConfig) -> str:
     "entangled" (interacting but not a product: same factor).
     """
     if not np.all(np.isfinite(H)):
-        # bubbles up to the anchor-redraw loop in detect_structure
+        # bubbles up to the anchor attempts of detect_structure
         raise DegenerateAnchorError("factor probe grid hit invalid points")
     scale = max(1.0, float(np.max(np.abs(H))))
     mixed = H - H[:, :1] - H[:1, :] + H[0, 0]
@@ -618,8 +604,8 @@ def _pair_separable(H: np.ndarray, cfg: RunConfig) -> str:
 
 
 def factor_partition(
-    variables: tuple[int, ...], probe, anchor, corner: float,
-    key: tuple[int, tuple[int, ...]], box, cfg: RunConfig,
+    at: Anchor, variables: tuple[int, ...], probe, corner: float,
+    key: tuple[int, tuple[int, ...]],
 ) -> tuple[tuple[int, ...], ...]:
     """Partition `variables` into multiplicative factor groups.
 
@@ -627,24 +613,24 @@ def factor_partition(
     response values, everything else pinned, and `corner` is its value at
     the anchor's coordinates, which no grid evaluates again; each pair
     (p, q) is probed on a grid through the anchor's coordinates, drawn
-    within `box` from the stream _rng(cfg.seed, tag, p, q, *block_vars),
-    where key = (tag, block_vars). Variables stay in one group when they
-    are additively fused (no pairwise interaction) or interact in a
-    non-product way; clean product pairs separate. Groups are the connected components of
-    the resulting same-factor relation. A single variable is its own
-    group without a probe.
+    within the box from the stream at.rng(tag, p, q, *block_vars), where
+    key = (tag, block_vars). Variables stay in one group when they are
+    additively fused (no pairwise interaction) or interact in a
+    non-product way; clean product pairs separate. Groups are the
+    connected components of the resulting same-factor relation. A single
+    variable is its own group without a probe.
     """
     if len(variables) == 1:
         return (tuple(variables),)
     tag, block_vars = key
     cols = [v - 1 for v in variables]
-    base = np.asarray(anchor, dtype=float)[cols]
-    lo, hi = box.lo_array()[cols], box.hi_array()[cols]
+    base = at.point[cols]
+    lo, hi = at.o.box.lo_array()[cols], at.o.box.hi_array()[cols]
     same = set()
     for (ip, p), (iq, q) in itertools.combinations(enumerate(variables), 2):
-        stream = _rng(cfg.seed, tag, p, q, *block_vars)
+        stream = at.rng(tag, p, q, *block_vars)
         H = _pair_grid_values(probe, base, corner, ip, iq, stream, lo, hi)
-        if _pair_separable(H, cfg) != "product":
+        if _pair_separable(H, at.cfg) != "product":
             same |= {(p, q), (q, p)}
     return tuple(_components(variables, lambda u, w: (u, w) in same))
 
@@ -702,14 +688,13 @@ def minimal_blocks(
     """Blocks (with repeated membership) for a given repeated set.
 
     The blocks are the components of `graph`, scored at `at`, over the
-    non-repeated variables. They are recomputed at a second anchor, drawn
-    by `Anchor.draw` as the first anchor is, and the graph there reads
-    its value; a disagreement after one redraw raises
-    StructureUnstableError, and a redraw with no valid draw raises
+    non-repeated variables. They are recomputed at a second anchor, the
+    attempt (*at.attempt, k) of `Anchor.draw`, whose graph probes from its
+    own streams; a disagreement at both (k = 0, 1) raises
+    StructureUnstableError, and a draw with no valid point raises
     DegenerateAnchorError. The second anchor's graph scores only the pairs
     inside the non-repeated variables, the only pairs their components
-    read, with probes keyed by the first anchor's attempt (see
-    `_pair_scores`). Memberships read the spread pairs and sweeps of `at`.
+    read. Memberships read the spread pairs and sweeps of `at`.
     """
     o, cfg = at.o, at.cfg
     rest = set(range(1, o.arity + 1)) - set(repeated)
@@ -717,14 +702,11 @@ def minimal_blocks(
         raise DetectionError("empty block: every variable marked repeated")
     comps = graph.components(rest)
 
-    for attempt in range(2):
-        second = Anchor.draw(o, cfg, 50 + attempt)
+    for k in range(2):
+        second = Anchor.draw(o, cfg, (*at.attempt, k))
         if second is None:
             raise DegenerateAnchorError("anchor value invalid")
-        cfg2 = replace(cfg, seed=cfg.seed + 9999 + attempt)
-        graph2 = interaction_graph(o, second.point, cfg2, at.attempt, among=rest,
-                                   f_anchor=second.f)
-        if graph2.components(rest) == comps:
+        if interaction_graph(second, among=rest).components(rest) == comps:
             break
     else:
         raise StructureUnstableError("structure unstable: anchors disagree on blocks")
@@ -746,10 +728,10 @@ def _reconstruction_ok(at: Anchor, structure: GsStructure) -> bool:
     oracle call; a lone block holds every non-repeated variable, so its
     slice is the total itself and is not evaluated again. Fewer than
     RECON_POINTS // 2 valid points say nothing about separability, so
-    they raise DegenerateAnchorError and the anchor is redrawn.
+    they raise DegenerateAnchorError and the anchor is drawn again.
     """
     o, anchor = at.o, at.point
-    pts = o.box.uniform(RECON_POINTS, _rng(at.cfg.seed, 801))
+    pts = at.uniform(tuple(range(1, o.arity + 1)), RECON_POINTS, 801)
     for v in structure.repeated:
         pts[:, v - 1] = anchor[v - 1]
     blocks = structure.blocks
@@ -772,7 +754,7 @@ def _reconstruction_ok(at: Anchor, structure: GsStructure) -> bool:
 def detect_structure(o: Oracle, cfg: RunConfig | None = None) -> GsStructure:
     """Full structure recovery: graph, repeated set, blocks, factors.
 
-    A degenerate anchor is redrawn. When every attempt fails, the last
+    A degenerate anchor is drawn again. When every attempt fails, the last
     attempt's error is raised, but an attempt that found no valid point
     never replaces the error of an earlier attempt that did.
     """
@@ -781,7 +763,7 @@ def detect_structure(o: Oracle, cfg: RunConfig | None = None) -> GsStructure:
     last_error: DetectionError | None = None
     for attempt in range(MAX_ANCHOR_REDRAWS + 1):
         try:
-            s = _detect_once(o, cfg, attempt)
+            s = _detect_once(o, cfg, (attempt,))
             s.probes_used = o.eval_count - start_count
             return s
         except DegenerateAnchorError as err:
@@ -790,12 +772,12 @@ def detect_structure(o: Oracle, cfg: RunConfig | None = None) -> GsStructure:
     raise last_error or DetectionError("detection failed")
 
 
-def _detect_once(o: Oracle, cfg: RunConfig, attempt: int) -> GsStructure:
+def _detect_once(o: Oracle, cfg: RunConfig, attempt: tuple[int]) -> GsStructure:
     """One anchor attempt. Its `Anchor` evaluates f(anchor), each block's
     spread pair and each membership sweep once for every stage, the fit's
     sweeps included: the structure it returns carries it."""
     at = Anchor.draw(o, cfg, attempt)
-    box_probe = o.box.uniform(16, _rng(cfg.seed, 900, attempt))
+    box_probe = o.box.uniform(16, _rng(cfg.seed, 900, *attempt))
     if at is None:
         if not np.isfinite(o.eval_batch(box_probe)).any():
             raise TargetInvalidError("target invalid (nan or inf) at every probed point")
@@ -808,7 +790,7 @@ def _detect_once(o: Oracle, cfg: RunConfig, attempt: int) -> GsStructure:
     if probe.size and np.max(np.abs(probe - at.f)) <= cfg.tol_detect * scale:
         return GsStructure(repeated=(), blocks=[], anchor=tuple(at.point), at=at)
 
-    graph = interaction_graph(o, at.point, cfg, at.attempt, f_anchor=at.f)
+    graph = interaction_graph(at)
     validator = lambda picked: _structure_consistent(at, graph, picked)
     repeated = repeated_vars(graph, cfg.kmax, validator=validator)
     structure = minimal_blocks(at, repeated, graph)
@@ -817,12 +799,11 @@ def _detect_once(o: Oracle, cfg: RunConfig, attempt: int) -> GsStructure:
     # omega f(b_lo) - f(b_hi), the negated spread of the block's spread pair
     for b in structure.blocks:
         psi = lambda coords: at.slice(b.vars, coords)
-        b.psi_factors = factor_partition(b.vars, psi, at.point, 0.0, (501, b.vars), o.box, cfg)
+        b.psi_factors = factor_partition(at, b.vars, psi, 0.0, (501, b.vars))
         if len(b.repeated) > 1:
             omega = lambda coords: at.delta(b.vars, b.repeated, coords)
             b.omega_factors = factor_partition(
-                b.repeated, omega, at.point, -at.spread_pair(b.vars)[2], (502, b.vars),
-                o.box, cfg,
+                at, b.repeated, omega, -at.spread_pair(b.vars)[2], (502, b.vars)
             )
         elif b.repeated:
             b.omega_factors = (b.repeated,)

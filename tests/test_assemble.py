@@ -251,7 +251,8 @@ def test_the_sweeps_of_a_fit_evaluate_each_shared_probe_once(monkeypatch):
     # every psi sweep reads f(anchor) and every omega sweep its block's
     # spread pair (stream 401). A detected structure carries detection's
     # anchor, which has evaluated both already; a hand-built one has none,
-    # and its fit evaluates f(anchor) once and each spread pair once
+    # and its fit evaluates f(anchor) once and each spread pair once, at
+    # the attempt (0,) of a fresh anchor
     cfg = RunConfig(seed=7)
     oracles = [spec.oracle() for spec in [*CASES.values(), STREAM_DEMO]]
     structures = [(o, detect_structure(o, cfg)) for o in oracles]
@@ -280,7 +281,7 @@ def test_the_sweeps_of_a_fit_evaluate_each_shared_probe_once(monkeypatch):
         hand_built = GsStructure(s.repeated, s.blocks, s.anchor)
         for structure, rows, pairs in [
             (s, 0, []),
-            (hand_built, 1, [(401, *b.vars) for b in s.blocks if b.omega_factors]),
+            (hand_built, 1, [(401, 0, *b.vars) for b in s.blocks if b.omega_factors]),
         ]:
             anchor_rows.append(0)
             spreads.append([])
