@@ -17,7 +17,7 @@ afresh in every stage.
     402   omega factor sweep (`isolate_omega_data`)
     501   psi partition grids (`factor_partition`)
     502   omega partition grids (`factor_partition`)
-    601   membership sweep (`Anchor.membership`)
+    601   membership sweep (`Anchor.memberships`)
     701   consistency slice points (`_block_consistent`)
     702   consistency repeated-variable draws (`_block_consistent`)
     777   anchor draws (`Anchor.draw`), keyed by the attempt alone

@@ -12,6 +12,7 @@ affine rescaling of the target.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -63,8 +64,13 @@ class InteractionGraph:
     scores: np.ndarray   # (n, n) symmetric, zero diagonal
     tol: float
 
+    def __post_init__(self):
+        # the edges, read once as Python bools: peeling asks has_edge
+        # for every vertex pair of every component search
+        self._adjacent = (self.scores > self.tol).tolist()
+
     def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.scores[i - 1, j - 1] > self.tol)
+        return self._adjacent[i - 1][j - 1]
 
     def edges(self) -> list[tuple[int, int]]:
         out = []
@@ -326,8 +332,12 @@ def interaction_graph(at: Anchor, among: set[int] | None = None) -> InteractionG
     moves they read, so the graph usually costs two calls, and one
     when every pair is an edge. A pair stops probing once its score
     clears cfg.tol_detect, so an edge's stored score covers only the
-    probes drawn until then. Every probe reads f(anchor), evaluated on
-    first read when the anchor does not hold it.
+    probes drawn until then; that round stop is why the second call is
+    not merged into the first, since the probes it skips are skipped by
+    attempts that succeed. Every probe reads f(anchor), evaluated on
+    first read when the anchor does not hold it. The graph reads its
+    edges off the scores once, as Python bools, for the many `has_edge`
+    calls of peeling.
     """
     n, tol = at.o.arity, at.cfg.tol_detect
     verts = sorted(among) if among is not None else range(1, n + 1)
@@ -422,25 +432,16 @@ class Anchor:
         self.o, self.cfg, self.attempt = o, cfg, attempt
         self.point = np.asarray(point, dtype=float)
         self._f = f
-        self._spreads: dict = {}
-        self._members: dict = {}
+        self._spreads: dict = {}   # block -> spread pair, or the error it raises
+        self._members: dict = {}   # (v, block) -> coupled, or None for an invalid sweep
 
     @classmethod
     def draw(cls, o: Oracle, cfg: RunConfig, attempt: tuple[int, ...]) -> "Anchor | None":
         """The first of ANCHOR_DRAWS draws from the attempt's stream (777)
         with a finite target value, or None. The others are evaluated, in
-        one call, only when the first is invalid."""
-        lo, hi = o.box.lo_array(), o.box.hi_array()
-        u = _rng(cfg.seed, 777, *attempt).random((ANCHOR_DRAWS, o.arity))
-        anchors = lo + (0.5 * (1.0 - ANCHOR_CENTRAL) + ANCHOR_CENTRAL * u) * (hi - lo)
-        f = o(anchors[0])
-        if np.isfinite(f):
-            return cls(o, anchors[0], cfg, f, attempt)
-        f = o.eval_batch(anchors[1:])
-        valid = np.flatnonzero(np.isfinite(f))
-        if not valid.size:
-            return None
-        return cls(o, anchors[1 + valid[0]], cfg, float(f[valid[0]]), attempt)
+        one call, only when the first is invalid. Detection's attempts draw
+        through `_draw`, which evaluates the box probe with the first."""
+        return _draw(o, cfg, attempt, np.empty((0, o.arity)))[0]
 
     def rng(self, tag: int, *key: int) -> np.random.Generator:
         """The stream of probe `tag` at this anchor: (seed, tag, *attempt, *key)."""
@@ -463,52 +464,120 @@ class Anchor:
         row b of coords."""
         return self.o.eval_batch(_pin(self.point, block_vars, coords)) - self.f
 
+    def _spread_pairs(self, blocks) -> None:
+        """Evaluate the spread pairs of those of `blocks` that have none
+        yet, in one oracle call. A block whose spread pair fails holds
+        its error, which `spread_pair` raises."""
+        new = [b for b in blocks if b not in self._spreads]
+        if not new:
+            return
+        cands = [self.uniform(b, OMEGA_PAIR_CANDIDATES, 401, *b) for b in new]
+        f = self.o.eval_batch(np.vstack([_pin(self.point, b, c) for b, c in zip(new, cands)]))
+        for b, cand, vals in zip(new, cands, f.reshape(len(new), -1)):
+            idx = np.flatnonzero(np.isfinite(vals))
+            if idx.size < 2:
+                self._spreads[b] = DegenerateAnchorError("block probes mostly invalid")
+                continue
+            order = idx[np.argsort(vals[idx])]
+            spread = float(vals[order[-1]] - vals[order[0]])
+            if spread <= self.cfg.tol_detect * max(1.0, float(np.nanmax(np.abs(vals)))):
+                self._spreads[b] = DegenerateAnchorError(
+                    "degenerate block during membership test")
+            else:
+                self._spreads[b] = (cand[order[0]], cand[order[-1]], spread)
+
     def spread_pair(self, block_vars: tuple[int, ...]):
         """(b_lo, b_hi, spread): the block probe points (stream 401) of the
         lowest and the highest response, and the difference of those. A
         spread within cfg.tol_detect of the responses' scale cannot isolate
         the block's coupling; it raises DegenerateAnchorError, as do fewer
         than two valid probes."""
-        if block_vars not in self._spreads:
-            cand = self.uniform(block_vars, OMEGA_PAIR_CANDIDATES, 401, *block_vars)
-            vals = self.o.eval_batch(_pin(self.point, block_vars, cand))
-            idx = np.flatnonzero(np.isfinite(vals))
-            if idx.size < 2:
-                raise DegenerateAnchorError("block probes mostly invalid")
-            order = idx[np.argsort(vals[idx])]
-            spread = float(vals[order[-1]] - vals[order[0]])
-            if spread <= self.cfg.tol_detect * max(1.0, float(np.nanmax(np.abs(vals)))):
-                raise DegenerateAnchorError("degenerate block during membership test")
-            self._spreads[block_vars] = (cand[order[0]], cand[order[-1]], spread)
-        return self._spreads[block_vars]
+        self._spread_pairs([block_vars])
+        held = self._spreads[block_vars]
+        if isinstance(held, DegenerateAnchorError):
+            raise held
+        return held
+
+    def delta_points(self, block_vars: tuple[int, ...], cols: tuple[int, ...],
+                     coords) -> np.ndarray:
+        """The points of `delta` at the rows of coords: those at b_lo, then
+        those at b_hi."""
+        b_lo, b_hi, _ = self.spread_pair(block_vars)
+        coords = np.atleast_2d(coords)
+        n = coords.shape[0]
+        pts = _pin(self.point, block_vars, np.repeat(np.stack([b_lo, b_hi]), n, axis=0))
+        pts[:, [v - 1 for v in cols]] = np.concatenate([coords, coords])
+        return pts
 
     def delta(self, block_vars: tuple[int, ...], cols: tuple[int, ...], coords) -> np.ndarray:
         """Delta(z) = f(z, b_lo, point elsewhere) - f(z, b_hi, point
         elsewhere) at each row z of coords over `cols`, at the block's
         spread pair, in one oracle call. Every other block cancels, leaving
         the block's repeated coupling times a constant."""
-        b_lo, b_hi, _ = self.spread_pair(block_vars)
-        coords = np.atleast_2d(coords)
-        n = coords.shape[0]
-        pts = _pin(self.point, block_vars, np.repeat(np.stack([b_lo, b_hi]), n, axis=0))
-        pts[:, [v - 1 for v in cols]] = np.concatenate([coords, coords])
-        f = self.o.eval_batch(pts)
-        return f[:n] - f[n:]
+        return _halves_diff(self.o.eval_batch(self.delta_points(block_vars, cols, coords)))
 
-    def membership(self, block_vars: tuple[int, ...], repeated) -> tuple[int, ...]:
-        """The repeated variables the block's difference varies with, each
-        swept at MEMBERSHIP_POINTS points of its own (stream 601)."""
-        for v in repeated:
-            if (v, block_vars) not in self._members:
-                zs = self.uniform((v,), MEMBERSHIP_POINTS, 601, v, *block_vars)
-                deltas = self.delta(block_vars, (v,), zs)
+    def memberships(self, blocks, repeated) -> list[tuple[int, ...]]:
+        """For each of `blocks`, the repeated variables its difference
+        varies with, each swept at MEMBERSHIP_POINTS points of its own
+        (stream 601).
+
+        The spread pairs the new sweeps need are evaluated in one oracle
+        call, then every new sweep in one more. Errors are read block by
+        block, a block's spread pair before its sweeps, so the error is
+        the one a block-by-block evaluation would raise; only blocks
+        before the first failed spread pair are swept.
+        """
+        if not repeated:
+            return [() for _ in blocks]
+        todo = [b for b in blocks if any((v, b) not in self._members for v in repeated)]
+        self._spread_pairs(todo)
+        swept = itertools.takewhile(
+            lambda b: not isinstance(self._spreads[b], DegenerateAnchorError), todo)
+        sweeps = [(v, b) for b in swept for v in repeated if (v, b) not in self._members]
+        if sweeps:
+            zs = [self.uniform((v,), MEMBERSHIP_POINTS, 601, v, *b) for v, b in sweeps]
+            pts = [self.delta_points(b, (v,), z) for (v, b), z in zip(sweeps, zs)]
+            f = self.o.eval_batch(np.vstack(pts))
+            for key, fv in zip(sweeps, f.reshape(len(sweeps), -1)):
+                deltas = _halves_diff(fv)
                 deltas = deltas[np.isfinite(deltas)]
                 if deltas.size < 4:
-                    raise DegenerateAnchorError("membership sweep mostly invalid")
+                    self._members[key] = None
+                    continue
                 dscale = max(1.0, float(np.max(np.abs(deltas))))
                 spread = float(np.max(deltas) - np.min(deltas))
-                self._members[v, block_vars] = spread > self.cfg.tol_detect * dscale
-        return tuple(v for v in repeated if self._members[v, block_vars])
+                self._members[key] = spread > self.cfg.tol_detect * dscale
+        out = []
+        for b in blocks:
+            self.spread_pair(b)   # held by now: raises a failed one's error
+            if any(self._members[v, b] is None for v in repeated):
+                raise DegenerateAnchorError("membership sweep mostly invalid")
+            out.append(tuple(v for v in repeated if self._members[v, b]))
+        return out
+
+
+def _halves_diff(f: np.ndarray) -> np.ndarray:
+    """The first half of f less the second: `delta`'s values."""
+    n = len(f) // 2
+    return f[:n] - f[n:]
+
+
+def _draw(o: Oracle, cfg: RunConfig, attempt: tuple[int, ...], probe: np.ndarray):
+    """(anchor or None, f at the rows of `probe`): the anchor of
+    `Anchor.draw`, with the points of `probe` evaluated in the call that
+    evaluates the first draw. The other draws are evaluated, in one call,
+    only when the first is invalid."""
+    lo, hi = o.box.lo_array(), o.box.hi_array()
+    u = _rng(cfg.seed, 777, *attempt).random((ANCHOR_DRAWS, o.arity))
+    anchors = lo + (0.5 * (1.0 - ANCHOR_CENTRAL) + ANCHOR_CENTRAL * u) * (hi - lo)
+    f = o.eval_batch(np.vstack([anchors[:1], probe]))
+    if np.isfinite(f[0]):
+        return Anchor(o, anchors[0], cfg, float(f[0]), attempt), f[1:]
+    rest = o.eval_batch(anchors[1:])
+    valid = np.flatnonzero(np.isfinite(rest))
+    if not valid.size:
+        return None, f[1:]
+    return Anchor(o, anchors[1 + valid[0]], cfg, float(rest[valid[0]]), attempt), f[1:]
 
 
 def _tabulate(at: Anchor, cols, count: int, key, probe, what: str) -> FactorData:
@@ -545,94 +614,121 @@ def isolate_omega_data(at: Anchor, block_vars: tuple[int, ...],
 
 
 # --------------------------------------------------------------------------
-# factor partition: pairwise multiplicative-separability inside one block
+# factor partition: pairwise multiplicative separability inside the blocks
+
+GRID_DRAWS = PAIR_PROBES // 2 + 2   # draws per axis of a partition grid
+# each grid point's row and column, in row order, but the corner's
+_GRID_ROW = np.repeat(np.arange(GRID_DRAWS + 1), GRID_DRAWS + 1)[1:]
+_GRID_COL = np.tile(np.arange(GRID_DRAWS + 1), GRID_DRAWS + 1)[1:]
 
 
-def _pair_grid_values(
-    probe, base, corner: float, ip: int, iq: int, stream, lo, hi
-) -> np.ndarray:
-    """Response grid over a (K+1)x(K+1) lattice in the plane of columns
-    ip and iq of the base coordinates.
+@functools.cache
+def _index_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs k < k' of range(n), as np.triu_indices(n, 1); shared,
+    so never written to."""
+    return np.triu_indices(n, 1)
 
-    Row/column zero hold the base coordinates, so mixed differences and
-    one-sided differences against the base come out of the same grid.
-    Their corner, the base itself, is `corner`, the probe's value there,
-    which the caller already holds; the probe evaluates the other points.
+
+def _rank_one(M: np.ndarray, tol_abs: np.ndarray) -> np.ndarray:
+    """For each matrix of the stack M (P, r, c): do all its 2x2 minors
+    vanish within its tol_abs (pure-product check)?
+
+    Each minor M[i, j] M[i', j'] - M[i, j'] M[i', j] with i < i' and
+    j < j' is computed once. A row pair fails when the largest of its
+    minors exceeds tol_abs; like that maximum, a NaN minor makes its row
+    pair pass, and so does a product M[i, j] M[i', j] that is not finite,
+    which makes the j = j' minor, 0 otherwise, NaN.
     """
-    k = PAIR_PROBES // 2 + 2
-    a_vals = np.concatenate(([base[ip]], uniform(stream, lo[ip], hi[ip], k)))
-    b_vals = np.concatenate(([base[iq]], uniform(stream, lo[iq], hi[iq], k)))
-    coords = np.tile(base, ((k + 1) * (k + 1), 1))
-    coords[:, ip] = np.repeat(a_vals, k + 1)
-    coords[:, iq] = np.tile(b_vals, k + 1)
-    return np.concatenate(([corner], probe(coords[1:]))).reshape(k + 1, k + 1)
+    i, i2 = _index_pairs(M.shape[1])
+    j, j2 = _index_pairs(M.shape[2])
+    A, B = M[:, i], M[:, i2]            # (P, row pairs, c)
+    minors = A[:, :, j] * B[:, :, j2] - A[:, :, j2] * B[:, :, j]
+    worst = np.max(np.abs(minors), axis=2)
+    nan = ~np.isfinite(A * B).all(axis=2)
+    return ~((worst > tol_abs[:, None]) & ~nan).any(axis=1)
 
 
-def _rank_one(M: np.ndarray, tol_abs: float) -> bool:
-    """All 2x2 minors of M vanish within tol_abs (pure-product check).
+def _products(H: np.ndarray, tol: float) -> np.ndarray:
+    """Classify a stack H (P, K, K) of variable-pair response grids, base
+    coordinates in row and column zero: True where the pair is a clean
+    multiplicative split. A pair with no interaction at all (additively
+    fused inside one factor) or one that interacts but not as a product
+    (entangled) is False: both stay in one factor."""
+    scale = np.maximum(1.0, np.max(np.abs(H), axis=(1, 2)))
+    mixed = H - H[:, :, :1] - H[:, :1, :] + H[:, :1, :1]
+    none = np.max(np.abs(mixed), axis=(1, 2)) <= tol * scale
+    G_rows = H - H[:, :1, :]          # differences against the base a-row
+    G_cols = H - H[:, :, :1]          # differences against the base b-column
+    tol_abs = tol * scale * scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        rank_one = _rank_one(np.concatenate([G_rows, G_cols.transpose(0, 2, 1)]),
+                             np.concatenate([tol_abs, tol_abs]))
+    return ~none & rank_one[:len(H)] & rank_one[len(H):]
 
-    P[i, i', j, j'] = M[i, j] * M[i', j'], so P - P.swapaxes(2, 3) holds
-    every minor of rows i, i' (twice, up to sign, and zeros for i = i').
-    A row pair fails when the largest of its minors exceeds tol_abs; like
-    that maximum, a NaN minor makes its row pair pass.
+
+def factor_partition(at: Anchor, blocks) -> list[tuple[tuple[tuple[int, ...], ...], ...]]:
+    """(psi groups, omega groups) of each block: its own variables and its
+    repeated ones, each partitioned into multiplicative factor groups.
+
+    Each variable pair (p, q) of a side is probed on a grid through the
+    anchor's coordinates, GRID_DRAWS values a variable drawn within the
+    box from the stream at.rng(tag, p, q, *block_vars), tag 501 for psi
+    and 502 for omega. Psi grids read the anchor's slice, f(b, anchor
+    elsewhere) - f(anchor); omega grids the block differencing `delta` at
+    the block's spread pair. The grids' corner is the anchor, whose value
+    is known: 0 for psi, and for omega f(b_lo) - f(b_hi), the negated
+    spread. Every grid of every block is evaluated in one oracle call and
+    classified in one array step. A grid with an invalid point raises
+    DegenerateAnchorError, as it would first in block order, psi before
+    omega; so only an attempt that ends here evaluates grids that a
+    grid-by-grid order would have skipped.
+
+    Variables stay in one group when they are additively fused (no
+    pairwise interaction) or interact in a non-product way; clean product
+    pairs separate. Groups are the connected components of the resulting
+    same-factor relation, so a side with one variable is its own group
+    and costs no probe.
     """
-    P = M[:, None, :, None] * M[None, :, None, :]
-    worst = np.max(np.abs(P - P.swapaxes(2, 3)), axis=(2, 3))
-    return not np.any(worst > tol_abs)
+    o, point = at.o, at.point
+    lo, hi = o.box.lo_array(), o.box.hi_array()
+    sides = [(b.vars, side, tag) for b in blocks
+             for side, tag in ((b.vars, 501), (b.repeated, 502))]
+    grids, pts = [], []
+    for s, (block_vars, variables, tag) in enumerate(sides):
+        for p, q in itertools.combinations(variables, 2):
+            # each axis: the anchor's coordinate, then GRID_DRAWS draws
+            stream = at.rng(tag, p, q, *block_vars)
+            a, b = (np.concatenate(([point[v - 1]],
+                                    uniform(stream, lo[v - 1], hi[v - 1], GRID_DRAWS)))
+                    for v in (p, q))
+            coords = np.column_stack([a[_GRID_ROW], b[_GRID_COL]])
+            grids.append((s, p, q))
+            pts.append(_pin(point, (p, q), coords) if tag == 501
+                       else at.delta_points(block_vars, (p, q), coords))
 
+    def grid(side, f):   # the grid's values, corner first
+        block_vars, _, tag = side
+        if tag == 501:
+            return np.concatenate(([0.0], f - at.f))
+        return np.concatenate(([-at.spread_pair(block_vars)[2]], _halves_diff(f)))
 
-def _pair_separable(H: np.ndarray, cfg: RunConfig) -> str:
-    """Classify a variable pair from its response grid H.
-
-    Returns "none" (no interaction at all: the pair is additively fused
-    inside one factor), "product" (clean multiplicative split), or
-    "entangled" (interacting but not a product: same factor).
-    """
-    if not np.all(np.isfinite(H)):
-        # bubbles up to the anchor attempts of detect_structure
-        raise DegenerateAnchorError("factor probe grid hit invalid points")
-    scale = max(1.0, float(np.max(np.abs(H))))
-    mixed = H - H[:, :1] - H[:1, :] + H[0, 0]
-    if np.max(np.abs(mixed)) <= cfg.tol_detect * scale:
-        return "none"
-    G_rows = H - H[:1, :]          # differences against the base a-row
-    G_cols = H - H[:, :1]          # differences against the base b-column
-    tol_abs = cfg.tol_detect * scale * scale
-    if _rank_one(G_rows, tol_abs) and _rank_one(G_cols.T, tol_abs):
-        return "product"
-    return "entangled"
-
-
-def factor_partition(
-    at: Anchor, variables: tuple[int, ...], probe, corner: float,
-    key: tuple[int, tuple[int, ...]],
-) -> tuple[tuple[int, ...], ...]:
-    """Partition `variables` into multiplicative factor groups.
-
-    `probe` maps an (N, len(variables)) array of their coordinates to
-    response values, everything else pinned, and `corner` is its value at
-    the anchor's coordinates, which no grid evaluates again; each pair
-    (p, q) is probed on a grid through the anchor's coordinates, drawn
-    within the box from the stream at.rng(tag, p, q, *block_vars), where
-    key = (tag, block_vars). Variables stay in one group when they are
-    additively fused (no pairwise interaction) or interact in a
-    non-product way; clean product pairs separate. Groups are the
-    connected components of the resulting same-factor relation. A single
-    variable is its own group without a probe.
-    """
-    if len(variables) == 1:
-        return (tuple(variables),)
-    tag, block_vars = key
-    cols = [v - 1 for v in variables]
-    base = at.point[cols]
-    lo, hi = at.o.box.lo_array()[cols], at.o.box.hi_array()[cols]
     same = set()
-    for (ip, p), (iq, q) in itertools.combinations(enumerate(variables), 2):
-        stream = at.rng(tag, p, q, *block_vars)
-        H = _pair_grid_values(probe, base, corner, ip, iq, stream, lo, hi)
-        if _pair_separable(H, at.cfg) != "product":
-            same |= {(p, q), (q, p)}
-    return tuple(_components(variables, lambda u, w: (u, w) in same))
+    if grids:
+        f = o.eval_batch(np.vstack(pts))
+        H = np.empty((len(grids), (GRID_DRAWS + 1) ** 2))
+        start = 0
+        for g, (s, _, _) in enumerate(grids):
+            H[g] = grid(sides[s], f[start:start + len(pts[g])])
+            start += len(pts[g])
+        H = H.reshape(len(grids), GRID_DRAWS + 1, GRID_DRAWS + 1)
+        if not np.isfinite(H).all():
+            # bubbles up to the anchor attempts of detect_structure
+            raise DegenerateAnchorError("factor probe grid hit invalid points")
+        products = _products(H, at.cfg.tol_detect)
+        same = {g for g, product in zip(grids, products) if not product}
+    groups = [tuple(_components(variables, lambda u, w: (s, min(u, w), max(u, w)) in same))
+              for s, (_, variables, _) in enumerate(sides)]
+    return list(zip(groups[::2], groups[1::2]))
 
 
 # --------------------------------------------------------------------------
@@ -645,21 +741,28 @@ def _block_consistent(at: Anchor, block_vars, members) -> bool:
     For a genuine block, h(b) = f(b, anchor else) - f(anchor) and the
     coupling shape g(b) = [f(z, b) - f(z, base)] - [f(anchor_r, b) -
     f(anchor_r, base)] are both affine-free images of the same inner
-    function, so all their cross products must cancel. The slice takes
-    one oracle call, and each trial's points one more.
+    function, so all their cross products must cancel. The slice and the
+    first trial's points take one oracle call; the second trial, which
+    runs only when the first passes, takes one more.
     """
     if not members:
         return True
     o, anchor, cfg = at.o, at.point, at.cfg
     bs = at.uniform(block_vars, 8, 701, *block_vars)
-    h = at.slice(block_vars, bs)
     base_b = np.asarray([anchor[v - 1] for v in block_vars])
-    for trial in range(2):
-        z = at.uniform(members, 1, 702, trial, *block_vars)[0]
+
+    def trial_points(trial):
         # the slice points at z, then the base point at z
+        z = at.uniform(members, 1, 702, trial, *block_vars)[0]
         pts = _pin(anchor, block_vars, np.vstack([bs, base_b]))
         pts[:, [v - 1 for v in members]] = z
-        f = o.eval_batch(pts)
+        return pts
+
+    f = o.eval_batch(np.vstack([_pin(anchor, block_vars, bs), trial_points(0)]))
+    h, f = f[:len(bs)] - at.f, f[len(bs):]
+    for trial in range(2):
+        if trial:
+            f = o.eval_batch(trial_points(trial))
         fz, fz0 = f[:-1], f[-1]
         if not (np.all(np.isfinite(fz)) and np.isfinite(fz0) and np.all(np.isfinite(h))):
             raise DegenerateAnchorError("consistency probes invalid")
@@ -672,12 +775,14 @@ def _block_consistent(at: Anchor, block_vars, members) -> bool:
 
 
 def _structure_consistent(at: Anchor, g: InteractionGraph, picked) -> bool:
-    """Check every candidate block against its repeated-variable coupling."""
+    """Check every candidate block against its repeated-variable coupling,
+    block by block: the first inconsistent block ends the check, so no
+    later block is probed."""
     rest = set(range(1, g.n + 1)) - set(picked)
     if not rest:
         return False
     for comp in g.components(rest):
-        if not _block_consistent(at, comp, at.membership(comp, picked)):
+        if not _block_consistent(at, comp, at.memberships([comp], picked)[0]):
             return False
     return True
 
@@ -694,7 +799,9 @@ def minimal_blocks(
     StructureUnstableError, and a draw with no valid point raises
     DegenerateAnchorError. The second anchor's graph scores only the pairs
     inside the non-repeated variables, the only pairs their components
-    read. Memberships read the spread pairs and sweeps of `at`.
+    read. Memberships read the spread pairs and sweeps of `at`; those
+    not yet held are evaluated for all blocks at once, the spread pairs
+    in one oracle call and the sweeps in one more.
     """
     o, cfg = at.o, at.cfg
     rest = set(range(1, o.arity + 1)) - set(repeated)
@@ -711,7 +818,8 @@ def minimal_blocks(
     else:
         raise StructureUnstableError("structure unstable: anchors disagree on blocks")
 
-    blocks = [Block(vars=comp, repeated=at.membership(comp, repeated)) for comp in comps]
+    blocks = [Block(vars=comp, repeated=members)
+              for comp, members in zip(comps, at.memberships(comps, repeated))]
     return GsStructure(
         repeated=tuple(sorted(repeated)), blocks=blocks, anchor=tuple(at.point)
     )
@@ -775,16 +883,17 @@ def detect_structure(o: Oracle, cfg: RunConfig | None = None) -> GsStructure:
 def _detect_once(o: Oracle, cfg: RunConfig, attempt: tuple[int]) -> GsStructure:
     """One anchor attempt. Its `Anchor` evaluates f(anchor), each block's
     spread pair and each membership sweep once for every stage, the fit's
-    sweeps included: the structure it returns carries it."""
-    at = Anchor.draw(o, cfg, attempt)
+    sweeps included: the structure it returns carries it. The box probe
+    of a constant or invalid target is evaluated with the first anchor
+    draw, in one call, and every partition grid in one more."""
     box_probe = o.box.uniform(16, _rng(cfg.seed, 900, *attempt))
+    at, probe = _draw(o, cfg, attempt, box_probe)
     if at is None:
-        if not np.isfinite(o.eval_batch(box_probe)).any():
+        if not np.isfinite(probe).any():
             raise TargetInvalidError("target invalid (nan or inf) at every probed point")
         raise DegenerateAnchorError("anchor value invalid")
 
     # constant targets have no blocks at all
-    probe = o.eval_batch(box_probe)
     probe = probe[np.isfinite(probe)]
     scale = max(1.0, abs(at.f))
     if probe.size and np.max(np.abs(probe - at.f)) <= cfg.tol_detect * scale:
@@ -794,19 +903,8 @@ def _detect_once(o: Oracle, cfg: RunConfig, attempt: tuple[int]) -> GsStructure:
     validator = lambda picked: _structure_consistent(at, graph, picked)
     repeated = repeated_vars(graph, cfg.kmax, validator=validator)
     structure = minimal_blocks(at, repeated, graph)
-
-    # each partition grid's corner is the anchor: psi reads 0 there, and
-    # omega f(b_lo) - f(b_hi), the negated spread of the block's spread pair
-    for b in structure.blocks:
-        psi = lambda coords: at.slice(b.vars, coords)
-        b.psi_factors = factor_partition(at, b.vars, psi, 0.0, (501, b.vars))
-        if len(b.repeated) > 1:
-            omega = lambda coords: at.delta(b.vars, b.repeated, coords)
-            b.omega_factors = factor_partition(
-                at, b.repeated, omega, -at.spread_pair(b.vars)[2], (502, b.vars)
-            )
-        elif b.repeated:
-            b.omega_factors = (b.repeated,)
+    for b, (psi, omega) in zip(structure.blocks, factor_partition(at, structure.blocks)):
+        b.psi_factors, b.omega_factors = psi, omega
 
     if not _reconstruction_ok(at, structure):
         raise NotSeparableError(

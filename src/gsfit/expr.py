@@ -82,9 +82,14 @@ class Expr:
 
     def param_bound(self) -> int:
         """Number of parameter slots the tree uses (largest slot plus one)."""
+        return self._param_bound
+
+    @cached_property
+    def _param_bound(self) -> int:
+        # per node, as _arity_bound
         if self.kind == "param":
             return self.index + 1
-        return max((a.param_bound() for a in self.args), default=0)
+        return max((a._param_bound for a in self.args), default=0)
 
     def bind(self, theta, var_map) -> "Expr":
         """Copy with parameters set to theta and local x<k> renamed to
@@ -99,7 +104,12 @@ class Expr:
 
     def complexity(self) -> int:
         """Total node count; constants and variables count one each."""
-        return 1 + sum(a.complexity() for a in self.args)
+        return self._complexity
+
+    @cached_property
+    def _complexity(self) -> int:
+        # per node, as _arity_bound
+        return 1 + sum(a._complexity for a in self.args)
 
     def evaluate(self, point) -> float:
         """Evaluate at a single point (sequence of floats, 1-based vars).
@@ -171,8 +181,9 @@ class Expr:
         raise ValueError(f"unknown node kind {k!r}")
 
     def __getstate__(self):
-        # the fields only: the per-node caches (_compiled, _arity_bound)
-        # are rebuilt on use, and a closure cannot be pickled
+        # the fields only: the per-node caches (_compiled, _arity_bound,
+        # _param_bound, _complexity) are rebuilt on use, and a closure
+        # cannot be pickled
         return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
     # -- printing ----------------------------------------------------------

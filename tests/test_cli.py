@@ -454,6 +454,27 @@ def test_every_tenth_fuzz_target_keeps_its_exit_code(capsys):
         assert code == expected, (i, text)
 
 
+def test_a_partition_grid_on_invalid_points_ends_detection_with_its_reason(
+    capsys, monkeypatch
+):
+    # fuzz target #140: every attempt ends in its partition grid, whose
+    # points the pair's grids share one oracle call with; the error and the
+    # evaluations are those of probing grid by grid
+    rows = []
+    inner = Oracle.eval_batch
+
+    def spy(self, points):
+        rows.append(len(points))
+        return inner(self, points)
+
+    monkeypatch.setattr(Oracle, "eval_batch", spy)
+    code, _, err = run_cli(["detect", "--target", "ln(x1)/x2", "--dims", "2",
+                            "--seed", "1"], capsys)
+    assert code == 2
+    assert err.strip() == "detection failed: factor probe grid hit invalid points"
+    assert sum(rows) == 396
+
+
 @pytest.mark.parametrize("target, dims", [("x1*x2", "3"), ("x1", "2")])
 def test_a_variable_the_target_ignores_fits_as_a_constant_factor(capsys, target, dims):
     args = ["--target", target, "--dims", dims, "--seed", "1"]
