@@ -195,11 +195,6 @@ def run_case(no: int, seed: int = 0, detect_only: bool = False) -> CaseReport:
     return report
 
 
-def _run_one(args):
-    no, seed, detect_only = args
-    return run_case(no, seed, detect_only=detect_only)
-
-
 @dataclass
 class SuiteReport:
     """Aggregated results over cases and repeats."""
@@ -307,19 +302,17 @@ def run_suite(
         raise ValueError("no cases to run")
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
-    jobs = [
-        (no, seed, detect_only)
-        for no in cases
-        for seed in suite_seeds(base_seed, no, repeats)
-    ]
+    jobs = [(no, seed) for no in cases for seed in suite_seeds(base_seed, no, repeats)]
+    nos, seeds = zip(*jobs)
+    flags = [detect_only] * len(jobs)
     if parallel:
         import concurrent.futures as cf
         import os
 
         workers = max(1, min(8, os.cpu_count() or 1))
         with cf.ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_run_one, jobs))
+            reports = list(pool.map(run_case, nos, seeds, flags))
     else:
-        reports = [_run_one(j) for j in jobs]
+        reports = list(map(run_case, nos, seeds, flags))
     reports.sort(key=lambda r: (r.no, r.seed))
     return SuiteReport(reports=reports)

@@ -231,76 +231,55 @@ def _pair_scores(at: Anchor, pairs, probes: int, tol: float = math.inf) -> np.nd
     reads the t-th move of each of its variables, so a pair's attempts are
     a prefix of those it would get under a larger tol.
     """
-    o, anchor, fc = at.o, at.point, at.f
+    o, anchor, fc = at.o, at.point, float(at.f)
     pairs = [tuple(sorted(p)) for p in pairs]
-    verts = sorted({v for p in pairs for v in p})
-    # each pair's rows of the (variables x attempts) move arrays
-    rows = np.array([(verts.index(a), verts.index(b)) for a, b in pairs], dtype=int)
-    rows = rows.reshape(-1, 2)
-    cols = np.array(verts, dtype=int) - 1
-    rngs = [at.rng(101, v) for v in verts]
-    lo, hi = o.box.lo_array()[cols, None], o.box.hi_array()[cols, None]
+    lo, hi = o.box.lo_array(), o.box.hi_array()
+    # v -> its stream and its moves X_v[0], X_v[1], ... drawn so far
+    moves = {v: (at.rng(101, v), []) for v in {v for p in pairs for v in p}}
+    single = {}        # (v, t) -> f at the anchor with x_v = X_v[t]
 
-    def draw(m):    # every variable's next m moves, drawn as `uniform` does
-        return lo + np.array([r.random(m) for r in rngs]).reshape(-1, m) * (hi - lo)
+    def move(v, t):    # drawn `probes` at a time, as `uniform` draws them
+        r, xs = moves[v]
+        if t >= len(xs):
+            u = r.random(max(probes, t + 1 - len(xs)))
+            xs += (lo[v - 1] + u * (hi[v - 1] - lo[v - 1])).tolist()
+        return xs[t]
 
-    moves = draw(probes)                       # X_v[t]
-    single = np.empty(moves.shape)             # f at the single moves,
-    have = np.zeros(moves.shape, dtype=bool)   # where evaluated so far
-    made = np.zeros(len(pairs), dtype=int)     # attempts so far, valid or not
-    filled = np.zeros(len(pairs), dtype=int)
-    invalid_run = np.zeros(len(pairs), dtype=int)
-    diff = np.zeros(len(pairs))
-    peak = np.zeros(len(pairs))
-    todo = np.arange(len(pairs))
-    needs = np.ones(len(pairs), dtype=int)
-    while todo.size:
-        starts = np.cumsum(needs) - needs      # each pair's attempts are contiguous
-        owner = np.repeat(todo, needs)
-        t = np.arange(len(owner)) - np.repeat(starts - made[todo], needs)
-        made[todo] += needs
-        if made.max() > moves.shape[1]:        # invalid attempts used up the moves
-            more = draw(made.max() - moves.shape[1])
-            moves = np.hstack([moves, more])
-            single = np.hstack([single, np.empty(more.shape)])
-            have = np.hstack([have, np.zeros(more.shape, dtype=bool)])
-        ra, rb = rows[owner, 0], rows[owner, 1]
-        reads = np.zeros(have.shape, dtype=bool)
-        reads[ra, t] = reads[rb, t] = True
-        mr, mt = np.nonzero(reads & ~have)     # single moves read for the first time
-        have |= reads
-        pts = np.empty((len(mr) + len(owner), anchor.size))
-        pts[:] = anchor
-        pts[np.arange(len(mr)), cols[mr]] = moves[mr, mt]
-        joint = np.arange(len(mr), len(pts))
-        pts[joint, cols[ra]] = moves[ra, t]
-        pts[joint, cols[rb]] = moves[rb, t]
-        f = o.eval_batch(pts)
-        single[mr, mt] = f[:len(mr)]
-        f4 = np.empty((len(owner), 4))         # each attempt's four values
-        f4[:, 0] = f[len(mr):]
-        f4[:, 1], f4[:, 2], f4[:, 3] = single[ra, t], single[rb, t], fc
-        ok = np.isfinite(f4).all(axis=1)
-        if ok.all():
-            invalid_run[todo] = 0
-        else:
-            for k, flags in zip(todo, np.split(ok, starts[1:])):
-                for good in flags:
-                    invalid_run[k] = 0 if good else invalid_run[k] + 1
-                    if invalid_run[k] == MAX_INVALID_ATTEMPTS:
-                        raise DegenerateAnchorError(
-                            "degenerate domain: probes keep hitting invalid points"
-                        )
-        # invalid attempts count as 0, which never raises a maximum
-        quad = np.where(ok, np.abs(f4[:, 0] - f4[:, 1] - f4[:, 2] + f4[:, 3]), 0.0)
-        top = np.where(ok, np.abs(f4).max(axis=1), 0.0)
-        diff[todo] = np.maximum(diff[todo], np.maximum.reduceat(quad, starts))
-        peak[todo] = np.maximum(peak[todo], np.maximum.reduceat(top, starts))
-        filled[todo] += np.add.reduceat(ok, starts, dtype=int)
-        score = diff[todo] / np.maximum(1.0, peak[todo])
-        todo = todo[(filled[todo] < probes) & ~(score > tol)]
-        needs = probes - filled[todo]
-    return diff / np.maximum(1.0, peak)
+    made, filled, run = [0] * len(pairs), [0] * len(pairs), [0] * len(pairs)
+    diff, peak = [0.0] * len(pairs), [0.0] * len(pairs)
+    todo, need = list(range(len(pairs))), [1] * len(pairs)
+    while todo:
+        joint = [(k, t) for k, m in zip(todo, need) for t in range(made[k], made[k] + m)]
+        for k, m in zip(todo, need):
+            made[k] += m
+        new = sorted({(v, t) for k, t in joint for v in pairs[k]} - single.keys())
+        pts = np.tile(anchor, (len(new) + len(joint), 1))
+        for i, (v, t) in enumerate(new):
+            pts[i, v - 1] = move(v, t)
+        for i, (k, t) in enumerate(joint, len(new)):
+            for v in pairs[k]:
+                pts[i, v - 1] = move(v, t)
+        f = o.eval_batch(pts).tolist()
+        single.update(zip(new, f))
+        for (k, t), f0 in zip(joint, f[len(new):]):
+            a, b = pairs[k]
+            f4 = (f0, single[a, t], single[b, t], fc)
+            if not all(map(math.isfinite, f4)):
+                run[k] += 1
+                if run[k] == MAX_INVALID_ATTEMPTS:
+                    raise DegenerateAnchorError(
+                        "degenerate domain: probes keep hitting invalid points"
+                    )
+                continue
+            run[k] = 0
+            filled[k] += 1
+            diff[k] = max(diff[k], abs(f4[0] - f4[1] - f4[2] + f4[3]))
+            peak[k] = max(peak[k], *map(abs, f4))
+        # the stop test waits for the round: its points are evaluated in
+        # one call already, and an edge's score covers all of them
+        todo = [k for k in todo if filled[k] < probes and not diff[k] / max(1.0, peak[k]) > tol]
+        need = [probes - filled[k] for k in todo]
+    return np.array(diff) / np.maximum(1.0, peak)
 
 
 def mixed_diff(
@@ -659,8 +638,8 @@ def _products(H: np.ndarray, tol: float) -> np.ndarray:
     none = np.max(np.abs(mixed), axis=(1, 2)) <= tol * scale
     G_rows = H - H[:, :1, :]          # differences against the base a-row
     G_cols = H - H[:, :, :1]          # differences against the base b-column
-    tol_abs = tol * scale * scale
     with np.errstate(over="ignore", invalid="ignore"):
+        tol_abs = tol * scale * scale
         rank_one = _rank_one(np.concatenate([G_rows, G_cols.transpose(0, 2, 1)]),
                              np.concatenate([tol_abs, tol_abs]))
     return ~none & rank_one[:len(H)] & rank_one[len(H):]

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -245,6 +246,37 @@ def test_interaction_graph_is_two_oracle_calls_on_a_valid_domain(no, monkeypatch
     rest = (PAIR_PROBES - 1) * (len(non_edges) + len(touched))
     assert calls == [o.arity + len(pairs)] + ([rest] if non_edges else [])
     assert (not non_edges) == (no == 9)
+
+
+def test_the_graph_call_schedule_where_probes_hit_invalid_points(monkeypatch):
+    # ln(x1) is invalid on half the box: the first call holds both first
+    # moves and the one joint move, each later one the attempts the pair
+    # still lacks probes and the moves they read first, past PAIR_PROBES
+    # where invalid attempts used them up
+    want = {
+        0: [3, 24, 12, 3, 3],
+        1: [3, 21, 9, 6],
+        2: [3, 24, 15, 12, 12, 3, 3],
+        3: [3, 24, 12, 6, 3],
+        4: [3, 24, 12, 9, 6],
+        5: [3, 21, 12],
+    }
+    calls = []
+    inner = Oracle.eval_batch
+
+    def spy(self, points):
+        calls.append(len(points))
+        return inner(self, points)
+
+    for seed, sizes in want.items():
+        o = make_oracle(ex.parse("ln(x1)+x2", 2), DomainBox.cube(-3, 3, 2))
+        at = Anchor(o, [0.5, 0.5], RunConfig(seed=seed), o([0.5, 0.5]))
+        calls.clear()
+        monkeypatch.setattr(Oracle, "eval_batch", spy)
+        g = interaction_graph(at)
+        monkeypatch.setattr(Oracle, "eval_batch", inner)
+        assert calls == sizes, seed
+        assert g.edges() == []
 
 
 def test_mixed_diff_is_the_graph_score():
@@ -732,6 +764,17 @@ def test_detect_structure_counts_probes():
     o = CASES[2].oracle()
     s = detect_structure(o, RunConfig(seed=7))
     assert s.probes_used == o.eval_count
+
+
+def test_detection_warns_of_no_overflow_in_a_grid_tolerance():
+    # fuzz target #284: a partition grid's values reach about 1e154, so
+    # the squared scale of its rank-one tolerance overflows to inf
+    o = make_oracle(ex.parse("exp(x2*(4.891*x1)/(-sin(x3)))", 4), DomainBox.cube(-3, 3, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = detect_structure(o, RunConfig(seed=6))
+    assert [b.vars for b in s.blocks] == [(1, 2, 3), (4,)]
+    assert s.probes_used == o.eval_count == 376
 
 
 def test_detection_error_when_anchor_always_invalid():
