@@ -1,4 +1,4 @@
-"""The ten-case benchmark: case table, per-case runs, suite aggregation."""
+"""The benchmark: case table, demo and wide case, runs, suite aggregation."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import numpy as np
 from . import assemble as asm
 from . import detect as det
 from .config import RunConfig
-from .expr import parse
+from .expr import Expr, parse
 from .oracle import DomainBox, Oracle, make_oracle
 
 
@@ -28,6 +28,11 @@ class CaseSpec:
     expected_repeated: tuple[int, ...]
     expected_blocks: int
     expected_factors: int
+    target: Expr = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # parsed once, with the table: every run's oracle shares the tree
+        object.__setattr__(self, "target", parse(self.text, self.dim))
 
     @property
     def samples(self) -> int:
@@ -35,11 +40,8 @@ class CaseSpec:
         takes 20 points per basis column."""
         return RunConfig.samples_per_var * self.dim
 
-    def target(self):
-        return parse(self.text, self.dim)
-
     def oracle(self) -> Oracle:
-        return make_oracle(self.target(), self.box)
+        return make_oracle(self.target, self.box)
 
 
 def _cube(lo, hi, n):
@@ -92,9 +94,14 @@ STREAM_DEMO = CaseSpec(
     (3, 4), 2, 5,
 )
 
+# Case 12, outside the acceptance suite: 32 two-variable blocks of mixed
+# shapes on [0.5, 2]^65, each multiplied by the repeated variable x65.
+_WIDE_TERMS = ("sin(x{})*x{}", "exp(0.5*x{})*x{}", "cos(0.5*x{})*x{}^2", "x{}^2/x{}")
+WIDE = CaseSpec(12, "+".join("x65*" + _WIDE_TERMS[i % 4].format(2 * i + 1, 2 * i + 2)
+                             for i in range(32)), 65, _cube(0.5, 2, 65), (65,), 32, 96)
 
-# every case a suite can run, by number: the table and the demo
-ALL_CASES: dict[int, CaseSpec] = {**CASES, STREAM_DEMO.no: STREAM_DEMO}
+# every case a suite can run, by number: the table, the demo and the wide case
+ALL_CASES: dict[int, CaseSpec] = {**CASES, STREAM_DEMO.no: STREAM_DEMO, WIDE.no: WIDE}
 
 
 def get_case(no: int) -> CaseSpec:

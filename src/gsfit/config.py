@@ -1,8 +1,9 @@
 """The run configuration and the seed streams derived from it.
 
-A run is set by the six fields of `RunConfig`, one per command-line flag;
-every stage reads its settings from the one frozen instance. Tuning values
-that no caller sets are module constants next to the code that uses them.
+A run is set by the six fields of `RunConfig`, one per command-line flag,
+which it checks on construction; every stage reads its settings from the
+one frozen instance. Tuning values that no caller sets are module
+constants next to the code that uses them.
 
 Detection draws each probe batch from its own stream, keyed by one rule:
 `rng(seed, tag, *attempt, ...)`, where `attempt` is the key of the
@@ -33,6 +34,7 @@ restart) for an LDSE restart.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -48,6 +50,19 @@ class RunConfig:
                                   # fewer than training's 20 per basis column
     max_nodes: int = 12           # largest skeleton template node count
     kmax: int = 3                 # largest candidate repeated-variable cut
+
+    def __post_init__(self):
+        # in the command line's order, each message naming the flag
+        for flag, ok, rule in (
+            ("--seed", self.seed >= 0, "at least 0"),
+            ("--tol-detect", 0 <= self.tol_detect < math.inf, "finite and at least 0"),
+            ("--tol-target", 0 <= self.tol_target < math.inf, "finite and at least 0"),
+            ("--max-nodes", self.max_nodes >= 3, "at least 3"),
+            ("--kmax", self.kmax >= 1, "at least 1"),
+            ("--samples-per-var", self.samples_per_var >= 1, "at least 1"),
+        ):
+            if not ok:
+                raise ValueError(f"{flag} must be {rule}")
 
 
 @functools.cache

@@ -336,22 +336,19 @@ def _best_cut(g: InteractionGraph, active: set[int], kmax: int):
 
     Preference order: smaller size, then larger component gain, then
     lexicographically smallest index tuple. None when no cut exists.
+    Each component is searched on its own, with the same result: at the
+    smallest size s of any cut, a subset of size s that spans two
+    components has parts smaller than s, which split no component, and a
+    part that covers a whole component removes it, so its gain is at most 0.
     """
-    base = len(g.components(active))
-    verts = sorted(active)
-    for size in range(1, min(kmax, len(verts) - 1) + 1):
-        best = None
-        for S in itertools.combinations(verts, size):
-            rest = active - set(S)
-            if not rest:
-                continue
-            gain = len(g.components(rest)) - base
-            if gain > 0:
-                key = (-gain, S)
-                if best is None or key < best:
-                    best = key
-        if best is not None:
-            return tuple(best[1])
+    comps = g.components(active)
+    for size in range(1, kmax + 1):
+        # (-gain, S) for each S of `size` inside one larger component C
+        cuts = ((1 - len(g.components(set(C) - set(S))), S)
+                for C in comps if len(C) > size for S in itertools.combinations(C, size))
+        best = min(cuts, default=(0, None))
+        if best[0] < 0:
+            return best[1]
     return None
 
 

@@ -38,6 +38,17 @@ STREAM_INDEPENDENT = lambda x: (x[0] * x[3] * math.sin(x[1])) * (
     1 - x[2] ** 2 / x[3] ** 2
 ) + x[4] / (2 * math.pi) * math.log(x[3] / x[2])
 
+# The wide case 12: x65 times 32 two-variable terms, four shapes in turn.
+_WIDE_SHAPES = (
+    lambda a, b: math.sin(a) * b,
+    lambda a, b: math.exp(0.5 * a) * b,
+    lambda a, b: math.cos(0.5 * a) * b ** 2,
+    lambda a, b: a ** 2 / b,
+)
+WIDE_INDEPENDENT = lambda x: sum(
+    x[64] * _WIDE_SHAPES[i % 4](x[2 * i], x[2 * i + 1]) for i in range(32)
+)
+
 
 def random_tree(rng: np.random.Generator, arity: int, depth: int = 0) -> ex.Expr:
     """Random expression tree over x1..x<arity>, depth-limited."""

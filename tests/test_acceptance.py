@@ -104,7 +104,7 @@ def test_criterion_5a_affine_invariance_of_detection():
     bad = []
     for no in sorted(CASES):
         spec = CASES[no]
-        base = spec.target()
+        base = spec.target
         scaled = ex.add(ex.mul(ex.const(-2.5), base), ex.const(7.0))
         s1 = detect_structure(make_oracle(base, spec.box), RunConfig(seed=11))
         s2 = detect_structure(make_oracle(scaled, spec.box), RunConfig(seed=11))

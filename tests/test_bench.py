@@ -3,16 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from gsfit.bench import CASES, STREAM_DEMO, get_case, run_case, run_suite, suite_seeds
+from gsfit.bench import CASES, STREAM_DEMO, WIDE, get_case, run_case, run_suite, suite_seeds
 
-from helpers import INDEPENDENT_TARGETS, STREAM_INDEPENDENT
+from helpers import INDEPENDENT_TARGETS, STREAM_INDEPENDENT, WIDE_INDEPENDENT
 
 
 @pytest.mark.parametrize("no", sorted(CASES))
 def test_case_expressions_match_independent_calculators(no):
     # guards against transcription errors in the case table
     spec = CASES[no]
-    target = spec.target()
+    target = spec.target
     rng = np.random.default_rng(100 + no)
     lo, hi = spec.box.lo_array(), spec.box.hi_array()
     for _ in range(5):
@@ -27,7 +27,7 @@ def test_case_expressions_at_box_midpoint(no):
     mid = spec.box.midpoint()
     with np.errstate(all="ignore"):
         expected = INDEPENDENT_TARGETS[no](mid)
-    got = spec.target().evaluate(mid)
+    got = spec.target.evaluate(mid)
     if np.isfinite(expected):
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)
     else:
@@ -37,12 +37,35 @@ def test_case_expressions_at_box_midpoint(no):
 
 
 def test_stream_demo_matches_independent_calculator():
-    target = STREAM_DEMO.target()
+    target = STREAM_DEMO.target
     rng = np.random.default_rng(99)
     lo, hi = STREAM_DEMO.box.lo_array(), STREAM_DEMO.box.hi_array()
     for _ in range(5):
         p = rng.uniform(lo, hi)
         assert target.evaluate(p) == pytest.approx(STREAM_INDEPENDENT(p), rel=1e-12)
+
+
+def test_wide_case_matches_independent_calculator():
+    target = WIDE.target
+    rng = np.random.default_rng(98)
+    lo, hi = WIDE.box.lo_array(), WIDE.box.hi_array()
+    for _ in range(5):
+        p = rng.uniform(lo, hi)
+        assert target.evaluate(p) == pytest.approx(WIDE_INDEPENDENT(p), rel=1e-12)
+
+
+def test_the_wide_case_runs_by_number_outside_the_table():
+    assert get_case(12) is WIDE and 12 not in CASES
+    assert WIDE.dim == 65 and WIDE.box.lo == (0.5,) * 65 and WIDE.box.hi == (2.0,) * 65
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_the_wide_case_detects_its_structure(seed):
+    r = run_case(12, seed=seed, detect_only=True)
+    assert r.error is None
+    assert r.detected_repeated == (65,)
+    assert (r.detected_blocks, r.detected_factors) == (32, 96)
+    assert r.structure_matched
 
 
 def test_case_table_expected_columns():

@@ -4,7 +4,10 @@ import itertools
 import numpy as np
 import pytest
 
-from gsfit.config import _digest_type, derived_seed, rng
+from gsfit.config import RunConfig, _digest_type, derived_seed, rng
+from gsfit.detect import detect_structure
+from gsfit.expr import parse
+from gsfit.oracle import DomainBox, make_oracle
 
 
 def test_a_stream_repeats_its_draws():
@@ -60,3 +63,32 @@ def test_a_stream_is_seeded_by_the_little_endian_words_of_its_digest():
 def test_derived_seed_stays_on_seed_sequence(base, key):
     want = int(np.random.SeedSequence(base, spawn_key=key).generate_state(1)[0])
     assert derived_seed(base, *key) == want
+
+
+@pytest.mark.parametrize("field, value, flag", [
+    ("seed", -1, "--seed"),
+    ("tol_detect", float("nan"), "--tol-detect"),
+    ("tol_detect", -1e-8, "--tol-detect"),
+    ("tol_target", float("inf"), "--tol-target"),
+    ("max_nodes", 2, "--max-nodes"),
+    ("kmax", 0, "--kmax"),
+    ("samples_per_var", 0, "--samples-per-var"),
+], ids=["seed", "tol_detect-nan", "tol_detect-negative", "tol_target-inf", "max_nodes",
+        "kmax", "samples_per_var"])
+def test_a_run_config_refuses_what_its_flag_refuses(field, value, flag):
+    with pytest.raises(ValueError, match=flag):
+        RunConfig(**{field: value})
+
+
+def test_a_library_caller_cannot_peel_nothing():
+    # kmax=0 once peeled no cut, so this target read as one block (1, 2, 3)
+    o = make_oracle(parse("x3*sin(x1)-2*x3*cos(x2)", 3), DomainBox.cube(-3, 3, 3))
+    with pytest.raises(ValueError, match="--kmax must be at least 1"):
+        detect_structure(o, RunConfig(kmax=0))
+    assert detect_structure(o, RunConfig()).repeated == (3,)
+
+
+def test_the_bounds_of_each_field_are_accepted():
+    cfg = RunConfig(seed=0, tol_detect=0.0, tol_target=0.0, max_nodes=3, kmax=1,
+                    samples_per_var=1)
+    assert (cfg.max_nodes, cfg.kmax, cfg.samples_per_var) == (3, 1, 1)

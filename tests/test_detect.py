@@ -8,7 +8,7 @@ import pytest
 
 import gsfit.detect as det
 from gsfit import expr as ex
-from gsfit.bench import CASES, STREAM_DEMO, run_case, suite_seeds
+from gsfit.bench import CASES, STREAM_DEMO, get_case, run_case, suite_seeds
 from gsfit.config import RunConfig, rng
 from gsfit.detect import (
     PAIR_PROBES,
@@ -513,6 +513,93 @@ def test_repeated_vars_two_variable_cut():
     assert repeated_vars(g, 3) == (3, 4)
 
 
+def whole_graph_best_cut(g, active, kmax):
+    """The reference cut search: every subset of the active set, its gain
+    counted over the whole active graph."""
+    base = len(g.components(active))
+    verts = sorted(active)
+    for size in range(1, min(kmax, len(verts) - 1) + 1):
+        best = None
+        for S in itertools.combinations(verts, size):
+            rest = active - set(S)
+            if not rest:
+                continue
+            gain = len(g.components(rest)) - base
+            if gain > 0:
+                key = (-gain, S)
+                if best is None or key < best:
+                    best = key
+        if best is not None:
+            return tuple(best[1])
+    return None
+
+
+def test_the_per_component_cut_is_the_whole_graph_cut_on_random_graphs():
+    gen = np.random.default_rng(31)
+    found = 0
+    for _ in range(3000):
+        n = int(gen.integers(1, 11))
+        density = gen.uniform(0.1, 0.9)
+        edges = [p for p in itertools.combinations(range(1, n + 1), 2)
+                 if gen.random() < density]
+        g = graph_from_edges(n, edges)
+        active = {v for v in range(1, n + 1) if gen.random() < 0.8}
+        kmax = int(gen.integers(1, 5))
+        cut = det._best_cut(g, active, kmax)
+        assert cut == whole_graph_best_cut(g, active, kmax)
+        found += cut is not None
+    assert det._best_cut(graph_from_edges(3, [(1, 2)]), set(), 3) is None
+    assert 600 <= found <= 2400
+
+
+@pytest.mark.parametrize("no", [*sorted(CASES), STREAM_DEMO.no])
+def test_the_per_component_cut_is_the_whole_graph_cut_in_detection(no, monkeypatch):
+    searches = []
+    inner = det._best_cut
+
+    def spy(g, active, kmax):
+        cut = inner(g, active, kmax)
+        searches.append(cut == whole_graph_best_cut(g, set(active), kmax))
+        return cut
+
+    monkeypatch.setattr(det, "_best_cut", spy)
+    for seed in (0, 1, 7):
+        detect_structure(get_case(no).oracle(), RunConfig(seed=seed))
+    assert searches and all(searches)
+
+
+def counted_peel(g, monkeypatch):
+    """repeated_vars(g) and the number of component searches it made."""
+    calls = []
+    inner = InteractionGraph.components
+
+    def spy(self, active=None):
+        calls.append(1)
+        return inner(self, active)
+
+    monkeypatch.setattr(InteractionGraph, "components", spy)
+    return repeated_vars(g), len(calls)
+
+
+def test_disjoint_pairs_peel_in_few_component_searches(monkeypatch):
+    # 32 two-variable components: the whole-graph search made 43,745
+    # component searches of the 64 variables
+    g = graph_from_edges(64, [(2 * i + 1, 2 * i + 2) for i in range(32)])
+    repeated, calls = counted_peel(g, monkeypatch)
+    assert repeated == ()
+    assert calls <= 200
+
+
+def test_a_hub_over_disjoint_pairs_peels_in_few_component_searches(monkeypatch):
+    # vertex 65 joined to all 64 others: the whole-graph search made
+    # 43,811 component searches
+    pairs = [(2 * i + 1, 2 * i + 2) for i in range(32)]
+    g = graph_from_edges(65, pairs + [(v, 65) for v in range(1, 65)])
+    repeated, calls = counted_peel(g, monkeypatch)
+    assert repeated == (65,)
+    assert calls <= 200
+
+
 def blocks_at(o, repeated, anchor, cfg):
     """minimal_blocks at `anchor`, with the graph scored there."""
     at = Anchor(o, anchor, cfg)
@@ -814,7 +901,7 @@ def test_detection_is_permutation_equivariant(no):
     spec = CASES[no]
     mapping = {i: (i % spec.dim) + 1 for i in range(1, spec.dim + 1)}  # cyclic shift
     base = detect_structure(spec.oracle(), RunConfig(seed=13))
-    permuted_target = permute_expr(spec.target(), mapping)
+    permuted_target = permute_expr(spec.target, mapping)
     o2 = make_oracle(permuted_target, spec.box)
     moved = detect_structure(o2, RunConfig(seed=13))
 
