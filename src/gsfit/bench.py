@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -28,16 +29,19 @@ class CaseSpec:
     expected_repeated: tuple[int, ...]
     expected_blocks: int
     expected_factors: int
-    target: Expr = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        # parsed once, with the table: every run's oracle shares the tree
-        object.__setattr__(self, "target", parse(self.text, self.dim))
+    @functools.cached_property
+    def target(self) -> Expr:
+        """The parsed text: parsed on first use, once, and shared by every
+        run's oracle. A process that runs no case parses none."""
+        return parse(self.text, self.dim)
 
     @property
     def samples(self) -> int:
-        """Validation points of a run at the default settings; training
-        takes 20 points per basis column."""
+        """Validation points of a run at the default settings when its
+        first block, of the training size (20 points per basis column),
+        leaves the verdict near the tolerance; otherwise the block alone
+        is drawn."""
         return RunConfig.samples_per_var * self.dim
 
     def oracle(self) -> Oracle:

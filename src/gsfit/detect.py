@@ -607,13 +607,15 @@ def _index_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _rank_one(M: np.ndarray, tol_abs: np.ndarray) -> np.ndarray:
     """For each matrix of the stack M (P, r, c): do all its 2x2 minors
-    vanish within its tol_abs (pure-product check)?
+    vanish within tol_abs (pure-product check)? tol_abs (P, r(r-1)/2)
+    holds each row pair's tolerance, row pairs (i, i') with i < i' in row
+    order; it broadcasts, so (P, 1) gives each matrix one tolerance.
 
     Each minor M[i, j] M[i', j'] - M[i, j'] M[i', j] with i < i' and
     j < j' is computed once. A row pair fails when the largest of its
-    minors exceeds tol_abs; like that maximum, a NaN minor makes its row
-    pair pass, and so does a product M[i, j] M[i', j] that is not finite,
-    which makes the j = j' minor, 0 otherwise, NaN.
+    minors exceeds its tolerance; like that maximum, a NaN minor makes its
+    row pair pass, and so does a product M[i, j] M[i', j] that is not
+    finite, which makes the j = j' minor, 0 otherwise, NaN.
     """
     i, i2 = _index_pairs(M.shape[1])
     j, j2 = _index_pairs(M.shape[2])
@@ -621,7 +623,7 @@ def _rank_one(M: np.ndarray, tol_abs: np.ndarray) -> np.ndarray:
     minors = A[:, :, j] * B[:, :, j2] - A[:, :, j2] * B[:, :, j]
     worst = np.max(np.abs(minors), axis=2)
     nan = ~np.isfinite(A * B).all(axis=2)
-    return ~((worst > tol_abs[:, None]) & ~nan).any(axis=1)
+    return ~((worst > tol_abs) & ~nan).any(axis=1)
 
 
 def _products(H: np.ndarray, tol: float) -> np.ndarray:
@@ -629,16 +631,25 @@ def _products(H: np.ndarray, tol: float) -> np.ndarray:
     coordinates in row and column zero: True where the pair is a clean
     multiplicative split. A pair with no interaction at all (additively
     fused inside one factor) or one that interacts but not as a product
-    (entangled) is False: both stay in one factor."""
-    scale = np.maximum(1.0, np.max(np.abs(H), axis=(1, 2)))
+    (entangled) is False: both stay in one factor.
+
+    Each grid is first divided by its scale, max(1, largest |value|), so
+    its values stay within 1 and no difference, minor or tolerance below
+    can overflow; the mixed differences are then held to tol. Each row
+    pair's minors are held to tol times the product of the two rows'
+    largest |values|, as rank is blind to a row's scale: against the
+    grid's largest value alone, a grid that spans hundreds of orders of
+    magnitude, such as exp(x1*x2) over a wide box, is one spike, which is
+    rank one, and would pass as a product."""
+    H = H / np.maximum(1.0, np.max(np.abs(H), axis=(1, 2)))[:, None, None]
     mixed = H - H[:, :, :1] - H[:, :1, :] + H[:, :1, :1]
-    none = np.max(np.abs(mixed), axis=(1, 2)) <= tol * scale
+    none = np.max(np.abs(mixed), axis=(1, 2)) <= tol
     G_rows = H - H[:, :1, :]          # differences against the base a-row
     G_cols = H - H[:, :, :1]          # differences against the base b-column
-    with np.errstate(over="ignore", invalid="ignore"):
-        tol_abs = tol * scale * scale
-        rank_one = _rank_one(np.concatenate([G_rows, G_cols.transpose(0, 2, 1)]),
-                             np.concatenate([tol_abs, tol_abs]))
+    M = np.concatenate([G_rows, G_cols.transpose(0, 2, 1)])
+    size = np.max(np.abs(M), axis=2)
+    i, i2 = _index_pairs(M.shape[1])
+    rank_one = _rank_one(M, tol * size[:, i] * size[:, i2])
     return ~none & rank_one[:len(H)] & rank_one[len(H):]
 
 

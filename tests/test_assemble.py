@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -292,11 +293,13 @@ def test_the_sweeps_of_a_fit_evaluate_each_shared_probe_once(monkeypatch):
 
 
 def _attempt_0(structure, oracle, cfg):
-    """Reference: the one assembly attempt, written out. The sweeps and
-    fits read cfg; the training sample, 20 points per basis column with
-    the constant's, is drawn at derived_seed(cfg.seed, 1), and the
-    validation sample, cfg.samples_per_var points per variable, at
-    derived_seed(cfg.seed, 2)."""
+    """Reference: the one assembly attempt, written out, validated on one
+    sample. The sweeps and fits read cfg; the training sample, 20 points
+    per basis column with the constant's, is drawn at
+    derived_seed(cfg.seed, 1), and the validation sample,
+    cfg.samples_per_var points per variable, at derived_seed(cfg.seed, 2).
+    Sequential validation reports this val_mse whenever its first block
+    leaves the verdict near the tolerance."""
     factors = asm.fit_structure_factors(structure, oracle, cfg)
     terms = build_basis(structure, factors)
     train = oracle.sample(20 * (len(terms) + 1), derived_seed(cfg.seed, 1))
@@ -310,6 +313,14 @@ def _attempt_0(structure, oracle, cfg):
     model.val_mse = asm._mse(model, val)
     model.success = bool(model.val_mse <= cfg.tol_target)
     return model
+
+
+def _on_block(ref, oracle, cfg):
+    """The reference model, validated on the block sequential validation
+    checks first: the first 20 * (terms + 1) rows of its validation
+    draw."""
+    block = oracle.sample(20 * (len(ref.terms) + 1), derived_seed(cfg.seed, 2))
+    return dataclasses.replace(ref, val_mse=asm._mse(ref, block))
 
 
 def _counted_fits(monkeypatch):
@@ -345,7 +356,10 @@ def test_stream_demo_validates_on_its_first_attempt(monkeypatch, seed):
     assert len(calls) == 1 and all(f.converged for f in _flat(calls[0]))
     assert model.success and model.val_mse <= cfg.tol_target
     assert model.unconverged == ()
-    assert model.to_json() == _attempt_0(s, o, cfg).to_json()
+    # the first block accepts, so val_mse is the block's
+    ref = _attempt_0(s, o, cfg)
+    assert model.val_mse <= asm.EARLY_ACCEPT * cfg.tol_target and ref.success
+    assert model.to_json() == _on_block(ref, o, cfg).to_json()
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -358,7 +372,11 @@ def test_the_attempt_with_an_unconverged_factor_is_the_last(monkeypatch, seed):
     model = assemble_and_validate(s, o, cfg)
     assert len(calls) == 1 and not model.success
     assert [f.converged for f in _flat(calls[0])].count(False) == len(model.unconverged) > 0
-    assert model.to_json() == _attempt_0(s, o, cfg).to_json()
+    # the first block already rejects, so val_mse is the block's, and the
+    # one-sample reference misses too
+    ref = _attempt_0(s, o, cfg)
+    assert not ref.success
+    assert model.to_json() == _on_block(ref, o, cfg).to_json()
 
 
 # (target, dims, seed, tol_target): a miss with an unconverged factor, and
@@ -382,9 +400,9 @@ def test_a_validation_miss_makes_one_attempt(monkeypatch, target, dims, seed, to
     model = assemble_and_validate(s, o, cfg)
     assert not model.success and model.val_mse > tol
     assert len(calls) == 1
-    assert o.eval_count - start == (
-        sweep_evals[0] + 20 * (len(model.terms) + 1) + cfg.samples_per_var * dims
-    )
+    # training and the validation block take 20 * (terms + 1) points each:
+    # both misses are clear on the block, so no full sample is drawn
+    assert o.eval_count - start == sweep_evals[0] + 2 * 20 * (len(model.terms) + 1)
     missed = [f for f in _flat(calls[0]) if f.train_mse > tol]
     assert len(model.unconverged) == len(missed)
     assert all(a is b for a, b in zip(model.unconverged, missed))
@@ -422,6 +440,118 @@ def test_the_training_sample_has_twenty_points_per_basis_column(monkeypatch, no)
     full = get_case(no).oracle().sample(n_full, derived_seed(cfg.seed, 1))
     assert np.array_equal(train.points, full.points[:len(train)])
     assert np.array_equal(train.values, full.values[:len(train)])
+
+
+def _validation_samples(monkeypatch, cfg):
+    """Spy on the validation draws: each call's SampleSet, in order."""
+    seen = []
+    inner = Oracle.sample
+
+    def spy(self, count, seed):
+        out = inner(self, count, seed)
+        if seed == derived_seed(cfg.seed, 2):
+            seen.append(out)
+        return out
+
+    monkeypatch.setattr(Oracle, "sample", spy)
+    return seen
+
+
+@pytest.mark.parametrize("no", [1, 7, 11])
+def test_an_early_accept_validates_on_the_first_rows_of_the_full_draw(monkeypatch, no):
+    # the block, of the training size, is the first rows of the
+    # samples_per_var * n draw at the same seed, and it alone is evaluated
+    cfg = RunConfig(seed=3)
+    o = get_case(no).oracle()
+    s = detect_structure(o, cfg)
+    seen = _validation_samples(monkeypatch, cfg)
+    _, sweep_evals = _counted_fits(monkeypatch)
+    start = o.eval_count
+    model = assemble_and_validate(s, o, cfg)
+    b = 20 * (len(model.terms) + 1)
+    (block,) = seen
+    assert len(block) == b < cfg.samples_per_var * o.arity
+    # training and the block, no more
+    assert o.eval_count - start == sweep_evals[0] + 2 * b
+    assert model.success and model.val_mse <= asm.EARLY_ACCEPT * cfg.tol_target
+    full = get_case(no).oracle().sample(cfg.samples_per_var * o.arity, derived_seed(cfg.seed, 2))
+    assert np.array_equal(block.points, full.points[:b])
+    assert np.array_equal(block.values, full.values[:b])
+    assert model.val_mse == asm._mse(model, block)
+
+
+# (case, seed, tol_target) whose first block is clear of neither verdict:
+# case 9 validates at 2.7e-16 and the README example at 2.3e-28
+@pytest.mark.parametrize("no, seed, tol", [(9, 6, 1e-15), (1, 1, 1e-25)])
+def test_the_full_sample_gives_the_one_sample_val_mse_bit_for_bit(monkeypatch, no, seed, tol):
+    cfg = RunConfig(seed=seed, tol_target=tol)
+    o = get_case(no).oracle()
+    s = detect_structure(o, cfg)
+    seen = _validation_samples(monkeypatch, cfg)
+    model = assemble_and_validate(s, o, cfg)
+    b, n_full = 20 * (len(model.terms) + 1), cfg.samples_per_var * o.arity
+    assert [len(v) for v in seen] == [b, n_full]
+    block_mse = asm._mse(model, seen[0])
+    assert asm.EARLY_ACCEPT * tol < block_mse
+    assert not asm._full_sample_misses(model, seen[0], n_full, tol)
+    monkeypatch.undo()
+    ref = _attempt_0(s, o, cfg)
+    assert model.val_mse == ref.val_mse and model.success and ref.success
+    assert model.to_json() == ref.to_json()
+
+
+@pytest.mark.parametrize("target, dims, seed, tol", [
+    ("sin(x1*x2^2)", 2, 1, 1e-6),
+    ("sin(x1*x2^2)", 2, 2, 1e-6),
+    (None, 6, 6, 1e-21),
+    (None, 6, 6, 1e-16),
+])
+def test_an_exact_reject_bounds_the_full_mse_from_below(target, dims, seed, tol):
+    # the block's squared residuals, over tol_target * N, already exceed 1,
+    # and divided by N they bound the one-sample reference's MSE from below
+    cfg = RunConfig(seed=seed, tol_target=tol)
+    o = get_case(9).oracle() if target is None else make_oracle(
+        ex.parse(target, dims), DomainBox.cube(-3.0, 3.0, dims))
+    s = detect_structure(o, cfg)
+    model = assemble_and_validate(s, o, cfg)
+    ref = _attempt_0(s, o, cfg)
+    n_full = cfg.samples_per_var * dims
+    block = o.sample(20 * (len(ref.terms) + 1), derived_seed(seed, 2))
+    assert asm._full_sample_misses(ref, block, n_full, tol)
+    r = block.values - ref.predict(block.points)
+    assert np.isfinite(r).all()
+    assert r @ r / (tol * n_full) > 1
+    assert tol < r @ r / n_full <= ref.val_mse
+    assert not model.success and not ref.success
+
+
+@pytest.mark.parametrize("term", ["x1", "sqrt(x1-2)", "ln(x1)+exp(-((({p!r}-x1)*1e6)^2))"],
+                         ids=["misfit", "invalid", "bump"])
+def test_an_exact_reject_holds_where_the_block_redraws_rows(term):
+    # ln(x1) is invalid on a quarter of [-1, 3], so the block redraws rows,
+    # and its rows sit at other positions in the full sample, drawn at the
+    # same seed, but they are all there. x1 misfits everywhere,
+    # sqrt(x1-2) predicts invalid values on most of the box, and the bump
+    # misfits only at the block's first redrawn row. Whenever the block
+    # rejects, for any full size N and tolerance, the full sample's MSE
+    # misses.
+    o = make_oracle(ex.parse("ln(x1)", 1), DomainBox.cube(-1.0, 3.0, 1))
+    seed = derived_seed(5, 2)
+    block = o.sample(40, seed)
+    redrawn = block.points[:, 0] != o.box.uniform(40, np.random.default_rng(seed))[:, 0]
+    assert redrawn.any()
+    e = ex.parse(term.format(p=float(block.points[redrawn][0, 0])), 1)
+    model = AssembledModel(c0=0.0, terms=[term_of(e)], coefficients=np.ones(1), expr=e,
+                           train_mse=0.0, val_mse=math.inf, success=False)
+    rejects = 0
+    for n_full in (40, 41, 50, 100, 200, 400):
+        full = o.sample(n_full, seed)
+        assert set(block.points[:, 0]) <= set(full.points[:, 0])
+        for tol in np.logspace(-3, 1, 17):
+            if asm._full_sample_misses(model, block, n_full, tol):
+                rejects += 1
+                assert asm._mse(model, full) > tol
+    assert rejects > 0
 
 
 @pytest.mark.parametrize("no", [5, 7, 9, 11])

@@ -1,11 +1,20 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gsfit.bench as bench
+from gsfit import expr as ex
 from gsfit.bench import CASES, STREAM_DEMO, WIDE, get_case, run_case, run_suite, suite_seeds
 
 from helpers import INDEPENDENT_TARGETS, STREAM_INDEPENDENT, WIDE_INDEPENDENT
+
+SRC = str(Path(bench.__file__).resolve().parents[1])
 
 
 @pytest.mark.parametrize("no", sorted(CASES))
@@ -66,6 +75,31 @@ def test_the_wide_case_detects_its_structure(seed):
     assert r.detected_repeated == (65,)
     assert (r.detected_blocks, r.detected_factors) == (32, 96)
     assert r.structure_matched
+
+
+def test_a_case_parses_its_target_once_on_first_use(monkeypatch):
+    # a fresh copy of case 3 has parsed nothing; its first use parses, and
+    # every oracle after shares that one tree
+    calls = []
+
+    def parse(text, dim):
+        calls.append((text, dim))
+        return ex.parse(text, dim)
+
+    monkeypatch.setattr(bench, "parse", parse)
+    spec = dataclasses.replace(CASES[3])
+    assert calls == []
+    first, second = spec.oracle(), spec.oracle()
+    assert first.target is second.target is spec.target
+    assert calls == [(spec.text, spec.dim)]
+
+
+def test_importing_gsfit_parses_no_case():
+    code = ("import gsfit, gsfit.cli, gsfit.bench as b; "
+            "print(sum('target' in c.__dict__ for c in b.ALL_CASES.values()))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout.split() == ["0"]
 
 
 def test_case_table_expected_columns():

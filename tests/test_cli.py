@@ -316,11 +316,10 @@ def test_fit_max_nodes_below_three_exit_1(capsys):
     assert "error: --max-nodes" in err
 
 
-def test_samples_per_var_sizes_only_the_validation_sample(capsys):
-    # training takes 20 points per basis column whatever the flag, and
-    # validation never takes fewer: one point a variable leaves the model
-    # as it is and validates on the training size, not on n points
-    args = ["fit", "--target", "0.5*exp(x1)*sin(2*x2)", "--dims", "2", "--seed", "1"]
+def _fit_at_two_sample_sizes(capsys, *flags):
+    """The README example fitted at the default --samples-per-var and at
+    1, with the given flags: (full, small) outputs."""
+    args = ["fit", "--target", "0.5*exp(x1)*sin(2*x2)", "--dims", "2", "--seed", "1", *flags]
     code, out, _ = run_cli(args, capsys)
     assert code == 0
     full = json.loads(out)
@@ -328,10 +327,31 @@ def test_samples_per_var_sizes_only_the_validation_sample(capsys):
     small = json.loads(out)
     n_train = 20 * (len(full["model"]["terms"]) + 1)
     assert n_train > 1 * 2  # more than one point a variable: the floor binds
-    assert full["oracle_evals"] - small["oracle_evals"] == 200 * 2 - n_train
-    for key in ("c0", "terms", "expr", "train_mse", "rank_deficient"):
+    for key in ("c0", "terms", "expr", "train_mse", "rank_deficient", "success"):
         assert small["model"][key] == full["model"][key]
     assert small["structure"] == full["structure"]
+    return full, small
+
+
+def test_samples_per_var_sizes_only_the_validation_sample(capsys):
+    # training takes 20 points per basis column whatever the flag, and
+    # validation never takes fewer: one point a variable leaves the model
+    # as it is and validates on the training size, not on n points. The
+    # flag only caps validation: the model validates at about 2e-28, clear
+    # of the tolerance on the first block, of the training size, which
+    # both runs draw and no more
+    full, small = _fit_at_two_sample_sizes(capsys)
+    assert full["oracle_evals"] == small["oracle_evals"]
+    assert full["model"]["val_mse"] == small["model"]["val_mse"]
+
+
+def test_samples_per_var_sizes_the_sample_of_a_verdict_near_the_tolerance(capsys):
+    # at a tolerance of 1e-25 the first block is clear of neither verdict,
+    # so the 200 points a variable are drawn after it; at one point a
+    # variable the block is the whole sample
+    full, small = _fit_at_two_sample_sizes(capsys, "--tol-target", "1e-25")
+    assert full["oracle_evals"] - small["oracle_evals"] == 200 * 2
+    assert full["model"]["val_mse"] != small["model"]["val_mse"]
 
 
 def test_fit_samples_per_var_below_one_exit_1(capsys):

@@ -854,14 +854,44 @@ def test_detect_structure_counts_probes():
 
 
 def test_detection_warns_of_no_overflow_in_a_grid_tolerance():
-    # fuzz target #284: a partition grid's values reach about 1e154, so
-    # the squared scale of its rank-one tolerance overflows to inf
+    # fuzz target #284: a partition grid's values reach about 1e175, where
+    # the square of the grid's scale would overflow
     o = make_oracle(ex.parse("exp(x2*(4.891*x1)/(-sin(x3)))", 4), DomainBox.cube(-3, 3, 4))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         s = detect_structure(o, RunConfig(seed=6))
     assert [b.vars for b in s.blocks] == [(1, 2, 3), (4,)]
     assert s.probes_used == o.eval_count == 376
+
+
+# fuzz targets #284 and #79 at the seeds where a pair's grid spans more
+# orders of magnitude than the tolerance resolves against its largest value
+@pytest.mark.parametrize("text, dims, lo, hi, seed, block", [
+    ("exp(x2*(4.891*x1)/(-sin(x3)))", 4, -3, 3, 6, (1, 2, 3)),
+    ("exp(x2*(4.891*x1)/(-sin(x3)))", 4, -3, 3, 1, (1, 2, 3)),
+    ("exp((x1*x2)^1)^3", 4, 1, 5, 2, (1, 2)),
+], ids=["284-seed6", "284-seed1", "79-seed2"])
+def test_variables_inside_one_exp_stay_in_one_factor(text, dims, lo, hi, seed, block):
+    o = make_oracle(ex.parse(text, dims), DomainBox.cube(lo, hi, dims))
+    s = detect_structure(o, RunConfig(seed=seed))
+    (b,) = [b for b in s.blocks if b.vars == block]
+    assert b.psi_factors == (block,)
+
+
+def test_a_grid_past_1e154_gets_the_verdict_of_its_unit_scale_twin():
+    # psi grids, corner first, of a product, a sum (no interaction) and an
+    # entangled pair; scaled by 1e200 each keeps its verdict, though the
+    # squared scale of a rank-one tolerance on the grid's own values
+    # would overflow and pass every pair as a product
+    a, b = np.linspace(0.5, 2.0, 7), np.linspace(-1.0, 1.5, 7)
+    grids = np.stack([f - f[0, 0] for f in (
+        np.outer(np.exp(a), np.cos(b)),
+        np.exp(a)[:, None] + np.cos(b)[None, :],
+        np.sin(np.outer(a, b)),
+    )])
+    tol = RunConfig().tol_detect
+    assert det._products(grids, tol).tolist() == [True, False, False]
+    assert det._products(1e200 * grids, tol).tolist() == [True, False, False]
 
 
 def test_detection_error_when_anchor_always_invalid():
@@ -993,7 +1023,7 @@ def test_rank_one_broadcast_decides_as_the_pairwise_loop():
                          scaled_tol(nan_minor)])
         with np.errstate(invalid="ignore"):
             want = [_rank_one_pairwise(m, t) for m, t in zip(stack, tols)]
-            got = det._rank_one(stack, tols)
+            got = det._rank_one(stack, tols[:, None])
         assert got.tolist() == want
         assert want[0] and not want[2]
         seen.add((kind, want[1]))
