@@ -204,20 +204,13 @@ def assemble_and_validate(
     constant's included. Validation is sequential (Wald's test, stopped
     after its first block). The full sample is N = cfg.samples_per_var * n
     points, or as many as training took where that is more. Its first
-    block, as many points as training, is drawn alone at the same seed
-    and decides when its verdict is clear:
-
-    - accept, when the block's MSE is at most EARLY_ACCEPT * tol_target;
-    - reject, when the block's squared residuals already sum past
-      tol_target * N, or its invalid predictions already exceed a fifth
-      of N: the block's rows are rows of the full sample, whose MSE then
-      misses too.
-
-    Either way val_mse is the block's MSE. Otherwise the model validates
-    on the full sample, the block's rows included, and val_mse is that
-    sample's MSE. The model succeeds when val_mse is within
-    cfg.tol_target; either way it lists the factors that missed
-    tolerance as `unconverged`.
+    block, as many points as training, is drawn alone at the same seed;
+    redraws aside, its rows are the full sample's first rows. The model
+    accepts on the block, val_mse the block's MSE, when that MSE is at
+    most EARLY_ACCEPT * tol_target. Otherwise it validates on the full
+    sample, the block's rows included, and val_mse is that sample's MSE.
+    The model succeeds when val_mse is within cfg.tol_target; either way
+    it lists the factors that missed tolerance as `unconverged`.
     """
     factors = fit_structure_factors(structure, oracle, cfg)
     terms = build_basis(structure, factors)
@@ -238,8 +231,7 @@ def assemble_and_validate(
     seed, n_val = derived_seed(cfg.seed, 2), max(cfg.samples_per_var * oracle.arity, len(train))
     block = oracle.sample(len(train), seed)
     model.val_mse = _mse(model, block)
-    if (n_val > len(block) and model.val_mse > EARLY_ACCEPT * cfg.tol_target
-            and not _full_sample_misses(model, block, n_val, cfg.tol_target)):
+    if n_val > len(block) and model.val_mse > EARLY_ACCEPT * cfg.tol_target:
         model.val_mse = _mse(model, oracle.sample(n_val, seed))
     model.success = bool(model.val_mse <= cfg.tol_target)
     return model
@@ -254,18 +246,3 @@ def _mse(model: AssembledModel, sample: SampleSet) -> float:
     r = sample.values[good] - pred[good]
     mse = float(r @ r / good.sum())
     return mse if np.isfinite(mse) else math.inf
-
-
-def _full_sample_misses(model: AssembledModel, block: SampleSet, n_val: int,
-                        tol: float) -> bool:
-    """Whether `_mse` must exceed tol on the n_val points `Oracle.sample`
-    draws at the seed it drew the block at.
-
-    Every row of the block is a row of that larger sample (see
-    `Oracle.sample`), so the block's squared residuals and invalid
-    predictions are part of the full sample's.
-    """
-    pred = model.predict(block.points)
-    good = np.isfinite(pred)    # a sample's values are all finite
-    r = block.values[good] - pred[good]
-    return bool(n_val - (~good).sum() < 0.8 * n_val or r @ r > tol * n_val)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import time
@@ -29,19 +28,17 @@ class CaseSpec:
     expected_repeated: tuple[int, ...]
     expected_blocks: int
     expected_factors: int
+    target: Expr = field(init=False, repr=False, compare=False)
 
-    @functools.cached_property
-    def target(self) -> Expr:
-        """The parsed text: parsed on first use, once, and shared by every
-        run's oracle. A process that runs no case parses none."""
-        return parse(self.text, self.dim)
+    def __post_init__(self):
+        # parsed once, with the table: every run's oracle shares the tree
+        object.__setattr__(self, "target", parse(self.text, self.dim))
 
     @property
     def samples(self) -> int:
         """Validation points of a run at the default settings when its
         first block, of the training size (20 points per basis column),
-        leaves the verdict near the tolerance; otherwise the block alone
-        is drawn."""
+        does not accept; otherwise the block alone is drawn."""
         return RunConfig.samples_per_var * self.dim
 
     def oracle(self) -> Oracle:

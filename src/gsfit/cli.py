@@ -58,8 +58,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         f"{asm.TRAIN_POINTS_PER_TERM} points per basis column; "
                         "validation first checks a block of as many, accepts at an "
                         f"MSE of {asm.EARLY_ACCEPT:g} x --tol-target or less, "
-                        "rejects when the block alone already misses on the full "
-                        "sample, and draws the full sample only otherwise)")
+                        "and draws the full sample only otherwise)")
     p.add_argument("--max-nodes", type=int, default=default.max_nodes,
                    help="largest skeleton template node count (at least 3)")
     p.add_argument("--kmax", type=int, default=default.kmax,

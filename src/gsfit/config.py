@@ -48,9 +48,9 @@ class RunConfig:
     tol_target: float = 1e-6      # MSE tolerance for fitted models
     samples_per_var: int = 200    # most validation points per variable,
                                   # drawn only when a first block of the
-                                  # training size leaves the verdict near
-                                  # tol_target; never fewer than training's
-                                  # 20 per basis column
+                                  # training size does not validate at
+                                  # 1e-3 * tol_target; never fewer than
+                                  # training's 20 per basis column
     max_nodes: int = 12           # largest skeleton template node count
     kmax: int = 3                 # largest candidate repeated-variable cut
 

@@ -637,17 +637,26 @@ def _products(H: np.ndarray, tol: float) -> np.ndarray:
     its values stay within 1 and no difference, minor or tolerance below
     can overflow; the mixed differences are then held to tol. Each row
     pair's minors are held to tol times the product of the two rows'
-    largest |values|, as rank is blind to a row's scale: against the
-    grid's largest value alone, a grid that spans hundreds of orders of
-    magnitude, such as exp(x1*x2) over a wide box, is one spike, which is
-    rank one, and would pass as a product."""
-    H = H / np.maximum(1.0, np.max(np.abs(H), axis=(1, 2)))[:, None, None]
+    sizes, as rank is blind to a row's scale: against the grid's largest
+    value alone, a grid that spans hundreds of orders of magnitude, such
+    as exp(x1*x2) over a wide box, is one spike, which is rank one, and
+    would pass as a product. A row's size is its largest |value|, but at
+    least sqrt(tol) times the sum of the largest |values| of the two grid
+    rows it is the difference of: where a factor is flat, as
+    exp(-12*x1^2) for |x1| > 1.5, the difference is mostly their rounding
+    noise, which would fail a product against a tolerance of its own
+    size."""
+    A = np.abs(H)
+    scale = np.maximum(1.0, np.max(A, axis=(1, 2)))[:, None]
+    H = H / scale[:, :, None]
     mixed = H - H[:, :, :1] - H[:, :1, :] + H[:, :1, :1]
     none = np.max(np.abs(mixed), axis=(1, 2)) <= tol
     G_rows = H - H[:, :1, :]          # differences against the base a-row
     G_cols = H - H[:, :, :1]          # differences against the base b-column
     M = np.concatenate([G_rows, G_cols.transpose(0, 2, 1)])
-    size = np.max(np.abs(M), axis=2)
+    rows, cols = np.max(A, axis=2) / scale, np.max(A, axis=1) / scale
+    operands = np.concatenate([rows + rows[:, :1], cols + cols[:, :1]])
+    size = np.maximum(np.max(np.abs(M), axis=2), math.sqrt(tol) * operands)
     i, i2 = _index_pairs(M.shape[1])
     rank_one = _rank_one(M, tol * size[:, i] * size[:, i2])
     return ~none & rank_one[:len(H)] & rank_one[len(H):]

@@ -114,10 +114,6 @@ class Oracle:
 
         Up to 20 redraw rounds; points that are still invalid after the
         last one (a singularity being hit repeatedly) raise SampleError.
-        Rows are dealt in order from one stream per seed, each to a row
-        still without a valid value, so a sample is the stream's first
-        `count` valid rows: every row of a smaller sample at the same seed
-        is a row of a larger one.
         """
         rng = np.random.default_rng(seed)
         pts = self.box.uniform(count, rng)

@@ -1,9 +1,5 @@
 import dataclasses
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +9,6 @@ from gsfit import expr as ex
 from gsfit.bench import CASES, STREAM_DEMO, WIDE, get_case, run_case, run_suite, suite_seeds
 
 from helpers import INDEPENDENT_TARGETS, STREAM_INDEPENDENT, WIDE_INDEPENDENT
-
-SRC = str(Path(bench.__file__).resolve().parents[1])
 
 
 @pytest.mark.parametrize("no", sorted(CASES))
@@ -77,9 +71,9 @@ def test_the_wide_case_detects_its_structure(seed):
     assert r.structure_matched
 
 
-def test_a_case_parses_its_target_once_on_first_use(monkeypatch):
-    # a fresh copy of case 3 has parsed nothing; its first use parses, and
-    # every oracle after shares that one tree
+def test_a_case_parses_its_target_once_at_construction(monkeypatch):
+    # a copy of case 3 parses when it is built, and every oracle after
+    # shares that one tree
     calls = []
 
     def parse(text, dim):
@@ -88,18 +82,10 @@ def test_a_case_parses_its_target_once_on_first_use(monkeypatch):
 
     monkeypatch.setattr(bench, "parse", parse)
     spec = dataclasses.replace(CASES[3])
-    assert calls == []
+    assert calls == [(spec.text, spec.dim)]
     first, second = spec.oracle(), spec.oracle()
     assert first.target is second.target is spec.target
     assert calls == [(spec.text, spec.dim)]
-
-
-def test_importing_gsfit_parses_no_case():
-    code = ("import gsfit, gsfit.cli, gsfit.bench as b; "
-            "print(sum('target' in c.__dict__ for c in b.ALL_CASES.values()))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": SRC})
-    assert out.stdout.split() == ["0"]
 
 
 def test_case_table_expected_columns():

@@ -345,10 +345,10 @@ def test_samples_per_var_sizes_only_the_validation_sample(capsys):
     assert full["model"]["val_mse"] == small["model"]["val_mse"]
 
 
-def test_samples_per_var_sizes_the_sample_of_a_verdict_near_the_tolerance(capsys):
-    # at a tolerance of 1e-25 the first block is clear of neither verdict,
-    # so the 200 points a variable are drawn after it; at one point a
-    # variable the block is the whole sample
+def test_samples_per_var_sizes_the_sample_after_a_block_that_does_not_accept(capsys):
+    # at a tolerance of 1e-25 the first block does not accept, so the 200
+    # points a variable are drawn after it; at one point a variable the
+    # block is the whole sample
     full, small = _fit_at_two_sample_sizes(capsys, "--tol-target", "1e-25")
     assert full["oracle_evals"] - small["oracle_evals"] == 200 * 2
     assert full["model"]["val_mse"] != small["model"]["val_mse"]

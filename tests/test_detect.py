@@ -894,6 +894,28 @@ def test_a_grid_past_1e154_gets_the_verdict_of_its_unit_scale_twin():
     assert det._products(1e200 * grids, tol).tolist() == [True, False, False]
 
 
+@pytest.mark.parametrize("text, dims, seeds", [
+    ("(1+exp(-3*x1^2))*x2", 2, range(10)),
+    ("exp(-3*x1^2)*x2+x3", 3, range(10)),
+    ("(2+exp(-12*x1^2))*(3+x2)", 2, (2, 3, 6)),
+])
+def test_a_factor_flat_across_the_grid_still_splits(text, dims, seeds):
+    # where exp(-c*x1^2) is flat, a row of differences is mostly rounding
+    # noise; held to a tolerance of its own size it would fail the product
+    # test and merge x1 and x2
+    for seed in seeds:
+        o = make_oracle(ex.parse(text, dims), DomainBox.cube(-3, 3, dims))
+        s = detect_structure(o, RunConfig(seed=seed))
+        assert s.blocks[0].vars == (1, 2) and s.blocks[0].psi_factors == ((1,), (2,))
+
+
+def test_a_grid_row_of_rounding_noise_passes_as_a_product():
+    a, b = np.array([1.6, 1.7, 0.0, 1.8, 0.4, 1.9, -1.5]), np.linspace(-1.0, 1.5, 7)
+    f = np.outer(2 + np.exp(-12 * a * a), 3 + b)
+    grids = np.stack([f - f[0, 0], f.T - f[0, 0]])
+    assert det._products(grids, RunConfig().tol_detect).tolist() == [True, True]
+
+
 def test_detection_error_when_anchor_always_invalid():
     o = make_oracle(ex.parse("ln(x1-2.5)", 1), DomainBox.cube(-3, 3, 1))
     with pytest.raises(DetectionError):
