@@ -20,7 +20,7 @@ import numpy as np
 from . import detect as det
 from . import fit as ft
 from . import expr as ex
-from .config import RunConfig, derived_seed
+from .config import RunConfig, rng
 from .oracle import Oracle, SampleSet
 
 # training points per basis column, the constant's included: ten times the
@@ -204,17 +204,17 @@ def assemble_and_validate(
     constant's included. Validation is sequential (Wald's test, stopped
     after its first block). The full sample is N = cfg.samples_per_var * n
     points, or as many as training took where that is more. Its first
-    block, as many points as training, is drawn alone at the same seed;
-    redraws aside, its rows are the full sample's first rows. The model
-    accepts on the block, val_mse the block's MSE, when that MSE is at
-    most EARLY_ACCEPT * tol_target. Otherwise it validates on the full
-    sample, the block's rows included, and val_mse is that sample's MSE.
+    block, as many points as training, is drawn first; the model accepts
+    on it, val_mse the block's MSE, when that MSE is at most
+    EARLY_ACCEPT * tol_target. Otherwise the block's stream goes on to
+    draw the other N - b points, and val_mse is the MSE on all N. Redraws
+    aside, these are the N rows one draw from the stream would give.
     The model succeeds when val_mse is within cfg.tol_target; either way
     it lists the factors that missed tolerance as `unconverged`.
     """
     factors = fit_structure_factors(structure, oracle, cfg)
     terms = build_basis(structure, factors)
-    train = oracle.sample(TRAIN_POINTS_PER_TERM * (len(terms) + 1), derived_seed(cfg.seed, 1))
+    train = oracle.sample(TRAIN_POINTS_PER_TERM * (len(terms) + 1), rng(cfg.seed, 1001))
     c0, coefs, train_mse, deficient = least_squares(terms, train)
     model = AssembledModel(
         c0=c0,
@@ -228,11 +228,13 @@ def assemble_and_validate(
         unconverged=tuple(f for models in factors for f in models if not f.converged),
     )
     # validation never rests on fewer points than training
-    seed, n_val = derived_seed(cfg.seed, 2), max(cfg.samples_per_var * oracle.arity, len(train))
-    block = oracle.sample(len(train), seed)
+    stream, n_val = rng(cfg.seed, 1002), max(cfg.samples_per_var * oracle.arity, len(train))
+    block = oracle.sample(len(train), stream)
     model.val_mse = _mse(model, block)
     if n_val > len(block) and model.val_mse > EARLY_ACCEPT * cfg.tol_target:
-        model.val_mse = _mse(model, oracle.sample(n_val, seed))
+        rest = oracle.sample(n_val - len(block), stream)
+        model.val_mse = _mse(model, SampleSet(np.vstack([block.points, rest.points]),
+                                              np.concatenate([block.values, rest.values])))
     model.success = bool(model.val_mse <= cfg.tol_target)
     return model
 

@@ -34,13 +34,6 @@ class CaseSpec:
         # parsed once, with the table: every run's oracle shares the tree
         object.__setattr__(self, "target", parse(self.text, self.dim))
 
-    @property
-    def samples(self) -> int:
-        """Validation points of a run at the default settings when its
-        first block, of the training size (20 points per basis column),
-        does not accept; otherwise the block alone is drawn."""
-        return RunConfig.samples_per_var * self.dim
-
     def oracle(self) -> Oracle:
         return make_oracle(self.target, self.box)
 
@@ -240,7 +233,6 @@ class SuiteReport:
             entry = {
                 "no": no,
                 "dim": spec.dim,
-                "samples": spec.samples,
                 "repeated": list(detected[0]),
                 "blocks": detected[1],
                 "factors": detected[2],

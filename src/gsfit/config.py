@@ -5,13 +5,14 @@ which it checks on construction; every stage reads its settings from the
 one frozen instance. Tuning values that no caller sets are module
 constants next to the code that uses them.
 
-Detection draws each probe batch from its own stream, keyed by one rule:
-`rng(seed, tag, *attempt, ...)`, where `attempt` is the key of the
-anchor's draw (`detect.Anchor.rng`), and the rest names what the batch
-probes: variables, a block or a trial. A redrawn anchor thus probes
-afresh in every stage.
+Every random draw of a run reads a stream of `rng(seed, tag, *key)`,
+where the tag names the stage and the key what the stream draws for.
+Detection keys each probe batch `rng(seed, tag, *attempt, ...)`, where
+`attempt` is the key of the anchor's draw (`detect.Anchor.rng`), and the
+rest names what the batch probes: variables, a block or a trial. A
+redrawn anchor thus probes afresh in every stage.
 
-    tag   stage (module `detect`)
+    tag   stage (module `detect`, else as named)
     101   graph moves of one variable (`_pair_scores`)
     301   psi factor sweep (`isolate_psi_data`)
     401   spread pair of a block (`Anchor.spread_pair`)
@@ -25,10 +26,11 @@ afresh in every stage.
     801   reconstruction points (`_reconstruction_ok`)
     900   box probe for a constant or invalid target (`_detect_once`),
           drawn before any anchor, keyed by the attempt alone
-
-Integer seeds for the samplers, `derived_seed`, are keyed (1,) for
-assembly's training sample, (2,) for its validation sample and (rank,
-restart) for an LDSE restart.
+    1001  training sample (`assemble.assemble_and_validate`)
+    1002  validation block, then the rest of the full sample, from one
+          stream (`assemble.assemble_and_validate`)
+    1101  LDSE restart (`fit._walk`), keyed by the skeleton's rank in
+          the stream and the restart
 """
 
 from __future__ import annotations
@@ -93,20 +95,10 @@ def _digest_type() -> type:
 
 def rng(seed: int, *key: int) -> np.random.Generator:
     """Generator for the stream `key` under `seed`: a PCG64 keyed by one
-    digest of (seed, *key), which costs far less than a SeedSequence.
-    Each of seed and key must be a non-negative integer."""
+    digest of (seed, *key). Each of seed and key must be a non-negative
+    integer."""
     ints = tuple(map(operator.index, (seed, *key)))
     if min(ints) < 0:
         raise ValueError("seed and key must be non-negative")
     return np.random.Generator(np.random.PCG64(_digest_type()(ints)))
 
-
-def derived_seed(base: int, *key: int) -> int:
-    """Independent integer seed for the stream `key` under `base`.
-
-    It stays on SeedSequence. It is called a few dozen times a fit, so a
-    cheaper derivation would save no measurable time, and it seeds the
-    LDSE restarts: reading it from `rng`'s digest instead moves them, and
-    `sin(35*x1)` then stops converging at the seeds the tests pin.
-    """
-    return int(np.random.SeedSequence(base, spawn_key=key).generate_state(1)[0])

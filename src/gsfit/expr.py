@@ -212,7 +212,8 @@ class Expr:
             s = f"{self.args[0]._print(5)}^2"
             return f"({s})" if parent_prec > 4 else s
         if k == "neg":
-            # '-a^2' would re-parse as '(-a)^2'; wrap any operator child
+            # '-' binds looser than '^', so '-a^2' re-parses as -(a^2), but
+            # '-a*b' would re-parse as (-a)*b; wrap any operator child
             body = self.args[0]._print(5)
             s = f"-{body}"
             return f"({s})" if parent_prec > 1 else s
@@ -264,10 +265,12 @@ class _Parser:
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
-    factor := base ('^' base)?
+    factor := '-' factor | base ('^' base)?
     base   := number | 'x' digits | func '(' expr ')' | '(' expr ')' | '-' base
 
-    With `params`, base also accepts 'p' digits, a template parameter.
+    A leading '-' binds looser than '^': -x1^2 is -(x1^2). The '-' of base
+    is reached only after '^', as in x1^-2. With `params`, base also
+    accepts 'p' digits, a template parameter.
     """
 
     def __init__(self, text: str, arity: int, params: bool = False):
@@ -310,6 +313,9 @@ class _Parser:
         return e
 
     def factor(self) -> Expr:
+        if self.peek() == "-":
+            self.pos += 1
+            return unary("neg", self.factor())
         e = self.base()
         if self.peek() == "^":
             self.pos += 1

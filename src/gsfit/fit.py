@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import expr as ex
-from .config import RunConfig, derived_seed
+from .config import RunConfig, rng as _rng
 
 
 class FitError(ValueError):
@@ -61,7 +61,7 @@ def ldse_minimize(
     objective: Callable[[np.ndarray], np.ndarray],
     bounds,
     *,
-    seed: int,
+    rng: np.random.Generator,
     target_tol: float,
     max_generations: int | None = None,
     stagnation_window: int | None = None,
@@ -80,7 +80,7 @@ def ldse_minimize(
     agent is replaced whenever its candidate improves on it. All
     reflections are scored in one objective call, the contractions in a
     second, so a run makes at most 1 + 2 * generations calls. Candidates
-    are clipped to the bounds. Deterministic for a fixed seed.
+    are clipped to the bounds. Every random draw is read from `rng`.
 
     A run stops when its best reaches target_tol, after max_generations,
     or when stagnation_window generations pass without an improvement. An
@@ -97,7 +97,6 @@ def ldse_minimize(
     n_pop = 10 + 10 * d
     max_gens = 500 * d if max_generations is None else max_generations
     stagnation = 50 * d if stagnation_window is None else stagnation_window
-    rng = np.random.default_rng(seed)
 
     def f(X: np.ndarray) -> np.ndarray:
         v = np.asarray(objective(X), dtype=float)
@@ -732,8 +731,8 @@ def _walk(stream: list[Skeleton], V, y, seed: int, max_nodes: int):
     scan rows and scan score. The families still open then get LDSE in
     order of best scan score (ties in stream order), each `_RESTARTS` runs
     from its best scan rows, stopping early only at 1e-12, and its best
-    run is yielded before the next family's first. A run's seed is derived
-    from the skeleton's rank in the stream and the restart.
+    run is yielded before the next family's first. A run reads the stream
+    rng(seed, 1101, rank, restart), rank the skeleton's in the stream.
     """
     library, exact = _library(V, y, max_nodes)
     if exact:
@@ -766,7 +765,7 @@ def _walk(stream: list[Skeleton], V, y, seed: int, max_nodes: int):
         for restart in range(_RESTARTS):
             x, val = ldse_minimize(
                 objective, [(-PARAM_BOUND, PARAM_BOUND)] * sk.nl_count,
-                seed=derived_seed(seed, rank, restart), target_tol=1e-14,
+                rng=_rng(seed, 1101, rank, restart), target_tol=1e-14,
                 max_generations=300, stagnation_window=40, init_guesses=hints,
             )
             if best is None or val < best[1]:

@@ -109,13 +109,14 @@ class Oracle:
             self._count += points.shape[0]
         return vals
 
-    def sample(self, count: int, seed: int) -> SampleSet:
+    def sample(self, count: int, rng: np.random.Generator) -> SampleSet:
         """Uniform sample with values; rows with invalid values are redrawn.
 
-        Up to 20 redraw rounds; points that are still invalid after the
-        last one (a singularity being hit repeatedly) raise SampleError.
+        The points and their redraws are read from `rng` in turn, so a
+        second sample from the same stream continues the first. Up to 20
+        redraw rounds; points that are still invalid after the last one (a
+        singularity being hit repeatedly) raise SampleError.
         """
-        rng = np.random.default_rng(seed)
         pts = self.box.uniform(count, rng)
         vals = self.eval_batch(pts)
         for _ in range(20):

@@ -243,7 +243,7 @@ def test_criterion_5e_sphere_optimizer():
     for seed in range(20):
         _, v = ldse_minimize(
             lambda Z: np.einsum("pd,pd->p", Z, Z), [(-50, 50)] * 5,
-            seed=seed, target_tol=1e-9,
+            rng=np.random.default_rng(seed), target_tol=1e-9,
         )
         hits += v <= 1e-8
     _line(5, hits == 20, f"sphere d=5 reaches 1e-8 in {hits}/20 seeds")

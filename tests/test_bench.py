@@ -94,7 +94,6 @@ def test_case_table_expected_columns():
     assert (CASES[6].expected_blocks, CASES[6].expected_factors) == (4, 6)
     assert CASES[7].expected_repeated == (4, 5)
     assert CASES[9].expected_repeated == ()
-    assert CASES[5].samples == 800
     assert get_case(11) is STREAM_DEMO
 
 

@@ -11,6 +11,7 @@ import pytest
 import gsfit.assemble as asm
 import gsfit.bench as bench
 import gsfit.detect as det
+import gsfit.fit as ft
 from gsfit.cli import main
 from gsfit.config import RunConfig
 from gsfit.oracle import Oracle
@@ -37,6 +38,29 @@ def test_detect_case4_shape(tmp_path, capsys):
     assert len(payload["structure"]["blocks"]) == 2
     assert payload["config"]["seed"] == 1
     assert payload["config"]["target"] == "x3*sin(x1)-2*x3*cos(x2)"
+
+
+@pytest.mark.parametrize("target, dims", [
+    (bench.CASES[4].text, bench.CASES[4].dim),
+    ("sin(35*x1)", 1),    # beyond both scans' reach, so LDSE runs
+])
+def test_a_fit_reads_every_random_draw_from_a_keyed_stream(monkeypatch, capsys, target, dims):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run drew from a stream config.rng did not key")
+
+    ldse_runs = []
+    real_ldse = ft.ldse_minimize
+
+    def counted_ldse(*args, **kwargs):
+        ldse_runs.append(kwargs["rng"])
+        return real_ldse(*args, **kwargs)
+
+    monkeypatch.setattr(ft, "ldse_minimize", counted_ldse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    code, _, _ = run_cli(["fit", "--target", target, "--dims", str(dims), "--seed", "0"], capsys)
+    assert code == 0
+    assert bool(ldse_runs) == (dims == 1)
 
 
 def test_detect_syntax_error_exit_1(capsys):
@@ -316,10 +340,13 @@ def test_fit_max_nodes_below_three_exit_1(capsys):
     assert "error: --max-nodes" in err
 
 
+_README_FIT = ["fit", "--target", "0.5*exp(x1)*sin(2*x2)", "--dims", "2", "--seed", "1"]
+
+
 def _fit_at_two_sample_sizes(capsys, *flags):
     """The README example fitted at the default --samples-per-var and at
     1, with the given flags: (full, small) outputs."""
-    args = ["fit", "--target", "0.5*exp(x1)*sin(2*x2)", "--dims", "2", "--seed", "1", *flags]
+    args = [*_README_FIT, *flags]
     code, out, _ = run_cli(args, capsys)
     assert code == 0
     full = json.loads(out)
@@ -346,11 +373,19 @@ def test_samples_per_var_sizes_only_the_validation_sample(capsys):
 
 
 def test_samples_per_var_sizes_the_sample_after_a_block_that_does_not_accept(capsys):
-    # at a tolerance of 1e-25 the first block does not accept, so the 200
-    # points a variable are drawn after it; at one point a variable the
-    # block is the whole sample
-    full, small = _fit_at_two_sample_sizes(capsys, "--tol-target", "1e-25")
-    assert full["oracle_evals"] - small["oracle_evals"] == 200 * 2
+    # at the default tolerance the model accepts on its first block; at
+    # the block's MSE, or the full sample's where that is more, it does
+    # not, so the block's stream goes on to draw the rest of the 200
+    # points a variable; at one point a variable the block is the whole
+    # sample
+    _, out, _ = run_cli(_README_FIT, capsys)
+    block_mse = json.loads(out)["model"]["val_mse"]
+    _, out, _ = run_cli([*_README_FIT, "--tol-target", repr(block_mse)], capsys)
+    tol = max(block_mse, json.loads(out)["model"]["val_mse"])
+    full, small = _fit_at_two_sample_sizes(capsys, "--tol-target", repr(tol))
+    assert small["model"]["val_mse"] == block_mse
+    n_train = 20 * (len(full["model"]["terms"]) + 1)
+    assert full["oracle_evals"] - small["oracle_evals"] == 200 * 2 - n_train
     assert full["model"]["val_mse"] != small["model"]["val_mse"]
 
 
@@ -366,11 +401,11 @@ def test_fit_samples_per_var_below_one_exit_1(capsys):
 def test_fit_sample_that_stays_invalid_exit_3(capsys, monkeypatch):
     real_sample = Oracle.sample
 
-    def invalid_sample(self, count, seed):
+    def invalid_sample(self, count, rng):
         # the training sample's every redraw lands on invalid values
         nan_oracle = copy.copy(self)
         nan_oracle.eval_batch = lambda points: np.full(len(points), np.nan)
-        return real_sample(nan_oracle, count, seed)
+        return real_sample(nan_oracle, count, rng)
 
     monkeypatch.setattr(Oracle, "sample", invalid_sample)
     code, out, err = run_cli(

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from gsfit.config import RunConfig, _digest_type, derived_seed, rng
+from gsfit.config import RunConfig, _digest_type, rng
 from gsfit.detect import detect_structure
 from gsfit.expr import parse
 from gsfit.oracle import DomainBox, make_oracle
@@ -18,12 +18,13 @@ def test_a_stream_repeats_its_draws():
 
 def test_distinct_keys_give_distinct_first_draws():
     # a prefix against its extension, a key element against the seed, keys
-    # whose digits run together, and the tags of detection's streams over
+    # whose digits run together, and the tags of every stage's streams over
     # small seeds and variables
     keys = [(0, 101), (0, 101, 0, 0), (0, 1, 101), (1, 101), (1, 0, 1),
             (10, 1), (1, 10), (11, 0)]
     keys += [(seed, tag, v) for seed, tag, v in itertools.product(
-        range(4), (101, 301, 401, 402, 501, 502, 601, 701, 702, 777, 801, 900), range(5))]
+        range(4), (101, 301, 401, 402, 501, 502, 601, 701, 702, 777, 801, 900,
+                   1001, 1002, 1101), range(5))]
     assert len(set(keys)) == len(keys)
     firsts = {rng(*key).random() for key in keys}
     assert len(firsts) == len(keys)
@@ -57,12 +58,6 @@ def test_a_stream_is_seeded_by_the_little_endian_words_of_its_digest():
     assert np.array_equal(halves[0::2] | halves[1::2] << np.uint64(32), words)
     assert np.array_equal(rng(7, 777, 2).random(4),
                           np.random.Generator(np.random.PCG64(digest)).random(4))
-
-
-@pytest.mark.parametrize("base, key", [(0, (1,)), (1, (2,)), (7, (3, 4)), (123, (0, 9))])
-def test_derived_seed_stays_on_seed_sequence(base, key):
-    want = int(np.random.SeedSequence(base, spawn_key=key).generate_state(1)[0])
-    assert derived_seed(base, *key) == want
 
 
 @pytest.mark.parametrize("field, value, flag", [

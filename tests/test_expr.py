@@ -60,6 +60,23 @@ def test_parse_trailing_garbage():
         ex.parse("x1+", 1)
 
 
+_X1, _TWO = ex.var(1), ex.const(2.0)
+
+
+@pytest.mark.parametrize("text, tree", [
+    ("-x1^2", ex.unary("neg", ex.unary("square", _X1))),
+    ("exp(-x1^2)", ex.unary("exp", ex.unary("neg", ex.unary("square", _X1)))),
+    ("-2^2", ex.unary("neg", ex.unary("square", _TWO))),
+    ("x1^-2", ex.binary("pow", _X1, ex.unary("neg", _TWO))),
+    ("(-x1)^2", ex.unary("square", ex.unary("neg", _X1))),
+    ("x2*-x1^3", ex.binary("mul", ex.var(2),
+                           ex.unary("neg", ex.binary("pow", _X1, ex.const(3.0))))),
+])
+def test_unary_minus_binds_looser_than_power(text, tree):
+    assert ex.parse(text, 2) == tree
+    assert ex.parse(tree.to_text(), 2) == tree
+
+
 def test_eval_ln_domain_violation_is_nan():
     e = ex.parse("ln(x1)", 1)
     assert math.isnan(e.evaluate([-1.0]))

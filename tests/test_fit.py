@@ -10,7 +10,7 @@ from gsfit.config import RunConfig
 from gsfit.detect import FactorData
 from gsfit.expr import parse_template
 import gsfit.fit as ft
-from gsfit.config import derived_seed
+from gsfit.config import rng as config_rng
 from gsfit.fit import (
     _lstsq_cols,
     _make_objective,
@@ -192,13 +192,13 @@ def test_population_size_formula():
             rows.append(len(X))
             return np.zeros(len(X))
 
-        ldse_minimize(obj, [(-1.0, 1.0)] * d, seed=0, target_tol=1e-6)
+        ldse_minimize(obj, [(-1.0, 1.0)] * d, rng=np.random.default_rng(0), target_tol=1e-6)
         assert rows[0] == n_pop
 
 
 def test_ldse_sphere_three_dims():
     x, v = ldse_minimize(lambda X: np.einsum("pd,pd->p", X, X), [(-50, 50)] * 3,
-                         seed=0, target_tol=1e-9)
+                         rng=np.random.default_rng(0), target_tol=1e-9)
     assert v <= 1e-8
     assert np.all(np.abs(x) < 1e-3)
 
@@ -207,7 +207,7 @@ def test_ldse_rosenbrock():
     def rosen(X):
         return 100 * (X[:, 1] - X[:, 0] ** 2) ** 2 + (1 - X[:, 0]) ** 2
 
-    x, v = ldse_minimize(rosen, [(-50, 50)] * 2, seed=3, target_tol=1e-9)
+    x, v = ldse_minimize(rosen, [(-50, 50)] * 2, rng=np.random.default_rng(3), target_tol=1e-9)
     assert v <= 1e-4
     assert np.allclose(x, [1, 1], atol=0.05)
 
@@ -225,7 +225,7 @@ def test_ldse_stays_in_bounds_and_reports_min_seen():
         seen.extend(v.tolist())
         return v
 
-    x, v = ldse_minimize(obj, [(-5, 5)] * 2, seed=4, target_tol=0.0,
+    x, v = ldse_minimize(obj, [(-5, 5)] * 2, rng=np.random.default_rng(4), target_tol=0.0,
                          max_generations=60)
     assert np.all(x >= -5) and np.all(x <= 5)
     assert v == min(seen)  # the reported best is the best value ever evaluated
@@ -236,17 +236,24 @@ def test_ldse_deterministic():
     def obj(X):
         return np.sum(np.abs(X), axis=1) + np.sin(X[:, 0])
 
-    a = ldse_minimize(obj, [(-10, 10)] * 2, seed=11, target_tol=1e-6)
-    b = ldse_minimize(obj, [(-10, 10)] * 2, seed=11, target_tol=1e-6)
+    a = ldse_minimize(obj, [(-10, 10)] * 2, rng=np.random.default_rng(11), target_tol=1e-6)
+    b = ldse_minimize(obj, [(-10, 10)] * 2, rng=np.random.default_rng(11), target_tol=1e-6)
     assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
 
 def test_ldse_rejects_bad_bounds():
     with pytest.raises(ValueError):
-        ldse_minimize(lambda X: np.zeros(len(X)), [(1.0, 1.0)], seed=0, target_tol=1e-6)
+        ldse_minimize(lambda X: np.zeros(len(X)), [(1.0, 1.0)], rng=np.random.default_rng(0),
+                      target_tol=1e-6)
 
 
-def _reference_ldse_minimize(objective, bounds, *, seed, target_tol, max_generations=None,
+def _on_stream(kw):
+    """LDSE keywords with their seed replaced by a fresh stream at it."""
+    kw = dict(kw)
+    return dict(kw, rng=np.random.default_rng(kw.pop("seed")))
+
+
+def _reference_ldse_minimize(objective, bounds, *, rng, target_tol, max_generations=None,
                              stagnation_window=None, init_guesses=None, flat=False):
     """Reference for `ldse_minimize` as first written: duplicates found by
     an all-pairs count, the centroid by a boolean mask and .mean, fresh
@@ -258,7 +265,6 @@ def _reference_ldse_minimize(objective, bounds, *, seed, target_tol, max_generat
     n_pop = 10 + 10 * d
     max_gens = 500 * d if max_generations is None else max_generations
     stagnation = 50 * d if stagnation_window is None else stagnation_window
-    rng = np.random.default_rng(seed)
 
     def f(X):
         v = np.asarray(objective(X), dtype=float)
@@ -358,8 +364,8 @@ def test_ldse_matches_the_flat_stagnation_test_on_objectives_with_minimum_zero(r
     # runs never go a stagnation window without a relative gain
     objective, bounds, kw = run()
     with np.errstate(all="ignore"):
-        x, val = ldse_minimize(objective, bounds, **kw)
-        ref_x, ref_val = _flat_ldse_minimize(objective, bounds, **kw)
+        x, val = ldse_minimize(objective, bounds, **_on_stream(kw))
+        ref_x, ref_val = _flat_ldse_minimize(objective, bounds, **_on_stream(kw))
     assert x.tobytes() == ref_x.tobytes() and val == ref_val
 
 
@@ -375,8 +381,8 @@ def test_ldse_stops_sooner_above_zero_within_one_part_in_1e5(run):
     new, calls = _recorded(objective)
     old, ref_calls = _recorded(objective)
     with np.errstate(all="ignore"):
-        _, val = ldse_minimize(new, bounds, **kw)
-        _, ref_val = _flat_ldse_minimize(old, bounds, **kw)
+        _, val = ldse_minimize(new, bounds, **_on_stream(kw))
+        _, ref_val = _flat_ldse_minimize(old, bounds, **_on_stream(kw))
     # the same search, stopped earlier: its batches are a strict prefix of
     # the reference's
     assert len(calls) < len(ref_calls)
@@ -423,8 +429,8 @@ def test_ldse_matches_the_reference_bytewise(d, kind):
     new, calls = _recorded(objective)
     old, ref_calls = _recorded(objective)
     with np.errstate(all="ignore"):
-        x, val = ldse_minimize(new, bounds, **kw)
-        ref_x, ref_val = _reference_ldse_minimize(old, bounds, **kw)
+        x, val = ldse_minimize(new, bounds, **_on_stream(kw))
+        ref_x, ref_val = _reference_ldse_minimize(old, bounds, **_on_stream(kw))
     assert x.tobytes() == ref_x.tobytes() and val == ref_val
     assert len(calls) == len(ref_calls) > 2
     assert all(a.tobytes() == b.tobytes() for a, b in zip(calls, ref_calls))
@@ -757,38 +763,45 @@ def test_with_phase_on_constant_argument_falls_back_for_every_row():
 
 
 def _rank(name, k=1, max_nodes=12):
-    """The seed key of a row's LDSE runs: its rank in the stream."""
+    """The stream key of a row's LDSE runs: its rank in the stream."""
     return [s.name for s in skeleton_stream(k, max_nodes)].index(name)
 
 
-def _ldse_seeds(monkeypatch):
-    """Spy on LDSE: the list of the seeds of its runs, in call order."""
-    seeds = []
+def _start(gen):
+    """The state a Generator starts from, which names its stream."""
+    return gen.bit_generator.state["state"]["state"]
+
+
+def _ldse_streams(monkeypatch):
+    """Spy on LDSE: the list of the start states of its runs' streams, in
+    call order."""
+    streams = []
     real = ft.ldse_minimize
 
-    def spy(objective, bounds, *, seed, **kw):
-        seeds.append(seed)
-        return real(objective, bounds, seed=seed, **kw)
+    def spy(objective, bounds, *, rng, **kw):
+        streams.append(_start(rng))
+        return real(objective, bounds, rng=rng, **kw)
 
     monkeypatch.setattr(ft, "ldse_minimize", spy)
-    return seeds
+    return streams
 
 
 def test_sin_factor_never_runs_ldse_on_exp_scaled(monkeypatch):
     # exp_scaled is scanned and polished first, simplest first, but cannot
     # close; sin_affine's best hint polishes to an exact fit, so no LDSE runs
-    seeds = _ldse_seeds(monkeypatch)
+    streams = _ldse_streams(monkeypatch)
     m = fit_factor(make_data(lambda p: np.sin(2 * p[:, 0])), RunConfig(seed=3))
     assert m.converged and m.skeleton_name == "sin_affine"
     assert m.train_mse <= 1e-12
-    assert seeds == []
+    assert streams == []
 
 
 def _walk_log(monkeypatch, data, cfg):
     """fit_factor's events in order: ('design', name) for each skeleton
     whose linear fit is solved, ('scan', name) for each first-pass scan,
     ('wide scan', name) for each second-pass one, ('library',) for the
-    monomial library's subset search and ('ldse', seed) for each search."""
+    monomial library's subset search and ('ldse', start) for each search,
+    start the state its stream starts from."""
     log = []
     real_design, real_hints, real_ldse = Skeleton.design, ft._ranked_hints, ft.ldse_minimize
     real_library = ft._library
@@ -801,9 +814,9 @@ def _walk_log(monkeypatch, data, cfg):
         log.append(("scan" if reach is ft._SCAN_REACH else "wide scan", sk.name))
         return real_hints(sk, objective, V, y, reach)
 
-    def ldse(objective, bounds, *, seed, **kw):
-        log.append(("ldse", seed))
-        return real_ldse(objective, bounds, seed=seed, **kw)
+    def ldse(objective, bounds, *, rng, **kw):
+        log.append(("ldse", _start(rng)))
+        return real_ldse(objective, bounds, rng=rng, **kw)
 
     def library(*a):
         log.append(("library",))
@@ -903,15 +916,16 @@ def _spied_fit(monkeypatch, data, cfg):
     rank the skeleton's index in the stream, and the names of the
     families scanned in the second pass."""
     k = len(data.vars)
-    run_of = {derived_seed(cfg.seed, rank, r): (rank, r)
+    run_of = {_start(config_rng(cfg.seed, 1101, rank, r)): (rank, r)
               for rank in range(len(skeleton_stream(k, cfg.max_nodes)))
               for r in range(ft._RESTARTS)}
     runs, wide = [], []
     real, real_hints = ft.ldse_minimize, ft._ranked_hints
 
-    def spy(objective, bounds, *, seed, **kw):
-        x, val = real(objective, bounds, seed=seed, **kw)
-        runs.append((*run_of[seed], val))
+    def spy(objective, bounds, *, rng, **kw):
+        run = run_of[_start(rng)]
+        x, val = real(objective, bounds, rng=rng, **kw)
+        runs.append((*run, val))
         return x, val
 
     def ranked_hints(sk, objective, V, y, reach):
@@ -1206,11 +1220,11 @@ def test_library_reproduces_every_monomial_row(monkeypatch, row):
 def test_exp_off_the_hint_grid_closes_without_ldse(monkeypatch):
     # exp_scaled's scan steps 0.75 in w on [1, 3] and misses w = 0.5; the
     # polish closes it from its best row
-    seeds = _ldse_seeds(monkeypatch)
+    streams = _ldse_streams(monkeypatch)
     data = make_data(lambda p: np.exp(0.5 * p[:, 0]), lo=1.0, hi=3.0)
     model = fit_factor(data, RunConfig(seed=0))
     assert model.skeleton_name == "exp_scaled" and model.train_mse <= 1e-12
-    assert seeds == []
+    assert streams == []
     assert model.theta[0] == pytest.approx(0.5, rel=1e-6)
 
 
@@ -1229,24 +1243,24 @@ def test_inner_affine_factors_close_by_the_polish(monkeypatch, name, data):
     # only the ratio of the inner slope and shift matters to these shapes
     # once the amplitude and offset are free, so their Jacobian is
     # scale-degenerate; the truncated solve still closes them
-    seeds = _ldse_seeds(monkeypatch)
+    streams = _ldse_streams(monkeypatch)
     for seed in range(8):
-        seeds.clear()
+        streams.clear()
         model = fit_factor(make_data(**data, seed=seed), RunConfig(seed=seed))
         assert model.skeleton_name == name and model.train_mse <= 1e-12, seed
-        assert seeds == [], seed
+        assert streams == [], seed
 
 
 def test_a_plain_solve_stalls_on_the_scale_degenerate_jacobian(monkeypatch):
     # the same factors with the step solved to machine precision: the step
     # runs off along the null direction, and LDSE has to take over
-    seeds = _ldse_seeds(monkeypatch)
+    streams = _ldse_streams(monkeypatch)
     monkeypatch.setattr(ft, "_POLISH_RCOND", 1e-15)
     stalled = 0
     for _, data in _INNER_AFFINE:
-        seeds.clear()
+        streams.clear()
         fit_factor(make_data(**data, seed=1), RunConfig(seed=1))
-        stalled += bool(seeds)
+        stalled += bool(streams)
     assert stalled >= 3
 
 
@@ -1387,10 +1401,11 @@ def test_a_polish_closed_family_is_not_searched_again(monkeypatch):
     # below any reachable MSE nothing is accepted, so the walk goes on past
     # the polished exp_scaled, and only the families the polish left open
     # get LDSE
-    seeds = _ldse_seeds(monkeypatch)
+    streams = _ldse_streams(monkeypatch)
     data = make_data(lambda p: np.exp(0.5 * p[:, 0]), lo=1.0, hi=3.0)
     model = fit_factor(data, RunConfig(seed=0, tol_target=1e-30))
     assert model.skeleton_name == "exp_scaled" and not model.converged
     assert model.train_mse <= 1e-12
-    exp_seeds = {derived_seed(0, _rank("exp_scaled"), r) for r in range(ft._RESTARTS)}
-    assert seeds and not exp_seeds & set(seeds)
+    exp_streams = {_start(config_rng(0, 1101, _rank("exp_scaled"), r))
+                 for r in range(ft._RESTARTS)}
+    assert streams and not exp_streams & set(streams)

@@ -87,7 +87,7 @@ def test_oracle_arity_mismatch():
 def test_sample_redraws_invalid_rows():
     # 1/x1 is invalid only on a measure-zero set; sample() must come back clean
     o = make_oracle(ex.parse("1/x1", 1), DomainBox.cube(-1, 1, 1))
-    s = o.sample(200, seed=3)
+    s = o.sample(200, np.random.default_rng(3))
     assert np.all(np.isfinite(s.values))
 
 
@@ -125,7 +125,7 @@ class _InvalidFirst(Oracle):
 
 def test_sample_accepts_a_last_redraw_that_makes_every_value_finite():
     o = _InvalidFirst(bad_calls=20)   # the draw and 19 redraws fail, the 20th holds
-    s = o.sample(30, seed=2)
+    s = o.sample(30, np.random.default_rng(2))
     assert o.calls == 21
     assert np.all(np.isfinite(s.values))
     assert np.array_equal(s.values, s.points[:, 0])
@@ -134,5 +134,5 @@ def test_sample_accepts_a_last_redraw_that_makes_every_value_finite():
 def test_sample_still_invalid_after_twenty_redraws_raises_sample_error():
     o = _InvalidFirst(bad_calls=21)
     with pytest.raises(SampleError, match="fully valid sample"):
-        o.sample(30, seed=2)
+        o.sample(30, np.random.default_rng(2))
     assert o.calls == 21
