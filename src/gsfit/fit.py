@@ -27,6 +27,14 @@ count. A parametric family is scanned and polished, first out to +-24
 radians across the data span and then, for sin and cos, out to what the
 sample resolves; the polish stops once Gauss-Newton stalls above 1e-12,
 and only families neither pass closes get LDSE (`_walk`).
+
+Every candidate is scored once. A shifted sin's scan row is scored by the
+2x2 solve that gives its phase (`_with_phase`), every other scan row by
+its objective, and each library subset by the closed-form Cholesky factor
+of its Gram matrix (`_subset_rss`). What does not depend on the data is
+built once per process, on first use, and never at import: the first
+scan pass's grids (`_first_scan_grid`), the library's subset lists
+(`_library_table`) and the polish's difference stencil (`_fd_stencil`).
 """
 
 from __future__ import annotations
@@ -308,8 +316,33 @@ def _wide_reach(form: _Form, V: np.ndarray) -> np.ndarray | None:
     return reach if len(reach) > len(_SCAN_REACH) else None
 
 
-def _scan(sk: Skeleton, V: np.ndarray, y: np.ndarray, reach: np.ndarray) -> np.ndarray:
-    """Starting rows (candidates, nl_count) for a parametric skeleton.
+def _scan_grid(g: str, K: int, reach: np.ndarray) -> np.ndarray:
+    """The scan's rows in units of the span of each m_k: every combination
+    of K axes +-reach, first axis slowest, with a positive first axis for
+    sin and cos and only the grid's outer edge, scaled in to the innermost
+    reach, for ln, sqrt and 1/."""
+    axis = np.concatenate([-reach[::-1], reach])
+    A = np.stack(np.meshgrid(*[axis] * K, indexing="ij"), axis=-1).reshape(-1, K)
+    if g in ("sin", "cos"):
+        return A[A[:, 0] > 0.0]
+    if g in ("ln", "sqrt", "recip"):
+        return A[np.abs(A).max(axis=1) == reach[-1]] * (reach[0] / reach[-1])
+    return A
+
+
+@functools.cache
+def _first_scan_grid(g: str, K: int) -> np.ndarray:
+    """`_scan_grid` along `_SCAN_REACH`, built once per (g, K) on first use
+    and read-only."""
+    A = _scan_grid(g, K, _SCAN_REACH)
+    A.flags.writeable = False
+    return A
+
+
+def _scan(sk: Skeleton, V: np.ndarray, y: np.ndarray, reach: np.ndarray):
+    """Starting rows (candidates, nl_count) for a parametric skeleton, and
+    each row's MSE where the scan solves it (the phased sin rows, see
+    `_with_phase`), nan elsewhere.
 
     Each p_k runs along +-reach (ascending) over the span of m_k on the
     data; sin and cos keep the first axis positive, as its sign only flips
@@ -320,23 +353,21 @@ def _scan(sk: Skeleton, V: np.ndarray, y: np.ndarray, reach: np.ndarray) -> np.n
     box. The shift is the closed-form phase for sin (`_with_phase`; the
     table holds no shifted cos), 0 for exp, and for ln, sqrt and 1/ a pole
     `_SCAN_POLES` spans of the inner argument below its minimum. Rows
-    outside the parameter box are dropped.
+    outside the parameter box are dropped. The grid, in units of the
+    spans, depends on no data: along `_SCAN_REACH` it is built once per
+    process (`_first_scan_grid`), along a wider reach once per call.
     """
     form = sk.form
     K = len(form.terms)
     M = np.column_stack([m._eval(V) for m in form.terms])
     span = np.ptp(M, axis=0)
-    axis = np.concatenate([-reach[::-1], reach])
-    # every combination of the axes' values, first axis slowest
-    A = np.stack(np.meshgrid(*[axis] * K, indexing="ij"), axis=-1).reshape(-1, K)
-    if form.g in ("sin", "cos"):
-        A = A[A[:, 0] > 0.0]
-    elif form.g in ("ln", "sqrt", "recip"):
-        A = A[np.abs(A).max(axis=1) == reach[-1]] * (reach[0] / reach[-1])
+    A = (_first_scan_grid(form.g, K) if reach is _SCAN_REACH
+         else _scan_grid(form.g, K, reach))
     rows = A / np.where(span > 0.0, span, 1.0)
+    mse = None
     if form.shift and form.g == "sin":
         lead = 1.0 if form.lead is None else form.lead._eval(V)
-        rows = _with_phase(rows, M, y, lead)
+        rows, mse = _with_phase(rows, M, y, lead)
     elif form.shift and form.g == "exp":
         rows = np.column_stack([rows, np.zeros(len(rows))])
     elif form.shift:
@@ -344,24 +375,33 @@ def _scan(sk: Skeleton, V: np.ndarray, y: np.ndarray, reach: np.ndarray) -> np.n
         low = u.min(axis=1)
         shifts = (u.max(axis=1) - low)[:, None] * _SCAN_POLES - low[:, None]
         rows = np.column_stack([np.repeat(rows, len(_SCAN_POLES), axis=0), shifts.ravel()])
-    return rows[np.all(np.abs(rows) <= PARAM_BOUND, axis=1)]
+    if mse is None:
+        mse = np.full(len(rows), math.nan)
+    inside = np.all(np.abs(rows) <= PARAM_BOUND, axis=1)
+    return rows[inside], mse[inside]
 
 
-def _with_phase(freqs: np.ndarray, X: np.ndarray, y: np.ndarray, lead=1.0) -> np.ndarray:
+def _with_phase(freqs: np.ndarray, X: np.ndarray, y: np.ndarray, lead=1.0):
     """Rows (freqs..., phase) of a sin column for every row of freqs at
-    once: the pair lead * sin(t), lead * cos(t) fitted at the argument
-    t = sum_k freqs[:, k] * X[:, k] gives the phase; `lead` is a scalar or
-    the lead factor's values.
+    once, and each row's MSE: the pair lead * sin(t), lead * cos(t) fitted
+    at the argument t = sum_k freqs[:, k] * X[:, k] gives the phase;
+    `lead` is a scalar or the lead factor's values.
 
     Centering the data profiles the offset out, so each row's [sin, cos, 1]
-    least-squares fit is a closed-form 2x2 solve on the centered sin and
-    cos columns; rows whose 2x2 system is singular fall back to
-    `_lstsq_cols` on all three columns. Rows are solved `_HINT_CHUNK` at a
-    time, which bounds the (rows, points) temporaries.
+    least-squares fit is a closed-form 2x2 solve (a, b) on the centered
+    sin and cos columns s, c. That fit's MSE, (yc.yc - a*(s.yc) -
+    b*(c.yc)) / n, is the row's MSE under its own objective, since
+    a*sin(t) + b*cos(t) is a multiple of sin(t + phase) (variable
+    projection; Golub and Pereyra 1973). Rows whose 2x2 system is singular
+    fall back to `_lstsq_cols` on all three columns for the phase and get
+    a nan MSE, for the objective to score. Rows are solved `_HINT_CHUNK`
+    at a time, which bounds the (rows, points) temporaries.
     """
     yc = y - y.mean()
+    yy = yc @ yc
     a = np.empty(len(freqs))
     b = np.empty(len(freqs))
+    mse = np.empty(len(freqs))
     for i in range(0, len(freqs), _HINT_CHUNK):
         F = freqs[i:i + _HINT_CHUNK]
         t = F[:, :1] * X[:, 0]
@@ -378,12 +418,16 @@ def _with_phase(freqs: np.ndarray, X: np.ndarray, y: np.ndarray, lead=1.0) -> np
         b2 = c @ yc
         det = a11 * a22 - a12 * a12
         ok = np.isfinite(det) & (det > 1e-300 * np.maximum(1.0, a11 * a22))
-        a[i:i + len(F)] = (b1 * a22 - b2 * a12) / det
-        b[i:i + len(F)] = (a11 * b2 - a12 * b1) / det
+        ai = (b1 * a22 - b2 * a12) / det
+        bi = (a11 * b2 - a12 * b1) / det
+        m = (yy - ai * b1 - bi * b2) / len(y)
+        m[~np.isfinite(m)] = math.inf
+        m[~ok] = math.nan
+        a[i:i + len(F)], b[i:i + len(F)], mse[i:i + len(F)] = ai, bi, m
         for r in np.flatnonzero(~ok):
             cols = np.column_stack([np.sin(t[r]) * lead, np.cos(t[r]) * lead, np.ones(len(y))])
             (a[i + r], b[i + r], _), _ = _lstsq_cols(cols, y)
-    return np.column_stack([freqs, np.arctan2(b, a)])
+    return np.column_stack([freqs, np.arctan2(b, a)]), mse
 
 
 # ---- the table -------------------------------------------------------------
@@ -447,8 +491,6 @@ def skeleton_stream(var_count: int, max_nodes: int = RunConfig.max_nodes) -> lis
 
 # each variable's exponent in a library column
 _LIBRARY_POWERS = (-2, -1, 0, 1, 2, 3)
-# subsets scored per batch; bounds the (subsets, size, size) temporaries
-_LIBRARY_CHUNK = 4096
 # a subset whose Gram matrix of centered unit-norm columns has a smaller
 # determinant counts as singular
 _LIBRARY_MIN_DET = 1e-10
@@ -480,47 +522,97 @@ def _monomials(k: int) -> tuple[tuple[ex.Expr, int], ...]:
     return tuple(sorted(((c, c.complexity()) for c in cols), key=lambda mc: mc[1]))
 
 
+class _LibraryTable(NamedTuple):
+    """The library of k variables within a node cap, before any data."""
+
+    columns: tuple[ex.Expr, ...]      # the `_monomials` within the cap
+    nodes: np.ndarray                 # their node counts
+    subsets: tuple[np.ndarray, ...]   # (count, size) column positions, size 1 to 3
+
+
+@functools.cache
+def _library_table(k: int, max_nodes: int) -> _LibraryTable:
+    """The library table of k variables within max_nodes, built once per
+    (k, max_nodes) on first use. Its subsets of each size are those within
+    the cap (see Skeleton.complexity), in itertools.combinations order:
+    each subset of a size is extended by each later column that keeps it
+    within the cap. Columns come fewest nodes first, so those run from the
+    one after the subset's last up to a searchsorted bound."""
+    monos = [(m, size) for m, size in _monomials(k) if size <= max_nodes]
+    nodes = np.array([size for _, size in monos], dtype=int)
+    S = np.empty((1, 0), dtype=int)  # the subsets of the last size: the empty one
+    used = np.zeros(1, dtype=int)    # their columns' node counts
+    subsets = []
+    for size in range(1, 4):
+        start = S[:, -1] + 1 if size > 1 else 0
+        stop = np.searchsorted(nodes, max_nodes - used - (size - 1), side="right")
+        count = np.maximum(stop - start, 0)
+        row = np.repeat(np.arange(len(S)), count)
+        j = np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+        S, used = np.column_stack([S[row], j]), used[row] + nodes[j]
+        S.flags.writeable = False
+        subsets.append(S)
+    return _LibraryTable(tuple(m for m, _ in monos), nodes, tuple(subsets))
+
+
 def _subset_rss(G: np.ndarray, b: np.ndarray, yy: float, S: np.ndarray) -> np.ndarray:
     """Normal-equation RSS of y on each row of column indices S (B, s),
-    `_LIBRARY_CHUNK` rows at a time; inf where the subset's Gram matrix is
-    singular or its RSS is negative beyond rounding (1e-12 of yy; an exact
-    fit lands on either side of zero). G and b are the columns' Gram
-    matrix and their products with y, yy = y @ y, all on centered data."""
-    rss = np.empty(len(S))
-    for i in range(0, len(S), _LIBRARY_CHUNK):
-        C = S[i:i + _LIBRARY_CHUNK]
-        Gs = G[C[:, :, None], C[:, None, :]]
-        bs = b[C]
-        ok = np.linalg.det(Gs) > _LIBRARY_MIN_DET
-        Gs[~ok] = np.eye(S.shape[1])
-        r = yy - (bs * np.linalg.solve(Gs, bs[:, :, None])[:, :, 0]).sum(axis=1)
-        r[~(ok & (r >= -1e-12 * yy))] = math.inf
-        rss[i:i + len(C)] = r
+    s from 1 to 3; inf where the subset's Gram matrix is singular or its
+    RSS is negative beyond rounding (1e-12 of yy; an exact fit lands on
+    either side of zero). G and b are the columns' Gram matrix and their
+    products with y, yy = y @ y, all on centered data.
+
+    Each subset's Gram matrix is factored G_S = L L^T in closed form, one
+    element-wise array operation over all subsets per entry of L: its
+    determinant is the product of the pivots L_ii^2, and with z = L^-1 b_S
+    the RSS is yy - z.z. A subset with a pivot that is not positive, or a
+    determinant below `_LIBRARY_MIN_DET`, counts as singular.
+    """
+    size = S.shape[1]
+    L = {}                 # (i, j) -> column L_ij over the subsets, j <= i
+    z = []
+    det = np.ones(len(S))
+    ok = np.ones(len(S), dtype=bool)
+    rss = np.full(len(S), yy)
+    for i in range(size):
+        for j in range(i):
+            L[i, j] = (G[S[:, i], S[:, j]] - sum(L[i, k] * L[j, k] for k in range(j))) / L[j, j]
+        pivot = G[S[:, i], S[:, i]] - sum(L[i, k] * L[i, k] for k in range(i))
+        det *= pivot
+        ok &= pivot > 0.0
+        L[i, i] = np.sqrt(np.where(ok, pivot, 1.0))
+        z.append((b[S[:, i]] - sum(L[i, k] * z[k] for k in range(i))) / L[i, i])
+        rss -= z[i] * z[i]
+    rss[~(ok & (det > _LIBRARY_MIN_DET) & (rss >= -1e-12 * yy))] = math.inf
     return rss
+
+
+def _library_values(V: np.ndarray, columns) -> tuple[np.ndarray, np.ndarray]:
+    """Which library columns to keep on the data V, and the kept columns'
+    values centered and scaled to unit norm (kept, points). A column is
+    dropped where it is non-finite or constant on the data (the offset's
+    duplicates) or its centered unit-norm values equal a kept column's bit
+    for bit (its duplicates). All columns are centered and scaled in one
+    array step; each norm is its own row's dot product."""
+    Z = np.array([m._eval(V) for m in columns]).reshape(len(columns), len(V))
+    Z -= Z.mean(axis=1, keepdims=True)
+    norm = np.sqrt([z @ z for z in Z])
+    keep = np.isfinite(norm) & (norm > 0.0)
+    Z /= norm[:, None]
+    seen = set()
+    for i in np.flatnonzero(keep):
+        keep[i] = Z[i].tobytes() not in seen
+        seen.add(Z[i].tobytes())
+    return keep, Z[keep]
 
 
 def _library_columns(V: np.ndarray, max_nodes: int):
     """The library's columns on the data: (templates, node counts, values
     centered and scaled to unit norm). They are the `_monomials` of at most
-    max_nodes nodes, less those non-finite on the data, those constant
-    there (the offset's duplicates) and those whose centered unit-norm
-    values equal an earlier column's bit for bit (its duplicates)."""
-    kept, nodes, Z, seen = [], [], [], set()
-    for m, size in _monomials(V.shape[1]):
-        if size > max_nodes:
-            continue
-        z = m._eval(V)
-        z = z - z.mean()
-        norm = math.sqrt(z @ z)
-        if not (np.isfinite(norm) and norm > 0.0):
-            continue
-        z /= norm
-        if z.tobytes() not in seen:
-            seen.add(z.tobytes())
-            kept.append(m)
-            nodes.append(size)
-            Z.append(z)
-    return kept, np.array(nodes, dtype=int), np.array(Z).reshape(len(kept), len(V))
+    max_nodes nodes that `_library_values` keeps."""
+    table = _library_table(V.shape[1], max_nodes)
+    keep, Z = _library_values(V, table.columns)
+    return [m for m, k in zip(table.columns, keep) if k], table.nodes[keep], Z
 
 
 def _library(V: np.ndarray, y: np.ndarray, max_nodes: int):
@@ -530,39 +622,33 @@ def _library(V: np.ndarray, y: np.ndarray, max_nodes: int):
 
     Centering profiles the offset out, and unit-norm columns condition the
     Gram matrix. The empty sum, the offset alone, leaves y's own RSS. The
-    search is exhaustive within max_nodes (see Skeleton.complexity): each
-    subset that fits the cap is extended by each later column that still
-    fits, so every size's subsets come in itertools.combinations order.
-    Sizes are scored by `_subset_rss`, smallest first, and the first size
-    whose best fits to 1e-12 wins; else the lowest RSS over every size
-    does. Ties go to the earlier subset.
+    search is exhaustive within max_nodes: the subsets are those of the
+    `_library_table`, built once per process for the variable count and
+    max_nodes, less those with a column dropped on the data, so every
+    size's subsets come in itertools.combinations order. Each size's
+    subsets are scored at once by `_subset_rss`'s closed-form Cholesky,
+    smallest size first, and the first size whose best fits to 1e-12 wins;
+    else the lowest RSS over every size does. Ties go to the earlier
+    subset.
     """
     exact_rss = 1e-12 * len(V)  # a normalized MSE of 1e-12
-    kept, nodes, Z = _library_columns(V, max_nodes)
+    table = _library_table(V.shape[1], max_nodes)
+    keep, Z = _library_values(V, table.columns)
+    row = np.cumsum(keep) - 1  # each kept column's row in Z
     yc = y - y.mean()
     G, b, yy = Z @ Z.T, Z @ yc, float(yc @ yc)
-    S = np.empty((1, 0), dtype=int)  # the subsets of the last size: the empty one
-    used = np.zeros(1, dtype=int)    # their columns' node counts
-    best = (yy, S[0])                # (rss, subset)
-    for size in range(1, 4):
+    best = (yy, np.empty(0, dtype=int))  # (rss, subset of table columns)
+    for S in table.subsets:
         if best[0] <= exact_rss:
             break
-        # columns come fewest nodes first, so those that keep a subset
-        # within the cap (its columns' nodes, plus one add per column)
-        # run from the one after its last up to the searchsorted bound
-        start = S[:, -1] + 1 if size > 1 else 0
-        stop = np.searchsorted(nodes, max_nodes - used - (size - 1), side="right")
-        count = np.maximum(stop - start, 0)
-        row = np.repeat(np.arange(len(S)), count)
-        j = np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
-        S, used = np.column_stack([S[row], j]), used[row] + nodes[j]
+        S = S[keep[S].all(axis=1)]
         if not len(S):
             break
-        rss = _subset_rss(G, b, yy, S)
+        rss = _subset_rss(G, b, yy, row[S])
         i = int(np.argmin(rss))
         if rss[i] < best[0]:
             best = (float(rss[i]), S[i])
-    cols = tuple(kept[j] for j in best[1])
+    cols = tuple(table.columns[j] for j in best[1])
     return Skeleton("monomials", cols + (_OFFSET,)), best[0] <= exact_rss
 
 
@@ -649,6 +735,16 @@ _POLISH_RCOND = 1e-5       # singular values below this share of the largest are
 _POLISH_LENGTHS = np.array([1.0, 0.5, 0.25, 0.1])[:, None]
 
 
+@functools.cache
+def _fd_stencil(d: int) -> np.ndarray:
+    """The polish's forward-difference stencil in d parameters: a zero
+    row, for the point itself, then the identity, one step per parameter;
+    built once per d on first use and read-only."""
+    E = np.vstack([np.zeros(d), np.eye(d)])
+    E.flags.writeable = False
+    return E
+
+
 def _polish(residuals, objective, x, val):
     """Gauss-Newton on the profile residual from the point x of objective
     value val; returns the best (x, val) seen, never worse than the start.
@@ -674,8 +770,8 @@ def _polish(residuals, objective, x, val):
     d = len(x)
     for _ in range(_POLISH_ITERS):
         h = _POLISH_FD_STEP * (1.0 + np.abs(x))
-        X = np.tile(x, (d + 1, 1))
-        X[1:] += np.diag(h)
+        X = x + _fd_stencil(d) * h
+        X[0] = x  # x itself, a -0.0 included
         R, ok = residuals(X)
         if not (ok.all() and np.all(np.isfinite(R))):
             break
@@ -697,13 +793,16 @@ def _polish(residuals, objective, x, val):
 _HINT_CHUNK = 64
 
 def _ranked_hints(sk: Skeleton, objective, V, y, reach, top: int = 3):
-    """The skeleton's best `top` scan rows (`_scan` along reach) under its
-    own objective, and the best score (inf when every row scores inf)."""
-    cands = _scan(sk, V, y, reach)
-    scores = np.concatenate(
-        [objective(cands[i:i + _HINT_CHUNK])
-         for i in range(0, len(cands), _HINT_CHUNK)] or [np.empty(0)]
-    )
+    """The skeleton's best `top` scan rows (`_scan` along reach) and the
+    best score (inf when every row scores inf). A phased sin row scores
+    its `_with_phase` MSE; every other row, its own objective, `_HINT_CHUNK`
+    rows at a time."""
+    cands, scores = _scan(sk, V, y, reach)
+    for i in range(0, len(cands), _HINT_CHUNK):
+        chunk = scores[i:i + _HINT_CHUNK]  # a view: filled in place
+        todo = np.isnan(chunk)
+        if todo.any():
+            chunk[todo] = objective(cands[i:i + _HINT_CHUNK])[todo]
     order = [k for k in np.argsort(scores, kind="stable")[:top] if scores[k] < math.inf]
     return [cands[k] for k in order], (float(scores[order[0]]) if order else math.inf)
 

@@ -130,3 +130,18 @@ def reference_polish(residuals, objective, x, val):
             break
         x, val = cands[i], float(vals[i])
     return x, val
+
+
+def reference_subset_rss(G, b, yy, S):
+    """The library's subset scores by batched LU: each subset's Gram matrix
+    is singular where its `np.linalg.det` is at most `fit._LIBRARY_MIN_DET`,
+    and its RSS is yy less b_S . solve(G_S, b_S), inf where negative beyond
+    1e-12 of yy. `fit._subset_rss`'s closed-form Cholesky must agree with
+    it to rounding."""
+    Gs = G[S[:, :, None], S[:, None, :]]
+    bs = b[S]
+    ok = np.linalg.det(Gs) > ft._LIBRARY_MIN_DET
+    Gs[~ok] = np.eye(S.shape[1])
+    r = yy - (bs * np.linalg.solve(Gs, bs[:, :, None])[:, :, 0]).sum(axis=1)
+    r[~(ok & (r >= -1e-12 * yy))] = math.inf
+    return r

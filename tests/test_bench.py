@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -136,6 +138,19 @@ def test_run_suite_parallel_matches_serial():
     a = run_suite(repeats=2, base_seed=3, cases=[1, 4], detect_only=True)
     b = run_suite(repeats=2, base_seed=3, cases=[1, 4], detect_only=True, parallel=True)
     assert a.canonical_json() == b.canonical_json()
+
+
+@pytest.mark.parametrize("no", [2, STREAM_DEMO.no])
+def test_a_run_reports_the_same_after_other_runs_filled_the_fit_tables(no):
+    # in a fresh process the fit's tables start empty; here other cases
+    # have filled them first
+    code = f"import gsfit.bench as b; print(b.run_case({no}, seed=1).canonical_json())"
+    fresh = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           check=True).stdout
+    assert json.loads(fresh)["error"] is None
+    for other in (1, 3, 4):
+        run_case(other, seed=1)
+    assert run_case(no, seed=1).canonical_json() + "\n" == fresh
 
 
 def test_suite_seeds_schedule():

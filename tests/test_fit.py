@@ -1,6 +1,8 @@
 import functools
 import itertools
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -23,7 +25,7 @@ from gsfit.fit import (
     skeleton_stream,
 )
 
-from helpers import reference_polish
+from helpers import reference_polish, reference_subset_rss
 
 # simplest first: node counts 4, 6 x4, 7, 8 and 4, 5, 6 x3, 8 x2, 10 x2
 DEFAULT_STREAMS = {
@@ -630,7 +632,7 @@ def _list_scan(sk, V, y, reach):
         rows.append([v / s for v, s in zip(a, spans)])
     if form.shift and form.g == "sin":
         lead = 1.0 if form.lead is None else form.lead._eval(V)
-        rows = [list(r) for r in _with_phase(np.array(rows), np.column_stack(M), y, lead)]
+        rows = [list(r) for r in _with_phase(np.array(rows), np.column_stack(M), y, lead)[0]]
     elif form.shift and form.g == "exp":
         rows = [r + [0.0] for r in rows]
     elif form.shift:
@@ -652,7 +654,7 @@ def test_hint_generators_match_the_list_form_bitwise(k):
         y = rng.normal(size=50)
         for sk in [s for s in skeleton_stream(k) if s.nl_count]:
             with np.errstate(all="ignore"):
-                got = ft._scan(sk, V, y, reach)
+                got, _ = ft._scan(sk, V, y, reach)
                 want = np.array(_list_scan(sk, V, y, reach))
             assert got.dtype == float and got.ndim == 2, sk.name
             assert got.shape == want.shape, sk.name
@@ -668,7 +670,7 @@ def test_the_wide_reach_leaves_out_only_rows_outside_the_box():
     reach = ft._wide_reach(sk.form, V)
     full = ft._SCAN_STEP * np.arange(1, int(math.pi * len(V) / ft._SCAN_STEP) + 1)
     assert len(ft._SCAN_REACH) < len(reach) < len(full)
-    assert ft._scan(sk, V, y, reach).tobytes() == ft._scan(sk, V, y, full).tobytes()
+    assert ft._scan(sk, V, y, reach)[0].tobytes() == ft._scan(sk, V, y, full)[0].tobytes()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -682,7 +684,7 @@ def test_every_parametric_row_gets_a_scan(k):
     assert rows
     for sk in rows:
         with np.errstate(all="ignore"):
-            cands = ft._scan(sk, V, y, ft._SCAN_REACH)
+            cands, _ = ft._scan(sk, V, y, ft._SCAN_REACH)
             hints, best = _ranked_hints(sk, _make_objective(sk, V, y), V, y, ft._SCAN_REACH)
         assert cands.ndim == 2 and cands.shape[1] == sk.nl_count and len(cands), sk.name
         assert np.all(np.abs(cands) <= ft.PARAM_BOUND), sk.name
@@ -741,7 +743,7 @@ def test_batched_phases_match_per_candidate_lstsq(kind, k):
     freqs = rng.uniform(-5.0, 5.0, size=(ft._HINT_CHUNK + 37, k))
     freqs[ft._HINT_CHUNK + 3] = 0.0
     with np.errstate(all="ignore"):
-        got = _with_phase(freqs, X, y)
+        got, _ = _with_phase(freqs, X, y)
     want = _phase_reference(kind, freqs, X, y)
     assert got.shape == (len(freqs), k + 1)
     assert np.array_equal(got[:, :k], freqs)
@@ -758,8 +760,53 @@ def test_with_phase_on_constant_argument_falls_back_for_every_row():
     y = np.linspace(-1.0, 1.0, 20)
     freqs = np.array([[0.5], [1.0], [3.0]])
     with np.errstate(all="ignore"):
-        got = _with_phase(freqs, X, y)
+        got, _ = _with_phase(freqs, X, y)
     assert np.array_equal(got, _phase_reference("sin", freqs, X, y))
+
+
+# the shifted-sin families, whose scan rows `_with_phase` scores
+_PHASED = {k: [s for s in ft._STREAMS[k] if s.nl_count and s.form.g == "sin" and s.form.shift]
+           for k in (1, 2, 3)}
+
+
+def _objective_scores(sk, V, y, cands):
+    """Reference: every scan row scored by its skeleton's objective,
+    `_HINT_CHUNK` rows per call."""
+    objective = _make_objective(sk, V, y)
+    return np.concatenate([objective(cands[i:i + ft._HINT_CHUNK])
+                           for i in range(0, len(cands), ft._HINT_CHUNK)])
+
+
+@pytest.mark.parametrize("data", ["random", "constant argument"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_phased_scan_rows_score_their_objective(k, data):
+    # a shifted-sin row scores its phase solve's MSE, the objective's on
+    # that row to rounding; a row whose 2x2 system is singular (every row
+    # on a constant argument) scores nan in the scan and its objective in
+    # the ranking, so the ranking keeps the objective's order and infs
+    if data == "random":
+        rng = np.random.default_rng(40 + k)
+        V = rng.uniform(-3.0, 3.0, size=(30 * k, k)) * rng.uniform(0.1, 5.0, size=k)
+        y = rng.normal(size=len(V))
+    else:
+        V = np.full((20, k), 0.7)
+        y = np.linspace(-1.0, 1.0, 20)
+    reaches = [ft._SCAN_REACH] + ([1.5 * np.arange(1, 33)] if k < 3 else [])
+    assert _PHASED[k]
+    for sk, reach in itertools.product(_PHASED[k], reaches):
+        with np.errstate(all="ignore"):
+            cands, scores = ft._scan(sk, V, y, reach)
+            want = _objective_scores(sk, V, y, cands)
+            hints, best = _ranked_hints(sk, _make_objective(sk, V, y), V, y, reach)
+        fallback = np.isnan(scores)
+        assert fallback.all() if data != "random" else not fallback.any(), sk.name
+        scored = np.where(fallback, want, scores)
+        assert np.array_equal(np.isinf(scored), np.isinf(want)), sk.name
+        finite = np.isfinite(want)
+        assert np.all(np.abs(scored[finite] - want[finite]) <= 1e-12 * np.var(y)), sk.name
+        order = [i for i in np.argsort(want, kind="stable")[:3] if want[i] < math.inf]
+        assert [h.tobytes() for h in hints] == [cands[i].tobytes() for i in order], sk.name
+        assert best == (scored[order[0]] if order else math.inf), sk.name
 
 
 def _rank(name, k=1, max_nodes=12):
@@ -1180,6 +1227,72 @@ def test_library_scores_exactly_the_subsets_within_the_cap(monkeypatch, k):
         assert scored == want, cap
         if k == 3 and cap == 12:
             assert [len(w) for w in want] == [215, 8016, 15130]
+
+
+@pytest.mark.parametrize("columns", ["random", "near-collinear"])
+def test_cholesky_subset_scores_match_the_lu_reference(columns):
+    # the closed-form Cholesky scores of every subset of 1 to 3 columns
+    # agree with batched det and solve to 1e-12 of yy, and are inf on the
+    # same subsets: x and x + 1e-6 x^2 (and x^2 and x^2 + 1e-6 x^3) are
+    # singular pairs, and y is noise or an exact fit through them
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-3.0, 3.0, 60)
+    if columns == "random":
+        cols = rng.normal(size=(9, 60))
+    else:
+        cols = np.array([x, x + 1e-6 * x ** 2, x ** 2, x ** 2 + 1e-6 * x ** 3, x ** 3,
+                         1.0 / (4.0 + x), np.exp(x / 3.0), np.sin(x), x + 0.05 * x ** 2])
+    Z = cols - cols.mean(axis=1, keepdims=True)
+    Z /= np.sqrt((Z * Z).sum(axis=1, keepdims=True))
+    for y in (rng.normal(size=60), 2.0 * cols[0] - 3e3 * cols[2] + 0.5 * cols[4] + 1.0,
+              cols[2] - 0.7 * cols[4]):
+        yc = y - y.mean()
+        G, b, yy = Z @ Z.T, Z @ yc, float(yc @ yc)
+        for size in (1, 2, 3):
+            S = np.array(list(itertools.combinations(range(len(Z)), size)))
+            got = ft._subset_rss(G, b, yy, S)
+            want = reference_subset_rss(G, b, yy, S)
+            assert np.array_equal(np.isinf(got), np.isinf(want)), size
+            finite = np.isfinite(want)
+            assert np.all(np.abs(got[finite] - want[finite]) <= 1e-12 * yy), size
+            if columns == "near-collinear":
+                assert np.isinf(got[(S == 0).any(axis=1) & (S == 1).any(axis=1)]).all()
+
+
+# the tables a fit builds once per process, on first use
+_TABLES = ("_first_scan_grid", "_library_table", "_fd_stencil", "_monomials")
+
+
+def test_importing_gsfit_builds_no_table():
+    code = ("import gsfit, gsfit.fit as ft; "
+            f"print(*(getattr(ft, n).cache_info().currsize for n in {_TABLES!r}))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0"] * len(_TABLES)
+
+
+def test_fits_build_one_table_entry_per_key():
+    # fits at 1 to 3 variables on the fuzz boxes at every cap from 3 to 14
+    # build each (variable count, cap) library table and each (g, K) scan
+    # grid once, and no table per data set: the wide pass's grids are not
+    # kept
+    for name in _TABLES:
+        getattr(ft, name).cache_clear()
+    caps = range(3, 15)
+    for k in (1, 2, 3):
+        for i, (lo, hi) in enumerate([(-3, 3), (0.5, 3), (-1, 1), (1, 5)]):
+            data = make_data(lambda p: np.sin(1.7 * p.sum(axis=1)) + p[:, 0] ** 2, lo=lo,
+                             hi=hi, n=24 * k, vars_=tuple(range(1, k + 1)), seed=10 * k + i)
+            for cap in caps:
+                fit_factor(data, RunConfig(seed=1, max_nodes=cap, tol_target=1.0))
+    info = {name: getattr(ft, name).cache_info() for name in _TABLES}
+    keys = {(s.form.g, len(s.form.terms)) for k in ft._STREAMS for s in ft._STREAMS[k]
+            if s.nl_count}
+    assert info["_library_table"].currsize == 3 * len(caps)
+    assert info["_monomials"].currsize == 3
+    assert 0 < info["_first_scan_grid"].currsize <= len(keys)
+    assert 0 < info["_fd_stencil"].currsize <= max(s.nl_count for k in ft._STREAMS
+                                                   for s in ft._STREAMS[k])
+    assert all(i.hits > 0 for i in info.values())
 
 
 @pytest.mark.parametrize("row", list(MONOMIAL_ROWS))
