@@ -23,11 +23,13 @@ from . import expr as ex
 from .config import RunConfig, rng
 from .oracle import Oracle, SampleSet
 
-# training points per basis column, the constant's included: ten times the
-# least that `least_squares` accepts
+# points per basis column, the constant's included, of validation's
+# first block, and of the training sample when a model solved on the
+# least that `least_squares` accepts, 2 per column, does not accept on
+# that block
 TRAIN_POINTS_PER_TERM = 20
-# validation accepts on its first block, of the training size, when the
-# block's MSE is at most this share of tol_target
+# validation accepts on its first block when the block's MSE is at most
+# this share of tol_target
 EARLY_ACCEPT = 1e-3
 
 
@@ -142,12 +144,13 @@ def build_basis(
     return terms
 
 
-def least_squares(terms: list[BasisTerm], train: SampleSet):
+def least_squares(terms: list[BasisTerm], train: SampleSet, drop: bool = True):
     """Solve for the constant and term coefficients on a training set.
 
     Training points where any term (or the target) is invalid are dropped
-    with a warning. Too few training points for the basis, or more than
-    20 percent dropped, raise fit.FitError. Returns (c0, coefficients,
+    with a warning; with drop false, any such point raises fit.FitError
+    instead. Too few training points for the basis, or more than 20
+    percent dropped, raise fit.FitError. Returns (c0, coefficients,
     train_mse, rank_deficient).
     """
     n = len(train)
@@ -157,7 +160,7 @@ def least_squares(terms: list[BasisTerm], train: SampleSet):
     good = np.all(np.isfinite(design), axis=1) & np.isfinite(train.values)
     dropped = int(n - good.sum())
     if dropped:
-        if dropped > 0.2 * n:
+        if dropped > 0.2 * n or not drop:
             raise ft.FitError(
                 f"{dropped} of {n} training points invalid under the basis"
             )
@@ -200,43 +203,65 @@ def assemble_and_validate(
 ) -> AssembledModel:
     """Fit factors, solve the outer linear problem, validate on fresh data.
 
-    Trains on TRAIN_POINTS_PER_TERM points per basis column, the
-    constant's included. Validation is sequential (Wald's test, stopped
-    after its first block). The full sample is N = cfg.samples_per_var * n
-    points, or as many as training took where that is more. Its first
-    block, as many points as training, is drawn first; the model accepts
-    on it, val_mse the block's MSE, when that MSE is at most
-    EARLY_ACCEPT * tol_target. Otherwise the block's stream goes on to
-    draw the other N - b points, and val_mse is the MSE on all N. Redraws
-    aside, these are the N rows one draw from the stream would give.
-    The model succeeds when val_mse is within cfg.tol_target; either way
-    it lists the factors that missed tolerance as `unconverged`.
+    Training and validation are both sequential, each reading one stream
+    in two steps. With n basis columns, the constant's included, the
+    model is first solved on b = 2 * n training points, the least
+    `least_squares` accepts, and validation draws its first block of
+    TRAIN_POINTS_PER_TERM * n points. The model accepts on that block,
+    val_mse the block's MSE, when that MSE is at most EARLY_ACCEPT *
+    tol_target. Otherwise, or when a basis term is invalid at one of the
+    b points, the training stream goes on to draw the other
+    TRAIN_POINTS_PER_TERM * n - b points and the model is solved again on
+    all of them, invalid points dropped with a warning. That model is
+    validated on the same block, and when the block does not accept it,
+    the block's stream goes on to draw the rest of the full sample: N =
+    cfg.samples_per_var * n_vars points, or as many as the block where
+    that is more. val_mse is then the MSE on all N. Redraws aside, each
+    stream's rows are those one draw from it would give. The model
+    succeeds when val_mse is within cfg.tol_target; either way it lists
+    the factors that missed tolerance as `unconverged`.
     """
     factors = fit_structure_factors(structure, oracle, cfg)
     terms = build_basis(structure, factors)
-    train = oracle.sample(TRAIN_POINTS_PER_TERM * (len(terms) + 1), rng(cfg.seed, 1001))
-    c0, coefs, train_mse, deficient = least_squares(terms, train)
-    model = AssembledModel(
-        c0=c0,
-        terms=terms,
-        coefficients=coefs,
-        expr=_compose_expr(c0, coefs, terms),
-        train_mse=train_mse,
-        val_mse=math.inf,
-        success=False,
-        rank_deficient=deficient,
-        unconverged=tuple(f for models in factors for f in models if not f.converged),
-    )
-    # validation never rests on fewer points than training
-    stream, n_val = rng(cfg.seed, 1002), max(cfg.samples_per_var * oracle.arity, len(train))
-    block = oracle.sample(len(train), stream)
-    model.val_mse = _mse(model, block)
-    if n_val > len(block) and model.val_mse > EARLY_ACCEPT * cfg.tol_target:
-        rest = oracle.sample(n_val - len(block), stream)
-        model.val_mse = _mse(model, SampleSet(np.vstack([block.points, rest.points]),
-                                              np.concatenate([block.values, rest.values])))
+    unconverged = tuple(f for models in factors for f in models if not f.converged)
+
+    def solved(train: SampleSet, drop: bool) -> AssembledModel:
+        c0, coefs, train_mse, deficient = least_squares(terms, train, drop)
+        return AssembledModel(
+            c0=c0, terms=terms, coefficients=coefs,
+            expr=_compose_expr(c0, coefs, terms), train_mse=train_mse,
+            val_mse=math.inf, success=False, rank_deficient=deficient,
+            unconverged=unconverged,
+        )
+
+    n_train = TRAIN_POINTS_PER_TERM * (len(terms) + 1)
+    train_stream, val_stream = rng(cfg.seed, 1001), rng(cfg.seed, 1002)
+    train = oracle.sample(2 * (len(terms) + 1), train_stream)
+    block = None
+    try:
+        model = solved(train, drop=False)
+    except ft.FitError:
+        model = None
+    else:
+        block = oracle.sample(n_train, val_stream)
+        model.val_mse = _mse(model, block)
+    if model is None or model.val_mse > EARLY_ACCEPT * cfg.tol_target:
+        model = solved(_joined(train, oracle.sample(n_train - len(train), train_stream)),
+                       drop=True)
+        if block is None:
+            block = oracle.sample(n_train, val_stream)
+        model.val_mse = _mse(model, block)
+        n_val = max(cfg.samples_per_var * oracle.arity, n_train)
+        if n_val > n_train and model.val_mse > EARLY_ACCEPT * cfg.tol_target:
+            model.val_mse = _mse(model, _joined(block, oracle.sample(n_val - n_train,
+                                                                     val_stream)))
     model.success = bool(model.val_mse <= cfg.tol_target)
     return model
+
+
+def _joined(head: SampleSet, tail: SampleSet) -> SampleSet:
+    return SampleSet(np.vstack([head.points, tail.points]),
+                     np.concatenate([head.values, tail.values]))
 
 
 def _mse(model: AssembledModel, sample: SampleSet) -> float:

@@ -54,11 +54,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol-target", type=float, default=default.tol_target,
                    help="MSE tolerance for fitted models")
     p.add_argument("--samples-per-var", type=int, default=default.samples_per_var,
-                   help="most validation points per variable (training takes "
-                        f"{asm.TRAIN_POINTS_PER_TERM} points per basis column; "
-                        "validation first checks a block of as many, accepts at an "
-                        f"MSE of {asm.EARLY_ACCEPT:g} x --tol-target or less, "
-                        "and draws the full sample only otherwise)")
+                   help="most validation points per variable (validation first "
+                        f"checks a block of {asm.TRAIN_POINTS_PER_TERM} points per "
+                        "basis column and accepts a model trained on 2 per column at "
+                        f"an MSE of {asm.EARLY_ACCEPT:g} x --tol-target or less; "
+                        "otherwise training takes as many points as the block, and "
+                        "the full sample is drawn only when the block does not "
+                        "accept that model either)")
     p.add_argument("--max-nodes", type=int, default=default.max_nodes,
                    help="largest skeleton template node count (at least 3)")
     p.add_argument("--kmax", type=int, default=default.kmax,

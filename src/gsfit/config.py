@@ -26,7 +26,9 @@ redrawn anchor thus probes afresh in every stage.
     801   reconstruction points (`_reconstruction_ok`)
     900   box probe for a constant or invalid target (`_detect_once`),
           drawn before any anchor, keyed by the attempt alone
-    1001  training sample (`assemble.assemble_and_validate`)
+    1001  training sample: its first rows, then, when the model solved
+          on them does not accept on the validation block, the rest,
+          from one stream (`assemble.assemble_and_validate`)
     1002  validation block, then the rest of the full sample, from one
           stream (`assemble.assemble_and_validate`)
     1101  LDSE restart (`fit._walk`), keyed by the skeleton's rank in
@@ -49,10 +51,10 @@ class RunConfig:
     tol_detect: float = 1e-8      # relative detection tolerance
     tol_target: float = 1e-6      # MSE tolerance for fitted models
     samples_per_var: int = 200    # most validation points per variable,
-                                  # drawn only when a first block of the
-                                  # training size does not validate at
+                                  # drawn only when a first block of 20
+                                  # per basis column does not validate at
                                   # 1e-3 * tol_target; never fewer than
-                                  # training's 20 per basis column
+                                  # that block
     max_nodes: int = 12           # largest skeleton template node count
     kmax: int = 3                 # largest candidate repeated-variable cut
 

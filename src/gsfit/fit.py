@@ -511,15 +511,15 @@ def _monomial_text(exps: tuple[int, ...]) -> str:
 
 
 @functools.cache
-def _monomials(k: int) -> tuple[tuple[ex.Expr, int], ...]:
-    """(template, node count) of every monomial x1^e1 * ... * xk^ek with
-    each e_i in `_LIBRARY_POWERS` and not all zero, fewest nodes first;
-    built on first use. Of equal node counts, xk's exponent varies slowest
-    and x1's fastest, so x1 comes before x2 before x3 and a sum such as
-    x1 + x2 keeps its columns in variable order."""
+def _monomials(k: int) -> tuple[tuple[ex.Expr, int, tuple[int, ...]], ...]:
+    """(template, node count, exponents) of every monomial x1^e1 * ... *
+    xk^ek with each e_i in `_LIBRARY_POWERS` and not all zero, fewest
+    nodes first; built on first use. Of equal node counts, xk's exponent
+    varies slowest and x1's fastest, so x1 comes before x2 before x3 and a
+    sum such as x1 + x2 keeps its columns in variable order."""
     exps = [e[::-1] for e in itertools.product(_LIBRARY_POWERS, repeat=k) if any(e)]
-    cols = [ex.parse_template(_monomial_text(e), k) for e in exps]
-    return tuple(sorted(((c, c.complexity()) for c in cols), key=lambda mc: mc[1]))
+    cols = [(ex.parse_template(_monomial_text(e), k), e) for e in exps]
+    return tuple(sorted(((c, c.complexity(), e) for c, e in cols), key=lambda m: m[1]))
 
 
 class _LibraryTable(NamedTuple):
@@ -527,6 +527,7 @@ class _LibraryTable(NamedTuple):
 
     columns: tuple[ex.Expr, ...]      # the `_monomials` within the cap
     nodes: np.ndarray                 # their node counts
+    exps: np.ndarray                  # (columns, k) their exponents
     subsets: tuple[np.ndarray, ...]   # (count, size) column positions, size 1 to 3
 
 
@@ -538,8 +539,10 @@ def _library_table(k: int, max_nodes: int) -> _LibraryTable:
     each subset of a size is extended by each later column that keeps it
     within the cap. Columns come fewest nodes first, so those run from the
     one after the subset's last up to a searchsorted bound."""
-    monos = [(m, size) for m, size in _monomials(k) if size <= max_nodes]
-    nodes = np.array([size for _, size in monos], dtype=int)
+    monos = [(m, size, e) for m, size, e in _monomials(k) if size <= max_nodes]
+    nodes = np.array([size for _, size, _ in monos], dtype=int)
+    exps = np.array([e for _, _, e in monos], dtype=int).reshape(len(monos), k)
+    exps.flags.writeable = False
     S = np.empty((1, 0), dtype=int)  # the subsets of the last size: the empty one
     used = np.zeros(1, dtype=int)    # their columns' node counts
     subsets = []
@@ -552,7 +555,7 @@ def _library_table(k: int, max_nodes: int) -> _LibraryTable:
         S, used = np.column_stack([S[row], j]), used[row] + nodes[j]
         S.flags.writeable = False
         subsets.append(S)
-    return _LibraryTable(tuple(m for m, _ in monos), nodes, tuple(subsets))
+    return _LibraryTable(tuple(m for m, _, _ in monos), nodes, exps, tuple(subsets))
 
 
 def _subset_rss(G: np.ndarray, b: np.ndarray, yy: float, S: np.ndarray) -> np.ndarray:
@@ -587,14 +590,36 @@ def _subset_rss(G: np.ndarray, b: np.ndarray, yy: float, S: np.ndarray) -> np.nd
     return rss
 
 
-def _library_values(V: np.ndarray, columns) -> tuple[np.ndarray, np.ndarray]:
-    """Which library columns to keep on the data V, and the kept columns'
-    values centered and scaled to unit norm (kept, points). A column is
-    dropped where it is non-finite or constant on the data (the offset's
-    duplicates) or its centered unit-norm values equal a kept column's bit
-    for bit (its duplicates). All columns are centered and scaled in one
-    array step; each norm is its own row's dot product."""
-    Z = np.array([m._eval(V) for m in columns]).reshape(len(columns), len(V))
+def _monomial_values(V: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """The values on the data V of the monomials with exponents exps, one
+    row a monomial, built at once from each variable's table of powers
+    [1, x, x*x, x^3] by the operations of their templates, in the same
+    order, so to the same floats: the numerator is the left-to-right
+    product of the tables at the positive exponents, the denominator that
+    at the negated negative ones, and the quotient `expr._div`'s, NaN
+    where the denominator is 0. A factor 1 changes no float."""
+    x = np.ascontiguousarray(V.T)
+    powers = np.empty((4, *x.shape))  # [power, variable, point]
+    with np.errstate(all="ignore"):
+        powers[0], powers[1] = 1.0, x
+        np.multiply(x, x, out=powers[2])
+        np.power(x, np.full(x.shape, 3.0), out=powers[3])
+        up, down = np.maximum(exps, 0), np.maximum(-exps, 0)
+        num, den = powers[up[:, 0], 0], powers[down[:, 0], 0]
+        for i in range(1, len(x)):
+            num, den = num * powers[up[:, i], i], den * powers[down[:, i], i]
+        return ex._div(num, den)
+
+
+def _library_values(V: np.ndarray, exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which library columns, the `_monomial_values` of exponents exps,
+    to keep on the data V, and the kept columns' values centered and
+    scaled to unit norm (kept, points). A column is dropped where it is
+    non-finite or constant on the data (the offset's duplicates) or its
+    centered unit-norm values equal a kept column's bit for bit (its
+    duplicates). All columns are centered and scaled in one array step;
+    each norm is its own row's dot product."""
+    Z = _monomial_values(V, exps)
     Z -= Z.mean(axis=1, keepdims=True)
     norm = np.sqrt([z @ z for z in Z])
     keep = np.isfinite(norm) & (norm > 0.0)
@@ -611,7 +636,7 @@ def _library_columns(V: np.ndarray, max_nodes: int):
     centered and scaled to unit norm). They are the `_monomials` of at most
     max_nodes nodes that `_library_values` keeps."""
     table = _library_table(V.shape[1], max_nodes)
-    keep, Z = _library_values(V, table.columns)
+    keep, Z = _library_values(V, table.exps)
     return [m for m, k in zip(table.columns, keep) if k], table.nodes[keep], Z
 
 
@@ -633,7 +658,7 @@ def _library(V: np.ndarray, y: np.ndarray, max_nodes: int):
     """
     exact_rss = 1e-12 * len(V)  # a normalized MSE of 1e-12
     table = _library_table(V.shape[1], max_nodes)
-    keep, Z = _library_values(V, table.columns)
+    keep, Z = _library_values(V, table.exps)
     row = np.cumsum(keep) - 1  # each kept column's row in Z
     yc = y - y.mean()
     G, b, yy = Z @ Z.T, Z @ yc, float(yc @ yc)

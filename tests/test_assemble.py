@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -292,19 +293,22 @@ def test_the_sweeps_of_a_fit_evaluate_each_shared_probe_once(monkeypatch):
             assert spreads[-1] == pairs
 
 
-def _attempt_0(structure, oracle, cfg):
-    """Reference: the one assembly attempt, written out, validated on one
-    sample. The sweeps and fits read cfg; the training sample, 20 points
-    per basis column with the constant's, is drawn from rng(cfg.seed,
-    1001), and the validation sample, cfg.samples_per_var points per
-    variable, from rng(cfg.seed, 1002) in one draw. Sequential validation
-    reports this val_mse whenever its first block does not accept and
-    redraws no row."""
+def _attempt_0(structure, oracle, cfg, per_term=20):
+    """Reference: the one assembly attempt, written out, trained on one
+    sample and validated on one sample. The sweeps and fits read cfg; the
+    training sample, per_term points per basis column with the
+    constant's, is drawn from rng(cfg.seed, 1001), and the validation
+    sample, cfg.samples_per_var points per variable or the block's
+    20 * (terms + 1) where that is more, from rng(cfg.seed, 1002) in one
+    draw. A run whose first block does not accept reports this model,
+    at per_term 20, whenever it redraws no row; a run that accepts on
+    its block trains as it does at per_term 2."""
     factors = asm.fit_structure_factors(structure, oracle, cfg)
     terms = build_basis(structure, factors)
-    train = oracle.sample(20 * (len(terms) + 1), rng(cfg.seed, 1001))
+    train = oracle.sample(per_term * (len(terms) + 1), rng(cfg.seed, 1001))
     c0, coefs, train_mse, deficient = least_squares(terms, train)
-    val = oracle.sample(cfg.samples_per_var * oracle.arity, rng(cfg.seed, 1002))
+    n_val = max(cfg.samples_per_var * oracle.arity, 20 * (len(terms) + 1))
+    val = oracle.sample(n_val, rng(cfg.seed, 1002))
     model = AssembledModel(
         c0=c0, terms=terms, coefficients=coefs,
         expr=asm._compose_expr(c0, coefs, terms), train_mse=train_mse,
@@ -321,6 +325,13 @@ def _on_block(ref, oracle, cfg):
     draw."""
     block = oracle.sample(20 * (len(ref.terms) + 1), rng(cfg.seed, 1002))
     return dataclasses.replace(ref, val_mse=asm._mse(ref, block))
+
+
+def _early_accept(structure, oracle, cfg):
+    """Reference for a run that accepts on its first block: the model
+    trained on the first 2 * (terms + 1) rows of the one-draw training
+    sample, validated on the block."""
+    return _on_block(_attempt_0(structure, oracle, cfg, per_term=2), oracle, cfg)
 
 
 def _counted_fits(monkeypatch):
@@ -356,10 +367,11 @@ def test_stream_demo_validates_on_its_first_attempt(monkeypatch, seed):
     assert len(calls) == 1 and all(f.converged for f in _flat(calls[0]))
     assert model.success and model.val_mse <= cfg.tol_target
     assert model.unconverged == ()
-    # the first block accepts, so val_mse is the block's
-    ref = _attempt_0(s, o, cfg)
+    # the model trained on the first 2 * (terms + 1) rows accepts on the
+    # first block, so val_mse is the block's
+    ref = _early_accept(s, o, cfg)
     assert model.val_mse <= asm.EARLY_ACCEPT * cfg.tol_target and ref.success
-    assert model.to_json() == _on_block(ref, o, cfg).to_json()
+    assert model.to_json() == ref.to_json()
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -381,12 +393,16 @@ def _tolerance_past_the_block(no, seed, passes):
     the full-sample MSE itself, or misses, one ulp below it. Both MSEs are
     those of the model fitted at the default tolerance; its factors fit at
     rounding level, well within the returned one, so a run at that
-    tolerance fits the same model."""
+    tolerance fits the same model. Neither the model trained on the
+    first 2 * (terms + 1) rows nor that trained on all 20 * (terms + 1)
+    accepts on the block at the returned tolerance."""
     cfg = RunConfig(seed=seed)
     o = get_case(no).oracle()
-    ref = _attempt_0(detect_structure(o, cfg), o, cfg)
+    s = detect_structure(o, cfg)
+    ref = _attempt_0(s, o, cfg)
     tol = ref.val_mse if passes else float(np.nextafter(ref.val_mse, 0.0))
     assert asm.EARLY_ACCEPT * tol < _on_block(ref, o, cfg).val_mse
+    assert asm.EARLY_ACCEPT * tol < _early_accept(s, o, cfg).val_mse
     return tol, ref.val_mse
 
 
@@ -412,9 +428,10 @@ def test_a_validation_miss_makes_one_attempt(monkeypatch, target, dims, seed, to
     model = assemble_and_validate(s, o, cfg)
     assert not model.success and model.val_mse > tol
     assert len(calls) == 1
-    # a miss validates on its block of 20 * (terms + 1) points, the
-    # training size, and then on the full sample, whose other rows the
-    # block's stream goes on to draw: training and N validation points
+    # a miss trains on 20 * (terms + 1) points, the first 2 * (terms + 1)
+    # and then the rest, validates on its block of as many, and then on
+    # the full sample, whose other rows the block's stream goes on to
+    # draw: training and N validation points
     b = 20 * (len(model.terms) + 1)
     assert o.eval_count - start == sweep_evals[0] + b + cfg.samples_per_var * dims
     missed = [f for f in _flat(calls[0]) if f.train_mse > tol]
@@ -432,43 +449,19 @@ def test_case9_validates_with_one_factor_fit(monkeypatch, seed):
     assert run_case(9, seed).success and len(calls) == 1
 
 
-@pytest.mark.parametrize("no", [1, 7, 11])
-def test_the_training_sample_has_twenty_points_per_basis_column(monkeypatch, no):
-    # 20 * (terms + 1) points, the first rows of a samples_per_var * n
-    # draw from the same stream, since the box draws row by row
-    seen = []
-    inner = asm.least_squares
-
-    def spy(terms, train):
-        seen.append((len(terms), train))
-        return inner(terms, train)
-
-    monkeypatch.setattr(asm, "least_squares", spy)
-    cfg = RunConfig(seed=3)
-    o = get_case(no).oracle()
-    model = assemble_and_validate(detect_structure(o, cfg), o, cfg)
-    (n_terms, train), = seen
-    assert asm.TRAIN_POINTS_PER_TERM == 20 and n_terms == len(model.terms)
-    assert len(train) == 20 * (n_terms + 1)
-    n_full = cfg.samples_per_var * o.arity
-    full = get_case(no).oracle().sample(n_full, rng(cfg.seed, 1001))
-    assert np.array_equal(train.points, full.points[:len(train)])
-    assert np.array_equal(train.values, full.values[:len(train)])
-
-
-def _validation_samples(monkeypatch, cfg):
-    """Spy on the validation draws, those from the stream that starts as
-    rng(cfg.seed, 1002) does: each call's SampleSet, in order."""
+def _stream_samples(monkeypatch, cfg, *tags):
+    """Spy on the draws from the streams that start as rng(cfg.seed, tag)
+    does, for each tag given: each call's (tag, SampleSet), in order."""
     seen, streams = [], []
     inner = Oracle.sample
-    start = rng(cfg.seed, 1002).bit_generator.state
+    starts = {tag: rng(cfg.seed, tag).bit_generator.state for tag in tags}
 
     def spy(self, count, gen):
-        if gen.bit_generator.state == start:
-            streams.append(gen)
+        for tag, start in starts.items():
+            if gen.bit_generator.state == start:
+                streams.append((tag, gen))
         out = inner(self, count, gen)
-        if any(gen is g for g in streams):
-            seen.append(out)
+        seen.extend((tag, out) for tag, g in streams if gen is g)
         return out
 
     monkeypatch.setattr(Oracle, "sample", spy)
@@ -476,27 +469,129 @@ def _validation_samples(monkeypatch, cfg):
 
 
 @pytest.mark.parametrize("no", [1, 7, 11])
+def test_the_training_sample_has_twenty_points_per_basis_column(monkeypatch, no):
+    # a run that accepts on its first block solves once, on the first
+    # 2 * (terms + 1) training points; one that does not solves again on
+    # 20 * (terms + 1), the training stream going on to draw the rest.
+    # Both are the first rows of a samples_per_var * n draw from the same
+    # stream, since the box draws row by row
+    solves = []
+    inner = asm.least_squares
+
+    def spy(terms, train, drop=True):
+        solves.append((len(terms), train))
+        return inner(terms, train, drop)
+
+    past_block, _ = _tolerance_past_the_block(no, 3, passes=True)
+    monkeypatch.setattr(asm, "least_squares", spy)
+    assert asm.TRAIN_POINTS_PER_TERM == 20
+    for tol, per_term in ((RunConfig().tol_target, [2]), (past_block, [2, 20])):
+        solves.clear()
+        cfg = RunConfig(seed=3, tol_target=tol)
+        o = get_case(no).oracle()
+        model = assemble_and_validate(detect_structure(o, cfg), o, cfg)
+        assert [n for n, _ in solves] == [len(model.terms)] * len(per_term)
+        assert [len(t) for _, t in solves] == [k * (len(model.terms) + 1) for k in per_term]
+        n_full = cfg.samples_per_var * o.arity
+        full = get_case(no).oracle().sample(n_full, rng(cfg.seed, 1001))
+        for _, train in solves:
+            assert np.array_equal(train.points, full.points[:len(train)])
+            assert np.array_equal(train.values, full.values[:len(train)])
+
+
+@pytest.mark.parametrize("no", [1, 7, 11])
 def test_an_early_accept_validates_on_the_first_rows_of_the_full_draw(monkeypatch, no):
-    # the block, of the training size, is the first rows of a
+    # the block, of 20 * (terms + 1) points, is the first rows of a
     # samples_per_var * n draw from the same stream, and it alone is
     # evaluated
     cfg = RunConfig(seed=3)
     o = get_case(no).oracle()
     s = detect_structure(o, cfg)
-    seen = _validation_samples(monkeypatch, cfg)
+    seen = _stream_samples(monkeypatch, cfg, 1002)
     _, sweep_evals = _counted_fits(monkeypatch)
     start = o.eval_count
     model = assemble_and_validate(s, o, cfg)
-    b = 20 * (len(model.terms) + 1)
-    (block,) = seen
-    assert len(block) == b < cfg.samples_per_var * o.arity
-    # training and the block, no more
-    assert o.eval_count - start == sweep_evals[0] + 2 * b
+    n = len(model.terms) + 1
+    ((_, block),) = seen
+    assert len(block) == 20 * n < cfg.samples_per_var * o.arity
+    # the first 2 * (terms + 1) training points and the block, no more
+    assert o.eval_count - start == sweep_evals[0] + 2 * n + 20 * n
     assert model.success and model.val_mse <= asm.EARLY_ACCEPT * cfg.tol_target
     full = get_case(no).oracle().sample(cfg.samples_per_var * o.arity, rng(cfg.seed, 1002))
-    assert np.array_equal(block.points, full.points[:b])
-    assert np.array_equal(block.values, full.values[:b])
+    assert np.array_equal(block.points, full.points[:20 * n])
+    assert np.array_equal(block.values, full.values[:20 * n])
     assert model.val_mse == asm._mse(model, block)
+
+
+# the bases of cases 4 and 7 are rank deficient, and at these workload
+# seeds their models still accept on the block, trained on 2 * (terms + 1)
+# points
+@pytest.mark.parametrize("no, seed", [(4, 1), (4, 2), (7, 1), (7, 2)])
+def test_a_rank_deficient_basis_accepts_on_its_first_training_rows(no, seed):
+    cfg = RunConfig(seed=seed)
+    o = get_case(no).oracle()
+    s = detect_structure(o, cfg)
+    model = assemble_and_validate(s, o, cfg)
+    assert model.rank_deficient and model.success
+    assert model.val_mse <= asm.EARLY_ACCEPT * cfg.tol_target
+    assert model.to_json() == _early_accept(s, o, cfg).to_json()
+    assert _attempt_0(s, o, cfg).rank_deficient
+
+
+# (case, seed) at a tolerance its first block does not accept, at the
+# default samples_per_var and at one point a variable, where the block is
+# the whole validation sample
+@pytest.mark.parametrize("spv", [200, 1])
+@pytest.mark.parametrize("no, seed", [(1, 1), (9, 6)])
+def test_a_block_that_does_not_accept_retrains_on_twenty_points_per_column(
+        monkeypatch, no, seed, spv):
+    tol, _ = _tolerance_past_the_block(no, seed, passes=True)
+    cfg = RunConfig(seed=seed, tol_target=tol, samples_per_var=spv)
+    o = get_case(no).oracle()
+    s = detect_structure(o, cfg)
+    seen = _stream_samples(monkeypatch, cfg, 1001, 1002)
+    _, sweep_evals = _counted_fits(monkeypatch)
+    start = o.eval_count
+    model = assemble_and_validate(s, o, cfg)
+    n = len(model.terms) + 1
+    n_val = max(spv * o.arity, 20 * n)
+    rest = [(1002, n_val - 20 * n)] if n_val > 20 * n else []
+    assert [(tag, len(v)) for tag, v in seen] == [
+        (1001, 2 * n), (1002, 20 * n), (1001, 18 * n), *rest]
+    assert o.eval_count - start == sweep_evals[0] + 20 * n + n_val
+    monkeypatch.undo()
+    assert model.to_json() == _attempt_0(s, o, cfg).to_json()
+
+
+def test_a_basis_invalid_on_a_first_training_row_solves_on_all_of_them(monkeypatch):
+    # the first training rows are solved on only when every term is valid
+    # on each; here the first term is made invalid on the first row of
+    # every sample, so the run draws the rest of the training sample
+    # before any validation row, solves once on it, and warns once, for
+    # the one point dropped
+    cfg = RunConfig(seed=1)
+    o = get_case(1).oracle()
+    s = detect_structure(o, cfg)
+    inner = asm.basis_columns
+
+    def first_row_invalid(terms, points):
+        cols = inner(terms, points)
+        cols[0][0] = np.nan
+        return cols
+
+    monkeypatch.setattr(asm, "basis_columns", first_row_invalid)
+    seen = _stream_samples(monkeypatch, cfg, 1001, 1002)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        model = assemble_and_validate(s, o, cfg)
+    assert [str(w.message) for w in caught] == ["dropped 1 invalid training points"]
+    n = len(model.terms) + 1
+    assert [(tag, len(v)) for tag, v in seen] == [(1001, 2 * n), (1001, 18 * n), (1002, 20 * n)]
+    assert model.success and model.val_mse <= asm.EARLY_ACCEPT * cfg.tol_target
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ref = _on_block(_attempt_0(s, o, cfg), o, cfg)
+    assert model.to_json() == ref.to_json()
 
 
 # (case, seed) at a tolerance its first block does not accept: case 9
@@ -508,11 +603,11 @@ def test_the_full_sample_gives_the_one_sample_val_mse_bit_for_bit(monkeypatch, n
     cfg = RunConfig(seed=seed, tol_target=tol)
     o = get_case(no).oracle()
     s = detect_structure(o, cfg)
-    seen = _validation_samples(monkeypatch, cfg)
+    seen = _stream_samples(monkeypatch, cfg, 1002)
     model = assemble_and_validate(s, o, cfg)
     b, n_full = 20 * (len(model.terms) + 1), cfg.samples_per_var * o.arity
-    assert [len(v) for v in seen] == [b, n_full - b]
-    block_mse = asm._mse(model, seen[0])
+    assert [len(v) for _, v in seen] == [b, n_full - b]
+    block_mse = asm._mse(model, seen[0][1])
     assert asm.EARLY_ACCEPT * tol < block_mse
     monkeypatch.undo()
     ref = _attempt_0(s, o, cfg)

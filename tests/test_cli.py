@@ -361,29 +361,38 @@ def _fit_at_two_sample_sizes(capsys, *flags):
 
 
 def test_samples_per_var_sizes_only_the_validation_sample(capsys):
-    # training takes 20 points per basis column whatever the flag, and
-    # validation never takes fewer: one point a variable leaves the model
-    # as it is and validates on the training size, not on n points. The
-    # flag only caps validation: the model validates at about 2e-28, clear
-    # of the tolerance on the first block, of the training size, which
-    # both runs draw and no more
+    # training takes its points per basis column whatever the flag, and
+    # validation never takes fewer than its first block of 20 per basis
+    # column: one point a variable leaves the model as it is and
+    # validates on the block, not on n points. The flag only caps
+    # validation: the model trained on 2 points per basis column
+    # validates at about 1e-30, clear of the tolerance on the first
+    # block, which both runs draw and no more
     full, small = _fit_at_two_sample_sizes(capsys)
     assert full["oracle_evals"] == small["oracle_evals"]
     assert full["model"]["val_mse"] == small["model"]["val_mse"]
 
 
 def test_samples_per_var_sizes_the_sample_after_a_block_that_does_not_accept(capsys):
-    # at the default tolerance the model accepts on its first block; at
-    # the block's MSE, or the full sample's where that is more, it does
-    # not, so the block's stream goes on to draw the rest of the 200
-    # points a variable; at one point a variable the block is the whole
-    # sample
+    # at the default tolerance the model trained on 2 points per basis
+    # column accepts on its first block. At that block's MSE it does not,
+    # so the run trains again on 20 points per basis column; at one point
+    # a variable the block is the whole sample, and the model's MSE on it
+    # is read from that run. At the largest of the three MSEs neither
+    # model accepts on the block, so the block's stream goes on to draw
+    # the rest of the 200 points a variable
     _, out, _ = run_cli(_README_FIT, capsys)
-    block_mse = json.loads(out)["model"]["val_mse"]
-    _, out, _ = run_cli([*_README_FIT, "--tol-target", repr(block_mse)], capsys)
-    tol = max(block_mse, json.loads(out)["model"]["val_mse"])
+    first_mse = json.loads(out)["model"]["val_mse"]
+    mses = [first_mse]
+    for spv in ("200", "1"):
+        _, out, _ = run_cli([*_README_FIT, "--tol-target", repr(first_mse),
+                             "--samples-per-var", spv], capsys)
+        mses.append(json.loads(out)["model"]["val_mse"])
+    tol = max(mses)
+    assert 1e-3 * tol < min(first_mse, mses[2])
     full, small = _fit_at_two_sample_sizes(capsys, "--tol-target", repr(tol))
-    assert small["model"]["val_mse"] == block_mse
+    assert small["model"]["val_mse"] == mses[2]
+    assert full["model"]["val_mse"] == mses[1]
     n_train = 20 * (len(full["model"]["terms"]) + 1)
     assert full["oracle_evals"] - small["oracle_evals"] == 200 * 2 - n_train
     assert full["model"]["val_mse"] != small["model"]["val_mse"]

@@ -1295,6 +1295,28 @@ def test_fits_build_one_table_entry_per_key():
     assert all(i.hits > 0 for i in info.values())
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_monomial_values_equal_their_templates_bit_for_bit(k):
+    # on the four fuzz boxes, with exact zeros (and a -0.0) planted in
+    # every variable, so that every column with a denominator is NaN on
+    # some rows: each column built from the power tables is its
+    # template's floats, NaN on the same rows
+    table = ft._library_table(k, 14)
+    assert len(table.columns) == 6 ** k - 1
+    for i, (lo, hi) in enumerate([(-3, 3), (0.5, 3), (-1, 1), (1, 5)]):
+        V = np.random.default_rng(i).uniform(lo, hi, size=(50, k))
+        for j in range(k):
+            V[j::k + 3, j] = 0.0
+        V[-1, 0] = -0.0
+        got = ft._monomial_values(V, table.exps)
+        with np.errstate(all="ignore"):
+            want = np.array([m._eval(V) for m in table.columns])
+        assert got.shape == want.shape == (len(table.columns), len(V))
+        assert np.isnan(got).any() and np.array_equal(np.isnan(got), np.isnan(want))
+        ok = ~np.isnan(want)
+        assert got[ok].tobytes() == want[ok].tobytes(), (lo, hi)
+
+
 @pytest.mark.parametrize("row", list(MONOMIAL_ROWS))
 def test_library_reproduces_every_monomial_row(monkeypatch, row):
     # each column set, with coefficients of mixed scale and an offset, is
