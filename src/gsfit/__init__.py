@@ -16,7 +16,6 @@ from .detect import (
     isolate_omega_data,
     isolate_psi_data,
     minimal_blocks,
-    mixed_diff,
     repeated_vars,
 )
 from .fit import (

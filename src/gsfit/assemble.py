@@ -48,6 +48,8 @@ class BasisTerm:
             self.factors = (self.expr,)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
+        """Kept only because perfbench's tracer wraps it as `assemble.term`;
+        goes with ROADMAP item 5's tracer change."""
         return self.expr.eval_batch(points)
 
 

@@ -1,7 +1,8 @@
 """Command-line entry points: detect, fit, bench.
 
-Exit codes: 0 success, 1 usage or parse error or an --out file that
-cannot be written, 2 detection failure, 3 no model within tolerance,
+Exit codes: 0 success, 1 usage or parse error, a target nested too
+deeply to parse or evaluate, or an --out file that cannot be written,
+2 detection failure, 3 no model within tolerance,
 including factors gsfit cannot fit and samples that stay invalid. Every
 output JSON embeds the full run configuration, seed included, so results
 are self-reproducing. Output is strict JSON: a non-finite number, such as
@@ -52,7 +53,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol-detect", type=float, default=default.tol_detect,
                    help="relative detection tolerance")
     p.add_argument("--tol-target", type=float, default=default.tol_target,
-                   help="MSE tolerance for fitted models")
+                   help="MSE tolerance: a factor fit accepts at a normalized MSE "
+                        "of at most this, validation at an absolute MSE")
     p.add_argument("--samples-per-var", type=int, default=default.samples_per_var,
                    help="most validation points per variable (validation first "
                         f"checks a block of {asm.TRAIN_POINTS_PER_TERM} points per "
@@ -266,8 +268,14 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     commands = {"detect": cmd_detect, "fit": cmd_fit, "bench": cmd_bench}
-    with np.errstate(all="ignore"):
-        return commands[args.command](args)
+    try:
+        with np.errstate(all="ignore"):
+            return commands[args.command](args)
+    except RecursionError:
+        # the parser and tree walks recurse per level; a higher limit risks the C stack
+        print("error: target nested too deeply (Python recursion limit reached)",
+              file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

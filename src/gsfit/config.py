@@ -49,7 +49,8 @@ import numpy as np
 class RunConfig:
     seed: int = 0
     tol_detect: float = 1e-8      # relative detection tolerance
-    tol_target: float = 1e-6      # MSE tolerance for fitted models
+    tol_target: float = 1e-6      # MSE tolerance, normalized for a factor
+                                  # fit and absolute for validation
     samples_per_var: int = 200    # most validation points per variable,
                                   # drawn only when a first block of 20
                                   # per basis column does not validate at

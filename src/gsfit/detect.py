@@ -72,14 +72,6 @@ class InteractionGraph:
     def has_edge(self, i: int, j: int) -> bool:
         return self._adjacent[i - 1][j - 1]
 
-    def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for i in range(1, self.n + 1):
-            for j in range(i + 1, self.n + 1):
-                if self.has_edge(i, j):
-                    out.append((i, j))
-        return out
-
     def components(self, active: set[int] | None = None) -> list[tuple[int, ...]]:
         """Connected components of the induced subgraph over `active`."""
         verts = sorted(active) if active is not None else list(range(1, self.n + 1))
@@ -137,9 +129,6 @@ class GsStructure:
 
     def __getstate__(self):
         return {**self.__dict__, "at": None}
-
-    def block_count(self) -> int:
-        return len(self.blocks)
 
     def factor_count(self) -> int:
         return sum(b.factor_count() for b in self.blocks)
@@ -282,24 +271,6 @@ def _pair_scores(at: Anchor, pairs, probes: int, tol: float = math.inf) -> np.nd
     return np.array(diff) / np.maximum(1.0, peak)
 
 
-def mixed_diff(
-    o: Oracle, i: int, j: int, anchor, probes: int = PAIR_PROBES, seed: int = 0
-) -> float:
-    """Normalized anchored mixed-second-difference score for (i, j).
-
-    Exactly zero (up to rounding) when x_i and x_j sit in additively
-    separated parts of the target. Scored over all `probes` probes by the
-    scorer interaction_graph uses, at a fresh `Anchor` under `seed`, so it
-    equals the graph's score at such an anchor wherever the pair is no
-    edge; on an edge the graph stores the score of the probes drawn until
-    it cleared tol, and both clear it.
-    """
-    if i == j:
-        raise ValueError("need two distinct variables")
-    at = Anchor(o, anchor, RunConfig(seed=seed))
-    return float(_pair_scores(at, [(i, j)], probes)[0])
-
-
 def interaction_graph(at: Anchor, among: set[int] | None = None) -> InteractionGraph:
     """Score variable pairs at the anchor; edge wherever the score clears
     cfg.tol_detect.
@@ -426,7 +397,7 @@ class Anchor:
     @property
     def f(self) -> float:
         if self._f is None:
-            self._f = self.o(self.point)
+            self._f = float(self.o.eval_batch(self.point[None])[0])
         return self._f
 
     def uniform(self, cols: tuple[int, ...], count: int, tag: int, *key) -> np.ndarray:

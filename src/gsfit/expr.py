@@ -111,14 +111,6 @@ class Expr:
         # per node, as _arity_bound
         return 1 + sum(a._complexity for a in self.args)
 
-    def evaluate(self, point) -> float:
-        """Evaluate at a single point (sequence of floats, 1-based vars).
-
-        Returns NaN for any domain violation.
-        """
-        out = self.eval_batch(np.asarray(point, dtype=float).reshape(1, -1))
-        return float(out[0])
-
     def eval_batch(self, points: np.ndarray) -> np.ndarray:
         """Vectorized evaluation over an (N, n) array of points.
 

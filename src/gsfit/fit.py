@@ -25,7 +25,7 @@ are not monomials, ln(x1/x2) and ln(-x1/x2).
 Each variable count's stream lists its rows simplest first, by node
 count. A parametric family is scanned and polished, first out to +-24
 radians across the data span and then, for sin and cos, out to what the
-sample resolves; the polish stops once Gauss-Newton stalls above 1e-12,
+sample resolves; the polish stops once Gauss-Newton stalls above `EXACT_MSE`,
 and only families neither pass closes get LDSE (`_walk`).
 
 Every candidate is scored once. A shifted sin's scan row is scored by the
@@ -57,6 +57,9 @@ class FitError(ValueError):
 
 # box searched for every nonlinear skeleton parameter
 PARAM_BOUND = 50.0
+
+# a normalized MSE at or below this is an exact fit, where searches stop
+EXACT_MSE = 1e-12
 
 
 def _clip(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -201,10 +204,6 @@ class Skeleton:
     @property
     def nl_count(self) -> int:
         return max(c.param_bound() for c in self.columns)
-
-    @property
-    def var_count(self) -> int:
-        return max(c.arity_bound() for c in self.columns)
 
     @property
     def complexity(self) -> int:
@@ -631,19 +630,11 @@ def _library_values(V: np.ndarray, exps: np.ndarray) -> tuple[np.ndarray, np.nda
     return keep, Z[keep]
 
 
-def _library_columns(V: np.ndarray, max_nodes: int):
-    """The library's columns on the data: (templates, node counts, values
-    centered and scaled to unit norm). They are the `_monomials` of at most
-    max_nodes nodes that `_library_values` keeps."""
-    table = _library_table(V.shape[1], max_nodes)
-    keep, Z = _library_values(V, table.exps)
-    return [m for m, k in zip(table.columns, keep) if k], table.nodes[keep], Z
-
-
 def _library(V: np.ndarray, y: np.ndarray, max_nodes: int):
-    """The best sum of 0 to 3 `_library_columns` plus an offset on the
-    data, as a parameter-free skeleton named "monomials", and whether it
-    fits to a normalized MSE of 1e-12.
+    """The best sum of 0 to 3 `_library_table` columns that
+    `_library_values` keeps on the data, plus an offset, as a
+    parameter-free skeleton named "monomials", and whether it fits to a
+    normalized MSE of `EXACT_MSE`.
 
     Centering profiles the offset out, and unit-norm columns condition the
     Gram matrix. The empty sum, the offset alone, leaves y's own RSS. The
@@ -652,11 +643,11 @@ def _library(V: np.ndarray, y: np.ndarray, max_nodes: int):
     max_nodes, less those with a column dropped on the data, so every
     size's subsets come in itertools.combinations order. Each size's
     subsets are scored at once by `_subset_rss`'s closed-form Cholesky,
-    smallest size first, and the first size whose best fits to 1e-12 wins;
+    smallest size first, and the first size whose best fits to `EXACT_MSE` wins;
     else the lowest RSS over every size does. Ties go to the earlier
     subset.
     """
-    exact_rss = 1e-12 * len(V)  # a normalized MSE of 1e-12
+    exact_rss = EXACT_MSE * len(V)
     table = _library_table(V.shape[1], max_nodes)
     keep, Z = _library_values(V, table.exps)
     row = np.cumsum(keep) - 1  # each kept column's row in Z
@@ -751,7 +742,7 @@ def _make_objective(sk: Skeleton, V, y):
 
 # Gauss-Newton polish of a family's best scan row (see `_polish`)
 _POLISH_ITERS = 12
-# an accepted step above 1e-12 that leaves more than this share of the MSE
+# an accepted step above EXACT_MSE that leaves more than this share of the MSE
 # ends the polish: on a zero-residual fit, even the shortest length (0.1)
 # of a linearly converging step keeps (1 - 0.1)^2 = 0.81 of it
 _POLISH_STALL = 0.9
@@ -784,10 +775,10 @@ def _polish(residuals, objective, x, val):
     direction), and scores a few step lengths, clipped to the parameter
     box, in one objective call. It stops when no length improves, after
     `_POLISH_ITERS` iterations, or when it stalls: a step that leaves the
-    MSE above 1e-12 and above `_POLISH_STALL` times the MSE before it.
+    MSE above `EXACT_MSE` and above `_POLISH_STALL` times the MSE before it.
     Near a fit that closes, Gauss-Newton converges at least linearly, so a
     stalled family is left open: to the second scan pass or LDSE, should it
-    close from further off. Below 1e-12 it runs on: an exact fit keeps
+    close from further off. Below `EXACT_MSE` it runs on: an exact fit keeps
     improving in its last digits, which a basis such as 1/x^2 magnifies in
     the assembly.
     """
@@ -808,7 +799,7 @@ def _polish(residuals, objective, x, val):
         if not vals[i] < val:
             break
         x, val, last = cands[i], float(vals[i]), val
-        if val > max(1e-12, _POLISH_STALL * last):
+        if val > max(EXACT_MSE, _POLISH_STALL * last):
             break
     return x, val
 
@@ -840,7 +831,7 @@ def _walk(stream: list[Skeleton], V, y, seed: int, max_nodes: int):
     """Yield (skeleton, nl) in the order fit_factor tries them.
 
     The monomial library (`_library`, within max_nodes) searches first.
-    Its best subset is yielded at once if it fits to 1e-12 (the offset
+    Its best subset is yielded at once if it fits to `EXACT_MSE` (the offset
     alone does on constant data), and otherwise only after the last LDSE
     family, where it competes on MSE, so that an inexact sum of monomials
     cannot take the place of a parametric family that a polish or LDSE
@@ -851,10 +842,10 @@ def _walk(stream: list[Skeleton], V, y, seed: int, max_nodes: int):
     left open is scanned again out to what the sample resolves
     (`_wide_reach`), where that reaches further. A scan that beats the
     family's best so far has its best row polished (`_polish`); a family
-    that polishes to 1e-12 is yielded at once; an open one keeps only its
+    that polishes to `EXACT_MSE` is yielded at once; an open one keeps only its
     scan rows and scan score. The families still open then get LDSE in
     order of best scan score (ties in stream order), each `_RESTARTS` runs
-    from its best scan rows, stopping early only at 1e-12, and its best
+    from its best scan rows, stopping early only at `EXACT_MSE`, and its best
     run is yielded before the next family's first. A run reads the stream
     rng(seed, 1101, rank, restart), rank the skeleton's in the stream.
     """
@@ -879,7 +870,7 @@ def _walk(stream: list[Skeleton], V, y, seed: int, max_nodes: int):
                 still.append(family)
                 continue
             x, val = _polish(_make_residuals(sk, V, y), objective, hints[0], hint_best)
-            if val <= 1e-12:
+            if val <= EXACT_MSE:
                 yield sk, x
                 continue
             still.append((hint_best, rank, sk, objective, hints))
@@ -894,7 +885,7 @@ def _walk(stream: list[Skeleton], V, y, seed: int, max_nodes: int):
             )
             if best is None or val < best[1]:
                 best = (x, val)
-            if val <= 1e-12:
+            if val <= EXACT_MSE:
                 break
         yield sk, best[0]
     if not exact:

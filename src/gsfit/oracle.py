@@ -54,9 +54,6 @@ class DomainBox:
     def hi_array(self) -> np.ndarray:
         return np.asarray(self.hi, dtype=float)
 
-    def midpoint(self) -> np.ndarray:
-        return 0.5 * (self.lo_array() + self.hi_array())
-
     def uniform(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Draw `count` i.i.d. uniform points as an (count, arity) array."""
         return uniform(rng, self.lo_array(), self.hi_array(), (count, self.arity))
@@ -98,9 +95,6 @@ class Oracle:
     @property
     def eval_count(self) -> int:
         return self._count
-
-    def __call__(self, point) -> float:
-        return float(self.eval_batch(np.asarray(point, dtype=float).reshape(1, -1))[0])
 
     def eval_batch(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)

@@ -10,8 +10,10 @@ import math
 
 import numpy as np
 
+from gsfit import detect as det
 from gsfit import expr as ex
 from gsfit import fit as ft
+from gsfit.config import RunConfig
 
 # The ten benchmark targets, recomputed independently of the parser.
 INDEPENDENT_TARGETS = {
@@ -48,6 +50,18 @@ _WIDE_SHAPES = (
 WIDE_INDEPENDENT = lambda x: sum(
     x[64] * _WIDE_SHAPES[i % 4](x[2 * i], x[2 * i + 1]) for i in range(32)
 )
+
+
+def value_at(f, point) -> float:
+    """f (an Oracle or an Expr) at one point, from a one-row eval_batch."""
+    return float(f.eval_batch(np.asarray(point, dtype=float).reshape(1, -1))[0])
+
+
+def pair_score(o, i, j, anchor, probes, seed) -> float:
+    """The graph scorer's score of the pair (i, j) over all `probes`
+    probes, at a hand-built anchor under `seed`."""
+    at = det.Anchor(o, anchor, RunConfig(seed=seed))
+    return float(det._pair_scores(at, [(i, j)], probes)[0])
 
 
 def random_tree(rng: np.random.Generator, arity: int, depth: int = 0) -> ex.Expr:

@@ -11,11 +11,11 @@ import pytest
 from gsfit import expr as ex
 from gsfit.bench import CASES, STREAM_DEMO, run_case, run_suite, suite_seeds
 from gsfit.config import RunConfig
-from gsfit.detect import detect_structure, mixed_diff
+from gsfit.detect import detect_structure
 from gsfit.fit import ldse_minimize
 from gsfit.oracle import DomainBox, make_oracle
 
-from helpers import random_tree
+from helpers import pair_score, random_tree, value_at
 
 BASE_SEED = 0
 REPEATS = 20
@@ -160,8 +160,8 @@ def _separable_instance(rng, n):
 def _finest_additive_partition(oracle, rng):
     """Exhaustive partition search with direct slicing checks."""
     n = oracle.arity
-    anchor = oracle.box.midpoint() + rng.uniform(-0.3, 0.3, n)
-    f_anchor = oracle(anchor)
+    anchor = (oracle.box.lo_array() + oracle.box.hi_array()) / 2 + rng.uniform(-0.3, 0.3, n)
+    f_anchor = value_at(oracle, anchor)
     pts = oracle.box.uniform(64, rng)
     f_all = oracle.eval_batch(pts)
     scale = max(1.0, float(np.max(np.abs(f_all))))
@@ -207,8 +207,8 @@ def test_criterion_5c_mixed_diff_zero_on_separable_pairs():
                    ex.unary(g2, ex.mul(ex.const(float(rng.uniform(-2, 2))), ex.var(2)))),
         )
         o = make_oracle(f, DomainBox.cube(-3, 3, 2))
-        anchor = o.box.midpoint() + rng.uniform(-1, 1, 2)
-        worst = max(worst, mixed_diff(o, 1, 2, anchor, probes=8, seed=200 + k))
+        anchor = (o.box.lo_array() + o.box.hi_array()) / 2 + rng.uniform(-1, 1, 2)
+        worst = max(worst, pair_score(o, 1, 2, anchor, probes=8, seed=200 + k))
     ok = worst <= 1e-12
     _line(5, ok, f"mixed second difference on 50 separable pairs, worst {worst:.2e}")
     assert ok

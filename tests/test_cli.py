@@ -332,6 +332,19 @@ def test_out_path_that_cannot_be_written_exit_1(tmp_path, capsys, args):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("command, target, dims", [
+    # the tree walks recurse once per level of the 249 nested adds
+    ("detect", "+".join(f"x{i}" for i in range(1, 251)), 250),
+    # the parser recurses once per parenthesis
+    ("fit", "(" * 400 + "x1" + ")" * 400, 1),
+])
+def test_a_target_nested_too_deeply_exit_1(capsys, command, target, dims):
+    code, out, err = run_cli([command, "--target", target, "--dims", str(dims)], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: target nested too deeply (Python recursion limit reached)\n"
+    assert "Traceback" not in err
+
+
 def test_fit_max_nodes_below_three_exit_1(capsys):
     code, _, err = run_cli(
         ["fit", "--target", "sin(x1)", "--dims", "1", "--max-nodes", "2"], capsys

@@ -21,14 +21,18 @@ from gsfit.detect import (
     isolate_omega_data,
     isolate_psi_data,
     minimal_blocks,
-    mixed_diff,
     repeated_vars,
 )
 from gsfit.oracle import DomainBox, Oracle, make_oracle
 
-from helpers import random_tree
+from helpers import pair_score, random_tree, value_at
 
 CFG = RunConfig(seed=1)
+
+
+def graph_edges(g):
+    """The graph's edges (i, j), i < j, in order, by has_edge."""
+    return [p for p in itertools.combinations(range(1, g.n + 1), 2) if g.has_edge(*p)]
 
 
 def graph_from_edges(n, edges):
@@ -40,7 +44,7 @@ def graph_from_edges(n, edges):
 
 def test_mixed_diff_zero_for_additive_pair():
     o = make_oracle(ex.parse("x1+x2", 2), DomainBox.cube(-3, 3, 2))
-    assert mixed_diff(o, 1, 2, [0.5, 0.5], probes=8, seed=3) < 1e-12
+    assert pair_score(o, 1, 2, [0.5, 0.5], probes=8, seed=3) < 1e-12
 
 
 def test_mixed_diff_product_pair_quadruple_arithmetic():
@@ -49,41 +53,41 @@ def test_mixed_diff_product_pair_quadruple_arithmetic():
     vals = f.eval_batch(np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=float))
     assert abs(vals[3] - vals[1] - vals[2] + vals[0]) == pytest.approx(1.0)
     o = make_oracle(f, DomainBox.cube(-3, 3, 2))
-    assert mixed_diff(o, 1, 2, [0.5, 0.5], probes=8, seed=3) > 1e-3
+    assert pair_score(o, 1, 2, [0.5, 0.5], probes=8, seed=3) > 1e-3
 
 
 def test_mixed_diff_case4_scores():
     spec = CASES[4]
     o = spec.oracle()
     anchor = [0.7, 0.6, 0.9]
-    assert mixed_diff(o, 1, 2, anchor, 8, 1) < 1e-12
-    assert mixed_diff(o, 1, 3, anchor, 8, 1) > 1e-4
-    assert mixed_diff(o, 2, 3, anchor, 8, 1) > 1e-4
+    assert pair_score(o, 1, 2, anchor, 8, 1) < 1e-12
+    assert pair_score(o, 1, 3, anchor, 8, 1) > 1e-4
+    assert pair_score(o, 2, 3, anchor, 8, 1) > 1e-4
 
 
 def test_mixed_diff_symmetric_same_seed():
     o = CASES[5].oracle()
     anchor = [0.5, -0.7, 1.1, 0.8]
     for i, j in [(1, 2), (2, 4), (1, 4)]:
-        assert mixed_diff(o, i, j, anchor, 8, 9) == mixed_diff(o, j, i, anchor, 8, 9)
+        assert pair_score(o, i, j, anchor, 8, 9) == pair_score(o, j, i, anchor, 8, 9)
 
 
 def test_interaction_graph_case9_complete():
     o = CASES[9].oracle()
     g = interaction_graph(Anchor(o, [0.8, 0.9, 0.7, 0.6, 1.0, 1.1], CFG))
-    assert len(g.edges()) == 15  # K6
+    assert len(graph_edges(g)) == 15  # K6
 
 
 def test_interaction_graph_case2_single_edge():
     o = CASES[2].oracle()
     g = interaction_graph(Anchor(o, [0.8, 0.9, 0.7], CFG))
-    assert g.edges() == [(2, 3)]
+    assert graph_edges(g) == [(2, 3)]
 
 
 def test_interaction_graph_additive_empty():
     o = make_oracle(ex.parse("x1+x2+x3", 3), DomainBox.cube(-3, 3, 3))
     g = interaction_graph(Anchor(o, [0.5, 0.5, 0.5], CFG))
-    assert g.edges() == []
+    assert graph_edges(g) == []
 
 
 def walk_pair(attempt, probes, tol=math.inf):
@@ -124,7 +128,7 @@ class AnchoredReference:
 
     def __init__(self, o, anchor, seed):
         self.o, self.anchor = o, np.asarray(anchor, dtype=float)
-        self.f_anchor = o(self.anchor)
+        self.f_anchor = value_at(o, self.anchor)
         self.streams = {v: rng(seed, 101, 0, v) for v in range(1, o.arity + 1)}
         self.moves = {v: [] for v in self.streams}
         self.single = {}
@@ -140,7 +144,7 @@ class AnchoredReference:
         x = self.anchor.copy()
         for v, t in moved:
             x[v - 1] = self.move(v, t)
-        return self.o(x)
+        return value_at(self.o, x)
 
     def attempt(self, a, b, t):
         """f(X_a, X_b), f(X_a, anchor_b), f(anchor_a, X_b), f(anchor)."""
@@ -237,7 +241,7 @@ def test_interaction_graph_is_two_oracle_calls_on_a_valid_domain(no, monkeypatch
 
     o = CASES[no].oracle()
     point = central_anchor(o.box, 0)
-    at = Anchor(o, point, CFG, o(point))
+    at = Anchor(o, point, CFG, value_at(o, point))
     monkeypatch.setattr(Oracle, "eval_batch", spy)
     g = interaction_graph(at)
     pairs = list(itertools.combinations(range(1, o.arity + 1), 2))
@@ -270,13 +274,13 @@ def test_the_graph_call_schedule_where_probes_hit_invalid_points(monkeypatch):
 
     for seed, sizes in want.items():
         o = make_oracle(ex.parse("ln(x1)+x2", 2), DomainBox.cube(-3, 3, 2))
-        at = Anchor(o, [0.5, 0.5], RunConfig(seed=seed), o([0.5, 0.5]))
+        at = Anchor(o, [0.5, 0.5], RunConfig(seed=seed), value_at(o, [0.5, 0.5]))
         calls.clear()
         monkeypatch.setattr(Oracle, "eval_batch", spy)
         g = interaction_graph(at)
         monkeypatch.setattr(Oracle, "eval_batch", inner)
         assert calls == sizes, seed
-        assert g.edges() == []
+        assert graph_edges(g) == []
 
 
 def test_mixed_diff_is_the_graph_score():
@@ -287,7 +291,7 @@ def test_mixed_diff_is_the_graph_score():
     g = interaction_graph(Anchor(o, anchor, RunConfig(seed=3)))
     kinds = set()
     for i, j in itertools.combinations(range(1, 6), 2):
-        full = mixed_diff(o, i, j, anchor, PAIR_PROBES, 3)
+        full = pair_score(o, i, j, anchor, PAIR_PROBES, 3)
         if g.has_edge(i, j):
             assert full > g.tol
         else:
@@ -347,7 +351,7 @@ def test_early_stop_can_avoid_the_probe_error():
     for seed in range(10, 16):
         with np.errstate(invalid="ignore"):
             g = interaction_graph(Anchor(make(), [2.5, 0.5], RunConfig(seed=seed)))
-            assert g.edges() == [(1, 2)]
+            assert graph_edges(g) == [(1, 2)]
             try:
                 reference_graph_scores(make(), [2.5, 0.5], seed)
             except DetectionError:
@@ -373,7 +377,7 @@ def test_anchored_graph_has_the_quadruple_graphs_edges():
                 q = None
                 quadruple_errors += 1
         if g is not None and q is not None:
-            assert g.edges() == InteractionGraph(g.n, q, tol).edges(), k
+            assert graph_edges(g) == graph_edges(InteractionGraph(g.n, q, tol)), k
             both += 1
     assert both >= 250 and anchored_errors <= quadruple_errors
 
@@ -420,7 +424,7 @@ def test_an_invalid_first_draw_of_the_second_anchor_is_skipped(monkeypatch):
     make = lambda: make_oracle(ex.parse("ln(x1)+x2*x3", 3), DomainBox.cube(-3, 3, 3))
     cfg = RunConfig(seed=3)
     draws = anchor_draws(make().box, cfg.seed, (0, 0))
-    valid = [k for k, x in enumerate(draws) if np.isfinite(make()(x))]
+    valid = [k for k, x in enumerate(draws) if np.isfinite(value_at(make(), x))]
     assert valid[0] > 0
     seen = []
     inner = det.interaction_graph
@@ -433,7 +437,7 @@ def test_an_invalid_first_draw_of_the_second_anchor_is_skipped(monkeypatch):
     monkeypatch.setattr(det, "interaction_graph", spy)
     s = detect_structure(make(), cfg)
     assert [b.vars for b in s.blocks] == [(1,), (2, 3)]
-    assert seen[0] == (tuple(draws[valid[0]]), make()(draws[valid[0]]), (0, 0))
+    assert seen[0] == (tuple(draws[valid[0]]), value_at(make(), draws[valid[0]]), (0, 0))
 
 
 def test_each_redraw_probes_from_its_own_streams(monkeypatch):
@@ -446,7 +450,7 @@ def test_each_redraw_probes_from_its_own_streams(monkeypatch):
 
     o = CASES[7].oracle()
     anchor = central_anchor(o.box, 3)
-    f = o(anchor)
+    f = value_at(o, anchor)
     monkeypatch.setattr(Oracle, "eval_batch", spy)
     graphs = {}
     for key in (None, 0, 1, 2):
@@ -811,7 +815,7 @@ def test_detect_structure_matches_expected_table(no):
     spec = CASES[no]
     s = detect_structure(spec.oracle(), RunConfig(seed=7))
     assert s.repeated == spec.expected_repeated
-    assert s.block_count() == spec.expected_blocks
+    assert len(s.blocks) == spec.expected_blocks
     assert s.factor_count() == spec.expected_factors
     s.validate(spec.dim)
 
@@ -829,7 +833,7 @@ def test_detect_structure_case10_details():
 def test_detect_structure_stream_function_demo():
     s = detect_structure(STREAM_DEMO.oracle(), RunConfig(seed=7))
     assert s.repeated == (3, 4)
-    assert s.block_count() == 2
+    assert len(s.blocks) == 2
     assert [b.vars for b in s.blocks] == [(1, 2), (5,)]
 
 

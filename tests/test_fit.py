@@ -120,7 +120,7 @@ def test_bound_model_is_the_scored_sum_of_columns(k):
     rng = np.random.default_rng(7 + k)
     var_map = (4, 2, 6)[:k]
     for sk in skeleton_stream(k, max_nodes=14) + _monomial_rows(k):
-        assert sk.var_count <= k
+        assert max(c.arity_bound() for c in sk.columns) <= k
         V, nl, B = _valid_design(sk, k, rng)
         lin = rng.uniform(-2.0, 2.0, len(sk.columns))
         expected = lin[0] * B[:, 0]
@@ -1131,6 +1131,15 @@ def test_an_inexact_library_fit_does_not_take_the_place_of_an_ldse_fit(monkeypat
     assert ("design", "monomials") not in log
 
 
+def library_columns(V, cap):
+    """The library's columns that `_library_values` keeps on V, from the
+    `_library_table` within cap: (templates, node counts, values centered
+    and scaled to unit norm)."""
+    table = ft._library_table(V.shape[1], cap)
+    keep, Z = ft._library_values(V, table.exps)
+    return [m for m, k in zip(table.columns, keep) if k], table.nodes[keep], Z
+
+
 def _admissible(nodes, size, cap):
     """Reference: every size-subset of the columns of these node counts
     within cap nodes, in itertools.combinations order, by brute force."""
@@ -1142,7 +1151,7 @@ def _admissible(nodes, size, cap):
 def _best_subset_mse(V, y, cap):
     """Reference: the lowest least-squares MSE of any 1 to 3 library
     columns plus the offset within cap nodes, by brute force."""
-    kept, nodes, _ = ft._library_columns(V, cap)
+    kept, nodes, _ = library_columns(V, cap)
     cols = [m._eval(V) for m in kept]
     best = math.inf
     for size in (1, 2, 3):
@@ -1160,7 +1169,7 @@ def test_library_respects_max_nodes(k):
     y = rng.normal(size=len(V))
     with np.errstate(all="ignore"):
         for cap in range(3, 13):
-            kept, nodes, _ = ft._library_columns(V, cap)
+            kept, nodes, _ = library_columns(V, cap)
             assert list(nodes) == [c.complexity() for c in kept] and max(nodes) <= cap
             sk, exact = ft._library(V, y, cap)
             assert not exact and sk.complexity <= cap
@@ -1194,7 +1203,7 @@ def test_library_exact_fit_needs_its_node_count():
 def test_library_drops_non_finite_and_duplicate_columns(x, texts):
     V = np.array(x)[:, None]
     with np.errstate(all="ignore"):
-        kept, _, Z = ft._library_columns(V, 12)
+        kept, _, Z = library_columns(V, 12)
         assert [str(c) for c in kept] == texts
         assert np.allclose(Z @ Z.T, np.corrcoef(Z)) and np.allclose(Z.sum(axis=1), 0.0)
         sk, exact = ft._library(V, np.array(x) ** 3, 12)
@@ -1219,7 +1228,7 @@ def test_library_scores_exactly_the_subsets_within_the_cap(monkeypatch, k):
     for cap in (3, 7, 12, 14):
         scored.clear()
         with np.errstate(all="ignore"):
-            _, nodes, _ = ft._library_columns(V, cap)
+            _, nodes, _ = library_columns(V, cap)
             sk, exact = ft._library(V, y, cap)
         assert not exact
         want = [_admissible(nodes, size, cap) for size in (1, 2, 3)]

@@ -73,7 +73,7 @@ def test_make_oracle_counter_semantics():
     o = make_oracle(target, box)
     assert o.arity == 2
     assert o.eval_count == 0
-    o(box.midpoint())
+    o.eval_batch(((box.lo_array() + box.hi_array()) / 2)[None])
     assert o.eval_count == 1
     o.eval_batch(box.uniform(1000, np.random.default_rng(2)))
     assert o.eval_count == 1001
