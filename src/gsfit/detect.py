@@ -799,23 +799,23 @@ def minimal_blocks(
 def _reconstruction_ok(at: Anchor, structure: GsStructure) -> bool:
     """Additive reconstruction check with repeated variables at the anchor.
 
-    The total at every point and every block's slice are evaluated in one
-    oracle call; a lone block holds every non-repeated variable, so its
-    slice is the total itself and is not evaluated again. Fewer than
-    RECON_POINTS // 2 valid points say nothing about separability, so
-    they raise DegenerateAnchorError and the anchor is drawn again.
+    A lone block's slice is the total itself, so it passes unprobed.
+    Otherwise the total at every point and every block's slice are
+    evaluated in one oracle call. Fewer than RECON_POINTS // 2 valid
+    points say nothing about separability, so they raise
+    DegenerateAnchorError and the anchor is drawn again.
     """
+    if len(structure.blocks) == 1:
+        return True
     o, anchor = at.o, at.point
     pts = at.uniform(tuple(range(1, o.arity + 1)), RECON_POINTS, 801)
     for v in structure.repeated:
         pts[:, v - 1] = anchor[v - 1]
-    blocks = structure.blocks
-    sliced = [] if len(blocks) == 1 else [
-        _pin(anchor, b.vars, pts[:, [v - 1 for v in b.vars]]) for b in blocks
-    ]
+    sliced = [_pin(anchor, b.vars, pts[:, [v - 1 for v in b.vars]])
+              for b in structure.blocks]
     f = o.eval_batch(np.vstack([pts, *sliced]))
     total = f[:len(pts)]
-    parts = f[len(pts):].reshape(-1, len(pts)) if sliced else [total]
+    parts = f[len(pts):].reshape(-1, len(pts))
     recon = np.full(len(pts), at.f)
     for part in parts:
         recon += part - at.f

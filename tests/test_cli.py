@@ -16,6 +16,7 @@ from gsfit.cli import main
 from gsfit.config import RunConfig
 from gsfit.oracle import Oracle
 
+from fuzz_exits import draw, fit_args, read_table
 from helpers import random_tree
 
 
@@ -78,6 +79,18 @@ def test_detect_entangled_single_block(capsys):
     blocks = payload["structure"]["blocks"]
     assert len(blocks) == 1
     assert blocks[0]["psi_factors"] == [[1, 2]]
+
+
+@pytest.mark.parametrize("target, dims", [("x1", "1"), ("sin(x1)*x2", "2")])
+def test_a_lone_block_detects_at_tolerance_zero(capsys, target, dims):
+    # a lone block's slice is the total itself, so no reconstruction
+    # residual, rounding included, can fail it
+    code, out, _ = run_cli(
+        ["detect", "--target", target, "--dims", dims, "--tol-detect", "0"], capsys
+    )
+    assert code == 0
+    blocks = json.loads(out)["structure"]["blocks"]
+    assert [b["vars"] for b in blocks] == [list(range(1, int(dims) + 1))]
 
 
 def test_detect_failure_exit_2(capsys):
@@ -474,60 +487,16 @@ def test_random_targets_on_every_box_end_in_a_documented_exit_code(capsys, box):
     assert 0 in codes
 
 
-# Every tenth target of the fit fuzz: 300 `random_tree` targets drawn from
-# default_rng(1), each over 1 to 4 variables, on these boxes in turn, at
-# --seed=1. (index, target, exit code): 18 fit, 8 end in a detection
-# failure and 4 have a factor no skeleton fits, so the failure paths and
-# LDSE run.
-_FUZZ_BOXES = [(-3, 3), (0.5, 3), (-1, 1), (1, 5)]
-_FUZZ_EXITS = [
-    (0, '(x2/2.8839999999999999-(-0.96899999999999997)^3)/x1*4.8070000000000004', 0),
-    (10, 'cos((-2.1619999999999999)-(-1.8700000000000001)-x1^2)^3', 3),
-    (20, 'sin(((-4.0640000000000001)^2)^2)', 0),
-    (30, 'x2', 0),
-    (40, 'exp(x1*x1+2.202+(x1/x1-ln(x1)))', 2),
-    (50, 'x1-(x3+x2+(-x3))-0.23899999999999999^2', 0),
-    (60, 'x2', 0),
-    (70, 'sqrt(cos(sqrt(x1)))^2', 2),
-    (80, 'x1+ln(cos(-(-1.3879999999999999)))', 0),
-    (90, '-0.14899999999999999', 0),
-    (100, 'x2/(-0.27800000000000002)', 0),
-    (110, '-2.1030000000000002', 0),
-    (120, 'ln(-4.6959999999999997)^2', 2),
-    (130, 'sqrt(sqrt(x3))^2*0.121', 2),
-    (140, 'ln(x1)/x2', 2),
-    (150, 'x1-ln(sin(x1))^1', 2),
-    (160, '-0.44600000000000001', 0),
-    (170, '(x2+x1*x2/(-1.0629999999999999))*(-4.8300000000000001)', 0),
-    (180, '(-0.252)*(-1.7589999999999999)', 0),
-    (190, 'cos(sqrt(-1.486)/0.71699999999999997)'
-          '*(exp(1.718)/(2.6749999999999998-3.1680000000000001/x1))', 2),
-    (200, 'cos(x1^3)*cos(sqrt(0.69299999999999995))/x1', 3),
-    (210, 'ln((((-0.63300000000000001)+x2)^2)^3)', 3),
-    (220, '(sqrt(-0.41699999999999998)/(0.246-x1)'
-          '+ln((-4.0910000000000002)/x1))*(-0.316)', 2),
-    (230, 'x1+x1', 0),
-    (240, 'sin(-3.4689999999999999)', 0),
-    (250, 'x1+(-4.3970000000000002)+sqrt(sin(x1))', 3),
-    (260, '-exp(x1)', 0),
-    (270, '-2.992', 0),
-    (280, '4.0650000000000004', 0),
-    (290, 'x1+(-0.26500000000000001)', 0),
-]
-
-
 def test_every_tenth_fuzz_target_keeps_its_exit_code(capsys):
-    rng = np.random.default_rng(1)
-    drawn = []
-    for _ in range(_FUZZ_EXITS[-1][0] + 1):
-        arity = int(rng.integers(1, 5))
-        drawn.append((arity, random_tree(rng, arity).to_text()))
-    for i, text, expected in _FUZZ_EXITS:
-        arity, target = drawn[i]
-        assert target == text, i
-        lo, hi = _FUZZ_BOXES[i % 4]
-        code, _, _ = run_cli(["fit", f"--target={text}", f"--dims={arity}", f"--lo={lo}",
-                              f"--hi={hi}", "--seed=1"], capsys)
+    # every tenth row of the fuzz exit table: 18 fit, 8 end in a detection
+    # failure and 4 have a factor no skeleton fits, so the failure paths
+    # and LDSE run; tests/fuzz_exits.py checks all 300
+    drawn = draw()
+    rows = [row for row in read_table() if row[0] % 10 == 0]
+    assert len(rows) == 30
+    for i, arity, text, expected in rows:
+        assert drawn[i] == (arity, text), i
+        code, _, _ = run_cli(fit_args(i, arity, text), capsys)
         assert code == expected, (i, text)
 
 

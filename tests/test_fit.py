@@ -988,16 +988,16 @@ def _spied_fit(monkeypatch, data, cfg):
 
 
 def _suite_factor_data(monkeypatch):
-    """(cfg, FactorData) of every factor sweep of cases 1-10 at their first
-    suite seed."""
+    """(cfg, FactorData) of every factor sweep of cases 1-10 and of the
+    stream demo, case 11, at their first suite seed."""
     import gsfit.assemble as asm
-    from gsfit.bench import CASES, get_case, suite_seeds
+    from gsfit.bench import CASES, STREAM_DEMO, get_case, suite_seeds
     from gsfit.detect import detect_structure
 
     out = []
     with monkeypatch.context() as m:
         m.setattr(ft, "fit_factor", lambda data, c: out.append((c, data)))
-        for no in sorted(CASES):
+        for no in [*sorted(CASES), STREAM_DEMO.no]:
             cfg = RunConfig(seed=suite_seeds(0, no, 1)[0])
             oracle = get_case(no).oracle()
             asm.fit_structure_factors(detect_structure(oracle, cfg), oracle, cfg)
@@ -1005,10 +1005,11 @@ def _suite_factor_data(monkeypatch):
 
 
 def test_suite_factors_fit_without_ldse(monkeypatch):
-    # every factor of the suite is fitted exactly by the library or closed
-    # by its first scan and polish
+    # every factor of the suite and of the stream demo is fitted exactly by
+    # the library or closed by its first scan and polish: no benchmark
+    # factor reaches LDSE or the wide scan
     sweeps = _suite_factor_data(monkeypatch)
-    assert len(sweeps) == 45
+    assert len(sweeps) == 50
     for cfg, data in sweeps:
         model, runs, wide = _spied_fit(monkeypatch, data, cfg)
         assert model.converged and runs == [] and wide == []
