@@ -122,22 +122,15 @@ class AssembledModel:
 def build_basis(
     structure: det.GsStructure, factors: list[list[ft.FactorModel]]
 ) -> list[BasisTerm]:
-    """One term per nonempty factor subset of every block.
-
-    A factor whose model reads no variable (a variable the target ignores
-    fits as the constant 0) takes no part: its subsets would only repeat
-    the constant or another term. The rest keep their positions in the
-    block's factor list.
-    """
+    """One term per nonempty factor subset of every block."""
     terms: list[BasisTerm] = []
     for bi, models in enumerate(factors):
         if len(models) > 6:
             raise ft.FitError(
                 f"basis explosion: block {bi} has {len(models)} factors"
             )
-        varying = [k for k, m in enumerate(models) if m.expr.arity_bound()]
-        for size in range(1, len(varying) + 1):
-            for subset in itertools.combinations(varying, size):
+        for size in range(1, len(models) + 1):
+            for subset in itertools.combinations(range(len(models)), size):
                 factors = tuple(models[k].expr for k in subset)
                 terms.append(BasisTerm(
                     block_index=bi, factor_subset=subset,

@@ -13,7 +13,7 @@ rest names what the batch probes: variables, a block or a trial. A
 redrawn anchor thus probes afresh in every stage.
 
     tag   stage (module `detect`, else as named)
-    101   graph moves of one variable (`_pair_scores`)
+    101   graph moves of one variable (`_pair_scores`, `interaction_graph`)
     301   psi factor sweep (`isolate_psi_data`)
     401   spread pair of a block (`Anchor.spread_pair`)
     402   omega factor sweep (`isolate_omega_data`)
@@ -24,8 +24,8 @@ redrawn anchor thus probes afresh in every stage.
     702   consistency repeated-variable draws (`_block_consistent`)
     777   anchor draws (`Anchor.draw`), keyed by the attempt alone
     801   reconstruction points (`_reconstruction_ok`)
-    900   box probe for a constant or invalid target (`_detect_once`),
-          drawn before any anchor, keyed by the attempt alone
+    900   box probe when no anchor draw is valid (`_detect_once`), keyed
+          by the attempt alone
     1001  training sample: its first rows, then, when the model solved
           on them does not accept on the validation block, the rest,
           from one stream (`assemble.assemble_and_validate`)

@@ -58,11 +58,12 @@ RECON_POINTS = 32
 
 @dataclass
 class InteractionGraph:
-    """Pairwise interaction scores between variables (1-based outside)."""
+    """Pairwise interaction scores (1-based outside) and ignored variables."""
 
     n: int
     scores: np.ndarray   # (n, n) symmetric, zero diagonal
     tol: float
+    ignored: tuple[int, ...] = ()
 
     def __post_init__(self):
         # the edges, read once as Python bools: peeling asks has_edge
@@ -73,9 +74,9 @@ class InteractionGraph:
         return self._adjacent[i - 1][j - 1]
 
     def components(self, active: set[int] | None = None) -> list[tuple[int, ...]]:
-        """Connected components of the induced subgraph over `active`."""
-        verts = sorted(active) if active is not None else list(range(1, self.n + 1))
-        return _components(verts, self.has_edge)
+        """Connected components of the induced subgraph over `active`, less ignored."""
+        verts = sorted(active) if active is not None else range(1, self.n + 1)
+        return _components([v for v in verts if v not in self.ignored], self.has_edge)
 
 
 def _components(verts, linked) -> list[tuple[int, ...]]:
@@ -124,6 +125,7 @@ class GsStructure:
     repeated: tuple[int, ...]
     blocks: list[Block]
     anchor: tuple[float, ...]
+    ignored: tuple[int, ...] = ()   # the variables the target does not read
     probes_used: int = 0
     at: "Anchor | None" = field(default=None, repr=False, compare=False)
 
@@ -150,8 +152,8 @@ class GsStructure:
                 raise DetectionError("omega factors do not partition block repeated set")
         if len(nonrep) != len(set(nonrep)):
             raise DetectionError("blocks overlap")
-        if sorted(nonrep + list(self.repeated)) != list(range(1, arity + 1)):
-            raise DetectionError("blocks plus repeated set do not cover all variables")
+        if sorted(nonrep + list(self.repeated) + list(self.ignored)) != list(range(1, arity + 1)):
+            raise DetectionError("blocks, repeated and ignored sets do not cover all variables")
 
     def to_dict(self) -> dict:
         """JSON-ready view. It shares the structure's own tuples rather than
@@ -167,6 +169,7 @@ class GsStructure:
                 }
                 for b in self.blocks
             ],
+            "ignored": self.ignored,
             "anchor": tuple(float(a) for a in self.anchor),
             "probes_used": int(self.probes_used),
         }
@@ -218,14 +221,15 @@ def _pair_scores(at: Anchor, pairs, probes: int, tol: float = math.inf) -> np.nd
     the probes drawn until then. A pair that never clears tol gets the
     same attempts, and so the same score, as under tol = inf. Attempt t
     reads the t-th move of each of its variables, so a pair's attempts are
-    a prefix of those it would get under a larger tol.
+    a prefix of those it would get under a larger tol. The single moves
+    stay on the anchor, in at.moves, for `interaction_graph`.
     """
     o, anchor, fc = at.o, at.point, float(at.f)
     pairs = [tuple(sorted(p)) for p in pairs]
     lo, hi = o.box.lo_array(), o.box.hi_array()
     # v -> its stream and its moves X_v[0], X_v[1], ... drawn so far
     moves = {v: (at.rng(101, v), []) for v in {v for p in pairs for v in p}}
-    single = {}        # (v, t) -> f at the anchor with x_v = X_v[t]
+    single = at.moves  # (v, t) -> f at the anchor with x_v = X_v[t]
 
     def move(v, t):    # drawn `probes` at a time, as `uniform` draws them
         r, xs = moves[v]
@@ -287,7 +291,10 @@ def interaction_graph(at: Anchor, among: set[int] | None = None) -> InteractionG
     attempts that succeed. Every probe reads f(anchor), evaluated on
     first read when the anchor does not hold it. The graph reads its
     edges off the scores once, as Python bools, for the many `has_edge`
-    calls of peeling.
+    calls of peeling. A variable of `among` with no edge, a finite single
+    move, and every finite one within cfg.tol_detect * max(1, |f(anchor)|)
+    of f(anchor) is ignored. A lone variable, in no pair, has its
+    PAIR_PROBES moves evaluated in a call of their own.
     """
     n, tol = at.o.arity, at.cfg.tol_detect
     verts = sorted(among) if among is not None else range(1, n + 1)
@@ -295,7 +302,18 @@ def interaction_graph(at: Anchor, among: set[int] | None = None) -> InteractionG
     scores = np.zeros((n, n))
     for (i, j), s in zip(pairs, _pair_scores(at, pairs, PAIR_PROBES, tol)):
         scores[i - 1, j - 1] = scores[j - 1, i - 1] = s
-    return InteractionGraph(n=n, scores=scores, tol=tol)
+    if len(verts) == 1:   # a lone variable, in no pair
+        (v,) = verts
+        f = at.o.eval_batch(_pin(at.point, (v,), at.uniform((v,), PAIR_PROBES, 101, v)))
+        at.moves.update(((v, t), fv) for t, fv in enumerate(f.tolist()))
+    # each variable's largest finite move off f(anchor), in one pass
+    fc, off = at.f, {}
+    for (v, _), fv in at.moves.items():
+        if math.isfinite(fv):
+            off[v] = max(off.get(v, 0.0), abs(fv - fc))
+    flat, edged = tol * max(1.0, abs(fc)), (scores > tol).any(axis=1)
+    ignored = tuple(v for v in verts if off.get(v, math.inf) <= flat and not edged[v - 1])
+    return InteractionGraph(n=n, scores=scores, tol=tol, ignored=ignored)
 
 
 # --------------------------------------------------------------------------
@@ -379,16 +397,26 @@ class Anchor:
         self.o, self.cfg, self.attempt = o, cfg, attempt
         self.point = np.asarray(point, dtype=float)
         self._f = f
+        self.moves: dict = {}      # (v, t) -> the graph's t-th single move of v
         self._spreads: dict = {}   # block -> spread pair, or the error it raises
         self._members: dict = {}   # (v, block) -> coupled, or None for an invalid sweep
 
     @classmethod
     def draw(cls, o: Oracle, cfg: RunConfig, attempt: tuple[int, ...]) -> "Anchor | None":
         """The first of ANCHOR_DRAWS draws from the attempt's stream (777)
-        with a finite target value, or None. The others are evaluated, in
-        one call, only when the first is invalid. Detection's attempts draw
-        through `_draw`, which evaluates the box probe with the first."""
-        return _draw(o, cfg, attempt, np.empty((0, o.arity)))[0]
+        with a finite target value, or None. The first is evaluated alone,
+        and the others, in one call, only when it is invalid."""
+        lo, hi = o.box.lo_array(), o.box.hi_array()
+        u = _rng(cfg.seed, 777, *attempt).random((ANCHOR_DRAWS, o.arity))
+        anchors = lo + (0.5 * (1.0 - ANCHOR_CENTRAL) + ANCHOR_CENTRAL * u) * (hi - lo)
+        f = o.eval_batch(anchors[:1])
+        if np.isfinite(f[0]):
+            return cls(o, anchors[0], cfg, float(f[0]), attempt)
+        rest = o.eval_batch(anchors[1:])
+        valid = np.flatnonzero(np.isfinite(rest))
+        if not valid.size:
+            return None
+        return cls(o, anchors[1 + valid[0]], cfg, float(rest[valid[0]]), attempt)
 
     def rng(self, tag: int, *key: int) -> np.random.Generator:
         """The stream of probe `tag` at this anchor: (seed, tag, *attempt, *key)."""
@@ -509,24 +537,6 @@ def _halves_diff(f: np.ndarray) -> np.ndarray:
     return f[:n] - f[n:]
 
 
-def _draw(o: Oracle, cfg: RunConfig, attempt: tuple[int, ...], probe: np.ndarray):
-    """(anchor or None, f at the rows of `probe`): the anchor of
-    `Anchor.draw`, with the points of `probe` evaluated in the call that
-    evaluates the first draw. The other draws are evaluated, in one call,
-    only when the first is invalid."""
-    lo, hi = o.box.lo_array(), o.box.hi_array()
-    u = _rng(cfg.seed, 777, *attempt).random((ANCHOR_DRAWS, o.arity))
-    anchors = lo + (0.5 * (1.0 - ANCHOR_CENTRAL) + ANCHOR_CENTRAL * u) * (hi - lo)
-    f = o.eval_batch(np.vstack([anchors[:1], probe]))
-    if np.isfinite(f[0]):
-        return Anchor(o, anchors[0], cfg, float(f[0]), attempt), f[1:]
-    rest = o.eval_batch(anchors[1:])
-    valid = np.flatnonzero(np.isfinite(rest))
-    if not valid.size:
-        return None, f[1:]
-    return Anchor(o, anchors[1 + valid[0]], cfg, float(rest[valid[0]]), attempt), f[1:]
-
-
 def _tabulate(at: Anchor, cols, count: int, key, probe, what: str) -> FactorData:
     """`probe` at `count` draws on the sub-box of `cols` from stream `key`;
     fewer than max(8, count // 2) finite values raise DegenerateAnchorError."""
@@ -541,8 +551,7 @@ def _tabulate(at: Anchor, cols, count: int, key, probe, what: str) -> FactorData
 def isolate_psi_data(at: Anchor, group: tuple[int, ...]) -> FactorData:
     """Tabulate a psi factor group: the anchor's slice, which equals the
     group's factor up to an affine transform, at PSI_POINTS_PER_VAR points
-    a variable (stream 301). A group the target ignores tabulates a
-    constant, which the fit reads as a constant factor."""
+    a variable (stream 301)."""
     return _tabulate(at, group, PSI_POINTS_PER_VAR * len(group), (301, *group),
                      lambda pts: at.slice(group, pts), "psi slice")
 
@@ -760,11 +769,12 @@ def minimal_blocks(
     """Blocks (with repeated membership) for a given repeated set.
 
     The blocks are the components of `graph`, scored at `at`, over the
-    non-repeated variables. They are recomputed at a second anchor, the
-    attempt (*at.attempt, k) of `Anchor.draw`, whose graph probes from its
-    own streams; a disagreement at both (k = 0, 1) raises
-    StructureUnstableError, and a draw with no valid point raises
-    DegenerateAnchorError. The second anchor's graph scores only the pairs
+    non-repeated variables it does not ignore. They are recomputed at a
+    second anchor, the attempt (*at.attempt, k) of `Anchor.draw`, whose
+    graph probes from its own streams, so it must ignore the same ones; a
+    disagreement at both (k = 0, 1) raises StructureUnstableError, and a
+    draw with no valid point raises DegenerateAnchorError. No block draws
+    no second anchor. The second anchor's graph scores only the pairs
     inside the non-repeated variables, the only pairs their components
     read. Memberships read the spread pairs and sweeps of `at`; those
     not yet held are evaluated for all blocks at once, the spread pairs
@@ -777,6 +787,8 @@ def minimal_blocks(
     comps = graph.components(rest)
 
     for k in range(2):
+        if not comps:   # every variable ignored: nothing to disagree on
+            break
         second = Anchor.draw(o, cfg, (*at.attempt, k))
         if second is None:
             raise DegenerateAnchorError("anchor value invalid")
@@ -788,7 +800,8 @@ def minimal_blocks(
     blocks = [Block(vars=comp, repeated=members)
               for comp, members in zip(comps, at.memberships(comps, repeated))]
     return GsStructure(
-        repeated=tuple(sorted(repeated)), blocks=blocks, anchor=tuple(at.point)
+        repeated=tuple(sorted(repeated)), blocks=blocks, anchor=tuple(at.point),
+        ignored=tuple(v for v in graph.ignored if v in rest),
     )
 
 
@@ -799,13 +812,14 @@ def minimal_blocks(
 def _reconstruction_ok(at: Anchor, structure: GsStructure) -> bool:
     """Additive reconstruction check with repeated variables at the anchor.
 
-    A lone block's slice is the total itself, so it passes unprobed.
+    A lone block's slice is the total but for the ignored variables, and
+    with no block every variable is ignored, so both pass unprobed.
     Otherwise the total at every point and every block's slice are
     evaluated in one oracle call. Fewer than RECON_POINTS // 2 valid
     points say nothing about separability, so they raise
     DegenerateAnchorError and the anchor is drawn again.
     """
-    if len(structure.blocks) == 1:
+    if len(structure.blocks) < 2:
         return True
     o, anchor = at.o, at.point
     pts = at.uniform(tuple(range(1, o.arity + 1)), RECON_POINTS, 801)
@@ -850,21 +864,15 @@ def detect_structure(o: Oracle, cfg: RunConfig | None = None) -> GsStructure:
 def _detect_once(o: Oracle, cfg: RunConfig, attempt: tuple[int]) -> GsStructure:
     """One anchor attempt. Its `Anchor` evaluates f(anchor), each block's
     spread pair and each membership sweep once for every stage, the fit's
-    sweeps included: the structure it returns carries it. The box probe
-    of a constant or invalid target is evaluated with the first anchor
-    draw, in one call, and every partition grid in one more."""
-    box_probe = o.box.uniform(16, _rng(cfg.seed, 900, *attempt))
-    at, probe = _draw(o, cfg, attempt, box_probe)
+    sweeps included: the structure it returns carries it. Every partition
+    grid is evaluated in one call. A box probe (stream 900) runs only when
+    no anchor draw is valid, to tell a target invalid everywhere."""
+    at = Anchor.draw(o, cfg, attempt)
     if at is None:
+        probe = o.eval_batch(o.box.uniform(16, _rng(cfg.seed, 900, *attempt)))
         if not np.isfinite(probe).any():
             raise TargetInvalidError("target invalid (nan or inf) at every probed point")
         raise DegenerateAnchorError("anchor value invalid")
-
-    # constant targets have no blocks at all
-    probe = probe[np.isfinite(probe)]
-    scale = max(1.0, abs(at.f))
-    if probe.size and np.max(np.abs(probe - at.f)) <= cfg.tol_detect * scale:
-        return GsStructure(repeated=(), blocks=[], anchor=tuple(at.point), at=at)
 
     graph = interaction_graph(at)
     validator = lambda picked: _structure_consistent(at, graph, picked)

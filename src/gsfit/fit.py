@@ -276,10 +276,8 @@ _SCAN_REACH = np.linspace(_SCAN_STEP, 24.0, 16)
 # ln, sqrt and 1/: the pole's distance below the inner argument's minimum,
 # in spans of the inner argument
 _SCAN_POLES = np.geomspace(0.01, 100.0, 49)
-# the second pass reaches sin and cos, on the same step, out to pi * n
-# radians across the span: the (pseudo-)Nyquist limit of n irregular
-# points at their mean spacing (VanderPlas, ApJS 236:16, 2018), as far as
-# a family's grid stays within this many rows
+# the second pass reaches sin and cos, on the same step, out to the
+# parameter box, as far as a family's grid stays within this many rows
 _WIDE_SCAN_ROWS = 2048
 
 
@@ -290,7 +288,7 @@ def _wide_reach(form: _Form, V: np.ndarray) -> np.ndarray | None:
     if form.g not in ("sin", "cos"):
         return None
     span = max(float(np.ptp(m._eval(V))) or 1.0 for m in form.terms)
-    steps = np.arange(1, int(min(math.pi * len(V), PARAM_BOUND * span) / _SCAN_STEP) + 1)
+    steps = np.arange(1, int(PARAM_BOUND * span / _SCAN_STEP) + 1)
     reach = _SCAN_STEP * steps[(2 * steps) ** len(form.terms) // 2 <= _WIDE_SCAN_ROWS]
     return reach if len(reach) > len(_SCAN_REACH) else None
 
@@ -819,11 +817,11 @@ def _walk(stream: list[Skeleton], V, y, seed: int, max_nodes: int):
     order, simplest first. Only when the caller asks past them are the
     parametric rows taken, in two scan passes, each in stream order: each
     family is scanned along `_SCAN_REACH`; then each sin and cos family
-    left open is scanned again out to what the sample resolves
-    (`_wide_reach`), where that reaches further. A scan that beats the
-    family's best so far has its best row polished (`_polish`); a family
-    that polishes to `EXACT_MSE` is yielded at once; an open one keeps only its
-    scan rows and scan score. The families still open then get LDSE in
+    left open is scanned again out to the parameter box, as far as its
+    grid's rows allow (`_wide_reach`). A scan that beats the family's best
+    so far has its best row polished (`_polish`); a family that polishes
+    to `EXACT_MSE` is yielded at once; an open one keeps only its scan rows
+    and scan score. The families still open then get LDSE in
     order of best scan score (ties in stream order), each `_RESTARTS` runs
     from its best scan rows, stopping early only at `EXACT_MSE`, and its best
     run is yielded before the next family's first. A run reads the stream

@@ -72,20 +72,6 @@ def test_build_basis_single_factor_block():
     assert len(terms) == 1
 
 
-def test_build_basis_leaves_out_a_factor_that_reads_no_variable():
-    # a variable the target ignores fits as the constant 0: no subset that
-    # holds it becomes a term, and the other factors keep their positions
-    s = dummy_structure(2)
-    factors = [
-        [fake_model(ex.parse("x1", 4), (1,)), fake_model(ex.const(0.0), (2,)),
-         fake_model(ex.parse("cos(x3)", 4), (3,))],
-        [fake_model(ex.const(0.0), (4,))],
-    ]
-    terms = build_basis(s, factors)
-    assert [(t.block_index, t.factor_subset) for t in terms] == [(0, (0,)), (0, (2,)), (0, (0, 2))]
-    assert [t.expr.to_text() for t in terms] == ["x1", "cos(x3)", "x1*cos(x3)"]
-
-
 def test_build_basis_explosion_guard():
     s = dummy_structure(1)
     models = [fake_model(ex.parse("x1", 7), (1,)) for _ in range(7)]

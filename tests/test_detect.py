@@ -846,9 +846,24 @@ def test_detect_structure_univariate():
 
 
 def test_detect_structure_constant_target():
+    # every variable ignored: f(anchor) and the lone variable's 8 moves,
+    # and no second anchor or reconstruction, with no block to check
     o = make_oracle(ex.parse("5+0*x1", 1), DomainBox.cube(-3, 3, 1))
     s = detect_structure(o, RunConfig(seed=7))
-    assert s.blocks == []
+    assert s.blocks == [] and s.repeated == () and s.ignored == (1,)
+    assert s.probes_used == o.eval_count == 1 + PAIR_PROBES
+
+
+def test_a_variable_flat_at_one_anchor_only_is_not_ignored():
+    # at (0, 0.5, 0) x2 moves nothing and interacts with nothing, so the
+    # graph marks it ignored; at every second anchor it has edges, so the
+    # anchors disagree on the blocks
+    o = make_oracle(ex.parse("x1+x3+x1*x2*x3", 3), DomainBox.cube(-1, 1, 3))
+    at = Anchor(o, [0.0, 0.5, 0.0], CFG)
+    g = interaction_graph(at)
+    assert g.ignored == (2,) and graph_edges(g) == [(1, 3)]
+    with pytest.raises(det.StructureUnstableError):
+        minimal_blocks(at, (), g)
 
 
 def test_detect_structure_counts_probes():
@@ -864,8 +879,8 @@ def test_detection_warns_of_no_overflow_in_a_grid_tolerance():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         s = detect_structure(o, RunConfig(seed=6))
-    assert [b.vars for b in s.blocks] == [(1, 2, 3), (4,)]
-    assert s.probes_used == o.eval_count == 376
+    assert [b.vars for b in s.blocks] == [(1, 2, 3)] and s.ignored == (4,)
+    assert s.probes_used == o.eval_count == 264
 
 
 # fuzz targets #284 and #79 at the seeds where a pair's grid spans more
@@ -1078,26 +1093,30 @@ def test_mostly_invalid_reconstruction_redraws_the_anchor():
 # tabulating the blocks first, the pair probes are anchored differences
 # that share f(anchor) and the single moves, an attempt evaluates
 # f(anchor), each spread pair and each membership sweep once, a partition
-# grid's corner is not evaluated again, and a lone block's reconstruction
+# grid's corner is not evaluated again, a lone block's reconstruction
 # check, whose slice is the total itself, probes nothing (32 fewer in
-# cases 1 and 9, 104 -> 72 and 812 -> 780). So probes_used is below
-# that of the full pair schedule (292, 501, 501, 612, 901, 1286, 1529,
-# 1270, 2066, 2368, 1529), of the tabulating partition (236, 445, 445,
-# 492, 665, 1102, 1165, 1002, 1226, 1728, 1053) and of the fresh 4-point
-# quadruples (139, 299, 299, 250, 375, 762, 746, 663, 937, 1294, 651);
-# the reports differ from those only in their counts.
+# cases 1 and 9, 104 -> 72 and 812 -> 780), and the 16-point box probe
+# for a constant target is gone, since the graph's single moves tell a
+# variable the target ignores (16 fewer in every case; the reports list
+# no ignored variable, and the byte check leaves out that key). So
+# probes_used is below that of the full pair schedule (292, 501, 501,
+# 612, 901, 1286, 1529, 1270, 2066, 2368, 1529), of the tabulating
+# partition (236, 445, 445, 492, 665, 1102, 1165, 1002, 1226, 1728, 1053)
+# and of the fresh 4-point quadruples (139, 299, 299, 250, 375, 762, 746,
+# 663, 937, 1294, 651); the reports differ from those only in their
+# counts and the ignored key.
 _DETECT_BUDGET = {
-    1: (72, 137, "bc83191d687e1cfca991ff3e13d59d213c965f47693a4f7c165b69525882a3f7", 6),
-    2: (244, 245, "0136ce47e21dd18b94553248238b5156e65ebdb19061b87b2b1664d7ad30d688", 8),
-    3: (244, 245, "13c7051ae839d2535f5511e6cef8430150bc19d51c3ec90d4f99a8aace8f164c", 8),
-    4: (229, 229, "e7591649e49376aeb11f1ba62f9410801d3a25e9599c5176304e6e06ad0528d3", 9),
-    5: (312, 313, "30bbee9e85b3740d49bfcdd41e6249042589789f99dec6c9fc4537c608630b44", 10),
-    6: (492, 492, "dcd45e4c6ac646af56b268ef2231567f1ac98f129f47ee90b06ece240a519ec8", 9),
-    7: (592, 594, "65166523f016d35e324f01dbea6befb43aeae02977d80edc366f9c7cd6768bcf", 13),
-    8: (455, 456, "6a4019f3800a7ad37383c6cfa9cd232447ab0cfe71a85e7152233ee94a795521", 10),
-    9: (780, 859, "f487cf37befecb61da3de506272177f7528b2b0bcca8603e7e731ddc96850f79", 6),
-    10: (791, 797, "8d439b23c1a283ad4d22382459aa9215e73aa122194944b245d4b02cfaa0a491", 16),
-    11: (557, 562, "26901d0c87f69119ec216492daa4ddea31d2dfac9e5cd553816135add2044728", 10),
+    1: (56, 137, "bc83191d687e1cfca991ff3e13d59d213c965f47693a4f7c165b69525882a3f7", 6),
+    2: (228, 245, "0136ce47e21dd18b94553248238b5156e65ebdb19061b87b2b1664d7ad30d688", 8),
+    3: (228, 245, "13c7051ae839d2535f5511e6cef8430150bc19d51c3ec90d4f99a8aace8f164c", 8),
+    4: (213, 229, "e7591649e49376aeb11f1ba62f9410801d3a25e9599c5176304e6e06ad0528d3", 9),
+    5: (296, 313, "30bbee9e85b3740d49bfcdd41e6249042589789f99dec6c9fc4537c608630b44", 10),
+    6: (476, 492, "dcd45e4c6ac646af56b268ef2231567f1ac98f129f47ee90b06ece240a519ec8", 9),
+    7: (576, 594, "65166523f016d35e324f01dbea6befb43aeae02977d80edc366f9c7cd6768bcf", 13),
+    8: (439, 456, "6a4019f3800a7ad37383c6cfa9cd232447ab0cfe71a85e7152233ee94a795521", 10),
+    9: (764, 859, "f487cf37befecb61da3de506272177f7528b2b0bcca8603e7e731ddc96850f79", 6),
+    10: (775, 797, "8d439b23c1a283ad4d22382459aa9215e73aa122194944b245d4b02cfaa0a491", 16),
+    11: (541, 562, "26901d0c87f69119ec216492daa4ddea31d2dfac9e5cd553816135add2044728", 10),
 }
 
 
@@ -1119,4 +1138,5 @@ def test_detection_reports_are_unchanged_in_fewer_oracle_calls(no, monkeypatch):
     # at the earlier counts, the report is the earlier one byte for byte
     report.detect_evals = report.oracle_evals = probes_before
     report.structure["probes_used"] = probes_before
+    assert report.structure.pop("ignored") == ()
     assert hashlib.sha256(report.canonical_json().encode()).hexdigest() == sha

@@ -1016,22 +1016,27 @@ def test_suite_factors_fit_without_ldse(monkeypatch):
 
 
 _SYNTHETIC = {
-    # 35 * 6 rad across the span of [-3, 3] is beyond the 60 points' pi * 60
-    "sin": dict(fn=lambda p: np.sin(35 * p[:, 0])),
+    # the first axis spans 5 * 6 = 30 rad across [-3, 3], beyond the first
+    # scan's reach, and at three axes the wide pass adds nothing; LDSE
+    # fits it at data and fit seeds 5, 8, 11 and 18 of 0-23
+    "affine3": dict(fn=lambda p: np.sin(5 * p[:, 0] + 0.4 * p[:, 1] - 0.9 * p[:, 2] + 1),
+                    n=144, vars_=(1, 2, 3)),
     "noise": dict(fn=lambda p: np.random.default_rng(4).normal(size=len(p)), vars_=(3,)),
 }
 
 
 def test_restarts_run_depth_first_in_scan_order(monkeypatch):
-    # sin(35*x1) is beyond both scans' reach and noise fits nothing, so
-    # LDSE runs: each family runs its restarts before the next family's
-    # first, and the families go in order of best scan score over both
-    # passes
-    stream = skeleton_stream(1)
-    for name, seed in (("sin", 0), ("sin", 1), ("sin", 2), ("sin", 7), ("noise", 2)):
-        data = make_data(**_SYNTHETIC[name])
-        model, log, _ = _spied_fit(monkeypatch, data, RunConfig(seed=seed))
-        assert model.converged == (name == "sin")
+    # the affine3 target is beyond both scans' reach and noise fits
+    # nothing, so LDSE runs: each family runs its restarts before the next
+    # family's first, and the families go in order of best scan score over
+    # both passes
+    for name, seed, fits in (("affine3", 5, True), ("affine3", 18, True),
+                             ("affine3", 0, False), ("noise", 2, False)):
+        data = make_data(**_SYNTHETIC[name], seed=seed)
+        cfg = RunConfig(seed=seed, max_nodes=14)
+        stream = skeleton_stream(len(data.vars), cfg.max_nodes)
+        model, log, _ = _spied_fit(monkeypatch, data, cfg)
+        assert model.converged == fits
         runs = [(k, r) for k, r, _ in log]
         families = list(dict.fromkeys(k for k, _ in runs))
         assert runs == [(k, r) for k in families
@@ -1050,7 +1055,7 @@ def test_restarts_run_depth_first_in_scan_order(monkeypatch):
             vals = [val for kk, _, val in log if kk == k]
             assert all(v > 1e-12 for v in vals[:-1])
             assert len(vals) == ft._RESTARTS or vals[-1] <= 1e-12
-        if name == "sin":
+        if fits:
             # the first family within tolerance ends the walk
             assert stream[families[-1]].name == model.skeleton_name
         else:
@@ -1122,11 +1127,12 @@ def test_library_fits_the_stream_demo_omega_factor_before_ldse(monkeypatch):
 
 
 def test_an_inexact_library_fit_does_not_take_the_place_of_an_ldse_fit(monkeypatch):
-    # sin(35*x1) is beyond both scans' reach: the library searches first
-    # but fits inexactly, so LDSE runs and its exact fit is accepted before
-    # the library's subset is tried
-    model, log = _walk_log(monkeypatch, make_data(**_SYNTHETIC["sin"]), RunConfig(seed=0))
-    assert model.skeleton_name == "sin_affine" and model.converged
+    # the affine3 target is beyond both scans' reach: the library searches
+    # first but fits inexactly, so LDSE runs and its exact fit is accepted
+    # before the library's subset is tried
+    model, log = _walk_log(monkeypatch, make_data(**_SYNTHETIC["affine3"], seed=5),
+                           RunConfig(seed=5, max_nodes=14))
+    assert model.skeleton_name == "sin_affine3" and model.converged
     first_ldse = next(i for i, e in enumerate(log) if e[0] == "ldse")
     assert ("library",) in log[:first_ldse]
     assert ("design", "monomials") not in log
