@@ -139,26 +139,24 @@ def build_basis(
     return terms
 
 
-def least_squares(terms: list[BasisTerm], train: SampleSet, drop: bool = True):
+def least_squares(terms: list[BasisTerm], train: SampleSet):
     """Solve for the constant and term coefficients on a training set.
 
     Training points where any term (or the target) is invalid are dropped
-    with a warning; with drop false, any such point raises fit.FitError
-    instead. Too few training points for the basis, or more than 20
-    percent dropped, raise fit.FitError. Returns (c0, coefficients,
+    with a warning. More than 20 percent dropped, or fewer valid points
+    left than twice the basis columns, the constant's included, raise
+    fit.FitError, without a warning. Returns (c0, coefficients,
     train_mse, rank_deficient).
     """
     n = len(train)
-    if n < 2 * (len(terms) + 1):
-        raise ft.FitError("need at least twice as many training points as terms")
     design = np.column_stack([np.ones(n), *basis_columns(terms, train.points)])
     good = np.all(np.isfinite(design), axis=1) & np.isfinite(train.values)
     dropped = int(n - good.sum())
+    if dropped > 0.2 * n:
+        raise ft.FitError(f"{dropped} of {n} training points invalid under the basis")
+    if n - dropped < 2 * (len(terms) + 1):
+        raise ft.FitError("need at least twice as many valid training points as terms")
     if dropped:
-        if dropped > 0.2 * n or not drop:
-            raise ft.FitError(
-                f"{dropped} of {n} training points invalid under the basis"
-            )
         warnings.warn(f"dropped {dropped} invalid training points", stacklevel=2)
     design, y = design[good], train.values[good]
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
@@ -205,9 +203,9 @@ def assemble_and_validate(
     TRAIN_POINTS_PER_TERM * n points. The model accepts on that block,
     val_mse the block's MSE, when that MSE is at most EARLY_ACCEPT *
     tol_target. Otherwise, or when a basis term is invalid at one of the
-    b points, the training stream goes on to draw the other
-    TRAIN_POINTS_PER_TERM * n - b points and the model is solved again on
-    all of them, invalid points dropped with a warning. That model is
+    b points, which leaves too few for `least_squares`, the training
+    stream goes on to draw the other TRAIN_POINTS_PER_TERM * n - b points
+    and the model is solved again on all of them. That model is
     validated on the same block, and when the block does not accept it,
     the block's stream goes on to draw the rest of the full sample: N =
     cfg.samples_per_var * n_vars points, or as many as the block where
@@ -220,8 +218,8 @@ def assemble_and_validate(
     terms = build_basis(structure, factors)
     unconverged = tuple(f for models in factors for f in models if not f.converged)
 
-    def solved(train: SampleSet, drop: bool) -> AssembledModel:
-        c0, coefs, train_mse, deficient = least_squares(terms, train, drop)
+    def solved(train: SampleSet) -> AssembledModel:
+        c0, coefs, train_mse, deficient = least_squares(terms, train)
         return AssembledModel(
             c0=c0, terms=terms, coefficients=coefs,
             expr=_compose_expr(c0, coefs, terms), train_mse=train_mse,
@@ -234,15 +232,14 @@ def assemble_and_validate(
     train = oracle.sample(2 * (len(terms) + 1), train_stream)
     block = None
     try:
-        model = solved(train, drop=False)
+        model = solved(train)
     except ft.FitError:
         model = None
     else:
         block = oracle.sample(n_train, val_stream)
         model.val_mse = _mse(model, block)
     if model is None or model.val_mse > EARLY_ACCEPT * cfg.tol_target:
-        model = solved(_joined(train, oracle.sample(n_train - len(train), train_stream)),
-                       drop=True)
+        model = solved(_joined(train, oracle.sample(n_train - len(train), train_stream)))
         if block is None:
             block = oracle.sample(n_train, val_stream)
         model.val_mse = _mse(model, block)

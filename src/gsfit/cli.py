@@ -151,46 +151,31 @@ def _setup(args):
     return oracle, cfg, run_cfg
 
 
-def cmd_detect(args) -> int:
+def cmd_run(args) -> int:
+    """`detect`, or `fit`: detection, then the fit and its validation.
+    Each failure prints one line to stderr and ends in its exit code."""
     try:
         oracle, cfg, run_cfg = _setup(args)
     except (ParseError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    model = None
     try:
         structure = det.detect_structure(oracle, cfg)
-    except det.DetectionError as err:
-        print(f"detection failed: {err}", file=sys.stderr)
-        return EXIT_DETECT
-    if not _emit({"config": run_cfg, "structure": structure.to_dict()}, args.out):
-        return EXIT_USAGE
-    return EXIT_OK
-
-
-def cmd_fit(args) -> int:
-    try:
-        oracle, cfg, run_cfg = _setup(args)
-    except (ParseError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        structure = det.detect_structure(oracle, cfg)
-        model = asm.assemble_and_validate(structure, oracle, cfg)
+        if args.command == "fit":
+            model = asm.assemble_and_validate(structure, oracle, cfg)
     except det.DetectionError as err:  # from detection or the factor sweeps
         print(f"detection failed: {err}", file=sys.stderr)
         return EXIT_DETECT
     except (ft.FitError, SampleError) as err:
         print(f"fit failed: {err}", file=sys.stderr)
         return EXIT_TOLERANCE
-    payload = {
-        "config": run_cfg,
-        "structure": structure.to_dict(),
-        "model": model.to_dict(),
-        "oracle_evals": oracle.eval_count,
-    }
+    payload = {"config": run_cfg, "structure": structure.to_dict()}
+    if model is not None:
+        payload.update(model=model.to_dict(), oracle_evals=oracle.eval_count)
     if not _emit(payload, args.out):
         return EXIT_USAGE
-    if model.success:
+    if model is None or model.success:
         return EXIT_OK
     print(f"fit failed: validation MSE {model.val_mse:.3g} above tolerance {cfg.tol_target:g}",
           file=sys.stderr)
@@ -267,7 +252,7 @@ def main(argv=None) -> int:
         args = ap.parse_args(_join_target(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
-    commands = {"detect": cmd_detect, "fit": cmd_fit, "bench": cmd_bench}
+    commands = {"detect": cmd_run, "fit": cmd_run, "bench": cmd_bench}
     try:
         with np.errstate(all="ignore"):
             return commands[args.command](args)

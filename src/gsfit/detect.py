@@ -389,7 +389,7 @@ class Anchor:
     Each block's spread pair and each membership sweep is evaluated at
     most once, however many stages read it: detection's validator,
     `minimal_blocks` and the omega partition, or the factor sweeps of one
-    fit.
+    fit. One that fails raises where it is evaluated, and is not held.
     """
 
     def __init__(self, o: Oracle, point, cfg: RunConfig, f: float | None = None,
@@ -398,8 +398,8 @@ class Anchor:
         self.point = np.asarray(point, dtype=float)
         self._f = f
         self.moves: dict = {}      # (v, t) -> the graph's t-th single move of v
-        self._spreads: dict = {}   # block -> spread pair, or the error it raises
-        self._members: dict = {}   # (v, block) -> coupled, or None for an invalid sweep
+        self._spreads: dict = {}   # block -> spread pair
+        self._members: dict = {}   # (v, block) -> coupled
 
     @classmethod
     def draw(cls, o: Oracle, cfg: RunConfig, attempt: tuple[int, ...]) -> "Anchor | None":
@@ -441,8 +441,9 @@ class Anchor:
 
     def _spread_pairs(self, blocks) -> None:
         """Evaluate the spread pairs of those of `blocks` that have none
-        yet, in one oracle call. A block whose spread pair fails holds
-        its error, which `spread_pair` raises."""
+        yet, in one oracle call. The first of them, in block order, whose
+        spread pair fails raises its DegenerateAnchorError (see
+        `spread_pair`)."""
         new = [b for b in blocks if b not in self._spreads]
         if not new:
             return
@@ -451,15 +452,12 @@ class Anchor:
         for b, cand, vals in zip(new, cands, f.reshape(len(new), -1)):
             idx = np.flatnonzero(np.isfinite(vals))
             if idx.size < 2:
-                self._spreads[b] = DegenerateAnchorError("block probes mostly invalid")
-                continue
+                raise DegenerateAnchorError("block probes mostly invalid")
             order = idx[np.argsort(vals[idx])]
             spread = float(vals[order[-1]] - vals[order[0]])
             if spread <= self.cfg.tol_detect * max(1.0, float(np.nanmax(np.abs(vals)))):
-                self._spreads[b] = DegenerateAnchorError(
-                    "degenerate block during membership test")
-            else:
-                self._spreads[b] = (cand[order[0]], cand[order[-1]], spread)
+                raise DegenerateAnchorError("degenerate block during membership test")
+            self._spreads[b] = (cand[order[0]], cand[order[-1]], spread)
 
     def spread_pair(self, block_vars: tuple[int, ...]):
         """(b_lo, b_hi, spread): the block probe points (stream 401) of the
@@ -468,10 +466,7 @@ class Anchor:
         the block's coupling; it raises DegenerateAnchorError, as do fewer
         than two valid probes."""
         self._spread_pairs([block_vars])
-        held = self._spreads[block_vars]
-        if isinstance(held, DegenerateAnchorError):
-            raise held
-        return held
+        return self._spreads[block_vars]
 
     def delta_points(self, block_vars: tuple[int, ...], cols: tuple[int, ...],
                      coords) -> np.ndarray:
@@ -496,19 +491,16 @@ class Anchor:
         varies with, each swept at MEMBERSHIP_POINTS points of its own
         (stream 601).
 
-        The spread pairs the new sweeps need are evaluated in one oracle
-        call, then every new sweep in one more. Errors are read block by
-        block, a block's spread pair before its sweeps, so the error is
-        the one a block-by-block evaluation would raise; only blocks
-        before the first failed spread pair are swept.
+        The spread pairs not yet held are evaluated in one oracle call,
+        then every sweep not yet held in one more. A failed spread pair
+        raises as `_spread_pairs` does, and the first sweep, in block
+        order, with fewer than four valid differences raises
+        DegenerateAnchorError.
         """
         if not repeated:
             return [() for _ in blocks]
-        todo = [b for b in blocks if any((v, b) not in self._members for v in repeated)]
-        self._spread_pairs(todo)
-        swept = itertools.takewhile(
-            lambda b: not isinstance(self._spreads[b], DegenerateAnchorError), todo)
-        sweeps = [(v, b) for b in swept for v in repeated if (v, b) not in self._members]
+        self._spread_pairs(blocks)
+        sweeps = [(v, b) for b in blocks for v in repeated if (v, b) not in self._members]
         if sweeps:
             zs = [self.uniform((v,), MEMBERSHIP_POINTS, 601, v, *b) for v, b in sweeps]
             pts = [self.delta_points(b, (v,), z) for (v, b), z in zip(sweeps, zs)]
@@ -517,18 +509,11 @@ class Anchor:
                 deltas = _halves_diff(fv)
                 deltas = deltas[np.isfinite(deltas)]
                 if deltas.size < 4:
-                    self._members[key] = None
-                    continue
+                    raise DegenerateAnchorError("membership sweep mostly invalid")
                 dscale = max(1.0, float(np.max(np.abs(deltas))))
                 spread = float(np.max(deltas) - np.min(deltas))
                 self._members[key] = spread > self.cfg.tol_detect * dscale
-        out = []
-        for b in blocks:
-            self.spread_pair(b)   # held by now: raises a failed one's error
-            if any(self._members[v, b] is None for v in repeated):
-                raise DegenerateAnchorError("membership sweep mostly invalid")
-            out.append(tuple(v for v in repeated if self._members[v, b]))
-        return out
+        return [tuple(v for v in repeated if self._members[v, b]) for b in blocks]
 
 
 def _halves_diff(f: np.ndarray) -> np.ndarray:
@@ -655,9 +640,8 @@ def factor_partition(at: Anchor, blocks) -> list[tuple[tuple[tuple[int, ...], ..
     is known: 0 for psi, and for omega f(b_lo) - f(b_hi), the negated
     spread. Every grid of every block is evaluated in one oracle call and
     classified in one array step. A grid with an invalid point raises
-    DegenerateAnchorError, as it would first in block order, psi before
-    omega; so only an attempt that ends here evaluates grids that a
-    grid-by-grid order would have skipped.
+    DegenerateAnchorError; so only an attempt that ends here evaluates
+    grids that a grid-by-grid order would have skipped.
 
     Variables stay in one group when they are additively fused (no
     pairwise interaction) or interact in a non-product way; clean product

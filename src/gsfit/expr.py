@@ -13,7 +13,6 @@ ordinary trees by `bind`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -68,28 +67,27 @@ class Expr:
     index: int = 0
     args: tuple["Expr", ...] = field(default_factory=tuple)
 
+    def __post_init__(self):
+        # Per-node summaries, read off the children, which already hold
+        # theirs, so that building a tree of any depth recurses nowhere.
+        # Not fields, so equality, hashing and repr ignore them.
+        args = self.args
+        self.__dict__.update(
+            _arity_bound=(self.index if self.kind == "var"
+                          else max((a._arity_bound for a in args), default=0)),
+            _param_bound=(self.index + 1 if self.kind == "param"
+                          else max((a._param_bound for a in args), default=0)),
+            _complexity=1 + sum(a._complexity for a in args),
+            _compiled=self._compile(),
+        )
+
     def arity_bound(self) -> int:
         """Largest variable index referenced anywhere in the tree."""
         return self._arity_bound
 
-    @cached_property
-    def _arity_bound(self) -> int:
-        # computed once per node, on first use; not a field, so equality
-        # and hashing ignore it
-        if self.kind == "var":
-            return self.index
-        return max((a._arity_bound for a in self.args), default=0)
-
     def param_bound(self) -> int:
         """Number of parameter slots the tree uses (largest slot plus one)."""
         return self._param_bound
-
-    @cached_property
-    def _param_bound(self) -> int:
-        # per node, as _arity_bound
-        if self.kind == "param":
-            return self.index + 1
-        return max((a._param_bound for a in self.args), default=0)
 
     def bind(self, theta, var_map) -> "Expr":
         """Copy with parameters set to theta and local x<k> renamed to
@@ -105,11 +103,6 @@ class Expr:
     def complexity(self) -> int:
         """Total node count; constants and variables count one each."""
         return self._complexity
-
-    @cached_property
-    def _complexity(self) -> int:
-        # per node, as _arity_bound
-        return 1 + sum(a._complexity for a in self.args)
 
     def eval_batch(self, points: np.ndarray) -> np.ndarray:
         """Vectorized evaluation over an (N, n) array of points.
@@ -134,15 +127,13 @@ class Expr:
         # column that makes the result (P, N), one row per parameter row
         return self._compiled(pts, theta)
 
-    @cached_property
-    def _compiled(self):
-        # The tree as nested closures, built once per node on first use:
-        # each runs the same numpy operations, in the same order, as a
-        # recursive walk over the node kinds would, without re-dispatching
-        # on them at every call. Constants stay full arrays, since np.power
-        # with a scalar exponent of 2 or 0.5 takes a fast path that is not
-        # bit-identical to the array form. Not a field, so equality and
-        # hashing ignore it.
+    def _compile(self):
+        # The node as a closure over its children's: each runs the same
+        # numpy operations, in the same order, as a recursive walk over the
+        # node kinds would, without re-dispatching on them at every call.
+        # Constants stay full arrays, since np.power with a scalar exponent
+        # of 2 or 0.5 takes a fast path that is not bit-identical to the
+        # array form.
         k = self.kind
         if k == "const":
             v = self.value
@@ -173,10 +164,13 @@ class Expr:
         raise ValueError(f"unknown node kind {k!r}")
 
     def __getstate__(self):
-        # the fields only: the per-node caches (_compiled, _arity_bound,
-        # _param_bound, _complexity) are rebuilt on use, and a closure
-        # cannot be pickled
+        # the fields only: a closure cannot be pickled
         return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
+
+    def __setstate__(self, state):
+        # the children are unpickled first, so they hold their summaries
+        self.__dict__.update(state)
+        self.__post_init__()
 
     # -- printing ----------------------------------------------------------
 

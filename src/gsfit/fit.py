@@ -27,7 +27,7 @@ count. A parametric family is scanned and polished, first out to +-24
 radians across the data span and then, for sin and cos, out to what the
 sample resolves; the polish stops once Gauss-Newton stalls above `EXACT_MSE`.
 Only families both passes leave open get LDSE (`_walk`): no benchmark factor
-is one, and the 300-target fit fuzz (tests/fuzz_exits.py) makes 704 runs.
+is one, and the 300-target fit fuzz (tests/fuzz_exits.py) makes 690 runs.
 
 Every candidate is scored once. A shifted sin's scan row is scored by the
 2x2 solve that gives its phase (`_with_phase`), every other scan row by
@@ -212,8 +212,8 @@ class Skeleton:
 
 
 def _lstsq_cols(cols: np.ndarray, y: np.ndarray):
-    # for fit_factor's refit and _with_phase's fallback for singular rows:
-    # normal equations on tiny systems, an SVD solve when those are singular
+    # fit_factor's refit: normal equations on tiny systems, an SVD solve
+    # when those are singular
     if cols.shape[1] <= 3:
         gram = cols.T @ cols
         try:
@@ -369,10 +369,11 @@ def _with_phase(freqs: np.ndarray, X: np.ndarray, y: np.ndarray, lead=1.0):
     sin and cos columns s, c. That fit's MSE, (yc.yc - a*(s.yc) -
     b*(c.yc)) / n, is the row's MSE under its own objective, since
     a*sin(t) + b*cos(t) is a multiple of sin(t + phase) (variable
-    projection; Golub and Pereyra 1973). Rows whose 2x2 system is singular
-    fall back to `_lstsq_cols` on all three columns for the phase and get
-    a nan MSE, for the objective to score. Rows are solved `_HINT_CHUNK`
-    at a time, which bounds the (rows, points) temporaries.
+    projection; Golub and Pereyra 1973). A row whose 2x2 system is
+    singular has no regular fit: it gets phase 0 and scores inf, as a
+    singular fit does in `_make_objective` and `_subset_rss`. Rows are
+    solved `_HINT_CHUNK` at a time, which bounds the (rows, points)
+    temporaries.
     """
     yc = y - y.mean()
     yy = yc @ yc
@@ -395,15 +396,11 @@ def _with_phase(freqs: np.ndarray, X: np.ndarray, y: np.ndarray, lead=1.0):
         b2 = c @ yc
         det = a11 * a22 - a12 * a12
         ok = np.isfinite(det) & (det > 1e-300 * np.maximum(1.0, a11 * a22))
-        ai = (b1 * a22 - b2 * a12) / det
-        bi = (a11 * b2 - a12 * b1) / det
+        ai = np.where(ok, (b1 * a22 - b2 * a12) / det, 1.0)
+        bi = np.where(ok, (a11 * b2 - a12 * b1) / det, 0.0)
         m = (yy - ai * b1 - bi * b2) / len(y)
-        m[~np.isfinite(m)] = math.inf
-        m[~ok] = math.nan
+        m[~(ok & np.isfinite(m))] = math.inf
         a[i:i + len(F)], b[i:i + len(F)], mse[i:i + len(F)] = ai, bi, m
-        for r in np.flatnonzero(~ok):
-            cols = np.column_stack([np.sin(t[r]) * lead, np.cos(t[r]) * lead, np.ones(len(y))])
-            (a[i + r], b[i + r], _), _ = _lstsq_cols(cols, y)
     return np.column_stack([freqs, np.arctan2(b, a)]), mse
 
 

@@ -160,6 +160,26 @@ def test_least_squares_drops_invalid_points_with_warning():
     assert c[0] == pytest.approx(1.0, abs=1e-10)
 
 
+def test_least_squares_needs_twice_the_columns_in_valid_rows():
+    # 2 terms and the constant need 6 valid rows: one invalid row of 6
+    # fails, with no warning; one of 60 is dropped with one warning
+    terms = [term_of(ex.parse("ln(x1)", 1)), term_of(ex.parse("x1", 1))]
+    for n in (6, 60):
+        x = np.linspace(0.5, 3.0, n)[:, None]
+        x[2] = -1.0
+        y = 2.0 * np.log(np.abs(x[:, 0])) - 0.5 * x[:, 0] + 1.0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if n == 6:
+                with pytest.raises(FitError, match="twice"):
+                    least_squares(terms, sample_of(x, y))
+            else:
+                c0, c, mse, _ = least_squares(terms, sample_of(x, y))
+        assert [str(w.message) for w in caught] == ([] if n == 6 else
+                                                    ["dropped 1 invalid training points"])
+    assert c0 == pytest.approx(1.0) and c == pytest.approx([2.0, -0.5]) and mse < 1e-20
+
+
 def test_least_squares_too_many_invalid_errors():
     rng = np.random.default_rng(5)
     x = rng.uniform(-3.0, -0.5, size=(100, 1))
@@ -464,9 +484,9 @@ def test_the_training_sample_has_twenty_points_per_basis_column(monkeypatch, no)
     solves = []
     inner = asm.least_squares
 
-    def spy(terms, train, drop=True):
+    def spy(terms, train):
         solves.append((len(terms), train))
-        return inner(terms, train, drop)
+        return inner(terms, train)
 
     past_block, _ = _tolerance_past_the_block(no, 3, passes=True)
     monkeypatch.setattr(asm, "least_squares", spy)

@@ -352,8 +352,9 @@ def test_out_path_that_cannot_be_written_exit_1(tmp_path, capsys, args):
 
 
 @pytest.mark.parametrize("command, target, dims", [
-    # the tree walks recurse once per level of the 249 nested adds
-    ("detect", "+".join(f"x{i}" for i in range(1, 251)), 250),
+    # evaluation recurses once per level of the 1,999 nested adds
+    pytest.param("detect", "+".join(f"x{i}" for i in range(1, 2001)), 2000,
+                 id="detect-sum-of-2000"),
     # the parser recurses once per parenthesis
     ("fit", "(" * 400 + "x1" + ")" * 400, 1),
 ])

@@ -768,6 +768,18 @@ def test_a_single_variable_side_costs_no_partition_evaluation(monkeypatch):
     assert seen["recon"] == seen["blocks"]
 
 
+def test_a_failed_spread_pair_raises_before_any_sweep():
+    # block (2,)'s response is 0 * x2, so its spread pair is flat. Both
+    # blocks' spread pairs are one oracle call, and the failure raises
+    # there, before block (1,)'s sweep of x3 is evaluated
+    o = make_oracle(ex.parse("x3*x1+0*x2", 3), DomainBox((-3.0,) * 3, (3.0,) * 3))
+    at = Anchor(o, [0.5, 0.5, 1.0], RunConfig(seed=1))
+    with pytest.raises(det.DegenerateAnchorError,
+                       match="^degenerate block during membership test$"):
+        at.memberships([(1,), (2,)], (3,))
+    assert o.eval_count == 2 * det.OMEGA_PAIR_CANDIDATES == 16
+
+
 @pytest.mark.parametrize("no", sorted(CASES) + [11])
 def test_an_attempt_pays_once_for_its_shared_probes(no, monkeypatch):
     # each block's spread pair (stream 401) and each membership sweep

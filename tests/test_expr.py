@@ -125,13 +125,28 @@ def test_eval_arity_mismatch_raises():
 
 
 def test_arity_bound_is_cached_without_changing_equality_or_errors():
+    # every node holds its summaries from construction, never evaluated
     e, twin = ex.parse("x3*sin(x1)", 3), ex.parse("x3*sin(x1)", 3)
-    assert e.eval_batch(np.ones((2, 3))).shape == (2,)   # fills e's cache
-    assert e.arity_bound() == 3 and "_arity_bound" in vars(e)
-    assert "_arity_bound" not in vars(twin)
+    assert vars(e)["_arity_bound"] == e.arity_bound() == 3
+    assert (e.param_bound(), e.complexity()) == (0, 4)
+    assert e.eval_batch(np.ones((2, 3))).shape == (2,)
     assert e == twin and hash(e) == hash(twin) and repr(e) == repr(twin)
     with pytest.raises(ValueError, match="references x3"):
         e.eval_batch(np.zeros((4, 2)))
+
+
+def test_a_sum_of_900_variables_parses_evaluates_and_prints():
+    # every node reads its summaries off its children when built, so a
+    # tree 899 adds deep builds without recursing; evaluation and printing
+    # recurse once a level, within Python's limit
+    text = "+".join(f"x{i}" for i in range(1, 901))
+    e = ex.parse(text, 900)
+    assert (e.arity_bound(), e.param_bound(), e.complexity()) == (900, 0, 1799)
+    pts = np.random.default_rng(9).uniform(-3.0, 3.0, size=(8, 900))
+    vals = e.eval_batch(pts)
+    assert np.array_equal(vals, np.add.accumulate(pts, axis=1)[:, -1])
+    assert e.to_text() == text
+    assert _same_bytes(ex.parse(e.to_text(), 900).eval_batch(pts), vals)
 
 
 def test_print_parse_round_trip_random_trees():

@@ -741,27 +741,30 @@ def test_batched_phases_match_per_candidate_lstsq(kind, k):
     # more rows than one chunk; the zero row makes sin and cos constant,
     # so its centered 2x2 system is singular
     freqs = rng.uniform(-5.0, 5.0, size=(ft._HINT_CHUNK + 37, k))
-    freqs[ft._HINT_CHUNK + 3] = 0.0
+    singular = ft._HINT_CHUNK + 3
+    freqs[singular] = 0.0
     with np.errstate(all="ignore"):
-        got, _ = _with_phase(freqs, X, y)
+        got, mse = _with_phase(freqs, X, y)
     want = _phase_reference(kind, freqs, X, y)
     assert got.shape == (len(freqs), k + 1)
     assert np.array_equal(got[:, :k], freqs)
+    regular = np.arange(len(freqs)) != singular
     shift = 0.0 if kind == "sin" else math.pi / 2
-    wrapped = np.angle(np.exp(1j * (got[:, k] - shift - want[:, k])))
+    wrapped = np.angle(np.exp(1j * (got[regular, k] - shift - want[regular, k])))
     assert np.allclose(wrapped, 0.0, atol=1e-9)
-    singular = ft._HINT_CHUNK + 3
-    if kind == "sin":
-        assert got[singular, k] == want[singular, k]
+    assert np.isfinite(mse[regular]).all()
+    # the singular row has no regular fit: phase 0, scored inf
+    assert got[singular, k] == 0.0 and mse[singular] == math.inf
 
 
-def test_with_phase_on_constant_argument_falls_back_for_every_row():
+def test_with_phase_on_constant_argument_scores_every_row_inf():
     X = np.full((20, 1), 0.7)
     y = np.linspace(-1.0, 1.0, 20)
     freqs = np.array([[0.5], [1.0], [3.0]])
     with np.errstate(all="ignore"):
-        got, _ = _with_phase(freqs, X, y)
-    assert np.array_equal(got, _phase_reference("sin", freqs, X, y))
+        got, mse = _with_phase(freqs, X, y)
+    assert np.array_equal(got, np.column_stack([freqs, np.zeros(len(freqs))]))
+    assert np.all(mse == math.inf)
 
 
 # the shifted-sin families, whose scan rows `_with_phase` scores
@@ -782,8 +785,8 @@ def _objective_scores(sk, V, y, cands):
 def test_phased_scan_rows_score_their_objective(k, data):
     # a shifted-sin row scores its phase solve's MSE, the objective's on
     # that row to rounding; a row whose 2x2 system is singular (every row
-    # on a constant argument) scores nan in the scan and its objective in
-    # the ranking, so the ranking keeps the objective's order and infs
+    # on a constant argument) scores inf, though its objective may read
+    # a rounding-level determinant as regular, so the scan ranks none
     if data == "random":
         rng = np.random.default_rng(40 + k)
         V = rng.uniform(-3.0, 3.0, size=(30 * k, k)) * rng.uniform(0.1, 5.0, size=k)
@@ -798,15 +801,16 @@ def test_phased_scan_rows_score_their_objective(k, data):
             cands, scores = ft._scan(sk, V, y, reach)
             want = _objective_scores(sk, V, y, cands)
             hints, best = _ranked_hints(sk, _make_objective(sk, V, y), V, y, reach)
-        fallback = np.isnan(scores)
-        assert fallback.all() if data != "random" else not fallback.any(), sk.name
-        scored = np.where(fallback, want, scores)
-        assert np.array_equal(np.isinf(scored), np.isinf(want)), sk.name
+        assert len(cands) and not np.isnan(scores).any(), sk.name
+        if data != "random":
+            assert np.isinf(scores).all() and hints == [] and best == math.inf, sk.name
+            continue
+        assert np.array_equal(np.isinf(scores), np.isinf(want)), sk.name
         finite = np.isfinite(want)
-        assert np.all(np.abs(scored[finite] - want[finite]) <= 1e-12 * np.var(y)), sk.name
+        assert np.all(np.abs(scores[finite] - want[finite]) <= 1e-12 * np.var(y)), sk.name
         order = [i for i in np.argsort(want, kind="stable")[:3] if want[i] < math.inf]
         assert [h.tobytes() for h in hints] == [cands[i].tobytes() for i in order], sk.name
-        assert best == (scored[order[0]] if order else math.inf), sk.name
+        assert best == (scores[order[0]] if order else math.inf), sk.name
 
 
 def _rank(name, k=1, max_nodes=12):
