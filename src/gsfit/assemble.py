@@ -8,12 +8,13 @@ cross term exactly and keeps the outer problem linear.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -172,21 +173,45 @@ def _compose_expr(c0: float, coefficients: np.ndarray, terms: list[BasisTerm]) -
     return out
 
 
+def _fit_sweep(cfg: RunConfig, isolate, *args) -> ft.FactorModel:
+    """Fit a factor on the first block of its sweep, `isolate(*args,
+    first_block=True)`, and, unless that fit is exact, on the whole sweep,
+    `isolate(*args)`, whose rest is drawn only then.
+
+    The block fit runs no LDSE and is accepted only at a normalized MSE of
+    at most min(fit.EXACT_MSE, cfg.tol_target). A block that is mostly
+    invalid, or whose fit raises FitError, also goes on to the whole
+    sweep, which is fitted as a sweep drawn at once is, LDSE included.
+    """
+    block = isolate(*args, first_block=True)
+    if block is not None:
+        exact = replace(cfg, tol_target=min(ft.EXACT_MSE, cfg.tol_target))
+        with contextlib.suppress(ft.FitError):
+            model = ft.fit_factor(block, exact, ldse=False)
+            if model.converged:
+                return model
+    return ft.fit_factor(isolate(*args), cfg)
+
+
 def fit_structure_factors(
     structure: det.GsStructure, oracle: Oracle, cfg: RunConfig
 ) -> list[list[ft.FactorModel]]:
-    """Per-factor sweeps and symbolic fits for every block of a structure.
+    """Per-factor sweeps and symbolic fits for every block of a structure,
+    each sweep sequential (`_fit_sweep`): a first block of
+    detect.FIRST_BLOCK_PER_VAR points a variable, and the rest of the
+    sweep only when the block does not fit exactly.
     The sweeps share one `detect.Anchor`: detection's own, `structure.at`,
     when it probed this oracle under this cfg, so that f(anchor) and each
     block's spread pair are not evaluated again. Otherwise a fresh one
     evaluates f(anchor) once, in the first psi sweep, and each block's
-    spread pair once."""
+    spread pair once. Every sweep evaluation happens inside a call of
+    `detect.isolate_psi_data` or `detect.isolate_omega_data`."""
     at = structure.at
     if at is None or at.o is not oracle or at.cfg != cfg:
         at = det.Anchor(oracle, structure.anchor, cfg)
     return [
-        [ft.fit_factor(det.isolate_psi_data(at, g), cfg) for g in b.psi_factors]
-        + [ft.fit_factor(det.isolate_omega_data(at, b.vars, g), cfg) for g in b.omega_factors]
+        [_fit_sweep(cfg, det.isolate_psi_data, at, g) for g in b.psi_factors]
+        + [_fit_sweep(cfg, det.isolate_omega_data, at, b.vars, g) for g in b.omega_factors]
         for b in structure.blocks
     ]
 

@@ -14,9 +14,13 @@ redrawn anchor thus probes afresh in every stage.
 
     tag   stage (module `detect`, else as named)
     101   graph moves of one variable (`_pair_scores`, `interaction_graph`)
-    301   psi factor sweep (`isolate_psi_data`)
+    301   psi factor sweep: its first block, then, when the factor does
+          not fit exactly on the block, the rest, from one stream
+          (`isolate_psi_data`)
     401   spread pair of a block (`Anchor.spread_pair`)
-    402   omega factor sweep (`isolate_omega_data`)
+    402   omega factor sweep: its first block, then, when the factor
+          does not fit exactly on the block, the rest, from one stream
+          (`isolate_omega_data`)
     501   psi partition grids (`factor_partition`)
     502   omega partition grids (`factor_partition`)
     601   membership sweep (`Anchor.memberships`)

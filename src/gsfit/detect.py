@@ -48,6 +48,7 @@ PAIR_PROBES = 8             # probe quadruples per pairwise test
 MAX_INVALID_ATTEMPTS = 11   # invalid quadruples in a row before a pair gives up
 PSI_POINTS_PER_VAR = 48     # tabulated points per block variable
 OMEGA_POINTS_PER_VAR = 32
+FIRST_BLOCK_PER_VAR = 16    # points per variable of a factor sweep's first block
 MEMBERSHIP_POINTS = 12      # sweep length per repeated-variable test
 OMEGA_PAIR_CANDIDATES = 8
 ANCHOR_CENTRAL = 0.5        # anchors drawn from this central fraction
@@ -390,6 +391,8 @@ class Anchor:
     most once, however many stages read it: detection's validator,
     `minimal_blocks` and the omega partition, or the factor sweeps of one
     fit. One that fails raises where it is evaluated, and is not held.
+    The first block of each factor sweep is also evaluated once and held
+    (`_tabulate`), for the rest of its sweep, when drawn, to join.
     """
 
     def __init__(self, o: Oracle, point, cfg: RunConfig, f: float | None = None,
@@ -400,6 +403,7 @@ class Anchor:
         self.moves: dict = {}      # (v, t) -> the graph's t-th single move of v
         self._spreads: dict = {}   # block -> spread pair
         self._members: dict = {}   # (v, block) -> coupled
+        self._sweeps: dict = {}    # (stream key, cols) -> the first block's values
 
     @classmethod
     def draw(cls, o: Oracle, cfg: RunConfig, attempt: tuple[int, ...]) -> "Anchor | None":
@@ -522,36 +526,59 @@ def _halves_diff(f: np.ndarray) -> np.ndarray:
     return f[:n] - f[n:]
 
 
-def _tabulate(at: Anchor, cols, count: int, key, probe, what: str) -> FactorData:
-    """`probe` at `count` draws on the sub-box of `cols` from stream `key`;
-    fewer than max(8, count // 2) finite values raise DegenerateAnchorError."""
+def _tabulate(at: Anchor, cols, count: int, key, probe, what: str,
+              first_block: bool) -> FactorData | None:
+    """`probe` at a sweep of `count` draws on the sub-box of `cols` from
+    stream `key`, evaluated in two steps of that one draw: its first
+    block, the first FIRST_BLOCK_PER_VAR * len(cols) points, then the
+    rest, each row once.
+
+    The block is evaluated on first use and its values held on the
+    anchor, by stream and columns, since the omega sweeps of a block
+    share a stream. With first_block, the block's finite points, or None
+    when fewer than max(8, block // 2) are finite. Otherwise the whole
+    sweep's, the rest evaluated in one oracle call; fewer than max(8,
+    count // 2) finite values raise DegenerateAnchorError.
+    """
     pts = at.uniform(cols, count, *key)
-    vals = probe(pts)
+    head = FIRST_BLOCK_PER_VAR * len(cols)
+    if (key, cols) not in at._sweeps:
+        at._sweeps[key, cols] = probe(pts[:head])
+    vals = at._sweeps[key, cols]
+    if first_block:
+        pts, need = pts[:head], max(8, head // 2)
+    else:
+        vals, need = np.concatenate([vals, probe(pts[head:])]), max(8, count // 2)
     good = np.isfinite(vals)
-    if good.sum() < max(8, count // 2):
+    if good.sum() < need:
+        if first_block:
+            return None
         raise DegenerateAnchorError(f"{what} mostly invalid")
     return FactorData(vars=tuple(cols), points=pts[good], values=vals[good])
 
 
-def isolate_psi_data(at: Anchor, group: tuple[int, ...]) -> FactorData:
+def isolate_psi_data(at: Anchor, group: tuple[int, ...],
+                     first_block: bool = False) -> FactorData | None:
     """Tabulate a psi factor group: the anchor's slice, which equals the
     group's factor up to an affine transform, at PSI_POINTS_PER_VAR points
-    a variable (stream 301)."""
+    a variable (stream 301), or at its first block of FIRST_BLOCK_PER_VAR
+    (see `_tabulate`)."""
     return _tabulate(at, group, PSI_POINTS_PER_VAR * len(group), (301, *group),
-                     lambda pts: at.slice(group, pts), "psi slice")
+                     lambda pts: at.slice(group, pts), "psi slice", first_block)
 
 
-def isolate_omega_data(at: Anchor, block_vars: tuple[int, ...],
-                       group: tuple[int, ...]) -> FactorData:
+def isolate_omega_data(at: Anchor, block_vars: tuple[int, ...], group: tuple[int, ...],
+                       first_block: bool = False) -> FactorData | None:
     """Tabulate an omega factor group of a block: the anchor's block
     difference, which equals the group's factor up to an affine transform,
     at OMEGA_POINTS_PER_VAR points a variable and at least 48 (stream 402,
-    keyed by the block)."""
+    keyed by the block), or at its first block of FIRST_BLOCK_PER_VAR
+    (see `_tabulate`)."""
     if not group:
         raise ValueError("block has no repeated variables to isolate")
     return _tabulate(at, group, max(48, OMEGA_POINTS_PER_VAR * len(group)),
                      (402, *block_vars), lambda zs: at.delta(block_vars, group, zs),
-                     "omega sweep")
+                     "omega sweep", first_block)
 
 
 # --------------------------------------------------------------------------

@@ -27,7 +27,7 @@ count. A parametric family is scanned and polished, first out to +-24
 radians across the data span and then, for sin and cos, out to what the
 sample resolves; the polish stops once Gauss-Newton stalls above `EXACT_MSE`.
 Only families both passes leave open get LDSE (`_walk`): no benchmark factor
-is one, and the 300-target fit fuzz (tests/fuzz_exits.py) makes 690 runs.
+is one, and the 300-target fit fuzz (tests/fuzz_exits.py) makes 688 runs.
 
 Every candidate is scored once. A shifted sin's scan row is scored by the
 2x2 solve that gives its phase (`_with_phase`), every other scan row by
@@ -673,12 +673,14 @@ def _make_residuals(sk: Skeleton, V, y):
     shape column S is evaluated once for all rows, each parameter
     broadcast as a (P, 1) column, and the optimal amplitude c1 and offset
     c2 of every row are solved in closed form from its 2x2 normal
-    equations; a row whose solve is singular or whose shape is invalid is
-    masked out.
+    equations; a row whose shape is invalid, or whose solve is singular
+    to rounding, its determinant within n * eps of n * sum(S^2), as on a
+    constant shape, is masked out.
     """
     shape = sk._shapes()[0]
     n = len(y)
     y_sum = float(y.sum())
+    rounding = n * np.finfo(float).eps
 
     def residuals(X):
         S = shape._eval(V, [X[:, k:k + 1] for k in range(X.shape[1])])
@@ -688,7 +690,7 @@ def _make_residuals(sk: Skeleton, V, y):
         a12 = S.sum(axis=1)
         a11n = a11 * n
         det = a11n - a12 * a12
-        ok = np.isfinite(a11) & (det > 1e-300 * np.maximum(1.0, a11n))
+        ok = np.isfinite(a11) & (det > rounding * a11n)
         c1 = (b1 * n - y_sum * a12) / det
         c2 = (a11 * y_sum - a12 * b1) / det
         np.multiply(c1[:, None], S, out=R)
@@ -802,7 +804,7 @@ def _ranked_hints(sk: Skeleton, objective, V, y, reach, top: int = 3):
 _RESTARTS = 2
 
 
-def _walk(stream: list[Skeleton], V, y, seed: int, max_nodes: int):
+def _walk(stream: list[Skeleton], V, y, seed: int, max_nodes: int, ldse: bool = True):
     """Yield (skeleton, nl) in the order fit_factor tries them.
 
     The monomial library (`_library`, within max_nodes) searches first.
@@ -823,6 +825,8 @@ def _walk(stream: list[Skeleton], V, y, seed: int, max_nodes: int):
     from its best scan rows, stopping early only at `EXACT_MSE`, and its best
     run is yielded before the next family's first. A run reads the stream
     rng(seed, 1101, rank, restart), rank the skeleton's in the stream.
+    Without `ldse` the walk skips that stage: the families still open are
+    not yielded, and an inexact library fit follows the second scan pass.
     """
     library, exact = _library(V, y, max_nodes)
     if exact:
@@ -850,6 +854,8 @@ def _walk(stream: list[Skeleton], V, y, seed: int, max_nodes: int):
                 continue
             still.append((hint_best, rank, sk, objective, hints))
         left = still
+    if not ldse:
+        left = []
     for _, rank, sk, objective, hints in sorted(left, key=lambda f: f[0]):
         best = None
         for restart in range(_RESTARTS):
@@ -867,18 +873,18 @@ def _walk(stream: list[Skeleton], V, y, seed: int, max_nodes: int):
         yield library, np.empty(0)
 
 
-def fit_factor(data, cfg: RunConfig) -> FactorModel:
+def fit_factor(data, cfg: RunConfig, ldse: bool = True) -> FactorModel:
     """Fit the factor with the first skeleton within tolerance, else the best.
 
     Skeletons are tried in `_walk`'s order: an exact fit of the monomial
     library, the table's parameter-free rows, the scanned and polished
-    parametric rows, LDSE, and last an inexact library fit. The first
-    within tolerance is accepted; without one, the lowest MSE wins, and
-    equal MSEs go to the skeleton tried first. Responses are centered and
-    scaled to unit standard deviation before fitting; the returned model
-    represents that normalized image (the data identifies the factor only
-    up to an affine transform, and the outer linear assembly absorbs the
-    normalization).
+    parametric rows, LDSE unless `ldse` is False, and last an inexact
+    library fit. The first within tolerance is accepted; without one,
+    the lowest MSE wins, and equal MSEs go to the skeleton tried first.
+    Responses are centered and scaled to unit standard deviation before
+    fitting; the returned model represents that normalized image (the
+    data identifies the factor only up to an affine transform, and the
+    outer linear assembly absorbs the normalization).
     Acceptance compares the normalized MSE against cfg.tol_target.
     """
     V = np.asarray(data.points, dtype=float)
@@ -896,7 +902,7 @@ def fit_factor(data, cfg: RunConfig) -> FactorModel:
     # such parameters score inf
     with np.errstate(all="ignore"):
         for sk, nl in _walk(skeleton_stream(len(data.vars), cfg.max_nodes), V, yn, cfg.seed,
-                             cfg.max_nodes):
+                             cfg.max_nodes, ldse):
             B = sk.design(V, nl)
             if B is None:
                 continue

@@ -260,7 +260,8 @@ def test_the_sweeps_of_a_fit_evaluate_each_shared_probe_once(monkeypatch):
     # spread pair (stream 401). A detected structure carries detection's
     # anchor, which has evaluated both already; a hand-built one has none,
     # and its fit evaluates f(anchor) once and each spread pair once, at
-    # the attempt (0,) of a fresh anchor
+    # the attempt (0,) of a fresh anchor. No fit here converges, so each
+    # sweep reads them twice: for its first block and for its rest
     cfg = RunConfig(seed=7)
     oracles = [spec.oracle() for spec in [*CASES.values(), STREAM_DEMO]]
     structures = [(o, detect_structure(o, cfg)) for o in oracles]
@@ -283,7 +284,8 @@ def test_the_sweeps_of_a_fit_evaluate_each_shared_probe_once(monkeypatch):
 
     monkeypatch.setattr(Oracle, "eval_batch", eval_spy)
     monkeypatch.setattr(det, "_rng", rng_spy)
-    monkeypatch.setattr(ft, "fit_factor", lambda data, cfg: data)
+    monkeypatch.setattr(ft, "fit_factor", lambda data, cfg, ldse=True: fake_model(
+        ex.const(1.0), data.vars, converged=False))
     for o, s in structures:
         anchor = np.asarray(s.anchor)
         hand_built = GsStructure(s.repeated, s.blocks, s.anchor)
@@ -297,6 +299,131 @@ def test_the_sweeps_of_a_fit_evaluate_each_shared_probe_once(monkeypatch):
             assert [len(d) for d in data] == [b.factor_count() for b in s.blocks]
             assert anchor_rows[-1] == rows
             assert spreads[-1] == pairs
+
+
+def _sweep_spies(monkeypatch, fit=None):
+    """Spy on the sweeps of a fit: the point batches the oracle evaluates,
+    and each fit_factor call as (data, ldse). `fit`, when given, stands in
+    for the real fit_factor."""
+    batches, fits = [], []
+    inner_eval, inner_fit = Oracle.eval_batch, fit or ft.fit_factor
+
+    def eval_spy(self, points):
+        batches.append(np.array(points))
+        return inner_eval(self, points)
+
+    def fit_spy(data, cfg, ldse=True):
+        fits.append((data, ldse))
+        return inner_fit(data, cfg, ldse)
+
+    monkeypatch.setattr(Oracle, "eval_batch", eval_spy)
+    monkeypatch.setattr(ft, "fit_factor", fit_spy)
+    return batches, fits
+
+
+def test_a_factor_exact_on_its_first_block_evaluates_only_the_block(monkeypatch):
+    # case 1, 0.5*exp(x1)*sin(2*x2): each psi factor fits exactly on the 16
+    # points of its sweep's first block, and the other 32 of the 48-point
+    # sweep are never evaluated
+    o, cfg = CASES[1].oracle(), RunConfig(seed=1)
+    s = detect_structure(o, cfg)
+    assert [b.psi_factors for b in s.blocks] == [((1,), (2,))]
+    batches, fits = _sweep_spies(monkeypatch)
+    [factors] = fit_structure_factors(s, o, cfg)
+    assert all(f.converged and f.train_mse <= ft.EXACT_MSE for f in factors)
+    assert [len(b) for b in batches] == [16, 16]
+    assert [(d.vars, len(d.points), ldse) for d, ldse in fits] == [
+        ((1,), 16, False), ((2,), 16, False)]
+
+
+def test_a_factor_inexact_on_its_block_fits_one_draw_of_the_whole_sweep(monkeypatch):
+    # exp(-x1^2), which no skeleton fits, misses on its block, so the rest
+    # of its sweep is drawn and fitted with the block: in points and values
+    # the 48-point draw of stream 301 that a sweep drawn at once reads, its
+    # 48 rows evaluated once each, the block's 16 first
+    o = make_oracle(ex.parse("exp(-x1^2)", 1), DomainBox.cube(-3, 3, 1))
+    cfg = RunConfig(seed=1)
+    s = detect_structure(o, cfg)
+    batches, fits = _sweep_spies(monkeypatch)
+    [[model]] = fit_structure_factors(s, o, cfg)
+    assert not model.converged
+    assert [(len(d.points), ldse) for d, ldse in fits] == [(16, False), (48, True)]
+    at = s.at
+    pts = at.uniform((1,), 48, 301, 1)
+    rows = det._pin(at.point, (1,), pts)
+    assert [len(b) for b in batches] == [16, 32]
+    assert np.vstack(batches).tobytes() == rows.tobytes()
+    whole = fits[1][0]
+    assert whole.points.tobytes() == pts.tobytes()
+    assert whole.values.tobytes() == (o.target.eval_batch(rows) - at.f).tobytes()
+
+
+def test_an_omega_sweep_drawn_in_two_steps_is_one_draw(monkeypatch):
+    # case 4, x3*sin(x1)-2*x3*cos(x2), with every fit a miss: each block's
+    # omega sweep of x3 evaluates its first block of 16 points, then the
+    # other 32, at both points of its spread pair, and the whole sweep, in
+    # points and values, is that of one 48-point draw of the block's
+    # stream 402
+    o, cfg = CASES[4].oracle(), RunConfig(seed=1)
+    s = detect_structure(o, cfg)
+    assert [(b.vars, b.omega_factors) for b in s.blocks] == [((1,), ((3,),)), ((2,), ((3,),))]
+    batches, fits = _sweep_spies(
+        monkeypatch, lambda data, cfg, ldse: fake_model(ex.const(1.0), data.vars, False))
+    fit_structure_factors(s, o, cfg)
+    omega = [d for d, ldse in fits if ldse and d.vars == (3,)]
+    assert len(omega) == 2
+    for b, whole in zip(s.blocks, omega):
+        zs = s.at.uniform((3,), 48, 402, *b.vars)
+        rows = s.at.delta_points(b.vars, (3,), zs)
+        assert whole.points.tobytes() == zs.tobytes()
+        assert whole.values.tobytes() == det._halves_diff(o.target.eval_batch(rows)).tobytes()
+    # per block: the psi block and its rest, then the omega block and its
+    # rest, two rows a point
+    assert [len(b) for b in batches] == [16, 32, 32, 64] * 2
+
+
+def test_the_block_fit_runs_no_ldse(monkeypatch):
+    # the affine3 target's one factor is beyond both scans' reach: its
+    # block fit misses without LDSE, and the fit of its whole sweep makes
+    # the one LDSE run, sin_affine3's first restart, that fits it, in 346
+    # evaluations, as a fit that draws each sweep at once does
+    o = make_oracle(ex.parse("sin(5*x1+0.4*x2-0.9*x3+1)", 3), DomainBox.cube(-3, 3, 3))
+    cfg = RunConfig(seed=1, max_nodes=14)
+    fits, runs = [], []
+    inner_fit, inner_ldse = ft.fit_factor, ft.ldse_minimize
+
+    def fit_spy(data, c, ldse=True):
+        fits.append(ldse)
+        return inner_fit(data, c, ldse)
+
+    def ldse_spy(objective, bounds, *, rng, **kw):
+        runs.append((fits[-1], rng.bit_generator.state["state"]["state"]))
+        return inner_ldse(objective, bounds, rng=rng, **kw)
+
+    monkeypatch.setattr(ft, "fit_factor", fit_spy)
+    monkeypatch.setattr(ft, "ldse_minimize", ldse_spy)
+    model = assemble_and_validate(detect_structure(o, cfg), o, cfg)
+    rank = [sk.name for sk in ft.skeleton_stream(3, 14)].index("sin_affine3")
+    assert fits == [False, True]
+    assert runs == [(True, rng(1, 1101, rank, 0).bit_generator.state["state"]["state"])]
+    assert model.success and o.eval_count == 346
+
+
+def test_a_block_mostly_invalid_goes_on_to_the_whole_sweep(monkeypatch):
+    # sqrt(x1) on [-1, 1] at seed 0: 7 of the block's 16 points are valid,
+    # fewer than 8, so the block is not fitted and does not raise; the
+    # rest of the sweep is drawn, and 30 of its 48 points are valid, which
+    # is enough
+    o = make_oracle(ex.parse("sqrt(x1)", 1), DomainBox.cube(-1, 1, 1))
+    cfg = RunConfig(seed=0)
+    assert det.isolate_psi_data(det.Anchor(o, (0.5,), cfg), (1,), first_block=True) is None
+    structure = GsStructure((), [Block((1,), psi_factors=((1,),))], (0.5,))
+    batches, fits = _sweep_spies(monkeypatch)
+    [[model]] = fit_structure_factors(structure, o, cfg)
+    assert model.converged
+    assert [(len(d.points), ldse) for d, ldse in fits] == [(30, True)]
+    # the block, f(anchor), then the rest
+    assert [len(b) for b in batches] == [16, 1, 32]
 
 
 def _attempt_0(structure, oracle, cfg, per_term=20):

@@ -495,9 +495,10 @@ def test_random_targets_on_every_box_end_in_a_documented_exit_code(capsys, box):
 
 
 def test_every_tenth_fuzz_target_keeps_its_exit_code(capsys):
-    # every tenth row of the fuzz exit table: 18 fit, 8 end in a detection
-    # failure and 4 have a factor no skeleton fits, so the failure paths
-    # and LDSE run; tests/fuzz_exits.py checks all 300
+    # every tenth row of the fuzz exit table: 20 fit, 7 end in a failed
+    # detection or sweep (exit 2) and 3 in a factor no skeleton fits or a
+    # missed validation (exit 3), so the failure paths and LDSE run;
+    # tests/fuzz_exits.py checks all 300
     drawn = draw()
     rows = [row for row in read_table() if row[0] % 10 == 0]
     assert len(rows) == 30

@@ -785,8 +785,9 @@ def _objective_scores(sk, V, y, cands):
 def test_phased_scan_rows_score_their_objective(k, data):
     # a shifted-sin row scores its phase solve's MSE, the objective's on
     # that row to rounding; a row whose 2x2 system is singular (every row
-    # on a constant argument) scores inf, though its objective may read
-    # a rounding-level determinant as regular, so the scan ranks none
+    # on a constant argument) scores inf, and so does its objective, whose
+    # solve counts a rounding-level determinant as singular: the scan
+    # ranks none
     if data == "random":
         rng = np.random.default_rng(40 + k)
         V = rng.uniform(-3.0, 3.0, size=(30 * k, k)) * rng.uniform(0.1, 5.0, size=k)
@@ -804,6 +805,7 @@ def test_phased_scan_rows_score_their_objective(k, data):
         assert len(cands) and not np.isnan(scores).any(), sk.name
         if data != "random":
             assert np.isinf(scores).all() and hints == [] and best == math.inf, sk.name
+            assert np.isinf(want).all(), sk.name
             continue
         assert np.array_equal(np.isinf(scores), np.isinf(want)), sk.name
         finite = np.isfinite(want)
@@ -992,15 +994,23 @@ def _spied_fit(monkeypatch, data, cfg):
 
 
 def _suite_factor_data(monkeypatch):
-    """(cfg, FactorData) of every factor sweep of cases 1-10 and of the
-    stream demo, case 11, at their first suite seed."""
+    """(cfg, FactorData, ldse) of every factor fit of cases 1-10 and of
+    the stream demo, case 11, at their first suite seed: a fit of a
+    sweep's first block (ldse False) and, when that does not fit exactly,
+    one of the whole sweep."""
     import gsfit.assemble as asm
     from gsfit.bench import CASES, STREAM_DEMO, get_case, suite_seeds
     from gsfit.detect import detect_structure
 
     out = []
+    real = ft.fit_factor
+
+    def spy(data, c, ldse=True):
+        out.append((c, data, ldse))
+        return real(data, c, ldse)
+
     with monkeypatch.context() as m:
-        m.setattr(ft, "fit_factor", lambda data, c: out.append((c, data)))
+        m.setattr(ft, "fit_factor", spy)
         for no in [*sorted(CASES), STREAM_DEMO.no]:
             cfg = RunConfig(seed=suite_seeds(0, no, 1)[0])
             oracle = get_case(no).oracle()
@@ -1009,12 +1019,14 @@ def _suite_factor_data(monkeypatch):
 
 
 def test_suite_factors_fit_without_ldse(monkeypatch):
-    # every factor of the suite and of the stream demo is fitted exactly by
-    # the library or closed by its first scan and polish: no benchmark
-    # factor reaches LDSE or the wide scan
-    sweeps = _suite_factor_data(monkeypatch)
-    assert len(sweeps) == 50
-    for cfg, data in sweeps:
+    # every factor of the suite and of the stream demo is fitted exactly on
+    # the first block of its sweep, by the library or closed by its first
+    # scan and polish: no benchmark factor draws the rest of its sweep, and
+    # none reaches LDSE or the wide scan, even where LDSE is allowed
+    fits = _suite_factor_data(monkeypatch)
+    assert len(fits) == 50
+    for cfg, data, ldse in fits:
+        assert not ldse and len(data.points) <= 16 * len(data.vars)
         model, runs, wide = _spied_fit(monkeypatch, data, cfg)
         assert model.converged and runs == [] and wide == []
 
