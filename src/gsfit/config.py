@@ -13,21 +13,23 @@ rest names what the batch probes: variables, a block or a trial. A
 redrawn anchor thus probes afresh in every stage.
 
     tag   stage (module `detect`, else as named)
-    101   graph moves of one variable (`_pair_scores`, `interaction_graph`)
+    101   graph moves of one variable (`Anchor.move_draws`), read by the
+          pair scores, `interaction_graph` and the psi partition grids'
+          axes
     301   psi factor sweep: its first block, then, when the factor does
           not fit exactly on the block, the rest, from one stream
           (`isolate_psi_data`)
-    401   spread pair of a block (`Anchor.spread_pair`)
+    401   probes of a block (`Anchor.probes`), read by its spread pair,
+          its consistency probe and the reconstruction check
     402   omega factor sweep: its first block, then, when the factor
           does not fit exactly on the block, the rest, from one stream
           (`isolate_omega_data`)
-    501   psi partition grids (`factor_partition`)
-    502   omega partition grids (`factor_partition`)
-    601   membership sweep (`Anchor.memberships`)
-    701   consistency slice points (`_block_consistent`)
+    601   membership sweep (`Anchor.memberships`), read by the omega
+          partition grids' axes
     702   consistency repeated-variable draws (`_block_consistent`)
     777   anchor draws (`Anchor.draw`), keyed by the attempt alone
-    801   reconstruction points (`_reconstruction_ok`)
+    801   reconstruction combination indices: which probe of each block
+          each total reads (`_reconstruction_ok`)
     900   box probe when no anchor draw is valid (`_detect_once`), keyed
           by the attempt alone
     1001  training sample: its first rows, then, when the model solved

@@ -50,11 +50,11 @@ PSI_POINTS_PER_VAR = 48     # tabulated points per block variable
 OMEGA_POINTS_PER_VAR = 32
 FIRST_BLOCK_PER_VAR = 16    # points per variable of a factor sweep's first block
 MEMBERSHIP_POINTS = 12      # sweep length per repeated-variable test
-OMEGA_PAIR_CANDIDATES = 8
+OMEGA_PAIR_CANDIDATES = 8   # probes of each block (`Anchor.probes`)
 ANCHOR_CENTRAL = 0.5        # anchors drawn from this central fraction
 MAX_ANCHOR_REDRAWS = 3
 ANCHOR_DRAWS = 16           # draws per anchor attempt, the first valid one is used
-RECON_POINTS = 32
+RECON_POINTS = 32           # totals drawn per reconstruction check
 
 
 @dataclass
@@ -198,7 +198,8 @@ def _pair_scores(at: Anchor, pairs, probes: int, tol: float = math.inf) -> np.nd
     """Normalized anchored mixed differences of variable pairs, others pinned.
 
     Variable v draws its moves X_v[0], X_v[1], ... on [lo_v, hi_v] from
-    its own stream at.rng(101, v), so each anchor attempt probes afresh.
+    its own stream (`Anchor.move_draws`), so each anchor attempt probes
+    afresh.
     Attempt t of pair (a, b) is the anchored second difference of cut-HDMR
     (Rabitz and Alis, J. Math. Chem. 25, 1999), everything else at the
     anchor c:
@@ -223,22 +224,12 @@ def _pair_scores(at: Anchor, pairs, probes: int, tol: float = math.inf) -> np.nd
     same attempts, and so the same score, as under tol = inf. Attempt t
     reads the t-th move of each of its variables, so a pair's attempts are
     a prefix of those it would get under a larger tol. The single moves
-    stay on the anchor, in at.moves, for `interaction_graph`.
+    stay on the anchor, in at.moves, for `interaction_graph` and the psi
+    partition grids.
     """
     o, anchor, fc = at.o, at.point, float(at.f)
     pairs = [tuple(sorted(p)) for p in pairs]
-    lo, hi = o.box.lo_array(), o.box.hi_array()
-    # v -> its stream and its moves X_v[0], X_v[1], ... drawn so far
-    moves = {v: (at.rng(101, v), []) for v in {v for p in pairs for v in p}}
-    single = at.moves  # (v, t) -> f at the anchor with x_v = X_v[t]
-
-    def move(v, t):    # drawn `probes` at a time, as `uniform` draws them
-        r, xs = moves[v]
-        if t >= len(xs):
-            u = r.random(max(probes, t + 1 - len(xs)))
-            xs += (lo[v - 1] + u * (hi[v - 1] - lo[v - 1])).tolist()
-        return xs[t]
-
+    single = at.moves
     made, filled, run = [0] * len(pairs), [0] * len(pairs), [0] * len(pairs)
     diff, peak = [0.0] * len(pairs), [0.0] * len(pairs)
     todo, need = list(range(len(pairs))), [1] * len(pairs)
@@ -246,13 +237,16 @@ def _pair_scores(at: Anchor, pairs, probes: int, tol: float = math.inf) -> np.nd
         joint = [(k, t) for k, m in zip(todo, need) for t in range(made[k], made[k] + m)]
         for k, m in zip(todo, need):
             made[k] += m
+        # each variable's held moves, drawn as far as the round reads
+        top = max(made[k] for k in todo)
+        xs = {v: at.move_draws(v, top) for v in {v for k in todo for v in pairs[k]}}
         new = sorted({(v, t) for k, t in joint for v in pairs[k]} - single.keys())
         pts = np.tile(anchor, (len(new) + len(joint), 1))
         for i, (v, t) in enumerate(new):
-            pts[i, v - 1] = move(v, t)
+            pts[i, v - 1] = xs[v][t]
         for i, (k, t) in enumerate(joint, len(new)):
             for v in pairs[k]:
-                pts[i, v - 1] = move(v, t)
+                pts[i, v - 1] = xs[v][t]
         f = o.eval_batch(pts).tolist()
         single.update(zip(new, f))
         for (k, t), f0 in zip(joint, f[len(new):]):
@@ -305,7 +299,8 @@ def interaction_graph(at: Anchor, among: set[int] | None = None) -> InteractionG
         scores[i - 1, j - 1] = scores[j - 1, i - 1] = s
     if len(verts) == 1:   # a lone variable, in no pair
         (v,) = verts
-        f = at.o.eval_batch(_pin(at.point, (v,), at.uniform((v,), PAIR_PROBES, 101, v)))
+        xs = at.move_draws(v, PAIR_PROBES)[:PAIR_PROBES]
+        f = at.o.eval_batch(_pin(at.point, (v,), np.array(xs)[:, None]))
         at.moves.update(((v, t), fv) for t, fv in enumerate(f.tolist()))
     # each variable's largest finite move off f(anchor), in one pass
     fc, off = at.f, {}
@@ -387,10 +382,16 @@ class Anchor:
     attempt a, and (a, k) for the k-th second anchor of that attempt; a
     hand-built anchor has (0,). It keys every probe stream read at the
     anchor (`rng`), so each new anchor probes afresh in every stage.
-    Each block's spread pair and each membership sweep is evaluated at
-    most once, however many stages read it: detection's validator,
-    `minimal_blocks` and the omega partition, or the factor sweeps of one
-    fit. One that fails raises where it is evaluated, and is not held.
+    Each probe is drawn and evaluated at most once, however many stages
+    read it, and held with its points:
+    - the graph's single moves (`move_draws`, `moves`), which the psi
+      partition grids also read;
+    - each block's probes (`probes`), which its spread pair, its
+      consistency probe and the reconstruction check read;
+    - each membership sweep, which `minimal_blocks`, detection's
+      validator and the omega partition grids read.
+    The factor sweeps of one fit read the same spread pairs. A spread
+    pair or a sweep that fails raises where it is read, and is not held.
     The first block of each factor sweep is also evaluated once and held
     (`_tabulate`), for the rest of its sweep, when drawn, to join.
     """
@@ -400,9 +401,11 @@ class Anchor:
         self.o, self.cfg, self.attempt = o, cfg, attempt
         self.point = np.asarray(point, dtype=float)
         self._f = f
-        self.moves: dict = {}      # (v, t) -> the graph's t-th single move of v
+        self.moves: dict = {}      # (v, t) -> f at the anchor with x_v = X_v[t]
+        self._move_x: dict = {}    # v -> its stream and X_v[0], X_v[1], ... drawn so far
+        self._probes: dict = {}    # block -> its probe points and their values
         self._spreads: dict = {}   # block -> spread pair
-        self._members: dict = {}   # (v, block) -> coupled
+        self._members: dict = {}   # (v, block) -> sweep points, deltas, coupled
         self._sweeps: dict = {}    # (stream key, cols) -> the first block's values
 
     @classmethod
@@ -438,22 +441,60 @@ class Anchor:
         lo, hi = self.o.box.lo_array()[idx], self.o.box.hi_array()[idx]
         return uniform(self.rng(tag, *key), lo, hi, (count, len(cols)))
 
+    def move_draws(self, v: int, n: int) -> list[float]:
+        """X_v[0], X_v[1], ...: the moves of variable v, draws on [lo_v,
+        hi_v] of its stream rng(101, v), PAIR_PROBES at a time, as `uniform`
+        draws them. The list is the one held, drawn on until it has at
+        least n moves."""
+        if v not in self._move_x:
+            self._move_x[v] = (self.rng(101, v), [])
+        r, xs = self._move_x[v]
+        if n > len(xs):
+            lo, hi = self.o.box.lo[v - 1], self.o.box.hi[v - 1]
+            xs += (lo + r.random(max(PAIR_PROBES, n - len(xs))) * (hi - lo)).tolist()
+        return xs
+
     def slice(self, block_vars: tuple[int, ...], coords) -> np.ndarray:
         """h(b) = f(b at block_vars, point elsewhere) - f(point) at each
         row b of coords."""
         return self.o.eval_batch(_pin(self.point, block_vars, coords)) - self.f
 
+    def eval_with_probes(self, blocks, pts: np.ndarray | None = None) -> np.ndarray:
+        """f at the rows of pts, in one oracle call with the probes of
+        those of `blocks` not held yet, which it holds; no call when there
+        is nothing to evaluate."""
+        new = [b for b in blocks if b not in self._probes]
+        cands = [self.uniform(b, OMEGA_PAIR_CANDIDATES, 401, *b) for b in new]
+        rows = [_pin(self.point, b, c) for b, c in zip(new, cands)]
+        if pts is not None and len(pts):
+            rows.append(pts)
+        if not rows:
+            return np.empty(0)
+        f = self.o.eval_batch(np.vstack(rows))
+        k = OMEGA_PAIR_CANDIDATES
+        for i, (b, cand) in enumerate(zip(new, cands)):
+            self._probes[b] = (cand, f[i * k:(i + 1) * k])
+        return f[len(new) * k:]
+
+    def probes(self, block_vars: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """(points, values): the block's OMEGA_PAIR_CANDIDATES probes, draws
+        on its sub-box from stream 401 with the anchor elsewhere, and f at
+        them, evaluated on first use."""
+        if block_vars not in self._probes:
+            self.eval_with_probes([block_vars])
+        return self._probes[block_vars]
+
     def _spread_pairs(self, blocks) -> None:
-        """Evaluate the spread pairs of those of `blocks` that have none
-        yet, in one oracle call. The first of them, in block order, whose
-        spread pair fails raises its DegenerateAnchorError (see
-        `spread_pair`)."""
+        """Derive the spread pairs of those of `blocks` that have none yet,
+        their probes not yet held evaluated in one oracle call. The first
+        of them, in block order, whose spread pair fails raises its
+        DegenerateAnchorError (see `spread_pair`)."""
         new = [b for b in blocks if b not in self._spreads]
         if not new:
             return
-        cands = [self.uniform(b, OMEGA_PAIR_CANDIDATES, 401, *b) for b in new]
-        f = self.o.eval_batch(np.vstack([_pin(self.point, b, c) for b, c in zip(new, cands)]))
-        for b, cand, vals in zip(new, cands, f.reshape(len(new), -1)):
+        self.eval_with_probes(new)
+        for b in new:
+            cand, vals = self._probes[b]
             idx = np.flatnonzero(np.isfinite(vals))
             if idx.size < 2:
                 raise DegenerateAnchorError("block probes mostly invalid")
@@ -464,10 +505,10 @@ class Anchor:
             self._spreads[b] = (cand[order[0]], cand[order[-1]], spread)
 
     def spread_pair(self, block_vars: tuple[int, ...]):
-        """(b_lo, b_hi, spread): the block probe points (stream 401) of the
-        lowest and the highest response, and the difference of those. A
-        spread within cfg.tol_detect of the responses' scale cannot isolate
-        the block's coupling; it raises DegenerateAnchorError, as do fewer
+        """(b_lo, b_hi, spread): the block probes (`probes`) of the lowest
+        and the highest response, and the difference of those. A spread
+        within cfg.tol_detect of the responses' scale cannot isolate the
+        block's coupling; it raises DegenerateAnchorError, as do fewer
         than two valid probes."""
         self._spread_pairs([block_vars])
         return self._spreads[block_vars]
@@ -493,9 +534,9 @@ class Anchor:
     def memberships(self, blocks, repeated) -> list[tuple[int, ...]]:
         """For each of `blocks`, the repeated variables its difference
         varies with, each swept at MEMBERSHIP_POINTS points of its own
-        (stream 601).
+        (stream 601). Each sweep's points and differences are held.
 
-        The spread pairs not yet held are evaluated in one oracle call,
+        The block probes not yet held are evaluated in one oracle call,
         then every sweep not yet held in one more. A failed spread pair
         raises as `_spread_pairs` does, and the first sweep, in block
         order, with fewer than four valid differences raises
@@ -509,15 +550,15 @@ class Anchor:
             zs = [self.uniform((v,), MEMBERSHIP_POINTS, 601, v, *b) for v, b in sweeps]
             pts = [self.delta_points(b, (v,), z) for (v, b), z in zip(sweeps, zs)]
             f = self.o.eval_batch(np.vstack(pts))
-            for key, fv in zip(sweeps, f.reshape(len(sweeps), -1)):
+            for key, z, fv in zip(sweeps, zs, f.reshape(len(sweeps), -1)):
                 deltas = _halves_diff(fv)
-                deltas = deltas[np.isfinite(deltas)]
-                if deltas.size < 4:
+                valid = deltas[np.isfinite(deltas)]
+                if valid.size < 4:
                     raise DegenerateAnchorError("membership sweep mostly invalid")
-                dscale = max(1.0, float(np.max(np.abs(deltas))))
-                spread = float(np.max(deltas) - np.min(deltas))
-                self._members[key] = spread > self.cfg.tol_detect * dscale
-        return [tuple(v for v in repeated if self._members[v, b]) for b in blocks]
+                dscale = max(1.0, float(np.max(np.abs(valid))))
+                spread = float(np.max(valid) - np.min(valid))
+                self._members[key] = (z[:, 0], deltas, spread > self.cfg.tol_detect * dscale)
+        return [tuple(v for v in repeated if self._members[v, b][2]) for b in blocks]
 
 
 def _halves_diff(f: np.ndarray) -> np.ndarray:
@@ -585,9 +626,6 @@ def isolate_omega_data(at: Anchor, block_vars: tuple[int, ...], group: tuple[int
 # factor partition: pairwise multiplicative separability inside the blocks
 
 GRID_DRAWS = PAIR_PROBES // 2 + 2   # draws per axis of a partition grid
-# each grid point's row and column, in row order, but the corner's
-_GRID_ROW = np.repeat(np.arange(GRID_DRAWS + 1), GRID_DRAWS + 1)[1:]
-_GRID_COL = np.tile(np.arange(GRID_DRAWS + 1), GRID_DRAWS + 1)[1:]
 
 
 @functools.cache
@@ -595,6 +633,18 @@ def _index_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The index pairs k < k' of range(n), as np.triu_indices(n, 1); shared,
     so never written to."""
     return np.triu_indices(n, 1)
+
+
+@functools.cache
+def _grid_cells(m: int):
+    """The inner points of the grids of every variable pair (`_index_pairs`)
+    of a side of m variables, pair by pair, each in row order: their
+    indices, then each point's row and its column, as (variable index,
+    axis draw) arrays; shared, so never written to."""
+    i, j = _index_pairs(m)
+    n = GRID_DRAWS
+    cells = np.arange(n * n * len(i))
+    return cells, (i.repeat(n * n), cells // n % n), (j.repeat(n * n), cells % n)
 
 
 def _rank_one(M: np.ndarray, tol_abs: np.ndarray) -> np.ndarray:
@@ -654,21 +704,29 @@ def _products(H: np.ndarray, tol: float) -> np.ndarray:
     return ~none & rank_one[:len(H)] & rank_one[len(H):]
 
 
-def factor_partition(at: Anchor, blocks) -> list[tuple[tuple[tuple[int, ...], ...], ...]]:
+def factor_partition(at: Anchor, blocks,
+                     hold=()) -> list[tuple[tuple[tuple[int, ...], ...], ...]]:
     """(psi groups, omega groups) of each block: its own variables and its
     repeated ones, each partitioned into multiplicative factor groups.
 
     Each variable pair (p, q) of a side is probed on a grid through the
-    anchor's coordinates, GRID_DRAWS values a variable drawn within the
-    box from the stream at.rng(tag, p, q, *block_vars), tag 501 for psi
-    and 502 for omega. Psi grids read the anchor's slice, f(b, anchor
-    elsewhere) - f(anchor); omega grids the block differencing `delta` at
-    the block's spread pair. The grids' corner is the anchor, whose value
-    is known: 0 for psi, and for omega f(b_lo) - f(b_hi), the negated
-    spread. Every grid of every block is evaluated in one oracle call and
-    classified in one array step. A grid with an invalid point raises
-    DegenerateAnchorError; so only an attempt that ends here evaluates
-    grids that a grid-by-grid order would have skipped.
+    anchor's coordinates, whose axes are draws the anchor already holds:
+    for a psi side the graph's first GRID_DRAWS moves of each variable
+    (`Anchor.move_draws`), for an omega side the first GRID_DRAWS points
+    of its membership sweep; each variable's axis is read once a side.
+    Psi grids read the anchor's slice, f(b, anchor elsewhere) - f(anchor);
+    omega grids the block differencing `delta` at the block's spread
+    pair. A grid's corner is the anchor, whose value is known: 0 for psi,
+    and for omega f(b_lo) - f(b_hi), the negated spread. Its first row
+    and column move one variable: they are the held single moves and
+    membership differences, and of them only the moves not held yet are
+    evaluated.
+    Those and the inner points of every grid of every block, with the
+    probes of the `hold` blocks not held yet (`Anchor.probes`), are
+    evaluated in one oracle call, and the grids are classified in one
+    array step. A grid with an invalid point raises DegenerateAnchorError;
+    so only an attempt that ends here evaluates grids that a grid-by-grid
+    order would have skipped.
 
     Variables stay in one group when they are additively fused (no
     pairwise interaction) or interact in a non-product way; clean product
@@ -676,43 +734,60 @@ def factor_partition(at: Anchor, blocks) -> list[tuple[tuple[tuple[int, ...], ..
     same-factor relation, so a side with one variable is its own group
     and costs no probe.
     """
-    o, point = at.o, at.point
-    lo, hi = o.box.lo_array(), o.box.hi_array()
-    sides = [(b.vars, side, tag) for b in blocks
-             for side, tag in ((b.vars, 501), (b.repeated, 502))]
-    grids, pts = [], []
-    for s, (block_vars, variables, tag) in enumerate(sides):
-        for p, q in itertools.combinations(variables, 2):
-            # each axis: the anchor's coordinate, then GRID_DRAWS draws
-            stream = at.rng(tag, p, q, *block_vars)
-            a, b = (np.concatenate(([point[v - 1]],
-                                    uniform(stream, lo[v - 1], hi[v - 1], GRID_DRAWS)))
-                    for v in (p, q))
-            coords = np.column_stack([a[_GRID_ROW], b[_GRID_COL]])
-            grids.append((s, p, q))
-            pts.append(_pin(point, (p, q), coords) if tag == 501
-                       else at.delta_points(block_vars, (p, q), coords))
+    point, n = at.point, GRID_DRAWS
+    sides = [(b.vars, side, psi) for b in blocks
+             for side, psi in ((b.vars, True), (b.repeated, False))]
+    grids, inner = [], []   # (side, index pairs) of each side with a pair, its inner points
+    for s, (block_vars, variables, psi) in enumerate(sides):
+        if len(variables) < 2:
+            continue
+        if psi:
+            axes = np.array([at.move_draws(v, n)[:n] for v in variables])
+            base = point[None]
+        else:
+            at.memberships([block_vars], variables)
+            axes = np.array([at._members[v, block_vars][0][:n] for v in variables])
+            base = _pin(point, block_vars, np.stack(at.spread_pair(block_vars)[:2]))
+        # every pair's inner points, in row order, at each base row in turn
+        cells, (ri, rt), (ci, ct) = _grid_cells(len(variables))
+        cols = np.array(variables) - 1
+        pts = np.repeat(base[:, None], len(cells), axis=1)
+        pts[:, cells, cols[ri]] = axes[ri, rt]
+        pts[:, cells, cols[ci]] = axes[ci, ct]
+        grids.append((s, *_index_pairs(len(variables))))
+        inner.append(pts.reshape(-1, len(point)))
 
-    def grid(side, f):   # the grid's values, corner first
-        block_vars, _, tag = side
-        if tag == 501:
-            return np.concatenate(([0.0], f - at.f))
-        return np.concatenate(([-at.spread_pair(block_vars)[2]], _halves_diff(f)))
+    moves = [(v, t) for s, _, _ in grids if sides[s][2] for v in sides[s][1] for t in range(n)]
+    new = [key for key in moves if key not in at.moves]
+    pts = np.repeat(point[None], len(new), axis=0)
+    for r, (v, t) in enumerate(new):
+        pts[r, v - 1] = at.move_draws(v, n)[t]
+    f = at.eval_with_probes(hold, np.vstack([pts, *inner]))
+    at.moves.update(zip(new, f[:len(new)].tolist()))
+
+    H, start = [], len(new)
+    for (s, i, j), pts in zip(grids, inner):
+        block_vars, variables, psi = sides[s]
+        vals, start = f[start:start + len(pts)], start + len(pts)
+        if psi:
+            corner, vals = 0.0, vals - at.f
+            edge = np.array([[at.moves[v, t] for t in range(n)] for v in variables]) - at.f
+        else:
+            corner, vals = -at.spread_pair(block_vars)[2], _halves_diff(vals)
+            edge = np.array([at._members[v, block_vars][1][:n] for v in variables])
+        h = np.empty((len(i), n + 1, n + 1))
+        h[:, 0, 0], h[:, 1:, 0], h[:, 0, 1:] = corner, edge[i], edge[j]
+        h[:, 1:, 1:] = vals.reshape(len(i), n, n)
+        H.append(h)
 
     same = set()
     if grids:
-        f = o.eval_batch(np.vstack(pts))
-        H = np.empty((len(grids), (GRID_DRAWS + 1) ** 2))
-        start = 0
-        for g, (s, _, _) in enumerate(grids):
-            H[g] = grid(sides[s], f[start:start + len(pts[g])])
-            start += len(pts[g])
-        H = H.reshape(len(grids), GRID_DRAWS + 1, GRID_DRAWS + 1)
+        H = np.concatenate(H)
         if not np.isfinite(H).all():
             # bubbles up to the anchor attempts of detect_structure
             raise DegenerateAnchorError("factor probe grid hit invalid points")
-        products = _products(H, at.cfg.tol_detect)
-        same = {g for g, product in zip(grids, products) if not product}
+        pairs = [(s, sides[s][1][a], sides[s][1][b]) for s, i, j in grids for a, b in zip(i, j)]
+        same = {g for g, product in zip(pairs, _products(H, at.cfg.tol_detect)) if not product}
     groups = [tuple(_components(variables, lambda u, w: (s, min(u, w), max(u, w)) in same))
               for s, (_, variables, _) in enumerate(sides)]
     return list(zip(groups[::2], groups[1::2]))
@@ -728,28 +803,23 @@ def _block_consistent(at: Anchor, block_vars, members) -> bool:
     For a genuine block, h(b) = f(b, anchor else) - f(anchor) and the
     coupling shape g(b) = [f(z, b) - f(z, base)] - [f(anchor_r, b) -
     f(anchor_r, base)] are both affine-free images of the same inner
-    function, so all their cross products must cancel. The slice and the
-    first trial's points take one oracle call; the second trial, which
-    runs only when the first passes, takes one more.
+    function, so all their cross products must cancel. The slice h is
+    read at the block's probes (`Anchor.probes`), held by its membership
+    test. Each trial takes one oracle call, and the second runs only when
+    the first passes.
     """
     if not members:
         return True
     o, anchor, cfg = at.o, at.point, at.cfg
-    bs = at.uniform(block_vars, 8, 701, *block_vars)
+    bs, fb = at.probes(block_vars)
+    h = fb - at.f
     base_b = np.asarray([anchor[v - 1] for v in block_vars])
-
-    def trial_points(trial):
+    for trial in range(2):
         # the slice points at z, then the base point at z
         z = at.uniform(members, 1, 702, trial, *block_vars)[0]
         pts = _pin(anchor, block_vars, np.vstack([bs, base_b]))
         pts[:, [v - 1 for v in members]] = z
-        return pts
-
-    f = o.eval_batch(np.vstack([_pin(anchor, block_vars, bs), trial_points(0)]))
-    h, f = f[:len(bs)] - at.f, f[len(bs):]
-    for trial in range(2):
-        if trial:
-            f = o.eval_batch(trial_points(trial))
+        f = o.eval_batch(pts)
         fz, fz0 = f[:-1], f[-1]
         if not (np.all(np.isfinite(fz)) and np.isfinite(fz0) and np.all(np.isfinite(h))):
             raise DegenerateAnchorError("consistency probes invalid")
@@ -825,25 +895,38 @@ def _reconstruction_ok(at: Anchor, structure: GsStructure) -> bool:
 
     A lone block's slice is the total but for the ignored variables, and
     with no block every variable is ignored, so both pass unprobed.
-    Otherwise the total at every point and every block's slice are
-    evaluated in one oracle call. Fewer than RECON_POINTS // 2 valid
-    points say nothing about separability, so they raise
-    DegenerateAnchorError and the anchor is drawn again.
+    Otherwise each of RECON_POINTS totals sets every block's variables to
+    one of that block's finite probes (`Anchor.probes`), picked by indices
+    drawn from stream 801, with every other variable at the anchor, and
+    is held to f(anchor) plus the sum of those probes' slices. Only the
+    distinct totals are evaluated, in one oracle call: the probes are held
+    already, or evaluated in one call of their own. A block with fewer
+    than half of its probes finite, or fewer than RECON_POINTS // 2 valid
+    totals among those drawn, says nothing about separability, so it
+    raises DegenerateAnchorError and the anchor is drawn again.
     """
     if len(structure.blocks) < 2:
         return True
-    o, anchor = at.o, at.point
-    pts = at.uniform(tuple(range(1, o.arity + 1)), RECON_POINTS, 801)
-    for v in structure.repeated:
-        pts[:, v - 1] = anchor[v - 1]
-    sliced = [_pin(anchor, b.vars, pts[:, [v - 1 for v in b.vars]])
-              for b in structure.blocks]
-    f = o.eval_batch(np.vstack([pts, *sliced]))
-    total = f[:len(pts)]
-    parts = f[len(pts):].reshape(-1, len(pts))
-    recon = np.full(len(pts), at.f)
-    for part in parts:
-        recon += part - at.f
+    blocks = [b.vars for b in structure.blocks]
+    at.eval_with_probes(blocks)
+    pick, picks = at.rng(801), []
+    pts = np.repeat(at.point[None], RECON_POINTS, axis=0)
+    recon = np.full(RECON_POINTS, at.f)
+    for b in blocks:
+        coords, vals = at.probes(b)
+        finite = np.flatnonzero(np.isfinite(vals))
+        if 2 * finite.size < OMEGA_PAIR_CANDIDATES:
+            raise DegenerateAnchorError("reconstruction probes mostly invalid")
+        k = finite[pick.integers(finite.size, size=RECON_POINTS)]
+        pts[:, [v - 1 for v in b]] = coords[k]
+        recon += vals[k] - at.f
+        picks.append(k)
+    # each distinct total is evaluated once, at the row that first draws it
+    first: dict = {}
+    drawn = [first.setdefault(row.tobytes(), i) for i, row in enumerate(np.column_stack(picks))]
+    keep, total = list(first.values()), np.empty(RECON_POINTS)
+    total[keep] = at.o.eval_batch(pts[keep])
+    total = total[drawn]
     good = np.isfinite(total) & np.isfinite(recon)
     if good.sum() < RECON_POINTS // 2:
         raise DegenerateAnchorError("reconstruction probes mostly invalid")
@@ -873,11 +956,12 @@ def detect_structure(o: Oracle, cfg: RunConfig | None = None) -> GsStructure:
 
 
 def _detect_once(o: Oracle, cfg: RunConfig, attempt: tuple[int]) -> GsStructure:
-    """One anchor attempt. Its `Anchor` evaluates f(anchor), each block's
-    spread pair and each membership sweep once for every stage, the fit's
-    sweeps included: the structure it returns carries it. Every partition
-    grid is evaluated in one call. A box probe (stream 900) runs only when
-    no anchor draw is valid, to tell a target invalid everywhere."""
+    """One anchor attempt. Its `Anchor` evaluates f(anchor), the graph's
+    single moves, each block's probes and each membership sweep once for
+    every stage, the fit's sweeps included: the structure it returns
+    carries it. Every partition grid is evaluated in one call. A box
+    probe (stream 900) runs only when no anchor draw is valid, to tell a
+    target invalid everywhere."""
     at = Anchor.draw(o, cfg, attempt)
     if at is None:
         probe = o.eval_batch(o.box.uniform(16, _rng(cfg.seed, 900, *attempt)))
@@ -889,7 +973,11 @@ def _detect_once(o: Oracle, cfg: RunConfig, attempt: tuple[int]) -> GsStructure:
     validator = lambda picked: _structure_consistent(at, graph, picked)
     repeated = repeated_vars(graph, cfg.kmax, validator=validator)
     structure = minimal_blocks(at, repeated, graph)
-    for b, (psi, omega) in zip(structure.blocks, factor_partition(at, structure.blocks)):
+    # the reconstruction check of two or more blocks reads their probes;
+    # those the memberships did not evaluate, as when no variable is
+    # repeated, join the grids' call
+    hold = [b.vars for b in structure.blocks] if len(structure.blocks) > 1 else []
+    for b, (psi, omega) in zip(structure.blocks, factor_partition(at, structure.blocks, hold)):
         b.psi_factors, b.omega_factors = psi, omega
 
     if not _reconstruction_ok(at, structure):

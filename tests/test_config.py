@@ -23,8 +23,8 @@ def test_distinct_keys_give_distinct_first_draws():
     keys = [(0, 101), (0, 101, 0, 0), (0, 1, 101), (1, 101), (1, 0, 1),
             (10, 1), (1, 10), (11, 0)]
     keys += [(seed, tag, v) for seed, tag, v in itertools.product(
-        range(4), (101, 301, 401, 402, 501, 502, 601, 701, 702, 777, 801, 900,
-                   1001, 1002, 1101), range(5))]
+        range(4), (101, 301, 401, 402, 601, 702, 777, 801, 900, 1001, 1002, 1101),
+        range(5))]
     assert len(set(keys)) == len(keys)
     firsts = {rng(*key).random() for key in keys}
     assert len(firsts) == len(keys)

@@ -23,7 +23,7 @@ from gsfit.detect import (
     minimal_blocks,
     repeated_vars,
 )
-from gsfit.oracle import DomainBox, Oracle, make_oracle
+from gsfit.oracle import DomainBox, Oracle, make_oracle, uniform
 
 from helpers import pair_score, random_tree, value_at
 
@@ -732,6 +732,61 @@ def test_factor_partition_additive_pair_fused():
     assert psi_partition(o, (1, 2, 3), anchor) == ((1, 2), (3,))
 
 
+@pytest.mark.parametrize("no", [7, 10, 11])
+def test_every_partition_grid_cell_is_a_fresh_evaluation_of_its_point(no, monkeypatch):
+    # psi axes are the graph's moves (stream 101) and omega axes the
+    # membership sweeps' points (stream 601); the first row and column
+    # are read from the anchor, the rest evaluated in the grids' call, and
+    # every cell, the corner too, equals its point evaluated alone, bit
+    # for bit
+    spec = CASES[no] if no in CASES else STREAM_DEMO
+    seen = {}
+    inner_partition, inner_products = det.factor_partition, det._products
+
+    def partition_spy(at, blocks, *args):
+        seen["at"], seen["blocks"] = at, blocks
+        return inner_partition(at, blocks, *args)
+
+    def products_spy(H, tol):
+        seen["H"] = H.copy()
+        return inner_products(H, tol)
+
+    monkeypatch.setattr(det, "factor_partition", partition_spy)
+    monkeypatch.setattr(det, "_products", products_spy)
+    cfg = RunConfig(seed=7)
+    detect_structure(spec.oracle(), cfg)
+    at, fresh, box = seen["at"], spec.oracle(), spec.oracle().box
+
+    def value(moved, block=None, b=None):
+        x = at.point.copy()
+        if block is not None:
+            x[[v - 1 for v in block]] = b
+        for v, xv in moved:
+            x[v - 1] = xv
+        return fresh.eval_batch(x[None])[0]
+
+    def axis(v, tag, count, *key):
+        r = rng(cfg.seed, tag, *at.attempt, v, *key)
+        return uniform(r, box.lo[v - 1], box.hi[v - 1], count)[:det.GRID_DRAWS]
+
+    want = []
+    for b in seen["blocks"]:
+        for p, q in itertools.combinations(b.vars, 2):
+            a, c = axis(p, 101, PAIR_PROBES), axis(q, 101, PAIR_PROBES)
+            want.append([[value([(p, x)] * (i > 0) + [(q, y)] * (j > 0)) - at.f
+                          for j, y in enumerate([0.0, *c])] for i, x in enumerate([0.0, *a])])
+        b_lo, b_hi, _ = at.spread_pair(b.vars)
+        for p, q in itertools.combinations(b.repeated, 2):
+            a = axis(p, 601, det.MEMBERSHIP_POINTS, *b.vars)
+            c = axis(q, 601, det.MEMBERSHIP_POINTS, *b.vars)
+            want.append([[value(moved, b.vars, b_lo) - value(moved, b.vars, b_hi)
+                          for moved in ([(p, x)] * (i > 0) + [(q, y)] * (j > 0)
+                                        for j, y in enumerate([0.0, *c]))]
+                         for i, x in enumerate([0.0, *a])])
+    assert any(len(b.repeated) > 1 for b in seen["blocks"]) == (no in (7, 11))
+    assert seen["H"].tobytes() == np.array(want).tobytes()
+
+
 def test_detect_structure_tabulates_no_factor_data(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("detection tabulated a factor")
@@ -782,16 +837,19 @@ def test_a_failed_spread_pair_raises_before_any_sweep():
 
 @pytest.mark.parametrize("no", sorted(CASES) + [11])
 def test_an_attempt_pays_once_for_its_shared_probes(no, monkeypatch):
-    # each block's spread pair (stream 401) and each membership sweep
-    # (stream 601) is drawn at most once per anchor attempt, though the
-    # validator, minimal_blocks and the omega partition all read them, and
-    # f(anchor) is evaluated once, though every partition grid holds the
-    # anchor as its corner
-    drawn, anchor_rows, state = [], [], {}
+    # each block's probes (stream 401) and each membership sweep (stream
+    # 601) is drawn at most once per anchor attempt, though the spread
+    # pair, the consistency probe, minimal_blocks, the partition and the
+    # reconstruction check read them, and f(anchor) is evaluated once,
+    # though every partition grid holds the anchor as its corner. The
+    # grids draw no axes of their own (tags 501 and 502) and the
+    # consistency probe no slice points (tag 701)
+    drawn, tags, anchor_rows, state = [], set(), [], {}
     inner_rng, inner_eval, inner_once = det._rng, Oracle.eval_batch, det._detect_once
     spec = CASES[no] if no in CASES else STREAM_DEMO
 
     def rng_spy(seed, *key):
+        tags.add(key[0])
         if key[0] in (401, 601):
             drawn[-1].append(key)
         return inner_rng(seed, *key)
@@ -817,6 +875,9 @@ def test_an_attempt_pays_once_for_its_shared_probes(no, monkeypatch):
     s = detect_structure(spec.oracle(), RunConfig(seed=7))
     assert s.blocks
     assert all(len(keys) == len(set(keys)) for keys in drawn)
+    # a lone block's reconstruction check probes nothing
+    assert any(key[0] == 401 for keys in drawn for key in keys) == (len(s.blocks) > 1)
+    assert not tags & {501, 502, 701}
     assert anchor_rows == [1] * len(drawn)
     if no in (7, 11):      # two repeated variables: the omega partition reads a spread pair
         assert any(b.omega_factors and len(b.repeated) > 1 for b in s.blocks)
@@ -885,14 +946,14 @@ def test_detect_structure_counts_probes():
 
 
 def test_detection_warns_of_no_overflow_in_a_grid_tolerance():
-    # fuzz target #284: a partition grid's values reach about 1e175, where
+    # fuzz target #284: a partition grid's values reach about 1e170, where
     # the square of the grid's scale would overflow
     o = make_oracle(ex.parse("exp(x2*(4.891*x1)/(-sin(x3)))", 4), DomainBox.cube(-3, 3, 4))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        s = detect_structure(o, RunConfig(seed=6))
+        s = detect_structure(o, RunConfig(seed=16))
     assert [b.vars for b in s.blocks] == [(1, 2, 3)] and s.ignored == (4,)
-    assert s.probes_used == o.eval_count == 264
+    assert s.probes_used == o.eval_count == 228
 
 
 # fuzz targets #284 and #79 at the seeds where a pair's grid spans more
@@ -1095,10 +1156,27 @@ def test_mostly_invalid_reconstruction_redraws_the_anchor():
         det._reconstruction_ok(det.Anchor(o, s.anchor, RunConfig(seed=4)), s)
 
 
+def test_reconstruction_catches_an_interaction_no_pair_shows():
+    # at (0.5, -0.25, 1) every pair's mixed difference of the three-way
+    # product vanishes, so the graph has no edge; only totals that move
+    # all three blocks at once, each to one of its probes, show it
+    o = make_oracle(ex.parse("x1+x2+x3+(x1-0.5)*(x2+0.25)*(x3-1)", 3),
+                    DomainBox.cube(-3, 3, 3))
+    at = Anchor(o, [0.5, -0.25, 1.0], CFG)
+    g = interaction_graph(at)
+    assert graph_edges(g) == [] and g.ignored == ()
+    s = det.GsStructure(repeated=(), blocks=[det.Block((v,), (), ((v,),)) for v in (1, 2, 3)],
+                        anchor=tuple(at.point))
+    assert not det._reconstruction_ok(at, s)
+
+
 # Detect-only reports of cases 1-11 at their first suite seed:
-# (probes_used, probes_used before the partition grids took their corner
-# from values already held, sha256 of the canonical JSON at those earlier
-# counts, most Oracle.eval_batch calls). Each stage of an anchor attempt
+# (probes_used, probes_used before the reconstruction check, the
+# consistency probe and the partition grids read the block probes, single
+# moves and membership sweeps the anchor holds, probes_used before the
+# partition grids took their corner from values already held, sha256 of
+# the canonical JSON at those earlier counts, most Oracle.eval_batch
+# calls). Each stage of an anchor attempt
 # evaluates its probes in one call, which took the calls from 7, 9, 9,
 # 12, 13, 16, 22, 15, 21, 24, 17 down to these. Pair probes stop once a
 # pair interacts, the factor partition probes the target without
@@ -1118,17 +1196,17 @@ def test_mostly_invalid_reconstruction_redraws_the_anchor():
 # 663, 937, 1294, 651); the reports differ from those only in their
 # counts and the ignored key.
 _DETECT_BUDGET = {
-    1: (56, 137, "bc83191d687e1cfca991ff3e13d59d213c965f47693a4f7c165b69525882a3f7", 6),
-    2: (228, 245, "0136ce47e21dd18b94553248238b5156e65ebdb19061b87b2b1664d7ad30d688", 8),
-    3: (228, 245, "13c7051ae839d2535f5511e6cef8430150bc19d51c3ec90d4f99a8aace8f164c", 8),
-    4: (213, 229, "e7591649e49376aeb11f1ba62f9410801d3a25e9599c5176304e6e06ad0528d3", 9),
-    5: (296, 313, "30bbee9e85b3740d49bfcdd41e6249042589789f99dec6c9fc4537c608630b44", 10),
-    6: (476, 492, "dcd45e4c6ac646af56b268ef2231567f1ac98f129f47ee90b06ece240a519ec8", 9),
-    7: (576, 594, "65166523f016d35e324f01dbea6befb43aeae02977d80edc366f9c7cd6768bcf", 13),
-    8: (439, 456, "6a4019f3800a7ad37383c6cfa9cd232447ab0cfe71a85e7152233ee94a795521", 10),
-    9: (764, 859, "f487cf37befecb61da3de506272177f7528b2b0bcca8603e7e731ddc96850f79", 6),
-    10: (775, 797, "8d439b23c1a283ad4d22382459aa9215e73aa122194944b245d4b02cfaa0a491", 16),
-    11: (541, 562, "26901d0c87f69119ec216492daa4ddea31d2dfac9e5cd553816135add2044728", 10),
+    1: (54, 56, 137, "bc83191d687e1cfca991ff3e13d59d213c965f47693a4f7c165b69525882a3f7", 6),
+    2: (159, 228, 245, "0136ce47e21dd18b94553248238b5156e65ebdb19061b87b2b1664d7ad30d688", 8),
+    3: (161, 228, 245, "13c7051ae839d2535f5511e6cef8430150bc19d51c3ec90d4f99a8aace8f164c", 8),
+    4: (142, 213, 229, "e7591649e49376aeb11f1ba62f9410801d3a25e9599c5176304e6e06ad0528d3", 9),
+    5: (215, 296, 313, "30bbee9e85b3740d49bfcdd41e6249042589789f99dec6c9fc4537c608630b44", 10),
+    6: (348, 476, 492, "dcd45e4c6ac646af56b268ef2231567f1ac98f129f47ee90b06ece240a519ec8", 9),
+    7: (448, 576, 594, "65166523f016d35e324f01dbea6befb43aeae02977d80edc366f9c7cd6768bcf", 13),
+    8: (330, 439, 456, "6a4019f3800a7ad37383c6cfa9cd232447ab0cfe71a85e7152233ee94a795521", 10),
+    9: (614, 764, 859, "f487cf37befecb61da3de506272177f7528b2b0bcca8603e7e731ddc96850f79", 6),
+    10: (615, 775, 797, "8d439b23c1a283ad4d22382459aa9215e73aa122194944b245d4b02cfaa0a491", 16),
+    11: (407, 541, 562, "26901d0c87f69119ec216492daa4ddea31d2dfac9e5cd553816135add2044728", 10),
 }
 
 
@@ -1142,10 +1220,10 @@ def test_detection_reports_are_unchanged_in_fewer_oracle_calls(no, monkeypatch):
         return inner(self, points)
 
     monkeypatch.setattr(Oracle, "eval_batch", spy)
-    probes, probes_before, sha, most_calls = _DETECT_BUDGET[no]
+    probes, probes_unshared, probes_before, sha, most_calls = _DETECT_BUDGET[no]
     report = run_case(no, suite_seeds(0, no, 1)[0], detect_only=True)
     assert report.error is None
-    assert report.detect_evals == report.oracle_evals == sum(calls) == probes
+    assert report.detect_evals == report.oracle_evals == sum(calls) == probes < probes_unshared
     assert len(calls) <= most_calls
     # at the earlier counts, the report is the earlier one byte for byte
     report.detect_evals = report.oracle_evals = probes_before
