@@ -50,6 +50,7 @@ PSI_POINTS_PER_VAR = 48     # tabulated points per block variable
 OMEGA_POINTS_PER_VAR = 32
 FIRST_BLOCK_PER_VAR = 16    # points per variable of a factor sweep's first block
 MEMBERSHIP_POINTS = 12      # sweep length per repeated-variable test
+GRID_DRAWS = PAIR_PROBES // 2 + 2   # draws per axis of a partition grid
 OMEGA_PAIR_CANDIDATES = 8   # probes of each block (`Anchor.probes`)
 ANCHOR_CENTRAL = 0.5        # anchors drawn from this central fraction
 MAX_ANCHOR_REDRAWS = 3
@@ -194,7 +195,8 @@ class FactorData:
 # pairwise interaction scores
 
 
-def _pair_scores(at: Anchor, pairs, probes: int, tol: float = math.inf) -> np.ndarray:
+def _pair_scores(at: Anchor, pairs, probes: int, tol: float = math.inf,
+                 ahead=None) -> np.ndarray:
     """Normalized anchored mixed differences of variable pairs, others pinned.
 
     Variable v draws its moves X_v[0], X_v[1], ... on [lo_v, hi_v] from
@@ -214,55 +216,69 @@ def _pair_scores(at: Anchor, pairs, probes: int, tol: float = math.inf) -> np.nd
     largest |difference| over its probes divided by max(1, largest |f|
     seen in them).
 
-    Every round evaluates all pairs' attempts, with the single moves they
-    reach for the first time, in one oracle call. The first round takes
-    one attempt a pair; each later one takes, for every unfinished pair,
-    as many attempts as it still needs probes. A pair is finished once it
-    has `probes` probes or once its score clears `tol`: one probe above
-    tol already proves an interaction, so such a pair's score covers only
-    the probes drawn until then. A pair that never clears tol gets the
-    same attempts, and so the same score, as under tol = inf. Attempt t
-    reads the t-th move of each of its variables, so a pair's attempts are
-    a prefix of those it would get under a larger tol. The single moves
-    stay on the anchor, in at.moves, for `interaction_graph` and the psi
-    partition grids.
+    The attempts are counted in rounds. The first round takes one attempt
+    a pair; each later one takes, for every unfinished pair, as many
+    attempts as it still needs probes. A pair is finished once it has
+    `probes` probes or once its score clears `tol`: one probe above tol
+    already proves an interaction, so such a pair's score covers only the
+    probes drawn until then. A pair that never clears tol gets the same
+    attempts, and so the same score, as under tol = inf. Attempt t reads
+    the t-th move of each of its variables, so a pair's attempts are a
+    prefix of those it would get under a larger tol.
+
+    Each round evaluates the attempts it counts that are not evaluated
+    yet, with the single moves they reach for the first time, in one
+    oracle call, and none when there are none. `ahead` gives, pair by
+    pair, how many attempts the first call evaluates (default: one each);
+    a pair expected to take all its probes is given `probes`, so that
+    the next round finds them evaluated. It moves no attempt between
+    rounds, so the scores are the same whatever it asks for. The single
+    moves and each pair's evaluated attempts stay on the anchor, in
+    at.moves and at.joint, for `interaction_graph` and the psi partition
+    grids.
     """
     o, anchor, fc = at.o, at.point, float(at.f)
     pairs = [tuple(sorted(p)) for p in pairs]
     single = at.moves
+    held = [at.joint.setdefault(p, []) for p in pairs]   # f at each evaluated attempt
     made, filled, run = [0] * len(pairs), [0] * len(pairs), [0] * len(pairs)
     diff, peak = [0.0] * len(pairs), [0.0] * len(pairs)
     todo, need = list(range(len(pairs))), [1] * len(pairs)
+    upto = [1] * len(pairs) if ahead is None else list(ahead)
     while todo:
-        joint = [(k, t) for k, m in zip(todo, need) for t in range(made[k], made[k] + m)]
-        for k, m in zip(todo, need):
-            made[k] += m
-        # each variable's held moves, drawn as far as the round reads
-        top = max(made[k] for k in todo)
-        xs = {v: at.move_draws(v, top) for v in {v for k in todo for v in pairs[k]}}
-        new = sorted({(v, t) for k, t in joint for v in pairs[k]} - single.keys())
-        pts = np.tile(anchor, (len(new) + len(joint), 1))
-        for i, (v, t) in enumerate(new):
-            pts[i, v - 1] = xs[v][t]
-        for i, (k, t) in enumerate(joint, len(new)):
-            for v in pairs[k]:
+        ends = [max(made[k] + m, upto[k]) for k, m in zip(todo, need)]
+        fresh = [(k, t) for k, end in zip(todo, ends) for t in range(len(held[k]), end)]
+        if fresh:
+            # each variable's held moves, drawn as far as the call reads
+            top = max(ends)
+            xs = {v: at.move_draws(v, top) for v in {v for k in todo for v in pairs[k]}}
+            new = sorted({(v, t) for k, t in fresh for v in pairs[k]} - single.keys())
+            pts = np.tile(anchor, (len(new) + len(fresh), 1))
+            for i, (v, t) in enumerate(new):
                 pts[i, v - 1] = xs[v][t]
-        f = o.eval_batch(pts).tolist()
-        single.update(zip(new, f))
-        for (k, t), f0 in zip(joint, f[len(new):]):
-            a, b = pairs[k]
-            f4 = (f0, single[a, t], single[b, t], fc)
-            if not all(map(math.isfinite, f4)):
-                run[k] += 1
-                if run[k] == MAX_INVALID_ATTEMPTS:
-                    raise DegenerateAnchorError(
-                        "degenerate domain: probes keep hitting invalid points"
-                    )
-                continue
-            run[k] = 0
-            filled[k] += 1
-            diff[k] = max(diff[k], abs(f4[0] - f4[1] - f4[2] + f4[3]))
-            peak[k] = max(peak[k], *map(abs, f4))
+            for i, (k, t) in enumerate(fresh, len(new)):
+                for v in pairs[k]:
+                    pts[i, v - 1] = xs[v][t]
+            f = o.eval_batch(pts).tolist()
+            single.update(zip(new, f))
+            for (k, _), fv in zip(fresh, f[len(new):]):
+                held[k].append(fv)
+        for k, m in zip(todo, need):
+            (a, b), h = pairs[k], held[k]
+            for t in range(made[k], made[k] + m):
+                f4 = (h[t], single[a, t], single[b, t], fc)
+                if not all(map(math.isfinite, f4)):
+                    run[k] += 1
+                    if run[k] == MAX_INVALID_ATTEMPTS:
+                        raise DegenerateAnchorError(
+                            "degenerate domain: probes keep hitting invalid points"
+                        )
+                    continue
+                run[k] = 0
+                filled[k] += 1
+                diff[k] = max(diff[k], abs(f4[0] - f4[1] - f4[2] + f4[3]))
+                peak[k] = max(peak[k], *map(abs, f4))
+            made[k] += m
         # the stop test waits for the round: its points are evaluated in
         # one call already, and an edge's score covers all of them
         todo = [k for k in todo if filled[k] < probes and not diff[k] / max(1.0, peak[k]) > tol]
@@ -270,7 +286,8 @@ def _pair_scores(at: Anchor, pairs, probes: int, tol: float = math.inf) -> np.nd
     return np.array(diff) / np.maximum(1.0, peak)
 
 
-def interaction_graph(at: Anchor, among: set[int] | None = None) -> InteractionGraph:
+def interaction_graph(at: Anchor, among: set[int] | None = None,
+                      prior: InteractionGraph | None = None) -> InteractionGraph:
     """Score variable pairs at the anchor; edge wherever the score clears
     cfg.tol_detect.
 
@@ -281,21 +298,28 @@ def interaction_graph(at: Anchor, among: set[int] | None = None) -> InteractionG
     moves they read, so the graph usually costs two calls, and one
     when every pair is an edge. A pair stops probing once its score
     clears cfg.tol_detect, so an edge's stored score covers only the
-    probes drawn until then; that round stop is why the second call is
-    not merged into the first, since the probes it skips are skipped by
-    attempts that succeed. Every probe reads f(anchor), evaluated on
-    first read when the anchor does not hold it. The graph reads its
-    edges off the scores once, as Python bools, for the many `has_edge`
-    calls of peeling. A variable of `among` with no edge, a finite single
-    move, and every finite one within cfg.tol_detect * max(1, |f(anchor)|)
-    of f(anchor) is ignored. A lone variable, in no pair, has its
-    PAIR_PROBES moves evaluated in a call of their own.
+    probes drawn until then. `prior`, a graph of the same target at
+    another anchor, predicts which pairs will stop: a pair that is no
+    edge of it has all PAIR_PROBES attempts, and the moves they read,
+    evaluated in the first call, so where the prediction holds the graph
+    costs one call. The scores, edges and ignored set are those without
+    `prior`; a pair it wrongly calls no edge costs up to PAIR_PROBES - 1
+    evaluations that no score reads, and one it wrongly calls an edge
+    the second call it would cost without it. Every probe reads
+    f(anchor), evaluated on first read when the anchor does not hold it.
+    The graph reads its edges off the scores once, as Python bools, for
+    the many `has_edge` calls of peeling. A variable of `among` with no
+    edge, a finite single move, and every finite one within
+    cfg.tol_detect * max(1, |f(anchor)|) of f(anchor) is ignored. A lone
+    variable, in no pair, has its PAIR_PROBES moves evaluated in a call
+    of their own.
     """
     n, tol = at.o.arity, at.cfg.tol_detect
     verts = sorted(among) if among is not None else range(1, n + 1)
     pairs = list(itertools.combinations(verts, 2))
+    ahead = None if prior is None else [1 if prior.has_edge(*p) else PAIR_PROBES for p in pairs]
     scores = np.zeros((n, n))
-    for (i, j), s in zip(pairs, _pair_scores(at, pairs, PAIR_PROBES, tol)):
+    for (i, j), s in zip(pairs, _pair_scores(at, pairs, PAIR_PROBES, tol, ahead)):
         scores[i - 1, j - 1] = scores[j - 1, i - 1] = s
     if len(verts) == 1:   # a lone variable, in no pair
         (v,) = verts
@@ -384,11 +408,13 @@ class Anchor:
     anchor (`rng`), so each new anchor probes afresh in every stage.
     Each probe is drawn and evaluated at most once, however many stages
     read it, and held with its points:
-    - the graph's single moves (`move_draws`, `moves`), which the psi
-      partition grids also read;
+    - the graph's single moves (`move_draws`, `moves`) and each pair's
+      attempts (`joint`), which the psi partition grids also read, on
+      their first row and column and on their diagonal;
     - each block's probes (`probes`), which its spread pair, its
       consistency probe and the reconstruction check read;
-    - each membership sweep, which `minimal_blocks`, detection's
+    - each membership sweep, whole or the prefix of it that the graph
+      lets suffice (`memberships`), which `minimal_blocks`, detection's
       validator and the omega partition grids read.
     The factor sweeps of one fit read the same spread pairs. A spread
     pair or a sweep that fails raises where it is read, and is not held.
@@ -402,6 +428,7 @@ class Anchor:
         self.point = np.asarray(point, dtype=float)
         self._f = f
         self.moves: dict = {}      # (v, t) -> f at the anchor with x_v = X_v[t]
+        self.joint: dict = {}      # (a, b) -> f at its attempts t = 0, 1, ... evaluated so far
         self._move_x: dict = {}    # v -> its stream and X_v[0], X_v[1], ... drawn so far
         self._probes: dict = {}    # block -> its probe points and their values
         self._spreads: dict = {}   # block -> spread pair
@@ -513,15 +540,19 @@ class Anchor:
         self._spread_pairs([block_vars])
         return self._spreads[block_vars]
 
-    def delta_points(self, block_vars: tuple[int, ...], cols: tuple[int, ...],
-                     coords) -> np.ndarray:
-        """The points of `delta` at the rows of coords: those at b_lo, then
-        those at b_hi."""
-        b_lo, b_hi, _ = self.spread_pair(block_vars)
-        coords = np.atleast_2d(coords)
-        n = coords.shape[0]
-        pts = _pin(self.point, block_vars, np.repeat(np.stack([b_lo, b_hi]), n, axis=0))
-        pts[:, [v - 1 for v in cols]] = np.concatenate([coords, coords])
+    def delta_points(self, sweeps) -> np.ndarray:
+        """The points of `delta` for each (block_vars, cols, coords) of
+        sweeps in turn: the rows of coords over `cols` with the block at
+        its b_lo, then with it at its b_hi, the anchor elsewhere."""
+        sweeps = [(b, cols, np.atleast_2d(z)) for b, cols, z in sweeps]
+        pts = np.repeat(self.point[None], 2 * sum(len(z) for *_, z in sweeps), axis=0)
+        start = 0
+        for b, cols, z in sweeps:
+            b_lo, b_hi, _ = self.spread_pair(b)
+            lo, hi = pts[start:start + len(z)], pts[start + len(z):start + 2 * len(z)]
+            lo[:, [u - 1 for u in b]], hi[:, [u - 1 for u in b]] = b_lo, b_hi
+            lo[:, [v - 1 for v in cols]] = hi[:, [v - 1 for v in cols]] = z
+            start += 2 * len(z)
         return pts
 
     def delta(self, block_vars: tuple[int, ...], cols: tuple[int, ...], coords) -> np.ndarray:
@@ -529,36 +560,76 @@ class Anchor:
         elsewhere) at each row z of coords over `cols`, at the block's
         spread pair, in one oracle call. Every other block cancels, leaving
         the block's repeated coupling times a constant."""
-        return _halves_diff(self.o.eval_batch(self.delta_points(block_vars, cols, coords)))
+        return _halves_diff(self.o.eval_batch(self.delta_points([(block_vars, cols, coords)])))
 
-    def memberships(self, blocks, repeated) -> list[tuple[int, ...]]:
+    def memberships(self, blocks, repeated,
+                    graph: InteractionGraph | None = None) -> list[tuple[int, ...]]:
         """For each of `blocks`, the repeated variables its difference
-        varies with, each swept at MEMBERSHIP_POINTS points of its own
-        (stream 601). Each sweep's points and differences are held.
+        varies with (`_couples`), each swept at MEMBERSHIP_POINTS points
+        of its own (stream 601). Each sweep's points and differences are
+        held: all its points, or a prefix that already couples.
+
+        `graph`, the anchor's interaction graph, sizes the sweeps. A
+        sweep of v into a block the graph links v to evaluates its first
+        GRID_DRAWS points, and its other ones only when those do not
+        couple; since the rule never turns back once a prefix couples,
+        the verdict is that of the whole sweep. Any other sweep, and
+        every sweep without a graph, is evaluated whole.
 
         The block probes not yet held are evaluated in one oracle call,
-        then every sweep not yet held in one more. A failed spread pair
-        raises as `_spread_pairs` does, and the first sweep, in block
-        order, with fewer than four valid differences raises
-        DegenerateAnchorError.
+        then every sweep not yet held, or its first points, in one more,
+        and the rest of the sweeps that need it in a third. A failed
+        spread pair raises as `_spread_pairs` does, and a sweep with
+        fewer than four valid differences, once its points are all
+        evaluated, raises DegenerateAnchorError.
         """
         if not repeated:
             return [() for _ in blocks]
         self._spread_pairs(blocks)
         sweeps = [(v, b) for b in blocks for v in repeated if (v, b) not in self._members]
         if sweeps:
+            tol = self.cfg.tol_detect
             zs = [self.uniform((v,), MEMBERSHIP_POINTS, 601, v, *b) for v, b in sweeps]
-            pts = [self.delta_points(b, (v,), z) for (v, b), z in zip(sweeps, zs)]
-            f = self.o.eval_batch(np.vstack(pts))
-            for key, z, fv in zip(sweeps, zs, f.reshape(len(sweeps), -1)):
-                deltas = _halves_diff(fv)
-                valid = deltas[np.isfinite(deltas)]
-                if valid.size < 4:
+            heads = [GRID_DRAWS if graph is not None and any(graph.has_edge(v, u) for u in b)
+                     else MEMBERSHIP_POINTS for v, b in sweeps]
+            deltas = self._sweep_deltas(sweeps, [z[:m] for z, m in zip(zs, heads)])
+            coupled = [_couples(d, tol) for d in deltas]
+            more = [k for k, (m, c) in enumerate(zip(heads, coupled))
+                    if m < MEMBERSHIP_POINTS and not c]
+            if any(c is None and m == MEMBERSHIP_POINTS for m, c in zip(heads, coupled)):
+                raise DegenerateAnchorError("membership sweep mostly invalid")
+            if more:
+                tails = self._sweep_deltas([sweeps[k] for k in more],
+                                           [zs[k][heads[k]:] for k in more])
+                for k, d in zip(more, tails):
+                    deltas[k] = np.concatenate([deltas[k], d])
+                    coupled[k] = _couples(deltas[k], tol)
+                if None in coupled:
                     raise DegenerateAnchorError("membership sweep mostly invalid")
-                dscale = max(1.0, float(np.max(np.abs(valid))))
-                spread = float(np.max(valid) - np.min(valid))
-                self._members[key] = (z[:, 0], deltas, spread > self.cfg.tol_detect * dscale)
+            for key, z, d, c in zip(sweeps, zs, deltas, coupled):
+                self._members[key] = (z[:len(d), 0], d, c)
         return [tuple(v for v in repeated if self._members[v, b][2]) for b in blocks]
+
+    def _sweep_deltas(self, sweeps, zs) -> list[np.ndarray]:
+        """`delta` of each sweep (v, block) at the rows of its points zs,
+        all in one oracle call."""
+        f = self.o.eval_batch(self.delta_points([(b, (v,), z) for (v, b), z in zip(sweeps, zs)]))
+        ends = itertools.accumulate(2 * len(z) for z in zs)
+        return [_halves_diff(f[end - 2 * len(z):end]) for z, end in zip(zs, ends)]
+
+
+def _couples(deltas: np.ndarray, tol: float) -> bool | None:
+    """The membership rule on a sweep's differences: None when fewer than
+    four are valid, else whether their spread exceeds tol times their
+    scale, max(1, largest |difference|). For tol <= 1 a valid difference
+    added never lowers spread - tol * scale, since it raises the scale by
+    at most what it raises the spread; so once some of a sweep's
+    differences couple, every sweep that holds them does."""
+    valid = deltas[np.isfinite(deltas)]
+    if valid.size < 4:
+        return None
+    dscale = max(1.0, float(np.max(np.abs(valid))))
+    return float(np.max(valid) - np.min(valid)) > tol * dscale
 
 
 def _halves_diff(f: np.ndarray) -> np.ndarray:
@@ -625,8 +696,6 @@ def isolate_omega_data(at: Anchor, block_vars: tuple[int, ...], group: tuple[int
 # --------------------------------------------------------------------------
 # factor partition: pairwise multiplicative separability inside the blocks
 
-GRID_DRAWS = PAIR_PROBES // 2 + 2   # draws per axis of a partition grid
-
 
 @functools.cache
 def _index_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -635,16 +704,21 @@ def _index_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(n, 1)
 
 
-@functools.cache
-def _grid_cells(m: int):
+@functools.lru_cache(maxsize=256)   # a layout per side size and held diagonal
+def _grid_cells(m: int, held: tuple[int, ...] = ()):
     """The inner points of the grids of every variable pair (`_index_pairs`)
-    of a side of m variables, pair by pair, each in row order: their
-    indices, then each point's row and its column, as (variable index,
-    axis draw) arrays; shared, so never written to."""
+    of a side of m variables, pair by pair, each in row order, less the
+    first held[k] diagonal cells (t, t) of pair k: their indices among
+    all inner points, their positions, then each point's row and its
+    column, as (variable index, axis draw) arrays, and the indices of the
+    cells left out; shared, so never written to."""
     i, j = _index_pairs(m)
     n = GRID_DRAWS
-    cells = np.arange(n * n * len(i))
-    return cells, (i.repeat(n * n), cells // n % n), (j.repeat(n * n), cells % n)
+    skip = np.array([k * n * n + t * (n + 1) for k, c in enumerate(held) for t in range(c)],
+                    dtype=np.intp)
+    cells = np.delete(np.arange(n * n * len(i)), skip)
+    pair = cells // (n * n)
+    return cells, np.arange(len(cells)), (i[pair], cells // n % n), (j[pair], cells % n), skip
 
 
 def _rank_one(M: np.ndarray, tol_abs: np.ndarray) -> np.ndarray:
@@ -720,7 +794,9 @@ def factor_partition(at: Anchor, blocks,
     and for omega f(b_lo) - f(b_hi), the negated spread. Its first row
     and column move one variable: they are the held single moves and
     membership differences, and of them only the moves not held yet are
-    evaluated.
+    evaluated. A psi grid's cell (t, t) is the graph's attempt t of its
+    pair; where the anchor holds it (`Anchor.joint`), it is read, not
+    evaluated again.
     Those and the inner points of every grid of every block, with the
     probes of the `hold` blocks not held yet (`Anchor.probes`), are
     evaluated in one oracle call, and the grids are classified in one
@@ -737,27 +813,33 @@ def factor_partition(at: Anchor, blocks,
     point, n = at.point, GRID_DRAWS
     sides = [(b.vars, side, psi) for b in blocks
              for side, psi in ((b.vars, True), (b.repeated, False))]
-    grids, inner = [], []   # (side, index pairs) of each side with a pair, its inner points
+    # (side, index pairs, the cells it evaluates, those it holds and their
+    # values) of each side with a pair, and the inner points it evaluates
+    grids, inner = [], []
     for s, (block_vars, variables, psi) in enumerate(sides):
         if len(variables) < 2:
             continue
+        held, values = (), []
         if psi:
             axes = np.array([at.move_draws(v, n)[:n] for v in variables])
             base = point[None]
+            # cell (t, t) of pair (p, q) is the graph's attempt t of the pair
+            diag = [at.joint.get(pq, ())[:n] for pq in itertools.combinations(variables, 2)]
+            held, values = tuple(map(len, diag)), [fv for d in diag for fv in d]
         else:
             at.memberships([block_vars], variables)
             axes = np.array([at._members[v, block_vars][0][:n] for v in variables])
             base = _pin(point, block_vars, np.stack(at.spread_pair(block_vars)[:2]))
         # every pair's inner points, in row order, at each base row in turn
-        cells, (ri, rt), (ci, ct) = _grid_cells(len(variables))
+        cells, rows, (ri, rt), (ci, ct), skip = _grid_cells(len(variables), held)
         cols = np.array(variables) - 1
         pts = np.repeat(base[:, None], len(cells), axis=1)
-        pts[:, cells, cols[ri]] = axes[ri, rt]
-        pts[:, cells, cols[ci]] = axes[ci, ct]
-        grids.append((s, *_index_pairs(len(variables))))
+        pts[:, rows, cols[ri]] = axes[ri, rt]
+        pts[:, rows, cols[ci]] = axes[ci, ct]
+        grids.append((s, *_index_pairs(len(variables)), cells, skip, values))
         inner.append(pts.reshape(-1, len(point)))
 
-    moves = [(v, t) for s, _, _ in grids if sides[s][2] for v in sides[s][1] for t in range(n)]
+    moves = [(v, t) for s, *_ in grids if sides[s][2] for v in sides[s][1] for t in range(n)]
     new = [key for key in moves if key not in at.moves]
     pts = np.repeat(point[None], len(new), axis=0)
     for r, (v, t) in enumerate(new):
@@ -766,9 +848,13 @@ def factor_partition(at: Anchor, blocks,
     at.moves.update(zip(new, f[:len(new)].tolist()))
 
     H, start = [], len(new)
-    for (s, i, j), pts in zip(grids, inner):
+    for (s, i, j, cells, skip, values), pts in zip(grids, inner):
         block_vars, variables, psi = sides[s]
         vals, start = f[start:start + len(pts)], start + len(pts)
+        if skip.size:
+            full = np.empty(len(i) * n * n)
+            full[cells], full[skip] = vals, values
+            vals = full
         if psi:
             corner, vals = 0.0, vals - at.f
             edge = np.array([[at.moves[v, t] for t in range(n)] for v in variables]) - at.f
@@ -786,7 +872,7 @@ def factor_partition(at: Anchor, blocks,
         if not np.isfinite(H).all():
             # bubbles up to the anchor attempts of detect_structure
             raise DegenerateAnchorError("factor probe grid hit invalid points")
-        pairs = [(s, sides[s][1][a], sides[s][1][b]) for s, i, j in grids for a, b in zip(i, j)]
+        pairs = [(s, sides[s][1][a], sides[s][1][b]) for s, i, j, *_ in grids for a, b in zip(i, j)]
         same = {g for g, product in zip(pairs, _products(H, at.cfg.tol_detect)) if not product}
     groups = [tuple(_components(variables, lambda u, w: (s, min(u, w), max(u, w)) in same))
               for s, (_, variables, _) in enumerate(sides)]
@@ -839,7 +925,7 @@ def _structure_consistent(at: Anchor, g: InteractionGraph, picked) -> bool:
     if not rest:
         return False
     for comp in g.components(rest):
-        if not _block_consistent(at, comp, at.memberships([comp], picked)[0]):
+        if not _block_consistent(at, comp, at.memberships([comp], picked, g)[0]):
             return False
     return True
 
@@ -857,9 +943,11 @@ def minimal_blocks(
     draw with no valid point raises DegenerateAnchorError. No block draws
     no second anchor. The second anchor's graph scores only the pairs
     inside the non-repeated variables, the only pairs their components
-    read. Memberships read the spread pairs and sweeps of `at`; those
-    not yet held are evaluated for all blocks at once, the spread pairs
-    in one oracle call and the sweeps in one more.
+    read, and takes `graph` as its prior: the pairs that are no edge of
+    it take all their probes in its first call, so it usually costs one.
+    Memberships read the spread pairs and sweeps of `at`, sized by
+    `graph`; those not yet held are evaluated for all blocks at once, the
+    spread pairs in one oracle call and the sweeps in one more.
     """
     o, cfg = at.o, at.cfg
     rest = set(range(1, o.arity + 1)) - set(repeated)
@@ -873,13 +961,13 @@ def minimal_blocks(
         second = Anchor.draw(o, cfg, (*at.attempt, k))
         if second is None:
             raise DegenerateAnchorError("anchor value invalid")
-        if interaction_graph(second, among=rest).components(rest) == comps:
+        if interaction_graph(second, among=rest, prior=graph).components(rest) == comps:
             break
     else:
         raise StructureUnstableError("structure unstable: anchors disagree on blocks")
 
     blocks = [Block(vars=comp, repeated=members)
-              for comp, members in zip(comps, at.memberships(comps, repeated))]
+              for comp, members in zip(comps, at.memberships(comps, repeated, graph))]
     return GsStructure(
         repeated=tuple(sorted(repeated)), blocks=blocks, anchor=tuple(at.point),
         ignored=tuple(v for v in graph.ignored if v in rest),
@@ -957,11 +1045,13 @@ def detect_structure(o: Oracle, cfg: RunConfig | None = None) -> GsStructure:
 
 def _detect_once(o: Oracle, cfg: RunConfig, attempt: tuple[int]) -> GsStructure:
     """One anchor attempt. Its `Anchor` evaluates f(anchor), the graph's
-    single moves, each block's probes and each membership sweep once for
-    every stage, the fit's sweeps included: the structure it returns
-    carries it. Every partition grid is evaluated in one call. A box
-    probe (stream 900) runs only when no anchor draw is valid, to tell a
-    target invalid everywhere."""
+    single moves and pair probes, each block's probes and each membership
+    sweep once for every stage, the fit's sweeps included: the structure
+    it returns carries it. The anchor's graph sizes the membership sweeps
+    and predicts the second anchor's graph (`minimal_blocks`). Every
+    partition grid is evaluated in one call. A box probe (stream 900)
+    runs only when no anchor draw is valid, to tell a target invalid
+    everywhere."""
     at = Anchor.draw(o, cfg, attempt)
     if at is None:
         probe = o.eval_batch(o.box.uniform(16, _rng(cfg.seed, 900, *attempt)))

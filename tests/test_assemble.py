@@ -374,7 +374,7 @@ def test_an_omega_sweep_drawn_in_two_steps_is_one_draw(monkeypatch):
     assert len(omega) == 2
     for b, whole in zip(s.blocks, omega):
         zs = s.at.uniform((3,), 48, 402, *b.vars)
-        rows = s.at.delta_points(b.vars, (3,), zs)
+        rows = s.at.delta_points([(b.vars, (3,), zs)])
         assert whole.points.tobytes() == zs.tobytes()
         assert whole.values.tobytes() == det._halves_diff(o.target.eval_batch(rows)).tobytes()
     # per block: the psi block and its rest, then the omega block and its
@@ -385,7 +385,7 @@ def test_an_omega_sweep_drawn_in_two_steps_is_one_draw(monkeypatch):
 def test_the_block_fit_runs_no_ldse(monkeypatch):
     # the affine3 target's one factor is beyond both scans' reach: its
     # block fit misses without LDSE, and the fit of its whole sweep makes
-    # the one LDSE run, sin_affine3's first restart, that fits it, in 325
+    # the one LDSE run, sin_affine3's first restart, that fits it, in 322
     # evaluations, as a fit that draws each sweep at once does
     o = make_oracle(ex.parse("sin(5*x1+0.4*x2-0.9*x3+1)", 3), DomainBox.cube(-3, 3, 3))
     cfg = RunConfig(seed=1, max_nodes=14)
@@ -406,7 +406,7 @@ def test_the_block_fit_runs_no_ldse(monkeypatch):
     rank = [sk.name for sk in ft.skeleton_stream(3, 14)].index("sin_affine3")
     assert fits == [False, True]
     assert runs == [(True, rng(1, 1101, rank, 0).bit_generator.state["state"]["state"])]
-    assert model.success and o.eval_count == 325
+    assert model.success and o.eval_count == 322
 
 
 def test_a_block_mostly_invalid_goes_on_to_the_whole_sweep(monkeypatch):

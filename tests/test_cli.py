@@ -526,7 +526,7 @@ def test_a_partition_grid_on_invalid_points_ends_detection_with_its_reason(
                             "--seed", "1"], capsys)
     assert code == 2
     assert err.strip() == "detection failed: factor probe grid hit invalid points"
-    assert sum(rows) == 314
+    assert sum(rows) == 305
 
 
 @pytest.mark.parametrize("target, dims", [("x1*x2", "3"), ("x1", "2")])
@@ -631,16 +631,25 @@ def test_a_kmax_below_one_exits_1(capsys, command, kmax):
     assert err.startswith("error: --kmax must be at least 1")
 
 
+_TOLERANCE_RULES = {
+    "--tol-detect": "finite, at least 0 and below 1",
+    "--tol-target": "finite and at least 0",
+}
+
+
 @pytest.mark.parametrize("command", ["detect", "fit"])
 @pytest.mark.parametrize("flag, value", [
     ("--tol-detect", "-1e-8"), ("--tol-detect", "nan"),
+    ("--tol-detect", "1"), ("--tol-detect", "5"),
     ("--tol-target", "-1"), ("--tol-target", "inf"),
 ])
 def test_a_negative_or_non_finite_tolerance_exits_1(capsys, command, flag, value):
-    code, out, err = run_cli([command, "--target", "x1+x2", "--dims", "2",
+    # at a detection tolerance of 1 or more, x1*x2+x3 would read as
+    # ignoring every variable: no difference is larger than its own scale
+    code, out, err = run_cli([command, "--target", "x1*x2+x3", "--dims", "3",
                               f"{flag}={value}"], capsys)
     assert code == 1 and out == ""
-    assert err.startswith(f"error: {flag} must be finite and at least 0")
+    assert err.startswith(f"error: {flag} must be {_TOLERANCE_RULES[flag]}")
 
 
 @pytest.mark.parametrize("args, message", [

@@ -429,10 +429,10 @@ def test_an_invalid_first_draw_of_the_second_anchor_is_skipped(monkeypatch):
     seen = []
     inner = det.interaction_graph
 
-    def spy(at, among=None):
+    def spy(at, among=None, prior=None):
         if among is not None:
             seen.append((tuple(at.point), at.f, at.attempt))
-        return inner(at, among)
+        return inner(at, among, prior)
 
     monkeypatch.setattr(det, "interaction_graph", spy)
     s = detect_structure(make(), cfg)
@@ -476,10 +476,10 @@ def test_each_attempt_draws_its_own_reconstruction_points_and_second_anchors(mon
         calls.append(np.array(points))
         return inner_eval(self, points)
 
-    def graph_spy(at, among=None):
+    def graph_spy(at, among=None, prior=None):
         if among is not None:
             seconds.append((at.attempt, at.point))
-        return inner_graph(at, among)
+        return inner_graph(at, among, prior)
 
     monkeypatch.setattr(Oracle, "eval_batch", eval_spy)
     monkeypatch.setattr(det, "interaction_graph", graph_spy)
@@ -643,6 +643,37 @@ def test_the_stability_graph_scores_no_pair_touching_a_repeated_variable(monkeyp
     )
 
 
+@pytest.mark.parametrize("no", sorted(CASES) + [11])
+def test_the_second_graph_scores_as_round_by_round_in_fewer_calls(no, monkeypatch):
+    # the second anchor's graph, given the first: the pairs that are no
+    # edge of the first graph take all their probes in the first call, so
+    # where the first graph is right the graph takes one call. Its scores
+    # and ignored set are those of the graph scored round by round
+    spec, cfg = get_case(no), RunConfig(seed=7)
+    first = Anchor.draw(spec.oracle(), cfg, (0,))
+    prior = interaction_graph(first)
+    rest = set(range(1, spec.dim + 1)) - set(spec.expected_repeated)
+    calls, got = [], {}
+    inner = Oracle.eval_batch
+
+    def spy(self, points):
+        calls.append(len(points))
+        return inner(self, points)
+
+    for given in (None, prior):
+        second = Anchor.draw(spec.oracle(), cfg, (0, 0))
+        calls.clear()
+        monkeypatch.setattr(Oracle, "eval_batch", spy)
+        g = interaction_graph(second, among=rest, prior=given)
+        monkeypatch.setattr(Oracle, "eval_batch", inner)
+        got[given is None] = g.scores.tobytes(), g.ignored, len(calls)
+    (scores, ignored, calls_given), (scores0, ignored0, calls_round) = got[False], got[True]
+    assert scores == scores0 and ignored == ignored0
+    assert calls_given == 1
+    # every pair interacts in cases 1 and 9, so round by round takes one call too
+    assert calls_given < calls_round or no in (1, 9)
+
+
 def test_minimal_blocks_additive_split():
     o = make_oracle(ex.parse("x1+x2", 2), DomainBox.cube(-3, 3, 2))
     s = blocks_at(o, (), np.array([0.4, 0.6]), RunConfig(seed=2))
@@ -732,20 +763,29 @@ def test_factor_partition_additive_pair_fused():
     assert psi_partition(o, (1, 2, 3), anchor) == ((1, 2), (3,))
 
 
-@pytest.mark.parametrize("no", [7, 10, 11])
+@pytest.mark.parametrize("no", [7, 9, 10, 11])
 def test_every_partition_grid_cell_is_a_fresh_evaluation_of_its_point(no, monkeypatch):
     # psi axes are the graph's moves (stream 101) and omega axes the
     # membership sweeps' points (stream 601); the first row and column
-    # are read from the anchor, the rest evaluated in the grids' call, and
-    # every cell, the corner too, equals its point evaluated alone, bit
-    # for bit
+    # are read from the anchor, and so is a psi grid's cell (t, t) where
+    # the graph evaluated the pair's attempt t, the rest evaluated in the
+    # grids' call, and every cell, the corner too, equals its point
+    # evaluated alone, bit for bit
     spec = CASES[no] if no in CASES else STREAM_DEMO
-    seen = {}
-    inner_partition, inner_products = det.factor_partition, det._products
+    seen = {"rows": []}
+    inner_partition, inner_products, inner_eval = det.factor_partition, det._products, Oracle.eval_batch
 
     def partition_spy(at, blocks, *args):
         seen["at"], seen["blocks"] = at, blocks
-        return inner_partition(at, blocks, *args)
+        monkeypatch.setattr(Oracle, "eval_batch", eval_spy)
+        try:
+            return inner_partition(at, blocks, *args)
+        finally:
+            monkeypatch.setattr(Oracle, "eval_batch", inner_eval)
+
+    def eval_spy(self, points):
+        seen["rows"].extend(map(tuple, np.asarray(points)))
+        return inner_eval(self, points)
 
     def products_spy(H, tol):
         seen["H"] = H.copy()
@@ -769,10 +809,16 @@ def test_every_partition_grid_cell_is_a_fresh_evaluation_of_its_point(no, monkey
         r = rng(cfg.seed, tag, *at.attempt, v, *key)
         return uniform(r, box.lo[v - 1], box.hi[v - 1], count)[:det.GRID_DRAWS]
 
-    want = []
+    want, reused = [], 0
     for b in seen["blocks"]:
         for p, q in itertools.combinations(b.vars, 2):
             a, c = axis(p, 101, PAIR_PROBES), axis(q, 101, PAIR_PROBES)
+            # the diagonal cells the graph evaluated: none is evaluated again
+            for t in range(min(det.GRID_DRAWS, len(at.joint[p, q]))):
+                x = at.point.copy()
+                x[[p - 1, q - 1]] = a[t], c[t]
+                assert tuple(x) not in seen["rows"]
+                reused += 1
             want.append([[value([(p, x)] * (i > 0) + [(q, y)] * (j > 0)) - at.f
                           for j, y in enumerate([0.0, *c])] for i, x in enumerate([0.0, *a])])
         b_lo, b_hi, _ = at.spread_pair(b.vars)
@@ -784,6 +830,7 @@ def test_every_partition_grid_cell_is_a_fresh_evaluation_of_its_point(no, monkey
                                         for j, y in enumerate([0.0, *c]))]
                          for i, x in enumerate([0.0, *a])])
     assert any(len(b.repeated) > 1 for b in seen["blocks"]) == (no in (7, 11))
+    assert (reused > 0) == any(len(b.vars) > 1 for b in seen["blocks"]) == (no != 7)
     assert seen["H"].tobytes() == np.array(want).tobytes()
 
 
@@ -833,6 +880,98 @@ def test_a_failed_spread_pair_raises_before_any_sweep():
                        match="^degenerate block during membership test$"):
         at.memberships([(1,), (2,)], (3,))
     assert o.eval_count == 2 * det.OMEGA_PAIR_CANDIDATES == 16
+
+
+def membership_calls(at, blocks, repeated, graph, monkeypatch):
+    """at.memberships(blocks, repeated, graph) and the rows of each of its
+    oracle calls."""
+    calls = []
+    inner = Oracle.eval_batch
+
+    def spy(self, points):
+        calls.append(len(points))
+        return inner(self, points)
+
+    monkeypatch.setattr(Oracle, "eval_batch", spy)
+    members = at.memberships(blocks, repeated, graph)
+    monkeypatch.setattr(Oracle, "eval_batch", inner)
+    return members, calls
+
+
+def test_a_coupled_sweep_stops_at_its_grid_axis(monkeypatch):
+    # case 4: the graph links x3 to both blocks, and the first GRID_DRAWS
+    # points of each sweep, the omega grids' axis, already couple
+    at = Anchor(CASES[4].oracle(), [0.8, 0.9, 0.7], CFG)
+    members, calls = membership_calls(at, [(1,), (2,)], (3,), interaction_graph(at), monkeypatch)
+    assert members == [(3,), (3,)]
+    assert calls == [2 * det.OMEGA_PAIR_CANDIDATES, 2 * 2 * det.GRID_DRAWS]
+    assert [len(at._members[3, b][1]) for b in [(1,), (2,)]] == [det.GRID_DRAWS] * 2
+
+
+CASE6_ANCHOR = [2.0, 2.1, 1.9, 2.2, 1.8]
+CASE6_BLOCKS = [(1,), (2,), (3,), (4,)]
+
+
+def test_a_sweep_into_a_block_the_graph_does_not_link_is_evaluated_whole(monkeypatch):
+    # case 6: x5 couples blocks (2,) and (3,) only, and the graph has no
+    # edge from x5 into (1,) or (4,)
+    at = Anchor(CASES[6].oracle(), CASE6_ANCHOR, RunConfig(seed=2))
+    members, calls = membership_calls(at, CASE6_BLOCKS, (5,), interaction_graph(at),
+                                      monkeypatch)
+    assert members == [(), (5,), (5,), ()]
+    assert calls == [4 * det.OMEGA_PAIR_CANDIDATES,
+                     2 * 2 * det.GRID_DRAWS + 2 * 2 * det.MEMBERSHIP_POINTS]
+    assert [len(at._members[5, b][1]) for b in CASE6_BLOCKS] == [
+        det.MEMBERSHIP_POINTS, det.GRID_DRAWS, det.GRID_DRAWS, det.MEMBERSHIP_POINTS]
+
+
+def test_a_graph_that_mispredicts_a_sweep_leaves_its_verdict(monkeypatch):
+    # a hand-built graph that links x5 to blocks (1,) and (4,), which it
+    # does not couple, and not to (2,) and (3,), which it does: the first
+    # two sweeps go on to their other points in a call of their own, the
+    # last two are evaluated whole. Each verdict is the rule applied to
+    # all MEMBERSHIP_POINTS points of the sweep
+    cfg = RunConfig(seed=2)
+    wrong = graph_from_edges(5, [(1, 5), (4, 5)])
+    at = Anchor(CASES[6].oracle(), CASE6_ANCHOR, cfg)
+    members, calls = membership_calls(at, CASE6_BLOCKS, (5,), wrong, monkeypatch)
+    assert members == [(), (5,), (5,), ()]
+    rest = det.MEMBERSHIP_POINTS - det.GRID_DRAWS
+    assert calls == [4 * det.OMEGA_PAIR_CANDIDATES,
+                     2 * 2 * det.GRID_DRAWS + 2 * 2 * det.MEMBERSHIP_POINTS, 2 * 2 * rest]
+    fresh = Anchor(CASES[6].oracle(), CASE6_ANCHOR, cfg)
+    for b in CASE6_BLOCKS:
+        z = fresh.uniform((5,), det.MEMBERSHIP_POINTS, 601, 5, *b)
+        d = fresh.delta(b, (5,), z)
+        valid = d[np.isfinite(d)]
+        rule = valid.size >= 4 and np.ptp(valid) > cfg.tol_detect * max(1.0, np.abs(valid).max())
+        held_z, held_d, coupled = at._members[5, b]
+        assert held_z.tobytes() == z[:, 0].tobytes() and held_d.tobytes() == d.tobytes()
+        assert coupled == rule == (b in [(2,), (3,)])
+
+
+def test_a_prefix_that_couples_couples_every_extension():
+    # the membership rule for tol in [0, 1): differences added to a set
+    # that couples, NaNs among them, never undo it; the rule needs at
+    # least four valid differences
+    r = np.random.default_rng(0)
+    checked = 0
+    for _ in range(3000):
+        n = int(r.integers(4, det.MEMBERSHIP_POINTS + 1))
+        d = r.choice([1e-9, 1e-3, 1.0, 1e3]) * r.normal(size=n) + r.choice([0.0, 1.0, -50.0])
+        d[r.random(n) < 0.2] = np.nan
+        tol = float(r.choice([0.0, 1e-8, r.random(), 1 - 1e-12]))
+        first = next((k for k in range(1, n + 1) if det._couples(d[:k], tol)), None)
+        if first is None:
+            continue
+        assert np.isfinite(d[:first]).sum() >= 4
+        assert all(det._couples(d[:k], tol) for k in range(first, n + 1))
+        checked += 1
+    assert checked > 1000
+    assert det._couples(np.array([1.0, np.nan, 2.0, 3.0]), 0.5) is None
+    # a tolerance above 1 would let a larger difference undo the verdict
+    assert det._couples(np.array([-1.0, 1.0, 0.0, 0.0]), 1.5)
+    assert not det._couples(np.array([-1.0, 1.0, 0.0, 0.0, 10.0]), 1.5)
 
 
 @pytest.mark.parametrize("no", sorted(CASES) + [11])
@@ -953,7 +1092,7 @@ def test_detection_warns_of_no_overflow_in_a_grid_tolerance():
         warnings.simplefilter("error")
         s = detect_structure(o, RunConfig(seed=16))
     assert [b.vars for b in s.blocks] == [(1, 2, 3)] and s.ignored == (4,)
-    assert s.probes_used == o.eval_count == 228
+    assert s.probes_used == o.eval_count == 225
 
 
 # fuzz targets #284 and #79 at the seeds where a pair's grid spans more
@@ -1171,14 +1310,19 @@ def test_reconstruction_catches_an_interaction_no_pair_shows():
 
 
 # Detect-only reports of cases 1-11 at their first suite seed:
-# (probes_used, probes_used before the reconstruction check, the
+# (probes_used, probes_used before the first anchor's graph sized the
+# membership sweeps and the psi grids read the graph's pair probes on
+# their diagonal, probes_used before the reconstruction check, the
 # consistency probe and the partition grids read the block probes, single
 # moves and membership sweeps the anchor holds, probes_used before the
 # partition grids took their corner from values already held, sha256 of
-# the canonical JSON at those earlier counts, most Oracle.eval_batch
-# calls). Each stage of an anchor attempt
-# evaluates its probes in one call, which took the calls from 7, 9, 9,
-# 12, 13, 16, 22, 15, 21, 24, 17 down to these. Pair probes stop once a
+# the canonical JSON at those earlier counts, the Oracle.eval_batch calls
+# made). Each stage of an anchor attempt evaluates its probes in one
+# call, which took the calls from 7, 9, 9, 12, 13, 16, 22, 15, 21, 24, 17
+# down to 5, 8, 8, 9, 10, 9, 13, 10, 5, 16, 10. The second anchor's graph
+# evaluates, in its first call, every probe of the pairs that are no edge
+# of the first graph, which takes one call more off every case but 1 and
+# 9, whose non-repeated variables all interact. Pair probes stop once a
 # pair interacts, the factor partition probes the target without
 # tabulating the blocks first, the pair probes are anchored differences
 # that share f(anchor) and the single moves, an attempt evaluates
@@ -1196,17 +1340,17 @@ def test_reconstruction_catches_an_interaction_no_pair_shows():
 # 663, 937, 1294, 651); the reports differ from those only in their
 # counts and the ignored key.
 _DETECT_BUDGET = {
-    1: (54, 56, 137, "bc83191d687e1cfca991ff3e13d59d213c965f47693a4f7c165b69525882a3f7", 6),
-    2: (159, 228, 245, "0136ce47e21dd18b94553248238b5156e65ebdb19061b87b2b1664d7ad30d688", 8),
-    3: (161, 228, 245, "13c7051ae839d2535f5511e6cef8430150bc19d51c3ec90d4f99a8aace8f164c", 8),
-    4: (142, 213, 229, "e7591649e49376aeb11f1ba62f9410801d3a25e9599c5176304e6e06ad0528d3", 9),
-    5: (215, 296, 313, "30bbee9e85b3740d49bfcdd41e6249042589789f99dec6c9fc4537c608630b44", 10),
-    6: (348, 476, 492, "dcd45e4c6ac646af56b268ef2231567f1ac98f129f47ee90b06ece240a519ec8", 9),
-    7: (448, 576, 594, "65166523f016d35e324f01dbea6befb43aeae02977d80edc366f9c7cd6768bcf", 13),
-    8: (330, 439, 456, "6a4019f3800a7ad37383c6cfa9cd232447ab0cfe71a85e7152233ee94a795521", 10),
-    9: (614, 764, 859, "f487cf37befecb61da3de506272177f7528b2b0bcca8603e7e731ddc96850f79", 6),
-    10: (615, 775, 797, "8d439b23c1a283ad4d22382459aa9215e73aa122194944b245d4b02cfaa0a491", 16),
-    11: (407, 541, 562, "26901d0c87f69119ec216492daa4ddea31d2dfac9e5cd553816135add2044728", 10),
+    1: (53, 54, 56, 137, "bc83191d687e1cfca991ff3e13d59d213c965f47693a4f7c165b69525882a3f7", 5),
+    2: (158, 159, 228, 245, "0136ce47e21dd18b94553248238b5156e65ebdb19061b87b2b1664d7ad30d688", 7),
+    3: (160, 161, 228, 245, "13c7051ae839d2535f5511e6cef8430150bc19d51c3ec90d4f99a8aace8f164c", 7),
+    4: (118, 142, 213, 229, "e7591649e49376aeb11f1ba62f9410801d3a25e9599c5176304e6e06ad0528d3", 8),
+    5: (190, 215, 296, 313, "30bbee9e85b3740d49bfcdd41e6249042589789f99dec6c9fc4537c608630b44", 9),
+    6: (324, 348, 476, 492, "dcd45e4c6ac646af56b268ef2231567f1ac98f129f47ee90b06ece240a519ec8", 8),
+    7: (388, 448, 576, 594, "65166523f016d35e324f01dbea6befb43aeae02977d80edc366f9c7cd6768bcf", 12),
+    8: (305, 330, 439, 456, "6a4019f3800a7ad37383c6cfa9cd232447ab0cfe71a85e7152233ee94a795521", 9),
+    9: (599, 614, 764, 859, "f487cf37befecb61da3de506272177f7528b2b0bcca8603e7e731ddc96850f79", 5),
+    10: (580, 615, 775, 797, "8d439b23c1a283ad4d22382459aa9215e73aa122194944b245d4b02cfaa0a491", 15),
+    11: (358, 407, 541, 562, "26901d0c87f69119ec216492daa4ddea31d2dfac9e5cd553816135add2044728", 9),
 }
 
 
@@ -1220,10 +1364,11 @@ def test_detection_reports_are_unchanged_in_fewer_oracle_calls(no, monkeypatch):
         return inner(self, points)
 
     monkeypatch.setattr(Oracle, "eval_batch", spy)
-    probes, probes_unshared, probes_before, sha, most_calls = _DETECT_BUDGET[no]
+    probes, probes_prev, probes_unshared, probes_before, sha, most_calls = _DETECT_BUDGET[no]
     report = run_case(no, suite_seeds(0, no, 1)[0], detect_only=True)
     assert report.error is None
-    assert report.detect_evals == report.oracle_evals == sum(calls) == probes < probes_unshared
+    assert report.detect_evals == report.oracle_evals == sum(calls) == probes
+    assert probes < probes_prev < probes_unshared
     assert len(calls) <= most_calls
     # at the earlier counts, the report is the earlier one byte for byte
     report.detect_evals = report.oracle_evals = probes_before
