@@ -14,7 +14,7 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -126,10 +126,6 @@ def build_basis(
     """One term per nonempty factor subset of every block."""
     terms: list[BasisTerm] = []
     for bi, models in enumerate(factors):
-        if len(models) > 6:
-            raise ft.FitError(
-                f"basis explosion: block {bi} has {len(models)} factors"
-            )
         for size in range(1, len(models) + 1):
             for subset in itertools.combinations(range(len(models)), size):
                 factors = tuple(models[k].expr for k in subset)
@@ -178,16 +174,16 @@ def _fit_sweep(cfg: RunConfig, isolate, *args) -> ft.FactorModel:
     first_block=True)`, and, unless that fit is exact, on the whole sweep,
     `isolate(*args)`, whose rest is drawn only then.
 
-    The block fit runs no LDSE and is accepted only at a normalized MSE of
-    at most min(fit.EXACT_MSE, cfg.tol_target). A block that is mostly
-    invalid, or whose fit raises FitError, also goes on to the whole
-    sweep, which is fitted as a sweep drawn at once is, LDSE included.
+    The block is marked as one, so `fit.fit_factor` fits it by the block
+    rule: no LDSE, and acceptance only at a normalized MSE of at most
+    min(fit.EXACT_MSE, cfg.tol_target). A block that is mostly invalid,
+    or whose fit raises FitError, also goes on to the whole sweep, which
+    is fitted as a sweep drawn at once is, LDSE included.
     """
     block = isolate(*args, first_block=True)
     if block is not None:
-        exact = replace(cfg, tol_target=min(ft.EXACT_MSE, cfg.tol_target))
         with contextlib.suppress(ft.FitError):
-            model = ft.fit_factor(block, exact, ldse=False)
+            model = ft.fit_factor(block, cfg)
             if model.converged:
                 return model
     return ft.fit_factor(isolate(*args), cfg)
@@ -205,7 +201,18 @@ def fit_structure_factors(
     block's spread pair are not evaluated again. Otherwise a fresh one
     evaluates f(anchor) once, in the first psi sweep, and each block's
     spread pair once. Every sweep evaluation happens inside a call of
-    `detect.isolate_psi_data` or `detect.isolate_omega_data`."""
+    `detect.isolate_psi_data` or `detect.isolate_omega_data`.
+
+    What the fitter cannot take raises FitError before any sweep: a
+    factor over more variables than a skeleton stream covers
+    (`fit.skeleton_stream`), then a block of more than 6 factors, whose
+    2^k - 1 basis terms would explode."""
+    for b in structure.blocks:
+        for g in (*b.psi_factors, *b.omega_factors):
+            ft.skeleton_stream(len(g), cfg.max_nodes)
+    for bi, b in enumerate(structure.blocks):
+        if b.factor_count() > 6:
+            raise ft.FitError(f"basis explosion: block {bi} has {b.factor_count()} factors")
     at = structure.at
     if at is None or at.o is not oracle or at.cfg != cfg:
         at = det.Anchor(oracle, structure.anchor, cfg)

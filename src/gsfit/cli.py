@@ -51,7 +51,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hi", default="3", help="upper bounds (scalar or comma list)")
     p.add_argument("--seed", type=int, default=default.seed)
     p.add_argument("--tol-detect", type=float, default=default.tol_detect,
-                   help="relative detection tolerance, at least 0 and below 1")
+                   help="relative detection tolerance, at least 1e-12 and below 1")
     p.add_argument("--tol-target", type=float, default=default.tol_target,
                    help="MSE tolerance: a factor fit accepts at a normalized MSE "
                         "of at most this, validation at an absolute MSE")

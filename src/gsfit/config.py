@@ -13,7 +13,7 @@ rest names what the batch probes: variables, a block or a trial. A
 redrawn anchor thus probes afresh in every stage.
 
     tag   stage (module `detect`, else as named)
-    101   graph moves of one variable (`Anchor.move_draws`), read by the
+    101   graph moves of one variable (`Anchor.moves`), read by the
           pair scores, `interaction_graph` and the psi partition grids'
           axes; a pair's attempt t, both its variables at their t-th
           moves, is also its psi grid's diagonal cell (t, t)
@@ -22,9 +22,9 @@ redrawn anchor thus probes afresh in every stage.
           (`isolate_psi_data`)
     401   probes of a block (`Anchor.probes`), read by its spread pair,
           its consistency probe and the reconstruction check
-    402   omega factor sweep: its first block, then, when the factor
-          does not fit exactly on the block, the rest, from one stream
-          (`isolate_omega_data`)
+    402   omega factor sweep, keyed by its block and its group: its
+          first block, then, when the factor does not fit exactly on the
+          block, the rest, from one stream (`isolate_omega_data`)
     601   membership sweep (`Anchor.memberships`): where the graph links
           the variable to the block, its first 6 points, then, when
           those do not couple, the rest, from one stream; otherwise all
@@ -57,7 +57,8 @@ import numpy as np
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
-    tol_detect: float = 1e-8      # relative detection tolerance, below 1
+    tol_detect: float = 1e-8      # relative detection tolerance, from 1e-12,
+                                  # below which rounding decides, to below 1
     tol_target: float = 1e-6      # MSE tolerance, normalized for a factor
                                   # fit and absolute for validation
     samples_per_var: int = 200    # most validation points per variable,
@@ -72,7 +73,7 @@ class RunConfig:
         # in the command line's order, each message naming the flag
         for flag, ok, rule in (
             ("--seed", self.seed >= 0, "at least 0"),
-            ("--tol-detect", 0 <= self.tol_detect < 1, "finite, at least 0 and below 1"),
+            ("--tol-detect", 1e-12 <= self.tol_detect < 1, "finite, at least 1e-12 and below 1"),
             ("--tol-target", 0 <= self.tol_target < math.inf, "finite and at least 0"),
             ("--max-nodes", self.max_nodes >= 3, "at least 3"),
             ("--kmax", self.kmax >= 1, "at least 1"),

@@ -189,6 +189,8 @@ class FactorData:
     vars: tuple[int, ...]
     points: np.ndarray
     values: np.ndarray
+    # a sweep's first block, which `fit.fit_factor` fits by its own rule
+    first_block: bool = False
 
 
 # --------------------------------------------------------------------------
@@ -200,8 +202,7 @@ def _pair_scores(at: Anchor, pairs, probes: int, tol: float = math.inf,
     """Normalized anchored mixed differences of variable pairs, others pinned.
 
     Variable v draws its moves X_v[0], X_v[1], ... on [lo_v, hi_v] from
-    its own stream (`Anchor.move_draws`), so each anchor attempt probes
-    afresh.
+    its own stream (`Anchor.moves`), so each anchor attempt probes afresh.
     Attempt t of pair (a, b) is the anchored second difference of cut-HDMR
     (Rabitz and Alis, J. Math. Chem. 25, 1999), everything else at the
     anchor c:
@@ -224,7 +225,8 @@ def _pair_scores(at: Anchor, pairs, probes: int, tol: float = math.inf,
     probes drawn until then. A pair that never clears tol gets the same
     attempts, and so the same score, as under tol = inf. Attempt t reads
     the t-th move of each of its variables, so a pair's attempts are a
-    prefix of those it would get under a larger tol.
+    prefix of those it would get under a larger tol, and each variable's
+    evaluated single moves are a prefix of its moves.
 
     Each round evaluates the attempts it counts that are not evaluated
     yet, with the single moves they reach for the first time, in one
@@ -234,12 +236,11 @@ def _pair_scores(at: Anchor, pairs, probes: int, tol: float = math.inf,
     the next round finds them evaluated. It moves no attempt between
     rounds, so the scores are the same whatever it asks for. The single
     moves and each pair's evaluated attempts stay on the anchor, in
-    at.moves and at.joint, for `interaction_graph` and the psi partition
-    grids.
+    `Anchor.moves` and `Anchor.joint`, for `interaction_graph` and the
+    psi partition grids.
     """
     o, anchor, fc = at.o, at.point, float(at.f)
     pairs = [tuple(sorted(p)) for p in pairs]
-    single = at.moves
     held = [at.joint.setdefault(p, []) for p in pairs]   # f at each evaluated attempt
     made, filled, run = [0] * len(pairs), [0] * len(pairs), [0] * len(pairs)
     diff, peak = [0.0] * len(pairs), [0.0] * len(pairs)
@@ -249,24 +250,27 @@ def _pair_scores(at: Anchor, pairs, probes: int, tol: float = math.inf,
         ends = [max(made[k] + m, upto[k]) for k, m in zip(todo, need)]
         fresh = [(k, t) for k, end in zip(todo, ends) for t in range(len(held[k]), end)]
         if fresh:
-            # each variable's held moves, drawn as far as the call reads
+            # each variable's held moves, drawn as far as the call reads,
+            # and the single moves it evaluates, in order after those held
             top = max(ends)
-            xs = {v: at.move_draws(v, top) for v in {v for k in todo for v in pairs[k]}}
-            new = sorted({(v, t) for k, t in fresh for v in pairs[k]} - single.keys())
+            mv = {v: at.moves(v, top) for v in {v for k in todo for v in pairs[k]}}
+            new = sorted({(v, t) for k, t in fresh for v in pairs[k] if t >= len(mv[v][1])})
             pts = np.tile(anchor, (len(new) + len(fresh), 1))
             for i, (v, t) in enumerate(new):
-                pts[i, v - 1] = xs[v][t]
+                pts[i, v - 1] = mv[v][0][t]
             for i, (k, t) in enumerate(fresh, len(new)):
                 for v in pairs[k]:
-                    pts[i, v - 1] = xs[v][t]
+                    pts[i, v - 1] = mv[v][0][t]
             f = o.eval_batch(pts).tolist()
-            single.update(zip(new, f))
+            for (v, _), fv in zip(new, f):
+                mv[v][1].append(fv)
             for (k, _), fv in zip(fresh, f[len(new):]):
                 held[k].append(fv)
         for k, m in zip(todo, need):
             (a, b), h = pairs[k], held[k]
+            fa, fb = at.moves(a)[1], at.moves(b)[1]
             for t in range(made[k], made[k] + m):
-                f4 = (h[t], single[a, t], single[b, t], fc)
+                f4 = (h[t], fa[t], fb[t], fc)
                 if not all(map(math.isfinite, f4)):
                     run[k] += 1
                     if run[k] == MAX_INVALID_ATTEMPTS:
@@ -289,7 +293,8 @@ def _pair_scores(at: Anchor, pairs, probes: int, tol: float = math.inf,
 def interaction_graph(at: Anchor, among: set[int] | None = None,
                       prior: InteractionGraph | None = None) -> InteractionGraph:
     """Score variable pairs at the anchor; edge wherever the score clears
-    cfg.tol_detect.
+    cfg.tol_detect. The graph is returned and held on the anchor
+    (`Anchor.graph`), for the stages that read it there.
 
     Every pair of variables in `among` (default: all) is scored, the
     others score 0. All pairs are scored together: the first oracle call
@@ -323,17 +328,16 @@ def interaction_graph(at: Anchor, among: set[int] | None = None,
         scores[i - 1, j - 1] = scores[j - 1, i - 1] = s
     if len(verts) == 1:   # a lone variable, in no pair
         (v,) = verts
-        xs = at.move_draws(v, PAIR_PROBES)[:PAIR_PROBES]
-        f = at.o.eval_batch(_pin(at.point, (v,), np.array(xs)[:, None]))
-        at.moves.update(((v, t), fv) for t, fv in enumerate(f.tolist()))
-    # each variable's largest finite move off f(anchor), in one pass
-    fc, off = at.f, {}
-    for (v, _), fv in at.moves.items():
-        if math.isfinite(fv):
-            off[v] = max(off.get(v, 0.0), abs(fv - fc))
+        xs, fs = at.moves(v, PAIR_PROBES)
+        pts = _pin(at.point, (v,), np.array(xs[:PAIR_PROBES])[:, None])
+        fs[:PAIR_PROBES] = at.o.eval_batch(pts).tolist()
+    # each variable's largest finite move off f(anchor)
+    fc = at.f
     flat, edged = tol * max(1.0, abs(fc)), (scores > tol).any(axis=1)
-    ignored = tuple(v for v in verts if off.get(v, math.inf) <= flat and not edged[v - 1])
-    return InteractionGraph(n=n, scores=scores, tol=tol, ignored=ignored)
+    ignored = tuple(v for v in verts if not edged[v - 1] and max(
+        (abs(fv - fc) for fv in at.moves(v)[1] if math.isfinite(fv)), default=math.inf) <= flat)
+    at.graph = InteractionGraph(n=n, scores=scores, tol=tol, ignored=ignored)
+    return at.graph
 
 
 # --------------------------------------------------------------------------
@@ -406,11 +410,13 @@ class Anchor:
     attempt a, and (a, k) for the k-th second anchor of that attempt; a
     hand-built anchor has (0,). It keys every probe stream read at the
     anchor (`rng`), so each new anchor probes afresh in every stage.
-    Each probe is drawn and evaluated at most once, however many stages
-    read it, and held with its points:
-    - the graph's single moves (`move_draws`, `moves`) and each pair's
-      attempts (`joint`), which the psi partition grids also read, on
-      their first row and column and on their diagonal;
+    `graph` is the anchor's interaction graph, once `interaction_graph`
+    has scored it. Each probe is drawn and evaluated at most once, however
+    many stages read it, and held with its points:
+    - each variable's graph moves and its single moves among them
+      (`moves`), and each pair's attempts (`joint`), which the psi
+      partition grids also read, on their first row and column and on
+      their diagonal;
     - each block's probes (`probes`), which its spread pair, its
       consistency probe and the reconstruction check read;
     - each membership sweep, whole or the prefix of it that the graph
@@ -427,13 +433,13 @@ class Anchor:
         self.o, self.cfg, self.attempt = o, cfg, attempt
         self.point = np.asarray(point, dtype=float)
         self._f = f
-        self.moves: dict = {}      # (v, t) -> f at the anchor with x_v = X_v[t]
+        self.graph: InteractionGraph | None = None
         self.joint: dict = {}      # (a, b) -> f at its attempts t = 0, 1, ... evaluated so far
-        self._move_x: dict = {}    # v -> its stream and X_v[0], X_v[1], ... drawn so far
+        self._moves: dict = {}     # v -> its stream, its moves drawn and its single moves
         self._probes: dict = {}    # block -> its probe points and their values
         self._spreads: dict = {}   # block -> spread pair
         self._members: dict = {}   # (v, block) -> sweep points, deltas, coupled
-        self._sweeps: dict = {}    # (stream key, cols) -> the first block's values
+        self._sweeps: dict = {}    # stream key -> its sweep's first block's values
 
     @classmethod
     def draw(cls, o: Oracle, cfg: RunConfig, attempt: tuple[int, ...]) -> "Anchor | None":
@@ -468,23 +474,20 @@ class Anchor:
         lo, hi = self.o.box.lo_array()[idx], self.o.box.hi_array()[idx]
         return uniform(self.rng(tag, *key), lo, hi, (count, len(cols)))
 
-    def move_draws(self, v: int, n: int) -> list[float]:
-        """X_v[0], X_v[1], ...: the moves of variable v, draws on [lo_v,
-        hi_v] of its stream rng(101, v), PAIR_PROBES at a time, as `uniform`
-        draws them. The list is the one held, drawn on until it has at
-        least n moves."""
-        if v not in self._move_x:
-            self._move_x[v] = (self.rng(101, v), [])
-        r, xs = self._move_x[v]
+    def moves(self, v: int, n: int = 0) -> tuple[list[float], list[float]]:
+        """(xs, fs): xs are X_v[0], X_v[1], ...: the moves of variable v,
+        draws on [lo_v, hi_v] of its stream rng(101, v), PAIR_PROBES at a
+        time, as `uniform` draws them, drawn on until there are at least
+        n; fs are the single moves evaluated so far, f at the anchor with
+        x_v = X_v[t] for t = 0, 1, .... Both lists are the ones held, and
+        their readers extend fs."""
+        if v not in self._moves:
+            self._moves[v] = (self.rng(101, v), [], [])
+        r, xs, fs = self._moves[v]
         if n > len(xs):
             lo, hi = self.o.box.lo[v - 1], self.o.box.hi[v - 1]
             xs += (lo + r.random(max(PAIR_PROBES, n - len(xs))) * (hi - lo)).tolist()
-        return xs
-
-    def slice(self, block_vars: tuple[int, ...], coords) -> np.ndarray:
-        """h(b) = f(b at block_vars, point elsewhere) - f(point) at each
-        row b of coords."""
-        return self.o.eval_batch(_pin(self.point, block_vars, coords)) - self.f
+        return xs, fs
 
     def eval_with_probes(self, blocks, pts: np.ndarray | None = None) -> np.ndarray:
         """f at the rows of pts, in one oracle call with the probes of
@@ -511,14 +514,15 @@ class Anchor:
             self.eval_with_probes([block_vars])
         return self._probes[block_vars]
 
-    def _spread_pairs(self, blocks) -> None:
-        """Derive the spread pairs of those of `blocks` that have none yet,
-        their probes not yet held evaluated in one oracle call. The first
-        of them, in block order, whose spread pair fails raises its
-        DegenerateAnchorError (see `spread_pair`)."""
+    def spread_pairs(self, blocks) -> list[tuple[np.ndarray, np.ndarray, float]]:
+        """(b_lo, b_hi, spread) of each of `blocks`: the block probes
+        (`probes`) of the lowest and the highest response, and the
+        difference of those. The probes not yet held of the blocks with
+        no spread pair yet are evaluated in one oracle call. A spread
+        within cfg.tol_detect of the responses' scale cannot isolate the
+        block's coupling; it raises DegenerateAnchorError, as do fewer
+        than two valid probes, for the first such block in block order."""
         new = [b for b in blocks if b not in self._spreads]
-        if not new:
-            return
         self.eval_with_probes(new)
         for b in new:
             cand, vals = self._probes[b]
@@ -530,77 +534,47 @@ class Anchor:
             if spread <= self.cfg.tol_detect * max(1.0, float(np.nanmax(np.abs(vals)))):
                 raise DegenerateAnchorError("degenerate block during membership test")
             self._spreads[b] = (cand[order[0]], cand[order[-1]], spread)
+        return [self._spreads[b] for b in blocks]
 
-    def spread_pair(self, block_vars: tuple[int, ...]):
-        """(b_lo, b_hi, spread): the block probes (`probes`) of the lowest
-        and the highest response, and the difference of those. A spread
-        within cfg.tol_detect of the responses' scale cannot isolate the
-        block's coupling; it raises DegenerateAnchorError, as do fewer
-        than two valid probes."""
-        self._spread_pairs([block_vars])
-        return self._spreads[block_vars]
-
-    def delta_points(self, sweeps) -> np.ndarray:
-        """The points of `delta` for each (block_vars, cols, coords) of
-        sweeps in turn: the rows of coords over `cols` with the block at
-        its b_lo, then with it at its b_hi, the anchor elsewhere."""
-        sweeps = [(b, cols, np.atleast_2d(z)) for b, cols, z in sweeps]
-        pts = np.repeat(self.point[None], 2 * sum(len(z) for *_, z in sweeps), axis=0)
-        start = 0
-        for b, cols, z in sweeps:
-            b_lo, b_hi, _ = self.spread_pair(b)
-            lo, hi = pts[start:start + len(z)], pts[start + len(z):start + 2 * len(z)]
-            lo[:, [u - 1 for u in b]], hi[:, [u - 1 for u in b]] = b_lo, b_hi
-            lo[:, [v - 1 for v in cols]] = hi[:, [v - 1 for v in cols]] = z
-            start += 2 * len(z)
-        return pts
-
-    def delta(self, block_vars: tuple[int, ...], cols: tuple[int, ...], coords) -> np.ndarray:
-        """Delta(z) = f(z, b_lo, point elsewhere) - f(z, b_hi, point
-        elsewhere) at each row z of coords over `cols`, at the block's
-        spread pair, in one oracle call. Every other block cancels, leaving
-        the block's repeated coupling times a constant."""
-        return _halves_diff(self.o.eval_batch(self.delta_points([(block_vars, cols, coords)])))
-
-    def memberships(self, blocks, repeated,
-                    graph: InteractionGraph | None = None) -> list[tuple[int, ...]]:
+    def memberships(self, blocks, repeated) -> list[tuple[int, ...]]:
         """For each of `blocks`, the repeated variables its difference
         varies with (`_couples`), each swept at MEMBERSHIP_POINTS points
         of its own (stream 601). Each sweep's points and differences are
         held: all its points, or a prefix that already couples.
 
-        `graph`, the anchor's interaction graph, sizes the sweeps. A
+        The anchor's graph (`graph`), once scored, sizes the sweeps. A
         sweep of v into a block the graph links v to evaluates its first
         GRID_DRAWS points, and its other ones only when those do not
         couple; since the rule never turns back once a prefix couples,
         the verdict is that of the whole sweep. Any other sweep, and
-        every sweep without a graph, is evaluated whole.
+        every sweep at an anchor with no graph, is evaluated whole.
 
         The block probes not yet held are evaluated in one oracle call,
         then every sweep not yet held, or its first points, in one more,
         and the rest of the sweeps that need it in a third. A failed
-        spread pair raises as `_spread_pairs` does, and a sweep with
+        spread pair raises as `spread_pairs` does, and a sweep with
         fewer than four valid differences, once its points are all
         evaluated, raises DegenerateAnchorError.
         """
         if not repeated:
             return [() for _ in blocks]
-        self._spread_pairs(blocks)
+        self.spread_pairs(blocks)
         sweeps = [(v, b) for b in blocks for v in repeated if (v, b) not in self._members]
         if sweeps:
-            tol = self.cfg.tol_detect
+            tol, g = self.cfg.tol_detect, self.graph
             zs = [self.uniform((v,), MEMBERSHIP_POINTS, 601, v, *b) for v, b in sweeps]
-            heads = [GRID_DRAWS if graph is not None and any(graph.has_edge(v, u) for u in b)
+            heads = [GRID_DRAWS if g is not None and any(g.has_edge(v, u) for u in b)
                      else MEMBERSHIP_POINTS for v, b in sweeps]
-            deltas = self._sweep_deltas(sweeps, [z[:m] for z, m in zip(zs, heads)])
+            deltas = self._sweep_deltas([(b, (v,), z[:m])
+                                         for (v, b), z, m in zip(sweeps, zs, heads)])
             coupled = [_couples(d, tol) for d in deltas]
             more = [k for k, (m, c) in enumerate(zip(heads, coupled))
                     if m < MEMBERSHIP_POINTS and not c]
             if any(c is None and m == MEMBERSHIP_POINTS for m, c in zip(heads, coupled)):
                 raise DegenerateAnchorError("membership sweep mostly invalid")
             if more:
-                tails = self._sweep_deltas([sweeps[k] for k in more],
-                                           [zs[k][heads[k]:] for k in more])
+                tails = self._sweep_deltas([(sweeps[k][1], (sweeps[k][0],), zs[k][heads[k]:])
+                                            for k in more])
                 for k, d in zip(more, tails):
                     deltas[k] = np.concatenate([deltas[k], d])
                     coupled[k] = _couples(deltas[k], tol)
@@ -610,12 +584,25 @@ class Anchor:
                 self._members[key] = (z[:len(d), 0], d, c)
         return [tuple(v for v in repeated if self._members[v, b][2]) for b in blocks]
 
-    def _sweep_deltas(self, sweeps, zs) -> list[np.ndarray]:
-        """`delta` of each sweep (v, block) at the rows of its points zs,
-        all in one oracle call."""
-        f = self.o.eval_batch(self.delta_points([(b, (v,), z) for (v, b), z in zip(sweeps, zs)]))
-        ends = itertools.accumulate(2 * len(z) for z in zs)
-        return [_halves_diff(f[end - 2 * len(z):end]) for z, end in zip(zs, ends)]
+    def _sweep_deltas(self, sweeps) -> list[np.ndarray]:
+        """Delta(z) = f(z, b_lo, point elsewhere) - f(z, b_hi, point
+        elsewhere) at each row z of coords over `cols`, for each
+        (block_vars, cols, coords) of sweeps, at the block's spread pair,
+        all in one oracle call. Every other block cancels, leaving the
+        block's repeated coupling times a constant. The points are the
+        rows of each sweep's coords with its block at b_lo, then with it
+        at b_hi, sweep by sweep."""
+        pts = np.repeat(self.point[None], 2 * sum(len(z) for *_, z in sweeps), axis=0)
+        start = 0
+        for b, cols, z in sweeps:
+            (b_lo, b_hi, _), = self.spread_pairs([b])
+            lo, hi = pts[start:start + len(z)], pts[start + len(z):start + 2 * len(z)]
+            lo[:, [u - 1 for u in b]], hi[:, [u - 1 for u in b]] = b_lo, b_hi
+            lo[:, [v - 1 for v in cols]] = hi[:, [v - 1 for v in cols]] = z
+            start += 2 * len(z)
+        f = self.o.eval_batch(pts)
+        ends = itertools.accumulate(2 * len(z) for *_, z in sweeps)
+        return [_halves_diff(f[end - 2 * len(z):end]) for (*_, z), end in zip(sweeps, ends)]
 
 
 def _couples(deltas: np.ndarray, tol: float) -> bool | None:
@@ -633,7 +620,7 @@ def _couples(deltas: np.ndarray, tol: float) -> bool | None:
 
 
 def _halves_diff(f: np.ndarray) -> np.ndarray:
-    """The first half of f less the second: `delta`'s values."""
+    """The first half of f less the second: a block difference's values."""
     n = len(f) // 2
     return f[:n] - f[n:]
 
@@ -646,17 +633,17 @@ def _tabulate(at: Anchor, cols, count: int, key, probe, what: str,
     rest, each row once.
 
     The block is evaluated on first use and its values held on the
-    anchor, by stream and columns, since the omega sweeps of a block
-    share a stream. With first_block, the block's finite points, or None
-    when fewer than max(8, block // 2) are finite. Otherwise the whole
-    sweep's, the rest evaluated in one oracle call; fewer than max(8,
-    count // 2) finite values raise DegenerateAnchorError.
+    anchor, by stream. With first_block, the block's finite points, marked
+    as a first block, or None when fewer than max(8, block // 2) are
+    finite. Otherwise the whole sweep's, the rest evaluated in one oracle
+    call; fewer than max(8, count // 2) finite values raise
+    DegenerateAnchorError.
     """
     pts = at.uniform(cols, count, *key)
     head = FIRST_BLOCK_PER_VAR * len(cols)
-    if (key, cols) not in at._sweeps:
-        at._sweeps[key, cols] = probe(pts[:head])
-    vals = at._sweeps[key, cols]
+    if key not in at._sweeps:
+        at._sweeps[key] = probe(pts[:head])
+    vals = at._sweeps[key]
     if first_block:
         pts, need = pts[:head], max(8, head // 2)
     else:
@@ -666,30 +653,34 @@ def _tabulate(at: Anchor, cols, count: int, key, probe, what: str,
         if first_block:
             return None
         raise DegenerateAnchorError(f"{what} mostly invalid")
-    return FactorData(vars=tuple(cols), points=pts[good], values=vals[good])
+    return FactorData(vars=tuple(cols), points=pts[good], values=vals[good],
+                      first_block=first_block)
 
 
 def isolate_psi_data(at: Anchor, group: tuple[int, ...],
                      first_block: bool = False) -> FactorData | None:
-    """Tabulate a psi factor group: the anchor's slice, which equals the
-    group's factor up to an affine transform, at PSI_POINTS_PER_VAR points
-    a variable (stream 301), or at its first block of FIRST_BLOCK_PER_VAR
-    (see `_tabulate`)."""
+    """Tabulate a psi factor group: the anchor's slice, h(b) = f(b at the
+    group, anchor elsewhere) - f(anchor), which equals the group's factor
+    up to an affine transform, at PSI_POINTS_PER_VAR points a variable
+    (stream 301), or at its first block of FIRST_BLOCK_PER_VAR (see
+    `_tabulate`)."""
     return _tabulate(at, group, PSI_POINTS_PER_VAR * len(group), (301, *group),
-                     lambda pts: at.slice(group, pts), "psi slice", first_block)
+                     lambda pts: at.o.eval_batch(_pin(at.point, group, pts)) - at.f,
+                     "psi slice", first_block)
 
 
 def isolate_omega_data(at: Anchor, block_vars: tuple[int, ...], group: tuple[int, ...],
                        first_block: bool = False) -> FactorData | None:
     """Tabulate an omega factor group of a block: the anchor's block
-    difference, which equals the group's factor up to an affine transform,
-    at OMEGA_POINTS_PER_VAR points a variable and at least 48 (stream 402,
-    keyed by the block), or at its first block of FIRST_BLOCK_PER_VAR
-    (see `_tabulate`)."""
+    difference (`Anchor._sweep_deltas`), which equals the group's factor
+    up to an affine transform, at OMEGA_POINTS_PER_VAR points a variable
+    and at least 48 (stream 402, keyed by the block and the group), or
+    at its first block of FIRST_BLOCK_PER_VAR (see `_tabulate`)."""
     if not group:
         raise ValueError("block has no repeated variables to isolate")
     return _tabulate(at, group, max(48, OMEGA_POINTS_PER_VAR * len(group)),
-                     (402, *block_vars), lambda zs: at.delta(block_vars, group, zs),
+                     (402, *block_vars, *group),
+                     lambda zs: at._sweep_deltas([(block_vars, group, zs)])[0],
                      "omega sweep", first_block)
 
 
@@ -786,10 +777,11 @@ def factor_partition(at: Anchor, blocks,
     Each variable pair (p, q) of a side is probed on a grid through the
     anchor's coordinates, whose axes are draws the anchor already holds:
     for a psi side the graph's first GRID_DRAWS moves of each variable
-    (`Anchor.move_draws`), for an omega side the first GRID_DRAWS points
-    of its membership sweep; each variable's axis is read once a side.
-    Psi grids read the anchor's slice, f(b, anchor elsewhere) - f(anchor);
-    omega grids the block differencing `delta` at the block's spread
+    (`Anchor.moves`), for an omega side the first GRID_DRAWS points of
+    its membership sweep (`Anchor.memberships`, sized by the anchor's
+    graph); each variable's axis is read once a side. Psi grids read the
+    anchor's slice, f(b, anchor elsewhere) - f(anchor); omega grids the
+    block difference (`Anchor._sweep_deltas`) at the block's spread
     pair. A grid's corner is the anchor, whose value is known: 0 for psi,
     and for omega f(b_lo) - f(b_hi), the negated spread. Its first row
     and column move one variable: they are the held single moves and
@@ -821,7 +813,7 @@ def factor_partition(at: Anchor, blocks,
             continue
         held, values = (), []
         if psi:
-            axes = np.array([at.move_draws(v, n)[:n] for v in variables])
+            axes = np.array([at.moves(v, n)[0][:n] for v in variables])
             base = point[None]
             # cell (t, t) of pair (p, q) is the graph's attempt t of the pair
             diag = [at.joint.get(pq, ())[:n] for pq in itertools.combinations(variables, 2)]
@@ -829,7 +821,7 @@ def factor_partition(at: Anchor, blocks,
         else:
             at.memberships([block_vars], variables)
             axes = np.array([at._members[v, block_vars][0][:n] for v in variables])
-            base = _pin(point, block_vars, np.stack(at.spread_pair(block_vars)[:2]))
+            base = _pin(point, block_vars, np.stack(at.spread_pairs([block_vars])[0][:2]))
         # every pair's inner points, in row order, at each base row in turn
         cells, rows, (ri, rt), (ci, ct), skip = _grid_cells(len(variables), held)
         cols = np.array(variables) - 1
@@ -839,13 +831,15 @@ def factor_partition(at: Anchor, blocks,
         grids.append((s, *_index_pairs(len(variables)), cells, skip, values))
         inner.append(pts.reshape(-1, len(point)))
 
-    moves = [(v, t) for s, *_ in grids if sides[s][2] for v in sides[s][1] for t in range(n)]
-    new = [key for key in moves if key not in at.moves]
+    # the single moves of the psi grids' first rows and columns not yet held
+    new = [(v, t) for s, *_ in grids if sides[s][2] for v in sides[s][1]
+           for t in range(len(at.moves(v)[1]), n)]
     pts = np.repeat(point[None], len(new), axis=0)
     for r, (v, t) in enumerate(new):
-        pts[r, v - 1] = at.move_draws(v, n)[t]
+        pts[r, v - 1] = at.moves(v, n)[0][t]
     f = at.eval_with_probes(hold, np.vstack([pts, *inner]))
-    at.moves.update(zip(new, f[:len(new)].tolist()))
+    for (v, _), fv in zip(new, f[:len(new)].tolist()):
+        at.moves(v)[1].append(fv)
 
     H, start = [], len(new)
     for (s, i, j, cells, skip, values), pts in zip(grids, inner):
@@ -857,9 +851,9 @@ def factor_partition(at: Anchor, blocks,
             vals = full
         if psi:
             corner, vals = 0.0, vals - at.f
-            edge = np.array([[at.moves[v, t] for t in range(n)] for v in variables]) - at.f
+            edge = np.array([at.moves(v)[1][:n] for v in variables]) - at.f
         else:
-            corner, vals = -at.spread_pair(block_vars)[2], _halves_diff(vals)
+            corner, vals = -at.spread_pairs([block_vars])[0][2], _halves_diff(vals)
             edge = np.array([at._members[v, block_vars][1][:n] for v in variables])
         h = np.empty((len(i), n + 1, n + 1))
         h[:, 0, 0], h[:, 1:, 0], h[:, 0, 1:] = corner, edge[i], edge[j]
@@ -917,39 +911,39 @@ def _block_consistent(at: Anchor, block_vars, members) -> bool:
     return True
 
 
-def _structure_consistent(at: Anchor, g: InteractionGraph, picked) -> bool:
-    """Check every candidate block against its repeated-variable coupling,
-    block by block: the first inconsistent block ends the check, so no
-    later block is probed."""
-    rest = set(range(1, g.n + 1)) - set(picked)
+def _structure_consistent(at: Anchor, picked) -> bool:
+    """Check every candidate block, a component of the anchor's graph
+    over the variables not in `picked`, against its repeated-variable
+    coupling, block by block: the first inconsistent block ends the
+    check, so no later block is probed."""
+    rest = set(range(1, at.o.arity + 1)) - set(picked)
     if not rest:
         return False
-    for comp in g.components(rest):
-        if not _block_consistent(at, comp, at.memberships([comp], picked, g)[0]):
+    for comp in at.graph.components(rest):
+        if not _block_consistent(at, comp, at.memberships([comp], picked)[0]):
             return False
     return True
 
 
-def minimal_blocks(
-    at: Anchor, repeated: tuple[int, ...], graph: InteractionGraph
-) -> GsStructure:
+def minimal_blocks(at: Anchor, repeated: tuple[int, ...]) -> GsStructure:
     """Blocks (with repeated membership) for a given repeated set.
 
-    The blocks are the components of `graph`, scored at `at`, over the
-    non-repeated variables it does not ignore. They are recomputed at a
+    The blocks are the components of the anchor's graph (`Anchor.graph`,
+    scored here when the anchor holds none) over the non-repeated
+    variables it does not ignore. They are recomputed at a
     second anchor, the attempt (*at.attempt, k) of `Anchor.draw`, whose
     graph probes from its own streams, so it must ignore the same ones; a
     disagreement at both (k = 0, 1) raises StructureUnstableError, and a
     draw with no valid point raises DegenerateAnchorError. No block draws
     no second anchor. The second anchor's graph scores only the pairs
     inside the non-repeated variables, the only pairs their components
-    read, and takes `graph` as its prior: the pairs that are no edge of
-    it take all their probes in its first call, so it usually costs one.
-    Memberships read the spread pairs and sweeps of `at`, sized by
-    `graph`; those not yet held are evaluated for all blocks at once, the
-    spread pairs in one oracle call and the sweeps in one more.
+    read, and takes the anchor's graph as its prior: the pairs that are no
+    edge of it take all their probes in its first call, so it usually
+    costs one. Memberships read the spread pairs and sweeps of `at`,
+    sized by its graph; those not yet held are evaluated for all blocks at
+    once, the spread pairs in one oracle call and the sweeps in one more.
     """
-    o, cfg = at.o, at.cfg
+    o, cfg, graph = at.o, at.cfg, at.graph or interaction_graph(at)
     rest = set(range(1, o.arity + 1)) - set(repeated)
     if not rest:
         raise DetectionError("empty block: every variable marked repeated")
@@ -967,7 +961,7 @@ def minimal_blocks(
         raise StructureUnstableError("structure unstable: anchors disagree on blocks")
 
     blocks = [Block(vars=comp, repeated=members)
-              for comp, members in zip(comps, at.memberships(comps, repeated, graph))]
+              for comp, members in zip(comps, at.memberships(comps, repeated))]
     return GsStructure(
         repeated=tuple(sorted(repeated)), blocks=blocks, anchor=tuple(at.point),
         ignored=tuple(v for v in graph.ignored if v in rest),
@@ -1047,8 +1041,9 @@ def _detect_once(o: Oracle, cfg: RunConfig, attempt: tuple[int]) -> GsStructure:
     """One anchor attempt. Its `Anchor` evaluates f(anchor), the graph's
     single moves and pair probes, each block's probes and each membership
     sweep once for every stage, the fit's sweeps included: the structure
-    it returns carries it. The anchor's graph sizes the membership sweeps
-    and predicts the second anchor's graph (`minimal_blocks`). Every
+    it returns carries it. The anchor holds its graph (`Anchor.graph`),
+    which sizes the membership sweeps, the partition's included, and
+    predicts the second anchor's graph (`minimal_blocks`). Every
     partition grid is evaluated in one call. A box probe (stream 900)
     runs only when no anchor draw is valid, to tell a target invalid
     everywhere."""
@@ -1060,9 +1055,9 @@ def _detect_once(o: Oracle, cfg: RunConfig, attempt: tuple[int]) -> GsStructure:
         raise DegenerateAnchorError("anchor value invalid")
 
     graph = interaction_graph(at)
-    validator = lambda picked: _structure_consistent(at, graph, picked)
+    validator = lambda picked: _structure_consistent(at, picked)
     repeated = repeated_vars(graph, cfg.kmax, validator=validator)
-    structure = minimal_blocks(at, repeated, graph)
+    structure = minimal_blocks(at, repeated)
     # the reconstruction check of two or more blocks reads their probes;
     # those the memberships did not evaluate, as when no variable is
     # repeated, join the grids' call

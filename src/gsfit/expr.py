@@ -12,14 +12,10 @@ ordinary trees by `bind`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-
-UNARY_OPS = ("neg", "sin", "cos", "exp", "ln", "sqrt", "square")
-BINARY_OPS = ("add", "sub", "mul", "div", "pow")
-
-_FUNC_NAMES = {"sin": "sin", "cos": "cos", "exp": "exp", "ln": "ln", "sqrt": "sqrt"}
 
 
 def _div(a, b):
@@ -38,11 +34,20 @@ def _square(a):
     return a * a
 
 
-# unary kinds other than neg, as one-argument functions
-_UNARY_FUNCS = {
-    "sin": np.sin, "cos": np.cos, "exp": np.exp,
-    "ln": _ln, "sqrt": _sqrt, "square": _square,
+# Every operator kind, in the order of UNARY_OPS and BINARY_OPS: its
+# function of the children's values and, for a binary kind, its symbol
+# and precedence in printing. operator.neg(a) is -a, operator.add(a, b)
+# is a + b, and so on: the numpy operations of the node.
+_OPS = {
+    "neg": (operator.neg,), "sin": (np.sin,), "cos": (np.cos,), "exp": (np.exp,),
+    "ln": (_ln,), "sqrt": (_sqrt,), "square": (_square,),
+    "add": (operator.add, "+", 1), "sub": (operator.sub, "-", 1),
+    "mul": (operator.mul, "*", 2), "div": (_div, "/", 2), "pow": (np.power, "^", 4),
 }
+UNARY_OPS = tuple(k for k, op in _OPS.items() if len(op) == 1)
+BINARY_OPS = tuple(k for k, op in _OPS.items() if len(op) == 3)
+# the unary kinds written name(argument)
+_FUNCS = frozenset(UNARY_OPS) - {"neg", "square"}
 
 
 class ParseError(ValueError):
@@ -144,24 +149,13 @@ class Expr:
         if k == "param":
             j = self.index
             return lambda pts, theta: theta[j]
+        if k not in _OPS:
+            raise ValueError(f"unknown node kind {k!r}")
+        f, fa = _OPS[k][0], self.args[0]._compiled
         if k in BINARY_OPS:
-            fa, fb = self.args[0]._compiled, self.args[1]._compiled
-            if k == "add":
-                return lambda pts, theta: fa(pts, theta) + fb(pts, theta)
-            if k == "sub":
-                return lambda pts, theta: fa(pts, theta) - fb(pts, theta)
-            if k == "mul":
-                return lambda pts, theta: fa(pts, theta) * fb(pts, theta)
-            if k == "div":
-                return lambda pts, theta: _div(fa(pts, theta), fb(pts, theta))
-            return lambda pts, theta: np.power(fa(pts, theta), fb(pts, theta))
-        fa = self.args[0]._compiled
-        if k == "neg":
-            return lambda pts, theta: -fa(pts, theta)
-        if k in _UNARY_FUNCS:
-            f = _UNARY_FUNCS[k]
-            return lambda pts, theta: f(fa(pts, theta))
-        raise ValueError(f"unknown node kind {k!r}")
+            fb = self.args[1]._compiled
+            return lambda pts, theta: f(fa(pts, theta), fb(pts, theta))
+        return lambda pts, theta: f(fa(pts, theta))
 
     def __getstate__(self):
         # the fields only: a closure cannot be pickled
@@ -191,8 +185,8 @@ class Expr:
             return f"x{self.index}"
         if k == "param":
             return f"p{self.index}"
-        if k in _FUNC_NAMES:
-            return f"{_FUNC_NAMES[k]}({self.args[0]._print(0)})"
+        if k in _FUNCS:
+            return f"{k}({self.args[0]._print(0)})"
         if k == "square":
             # grammar allows only atoms around '^'; force parens on compounds
             s = f"{self.args[0]._print(5)}^2"
@@ -203,12 +197,11 @@ class Expr:
             body = self.args[0]._print(5)
             s = f"-{body}"
             return f"({s})" if parent_prec > 1 else s
-        prec = {"add": 1, "sub": 1, "mul": 2, "div": 2, "pow": 4}[k]
+        _, sym, prec = _OPS[k]
         left = self.args[0]._print(prec if k != "pow" else 5)
         # the parser groups left to right, so a right operand of equal
         # precedence keeps its parentheses: x1*(x2/x3), x1+(x2+x3)
         right = self.args[1]._print(prec + 1)
-        sym = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "^"}[k]
         s = f"{left}{sym}{right}"
         return f"({s})" if prec < parent_prec else s
 
@@ -341,7 +334,7 @@ class _Parser:
                 return var(idx)
             if self.params and name[0] == "p" and name[1:].isdigit():
                 return Expr("param", index=int(name[1:]))
-            if name in _FUNC_NAMES:
+            if name in _FUNCS:
                 if self.peek() != "(":
                     raise ParseError(f"expected '(' after {name}", self.pos)
                 self.pos += 1

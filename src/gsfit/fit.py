@@ -873,19 +873,21 @@ def _walk(stream: list[Skeleton], V, y, seed: int, max_nodes: int, ldse: bool = 
         yield library, np.empty(0)
 
 
-def fit_factor(data, cfg: RunConfig, ldse: bool = True) -> FactorModel:
+def fit_factor(data, cfg: RunConfig) -> FactorModel:
     """Fit the factor with the first skeleton within tolerance, else the best.
 
     Skeletons are tried in `_walk`'s order: an exact fit of the monomial
     library, the table's parameter-free rows, the scanned and polished
-    parametric rows, LDSE unless `ldse` is False, and last an inexact
-    library fit. The first within tolerance is accepted; without one,
-    the lowest MSE wins, and equal MSEs go to the skeleton tried first.
+    parametric rows, LDSE, and last an inexact library fit. The first
+    within tolerance is accepted; without one, the lowest MSE wins, and
+    equal MSEs go to the skeleton tried first.
     Responses are centered and scaled to unit standard deviation before
     fitting; the returned model represents that normalized image (the
     data identifies the factor only up to an affine transform, and the
     outer linear assembly absorbs the normalization).
-    Acceptance compares the normalized MSE against cfg.tol_target.
+    Acceptance compares the normalized MSE against cfg.tol_target. A
+    sweep's first block (`data.first_block`) is fitted by the block rule:
+    no LDSE, and acceptance at min(EXACT_MSE, cfg.tol_target).
     """
     V = np.asarray(data.points, dtype=float)
     y = np.asarray(data.values, dtype=float)
@@ -896,20 +898,21 @@ def fit_factor(data, cfg: RunConfig, ldse: bool = True) -> FactorModel:
     if scale <= 0.0 or not np.isfinite(scale):
         scale = 1.0
     yn = (y - shift) / scale
+    tol = min(EXACT_MSE, cfg.tol_target) if data.first_block else cfg.tol_target
 
     best = None  # (mse, sk, nl, lin)
     # templates evaluate outside their domains and overflow by design;
     # such parameters score inf
     with np.errstate(all="ignore"):
         for sk, nl in _walk(skeleton_stream(len(data.vars), cfg.max_nodes), V, yn, cfg.seed,
-                             cfg.max_nodes, ldse):
+                             cfg.max_nodes, not data.first_block):
             B = sk.design(V, nl)
             if B is None:
                 continue
             lin, mse = _lstsq_cols(B, yn)
             if best is None or mse < best[0]:
                 best = (mse, sk, nl, lin)
-            if mse <= cfg.tol_target:
+            if mse <= tol:
                 break
     if best is None:
         raise FitError("no skeleton produced a finite fit")
@@ -920,5 +923,5 @@ def fit_factor(data, cfg: RunConfig, ldse: bool = True) -> FactorModel:
         theta=np.concatenate([nl, lin]),
         expr=sk.model(nl, lin, tuple(data.vars)),
         train_mse=mse,
-        converged=bool(mse <= cfg.tol_target),
+        converged=bool(mse <= tol),
     )

@@ -72,11 +72,18 @@ def test_build_basis_single_factor_block():
     assert len(terms) == 1
 
 
-def test_build_basis_explosion_guard():
-    s = dummy_structure(1)
-    models = [fake_model(ex.parse("x1", 7), (1,)) for _ in range(7)]
-    with pytest.raises(ValueError, match="basis explosion"):
-        build_basis(s, [models])
+def test_the_basis_explosion_guard_raises_before_any_sweep():
+    # a block of 7 factors would take 2^7 - 1 basis terms: the fit refuses
+    # it before it evaluates a sweep, as it does a factor over 4 variables
+    o = make_oracle(ex.parse("x1*x2*x3*x4*x5*x6*x7", 7), DomainBox.cube(-3, 3, 7))
+    vars_ = tuple(range(1, 8))
+    s = GsStructure((), [Block(vars_, psi_factors=tuple((v,) for v in vars_))], (0.5,) * 7)
+    with pytest.raises(ft.FitError, match="^basis explosion: block 0 has 7 factors$"):
+        fit_structure_factors(s, o, RunConfig())
+    s.blocks[0].psi_factors = ((1, 2, 3, 4), (5,), (6,), (7,))
+    with pytest.raises(ft.FitError, match="^skeleton streams cover 1 to 3 variables$"):
+        fit_structure_factors(s, o, RunConfig())
+    assert o.eval_count == 0
 
 
 def test_least_squares_exact_sine_model():
@@ -284,7 +291,7 @@ def test_the_sweeps_of_a_fit_evaluate_each_shared_probe_once(monkeypatch):
 
     monkeypatch.setattr(Oracle, "eval_batch", eval_spy)
     monkeypatch.setattr(det, "_rng", rng_spy)
-    monkeypatch.setattr(ft, "fit_factor", lambda data, cfg, ldse=True: fake_model(
+    monkeypatch.setattr(ft, "fit_factor", lambda data, cfg: fake_model(
         ex.const(1.0), data.vars, converged=False))
     for o, s in structures:
         anchor = np.asarray(s.anchor)
@@ -303,8 +310,8 @@ def test_the_sweeps_of_a_fit_evaluate_each_shared_probe_once(monkeypatch):
 
 def _sweep_spies(monkeypatch, fit=None):
     """Spy on the sweeps of a fit: the point batches the oracle evaluates,
-    and each fit_factor call as (data, ldse). `fit`, when given, stands in
-    for the real fit_factor."""
+    and each fit_factor call as (data, whether it is a first block). `fit`,
+    when given, stands in for the real fit_factor."""
     batches, fits = [], []
     inner_eval, inner_fit = Oracle.eval_batch, fit or ft.fit_factor
 
@@ -312,9 +319,9 @@ def _sweep_spies(monkeypatch, fit=None):
         batches.append(np.array(points))
         return inner_eval(self, points)
 
-    def fit_spy(data, cfg, ldse=True):
-        fits.append((data, ldse))
-        return inner_fit(data, cfg, ldse)
+    def fit_spy(data, cfg):
+        fits.append((data, data.first_block))
+        return inner_fit(data, cfg)
 
     monkeypatch.setattr(Oracle, "eval_batch", eval_spy)
     monkeypatch.setattr(ft, "fit_factor", fit_spy)
@@ -332,8 +339,8 @@ def test_a_factor_exact_on_its_first_block_evaluates_only_the_block(monkeypatch)
     [factors] = fit_structure_factors(s, o, cfg)
     assert all(f.converged and f.train_mse <= ft.EXACT_MSE for f in factors)
     assert [len(b) for b in batches] == [16, 16]
-    assert [(d.vars, len(d.points), ldse) for d, ldse in fits] == [
-        ((1,), 16, False), ((2,), 16, False)]
+    assert [(d.vars, len(d.points), block) for d, block in fits] == [
+        ((1,), 16, True), ((2,), 16, True)]
 
 
 def test_a_factor_inexact_on_its_block_fits_one_draw_of_the_whole_sweep(monkeypatch):
@@ -347,7 +354,7 @@ def test_a_factor_inexact_on_its_block_fits_one_draw_of_the_whole_sweep(monkeypa
     batches, fits = _sweep_spies(monkeypatch)
     [[model]] = fit_structure_factors(s, o, cfg)
     assert not model.converged
-    assert [(len(d.points), ldse) for d, ldse in fits] == [(16, False), (48, True)]
+    assert [(len(d.points), block) for d, block in fits] == [(16, True), (48, False)]
     at = s.at
     pts = at.uniform((1,), 48, 301, 1)
     rows = det._pin(at.point, (1,), pts)
@@ -362,21 +369,25 @@ def test_an_omega_sweep_drawn_in_two_steps_is_one_draw(monkeypatch):
     # case 4, x3*sin(x1)-2*x3*cos(x2), with every fit a miss: each block's
     # omega sweep of x3 evaluates its first block of 16 points, then the
     # other 32, at both points of its spread pair, and the whole sweep, in
-    # points and values, is that of one 48-point draw of the block's
-    # stream 402
+    # points and values, is that of one 48-point draw of the stream 402
+    # of the block and the group
     o, cfg = CASES[4].oracle(), RunConfig(seed=1)
     s = detect_structure(o, cfg)
     assert [(b.vars, b.omega_factors) for b in s.blocks] == [((1,), ((3,),)), ((2,), ((3,),))]
     batches, fits = _sweep_spies(
-        monkeypatch, lambda data, cfg, ldse: fake_model(ex.const(1.0), data.vars, False))
+        monkeypatch, lambda data, cfg: fake_model(ex.const(1.0), data.vars, False))
     fit_structure_factors(s, o, cfg)
-    omega = [d for d, ldse in fits if ldse and d.vars == (3,)]
+    omega = [d for d, block in fits if not block and d.vars == (3,)]
     assert len(omega) == 2
     for b, whole in zip(s.blocks, omega):
-        zs = s.at.uniform((3,), 48, 402, *b.vars)
-        rows = s.at.delta_points([(b.vars, (3,), zs)])
+        zs = s.at.uniform((3,), 48, 402, *b.vars, 3)
+        # the sweep at the block's b_lo less the sweep at its b_hi
+        (b_lo, b_hi, _), = s.at.spread_pairs([b.vars])
+        lo, hi = (det._pin(det._pin(s.at.point, b.vars, side)[0], (3,), zs)
+                  for side in (b_lo, b_hi))
         assert whole.points.tobytes() == zs.tobytes()
-        assert whole.values.tobytes() == det._halves_diff(o.target.eval_batch(rows)).tobytes()
+        assert whole.values.tobytes() == (
+            o.target.eval_batch(lo) - o.target.eval_batch(hi)).tobytes()
     # per block: the psi block and its rest, then the omega block and its
     # rest, two rows a point
     assert [len(b) for b in batches] == [16, 32, 32, 64] * 2
@@ -392,9 +403,9 @@ def test_the_block_fit_runs_no_ldse(monkeypatch):
     fits, runs = [], []
     inner_fit, inner_ldse = ft.fit_factor, ft.ldse_minimize
 
-    def fit_spy(data, c, ldse=True):
-        fits.append(ldse)
-        return inner_fit(data, c, ldse)
+    def fit_spy(data, c):
+        fits.append(data.first_block)
+        return inner_fit(data, c)
 
     def ldse_spy(objective, bounds, *, rng, **kw):
         runs.append((fits[-1], rng.bit_generator.state["state"]["state"]))
@@ -404,8 +415,8 @@ def test_the_block_fit_runs_no_ldse(monkeypatch):
     monkeypatch.setattr(ft, "ldse_minimize", ldse_spy)
     model = assemble_and_validate(detect_structure(o, cfg), o, cfg)
     rank = [sk.name for sk in ft.skeleton_stream(3, 14)].index("sin_affine3")
-    assert fits == [False, True]
-    assert runs == [(True, rng(1, 1101, rank, 0).bit_generator.state["state"]["state"])]
+    assert fits == [True, False]
+    assert runs == [(False, rng(1, 1101, rank, 0).bit_generator.state["state"]["state"])]
     assert model.success and o.eval_count == 322
 
 
@@ -421,7 +432,7 @@ def test_a_block_mostly_invalid_goes_on_to_the_whole_sweep(monkeypatch):
     batches, fits = _sweep_spies(monkeypatch)
     [[model]] = fit_structure_factors(structure, o, cfg)
     assert model.converged
-    assert [(len(d.points), ldse) for d, ldse in fits] == [(30, True)]
+    assert [(len(d.points), block) for d, block in fits] == [(30, False)]
     # the block, f(anchor), then the rest
     assert [len(b) for b in batches] == [16, 1, 32]
 

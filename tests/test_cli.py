@@ -88,11 +88,11 @@ def test_detect_entangled_single_block(capsys):
 
 
 @pytest.mark.parametrize("target, dims", [("x1", "1"), ("sin(x1)*x2", "2")])
-def test_a_lone_block_detects_at_tolerance_zero(capsys, target, dims):
+def test_a_lone_block_detects_at_the_least_tolerance(capsys, target, dims):
     # a lone block's slice is the total itself, so no reconstruction
     # residual, rounding included, can fail it
     code, out, _ = run_cli(
-        ["detect", "--target", target, "--dims", dims, "--tol-detect", "0"], capsys
+        ["detect", "--target", target, "--dims", dims, "--tol-detect", "1e-12"], capsys
     )
     assert code == 0
     blocks = json.loads(out)["structure"]["blocks"]
@@ -266,6 +266,26 @@ def test_fit_unfittable_factors_exit_3(capsys, target, dims, reason):
     assert code == 3
     assert out == ""
     assert err.startswith(f"fit failed: {reason}")
+
+
+def test_a_factor_over_four_variables_fails_before_its_sweep(capsys, monkeypatch):
+    # the one factor (x1, x2, x3, x4) is refused before its sweep, whose
+    # first block and rest, 4 * 16 + 4 * 32 = 192 points, are never
+    # evaluated: the fit evaluates what detection does
+    rows = []
+    inner = Oracle.eval_batch
+
+    def spy(self, points):
+        rows.append(len(points))
+        return inner(self, points)
+
+    args = ["--target", "sin(x1*x2*x3*x4)", "--dims", "4", "--seed", "1"]
+    _, out, _ = run_cli(["detect", *args], capsys)
+    monkeypatch.setattr(Oracle, "eval_batch", spy)
+    code, _, err = run_cli(["fit", *args], capsys)
+    assert code == 3
+    assert err == "fit failed: skeleton streams cover 1 to 3 variables\n"
+    assert sum(rows) == json.loads(out)["structure"]["probes_used"] == 444 - 192
 
 
 def test_fit_detection_error_in_the_factor_sweeps_exit_2(capsys, monkeypatch):
@@ -632,7 +652,7 @@ def test_a_kmax_below_one_exits_1(capsys, command, kmax):
 
 
 _TOLERANCE_RULES = {
-    "--tol-detect": "finite, at least 0 and below 1",
+    "--tol-detect": "finite, at least 1e-12 and below 1",
     "--tol-target": "finite and at least 0",
 }
 
@@ -641,11 +661,13 @@ _TOLERANCE_RULES = {
 @pytest.mark.parametrize("flag, value", [
     ("--tol-detect", "-1e-8"), ("--tol-detect", "nan"),
     ("--tol-detect", "1"), ("--tol-detect", "5"),
+    ("--tol-detect", "0"), ("--tol-detect", "1e-16"),
     ("--tol-target", "-1"), ("--tol-target", "inf"),
 ])
 def test_a_negative_or_non_finite_tolerance_exits_1(capsys, command, flag, value):
     # at a detection tolerance of 1 or more, x1*x2+x3 would read as
-    # ignoring every variable: no difference is larger than its own scale
+    # ignoring every variable: no difference is larger than its own scale;
+    # below 1e-12 rounding decides, and at 0 it reads as one block
     code, out, err = run_cli([command, "--target", "x1*x2+x3", "--dims", "3",
                               f"{flag}={value}"], capsys)
     assert code == 1 and out == ""

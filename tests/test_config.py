@@ -64,13 +64,14 @@ def test_a_stream_is_seeded_by_the_little_endian_words_of_its_digest():
     ("seed", -1, "--seed"),
     ("tol_detect", float("nan"), "--tol-detect"),
     ("tol_detect", -1e-8, "--tol-detect"),
-    ("tol_detect", 1.0, "--tol-detect must be finite, at least 0 and below 1"),
+    ("tol_detect", 1.0, "--tol-detect must be finite, at least 1e-12 and below 1"),
+    ("tol_detect", 0.0, "--tol-detect must be finite, at least 1e-12 and below 1"),
     ("tol_target", float("inf"), "--tol-target"),
     ("max_nodes", 2, "--max-nodes"),
     ("kmax", 0, "--kmax"),
     ("samples_per_var", 0, "--samples-per-var"),
-], ids=["seed", "tol_detect-nan", "tol_detect-negative", "tol_detect-one", "tol_target-inf",
-        "max_nodes", "kmax", "samples_per_var"])
+], ids=["seed", "tol_detect-nan", "tol_detect-negative", "tol_detect-one", "tol_detect-zero",
+        "tol_target-inf", "max_nodes", "kmax", "samples_per_var"])
 def test_a_run_config_refuses_what_its_flag_refuses(field, value, flag):
     with pytest.raises(ValueError, match=flag):
         RunConfig(**{field: value})
@@ -85,6 +86,6 @@ def test_a_library_caller_cannot_peel_nothing():
 
 
 def test_the_bounds_of_each_field_are_accepted():
-    cfg = RunConfig(seed=0, tol_detect=0.0, tol_target=0.0, max_nodes=3, kmax=1,
+    cfg = RunConfig(seed=0, tol_detect=1e-12, tol_target=0.0, max_nodes=3, kmax=1,
                     samples_per_var=1)
     assert (cfg.max_nodes, cfg.kmax, cfg.samples_per_var) == (3, 1, 1)

@@ -485,7 +485,8 @@ def test_each_attempt_draws_its_own_reconstruction_points_and_second_anchors(mon
     monkeypatch.setattr(det, "interaction_graph", graph_spy)
     for a in (0, 1):
         at = Anchor(o, [0.5, 0.5], CFG, attempt=(a,))
-        s = minimal_blocks(at, (), inner_graph(at))
+        inner_graph(at)
+        s = minimal_blocks(at, ())
         assert [b.vars for b in s.blocks] == [(1,), (2,)]
         assert det._reconstruction_ok(at, s)
         recon.append(calls[-1][:det.RECON_POINTS])
@@ -605,9 +606,8 @@ def test_a_hub_over_disjoint_pairs_peels_in_few_component_searches(monkeypatch):
 
 
 def blocks_at(o, repeated, anchor, cfg):
-    """minimal_blocks at `anchor`, with the graph scored there."""
-    at = Anchor(o, anchor, cfg)
-    return minimal_blocks(at, repeated, interaction_graph(at))
+    """minimal_blocks at `anchor`, which scores the graph there."""
+    return minimal_blocks(Anchor(o, anchor, cfg), repeated)
 
 
 def test_minimal_blocks_case6():
@@ -634,9 +634,9 @@ def test_the_stability_graph_scores_no_pair_touching_a_repeated_variable(monkeyp
 
     o = CASES[6].oracle()
     at = Anchor(o, np.array([2.0, 2.1, 1.9, 2.2, 1.8]), RunConfig(seed=2))
-    g = interaction_graph(at)
+    interaction_graph(at)
     monkeypatch.setattr(det, "_pair_scores", spy)
-    s = minimal_blocks(at, (5,), g)
+    s = minimal_blocks(at, (5,))
     assert [b.vars for b in s.blocks] == [(1,), (2,), (3,), (4,)]
     assert scored and all(
         pairs == list(itertools.combinations(range(1, 5), 2)) for pairs in scored
@@ -821,7 +821,7 @@ def test_every_partition_grid_cell_is_a_fresh_evaluation_of_its_point(no, monkey
                 reused += 1
             want.append([[value([(p, x)] * (i > 0) + [(q, y)] * (j > 0)) - at.f
                           for j, y in enumerate([0.0, *c])] for i, x in enumerate([0.0, *a])])
-        b_lo, b_hi, _ = at.spread_pair(b.vars)
+        (b_lo, b_hi, _), = at.spread_pairs([b.vars])
         for p, q in itertools.combinations(b.repeated, 2):
             a = axis(p, 601, det.MEMBERSHIP_POINTS, *b.vars)
             c = axis(q, 601, det.MEMBERSHIP_POINTS, *b.vars)
@@ -882,9 +882,9 @@ def test_a_failed_spread_pair_raises_before_any_sweep():
     assert o.eval_count == 2 * det.OMEGA_PAIR_CANDIDATES == 16
 
 
-def membership_calls(at, blocks, repeated, graph, monkeypatch):
-    """at.memberships(blocks, repeated, graph) and the rows of each of its
-    oracle calls."""
+def membership_calls(at, blocks, repeated, monkeypatch):
+    """at.memberships(blocks, repeated) and the rows of each of its oracle
+    calls."""
     calls = []
     inner = Oracle.eval_batch
 
@@ -893,7 +893,7 @@ def membership_calls(at, blocks, repeated, graph, monkeypatch):
         return inner(self, points)
 
     monkeypatch.setattr(Oracle, "eval_batch", spy)
-    members = at.memberships(blocks, repeated, graph)
+    members = at.memberships(blocks, repeated)
     monkeypatch.setattr(Oracle, "eval_batch", inner)
     return members, calls
 
@@ -902,7 +902,8 @@ def test_a_coupled_sweep_stops_at_its_grid_axis(monkeypatch):
     # case 4: the graph links x3 to both blocks, and the first GRID_DRAWS
     # points of each sweep, the omega grids' axis, already couple
     at = Anchor(CASES[4].oracle(), [0.8, 0.9, 0.7], CFG)
-    members, calls = membership_calls(at, [(1,), (2,)], (3,), interaction_graph(at), monkeypatch)
+    interaction_graph(at)
+    members, calls = membership_calls(at, [(1,), (2,)], (3,), monkeypatch)
     assert members == [(3,), (3,)]
     assert calls == [2 * det.OMEGA_PAIR_CANDIDATES, 2 * 2 * det.GRID_DRAWS]
     assert [len(at._members[3, b][1]) for b in [(1,), (2,)]] == [det.GRID_DRAWS] * 2
@@ -916,8 +917,8 @@ def test_a_sweep_into_a_block_the_graph_does_not_link_is_evaluated_whole(monkeyp
     # case 6: x5 couples blocks (2,) and (3,) only, and the graph has no
     # edge from x5 into (1,) or (4,)
     at = Anchor(CASES[6].oracle(), CASE6_ANCHOR, RunConfig(seed=2))
-    members, calls = membership_calls(at, CASE6_BLOCKS, (5,), interaction_graph(at),
-                                      monkeypatch)
+    interaction_graph(at)
+    members, calls = membership_calls(at, CASE6_BLOCKS, (5,), monkeypatch)
     assert members == [(), (5,), (5,), ()]
     assert calls == [4 * det.OMEGA_PAIR_CANDIDATES,
                      2 * 2 * det.GRID_DRAWS + 2 * 2 * det.MEMBERSHIP_POINTS]
@@ -932,9 +933,9 @@ def test_a_graph_that_mispredicts_a_sweep_leaves_its_verdict(monkeypatch):
     # last two are evaluated whole. Each verdict is the rule applied to
     # all MEMBERSHIP_POINTS points of the sweep
     cfg = RunConfig(seed=2)
-    wrong = graph_from_edges(5, [(1, 5), (4, 5)])
     at = Anchor(CASES[6].oracle(), CASE6_ANCHOR, cfg)
-    members, calls = membership_calls(at, CASE6_BLOCKS, (5,), wrong, monkeypatch)
+    at.graph = graph_from_edges(5, [(1, 5), (4, 5)])
+    members, calls = membership_calls(at, CASE6_BLOCKS, (5,), monkeypatch)
     assert members == [(), (5,), (5,), ()]
     rest = det.MEMBERSHIP_POINTS - det.GRID_DRAWS
     assert calls == [4 * det.OMEGA_PAIR_CANDIDATES,
@@ -942,12 +943,29 @@ def test_a_graph_that_mispredicts_a_sweep_leaves_its_verdict(monkeypatch):
     fresh = Anchor(CASES[6].oracle(), CASE6_ANCHOR, cfg)
     for b in CASE6_BLOCKS:
         z = fresh.uniform((5,), det.MEMBERSHIP_POINTS, 601, 5, *b)
-        d = fresh.delta(b, (5,), z)
+        [d] = fresh._sweep_deltas([(b, (5,), z)])
         valid = d[np.isfinite(d)]
         rule = valid.size >= 4 and np.ptp(valid) > cfg.tol_detect * max(1.0, np.abs(valid).max())
         held_z, held_d, coupled = at._members[5, b]
         assert held_z.tobytes() == z[:, 0].tobytes() and held_d.tobytes() == d.tobytes()
         assert coupled == rule == (b in [(2,), (3,)])
+
+
+def test_the_partition_sizes_its_sweeps_by_the_anchors_graph():
+    # case 7: the omega side (4, 5) of block (1,) reads the sweeps of x4
+    # and x5 into it, which the graph links to it; with the graph scored,
+    # each holds its first GRID_DRAWS points, as under minimal_blocks, and
+    # the partition's one call holds the rest of its evaluations
+    o = CASES[7].oracle()
+    at = Anchor(o, [0.8, 0.9, 0.7, 1.1, -0.6], RunConfig(seed=1))
+    interaction_graph(at)
+    blocks = [det.Block((1,), (4, 5)), det.Block((2,), (5,)), det.Block((3,), (4,))]
+    before = o.eval_count
+    groups = factor_partition(at, blocks)
+    assert groups == [(((1,),), ((4,), (5,))), (((2,),), ((5,),)), (((3,),), ((4,),))]
+    assert {key: len(d) for key, (_, d, _) in at._members.items()} == {
+        (4, (1,)): det.GRID_DRAWS, (5, (1,)): det.GRID_DRAWS}
+    assert o.eval_count - before == 104
 
 
 def test_a_prefix_that_couples_couples_every_extension():
@@ -1073,9 +1091,9 @@ def test_a_variable_flat_at_one_anchor_only_is_not_ignored():
     o = make_oracle(ex.parse("x1+x3+x1*x2*x3", 3), DomainBox.cube(-1, 1, 3))
     at = Anchor(o, [0.0, 0.5, 0.0], CFG)
     g = interaction_graph(at)
-    assert g.ignored == (2,) and graph_edges(g) == [(1, 3)]
+    assert at.graph is g and g.ignored == (2,) and graph_edges(g) == [(1, 3)]
     with pytest.raises(det.StructureUnstableError):
-        minimal_blocks(at, (), g)
+        minimal_blocks(at, ())
 
 
 def test_detect_structure_counts_probes():

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -994,10 +995,10 @@ def _spied_fit(monkeypatch, data, cfg):
 
 
 def _suite_factor_data(monkeypatch):
-    """(cfg, FactorData, ldse) of every factor fit of cases 1-10 and of
-    the stream demo, case 11, at their first suite seed: a fit of a
-    sweep's first block (ldse False) and, when that does not fit exactly,
-    one of the whole sweep."""
+    """(cfg, FactorData) of every factor fit of cases 1-10 and of the
+    stream demo, case 11, at their first suite seed: a fit of a sweep's
+    first block (marked as one) and, when that does not fit exactly, one
+    of the whole sweep."""
     import gsfit.assemble as asm
     from gsfit.bench import CASES, STREAM_DEMO, get_case, suite_seeds
     from gsfit.detect import detect_structure
@@ -1005,9 +1006,9 @@ def _suite_factor_data(monkeypatch):
     out = []
     real = ft.fit_factor
 
-    def spy(data, c, ldse=True):
-        out.append((c, data, ldse))
-        return real(data, c, ldse)
+    def spy(data, c):
+        out.append((c, data))
+        return real(data, c)
 
     with monkeypatch.context() as m:
         m.setattr(ft, "fit_factor", spy)
@@ -1025,9 +1026,9 @@ def test_suite_factors_fit_without_ldse(monkeypatch):
     # none reaches LDSE or the wide scan, even where LDSE is allowed
     fits = _suite_factor_data(monkeypatch)
     assert len(fits) == 50
-    for cfg, data, ldse in fits:
-        assert not ldse and len(data.points) <= 16 * len(data.vars)
-        model, runs, wide = _spied_fit(monkeypatch, data, cfg)
+    for cfg, data in fits:
+        assert data.first_block and len(data.points) <= 16 * len(data.vars)
+        model, runs, wide = _spied_fit(monkeypatch, replace(data, first_block=False), cfg)
         assert model.converged and runs == [] and wide == []
 
 
